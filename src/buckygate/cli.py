@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ TRAJECTORY_HEADER = (
 SWEEP_HEADER = "param_value,tau_s,concurrence_at_tau,eof_at_tau,ops_budget,status"
 
 SWEEP_PARAMS = ("r", "Bz", "Bg1", "Bg2", "Bl", "I", "J0")
+WIRE_KEYS = ("d_m", "rho_m", "x1_m", "x2_m")
 
 
 @dataclass(frozen=True)
@@ -126,8 +128,6 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     start = time.monotonic()
     result = run_simulation(config)
-    import os
-
     os.makedirs(args.outdir, exist_ok=True)
     traj_path = os.path.join(args.outdir, "trajectory.csv")
     summary_path = os.path.join(args.outdir, "summary.txt")
@@ -184,9 +184,12 @@ def parse_sweep_spec(text: str):
         raise SweepSpecError(f"a sweep needs at least 2 points, got {len(values)}")
 
     wires = {}
-    for key in ("d_m", "rho_m", "x1_m", "x2_m"):
+    for key in WIRE_KEYS:
         if key in kv:
             wires[key] = float(kv.pop(key))
+    missing = [k for k in WIRE_KEYS if k not in wires]
+    if param == "I" and missing:
+        raise SweepSpecError(f"sweeping I needs wire keys {missing}")
     return param, values, kv, wires
 
 
@@ -205,9 +208,6 @@ def apply_sweep_param(base_config, param: str, value: float, wires: dict):
         mode = "driven" if value != 0 else "static"
         return base_config.replace(Bl1=value, Bl2=value, mode=mode)
     if param == "I":
-        missing = [k for k in ("d_m", "rho_m", "x1_m", "x2_m") if k not in wires]
-        if missing:
-            raise SweepSpecError(f"sweeping I needs wire keys {missing}")
         pair = WirePair(
             current=value, separation=wires["d_m"], radius=wires["rho_m"]
         )
@@ -219,10 +219,15 @@ def apply_sweep_param(base_config, param: str, value: float, wires: dict):
 
 
 def _sweep_point(task):
-    """Worker for one sweep point; returns a finished CSV row."""
-    index, value, config = task
+    """Worker for one sweep point; returns a finished CSV row.
+
+    A point whose parameter value yields an invalid configuration (such as
+    a zero wire current) is recorded with its error name, like a failed
+    simulation.
+    """
+    index, value, base_config, param, wires = task
     try:
-        result = run_simulation(config)
+        result = run_simulation(apply_sweep_param(base_config, param, value, wires))
         g = result.gate
         row = ",".join(
             [
@@ -234,7 +239,7 @@ def _sweep_point(task):
                 "ok",
             ]
         )
-    except SimulationError as exc:
+    except (SimulationError, ValueError) as exc:
         row = ",".join([_fmt(value), "", "", "", "", type(exc).__name__])
     return index, row
 
@@ -243,10 +248,7 @@ def cmd_sweep(args) -> int:
     with open(args.spec, "r", encoding="utf-8") as fh:
         param, values, base_kv, wires = parse_sweep_spec(fh.read())
     base_config = config_from_mapping(base_kv)
-    tasks = [
-        (i, v, apply_sweep_param(base_config, param, v, wires))
-        for i, v in enumerate(values)
-    ]
+    tasks = [(i, v, base_config, param, wires) for i, v in enumerate(values)]
     rows = [None] * len(tasks)
     if args.jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -27,13 +27,12 @@ from .constants import CONSTANTS, PhysicalConstants
 from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import build_static
 from .propagator import (
-    DEFAULT_STEP_SAFETY,
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
     propagate_static,
     propagate_numeric,
-    recommended_step,
+    resolve_step,
     rk4_segment,
     time_dependent_hamiltonian,
 )
@@ -109,24 +108,12 @@ class TrajectoryEvaluator:
         return compose_theta(self.args_at(t)) - self.theta0
 
 
-def resolve_step(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    constants: PhysicalConstants = CONSTANTS,
-) -> SimulationConfig:
-    """Fill in the integration step when the config leaves it automatic."""
-    if config.dt is not None:
-        return config
-    scale = hamiltonian_scale(config, resonances, constants)
-    return config.replace(dt=DEFAULT_STEP_SAFETY * recommended_step(scale))
-
-
 def run_trajectory(config, constants: PhysicalConstants = CONSTANTS):
     """Validate, propagate and unwrap; returns (config, resonances, traj, phases)."""
     cfg = validate(config)
     resonances = resonance_frequencies(constants, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-    cfg = resolve_step(cfg, resonances, constants)
     scale = hamiltonian_scale(cfg, resonances, constants)
+    cfg = resolve_step(cfg, resonances, constants, scale)
     times = sample_times(cfg.t_max, scale)
     if cfg.mode == "driven":
         traj = propagate_numeric(cfg, resonances, times, constants)

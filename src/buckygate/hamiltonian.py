@@ -113,7 +113,7 @@ _DRIVE_2 = np.kron(IDENTITY_2, SIGMA_X + SIGMA_Y)
 def build_drive(
     config: SimulationConfig,
     resonances: ResonancePair,
-    t: float,
+    t,
     constants: PhysicalConstants = CONSTANTS,
 ) -> np.ndarray:
     """Time-dependent drive term only (rad/s); add to the static matrix.
@@ -121,10 +121,12 @@ def build_drive(
     Spin i is driven at its own resonance frequency with amplitude
     a_i(t) = -muB Bl_i cos(omega_i t) / hbar on both sigma_x and sigma_y
     (a linearly polarized field, both components share the same cosine).
+    ``t`` may be a scalar or an array; the result has shape
+    ``np.shape(t) + (4, 4)``.
     """
     a1 = -constants.muB * config.Bl1 * np.cos(resonances.omega1 * t) / constants.hbar
     a2 = -constants.muB * config.Bl2 * np.cos(resonances.omega2 * t) / constants.hbar
-    return a1 * _DRIVE_1 + a2 * _DRIVE_2
+    return np.multiply.outer(a1, _DRIVE_1) + np.multiply.outer(a2, _DRIVE_2)
 
 
 def drive_peak_amplitude(

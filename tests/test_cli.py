@@ -190,3 +190,18 @@ class TestSweep:
         assert code == EXIT_OK
         rows = text.strip().splitlines()[1:]
         assert all(r.endswith("ok") for r in rows)
+
+    def test_invalid_current_point_recorded_not_fatal(self, tmp_path):
+        spec = SWEEP_BASE + (
+            "param=I\nvalues=0.3,0,0.5\nd_m=1e-6\nrho_m=1e-6\nx1_m=5e-7\nx2_m=-5e-7\n"
+        )
+        for jobs in ("1", "2"):
+            code, text = self.run_sweep(tmp_path, spec, "--jobs", jobs)
+            assert code == EXIT_OK
+            statuses = [row.split(",")[-1] for row in text.strip().splitlines()[1:]]
+            assert statuses == ["ok", "ValueError", "ok"]
+
+    def test_current_sweep_without_wires_rejected(self, tmp_path):
+        spec = SWEEP_BASE + "param=I\nvalues=0.3,0.6\nd_m=1e-6\n"
+        code, _ = self.run_sweep(tmp_path, spec)
+        assert code == EXIT_CONFIG

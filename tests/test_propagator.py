@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,12 +7,14 @@ from buckygate.config import SimulationConfig, state_vector, validate
 from buckygate.constants import CONSTANTS
 from buckygate.errors import NonHermitianInput, NormDrift
 from buckygate.fields import resonance_frequencies
-from buckygate.hamiltonian import build_static, static_terms
+from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate.propagator import (
+    STEPS_PER_CHUNK,
     Trajectory,
     propagate_numeric,
     propagate_static,
     recommended_step,
+    resolve_step,
     rk4_segment,
     time_dependent_hamiltonian,
 )
@@ -29,6 +33,40 @@ def resonances_for(cfg):
 
 
 UNIFORM = state_vector(0.5, 0.5, 0.5, 0.5)
+
+
+def _scalar_rk4_segment(hfun, psi, t0, t1, dt_max):
+    """Reference: one classical RK4 step at a time on the state vector."""
+    span = t1 - t0
+    if span == 0:
+        return psi.copy()
+    n = max(1, int(np.ceil(span / dt_max)))
+    h = span / n
+    t = t0
+    for _ in range(n):
+        k1 = -1j * (hfun(t) @ psi)
+        k2 = -1j * (hfun(t + h / 2) @ (psi + h / 2 * k1))
+        k3 = -1j * (hfun(t + h / 2) @ (psi + h / 2 * k2))
+        k4 = -1j * (hfun(t + h) @ (psi + h * k3))
+        psi = psi + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+    return psi
+
+
+def _scalar_states(cfg, times):
+    """Reference trajectory by the scalar loop, and the first sample time whose
+    squared norm leaves the tolerance band (None if none does)."""
+    res = resonances_for(cfg)
+    hfun = time_dependent_hamiltonian(cfg, res)
+    dt = resolve_step(cfg, res).dt
+    states = [np.asarray(cfg.initial_state, dtype=complex)]
+    first_drift = None
+    for t0, t1 in zip(times[:-1], times[1:]):
+        states.append(_scalar_rk4_segment(hfun, states[-1], t0, t1, dt))
+        drift = abs(np.sum(np.abs(states[-1]) ** 2) - 1.0)
+        if first_drift is None and drift > cfg.norm_tolerance:
+            first_drift = t1
+    return np.array(states), first_drift
 
 
 class TestSpectral:
@@ -124,6 +162,74 @@ class TestNumeric:
             propagate_numeric(cfg, resonances_for(cfg), [1e-9, 2e-9])
         with pytest.raises(ValueError):
             propagate_numeric(cfg, resonances_for(cfg), [0.0, 2e-9, 1e-9])
+
+
+class TestBatchedRK4:
+    """The batched step-matrix integrator against the scalar RK4 loop."""
+
+    @staticmethod
+    def driven_config(**overrides):
+        return reference_config(**{"mode": "driven", "Bl1": 6e-4, "Bl2": 6e-4, **overrides})
+
+    @pytest.mark.parametrize("bz", [0.025, 0.05, 0.1])
+    def test_matches_scalar_loop(self, bz):
+        cfg = self.driven_config(Bz1=bz, Bz2=bz, t_max=1.5e-8)
+        times = np.linspace(0, 1e-9, 101)
+        batched = propagate_numeric(cfg, resonances_for(cfg), times)
+        reference, _ = _scalar_states(cfg, times)
+        assert np.max(np.abs(batched.states - reference)) <= 1e-12
+
+    def test_non_uniform_grid(self):
+        # Intervals of 1 to ~50 steps share chunks (identity padding); one
+        # interval of more than two chunks' worth of steps is split.
+        cfg = self.driven_config(dt=2e-13, t_max=4e-9)
+        spans = np.random.default_rng(3).uniform(1e-14, 1e-11, 200)
+        spans[57] = (2 * STEPS_PER_CHUNK + 37) * 2e-13
+        times = np.concatenate([[0.0], np.cumsum(spans)])
+        batched = propagate_numeric(cfg, resonances_for(cfg), times)
+        reference, _ = _scalar_states(cfg, times)
+        assert np.max(np.abs(batched.states - reference)) <= 1e-12
+
+    def test_segment_longer_than_a_chunk(self):
+        cfg = self.driven_config()
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+        dt = 1e-12
+        horizon = (3 * STEPS_PER_CHUNK + 5) * dt
+        batched = rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
+        reference = _scalar_rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
+        assert np.max(np.abs(batched - reference)) <= 1e-12
+
+    def test_norm_drift_names_first_offending_sample(self):
+        # One step per sample: the drift crosses the tolerance past the
+        # first chunk of samples.
+        cfg = self.driven_config(Bl1=5e-4, Bl2=5e-4, dt=2e-12, t_max=4e-9)
+        times = np.linspace(0, 4e-9, 2001)
+        _, first_drift = _scalar_states(cfg, times)
+        assert first_drift is not None and first_drift > times[STEPS_PER_CHUNK]
+        with pytest.raises(NormDrift) as info:
+            propagate_numeric(cfg, resonances_for(cfg), times)
+        reported = float(re.search(r"at t=(\S+) s", str(info.value)).group(1))
+        assert reported == float(f"{first_drift:.6e}")
+
+    def test_build_drive_array_matches_scalar(self):
+        cfg = self.driven_config(Bl2=3e-4)
+        res = resonances_for(cfg)
+        t = np.random.default_rng(5).uniform(0, 1e-8, (3, 5))
+        batched = build_drive(cfg, res, t)
+        assert batched.shape == (3, 5, 4, 4)
+        for index in np.ndindex(t.shape):
+            np.testing.assert_array_equal(batched[index], build_drive(cfg, res, t[index]))
+
+    @pytest.mark.parametrize("mode", ["static", "driven"])
+    def test_hamiltonian_callable_is_vectorized(self, mode):
+        cfg = self.driven_config(mode=mode)
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+        t = np.linspace(0, 1e-9, 6).reshape(2, 3)
+        batched = hfun(t)
+        assert batched.shape == (2, 3, 4, 4)
+        for index in np.ndindex(t.shape):
+            np.testing.assert_array_equal(batched[index], hfun(t[index]))
+        assert hfun(1e-10).shape == (4, 4)
 
 
 class TestRecommendedStep:
