@@ -22,7 +22,7 @@ from .config import (
 from .constants import CONSTANTS, PhysicalConstants
 from .engine import SimulationResult, run_simulation
 from .fields import ResonancePair, WirePair, gradient_field, resonance_frequencies
-from .hamiltonian import build_drive, build_static, build_static_kron, dipole_coupling
+from .hamiltonian import build_drive, build_static, dipole_coupling
 from .propagator import (
     Trajectory,
     propagate_numeric,
@@ -42,7 +42,6 @@ __all__ = [
     "WirePair",
     "build_drive",
     "build_static",
-    "build_static_kron",
     "concurrence",
     "correction_phases",
     "default_initial_state",

@@ -4,9 +4,11 @@ The composite gate phase is
 
     theta(t) = Arg c1(t) - Arg c2(t) - Arg c3(t) + Arg c4(t),
 
-built from per-coefficient arguments unwrapped by nearest-branch continuation
-and rescaled so that theta(0) = 0.  The individual arguments are kept because
-the local correction phases need them.
+computed as the unwrapped argument of the gauge-invariant product
+c1 c4 conj(c2 c3) and shifted so that theta(0) = 0.  The Zeeman terms on the
+diagonal of H cancel exactly in that product, so it turns at the dipole rate
+(about 4 g) instead of the Zeeman rate of the single arguments, and one
+unwrapped series resolves it on any sample grid that resolves theta itself.
 """
 
 from __future__ import annotations
@@ -22,21 +24,13 @@ from .propagator import Trajectory
 # Amplitudes below this leave Arg undefined.
 AMP_FLOOR = 1e-12
 
-# theta weights for (c1, c2, c3, c4): +1, -1, -1, +1.
-THETA_WEIGHTS = np.array([1.0, -1.0, -1.0, 1.0])
-
 
 @dataclass(frozen=True)
 class PhaseSeries:
-    """Unwrapped per-coefficient arguments and the composite phase theta.
-
-    ``theta`` is rescaled to start at 0; ``per_basis_args`` are the raw
-    unwrapped Arg(c_i(t)) series (not rescaled).
-    """
+    """The unwrapped composite phase theta at each sample, with theta[0] = 0."""
 
     times: np.ndarray
     theta: np.ndarray
-    per_basis_args: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -51,8 +45,14 @@ class GateResult:
     correction_phases: tuple  # (s1_0, s1_1, s2_0, s2_1) in rad
 
 
+def composite_angle(states) -> np.ndarray:
+    """Arg(c1 c4 conj(c2 c3)) in [-pi, pi] for each state of a (..., 4) array."""
+    c = np.asarray(states)
+    return np.angle(c[..., 0] * c[..., 3] * np.conj(c[..., 1] * c[..., 2]))
+
+
 def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries:
-    """Continuous Arg series per coefficient plus the composite phase.
+    """Continuous composite phase theta(t), unwrapped from the sampled states.
 
     Raises UndefinedPhase if any amplitude magnitude falls below
     ``amp_floor`` anywhere along the trajectory.
@@ -64,14 +64,8 @@ def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
             "Arg is undefined at vanishing amplitude"
         )
-    args = np.unwrap(np.angle(traj.states), axis=0)
-    theta = args @ THETA_WEIGHTS
-    return PhaseSeries(times=traj.times, theta=theta - theta[0], per_basis_args=args)
-
-
-def compose_theta(args4) -> float:
-    """theta from four (already aligned) coefficient arguments."""
-    return float(np.asarray(args4) @ THETA_WEIGHTS)
+    theta = np.unwrap(composite_angle(traj.states))
+    return PhaseSeries(times=traj.times, theta=theta - theta[0])
 
 
 def find_gate_time(
@@ -80,6 +74,8 @@ def find_gate_time(
     theta_fn=None,
     time_tol: float = 1e-12,
     phase_tol: float = 1e-7,
+    scan_fn=None,
+    scan_step: float | None = None,
 ) -> float:
     """First time the unwrapped composite phase reaches +/-|target|.
 
@@ -90,25 +86,44 @@ def find_gate_time(
     ``time_tol`` seconds and the phase residual below ``phase_tol`` rad;
     without an evaluator, linear interpolation of the sampled series is used.
 
+    theta can reach the level and turn back between two samples, which the
+    sampled series does not show.  Given ``scan_fn`` (theta at an array of
+    times) and ``scan_step`` (s), the sample intervals from the first sample
+    within twice the largest per-sample increment of the level up to the
+    first sampled crossing are evaluated in one call at a spacing of at most
+    ``scan_step``, and the first crossing found there is refined instead.
+    The scanned points are midpoints the bisection itself would visit, so
+    when the scan finds no earlier crossing the result does not change.
+
     Raises NoCrossing when the phase never reaches the target before the end
     of the series; the exception carries theta at the final sample.
     """
     level = abs(target)
-    theta = phases.theta
+    times, theta = phases.times, phases.theta
     hit = np.flatnonzero(np.abs(theta) >= level)
     if len(hit) == 0:
         raise NoCrossing(
             f"theta stayed in (-{level:.6f}, {level:.6f}) up to "
-            f"t={phases.times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)",
+            f"t={times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)",
             theta_end=float(theta[-1]),
         )
     i = hit[0]
     if i == 0:
-        return float(phases.times[0])
-    crossed = level if theta[i] >= level else -level
-    t_lo, t_hi = phases.times[i - 1], phases.times[i]
+        return float(times[0])
+    t_lo, t_hi = times[i - 1], times[i]
     th_lo, th_hi = theta[i - 1], theta[i]
 
+    if scan_fn is not None:
+        margin = 2 * np.max(np.abs(np.diff(theta)))
+        j = int(np.argmax(np.abs(theta) >= level - margin))
+        grid = _bisection_grid(times[j : i + 1], scan_step)
+        fine = scan_fn(grid)
+        k = np.flatnonzero(np.abs(fine) >= level)
+        if k.size and k[0] > 0:
+            t_lo, t_hi = grid[k[0] - 1], grid[k[0]]
+            th_lo, th_hi = fine[k[0] - 1], fine[k[0]]
+
+    crossed = level if th_hi >= level else -level
     if theta_fn is None:
         return float(t_lo + (t_hi - t_lo) * (crossed - th_lo) / (th_hi - th_lo))
 
@@ -129,6 +144,21 @@ def find_gate_time(
     return float(t_best)
 
 
+def _bisection_grid(edges: np.ndarray, max_step: float) -> np.ndarray:
+    """``edges`` with every interval halved until none exceeds ``max_step``.
+
+    Midpoints are formed as 0.5 * (lo + hi), exactly as the bisection in
+    find_gate_time forms them.
+    """
+    grid = edges
+    while np.max(np.diff(grid)) > max_step:
+        finer = np.empty(2 * len(grid) - 1)
+        finer[::2] = grid
+        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
+        grid = finer
+    return grid
+
+
 def correction_phases(phi00: float, phi01: float, phi10: float):
     """Local single-qubit phases (s1_0, s1_1, s2_0, s2_1) removing the
     single-particle parts of the evolution, leaving only the entangling phase
@@ -140,19 +170,25 @@ def correction_phases(phi00: float, phi01: float, phi10: float):
     return (s1_0, s1_1, s2_0, s2_1)
 
 
-def concurrence(psi) -> float:
-    """Normalized concurrence C = 2 |c2 c3 - c1 c4| / <psi|psi> in [0, 1]."""
+def concurrence(psi):
+    """Normalized concurrence C = 2 |c2 c3 - c1 c4| / <psi|psi> in [0, 1].
+
+    ``psi`` is one state (result: a float) or an (n, 4) array of states
+    (result: an array of n values).
+    """
     c = np.asarray(psi, dtype=complex)
-    nrm2 = float(np.sum(np.abs(c) ** 2))
-    if nrm2 < AMP_FLOOR**2:
+    nrm2 = np.sum(np.abs(c) ** 2, axis=-1)
+    if np.any(nrm2 < AMP_FLOOR**2):
         raise ZeroState("cannot compute concurrence of the zero state")
-    return float(2 * abs(c[1] * c[2] - c[0] * c[3]) / nrm2)
-
-
-def spin_flip(psi) -> np.ndarray:
-    """Two-qubit spin flip (sigma_y x sigma_y) conj(psi)."""
-    c = np.conj(np.asarray(psi, dtype=complex))
-    return np.array([-c[3], c[2], c[1], -c[0]], dtype=complex)
+    # c2 c3 - c1 c4 and its modulus in real arithmetic: numpy's vectorized
+    # complex multiply and abs round differently from its scalar ones, and
+    # this form gives every state the same bits whether passed alone or in
+    # an array.
+    a, b = np.moveaxis(c.real, -1, 0), np.moveaxis(c.imag, -1, 0)
+    re = (a[1] * a[2] - b[1] * b[2]) - (a[0] * a[3] - b[0] * b[3])
+    im = (a[1] * b[2] + b[1] * a[2]) - (a[0] * b[3] + b[0] * a[3])
+    value = 2 * np.hypot(re, im) / nrm2
+    return float(value) if c.ndim == 1 else value
 
 
 def binary_entropy(x: float) -> float:

@@ -88,19 +88,14 @@ def _fmt(x) -> str:
 
 
 def trajectory_csv(result) -> str:
+    traj = result.trajectory
+    n = len(traj.times)
+    re_im = np.stack([traj.states.real, traj.states.imag], axis=-1).reshape(n, 8)
+    table = np.column_stack(
+        [traj.times, re_im, result.phases.theta, concurrence(traj.states), traj.norms]
+    )
     rows = [TRAJECTORY_HEADER]
-    traj, phases = result.trajectory, result.phases
-    norms = traj.norms
-    for i, t in enumerate(traj.times):
-        c = traj.states[i]
-        fields = [_fmt(t)]
-        for j in range(4):
-            fields.append(_fmt(c[j].real))
-            fields.append(_fmt(c[j].imag))
-        fields.append(_fmt(phases.theta[i]))
-        fields.append(_fmt(concurrence(c)))
-        fields.append(_fmt(norms[i]))
-        rows.append(",".join(fields))
+    rows.extend(",".join(map(repr, row)) for row in table.tolist())
     return "\n".join(rows) + "\n"
 
 

@@ -1,8 +1,10 @@
 """High-level driver: from a configuration to a full gate summary.
 
 Static mode propagates with the exact spectral solution, driven mode with
-fixed-step RK4.  Gate-time refinement re-propagates inside the bracketing
-sample interval instead of interpolating the sampled phase.
+fixed-step RK4.  Gate-time refinement re-propagates between the stored
+samples, first to scan the intervals near the crossing at a fine spacing and
+then to bisect the first crossing found, instead of interpolating the sampled
+phase.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from .analysis import (
     GateResult,
     PhaseSeries,
-    compose_theta,
+    composite_angle,
     concurrence,
     correction_phases,
     entanglement_of_formation,
@@ -32,13 +34,15 @@ from .propagator import (
     hamiltonian_scale,
     propagate_static,
     propagate_numeric,
+    recommended_step,
     resolve_step,
     rk4_segment,
     time_dependent_hamiltonian,
+    _rk4_chunks,
 )
 
-# Target phase advance of the fastest coefficient between stored samples;
-# must stay well below pi/2 for unambiguous unwrapping.
+# Target phase advance of the fastest coefficient between stored samples.
+# theta turns far slower (about 4 g), so its unwrap has a wide margin.
 MAX_PHASE_PER_SAMPLE = 0.5
 
 MIN_SAMPLES = 1001
@@ -55,7 +59,7 @@ class SimulationResult:
 
 
 def sample_times(t_max: float, h_scale: float) -> np.ndarray:
-    """Output grid dense enough for branch-safe phase unwrapping."""
+    """Output grid resolving the fastest coefficient, within the sample bounds."""
     n = int(np.ceil(t_max * h_scale / MAX_PHASE_PER_SAMPLE)) + 1
     n = min(max(n, MIN_SAMPLES), MAX_SAMPLES)
     return np.linspace(0.0, t_max, n)
@@ -65,16 +69,20 @@ class TrajectoryEvaluator:
     """Continuous theta(t) / psi(t) between the stored samples of a run.
 
     Re-propagates from the nearest earlier sample (exactly for the static
-    case, with RK4 substeps for the driven case) and aligns the raw complex
-    arguments to the unwrapped sampled series, which is branch-safe because
-    per-sample increments are kept below pi/2.
+    case, with RK4 substeps for the driven case).  theta is the argument of
+    c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
+    interpolated sampled theta, which is safe because per-sample theta
+    increments stay far below pi.  ``scan_step`` is the point spacing,
+    0.05 rad at the run's Hamiltonian scale, at which find_gate_time scans
+    for crossings between samples.
     """
 
     def __init__(self, config, resonances, trajectory, phases, constants=CONSTANTS):
         self.trajectory = trajectory
         self.phases = phases
-        self.theta0 = compose_theta(phases.per_basis_args[0])
+        self.theta0 = float(composite_angle(trajectory.states[0]))
         self.dt = config.dt
+        self.scan_step = recommended_step(hamiltonian_scale(config, resonances, constants))
         if config.mode == "driven":
             self.hfun = time_dependent_hamiltonian(config, resonances, constants)
             self.spectral = None
@@ -93,19 +101,29 @@ class TrajectoryEvaluator:
             return self.spectral.evolve(psi_i, t - times[i])
         return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.dt)
 
-    def args_at(self, t: float) -> np.ndarray:
-        """Unwrapped coefficient arguments at arbitrary t."""
-        times = self.trajectory.times
-        i = int(np.searchsorted(times, t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 2)
-        raw = np.angle(self.state_at(t))
-        # Nearest-branch alignment against the interpolated sampled series.
-        frac = (t - times[i]) / (times[i + 1] - times[i])
-        ref = (1 - frac) * self.phases.per_basis_args[i] + frac * self.phases.per_basis_args[i + 1]
-        return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
-
     def theta_at(self, t: float) -> float:
-        return compose_theta(self.args_at(t)) - self.theta0
+        return float(self._aligned(t, self.state_at(t)))
+
+    def theta_on(self, times: np.ndarray) -> np.ndarray:
+        """theta at each of the increasing ``times``, in one vectorized pass.
+
+        Static runs evolve each time exactly from its nearest earlier sample;
+        driven runs take one RK4 pass from the sample at or before times[0].
+        """
+        samples = self.trajectory.times
+        i = np.clip(np.searchsorted(samples, times, side="right") - 1, 0, len(samples) - 1)
+        if self.spectral is not None:
+            states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
+        else:
+            grid = np.concatenate([samples[i[:1]], times])
+            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.dt)
+            states = np.concatenate([block for _, block in chunks])
+        return self._aligned(times, states)
+
+    def _aligned(self, t, states):
+        raw = composite_angle(states) - self.theta0
+        ref = np.interp(t, self.trajectory.times, self.phases.theta)
+        return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
 
 
 def run_trajectory(config, constants: PhysicalConstants = CONSTANTS):
@@ -130,9 +148,15 @@ def run_simulation(
     cfg, resonances, traj, phases = run_trajectory(config, constants)
     evaluator = TrajectoryEvaluator(cfg, resonances, traj, phases, constants)
 
-    tau = find_gate_time(phases, theta_fn=evaluator.theta_at)
+    tau = find_gate_time(
+        phases,
+        theta_fn=evaluator.theta_at,
+        scan_fn=evaluator.theta_on,
+        scan_step=evaluator.scan_step,
+    )
     psi_tau = evaluator.state_at(tau)
-    args_tau = evaluator.args_at(tau) - phases.per_basis_args[0]
+    # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
+    phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()
     c_tau = concurrence(psi_tau)
     gate = GateResult(
         tau=tau,
@@ -140,7 +164,7 @@ def run_simulation(
         concurrence_at_tau=c_tau,
         eof_at_tau=entanglement_of_formation(c_tau),
         ops_budget=ops_budget(tau, cfg.T2),
-        correction_phases=correction_phases(args_tau[0], args_tau[1], args_tau[2]),
+        correction_phases=correction_phases(phi[0], phi[1], phi[2]),
     )
     return SimulationResult(
         config=cfg, resonances=resonances, trajectory=traj, phases=phases, gate=gate

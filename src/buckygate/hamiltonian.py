@@ -72,30 +72,6 @@ def build_static(
     return h
 
 
-def build_static_kron(
-    config: SimulationConfig, constants: PhysicalConstants = CONSTANTS
-) -> np.ndarray:
-    """Same static Hamiltonian via the explicit tensor-product construction.
-
-    Independent route kept as a guard against transcription errors in the
-    closed-form matrix: g (sz sz + sy sy - 2 sx sx) + Zeeman + exchange.
-    """
-    g = dipole_coupling(constants, config.r)
-    dipole = g * (
-        np.kron(SIGMA_Z, SIGMA_Z)
-        + np.kron(SIGMA_Y, SIGMA_Y)
-        - 2 * np.kron(SIGMA_X, SIGMA_X)
-    )
-    zeeman = -constants.muB / constants.hbar * (
-        (config.Bz1 + config.Bg1) * np.kron(SIGMA_Z, IDENTITY_2)
-        + (config.Bz2 + config.Bg2) * np.kron(IDENTITY_2, SIGMA_Z)
-    )
-    h = dipole + zeeman
-    if config.J0 != 0:
-        h = h + config.J0 * _exchange_operator()
-    return h
-
-
 def _exchange_operator() -> np.ndarray:
     return (
         np.kron(SIGMA_X, SIGMA_X)

@@ -114,16 +114,21 @@ class SpectralPropagator:
             raise NonHermitianInput("static Hamiltonian is not Hermitian")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
 
-    def evolve(self, psi: np.ndarray, dtau: float) -> np.ndarray:
-        """psi(t0 + dtau) from psi(t0)."""
-        v = self.eigenvectors
-        return v @ (np.exp(-1j * self.eigenvalues * dtau) * (v.conj().T @ psi))
+    def evolve(self, psi: np.ndarray, dtau) -> np.ndarray:
+        """psi(t0 + dtau) from psi(t0).
 
-    def propagate(self, psi0: np.ndarray, times: np.ndarray) -> np.ndarray:
+        ``dtau`` may be an array of n steps; ``psi`` is then one state or n
+        states, one per step, and the result has shape (n, 4).
+        """
         v = self.eigenvectors
-        coef = v.conj().T @ psi0
-        phases = np.exp(-1j * np.outer(np.asarray(times), self.eigenvalues))
-        return (phases * coef) @ v.T
+        # exp(-i L dtau), filled from cos and sin: cheaper than np.exp of an
+        # imaginary array, and equal to it to rounding.
+        x = np.multiply.outer(dtau, -self.eigenvalues)
+        phases = np.empty(x.shape, dtype=complex)
+        np.cos(x, out=phases.real)
+        np.sin(x, out=phases.imag)
+        phases *= psi @ v.conj()
+        return phases @ v.T
 
 
 def propagate_static(h: np.ndarray, psi0: np.ndarray, times) -> Trajectory:
@@ -131,7 +136,7 @@ def propagate_static(h: np.ndarray, psi0: np.ndarray, times) -> Trajectory:
     times = np.asarray(times, dtype=float)
     _check_times(times)
     prop = SpectralPropagator(h)
-    states = prop.propagate(np.asarray(psi0, dtype=complex), times)
+    states = prop.evolve(np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states)
 
 
@@ -153,9 +158,7 @@ def _rk4_chunks(hfun, psi: np.ndarray, times: np.ndarray, dt_max: float):
     Yields (first, states) per chunk, where states[j] is psi at
     times[first + j].
     """
-    spans = np.diff(times)
-    counts = np.maximum(1, np.ceil(spans / dt_max)).astype(np.int64)
-    sizes = spans / counts
+    counts, sizes = _substeps(times, dt_max)
     n = counts.tolist()
     first = 0
     while first < len(n):
@@ -171,6 +174,17 @@ def _rk4_chunks(hfun, psi: np.ndarray, times: np.ndarray, dt_max: float):
             states[j] = psi
         yield first + 1, states
         first = last
+
+
+def _substeps(times: np.ndarray, dt_max: float):
+    """Step count and uniform step size of each sample interval.
+
+    No step is longer than its interval, so a ``dt_max`` above the sample
+    spacing is never taken.
+    """
+    spans = np.diff(times)
+    counts = np.maximum(1, np.ceil(spans / dt_max)).astype(np.int64)
+    return counts, spans / counts
 
 
 def _interval_products(hfun, starts, counts, sizes, width):
@@ -245,7 +259,8 @@ def propagate_numeric(
 
     Integrates at the configured base step (or an automatically chosen one)
     and raises NormDrift, naming the first sample whose squared norm departs
-    from 1 by more than the configured tolerance; the check runs after each
+    from 1 by more than the configured tolerance and the largest substep
+    taken, which a smaller dt must undercut to help; the check runs after each
     chunk of steps, so integration stops at most one chunk past that sample.
     """
     times = np.asarray(times, dtype=float)
@@ -260,9 +275,11 @@ def propagate_numeric(
         bad = np.flatnonzero(drift > config.norm_tolerance)
         if bad.size:
             i = bad[0]
+            substep = float(np.max(_substeps(times, dt)[1]))
             raise NormDrift(
                 f"squared norm drifted by {drift[i]:.3e} at t={times[first + i]:.6e} s "
-                f"(tolerance {config.norm_tolerance:.1e}); decrease dt"
+                f"(tolerance {config.norm_tolerance:.1e}); the largest RK4 substep "
+                f"taken was {substep:.3e} s, set dt below it"
             )
     return Trajectory(times=times, states=states)
 

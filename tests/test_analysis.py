@@ -11,7 +11,6 @@ from buckygate.analysis import (
     entanglement_of_formation,
     find_gate_time,
     ops_budget,
-    spin_flip,
     unwrap_phases,
 )
 from buckygate.config import product_state, state_vector
@@ -19,6 +18,12 @@ from buckygate.errors import NoCrossing, OutOfRange, UndefinedPhase, ZeroState
 from buckygate.propagator import Trajectory
 
 EPR = state_vector(1, 0, 0, 1) / np.sqrt(2)
+
+
+def spin_flip(psi):
+    """Two-qubit spin flip (sigma_y x sigma_y) conj(psi)."""
+    c = np.conj(np.asarray(psi, dtype=complex))
+    return np.array([-c[3], c[2], c[1], -c[0]], dtype=complex)
 
 
 def make_trajectory(states, t_max=1.0):
@@ -62,13 +67,14 @@ class TestUnwrapPhases:
             )
 
     def test_unwrap_continuity(self):
-        # A uniformly rotating coefficient must not show 2 pi jumps.
+        # theta follows a uniformly rotating c1 through several turns without
+        # 2 pi jumps.
         times = np.linspace(0, 1, 200)
-        states = np.array(
-            [np.exp(1j * 20.0 * t) * np.full(4, 0.5) for t in times]
-        )
+        states = np.full((len(times), 4), 0.5, dtype=complex)
+        states[:, 0] *= np.exp(1j * 20.0 * times)
         phases = unwrap_phases(Trajectory(times=times, states=states))
-        assert np.max(np.abs(np.diff(phases.per_basis_args[:, 0]))) < np.pi / 2
+        assert np.max(np.abs(np.diff(phases.theta))) < np.pi / 2
+        np.testing.assert_allclose(phases.theta, 20.0 * times, atol=1e-12)
 
     def test_vanishing_amplitude_rejected(self):
         traj = make_trajectory([state_vector(1, 0, 0, 0)] * 4)
@@ -80,7 +86,7 @@ class TestFindGateTime:
     def linear_series(self, tau0, t_max=1.0, n=101):
         times = np.linspace(0, t_max, n)
         theta = -(np.pi / tau0) * times
-        return PhaseSeries(times=times, theta=theta, per_basis_args=None)
+        return PhaseSeries(times=times, theta=theta)
 
     def test_linear_crossing(self):
         tau = find_gate_time(self.linear_series(0.4))
@@ -95,14 +101,37 @@ class TestFindGateTime:
     def test_positive_crossing_reported_first(self):
         times = np.linspace(0, 1.0, 101)
         theta = (np.pi / 0.25) * times  # rises through +pi at t=0.25
-        tau = find_gate_time(PhaseSeries(times, theta, None))
+        tau = find_gate_time(PhaseSeries(times, theta))
         assert tau == pytest.approx(0.25, rel=1e-10)
+
+    def test_scan_finds_crossing_between_samples(self):
+        # theta dips below -pi around t = 0.3055, between the samples at 0.30
+        # and 0.31, and turns back; the sampled series first crosses at 0.71.
+        def theta(t):
+            dip = 0.003 * np.exp(-(((t - 0.3055) / 0.003) ** 2))
+            return -np.pi + 0.002 - dip - 10 * np.maximum(0.0, t - 0.7)
+
+        times = np.linspace(0, 1.0, 101)
+        series = PhaseSeries(times, theta(times))
+        assert find_gate_time(series, theta_fn=theta) > 0.7
+        tau = find_gate_time(series, theta_fn=theta, scan_fn=theta, scan_step=1e-3)
+        assert tau == pytest.approx(0.3055 - 0.003 * np.sqrt(np.log(1.5)), abs=1e-9)
+
+    def test_scan_without_earlier_crossing_changes_nothing(self):
+        # The scan points are bisection midpoints, so the refined crossing is
+        # the same to the bit.
+        tau0 = 0.37
+        series = self.linear_series(tau0)
+        theta = lambda t: -(np.pi / tau0) * t + 1e-3 * np.sin(40 * t)
+        plain = find_gate_time(series, theta_fn=theta)
+        scanned = find_gate_time(series, theta_fn=theta, scan_fn=theta, scan_step=1e-4)
+        assert scanned == plain
 
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)
         theta = -0.5 * times
         with pytest.raises(NoCrossing) as exc:
-            find_gate_time(PhaseSeries(times, theta, None))
+            find_gate_time(PhaseSeries(times, theta))
         assert exc.value.theta_end == pytest.approx(-0.5)
 
 

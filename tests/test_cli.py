@@ -11,7 +11,10 @@ from buckygate.cli import (
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
     main,
+    trajectory_csv,
 )
+from buckygate.config import SimulationConfig
+from buckygate.engine import run_simulation
 
 STATIC_CONFIG = """\
 # reference static setup
@@ -77,6 +80,40 @@ class TestSimulate:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
+
+
+def _trajectory_csv_per_row(result):
+    """Reference formatter: one row at a time, concurrence per state."""
+
+    def concurrence(c):
+        nrm2 = float(np.sum(np.abs(c) ** 2))
+        return float(2 * abs(c[1] * c[2] - c[0] * c[3]) / nrm2)
+
+    rows = [TRAJECTORY_HEADER]
+    traj, phases = result.trajectory, result.phases
+    norms = traj.norms
+    for i, t in enumerate(traj.times):
+        c = traj.states[i]
+        fields = [repr(float(t))]
+        for j in range(4):
+            fields.append(repr(float(c[j].real)))
+            fields.append(repr(float(c[j].imag)))
+        fields.append(repr(float(phases.theta[i])))
+        fields.append(repr(concurrence(c)))
+        fields.append(repr(float(norms[i])))
+        rows.append(",".join(fields))
+    return "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"mode": "driven", "Bl1": 6e-4, "Bl2": 6e-4, "t_max": 1.05e-8}],
+    ids=["static", "driven"],
+)
+def test_trajectory_csv_matches_per_row_formatting(overrides):
+    fields = dict(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8)
+    result = run_simulation(SimulationConfig(**{**fields, **overrides}))
+    assert trajectory_csv(result) == _trajectory_csv_per_row(result)
 
 
 class TestGateTime:

@@ -9,6 +9,7 @@ from buckygate.engine import (
     sample_times,
 )
 from buckygate.errors import NoCrossing, UndefinedPhase
+from buckygate.hamiltonian import build_static
 
 
 def reference_config(**overrides):
@@ -42,24 +43,25 @@ class TestStaticRun:
         assert static_result.config.dt > 0
 
     def test_correction_phases_consistent_with_composite_phase(self, static_result):
-        # The corrections are built from the accumulated phases at tau, so
-        # recovering phi00, phi01, phi10 from them and adding the accumulated
-        # |11> argument must reproduce theta(tau).
+        # Applying the four single-qubit corrections to psi(tau) returns every
+        # basis amplitude to its initial phase except |11>, which keeps the
+        # composite phase: diag(1, 1, 1, e^{i theta(tau)}) psi(0).  The
+        # dipolar mixing moves populations, so the phases are compared.
         ev = TrajectoryEvaluator(
             static_result.config,
             static_result.resonances,
             static_result.trajectory,
             static_result.phases,
         )
-        tau = static_result.gate.tau
-        phi = ev.args_at(tau) - static_result.phases.per_basis_args[0]
-        s1_0, s1_1, s2_0, s2_1 = static_result.gate.correction_phases
-        assert s1_0 == pytest.approx(-phi[0] / 2, abs=1e-9)
-        assert s2_0 == pytest.approx(-phi[0] / 2, abs=1e-9)
-        assert s1_1 == pytest.approx(-phi[2] + phi[0] / 2, abs=1e-9)
-        assert s2_1 == pytest.approx(-phi[1] + phi[0] / 2, abs=1e-9)
-        theta = phi[0] - phi[1] - phi[2] + phi[3]
-        assert theta == pytest.approx(static_result.gate.theta_at_tau, abs=1e-9)
+        gate = static_result.gate
+        s1_0, s1_1, s2_0, s2_1 = gate.correction_phases
+        local = np.exp(1j * np.array([s1_0 + s2_0, s1_0 + s2_1, s1_1 + s2_0, s1_1 + s2_1]))
+        corrected = local * ev.state_at(gate.tau)
+        target = np.array([1, 1, 1, np.exp(1j * gate.theta_at_tau)])
+        target = target * static_result.trajectory.states[0]
+        np.testing.assert_allclose(
+            corrected / np.abs(corrected), target / np.abs(target), rtol=0, atol=1e-9
+        )
 
 
 class TestEvaluator:
@@ -150,3 +152,66 @@ def test_sample_times_bounds():
     times = sample_times(1e-8, 1.76e10)
     assert times[0] == 0.0 and times[-1] == 1e-8
     assert len(times) >= 1001
+
+
+def exact_theta(config, times):
+    """Composite phase from exact eigen-evolution: unwrapped argument of
+    c1 c4 conj(c2 c3), shifted to start at 0."""
+    eigenvalues, v = np.linalg.eigh(build_static(config))
+    coef = v.conj().T @ config.initial_state
+    c = (np.exp(-1j * np.outer(times, eigenvalues)) * coef) @ v.T
+    theta = np.unwrap(np.angle(c[:, 0] * c[:, 3] * np.conj(c[:, 1] * c[:, 2])))
+    return theta - theta[0]
+
+
+# Static inputs on which theta reaches -pi between two samples and turns back
+# before the sampled series first shows a crossing.
+GRAZING_INPUTS = {
+    "far": dict(
+        r=3.9841508631763415e-09,
+        Bz1=0.06999492784419133,
+        Bz2=0.06999492784419133,
+        Bg1=7.293781678187397e-05,
+        Bg2=-7.293781678187397e-05,
+        t_max=1.0180782381492176e-06,
+        initial_state=np.array(
+            [
+                -0.7385168178793574 - 0.017725786642797416j,
+                0.355761747336612 - 0.25776306682157696j,
+                0.355761747336612 - 0.2577630668215769j,
+                -0.07540855839776854 + 0.25015158713684826j,
+            ]
+        ),
+    ),
+    "near": dict(
+        r=1.0007584556643935e-09,
+        Bz1=0.1011185947910775,
+        Bz2=0.1011185947910775,
+        Bg1=0.00011881894927169781,
+        Bg2=-0.00011881894927169781,
+        t_max=1.2907781974852246e-08,
+        initial_state=np.array(
+            [
+                0.12046220092563976 - 0.07463275615953877j,
+                -0.16745060678254217 + 0.3059202839905553j,
+                -0.16745060678254217 + 0.3059202839905553j,
+                -0.01243166051237492 - 0.8582018480146029j,
+            ]
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(r=8e-9, t_max=1.2e-5)]
+    + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()],
+    ids=["r=8nm", "grazing-far", "grazing-near"],
+)
+def test_gate_time_is_first_exact_crossing(config):
+    # tau meets the default phase_tol on the exact theta, and the exact theta
+    # does not reach pi anywhere before tau.
+    result = run_simulation(config)
+    theta = exact_theta(result.config, np.linspace(0.0, result.gate.tau, 200_001))
+    assert abs(theta[-1] + np.pi) <= 1e-7 + 1e-9
+    assert np.max(np.abs(theta[:-1])) < np.pi

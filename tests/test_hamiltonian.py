@@ -8,7 +8,6 @@ from buckygate.fields import ResonancePair, resonance_frequencies
 from buckygate.hamiltonian import (
     build_drive,
     build_static,
-    build_static_kron,
     dipole_coupling,
     drive_peak_amplitude,
     is_hermitian,
@@ -17,6 +16,34 @@ from buckygate.hamiltonian import (
 
 # Unit-strength constants: r=1 gives exactly g=1 and the Zeeman scale muB/hbar=1.
 UNIT_CONSTANTS = PhysicalConstants(mu0=4 * np.pi, muB=1.0, hbar=1.0, gamma=2.0)
+
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def build_static_kron(config, constants=CONSTANTS):
+    """The static Hamiltonian via the explicit tensor-product construction.
+
+    Independent route kept as a guard against transcription errors in the
+    closed-form matrix: g (sz sz + sy sy - 2 sx sx) + Zeeman + exchange.
+    """
+    g = dipole_coupling(constants, config.r)
+    dipole = g * (
+        np.kron(SIGMA_Z, SIGMA_Z)
+        + np.kron(SIGMA_Y, SIGMA_Y)
+        - 2 * np.kron(SIGMA_X, SIGMA_X)
+    )
+    zeeman = -constants.muB / constants.hbar * (
+        (config.Bz1 + config.Bg1) * np.kron(SIGMA_Z, IDENTITY_2)
+        + (config.Bz2 + config.Bg2) * np.kron(IDENTITY_2, SIGMA_Z)
+    )
+    exchange = config.J0 * (
+        np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
+    )
+    return dipole + zeeman + exchange
 
 
 def reference_config(**overrides):

@@ -76,6 +76,15 @@ class TestSpectral:
         for state in traj.states:
             np.testing.assert_allclose(state, UNIFORM, atol=1e-15)
 
+    @pytest.mark.parametrize("t_max", [1.2e-8, 1.2e-5])
+    def test_matches_exp_phases(self, t_max):
+        h = build_static(reference_config())
+        times = np.linspace(0, t_max, 50001)
+        eigenvalues, v = np.linalg.eigh(h)
+        reference = (np.exp(-1j * np.outer(times, eigenvalues)) * (v.conj().T @ UNIFORM)) @ v.T
+        states = propagate_static(h, UNIFORM, times).states
+        assert np.max(np.abs(states - reference)) <= 1e-15
+
     def test_rabi_closed_form(self):
         # From |00>, the {|00>,|11>} block oscillates with frequency
         # sqrt(m1^2 + 9 g^2) and contrast 9g^2 / (m1^2 + 9g^2).
@@ -210,6 +219,14 @@ class TestBatchedRK4:
             propagate_numeric(cfg, resonances_for(cfg), times)
         reported = float(re.search(r"at t=(\S+) s", str(info.value)).group(1))
         assert reported == float(f"{first_drift:.6e}")
+
+    @pytest.mark.parametrize("dt", [2e-11, 5e-11])
+    def test_norm_drift_names_the_substep_taken(self, dt):
+        # No step is longer than the 1e-11 s sample spacing, whatever dt says.
+        cfg = self.driven_config(dt=dt, t_max=1.2e-8)
+        times = np.linspace(0, 1.2e-8, 1201)
+        with pytest.raises(NormDrift, match=r"largest RK4 substep taken was 1\.000e-11 s"):
+            propagate_numeric(cfg, resonances_for(cfg), times)
 
     def test_build_drive_array_matches_scalar(self):
         cfg = self.driven_config(Bl2=3e-4)
