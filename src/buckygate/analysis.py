@@ -18,11 +18,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoCrossing, OutOfRange, UndefinedPhase, ZeroState
+from .errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase, ZeroState
 from .propagator import Trajectory
 
 # Amplitudes below this leave Arg undefined.
 AMP_FLOOR = 1e-12
+
+# Largest per-sample step of the unwrapped theta that is trusted.  A grid that
+# resolves theta steps by about 0.5 rad at most; a larger step means the grid
+# is too coarse for the horizon (the sample count is capped), and beyond pi
+# the unwrap would pick the wrong branch without any sign of it.
+MAX_THETA_STEP = math.pi / 2
+
+# Bisection-grid points of the first-crossing scan per call of its theta
+# evaluator, at most.
+SCAN_BATCH = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -31,6 +41,11 @@ class PhaseSeries:
 
     times: np.ndarray
     theta: np.ndarray
+
+    @property
+    def max_step(self) -> float:
+        """Largest per-sample |delta theta| (rad): the unwrap margin."""
+        return float(np.max(np.abs(np.diff(self.theta)), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -55,7 +70,8 @@ def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries
     """Continuous composite phase theta(t), unwrapped from the sampled states.
 
     Raises UndefinedPhase if any amplitude magnitude falls below
-    ``amp_floor`` anywhere along the trajectory.
+    ``amp_floor`` anywhere along the trajectory, and PhaseAliasing if a
+    per-sample step of theta exceeds MAX_THETA_STEP.
     """
     amps = np.abs(traj.states)
     if np.min(amps) < amp_floor:
@@ -64,8 +80,17 @@ def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
             "Arg is undefined at vanishing amplitude"
         )
-    theta = np.unwrap(composite_angle(traj.states))
-    return PhaseSeries(times=traj.times, theta=theta - theta[0])
+    # Each step of the argument taken to [-pi, pi], then summed from theta[0] = 0.
+    steps = np.diff(composite_angle(traj.states))
+    steps -= 2 * np.pi * np.rint(steps / (2 * np.pi))
+    if np.max(np.abs(steps), initial=0.0) > MAX_THETA_STEP:
+        k = int(np.argmax(np.abs(steps)))
+        raise PhaseAliasing(
+            f"theta steps by {abs(steps[k]):.3f} rad between the samples at "
+            f"t={traj.times[k]:.6e} s and t={traj.times[k + 1]:.6e} s, above the "
+            f"unwrap bound {MAX_THETA_STEP:.3f} rad; shorten t_max"
+        )
+    return PhaseSeries(times=traj.times, theta=np.concatenate([[0.0], np.cumsum(steps)]))
 
 
 def find_gate_time(
@@ -76,6 +101,7 @@ def find_gate_time(
     phase_tol: float = 1e-7,
     scan_fn=None,
     scan_step: float | None = None,
+    unresolved: float = 0.0,
 ) -> float:
     """First time the unwrapped composite phase reaches +/-|target|.
 
@@ -88,10 +114,15 @@ def find_gate_time(
 
     theta can reach the level and turn back between two samples, which the
     sampled series does not show.  Given ``scan_fn`` (theta at an array of
-    times) and ``scan_step`` (s), the sample intervals from the first sample
-    within twice the largest per-sample increment of the level up to the
-    first sampled crossing are evaluated in one call at a spacing of at most
+    times) and ``scan_step`` (s), the times before the first sampled crossing
+    at which theta could reach the level are scanned at a spacing of at most
     ``scan_step``, and the first crossing found there is refined instead.
+    Those are the times where the linear interpolation of the samples comes
+    within ``2 * unresolved`` plus half the largest second difference of the
+    samples of the level: ``unresolved`` (rad) bounds the part of theta the
+    samples do not resolve, the second difference the interpolation error of
+    the part they do.  The scan runs in time order in batches and stops at
+    the first crossing, so its cost follows that window, not the horizon.
     The scanned points are midpoints the bisection itself would visit, so
     when the scan finds no earlier crossing the result does not change.
 
@@ -110,18 +141,12 @@ def find_gate_time(
     i = hit[0]
     if i == 0:
         return float(times[0])
-    t_lo, t_hi = times[i - 1], times[i]
-    th_lo, th_hi = theta[i - 1], theta[i]
-
+    bracket = (times[i - 1], times[i], theta[i - 1], theta[i])
     if scan_fn is not None:
-        margin = 2 * np.max(np.abs(np.diff(theta)))
-        j = int(np.argmax(np.abs(theta) >= level - margin))
-        grid = _bisection_grid(times[j : i + 1], scan_step)
-        fine = scan_fn(grid)
-        k = np.flatnonzero(np.abs(fine) >= level)
-        if k.size and k[0] > 0:
-            t_lo, t_hi = grid[k[0] - 1], grid[k[0]]
-            th_lo, th_hi = fine[k[0] - 1], fine[k[0]]
+        margin = _scan_margin(theta, unresolved)
+        scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, scan_fn, scan_step)
+        bracket = scanned or bracket
+    t_lo, t_hi, th_lo, th_hi = bracket
 
     crossed = level if th_hi >= level else -level
     if theta_fn is None:
@@ -144,19 +169,91 @@ def find_gate_time(
     return float(t_best)
 
 
-def _bisection_grid(edges: np.ndarray, max_step: float) -> np.ndarray:
-    """``edges`` with every interval halved until none exceeds ``max_step``.
+def _scan_margin(theta, unresolved):
+    """Bound on |theta(t) - its linear interpolation between samples| (rad).
+
+    ``unresolved`` bounds the part of theta the samples do not resolve; it
+    enters twice, once at t and once in the samples.  The interpolation error
+    of the resolved part is at most h^2 max|theta''| / 8, about an eighth of
+    the largest second difference of the samples; the margin allows four
+    times that.
+    """
+    return 2 * unresolved + 0.5 * np.max(np.abs(np.diff(theta, 2)), initial=0.0)
+
+
+def _scan(times, theta, level, margin, scan_fn, scan_step):
+    """Bracket (t_lo, t_hi, theta_lo, theta_hi) of the first crossing of
+    |theta| = level on the scan grid, or None if the scan finds none.
+
+    ``theta`` ends at the first sample beyond the level.  Each sample
+    interval is scanned where its linear interpolation is within ``margin``
+    of the level, on the points of the interval's bisection grid there and
+    one more on either side.  The intervals are evaluated in time order, in
+    batches of at most SCAN_BATCH grid points, until one holds a crossing.
+    """
+    floor = max(level - margin, 0.0)
+    near = np.abs(theta) >= floor
+    rows = np.flatnonzero(near[:-1] | near[1:])
+    # In the direction s of its larger end, an interval's interpolation u
+    # passes floor at the fraction x; it is scanned from there on toward
+    # that end, or whole if u also falls to -floor.  x may lie outside
+    # [0, 1]: the grid cells lie inside the interval anyway.
+    a, b = theta[rows], theta[rows + 1]
+    s = np.sign(a + b)
+    ua, ub = s * a, s * b
+    d = ub - ua
+    x = (floor - ua) / np.where(d == 0, 1.0, d)
+    whole = np.minimum(ua, ub) <= -floor
+    lo = np.where((d > 0) & ~whole, x, 0.0)
+    hi = np.where((d < 0) & ~whole, x, 1.0)
+    # theta is past the level wherever the interpolation is past it by the
+    # margin, so the last interval is scanned no further than that.
+    hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
+
+    t0, t1 = times[rows], times[rows + 1]
+    span = t1 - t0
+    start, stop = t0 + lo * span, t0 + hi * span
+    depth = max(0, math.ceil(math.log2(np.max(span) / scan_step)))
+    per_batch = max(1, SCAN_BATCH >> depth)
+    prev = t0[0], a[0]
+    for k in range(0, len(rows), per_batch):
+        batch = slice(k, k + per_batch)
+        points = _bisection_points(t0[batch], t1[batch], start[batch], stop[batch], depth)
+        values = scan_fn(points)
+        cross = np.flatnonzero(np.abs(values) >= level)
+        if cross.size:
+            j = cross[0]
+            if j > 0:
+                return points[j - 1], points[j], values[j - 1], values[j]
+            return prev[0], points[0], prev[1], values[0]
+        prev = points[-1], values[-1]
+    return None
+
+
+def _bisection_points(lo, hi, start, stop, depth):
+    """Points of the bisection grid of each interval [lo, hi], halved
+    ``depth`` times, in the cells that meet [start, stop], in time order.
 
     Midpoints are formed as 0.5 * (lo + hi), exactly as the bisection in
-    find_gate_time forms them.
+    find_gate_time forms them; cells away from [start, stop] are dropped at
+    each level, so the work follows the points kept.
     """
-    grid = edges
-    while np.max(np.diff(grid)) > max_step:
-        finer = np.empty(2 * len(grid) - 1)
-        finer[::2] = grid
-        finer[1::2] = 0.5 * (grid[:-1] + grid[1:])
-        grid = finer
-    return grid
+    for _ in range(depth):
+        mid = 0.5 * (lo + hi)
+        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
+        start, stop = start.repeat(2), stop.repeat(2)
+        keep = (hi >= start) & (lo <= stop)
+        lo, hi, start, stop = lo[keep], hi[keep], start[keep], stop[keep]
+    # A cell's upper edge is the next cell's lower edge unless cells were
+    # dropped between them.
+    edges = _interleave(lo, hi)
+    return edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
+
+
+def _interleave(a, b):
+    out = np.empty(2 * len(a))
+    out[::2], out[1::2] = a, b
+    return out
 
 
 def correction_phases(phi00: float, phi01: float, phi10: float):

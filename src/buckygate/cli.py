@@ -7,7 +7,9 @@ Subcommands:
   field-profile <wires>    wire-pair field profile CSV
 
 Exit codes: 0 success, 1 configuration error, 2 no gate-time crossing,
-3 numerical failure (norm drift / undefined phase).
+3 any other SimulationError (numerical failure: norm drift, undefined or
+aliased phase, non-Hermitian Hamiltonian, zero state, value out of range,
+field evaluated on a wire).  Every error is reported on one stderr line.
 
 All numeric output uses repr formatting, so identical inputs produce
 byte-identical files.
@@ -35,15 +37,7 @@ from .config import (
     parse_key_values,
 )
 from .engine import run_simulation
-from .errors import (
-    ConfigError,
-    NoCrossing,
-    NormDrift,
-    SimulationError,
-    SingularPosition,
-    SweepSpecError,
-    UndefinedPhase,
-)
+from .errors import ConfigError, NoCrossing, SimulationError, SweepSpecError
 from .fields import WirePair, gradient_field
 
 EXIT_OK = 0
@@ -62,13 +56,20 @@ WIRE_KEYS = ("d_m", "rho_m", "x1_m", "x2_m")
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Pairs every output file with the exact config that produced it."""
+    """Pairs every output file with the exact config that produced it.
+
+    ``config_snapshot`` records as ``dt_s`` the largest integration step the
+    sample grid allowed; ``samples`` and ``max_theta_step_rad`` (the largest
+    per-sample |delta theta|, the unwrap margin) describe the sample grid.
+    """
 
     config_snapshot: str
     engine_version: str
     mode: str
     outputs: tuple
     duration_s: float
+    samples: int
+    max_theta_step_rad: float
 
     def to_json(self) -> str:
         return json.dumps(
@@ -77,6 +78,8 @@ class RunManifest:
                 "mode": self.mode,
                 "outputs": list(self.outputs),
                 "duration_s": self.duration_s,
+                "samples": self.samples,
+                "max_theta_step_rad": self.max_theta_step_rad,
                 "config_snapshot": self.config_snapshot.splitlines(),
             },
             indent=2,
@@ -138,6 +141,8 @@ def cmd_simulate(args) -> int:
         mode=result.config.mode,
         outputs=(traj_path, summary_path),
         duration_s=time.monotonic() - start,
+        samples=len(result.trajectory.times),
+        max_theta_step_rad=result.phases.max_step,
     )
     with open(manifest_path, "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json() + "\n")
@@ -336,8 +341,8 @@ def main(argv=None) -> int:
     except NoCrossing as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CROSSING
-    except (NormDrift, UndefinedPhase, SingularPosition) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SimulationError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
 

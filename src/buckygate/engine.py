@@ -1,7 +1,8 @@
 """High-level driver: from a configuration to a full gate summary.
 
-Static mode propagates with the exact spectral solution, driven mode with
-fixed-step RK4.  Gate-time refinement re-propagates between the stored
+Static mode propagates with the exact spectral solution on a grid that
+follows theta's own rate, driven mode with fixed-step RK4 on a grid at the
+fastest Hamiltonian scale.  Gate-time refinement re-propagates between the stored
 samples, first to scan the intervals near the crossing at a fine spacing and
 then to bisect the first crossing found, instead of interpolating the sampled
 phase.
@@ -9,11 +10,13 @@ phase.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .analysis import (
+    MAX_THETA_STEP,
     GateResult,
     PhaseSeries,
     composite_angle,
@@ -26,12 +29,14 @@ from .analysis import (
 )
 from .config import SimulationConfig, validate
 from .constants import CONSTANTS, PhysicalConstants
+from .errors import PhaseAliasing
 from .fields import ResonancePair, resonance_frequencies
-from .hamiltonian import build_static
+from .hamiltonian import build_static, static_terms
 from .propagator import (
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
+    largest_substep,
     propagate_static,
     propagate_numeric,
     recommended_step,
@@ -41,8 +46,9 @@ from .propagator import (
     _rk4_chunks,
 )
 
-# Target phase advance of the fastest coefficient between stored samples.
-# theta turns far slower (about 4 g), so its unwrap has a wide margin.
+# Target phase advance between stored samples at the rate the grid follows:
+# theta's own rate for static runs (theta_rate), the fastest coefficient's
+# for driven runs.  The unwrap trusts steps up to MAX_THETA_STEP (pi / 2).
 MAX_PHASE_PER_SAMPLE = 0.5
 
 MIN_SAMPLES = 1001
@@ -51,48 +57,92 @@ MAX_SAMPLES = 50001
 
 @dataclass(frozen=True)
 class SimulationResult:
-    config: SimulationConfig  # validated, with the resolved step
+    config: SimulationConfig  # validated, with the largest step taken as dt
     resonances: ResonancePair
     trajectory: Trajectory
     phases: PhaseSeries
     gate: GateResult
 
 
-def sample_times(t_max: float, h_scale: float) -> np.ndarray:
-    """Output grid resolving the fastest coefficient, within the sample bounds."""
-    n = int(np.ceil(t_max * h_scale / MAX_PHASE_PER_SAMPLE)) + 1
-    n = min(max(n, MIN_SAMPLES), MAX_SAMPLES)
-    return np.linspace(0.0, t_max, n)
+def sample_times(t_max: float, rate: float) -> np.ndarray:
+    """Uniform output grid advancing MAX_PHASE_PER_SAMPLE rad per sample at
+    ``rate`` (rad/s), within MIN_SAMPLES and MAX_SAMPLES.
+
+    Static runs pass theta_rate, so at large r the grid follows theta and no
+    longer resolves the Zeeman precession of the single amplitudes, which are
+    still exact at each sample; driven runs pass the Hamiltonian scale.
+    """
+    n = np.ceil(t_max * rate / MAX_PHASE_PER_SAMPLE) + 1
+    return np.linspace(0.0, t_max, int(min(max(n, MIN_SAMPLES), MAX_SAMPLES)))
+
+
+def theta_rate(config, spectral, constants: PhysicalConstants = CONSTANTS):
+    """(rate, unresolved) of theta on a static run, both from H's spectrum.
+
+    theta turns at the dipolar rate 4 (g + J0) and beats at the
+    {|01>,|10>}-block frequency 2 sqrt(m2^2 + (g - 2 J0)^2); the Zeeman
+    terms cancel in c1 c4 conj(c2 c3).  The slow rate is the sum of the two.
+    An amplitude's eigencomponents further than that from the frequency of
+    its largest one (the -3g mixing of |00> and |11> across the Zeeman gap)
+    are off-resonant: with weights summing to ``leak`` against a lower bound
+    ``floor`` on the modulus of the rest, they add arg(1 + eps(t)) to theta
+    with |eps| <= leak / floor, which moves at most arcsin(leak / floor) rad
+    and at most sum(gap * weight) / (floor - leak) rad/s.  ``rate`` adds those
+    rates to the slow one, ``unresolved`` sums the amplitudes: the grid is
+    not asked to resolve that wiggle, the first-crossing scan allows for it.
+    When some leak is not below its floor the wiggle has no bound: the
+    rate is infinite, so the grid takes MAX_SAMPLES, and ``unresolved`` is
+    pi, so the scan covers every interval up to the first sampled crossing.
+    """
+    g, _, m2 = static_terms(config, constants)
+    j0 = config.J0
+    slow = 4 * abs(g + j0) + 2 * math.hypot(m2, g - 2 * j0)
+    v, lam = spectral.eigenvectors, spectral.eigenvalues.tolist()
+    rate, unresolved = slow, 0.0
+    for weight in np.abs(v * (config.initial_state @ v.conj())).tolist():  # |V_jk a_k|
+        top = max(range(4), key=weight.__getitem__)
+        gap = [abs(x - lam[top]) for x in lam]
+        off = [k for k in range(4) if gap[k] > slow]
+        leak = sum(weight[k] for k in off)
+        floor = 2 * weight[top] - (sum(weight) - leak)
+        if not leak:
+            continue
+        if leak >= floor:
+            return math.inf, math.pi
+        rate += sum(gap[k] * weight[k] for k in off) / (floor - leak)
+        unresolved += math.asin(leak / floor)
+    return rate, unresolved
 
 
 class TrajectoryEvaluator:
-    """Continuous theta(t) / psi(t) between the stored samples of a run.
+    """One propagated run, and continuous theta(t) / psi(t) between its samples.
 
-    Re-propagates from the nearest earlier sample (exactly for the static
-    case, with RK4 substeps for the driven case).  theta is the argument of
-    c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
-    interpolated sampled theta, which is safe because per-sample theta
-    increments stay far below pi.  ``scan_step`` is the point spacing,
-    0.05 rad at the run's Hamiltonian scale, at which find_gate_time scans
-    for crossings between samples.
+    Re-propagates from the nearest earlier sample (exactly with the run's own
+    SpectralPropagator for the static case, with RK4 substeps of ``dt`` for
+    the driven case).  theta is the argument of c1 c4 conj(c2 c3) aligned to
+    the nearest branch of the linearly interpolated sampled theta, which is
+    safe because per-sample theta increments stay below MAX_THETA_STEP.
+    ``scan_step`` is the point spacing, 0.05 rad at the run's Hamiltonian
+    scale, at which find_gate_time scans for crossings between samples;
+    ``unresolved`` bounds the part of theta the sample grid does not resolve.
     """
 
-    def __init__(self, config, resonances, trajectory, phases, constants=CONSTANTS):
+    def __init__(self, config, resonances, trajectory, phases, dt, scan_step,
+                 unresolved=0.0, spectral=None, hfun=None):
+        self.config = config
+        self.resonances = resonances
         self.trajectory = trajectory
         self.phases = phases
+        self.dt = dt
+        self.scan_step = scan_step
+        self.unresolved = unresolved
+        self.spectral = spectral
+        self.hfun = hfun
         self.theta0 = float(composite_angle(trajectory.states[0]))
-        self.dt = config.dt
-        self.scan_step = recommended_step(hamiltonian_scale(config, resonances, constants))
-        if config.mode == "driven":
-            self.hfun = time_dependent_hamiltonian(config, resonances, constants)
-            self.spectral = None
-        else:
-            self.spectral = SpectralPropagator(build_static(config, constants))
-            self.hfun = None
 
     def state_at(self, t: float) -> np.ndarray:
         times = self.trajectory.times
-        i = int(np.searchsorted(times, t, side="right")) - 1
+        i = int(times.searchsorted(t, side="right")) - 1
         i = min(max(i, 0), len(times) - 1)
         psi_i = self.trajectory.states[i]
         if t == times[i]:
@@ -123,49 +173,76 @@ class TrajectoryEvaluator:
     def _aligned(self, t, states):
         raw = composite_angle(states) - self.theta0
         ref = np.interp(t, self.trajectory.times, self.phases.theta)
-        return raw + 2 * np.pi * np.round((ref - raw) / (2 * np.pi))
+        return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
 
 
-def run_trajectory(config, constants: PhysicalConstants = CONSTANTS):
-    """Validate, propagate and unwrap; returns (config, resonances, traj, phases)."""
+def run_trajectory(config, constants: PhysicalConstants = CONSTANTS) -> TrajectoryEvaluator:
+    """Validate, propagate and unwrap; the returned evaluator holds the run.
+
+    The static Hamiltonian is built and diagonalized once per run.  A static
+    run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
+    per-sample step below MAX_THETA_STEP over the horizon.  The
+    evaluator's config records as ``dt`` the largest RK4 substep the sample
+    grid allows, min(dt, spacing) on a uniform grid; it integrates between
+    samples with the resolved ``dt`` itself.
+    """
     cfg = validate(config)
     resonances = resonance_frequencies(constants, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-    scale = hamiltonian_scale(cfg, resonances, constants)
+    h0 = build_static(cfg, constants)
+    scale = hamiltonian_scale(cfg, resonances, constants, h0)
     cfg = resolve_step(cfg, resonances, constants, scale)
-    times = sample_times(cfg.t_max, scale)
+    spectral = hfun = None
     if cfg.mode == "driven":
+        unresolved = 0.0
+        times = sample_times(cfg.t_max, scale)
         traj = propagate_numeric(cfg, resonances, times, constants)
+        hfun = time_dependent_hamiltonian(cfg, resonances, constants)
     else:
-        traj = propagate_static(build_static(cfg, constants), cfg.initial_state, times)
+        spectral = SpectralPropagator(h0)
+        rate, unresolved = theta_rate(cfg, spectral, constants)
+        times = sample_times(cfg.t_max, rate)
+        step = rate * times[1]
+        if math.isfinite(step) and step > MAX_THETA_STEP:
+            raise PhaseAliasing(
+                f"{len(times)} samples over t_max={cfg.t_max:.6e} s let theta step by up "
+                f"to {step:.3f} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
+                "shorten t_max"
+            )
+        traj = propagate_static(spectral, cfg.initial_state, times)
     phases = unwrap_phases(traj)
-    return cfg, resonances, traj, phases
+    taken = cfg.replace(dt=largest_substep(times, cfg.dt))
+    return TrajectoryEvaluator(
+        taken, resonances, traj, phases, cfg.dt, recommended_step(scale),
+        unresolved, spectral, hfun,
+    )
 
 
 def run_simulation(
     config: SimulationConfig, constants: PhysicalConstants = CONSTANTS
 ) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
-    cfg, resonances, traj, phases = run_trajectory(config, constants)
-    evaluator = TrajectoryEvaluator(cfg, resonances, traj, phases, constants)
-
+    run = run_trajectory(config, constants)
+    traj = run.trajectory
     tau = find_gate_time(
-        phases,
-        theta_fn=evaluator.theta_at,
-        scan_fn=evaluator.theta_on,
-        scan_step=evaluator.scan_step,
+        run.phases,
+        theta_fn=run.theta_at,
+        scan_fn=run.theta_on,
+        scan_step=run.scan_step,
+        unresolved=run.unresolved,
     )
-    psi_tau = evaluator.state_at(tau)
+    psi_tau = run.state_at(tau)
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
     phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()
     c_tau = concurrence(psi_tau)
     gate = GateResult(
         tau=tau,
-        theta_at_tau=evaluator.theta_at(tau),
+        theta_at_tau=float(run._aligned(tau, psi_tau)),
         concurrence_at_tau=c_tau,
         eof_at_tau=entanglement_of_formation(c_tau),
-        ops_budget=ops_budget(tau, cfg.T2),
+        ops_budget=ops_budget(tau, run.config.T2),
         correction_phases=correction_phases(phi[0], phi[1], phi[2]),
     )
     return SimulationResult(
-        config=cfg, resonances=resonances, trajectory=traj, phases=phases, gate=gate
+        config=run.config, resonances=run.resonances, trajectory=traj,
+        phases=run.phases, gate=gate,
     )

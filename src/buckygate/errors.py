@@ -45,6 +45,12 @@ class UndefinedPhase(SimulationError):
     """A basis amplitude vanished, so its complex argument is undefined."""
 
 
+class PhaseAliasing(SimulationError):
+    """A per-sample step of the unwrapped composite phase exceeds the bound
+    up to which the unwrap can be trusted: the sample grid is too coarse for
+    the horizon."""
+
+
 class NoCrossing(SimulationError):
     """The composite phase never reached the target within the horizon.
 

@@ -77,9 +77,15 @@ def hamiltonian_scale(
     config: SimulationConfig,
     resonances: ResonancePair,
     constants: PhysicalConstants = CONSTANTS,
+    h0: np.ndarray | None = None,
 ) -> float:
-    """Fastest angular-frequency scale of the full (static + drive) problem."""
-    h0 = build_static(config, constants)
+    """Fastest angular-frequency scale of the full (static + drive) problem.
+
+    ``h0`` is the config's static Hamiltonian, for callers that have already
+    built it.
+    """
+    if h0 is None:
+        h0 = build_static(config, constants)
     return max(
         float(np.max(np.abs(h0))),
         drive_peak_amplitude(config, constants),
@@ -113,6 +119,9 @@ class SpectralPropagator:
         if not is_hermitian(h):
             raise NonHermitianInput("static Hamiltonian is not Hermitian")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
+        self._rates = -self.eigenvalues
+        self._to_eigen = self.eigenvectors.conj()
+        self._from_eigen = self.eigenvectors.T
 
     def evolve(self, psi: np.ndarray, dtau) -> np.ndarray:
         """psi(t0 + dtau) from psi(t0).
@@ -120,22 +129,24 @@ class SpectralPropagator:
         ``dtau`` may be an array of n steps; ``psi`` is then one state or n
         states, one per step, and the result has shape (n, 4).
         """
-        v = self.eigenvectors
         # exp(-i L dtau), filled from cos and sin: cheaper than np.exp of an
         # imaginary array, and equal to it to rounding.
-        x = np.multiply.outer(dtau, -self.eigenvalues)
+        x = np.multiply.outer(dtau, self._rates)
         phases = np.empty(x.shape, dtype=complex)
         np.cos(x, out=phases.real)
         np.sin(x, out=phases.imag)
-        phases *= psi @ v.conj()
-        return phases @ v.T
+        phases *= psi @ self._to_eigen
+        return phases @ self._from_eigen
 
 
-def propagate_static(h: np.ndarray, psi0: np.ndarray, times) -> Trajectory:
-    """Exact static-Hamiltonian trajectory psi(t) = V exp(-i L t) V^dag psi0."""
+def propagate_static(h, psi0: np.ndarray, times) -> Trajectory:
+    """Exact static-Hamiltonian trajectory psi(t) = V exp(-i L t) V^dag psi0.
+
+    ``h`` is the Hamiltonian or a SpectralPropagator already built from it.
+    """
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    prop = SpectralPropagator(h)
+    prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
     states = prop.evolve(np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states)
 
@@ -174,6 +185,12 @@ def _rk4_chunks(hfun, psi: np.ndarray, times: np.ndarray, dt_max: float):
             states[j] = psi
         yield first + 1, states
         first = last
+
+
+def largest_substep(times: np.ndarray, dt_max: float) -> float:
+    """Largest RK4 step taken through the sample grid ``times`` with steps of
+    at most ``dt_max``: min(dt_max, spacing) on a uniform grid."""
+    return float(np.max(_substeps(times, dt_max)[1]))
 
 
 def _substeps(times: np.ndarray, dt_max: float):
@@ -275,7 +292,7 @@ def propagate_numeric(
         bad = np.flatnonzero(drift > config.norm_tolerance)
         if bad.size:
             i = bad[0]
-            substep = float(np.max(_substeps(times, dt)[1]))
+            substep = largest_substep(times, dt)
             raise NormDrift(
                 f"squared norm drifted by {drift[i]:.3e} at t={times[first + i]:.6e} s "
                 f"(tolerance {config.norm_tolerance:.1e}); the largest RK4 substep "

@@ -14,7 +14,7 @@ from buckygate.analysis import (
     unwrap_phases,
 )
 from buckygate.config import product_state, state_vector
-from buckygate.errors import NoCrossing, OutOfRange, UndefinedPhase, ZeroState
+from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase, ZeroState
 from buckygate.propagator import Trajectory
 
 EPR = state_vector(1, 0, 0, 1) / np.sqrt(2)
@@ -75,6 +75,22 @@ class TestUnwrapPhases:
         phases = unwrap_phases(Trajectory(times=times, states=states))
         assert np.max(np.abs(np.diff(phases.theta))) < np.pi / 2
         np.testing.assert_allclose(phases.theta, 20.0 * times, atol=1e-12)
+
+    def test_step_above_unwrap_bound_rejected(self):
+        # c1 turns by 2 rad per sample: the unwrap would read -4.28 rad steps
+        # as +2, so the series is refused instead of silently aliased.
+        times = np.linspace(0, 1, 20)
+        states = np.full((len(times), 4), 0.5, dtype=complex)
+        states[:, 0] *= np.exp(1j * 2.0 * np.arange(len(times)))
+        with pytest.raises(PhaseAliasing, match="theta steps by 2.000 rad"):
+            unwrap_phases(Trajectory(times=times, states=states))
+
+    def test_max_step_is_the_unwrap_margin(self):
+        times = np.linspace(0, 1, 200)
+        states = np.full((len(times), 4), 0.5, dtype=complex)
+        states[:, 0] *= np.exp(1j * 20.0 * times**2)
+        phases = unwrap_phases(Trajectory(times=times, states=states))
+        assert phases.max_step == pytest.approx(20.0 * (1 - times[-2] ** 2), rel=1e-9)
 
     def test_vanishing_amplitude_rejected(self):
         traj = make_trajectory([state_vector(1, 0, 0, 0)] * 4)

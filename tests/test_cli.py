@@ -1,8 +1,10 @@
+import json
 import os
 
 import numpy as np
 import pytest
 
+from buckygate import cli, errors
 from buckygate.cli import (
     EXIT_CONFIG,
     EXIT_NO_CROSSING,
@@ -80,6 +82,53 @@ class TestSimulate:
 
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
+
+    def test_manifest_records_grid_and_step_taken(self, tmp_path):
+        # dt_s above the 1.2e-11 s sample spacing: the spacing is recorded.
+        path = tmp_path / "dt.cfg"
+        path.write_text(STATIC_CONFIG + "dt_s=5e-11\n")
+        outdir = str(tmp_path / "out")
+        assert main(["simulate", str(path), "--outdir", outdir]) == EXIT_OK
+        with open(os.path.join(outdir, "run_manifest.json")) as fh:
+            manifest = json.load(fh)
+        result = run_simulation(SimulationConfig(
+            r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8, dt=5e-11
+        ))
+        assert manifest["samples"] == len(result.trajectory.times) == 1001
+        assert manifest["max_theta_step_rad"] == result.phases.max_step
+        assert 0 < manifest["max_theta_step_rad"] < np.pi / 2
+        assert f"dt_s={result.config.dt!r}" in manifest["config_snapshot"]
+        assert result.config.dt == pytest.approx(1.2e-11, rel=1e-12)
+
+    def test_long_horizon_exit_3(self, tmp_path, capsys):
+        path = tmp_path / "long.cfg"
+        path.write_text(STATIC_CONFIG.replace("t_max_s=1.2e-8", "t_max_s=1e-3"))
+        assert main(["simulate", str(path), "--outdir", str(tmp_path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("error: PhaseAliasing: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        errors.NonHermitianInput,
+        errors.ZeroState,
+        errors.OutOfRange,
+        errors.PhaseAliasing,
+        errors.NormDrift,
+        errors.UndefinedPhase,
+        errors.SingularPosition,
+    ],
+)
+def test_simulation_errors_exit_3_without_traceback(error, static_config_path, monkeypatch, capsys):
+    def failing(config):
+        raise error("detail")
+
+    monkeypatch.setattr(cli, "run_simulation", failing)
+    assert main(["gate-time", static_config_path]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {error.__name__}: detail\n"
 
 
 def _trajectory_csv_per_row(result):

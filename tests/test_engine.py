@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from buckygate.analysis import _scan_margin
 from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -8,8 +9,9 @@ from buckygate.engine import (
     run_trajectory,
     sample_times,
 )
-from buckygate.errors import NoCrossing, UndefinedPhase
+from buckygate.errors import NoCrossing, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static
+from buckygate.propagator import hamiltonian_scale
 
 
 def reference_config(**overrides):
@@ -47,12 +49,7 @@ class TestStaticRun:
         # basis amplitude to its initial phase except |11>, which keeps the
         # composite phase: diag(1, 1, 1, e^{i theta(tau)}) psi(0).  The
         # dipolar mixing moves populations, so the phases are compared.
-        ev = TrajectoryEvaluator(
-            static_result.config,
-            static_result.resonances,
-            static_result.trajectory,
-            static_result.phases,
-        )
+        ev = run_trajectory(reference_config())
         gate = static_result.gate
         s1_0, s1_1, s2_0, s2_1 = gate.correction_phases
         local = np.exp(1j * np.array([s1_0 + s2_0, s1_0 + s2_1, s1_1 + s2_0, s1_1 + s2_1]))
@@ -66,12 +63,7 @@ class TestStaticRun:
 
 class TestEvaluator:
     def test_matches_samples(self, static_result):
-        ev = TrajectoryEvaluator(
-            static_result.config,
-            static_result.resonances,
-            static_result.trajectory,
-            static_result.phases,
-        )
+        ev = run_trajectory(reference_config())
         for i in [1, 100, 500]:
             t = static_result.trajectory.times[i]
             assert ev.theta_at(t) == pytest.approx(
@@ -82,12 +74,7 @@ class TestEvaluator:
             )
 
     def test_between_samples_continuity(self, static_result):
-        ev = TrajectoryEvaluator(
-            static_result.config,
-            static_result.resonances,
-            static_result.trajectory,
-            static_result.phases,
-        )
+        ev = run_trajectory(reference_config())
         times = static_result.trajectory.times
         t_mid = 0.5 * (times[10] + times[11])
         lo, hi = sorted([static_result.phases.theta[10], static_result.phases.theta[11]])
@@ -215,3 +202,103 @@ def test_gate_time_is_first_exact_crossing(config):
     theta = exact_theta(result.config, np.linspace(0.0, result.gate.tau, 200_001))
     assert abs(theta[-1] + np.pi) <= 1e-7 + 1e-9
     assert np.max(np.abs(theta[:-1])) < np.pi
+
+
+# Static gate time at 12 nm, from the reference tau by the r^3 scaling.
+TAU_12NM = 9.54e-9 * (12 / 1.14) ** 3
+
+
+def count_scan_points(monkeypatch):
+    """Record the number of times passed to each TrajectoryEvaluator.theta_on."""
+    counts = []
+    theta_on = TrajectoryEvaluator.theta_on
+
+    def counting(self, times):
+        counts.append(len(times))
+        return theta_on(self, times)
+
+    monkeypatch.setattr(TrajectoryEvaluator, "theta_on", counting)
+    return counts
+
+
+class TestThetaRateGrid:
+    def test_far_static_grid_follows_theta(self):
+        # At 12 nm theta turns at about 2 sqrt(m2^2 + g^2), some 1e-3 of the
+        # Zeeman rate, so the grid stays near MIN_SAMPLES instead of the cap.
+        run = run_trajectory(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
+        assert len(run.trajectory.times) <= 2200
+        assert run.phases.max_step <= 0.5 + 2 * run.unresolved
+        scale = hamiltonian_scale(run.config, run.resonances)
+        assert run.scan_step * scale == pytest.approx(0.05)
+
+    def test_scan_points_do_not_grow_with_t_max(self, monkeypatch):
+        counts = count_scan_points(monkeypatch)
+        points, taus = [], []
+        for factor in (2.5, 5.0, 10.0):
+            counts.clear()
+            result = run_simulation(reference_config(r=12e-9, t_max=factor * TAU_12NM))
+            points.append(sum(counts))
+            taus.append(result.gate.tau)
+        assert 0 < points[-1] <= 1.1 * points[0]
+        # Each tau meets phase_tol = 1e-7 rad, with theta near pi t / tau.
+        assert max(taus) - min(taus) <= 2e-7 / np.pi * taus[0]
+
+    def test_long_horizon_raises_instead_of_aliasing(self):
+        # 50 001 samples over 1 ms are 20 ns apart, against a gate time of
+        # 9.5 ns: the unwrap would alias, so no tau is returned.
+        with pytest.raises(PhaseAliasing, match="shorten t_max"):
+            run_simulation(reference_config(t_max=1e-3))
+
+
+class TestRecordedStep:
+    def test_step_above_spacing_records_spacing(self):
+        # A weak bias field keeps RK4 norm drift small at one step per sample.
+        run = run_trajectory(
+            reference_config(mode="driven", Bz1=0.01, Bz2=0.01, Bl1=5e-4, Bl2=5e-4, dt=5e-11)
+        )
+        assert run.config.dt == pytest.approx(run.trajectory.times[1], rel=1e-12)
+
+    def test_automatic_step_is_kept(self, static_result):
+        assert static_result.config.dt < static_result.trajectory.times[1]
+
+
+# Static inputs away from the benchmark's ranges: small c1 (large
+# off-resonant weight), weak bias field, exchange coupling, unequal fields,
+# no gradient at 6 nm.
+EDGE_INPUTS = {
+    "small-c1": dict(
+        initial_state=np.array([0.05, 0.577, 0.577, 0.577]) / np.linalg.norm([0.05, 0.577, 0.577, 0.577]),
+        t_max=4e-8,
+    ),
+    "weak-Bz": dict(Bz1=0.002, Bz2=0.002),
+    "exchange": dict(J0=-3e7, t_max=3e-8),
+    "unequal-Bz": dict(Bz1=0.1, Bz2=0.12, t_max=3e-8),
+    "no-gradient-6nm": dict(r=6e-9, Bg1=0.0, Bg2=0.0, t_max=3e-6),
+}
+
+
+@pytest.mark.parametrize("overrides", list(EDGE_INPUTS.values()), ids=list(EDGE_INPUTS))
+def test_edge_inputs_find_first_exact_crossing(overrides):
+    result = run_simulation(reference_config(**overrides))
+    theta = exact_theta(result.config, np.linspace(0.0, result.gate.tau, 200_001))
+    assert abs(theta[-1] + np.pi) <= 1e-7 + 1e-9
+    assert np.max(np.abs(theta[:-1])) < np.pi
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(), reference_config(r=8e-9, t_max=1.2e-5)]
+    + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
+    + [reference_config(**fields) for fields in EDGE_INPUTS.values()],
+    ids=["reference", "r=8nm", "grazing-far", "grazing-near"] + list(EDGE_INPUTS),
+)
+def test_scan_margin_bounds_theta_between_samples(config):
+    # The first-crossing scan skips the times where the linear interpolation
+    # of the sampled theta stays further than the scan margin from the level;
+    # the exact theta must not leave that band around the interpolation.
+    run = run_trajectory(config)
+    times, theta = run.phases.times, run.phases.theta
+    margin = _scan_margin(theta, run.unresolved)
+    dense = np.linspace(0.0, times[-1], 400_001)
+    exact = exact_theta(run.config, dense)
+    assert np.max(np.abs(exact - np.interp(dense, times, theta))) <= margin

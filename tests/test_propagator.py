@@ -11,6 +11,7 @@ from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate.propagator import (
     STEPS_PER_CHUNK,
     Trajectory,
+    largest_substep,
     propagate_numeric,
     propagate_static,
     recommended_step,
@@ -227,6 +228,22 @@ class TestBatchedRK4:
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest RK4 substep taken was 1\.000e-11 s"):
             propagate_numeric(cfg, resonances_for(cfg), times)
+
+    @pytest.mark.parametrize("dt, taken", [(5e-11, 1e-11), (1e-11, 1e-11), (3e-12, 2.5e-12)])
+    def test_largest_substep(self, dt, taken):
+        # On the 1201-sample, 1.2e-8 s grid a dt above the 1e-11 s spacing is
+        # never taken; a smaller one is rounded down to divide the spacing.
+        times = np.linspace(0, 1.2e-8, 1201)
+        assert largest_substep(times, dt) == pytest.approx(taken, rel=1e-9)
+
+    def test_recorded_step_reproduces_the_run(self):
+        # Rerunning with the step taken as dt gives the same states.
+        cfg = self.driven_config(Bz1=0.01, Bz2=0.01, dt=5e-11, t_max=1.2e-8)
+        times = np.linspace(0, 1.2e-8, 1201)
+        res = resonances_for(cfg)
+        first = propagate_numeric(cfg, res, times)
+        again = propagate_numeric(cfg.replace(dt=largest_substep(times, cfg.dt)), res, times)
+        np.testing.assert_array_equal(first.states, again.states)
 
     def test_build_drive_array_matches_scalar(self):
         cfg = self.driven_config(Bl2=3e-4)
