@@ -30,6 +30,11 @@ AMP_FLOOR = 1e-12
 # the unwrap would pick the wrong branch without any sign of it.
 MAX_THETA_STEP = math.pi / 2
 
+# find_gate_time refines the crossing until its bracket is below TIME_TOL
+# seconds and its phase residual below PHASE_TOL rad.
+TIME_TOL = 1e-12
+PHASE_TOL = 1e-7
+
 # Bisection-grid points of the first-crossing scan per call of its theta
 # evaluator, at most.
 SCAN_BATCH = 1 << 16
@@ -66,15 +71,15 @@ def composite_angle(states) -> np.ndarray:
     return np.angle(c[..., 0] * c[..., 3] * np.conj(c[..., 1] * c[..., 2]))
 
 
-def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries:
+def unwrap_phases(traj: Trajectory) -> PhaseSeries:
     """Continuous composite phase theta(t), unwrapped from the sampled states.
 
     Raises UndefinedPhase if any amplitude magnitude falls below
-    ``amp_floor`` anywhere along the trajectory, and PhaseAliasing if a
+    AMP_FLOOR anywhere along the trajectory, and PhaseAliasing if a
     per-sample step of theta exceeds MAX_THETA_STEP.
     """
     amps = np.abs(traj.states)
-    if np.min(amps) < amp_floor:
+    if np.min(amps) < AMP_FLOOR:
         i, j = np.unravel_index(np.argmin(amps), amps.shape)
         raise UndefinedPhase(
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
@@ -95,21 +100,18 @@ def unwrap_phases(traj: Trajectory, amp_floor: float = AMP_FLOOR) -> PhaseSeries
 
 def find_gate_time(
     phases: PhaseSeries,
-    target: float = -math.pi,
     theta_fn=None,
-    time_tol: float = 1e-12,
-    phase_tol: float = 1e-7,
     scan_fn=None,
     scan_step: float | None = None,
     unresolved: float = 0.0,
 ) -> float:
-    """First time the unwrapped composite phase reaches +/-|target|.
+    """First time the unwrapped composite phase reaches +/-pi.
 
-    The nominal target is -pi; if the series reaches +|target| first that
+    The nominal target is -pi; if the series reaches +pi first that
     earlier crossing is returned instead.  Between the bracketing samples the
     crossing is refined by bisection on ``theta_fn`` (a continuous theta(t)
     evaluator, typically backed by re-propagation) until the bracket is below
-    ``time_tol`` seconds and the phase residual below ``phase_tol`` rad;
+    TIME_TOL seconds and the phase residual below PHASE_TOL rad;
     without an evaluator, linear interpolation of the sampled series is used.
 
     theta can reach the level and turn back between two samples, which the
@@ -129,7 +131,7 @@ def find_gate_time(
     Raises NoCrossing when the phase never reaches the target before the end
     of the series; the exception carries theta at the final sample.
     """
-    level = abs(target)
+    level = math.pi
     times, theta = phases.times, phases.theta
     hit = np.flatnonzero(np.abs(theta) >= level)
     if len(hit) == 0:
@@ -155,7 +157,7 @@ def find_gate_time(
     f_lo = th_lo - crossed
     f_best = math.inf
     t_best = t_lo
-    while t_hi - t_lo > time_tol or abs(f_best) > phase_tol:
+    while t_hi - t_lo > TIME_TOL or abs(f_best) > PHASE_TOL:
         t_mid = 0.5 * (t_lo + t_hi)
         if t_mid == t_lo or t_mid == t_hi:  # float resolution reached
             break

@@ -23,7 +23,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,38 +51,6 @@ SWEEP_HEADER = "param_value,tau_s,concurrence_at_tau,eof_at_tau,ops_budget,statu
 
 SWEEP_PARAMS = ("r", "Bz", "Bg1", "Bg2", "Bl", "I", "J0")
 WIRE_KEYS = ("d_m", "rho_m", "x1_m", "x2_m")
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Pairs every output file with the exact config that produced it.
-
-    ``config_snapshot`` records as ``dt_s`` the largest integration step the
-    sample grid allowed; ``samples`` and ``max_theta_step_rad`` (the largest
-    per-sample |delta theta|, the unwrap margin) describe the sample grid.
-    """
-
-    config_snapshot: str
-    engine_version: str
-    mode: str
-    outputs: tuple
-    duration_s: float
-    samples: int
-    max_theta_step_rad: float
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "engine_version": self.engine_version,
-                "mode": self.mode,
-                "outputs": list(self.outputs),
-                "duration_s": self.duration_s,
-                "samples": self.samples,
-                "max_theta_step_rad": self.max_theta_step_rad,
-                "config_snapshot": self.config_snapshot.splitlines(),
-            },
-            indent=2,
-        )
 
 
 def _fmt(x) -> str:
@@ -123,6 +90,14 @@ def summary_text(result) -> str:
 
 
 def cmd_simulate(args) -> int:
+    """Write trajectory.csv, summary.txt and run_manifest.json to the outdir.
+
+    The manifest pairs the outputs with the exact config that produced them:
+    ``config_snapshot`` records as ``dt_s`` the step RK4 was given, so
+    rerunning it reproduces the outputs; ``samples`` and
+    ``max_theta_step_rad`` (the largest per-sample |delta theta|, the unwrap
+    margin) describe the sample grid.
+    """
     config = load_config(args.config)
     start = time.monotonic()
     result = run_simulation(config)
@@ -135,17 +110,17 @@ def cmd_simulate(args) -> int:
     text = summary_text(result)
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(text)
-    manifest = RunManifest(
-        config_snapshot=format_config(result.config),
-        engine_version=__version__,
-        mode=result.config.mode,
-        outputs=(traj_path, summary_path),
-        duration_s=time.monotonic() - start,
-        samples=len(result.trajectory.times),
-        max_theta_step_rad=result.phases.max_step,
-    )
+    manifest = {
+        "engine_version": __version__,
+        "mode": result.config.mode,
+        "outputs": [traj_path, summary_path],
+        "duration_s": time.monotonic() - start,
+        "samples": len(result.trajectory.times),
+        "max_theta_step_rad": result.phases.max_step,
+        "config_snapshot": format_config(result.config).splitlines(),
+    }
     with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(manifest.to_json() + "\n")
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     sys.stdout.write(text)
     return EXIT_OK
 

@@ -7,6 +7,7 @@ as the computational basis {|00>, |01>, |10>, |11>}.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,11 +79,16 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     """Return a normalized copy of ``config`` or raise ConfigError.
 
     Normalization renormalizes the initial state and zeroes the drive
-    amplitudes in static mode.  Every violated invariant is collected before
+    amplitudes in static mode.  NaN and infinity are rejected in every float
+    field and amplitude.  Every violated invariant is collected before
     raising, so the error lists all of them.  Idempotent.
     """
     violations = []
 
+    for name in CONFIG_KEYS.values():  # every float field
+        value = getattr(config, name)
+        if value is not None and not math.isfinite(value):
+            violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
     if config.r <= 0:
         violations.append(NonPositiveDistance(f"r must be > 0, got {config.r}"))
     if config.t_max <= 0:
@@ -103,6 +109,11 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     if psi.shape != (4,):
         violations.append(NonUnitInitialState(f"initial_state must have 4 amplitudes, got shape {psi.shape}"))
         psi = default_initial_state()
+    elif not np.all(np.isfinite(psi)):
+        for k in np.flatnonzero(~np.isfinite(psi)).tolist():
+            violations.append(
+                NonUnitInitialState(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
+            )
     else:
         nrm = np.linalg.norm(psi)
         if nrm < RENORMALIZABLE_TOL:

@@ -11,7 +11,11 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA-style constants; overridable only for testing.
+    """CODATA constants.
+
+    The pipeline reads the module's CONSTANTS; only the formula helpers
+    ``dipole_coupling`` and ``resonance_frequencies`` take an instance
+    explicitly.
 
     mu0:   vacuum permeability (T*m/A)
     muB:   Bohr magneton (J/T)

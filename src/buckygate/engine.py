@@ -28,7 +28,7 @@ from .analysis import (
     unwrap_phases,
 )
 from .config import SimulationConfig, validate
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import PhaseAliasing
 from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import build_static, static_terms
@@ -36,7 +36,6 @@ from .propagator import (
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
-    largest_substep,
     propagate_static,
     propagate_numeric,
     recommended_step,
@@ -57,7 +56,7 @@ MAX_SAMPLES = 50001
 
 @dataclass(frozen=True)
 class SimulationResult:
-    config: SimulationConfig  # validated, with the largest step taken as dt
+    config: SimulationConfig  # validated, with the step RK4 is given as dt
     resonances: ResonancePair
     trajectory: Trajectory
     phases: PhaseSeries
@@ -76,7 +75,7 @@ def sample_times(t_max: float, rate: float) -> np.ndarray:
     return np.linspace(0.0, t_max, int(min(max(n, MIN_SAMPLES), MAX_SAMPLES)))
 
 
-def theta_rate(config, spectral, constants: PhysicalConstants = CONSTANTS):
+def theta_rate(config, spectral):
     """(rate, unresolved) of theta on a static run, both from H's spectrum.
 
     theta turns at the dipolar rate 4 (g + J0) and beats at the
@@ -94,7 +93,7 @@ def theta_rate(config, spectral, constants: PhysicalConstants = CONSTANTS):
     rate is infinite, so the grid takes MAX_SAMPLES, and ``unresolved`` is
     pi, so the scan covers every interval up to the first sampled crossing.
     """
-    g, _, m2 = static_terms(config, constants)
+    g, _, m2 = static_terms(config)
     j0 = config.J0
     slow = 4 * abs(g + j0) + 2 * math.hypot(m2, g - 2 * j0)
     v, lam = spectral.eigenvectors, spectral.eigenvalues.tolist()
@@ -118,22 +117,22 @@ class TrajectoryEvaluator:
     """One propagated run, and continuous theta(t) / psi(t) between its samples.
 
     Re-propagates from the nearest earlier sample (exactly with the run's own
-    SpectralPropagator for the static case, with RK4 substeps of ``dt`` for
-    the driven case).  theta is the argument of c1 c4 conj(c2 c3) aligned to
-    the nearest branch of the linearly interpolated sampled theta, which is
-    safe because per-sample theta increments stay below MAX_THETA_STEP.
+    SpectralPropagator for the static case, with RK4 substeps of at most the
+    config's ``dt`` for the driven case).  theta is the argument of
+    c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
+    interpolated sampled theta, which is safe because per-sample theta
+    increments stay below MAX_THETA_STEP.
     ``scan_step`` is the point spacing, 0.05 rad at the run's Hamiltonian
     scale, at which find_gate_time scans for crossings between samples;
     ``unresolved`` bounds the part of theta the sample grid does not resolve.
     """
 
-    def __init__(self, config, resonances, trajectory, phases, dt, scan_step,
-                 unresolved=0.0, spectral=None, hfun=None):
+    def __init__(self, config, resonances, trajectory, phases, scan_step,
+                 unresolved, spectral, hfun):
         self.config = config
         self.resonances = resonances
         self.trajectory = trajectory
         self.phases = phases
-        self.dt = dt
         self.scan_step = scan_step
         self.unresolved = unresolved
         self.spectral = spectral
@@ -149,7 +148,7 @@ class TrajectoryEvaluator:
             return psi_i.copy()
         if self.spectral is not None:
             return self.spectral.evolve(psi_i, t - times[i])
-        return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.dt)
+        return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.config.dt)
 
     def theta_at(self, t: float) -> float:
         return float(self._aligned(t, self.state_at(t)))
@@ -166,7 +165,7 @@ class TrajectoryEvaluator:
             states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
         else:
             grid = np.concatenate([samples[i[:1]], times])
-            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.dt)
+            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.config.dt)
             states = np.concatenate([block for _, block in chunks])
         return self._aligned(times, states)
 
@@ -176,30 +175,29 @@ class TrajectoryEvaluator:
         return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
 
 
-def run_trajectory(config, constants: PhysicalConstants = CONSTANTS) -> TrajectoryEvaluator:
+def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap; the returned evaluator holds the run.
 
     The static Hamiltonian is built and diagonalized once per run.  A static
     run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
-    per-sample step below MAX_THETA_STEP over the horizon.  The
-    evaluator's config records as ``dt`` the largest RK4 substep the sample
-    grid allows, min(dt, spacing) on a uniform grid; it integrates between
-    samples with the resolved ``dt`` itself.
+    per-sample step below MAX_THETA_STEP over the horizon.  Once the sample
+    grid is built, ``dt`` becomes min(dt, largest sample spacing), the step
+    RK4 is given, since no step is longer than its sample interval.  The run
+    integrates with it and the evaluator's config records it, so rerunning
+    that config reproduces the run.
     """
     cfg = validate(config)
-    resonances = resonance_frequencies(constants, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-    h0 = build_static(cfg, constants)
-    scale = hamiltonian_scale(cfg, resonances, constants, h0)
-    cfg = resolve_step(cfg, resonances, constants, scale)
+    resonances = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+    h0 = build_static(cfg)
+    scale = hamiltonian_scale(cfg, resonances, h0)
+    cfg = resolve_step(cfg, resonances, scale)
     spectral = hfun = None
     if cfg.mode == "driven":
         unresolved = 0.0
         times = sample_times(cfg.t_max, scale)
-        traj = propagate_numeric(cfg, resonances, times, constants)
-        hfun = time_dependent_hamiltonian(cfg, resonances, constants)
     else:
         spectral = SpectralPropagator(h0)
-        rate, unresolved = theta_rate(cfg, spectral, constants)
+        rate, unresolved = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
         step = rate * times[1]
         if math.isfinite(step) and step > MAX_THETA_STEP:
@@ -208,20 +206,21 @@ def run_trajectory(config, constants: PhysicalConstants = CONSTANTS) -> Trajecto
                 f"to {step:.3f} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
                 "shorten t_max"
             )
+    cfg = cfg.replace(dt=min(cfg.dt, float(np.max(np.diff(times)))))
+    if spectral is None:
+        traj = propagate_numeric(cfg, resonances, times)
+        hfun = time_dependent_hamiltonian(cfg, resonances)
+    else:
         traj = propagate_static(spectral, cfg.initial_state, times)
     phases = unwrap_phases(traj)
-    taken = cfg.replace(dt=largest_substep(times, cfg.dt))
     return TrajectoryEvaluator(
-        taken, resonances, traj, phases, cfg.dt, recommended_step(scale),
-        unresolved, spectral, hfun,
+        cfg, resonances, traj, phases, recommended_step(scale), unresolved, spectral, hfun
     )
 
 
-def run_simulation(
-    config: SimulationConfig, constants: PhysicalConstants = CONSTANTS
-) -> SimulationResult:
+def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
-    run = run_trajectory(config, constants)
+    run = run_trajectory(config)
     traj = run.trajectory
     tau = find_gate_time(
         run.phases,

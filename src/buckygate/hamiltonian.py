@@ -34,30 +34,28 @@ def dipole_coupling(constants: PhysicalConstants, r: float) -> float:
     return constants.mu0 * constants.muB**2 / (4 * np.pi * r**3 * constants.hbar)
 
 
-def static_terms(config: SimulationConfig, constants: PhysicalConstants = CONSTANTS):
+def static_terms(config: SimulationConfig):
     """Return (g, m1, m2) in rad/s.
 
     m1 = -muB (B1 + B2) / hbar and m2 = -muB (B1 - B2) / hbar, where
     B_i = Bz_i + Bg_i is the total static field at spin i.
     """
-    g = dipole_coupling(constants, config.r)
+    g = dipole_coupling(CONSTANTS, config.r)
     b1 = config.Bz1 + config.Bg1
     b2 = config.Bz2 + config.Bg2
-    m1 = -constants.muB * (b1 + b2) / constants.hbar
-    m2 = -constants.muB * (b1 - b2) / constants.hbar
+    m1 = -CONSTANTS.muB * (b1 + b2) / CONSTANTS.hbar
+    m2 = -CONSTANTS.muB * (b1 - b2) / CONSTANTS.hbar
     return g, m1, m2
 
 
-def build_static(
-    config: SimulationConfig, constants: PhysicalConstants = CONSTANTS
-) -> np.ndarray:
+def build_static(config: SimulationConfig) -> np.ndarray:
     """Static Hamiltonian matrix (rad/s).
 
     Block {|00>,|11>}: [[g+m1, -3g], [-3g, g-m1]]
     Block {|01>,|10>}: [[-g+m2, -g], [-g, -g-m2]]
     plus J0 (sigma1 . sigma2) when the exchange coupling is enabled.
     """
-    g, m1, m2 = static_terms(config, constants)
+    g, m1, m2 = static_terms(config)
     h = np.array(
         [
             [g + m1, 0, 0, -3 * g],
@@ -86,12 +84,7 @@ _DRIVE_1 = np.kron(SIGMA_X + SIGMA_Y, IDENTITY_2)
 _DRIVE_2 = np.kron(IDENTITY_2, SIGMA_X + SIGMA_Y)
 
 
-def build_drive(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    t,
-    constants: PhysicalConstants = CONSTANTS,
-) -> np.ndarray:
+def build_drive(config: SimulationConfig, resonances: ResonancePair, t) -> np.ndarray:
     """Time-dependent drive term only (rad/s); add to the static matrix.
 
     Spin i is driven at its own resonance frequency with amplitude
@@ -100,20 +93,19 @@ def build_drive(
     ``t`` may be a scalar or an array; the result has shape
     ``np.shape(t) + (4, 4)``.
     """
-    a1 = -constants.muB * config.Bl1 * np.cos(resonances.omega1 * t) / constants.hbar
-    a2 = -constants.muB * config.Bl2 * np.cos(resonances.omega2 * t) / constants.hbar
+    a1 = -CONSTANTS.muB * config.Bl1 * np.cos(resonances.omega1 * t) / CONSTANTS.hbar
+    a2 = -CONSTANTS.muB * config.Bl2 * np.cos(resonances.omega2 * t) / CONSTANTS.hbar
     return np.multiply.outer(a1, _DRIVE_1) + np.multiply.outer(a2, _DRIVE_2)
 
 
-def drive_peak_amplitude(
-    config: SimulationConfig, constants: PhysicalConstants = CONSTANTS
-) -> float:
+def drive_peak_amplitude(config: SimulationConfig) -> float:
     """Largest per-spin drive amplitude |muB Bl / hbar| (rad/s)."""
-    return constants.muB * max(abs(config.Bl1), abs(config.Bl2)) / constants.hbar
+    return CONSTANTS.muB * max(abs(config.Bl1), abs(config.Bl2)) / CONSTANTS.hbar
 
 
-def is_hermitian(h: np.ndarray, rtol: float = 1e-12) -> bool:
+def is_hermitian(h: np.ndarray) -> bool:
+    """Whether h - h^dag vanishes to within 1e-12 times h's largest entry."""
     scale = np.max(np.abs(h))
     if scale == 0:
         return True
-    return np.max(np.abs(h - h.conj().T)) <= rtol * scale
+    return np.max(np.abs(h - h.conj().T)) <= 1e-12 * scale

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import SimulationConfig
-from .constants import CONSTANTS, PhysicalConstants
 from .errors import NonHermitianInput, NormDrift
 from .fields import ResonancePair
 from .hamiltonian import build_drive, build_static, drive_peak_amplitude, is_hermitian
@@ -74,10 +73,7 @@ def recommended_step(h_scale: float) -> float:
 
 
 def hamiltonian_scale(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    constants: PhysicalConstants = CONSTANTS,
-    h0: np.ndarray | None = None,
+    config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray | None = None
 ) -> float:
     """Fastest angular-frequency scale of the full (static + drive) problem.
 
@@ -85,20 +81,17 @@ def hamiltonian_scale(
     built it.
     """
     if h0 is None:
-        h0 = build_static(config, constants)
+        h0 = build_static(config)
     return max(
         float(np.max(np.abs(h0))),
-        drive_peak_amplitude(config, constants),
+        drive_peak_amplitude(config),
         abs(resonances.omega1),
         abs(resonances.omega2),
     )
 
 
 def resolve_step(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    constants: PhysicalConstants = CONSTANTS,
-    scale: float | None = None,
+    config: SimulationConfig, resonances: ResonancePair, scale: float | None = None
 ) -> SimulationConfig:
     """Fill in the integration step when the config leaves it automatic.
 
@@ -108,7 +101,7 @@ def resolve_step(
     if config.dt is not None:
         return config
     if scale is None:
-        scale = hamiltonian_scale(config, resonances, constants)
+        scale = hamiltonian_scale(config, resonances)
     return config.replace(dt=DEFAULT_STEP_SAFETY * recommended_step(scale))
 
 
@@ -251,27 +244,18 @@ def _compose(m):
     return m[:, 0]
 
 
-def time_dependent_hamiltonian(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    constants: PhysicalConstants = CONSTANTS,
-):
+def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair):
     """Return H(t) for the configured mode as a callable of time.
 
     ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.
     """
-    h0 = build_static(config, constants)
+    h0 = build_static(config)
     if config.mode != "driven" or (config.Bl1 == 0 and config.Bl2 == 0):
         return lambda t: np.broadcast_to(h0, np.shape(t) + (4, 4))
-    return lambda t: h0 + build_drive(config, resonances, t, constants)
+    return lambda t: h0 + build_drive(config, resonances, t)
 
 
-def propagate_numeric(
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    times,
-    constants: PhysicalConstants = CONSTANTS,
-) -> Trajectory:
+def propagate_numeric(config: SimulationConfig, resonances: ResonancePair, times) -> Trajectory:
     """Fixed-step RK4 trajectory recorded at the requested sample times.
 
     Integrates at the configured base step (or an automatically chosen one)
@@ -282,8 +266,8 @@ def propagate_numeric(
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    hfun = time_dependent_hamiltonian(config, resonances, constants)
-    dt = resolve_step(config, resonances, constants).dt
+    hfun = time_dependent_hamiltonian(config, resonances)
+    dt = resolve_step(config, resonances).dt
     states = np.empty((len(times), 4), dtype=complex)
     states[0] = config.initial_state
     for first, block in _rk4_chunks(hfun, states[0], times, dt):

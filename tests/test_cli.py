@@ -29,6 +29,18 @@ t_max_s=1.2e-8
 mode=static
 """
 
+DRIVEN_CONFIG = """\
+r_m=1.14e-9
+Bz1_T=0.09320200422795753
+Bz2_T=0.09320200422795753
+Bg1_T=6.08e-5
+Bg2_T=-6.08e-5
+Bl1_T=0.0004524571004753451
+Bl2_T=0.0004524571004753451
+t_max_s=1.3447780637678332e-08
+mode=driven
+"""
+
 WIRES_CONFIG = """\
 I_A=0.6
 d_m=1e-6
@@ -100,6 +112,21 @@ class TestSimulate:
         assert f"dt_s={result.config.dt!r}" in manifest["config_snapshot"]
         assert result.config.dt == pytest.approx(1.2e-11, rel=1e-12)
 
+    def test_recorded_config_reproduces_the_outputs(self, tmp_path):
+        # A driven run whose automatic dt is below the sample spacing: the
+        # recorded dt_s must be the step RK4 was given.
+        path = tmp_path / "driven.cfg"
+        path.write_text(DRIVEN_CONFIG)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert main(["simulate", str(path), "--outdir", str(first)]) == EXIT_OK
+        with open(first / "run_manifest.json") as fh:
+            snapshot = "\n".join(json.load(fh)["config_snapshot"]) + "\n"
+        recorded = tmp_path / "recorded.cfg"
+        recorded.write_text(snapshot)
+        assert main(["simulate", str(recorded), "--outdir", str(again)]) == EXIT_OK
+        for name in ("trajectory.csv", "summary.txt"):
+            assert (first / name).read_bytes() == (again / name).read_bytes(), name
+
     def test_long_horizon_exit_3(self, tmp_path, capsys):
         path = tmp_path / "long.cfg"
         path.write_text(STATIC_CONFIG.replace("t_max_s=1.2e-8", "t_max_s=1e-3"))
@@ -129,6 +156,42 @@ def test_simulation_errors_exit_3_without_traceback(error, static_config_path, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error.__name__}: detail\n"
+
+
+# One non-finite value for each float field and for each initial-state
+# amplitude: (config line, field named in the error).
+NON_FINITE = [
+    ("r_m=nan", "r"),
+    ("Bz1_T=nan", "Bz1"),
+    ("Bz2_T=inf", "Bz2"),
+    ("Bg1_T=-inf", "Bg1"),
+    ("Bg2_T=nan", "Bg2"),
+    ("Bl1_T=inf", "Bl1"),
+    ("Bl2_T=nan", "Bl2"),
+    ("J0_rad_s=inf", "J0"),
+    ("t_max_s=inf", "t_max"),
+    ("dt_s=nan", "dt"),
+    ("T2_s=nan", "T2"),
+    ("T1_s=inf", "T1"),
+    ("norm_tolerance=nan", "norm_tolerance"),
+    ("initial_state=nan,0,0.5,0,0.5,0,0.5,0", "initial_state amplitude c1"),
+    ("initial_state=0.5,0,0.5,inf,0.5,0,0.5,0", "initial_state amplitude c2"),
+    ("initial_state=0.5,0,0.5,0,-inf,0,0.5,0", "initial_state amplitude c3"),
+    ("initial_state=0.5,0,0.5,0,0.5,0,0.5,nan", "initial_state amplitude c4"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("line, field", NON_FINITE, ids=[line for line, _ in NON_FINITE])
+def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
+    path = tmp_path / "nonfinite.cfg"
+    path.write_text(STATIC_CONFIG.replace("mode=static", "mode=driven") + line + "\n")
+    assert main(["gate-time", str(path)]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert f"{field} must be finite" in lines[0]
 
 
 def _trajectory_csv_per_row(result):

@@ -196,7 +196,7 @@ GRAZING_INPUTS = {
     ids=["r=8nm", "grazing-far", "grazing-near"],
 )
 def test_gate_time_is_first_exact_crossing(config):
-    # tau meets the default phase_tol on the exact theta, and the exact theta
+    # tau meets analysis.PHASE_TOL on the exact theta, and the exact theta
     # does not reach pi anywhere before tau.
     result = run_simulation(config)
     theta = exact_theta(result.config, np.linspace(0.0, result.gate.tau, 200_001))
@@ -240,7 +240,7 @@ class TestThetaRateGrid:
             points.append(sum(counts))
             taus.append(result.gate.tau)
         assert 0 < points[-1] <= 1.1 * points[0]
-        # Each tau meets phase_tol = 1e-7 rad, with theta near pi t / tau.
+        # Each tau meets PHASE_TOL = 1e-7 rad, with theta near pi t / tau.
         assert max(taus) - min(taus) <= 2e-7 / np.pi * taus[0]
 
     def test_long_horizon_raises_instead_of_aliasing(self):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buckygate.config import SimulationConfig, validate
-from buckygate.constants import CONSTANTS, PhysicalConstants
+from buckygate.constants import CONSTANTS
 from buckygate.errors import NonPositiveDistance
 from buckygate.fields import ResonancePair, resonance_frequencies
 from buckygate.hamiltonian import (
@@ -13,10 +13,6 @@ from buckygate.hamiltonian import (
     is_hermitian,
     static_terms,
 )
-
-# Unit-strength constants: r=1 gives exactly g=1 and the Zeeman scale muB/hbar=1.
-UNIT_CONSTANTS = PhysicalConstants(mu0=4 * np.pi, muB=1.0, hbar=1.0, gamma=2.0)
-
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -87,9 +83,9 @@ class TestStaticTerms:
 
 class TestBuildStatic:
     def test_unit_matrix_structure(self):
-        # g=1, m1=m2=0 with unit constants and no fields.
+        # In units of g, with m1=m2=0 for no fields.
         cfg = validate(SimulationConfig(r=1.0, Bz1=0.0, Bz2=0.0, t_max=1.0))
-        h = build_static(cfg, UNIT_CONSTANTS)
+        h = build_static(cfg) / dipole_coupling(CONSTANTS, cfg.r)
         expected = np.array(
             [
                 [1, 0, 0, -3],
