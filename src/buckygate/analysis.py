@@ -30,13 +30,11 @@ AMP_FLOOR = 1e-12
 # the unwrap would pick the wrong branch without any sign of it.
 MAX_THETA_STEP = math.pi / 2
 
-# find_gate_time refines the crossing until its bracket is below TIME_TOL
-# seconds and its phase residual below PHASE_TOL rad.
-TIME_TOL = 1e-12
-PHASE_TOL = 1e-7
+# find_gate_time refines the crossing until its phase residual is at most
+# PHASE_TOL rad.
+PHASE_TOL = 1e-10
 
-# Bisection-grid points of the first-crossing scan per call of its theta
-# evaluator, at most.
+# Points of the first-crossing scan per call of its theta evaluator, at most.
 SCAN_BATCH = 1 << 16
 
 
@@ -99,34 +97,32 @@ def unwrap_phases(traj: Trajectory) -> PhaseSeries:
 
 
 def find_gate_time(
-    phases: PhaseSeries,
-    theta_fn=None,
-    scan_fn=None,
-    scan_step: float | None = None,
-    unresolved: float = 0.0,
+    phases: PhaseSeries, theta_fn, scan_fn, scan_step: float, unresolved: float
 ) -> float:
     """First time the unwrapped composite phase reaches +/-pi.
 
     The nominal target is -pi; if the series reaches +pi first that
-    earlier crossing is returned instead.  Between the bracketing samples the
-    crossing is refined by bisection on ``theta_fn`` (a continuous theta(t)
-    evaluator, typically backed by re-propagation) until the bracket is below
-    TIME_TOL seconds and the phase residual below PHASE_TOL rad;
-    without an evaluator, linear interpolation of the sampled series is used.
+    earlier crossing is returned instead.
 
     theta can reach the level and turn back between two samples, which the
-    sampled series does not show.  Given ``scan_fn`` (theta at an array of
-    times) and ``scan_step`` (s), the times before the first sampled crossing
-    at which theta could reach the level are scanned at a spacing of at most
-    ``scan_step``, and the first crossing found there is refined instead.
-    Those are the times where the linear interpolation of the samples comes
-    within ``2 * unresolved`` plus half the largest second difference of the
-    samples of the level: ``unresolved`` (rad) bounds the part of theta the
-    samples do not resolve, the second difference the interpolation error of
-    the part they do.  The scan runs in time order in batches and stops at
-    the first crossing, so its cost follows that window, not the horizon.
-    The scanned points are midpoints the bisection itself would visit, so
-    when the scan finds no earlier crossing the result does not change.
+    sampled series does not show.  So the times before the first sampled
+    crossing at which theta could reach the level are scanned with
+    ``scan_fn`` (theta at an array of times) at a spacing of at most
+    ``scan_step`` (s).  Those are the times where the linear interpolation
+    of the samples comes within ``2 * unresolved`` plus half the largest
+    second difference of the samples of the level: ``unresolved`` (rad)
+    bounds the part of theta the samples do not resolve, the second
+    difference the interpolation error of the part they do.  The scan runs
+    in time order in batches and stops at the first crossing, so its cost
+    follows that window, not the horizon.
+
+    Inside the bracket of the first crossing found, the crossing is refined
+    by Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) on
+    ``theta_fn`` (theta at one time, typically by re-propagation).  It stops
+    when the phase residual is at most PHASE_TOL rad, or when the next
+    secant point is no longer strictly inside the bracket (float
+    resolution); then the end of the bracket with the smaller residual is
+    returned.
 
     Raises NoCrossing when the phase never reaches the target before the end
     of the series; the exception carries theta at the final sample.
@@ -143,32 +139,32 @@ def find_gate_time(
     i = hit[0]
     if i == 0:
         return float(times[0])
-    bracket = (times[i - 1], times[i], theta[i - 1], theta[i])
-    if scan_fn is not None:
-        margin = _scan_margin(theta, unresolved)
-        scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, scan_fn, scan_step)
-        bracket = scanned or bracket
-    t_lo, t_hi, th_lo, th_hi = bracket
+    margin = _scan_margin(theta, unresolved)
+    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, scan_fn, scan_step)
+    t_lo, t_hi, th_lo, th_hi = scanned or (times[i - 1], times[i], theta[i - 1], theta[i])
 
     crossed = level if th_hi >= level else -level
-    if theta_fn is None:
-        return float(t_lo + (t_hi - t_lo) * (crossed - th_lo) / (th_hi - th_lo))
-
-    f_lo = th_lo - crossed
-    f_best = math.inf
-    t_best = t_lo
-    while t_hi - t_lo > TIME_TOL or abs(f_best) > PHASE_TOL:
-        t_mid = 0.5 * (t_lo + t_hi)
-        if t_mid == t_lo or t_mid == t_hi:  # float resolution reached
+    f_lo, f_hi = th_lo - crossed, th_hi - crossed
+    # The secant runs through the weights w, which are the residuals f except
+    # that an end kept by two steps in a row has its weight halved.
+    w_lo, w_hi = f_lo, f_hi
+    moved = 0  # -1 after the lower end moved, +1 after the upper end
+    while min(abs(f_lo), abs(f_hi)) > PHASE_TOL:
+        t = t_lo + (t_hi - t_lo) * (w_lo / (w_lo - w_hi))
+        if not t_lo < t < t_hi:  # float resolution reached
             break
-        f_mid = theta_fn(t_mid) - crossed
-        if abs(f_mid) < abs(f_best):
-            f_best, t_best = f_mid, t_mid
-        if (f_mid > 0) == (f_lo > 0):
-            t_lo, f_lo = t_mid, f_mid
+        f = theta_fn(t) - crossed
+        if (f > 0) == (f_lo > 0):
+            t_lo, f_lo, w_lo = t, f, f
+            if moved < 0:
+                w_hi /= 2
+            moved = -1
         else:
-            t_hi = t_mid
-    return float(t_best)
+            t_hi, f_hi, w_hi = t, f, f
+            if moved > 0:
+                w_lo /= 2
+            moved = 1
+    return float(t_lo if abs(f_lo) < abs(f_hi) else t_hi)
 
 
 def _scan_margin(theta, unresolved):
@@ -188,10 +184,11 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
     |theta| = level on the scan grid, or None if the scan finds none.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
-    interval is scanned where its linear interpolation is within ``margin``
-    of the level, on the points of the interval's bisection grid there and
-    one more on either side.  The intervals are evaluated in time order, in
-    batches of at most SCAN_BATCH grid points, until one holds a crossing.
+    interval is scanned on the band where its linear interpolation is within
+    ``margin`` of the level, at both ends of the band and at a uniform
+    spacing of at most ``scan_step`` between them.  The bands are evaluated
+    in time order, at most SCAN_BATCH points per call of ``scan_fn``, until
+    one holds a crossing.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
@@ -199,7 +196,7 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
     # In the direction s of its larger end, an interval's interpolation u
     # passes floor at the fraction x; it is scanned from there on toward
     # that end, or whole if u also falls to -floor.  x may lie outside
-    # [0, 1]: the grid cells lie inside the interval anyway.
+    # [0, 1], so the band is clipped to the interval.
     a, b = theta[rows], theta[rows + 1]
     s = np.sign(a + b)
     ua, ub = s * a, s * b
@@ -212,15 +209,18 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
     # margin, so the last interval is scanned no further than that.
     hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
 
-    t0, t1 = times[rows], times[rows + 1]
-    span = t1 - t0
-    start, stop = t0 + lo * span, t0 + hi * span
-    depth = max(0, math.ceil(math.log2(np.max(span) / scan_step)))
-    per_batch = max(1, SCAN_BATCH >> depth)
+    t0, span = times[rows], times[rows + 1] - times[rows]
+    start = t0 + np.clip(lo, 0.0, 1.0) * span
+    width = t0 + np.clip(hi, 0.0, 1.0) * span - start
+    cells = np.maximum(np.ceil(width / scan_step), 1.0)
+    first = np.concatenate([[0], np.cumsum(cells + 1)]).astype(int)  # per band
     prev = t0[0], a[0]
-    for k in range(0, len(rows), per_batch):
-        batch = slice(k, k + per_batch)
-        points = _bisection_points(t0[batch], t1[batch], start[batch], stop[batch], depth)
+    for k in range(0, first[-1], SCAN_BATCH):
+        index = np.arange(k, min(k + SCAN_BATCH, first[-1]))
+        band = np.searchsorted(first, index, side="right") - 1
+        points = start[band] + width[band] * ((index - first[band]) / cells[band])
+        # Adjacent bands can share the sample between them.
+        points = points[np.concatenate([[True], points[1:] > points[:-1]])]
         values = scan_fn(points)
         cross = np.flatnonzero(np.abs(values) >= level)
         if cross.size:
@@ -230,32 +230,6 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
             return prev[0], points[0], prev[1], values[0]
         prev = points[-1], values[-1]
     return None
-
-
-def _bisection_points(lo, hi, start, stop, depth):
-    """Points of the bisection grid of each interval [lo, hi], halved
-    ``depth`` times, in the cells that meet [start, stop], in time order.
-
-    Midpoints are formed as 0.5 * (lo + hi), exactly as the bisection in
-    find_gate_time forms them; cells away from [start, stop] are dropped at
-    each level, so the work follows the points kept.
-    """
-    for _ in range(depth):
-        mid = 0.5 * (lo + hi)
-        lo, hi = _interleave(lo, mid), _interleave(mid, hi)
-        start, stop = start.repeat(2), stop.repeat(2)
-        keep = (hi >= start) & (lo <= stop)
-        lo, hi, start, stop = lo[keep], hi[keep], start[keep], stop[keep]
-    # A cell's upper edge is the next cell's lower edge unless cells were
-    # dropped between them.
-    edges = _interleave(lo, hi)
-    return edges[np.concatenate([[True], edges[1:] > edges[:-1]])]
-
-
-def _interleave(a, b):
-    out = np.empty(2 * len(a))
-    out[::2], out[1::2] = a, b
-    return out
 
 
 def correction_phases(phi00: float, phi01: float, phi10: float):

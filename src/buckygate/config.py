@@ -68,7 +68,6 @@ class SimulationConfig:
     dt: float | None = None
     mode: str = "static"
     T2: float = 20e-6
-    T1: float | None = None  # recorded for reporting only, unused in dynamics
     norm_tolerance: float = 1e-8
 
     def replace(self, **changes) -> "SimulationConfig":
@@ -115,7 +114,11 @@ def validate(config: SimulationConfig) -> SimulationConfig:
                 NonUnitInitialState(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
             )
     else:
-        nrm = np.linalg.norm(psi)
+        with np.errstate(over="ignore"):
+            nrm = np.linalg.norm(psi)
+        if not math.isfinite(nrm):  # |c|^2 overflows: scale by the largest |c| first
+            psi = psi / np.max(np.abs(psi))
+            nrm = np.linalg.norm(psi)
         if nrm < RENORMALIZABLE_TOL:
             violations.append(
                 NonUnitInitialState(f"initial_state norm {nrm:.3e} too small to renormalize")
@@ -154,7 +157,6 @@ CONFIG_KEYS = {
     "t_max_s": "t_max",
     "dt_s": "dt",
     "T2_s": "T2",
-    "T1_s": "T1",
     "norm_tolerance": "norm_tolerance",
 }
 

@@ -4,8 +4,8 @@ Static mode propagates with the exact spectral solution on a grid that
 follows theta's own rate, driven mode with fixed-step RK4 on a grid at the
 fastest Hamiltonian scale.  Gate-time refinement re-propagates between the stored
 samples, first to scan the intervals near the crossing at a fine spacing and
-then to bisect the first crossing found, instead of interpolating the sampled
-phase.
+then to refine the first crossing found by regula falsi, instead of
+interpolating the sampled phase.
 """
 
 from __future__ import annotations
@@ -222,13 +222,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
     run = run_trajectory(config)
     traj = run.trajectory
-    tau = find_gate_time(
-        run.phases,
-        theta_fn=run.theta_at,
-        scan_fn=run.theta_on,
-        scan_step=run.scan_step,
-        unresolved=run.unresolved,
-    )
+    tau = find_gate_time(run.phases, run.theta_at, run.theta_on, run.scan_step, run.unresolved)
     psi_tau = run.state_at(tau)
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
     phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from buckygate.analysis import (
+    PHASE_TOL,
     PhaseSeries,
     binary_entropy,
     concurrence,
@@ -104,20 +105,24 @@ class TestFindGateTime:
         theta = -(np.pi / tau0) * times
         return PhaseSeries(times=times, theta=theta)
 
+    def gate_time(self, series, theta, scan_step=1e-3, unresolved=0.0):
+        """find_gate_time with ``theta`` as both the point and the scan evaluator."""
+        return find_gate_time(series, theta, theta, scan_step, unresolved)
+
     def test_linear_crossing(self):
-        tau = find_gate_time(self.linear_series(0.4))
+        tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t)
         assert tau == pytest.approx(0.4, rel=1e-10)
 
     def test_refinement_with_evaluator(self):
         tau0 = 0.37
         series = self.linear_series(tau0)
-        tau = find_gate_time(series, theta_fn=lambda t: -(np.pi / tau0) * t)
+        tau = self.gate_time(series, lambda t: -(np.pi / tau0) * t)
         assert tau == pytest.approx(tau0, abs=5e-12)
 
     def test_positive_crossing_reported_first(self):
         times = np.linspace(0, 1.0, 101)
-        theta = (np.pi / 0.25) * times  # rises through +pi at t=0.25
-        tau = find_gate_time(PhaseSeries(times, theta))
+        theta = lambda t: (np.pi / 0.25) * t  # rises through +pi at t=0.25
+        tau = self.gate_time(PhaseSeries(times, theta(times)), theta)
         assert tau == pytest.approx(0.25, rel=1e-10)
 
     def test_scan_finds_crossing_between_samples(self):
@@ -129,25 +134,32 @@ class TestFindGateTime:
 
         times = np.linspace(0, 1.0, 101)
         series = PhaseSeries(times, theta(times))
-        assert find_gate_time(series, theta_fn=theta) > 0.7
-        tau = find_gate_time(series, theta_fn=theta, scan_fn=theta, scan_step=1e-3)
+        assert np.all(np.abs(series.theta[times < 0.7]) < np.pi)
+        tau = self.gate_time(series, theta)
         assert tau == pytest.approx(0.3055 - 0.003 * np.sqrt(np.log(1.5)), abs=1e-9)
 
-    def test_scan_without_earlier_crossing_changes_nothing(self):
-        # The scan points are bisection midpoints, so the refined crossing is
-        # the same to the bit.
-        tau0 = 0.37
-        series = self.linear_series(tau0)
-        theta = lambda t: -(np.pi / tau0) * t + 1e-3 * np.sin(40 * t)
-        plain = find_gate_time(series, theta_fn=theta)
-        scanned = find_gate_time(series, theta_fn=theta, scan_fn=theta, scan_step=1e-4)
-        assert scanned == plain
+    def test_refinement_meets_phase_tol_in_few_calls(self):
+        # theta wiggles by 1e-3 rad about a line through -pi at 0.37.  The
+        # scan is as coarse as the samples, so the refinement starts from the
+        # whole band around the level, and regula falsi converges
+        # superlinearly there.
+        times = np.linspace(0, 1.0, 101)
+        theta = lambda t: -(np.pi / 0.37) * t + 1e-3 * np.sin(40 * t)
+        calls = []
+
+        def theta_fn(t):
+            calls.append(t)
+            return theta(t)
+
+        tau = find_gate_time(PhaseSeries(times, theta(times)), theta_fn, theta, 1e-2, 1e-3)
+        assert abs(theta(tau) + np.pi) <= PHASE_TOL
+        assert len(calls) <= 6
 
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)
-        theta = -0.5 * times
+        theta = lambda t: -0.5 * t
         with pytest.raises(NoCrossing) as exc:
-            find_gate_time(PhaseSeries(times, theta))
+            self.gate_time(PhaseSeries(times, theta(times)), theta)
         assert exc.value.theta_end == pytest.approx(-0.5)
 
 

@@ -172,7 +172,6 @@ NON_FINITE = [
     ("t_max_s=inf", "t_max"),
     ("dt_s=nan", "dt"),
     ("T2_s=nan", "T2"),
-    ("T1_s=inf", "T1"),
     ("norm_tolerance=nan", "norm_tolerance"),
     ("initial_state=nan,0,0.5,0,0.5,0,0.5,0", "initial_state amplitude c1"),
     ("initial_state=0.5,0,0.5,inf,0.5,0,0.5,0", "initial_state amplitude c2"),
@@ -192,6 +191,27 @@ def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"{field} must be finite" in lines[0]
+
+
+def test_t1_is_an_unknown_key(static_config_path, capsys):
+    with open(static_config_path, "a", encoding="utf-8") as fh:
+        fh.write("T1_s=1e-3\n")
+    assert main(["gate-time", static_config_path]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown config key 'T1_s'" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_initial_amplitudes_renormalize(tmp_path, capsys):
+    # |c|^2 of 1e200 overflows; the state is the uniform one all the same.
+    summaries = []
+    for scale in ("0.5", "1e200"):
+        path = tmp_path / f"state-{scale}.cfg"
+        path.write_text(STATIC_CONFIG + f"initial_state={scale},0,{scale},0,{scale},0,{scale},0\n")
+        assert main(["gate-time", str(path)]) == EXIT_OK
+        summaries.append(capsys.readouterr().out)
+    assert summaries[1] == summaries[0]
 
 
 def _trajectory_csv_per_row(result):

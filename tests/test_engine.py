@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from buckygate.analysis import _scan_margin
+from buckygate.analysis import PHASE_TOL, _scan_margin
 from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -221,6 +221,25 @@ def count_scan_points(monkeypatch):
     return counts
 
 
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(), reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)],
+    ids=["static", "driven"],
+)
+def test_refinement_takes_few_evaluations(config, monkeypatch):
+    calls = []
+    theta_at = TrajectoryEvaluator.theta_at
+
+    def counting(self, t):
+        calls.append(t)
+        return theta_at(self, t)
+
+    monkeypatch.setattr(TrajectoryEvaluator, "theta_at", counting)
+    result = run_simulation(config)
+    assert abs(result.gate.theta_at_tau + np.pi) <= PHASE_TOL
+    assert 0 < len(calls) <= 6
+
+
 class TestThetaRateGrid:
     def test_far_static_grid_follows_theta(self):
         # At 12 nm theta turns at about 2 sqrt(m2^2 + g^2), some 1e-3 of the
@@ -240,7 +259,8 @@ class TestThetaRateGrid:
             points.append(sum(counts))
             taus.append(result.gate.tau)
         assert 0 < points[-1] <= 1.1 * points[0]
-        # Each tau meets PHASE_TOL = 1e-7 rad, with theta near pi t / tau.
+        # Each tau meets analysis.PHASE_TOL (1e-10 rad), with theta near
+        # pi t / tau; the bound allows 1e-7 rad.
         assert max(taus) - min(taus) <= 2e-7 / np.pi * taus[0]
 
     def test_long_horizon_raises_instead_of_aliasing(self):
