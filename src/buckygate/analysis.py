@@ -37,6 +37,11 @@ PHASE_TOL = 1e-10
 # Points of the first-crossing scan per call of its theta evaluator, at most.
 SCAN_BATCH = 1 << 16
 
+# Points of the first-crossing scan per solve, at most (about 0.5 s of
+# evaluations).  Runs in the benchmark's ranges need a few thousand; equal
+# fields of 1e9 T on both spins need over 1e10, at the Zeeman scale.
+MAX_SCAN_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class PhaseSeries:
@@ -188,7 +193,8 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
     ``margin`` of the level, at both ends of the band and at a uniform
     spacing of at most ``scan_step`` between them.  The bands are evaluated
     in time order, at most SCAN_BATCH points per call of ``scan_fn``, until
-    one holds a crossing.
+    one holds a crossing.  Raises OutOfRange if that takes more than
+    MAX_SCAN_POINTS points.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
@@ -213,7 +219,13 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
     start = t0 + np.clip(lo, 0.0, 1.0) * span
     width = t0 + np.clip(hi, 0.0, 1.0) * span - start
     cells = np.maximum(np.ceil(width / scan_step), 1.0)
-    first = np.concatenate([[0], np.cumsum(cells + 1)]).astype(int)  # per band
+    first = np.concatenate([[0], np.cumsum(cells + 1)])  # per band
+    if not first[-1] <= MAX_SCAN_POINTS:
+        raise OutOfRange(
+            f"the first-crossing scan needs {first[-1]:.3g} points at a {scan_step:.3e} s "
+            f"spacing, above {MAX_SCAN_POINTS}"
+        )
+    first = first.astype(int)
     prev = t0[0], a[0]
     for k in range(0, first[-1], SCAN_BATCH):
         index = np.arange(k, min(k + SCAN_BATCH, first[-1]))
@@ -283,4 +295,7 @@ def ops_budget(tau: float, t2: float) -> int:
     """Number of gate operations fitting into the coherence time: floor(T2/tau)."""
     if tau <= 0:
         raise OutOfRange(f"gate time must be > 0, got {tau}")
-    return int(math.floor(t2 / tau))
+    budget = t2 / tau
+    if not math.isfinite(budget):
+        raise OutOfRange(f"T2/tau = {t2}/{tau} is not a finite number of operations")
+    return int(math.floor(budget))

@@ -6,7 +6,8 @@ Subcommands:
   sweep <spec>             one-parameter sweep, results CSV
   field-profile <wires>    wire-pair field profile CSV
 
-Exit codes: 0 success, 1 configuration error, 2 no gate-time crossing,
+Exit codes: 0 success, 1 configuration error (including a file that cannot
+be decoded or parsed), 2 no gate-time crossing,
 3 any other SimulationError (numerical failure: norm drift, undefined or
 aliased phase, non-Hermitian Hamiltonian, zero state, value out of range,
 field evaluated on a wire).  Every error is reported on one stderr line.
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -28,15 +31,9 @@ import numpy as np
 
 from . import __version__
 from .analysis import concurrence
-from .config import (
-    ConfigErrorItem,
-    format_config,
-    config_from_mapping,
-    load_config,
-    parse_key_values,
-)
+from .config import config_from_mapping, format_config, load_config, read_key_values
 from .engine import run_simulation
-from .errors import ConfigError, NoCrossing, SimulationError, SweepSpecError
+from .errors import ConfigError, ConfigErrorItem, NoCrossing, SimulationError, SweepSpecError
 from .fields import WirePair, gradient_field
 
 EXIT_OK = 0
@@ -52,9 +49,28 @@ SWEEP_HEADER = "param_value,tau_s,concurrence_at_tau,eof_at_tau,ops_budget,statu
 SWEEP_PARAMS = ("r", "Bz", "Bg1", "Bg2", "Bl", "I", "J0")
 WIRE_KEYS = ("d_m", "rho_m", "x1_m", "x2_m")
 
+# Far more points than a sweep or a profile needs; a count near numpy's
+# allocation limit would exhaust memory instead of failing.
+MAX_POINTS = 1_000_000
+
 
 def _fmt(x) -> str:
     return repr(float(x))
+
+
+def _point_count(name: str, count: int) -> int:
+    if not 0 <= count <= MAX_POINTS:
+        raise ConfigErrorItem(f"{name} must be a point count in [0, {MAX_POINTS}], got {count}")
+    return count
+
+
+def _write(path, text: str) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if not path:
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def trajectory_csv(result) -> str:
@@ -105,11 +121,9 @@ def cmd_simulate(args) -> int:
     traj_path = os.path.join(args.outdir, "trajectory.csv")
     summary_path = os.path.join(args.outdir, "summary.txt")
     manifest_path = os.path.join(args.outdir, "run_manifest.json")
-    with open(traj_path, "w", encoding="utf-8") as fh:
-        fh.write(trajectory_csv(result))
+    _write(traj_path, trajectory_csv(result))
     text = summary_text(result)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _write(summary_path, text)
     manifest = {
         "engine_version": __version__,
         "mode": result.config.mode,
@@ -119,8 +133,7 @@ def cmd_simulate(args) -> int:
         "max_theta_step_rad": result.phases.max_step,
         "config_snapshot": format_config(result.config).splitlines(),
     }
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(manifest, indent=2) + "\n")
+    _write(manifest_path, json.dumps(manifest, indent=2) + "\n")
     sys.stdout.write(text)
     return EXIT_OK
 
@@ -134,9 +147,8 @@ def cmd_gate_time(args) -> int:
 # --- sweep -------------------------------------------------------------------
 
 
-def parse_sweep_spec(text: str):
-    """Split a sweep file into (param name, values, base-config mapping, wire mapping)."""
-    kv = parse_key_values(text)
+def parse_sweep_spec(kv: dict):
+    """Split a sweep file's mapping into (param name, values, base config, wire mapping)."""
     param = kv.pop("param", None)
     if param not in SWEEP_PARAMS:
         raise SweepSpecError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
@@ -148,7 +160,8 @@ def parse_sweep_spec(text: str):
         parts = kv.pop(key).split(",")
         if len(parts) != 3:
             raise SweepSpecError(f"{key} needs start,stop,count")
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop = float(parts[0]), float(parts[1])
+        count = _point_count(f"{key} count", int(parts[2]))
         if key == "range":
             values = list(np.linspace(start, stop, count))
         else:
@@ -165,7 +178,7 @@ def parse_sweep_spec(text: str):
     missing = [k for k in WIRE_KEYS if k not in wires]
     if param == "I" and missing:
         raise SweepSpecError(f"sweeping I needs wire keys {missing}")
-    return param, values, kv, wires
+    return param, values, config_from_mapping(kv), wires
 
 
 def apply_sweep_param(base_config, param: str, value: float, wires: dict):
@@ -193,61 +206,46 @@ def apply_sweep_param(base_config, param: str, value: float, wires: dict):
     raise SweepSpecError(f"unknown sweep parameter {param!r}")
 
 
-def _sweep_point(task):
+def _sweep_point(base_config, param, wires, value) -> str:
     """Worker for one sweep point; returns a finished CSV row.
 
-    A point whose parameter value yields an invalid configuration (such as
-    a zero wire current) is recorded with its error name, like a failed
-    simulation.
+    A point that fails, including one whose parameter value yields an
+    invalid configuration (such as a zero wire current), is recorded with
+    the name of its package error.
     """
-    index, value, base_config, param, wires = task
     try:
-        result = run_simulation(apply_sweep_param(base_config, param, value, wires))
-        g = result.gate
-        row = ",".join(
-            [
-                _fmt(value),
-                _fmt(g.tau),
-                _fmt(g.concurrence_at_tau),
-                _fmt(g.eof_at_tau),
-                str(g.ops_budget),
-                "ok",
-            ]
-        )
-    except (SimulationError, ValueError) as exc:
-        row = ",".join([_fmt(value), "", "", "", "", type(exc).__name__])
-    return index, row
+        g = run_simulation(apply_sweep_param(base_config, param, value, wires)).gate
+    except SimulationError as exc:
+        return ",".join([_fmt(value), "", "", "", "", type(exc).__name__])
+    return ",".join(
+        [
+            _fmt(value),
+            _fmt(g.tau),
+            _fmt(g.concurrence_at_tau),
+            _fmt(g.eof_at_tau),
+            str(g.ops_budget),
+            "ok",
+        ]
+    )
 
 
 def cmd_sweep(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        param, values, base_kv, wires = parse_sweep_spec(fh.read())
-    base_config = config_from_mapping(base_kv)
-    tasks = [(i, v, base_config, param, wires) for i, v in enumerate(values)]
-    rows = [None] * len(tasks)
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for index, row in pool.map(_sweep_point, tasks):
-                rows[index] = row
-    else:
-        for task in tasks:
-            index, row = _sweep_point(task)
-            rows[index] = row
-    out = SWEEP_HEADER + "\n" + "\n".join(rows) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    param, values, base_config, wires = read_key_values(args.spec, parse_sweep_spec)
+    point = functools.partial(_sweep_point, base_config, param, wires)
+    with contextlib.ExitStack() as stack:
+        ordered_map = map  # Executor.map, like map, yields results in input order
+        if args.jobs > 1:
+            pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+            ordered_map = stack.enter_context(pool).map
+        rows = list(ordered_map(point, values))
+    _write(args.output, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
     return EXIT_OK
 
 
 # --- field profile -----------------------------------------------------------
 
 
-def load_wires(path) -> WirePair:
-    with open(path, "r", encoding="utf-8") as fh:
-        kv = parse_key_values(fh.read())
+def parse_wires(kv: dict) -> WirePair:
     try:
         return WirePair(
             current=float(kv["I_A"]),
@@ -259,17 +257,12 @@ def load_wires(path) -> WirePair:
 
 
 def cmd_field_profile(args) -> int:
-    wires = load_wires(args.wires)
-    xs = np.linspace(args.x_from, args.x_to, args.points)
+    wires = read_key_values(args.wires, parse_wires)
+    xs = np.linspace(args.x_from, args.x_to, _point_count("--points", args.points))
     bg = gradient_field(wires, xs)
     lines = ["x_m,Bg_T"]
     lines.extend(f"{_fmt(x)},{_fmt(b)}" for x, b in zip(xs, bg))
-    out = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(args.output, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -310,7 +303,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ConfigErrorItem, SweepSpecError, ValueError, OSError) as exc:
+    except (ConfigError, ConfigErrorItem, SweepSpecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NoCrossing as exc:

@@ -8,16 +8,20 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .constants import CONSTANTS
 from .errors import (
     ConfigError,
+    ConfigErrorItem,
     NonPositiveDistance,
     NonUnitInitialState,
     StepTooCoarse,
 )
+from .hamiltonian import dipole_coupling
 
 MODES = ("static", "driven")
 
@@ -90,8 +94,18 @@ def validate(config: SimulationConfig) -> SimulationConfig:
             violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
     if config.r <= 0:
         violations.append(NonPositiveDistance(f"r must be > 0, got {config.r}"))
-    if config.t_max <= 0:
-        violations.append(StepTooCoarse(f"t_max must be > 0, got {config.t_max}"))
+    elif math.isfinite(config.r):
+        with np.errstate(all="ignore"):  # r**3 overflows to inf or underflows to 0
+            g = dipole_coupling(CONSTANTS, np.float64(config.r))
+        if not 0 < g < math.inf:
+            violations.append(
+                ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
+            )
+    # A subnormal horizon cannot hold a strictly increasing sample grid.
+    if config.t_max < sys.float_info.min:
+        violations.append(
+            StepTooCoarse(f"t_max must be >= {sys.float_info.min} s, got {config.t_max}")
+        )
     if config.dt is not None:
         if config.dt <= 0:
             violations.append(StepTooCoarse(f"dt must be > 0, got {config.dt}"))
@@ -101,6 +115,8 @@ def validate(config: SimulationConfig) -> SimulationConfig:
                     f"dt={config.dt} too coarse: must be <= t_max/100 = {config.t_max / 100}"
                 )
             )
+    if config.T2 <= 0:
+        violations.append(ConfigErrorItem(f"T2 must be > 0, got {config.T2}"))
     if config.mode not in MODES:
         violations.append(ConfigErrorItem(f"mode must be one of {MODES}, got {config.mode!r}"))
 
@@ -134,10 +150,6 @@ def validate(config: SimulationConfig) -> SimulationConfig:
         changes["Bl1"] = 0.0
         changes["Bl2"] = 0.0
     return config.replace(**changes)
-
-
-class ConfigErrorItem(ValueError):
-    """Generic single-invariant violation without a dedicated class."""
 
 
 # --- plain-text config files -------------------------------------------------
@@ -204,9 +216,22 @@ def config_from_mapping(kv: dict) -> SimulationConfig:
     return SimulationConfig(**kwargs)
 
 
+def read_key_values(path, parse):
+    """Return ``parse(mapping)`` for the UTF-8 `key=value` file at ``path``.
+
+    This is where input files meet the package: a ValueError raised while
+    decoding or parsing the file (bad UTF-8, a non-number, a range numpy
+    rejects) is the file's fault and becomes a ConfigErrorItem naming it.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(parse_key_values(fh.read()))
+    except ValueError as exc:
+        raise ConfigErrorItem(f"{path}: {exc}") from exc
+
+
 def load_config(path) -> SimulationConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return config_from_mapping(parse_key_values(fh.read()))
+    return read_key_values(path, config_from_mapping)
 
 
 def format_config(config: SimulationConfig) -> str:

@@ -17,6 +17,11 @@ class ConfigError(SimulationError):
         super().__init__("; ".join(str(v) for v in self.violations))
 
 
+class ConfigErrorItem(SimulationError):
+    """Generic single-invariant violation without a dedicated class, and any
+    input file that cannot be decoded or parsed."""
+
+
 class NonPositiveDistance(SimulationError):
     pass
 

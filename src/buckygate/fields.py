@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import CONSTANTS, PhysicalConstants
-from .errors import SingularPosition
+from .errors import ConfigErrorItem, SingularPosition
 
 # Feasibility window for the wire current: outside it either the frequency
 # splitting is too small to resolve or the wire overheats.
@@ -37,11 +37,11 @@ class WirePair:
 
     def __post_init__(self):
         if self.radius <= 0:
-            raise ValueError(f"wire radius must be > 0, got {self.radius}")
+            raise ConfigErrorItem(f"wire radius must be > 0, got {self.radius}")
         if self.separation <= 0:
-            raise ValueError(f"wire separation must be > 0, got {self.separation}")
+            raise ConfigErrorItem(f"wire separation must be > 0, got {self.separation}")
         if self.current == 0:
-            raise ValueError("wire current must be nonzero")
+            raise ConfigErrorItem("wire current must be nonzero")
         lo, hi = CURRENT_WINDOW
         if not lo <= abs(self.current) <= hi:
             warnings.warn(

@@ -9,12 +9,16 @@ approximation).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .config import SimulationConfig
 from .constants import CONSTANTS, PhysicalConstants
 from .errors import NonPositiveDistance
 from .fields import ResonancePair
+
+if TYPE_CHECKING:  # config imports this module to validate r
+    from .config import SimulationConfig
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -272,6 +272,10 @@ class TestOpsBudget:
         with pytest.raises(OutOfRange):
             ops_budget(0.0, 20e-6)
 
+    def test_budget_beyond_float_range(self):
+        with pytest.raises(OutOfRange):
+            ops_budget(1e-8, 1.7e308)
+
 
 def test_theta_weights_cancel_global_phase():
     # +1 -1 -1 +1 weighting: alpha - alpha - alpha + alpha = 0

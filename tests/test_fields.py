@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from buckygate.constants import CONSTANTS
-from buckygate.errors import SingularPosition
+from buckygate.errors import ConfigErrorItem, SingularPosition
 from buckygate.fields import (
     ResonancePair,
     WirePair,
@@ -53,11 +53,11 @@ def test_current_window_warns_but_accepts():
 
 
 def test_degenerate_wires_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigErrorItem):
         WirePair(current=0.0, separation=1e-6, radius=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigErrorItem):
         WirePair(current=0.6, separation=-1e-6, radius=1e-6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigErrorItem):
         WirePair(current=0.6, separation=1e-6, radius=0.0)
 
 
