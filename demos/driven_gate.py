@@ -2,9 +2,10 @@
 
 Same geometry as the static demo, but each spin additionally sees a 0.5 mT
 transverse field oscillating at its own resonance frequency.  The drive is
-integrated with fixed-step RK4 (no rotating-wave approximation); the
-composite phase still reaches -pi on the nanosecond scale, with a slightly
-different gate time and entanglement at the crossing.
+integrated with 4th-order Magnus steps in the interaction picture of the
+static Hamiltonian (no rotating-wave approximation); the composite phase
+still reaches -pi on the nanosecond scale, with a slightly different gate
+time and entanglement at the crossing.
 """
 
 import numpy as np

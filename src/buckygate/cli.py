@@ -235,7 +235,11 @@ def cmd_sweep(args) -> int:
     with contextlib.ExitStack() as stack:
         ordered_map = map  # Executor.map, like map, yields results in input order
         if args.jobs > 1:
-            pool = concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs)
+            # Workers keep main's silence on floating-point warnings also
+            # when they are spawned rather than forked.
+            pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=args.jobs, initializer=np.seterr, initargs=("ignore",)
+            )
             ordered_map = stack.enter_context(pool).map
         rows = list(ordered_map(point, values))
     _write(args.output, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
@@ -301,17 +305,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ConfigError, ConfigErrorItem, SweepSpecError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NoCrossing as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NO_CROSSING
-    except SimulationError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    # Extreme inputs overflow on their way to an error; that error's one line
+    # is the report, so numpy's floating-point RuntimeWarnings stay silent.
+    with np.errstate(all="ignore"):
+        try:
+            return args.func(args)
+        except (ConfigError, ConfigErrorItem, SweepSpecError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NoCrossing as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_NO_CROSSING
+        except SimulationError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
 """High-level driver: from a configuration to a full gate summary.
 
 Static mode propagates with the exact spectral solution on a grid that
-follows theta's own rate, driven mode with fixed-step RK4 on a grid at the
-fastest Hamiltonian scale.  Gate-time refinement re-propagates between the stored
+follows theta's own rate, driven mode with 4th-order Magnus steps in the
+interaction picture of the static Hamiltonian on a grid at the fastest
+Hamiltonian scale.  Gate-time refinement re-propagates between the stored
 samples, first to scan the intervals near the crossing at a fine spacing and
 then to refine the first crossing found by regula falsi, instead of
 interpolating the sampled phase.
@@ -36,8 +37,8 @@ from .propagator import (
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
+    propagate_magnus,
     propagate_static,
-    propagate_numeric,
     recommended_step,
     resolve_step,
     rk4_segment,
@@ -180,42 +181,42 @@ def run_trajectory(config) -> TrajectoryEvaluator:
 
     The static Hamiltonian is built and diagonalized once per run.  A static
     run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
-    per-sample step below MAX_THETA_STEP over the horizon.  Once the sample
-    grid is built, ``dt`` becomes min(dt, largest sample spacing), the step
-    RK4 is given, since no step is longer than its sample interval.  The run
-    integrates with it and the evaluator's config records it, so rerunning
-    that config reproduces the run.
+    per-sample step below MAX_THETA_STEP over the horizon.  A driven run
+    takes Magnus steps of at most ``recommended_step`` at the Hamiltonian
+    scale, which ``dt`` does not enter.  Once the sample grid is built,
+    ``dt`` becomes min(dt, largest sample spacing), the step RK4 is given
+    between samples, since no step is longer than its sample interval.  The
+    evaluator refines with it and its config records it, so rerunning that
+    config reproduces the run.
     """
     cfg = validate(config)
     resonances = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     h0 = build_static(cfg)
     scale = hamiltonian_scale(cfg, resonances, h0)
     cfg = resolve_step(cfg, resonances, scale)
-    spectral = hfun = None
+    step = recommended_step(scale)
+    spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
         unresolved = 0.0
         times = sample_times(cfg.t_max, scale)
+        traj = propagate_magnus(spectral, cfg, resonances, times, step)
+        # The evaluator refines a driven run by RK4 from the stored samples.
+        spectral, hfun = None, time_dependent_hamiltonian(cfg, resonances, h0)
     else:
-        spectral = SpectralPropagator(h0)
         rate, unresolved = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
-        step = rate * times[1]
-        if math.isfinite(step) and step > MAX_THETA_STEP:
+        theta_step = rate * times[1]
+        if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
             raise PhaseAliasing(
                 f"{len(times)} samples over t_max={cfg.t_max:.6e} s let theta step by up "
-                f"to {step:.3f} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
+                f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
                 "shorten t_max"
             )
-    cfg = cfg.replace(dt=min(cfg.dt, float(np.max(np.diff(times)))))
-    if spectral is None:
-        traj = propagate_numeric(cfg, resonances, times)
-        hfun = time_dependent_hamiltonian(cfg, resonances)
-    else:
         traj = propagate_static(spectral, cfg.initial_state, times)
+        hfun = None
+    cfg = cfg.replace(dt=min(cfg.dt, float(np.max(np.diff(times)))))
     phases = unwrap_phases(traj)
-    return TrajectoryEvaluator(
-        cfg, resonances, traj, phases, recommended_step(scale), unresolved, spectral, hfun
-    )
+    return TrajectoryEvaluator(cfg, resonances, traj, phases, step, unresolved, spectral, hfun)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

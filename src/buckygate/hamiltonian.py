@@ -82,24 +82,33 @@ def _exchange_operator() -> np.ndarray:
     )
 
 
-# Drive operators: a linear field at 45 degrees in the x-y plane couples
-# through sigma_x + sigma_y on each spin.
-_DRIVE_1 = np.kron(SIGMA_X + SIGMA_Y, IDENTITY_2)
-_DRIVE_2 = np.kron(IDENTITY_2, SIGMA_X + SIGMA_Y)
+# Drive operators, one per spin: a linear field at 45 degrees in the x-y
+# plane couples through sigma_x + sigma_y on each spin.
+DRIVE_OPERATORS = np.array(
+    [np.kron(SIGMA_X + SIGMA_Y, IDENTITY_2), np.kron(IDENTITY_2, SIGMA_X + SIGMA_Y)]
+)
+
+
+def drive_amplitudes(config: SimulationConfig, resonances: ResonancePair, t):
+    """(a1(t), a2(t)) in rad/s, the coefficients of the DRIVE_OPERATORS.
+
+    Spin i is driven at its own resonance frequency with amplitude
+    a_i(t) = -muB Bl_i cos(omega_i t) / hbar on both sigma_x and sigma_y
+    (a linearly polarized field, both components share the same cosine).
+    """
+    a1 = -CONSTANTS.muB * config.Bl1 * np.cos(resonances.omega1 * t) / CONSTANTS.hbar
+    a2 = -CONSTANTS.muB * config.Bl2 * np.cos(resonances.omega2 * t) / CONSTANTS.hbar
+    return a1, a2
 
 
 def build_drive(config: SimulationConfig, resonances: ResonancePair, t) -> np.ndarray:
     """Time-dependent drive term only (rad/s); add to the static matrix.
 
-    Spin i is driven at its own resonance frequency with amplitude
-    a_i(t) = -muB Bl_i cos(omega_i t) / hbar on both sigma_x and sigma_y
-    (a linearly polarized field, both components share the same cosine).
     ``t`` may be a scalar or an array; the result has shape
     ``np.shape(t) + (4, 4)``.
     """
-    a1 = -CONSTANTS.muB * config.Bl1 * np.cos(resonances.omega1 * t) / CONSTANTS.hbar
-    a2 = -CONSTANTS.muB * config.Bl2 * np.cos(resonances.omega2 * t) / CONSTANTS.hbar
-    return np.multiply.outer(a1, _DRIVE_1) + np.multiply.outer(a2, _DRIVE_2)
+    a1, a2 = drive_amplitudes(config, resonances, t)
+    return np.multiply.outer(a1, DRIVE_OPERATORS[0]) + np.multiply.outer(a2, DRIVE_OPERATORS[1])
 
 
 def drive_peak_amplitude(config: SimulationConfig) -> float:

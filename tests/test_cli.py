@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import buckygate
 from buckygate import cli, errors
 from buckygate.cli import (
     EXIT_CONFIG,
@@ -191,6 +194,44 @@ def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert f"{field} must be finite" in lines[0]
+
+
+@pytest.mark.parametrize("line", ["t_max_s=1e300", "J0_rad_s=1e300"])
+def test_phase_aliasing_message_stays_short(line, tmp_path, capsys):
+    # A step of 1e288 rad or more is printed in exponent form.
+    path = tmp_path / "long.cfg"
+    path.write_text(STATIC_CONFIG + line + "\n")
+    assert main(["gate-time", str(path)]) == EXIT_NUMERICAL
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: PhaseAliasing: ")
+    assert len(lines[0]) <= 200
+
+
+# Inputs that overflow numpy on their way to an exit-3 error: (mode, line).
+EXTREME_INPUTS = [
+    ("static", "Bz1_T=1e300"),
+    ("driven", "Bz1_T=1e300"),
+    ("driven", "Bl1_T=1e300"),
+    ("driven", "J0_rad_s=1e300"),
+    ("driven", "t_max_s=1e300"),
+]
+
+
+@pytest.mark.parametrize("mode, line", EXTREME_INPUTS, ids=[f"{m}-{line}" for m, line in EXTREME_INPUTS])
+def test_extreme_input_prints_one_stderr_line(mode, line, tmp_path):
+    # A separate interpreter, so that no warning filter of the test run can
+    # hide a RuntimeWarning printed before the error line.
+    path = tmp_path / "extreme.cfg"
+    path.write_text(STATIC_CONFIG.replace("mode=static", f"mode={mode}") + line + "\n")
+    src = os.path.dirname(os.path.dirname(buckygate.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "buckygate.cli", "gate-time", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert run.returncode == EXIT_NUMERICAL and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
 
 
 def test_t1_is_an_unknown_key(static_config_path, capsys):

@@ -5,13 +5,17 @@ import pytest
 
 from buckygate.config import SimulationConfig, state_vector, validate
 from buckygate.constants import CONSTANTS
-from buckygate.errors import NonHermitianInput, NormDrift
+from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate.propagator import (
+    MAX_STEPS,
     STEPS_PER_CHUNK,
+    SpectralPropagator,
     Trajectory,
+    _expm_taylor,
     largest_substep,
+    propagate_magnus,
     propagate_numeric,
     propagate_static,
     recommended_step,
@@ -264,6 +268,58 @@ class TestBatchedRK4:
         for index in np.ndindex(t.shape):
             np.testing.assert_array_equal(batched[index], hfun(t[index]))
         assert hfun(1e-10).shape == (4, 4)
+
+
+class TestMagnus:
+    """The interaction-picture Magnus integrator of driven runs."""
+
+    @staticmethod
+    def run(cfg, times, dt_max):
+        spectral = SpectralPropagator(build_static(cfg))
+        return propagate_magnus(spectral, cfg, resonances_for(cfg), times, dt_max)
+
+    def test_drive_free_reduces_to_static(self):
+        # Without a drive H_I vanishes: every step is an exact identity.
+        cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
+        times = np.linspace(0, 4e-9, 201)
+        magnus = self.run(cfg, times, 1e-12)
+        exact = propagate_static(build_static(cfg), cfg.initial_state, times)
+        assert np.max(np.abs(magnus.states - exact.states)) <= 1e-13
+
+    def test_convergence_order(self):
+        # 4th order: halving the step must shrink the error about 16x.
+        cfg = reference_config(mode="driven", Bz1=0.025, Bz2=0.025, Bl1=1e-3, Bl2=1e-3)
+        times = np.linspace(0, 2e-9, 3)
+        finals = [self.run(cfg, times, dt).states[-1] for dt in (4e-11, 2e-11, 1e-11)]
+        e1 = np.max(np.abs(finals[0] - finals[1]))
+        e2 = np.max(np.abs(finals[1] - finals[2]))
+        assert np.log2(e1 / e2) >= 3.8
+
+    @pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 2.0])
+    def test_taylor_exponential(self, size):
+        # exp of anti-Hermitian matrices against exp(-i w) from eigh of iA.
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        a = z - z.conj().swapaxes(-1, -2)
+        a *= size / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+        w, v = np.linalg.eigh(1j * a)
+        exact = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        assert np.max(np.abs(_expm_taylor(a) - exact)) <= 1e-14 * max(1.0, size)
+        if size == 0:
+            np.testing.assert_array_equal(_expm_taylor(a), np.broadcast_to(np.eye(4), a.shape))
+
+    def test_norm_drift_names_the_substep_taken(self):
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, norm_tolerance=1e-18)
+        times = np.linspace(0, 1.2e-8, 1201)
+        with pytest.raises(NormDrift, match=r"largest Magnus substep taken was 2\.500e-12 s"):
+            self.run(cfg, times, 3e-12)
+
+    def test_step_limit(self):
+        # Refused before any step is taken.
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
+        times = np.linspace(0, 1.2e-8, 1201)
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            self.run(cfg, times, 1.2e-8 / (2 * MAX_STEPS))
 
 
 class TestRecommendedStep:
