@@ -21,7 +21,7 @@ from .errors import (
     NonUnitInitialState,
     StepTooCoarse,
 )
-from .hamiltonian import dipole_coupling
+from .hamiltonian import dipole_coupling, zeeman_terms
 
 MODES = ("static", "driven")
 
@@ -83,8 +83,9 @@ def validate(config: SimulationConfig) -> SimulationConfig:
 
     Normalization renormalizes the initial state and zeroes the drive
     amplitudes in static mode.  NaN and infinity are rejected in every float
-    field and amplitude.  Every violated invariant is collected before
-    raising, so the error lists all of them.  Idempotent.
+    field and amplitude, and in the Zeeman frequencies of the static fields.
+    Every violated invariant is collected before raising, so the error lists
+    all of them.  Idempotent.
     """
     violations = []
 
@@ -101,6 +102,18 @@ def validate(config: SimulationConfig) -> SimulationConfig:
             violations.append(
                 ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
             )
+    with np.errstate(all="ignore"):  # fields of about 1e300 T overflow them
+        m1, m2 = zeeman_terms(config)
+    fields = ("Bz1", "Bg1", "Bz2", "Bg2")
+    if not (math.isfinite(m1) and math.isfinite(m2)) and all(
+        math.isfinite(getattr(config, name)) for name in fields
+    ):
+        listed = ", ".join(f"{name}={getattr(config, name)}" for name in fields)
+        violations.append(
+            ConfigErrorItem(
+                f"{listed} give the Zeeman frequencies m1={m1}, m2={m2} rad/s, not finite floats"
+            )
+        )
     # A subnormal horizon cannot hold a strictly increasing sample grid.
     if config.t_max < sys.float_info.min:
         violations.append(

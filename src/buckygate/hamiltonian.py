@@ -39,17 +39,22 @@ def dipole_coupling(constants: PhysicalConstants, r: float) -> float:
 
 
 def static_terms(config: SimulationConfig):
-    """Return (g, m1, m2) in rad/s.
+    """Return (g, m1, m2) in rad/s, g the dipole coupling and (m1, m2) the
+    ``zeeman_terms``."""
+    return (dipole_coupling(CONSTANTS, config.r), *zeeman_terms(config))
+
+
+def zeeman_terms(config: SimulationConfig):
+    """Return (m1, m2) in rad/s.
 
     m1 = -muB (B1 + B2) / hbar and m2 = -muB (B1 - B2) / hbar, where
     B_i = Bz_i + Bg_i is the total static field at spin i.
     """
-    g = dipole_coupling(CONSTANTS, config.r)
     b1 = config.Bz1 + config.Bg1
     b2 = config.Bz2 + config.Bg2
     m1 = -CONSTANTS.muB * (b1 + b2) / CONSTANTS.hbar
     m2 = -CONSTANTS.muB * (b1 - b2) / CONSTANTS.hbar
-    return g, m1, m2
+    return m1, m2
 
 
 def build_static(config: SimulationConfig) -> np.ndarray:

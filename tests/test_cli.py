@@ -209,29 +209,42 @@ def test_phase_aliasing_message_stays_short(line, tmp_path, capsys):
 
 # Inputs that overflow numpy on their way to an exit-3 error: (mode, line).
 EXTREME_INPUTS = [
-    ("static", "Bz1_T=1e300"),
-    ("driven", "Bz1_T=1e300"),
     ("driven", "Bl1_T=1e300"),
     ("driven", "J0_rad_s=1e300"),
     ("driven", "t_max_s=1e300"),
 ]
 
 
-@pytest.mark.parametrize("mode, line", EXTREME_INPUTS, ids=[f"{m}-{line}" for m, line in EXTREME_INPUTS])
-def test_extreme_input_prints_one_stderr_line(mode, line, tmp_path):
-    # A separate interpreter, so that no warning filter of the test run can
-    # hide a RuntimeWarning printed before the error line.
+def _gate_time_in_subprocess(mode, line, tmp_path):
+    """``buckygate gate-time`` on the reference config in ``mode`` plus
+    ``line``, in a separate interpreter, so that no warning filter of the test
+    run can hide a RuntimeWarning printed before the error line."""
     path = tmp_path / "extreme.cfg"
     path.write_text(STATIC_CONFIG.replace("mode=static", f"mode={mode}") + line + "\n")
     src = os.path.dirname(os.path.dirname(buckygate.__file__))
     env = {**os.environ, "PYTHONPATH": src}
-    run = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "buckygate.cli", "gate-time", str(path)],
         capture_output=True, text=True, env=env, timeout=60,
     )
+
+
+@pytest.mark.parametrize("mode, line", EXTREME_INPUTS, ids=[f"{m}-{line}" for m, line in EXTREME_INPUTS])
+def test_extreme_input_prints_one_stderr_line(mode, line, tmp_path):
+    run = _gate_time_in_subprocess(mode, line, tmp_path)
     assert run.returncode == EXIT_NUMERICAL and run.stdout == ""
     lines = run.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), run.stderr
+
+
+@pytest.mark.parametrize("mode", ["static", "driven"])
+def test_zeeman_frequency_beyond_the_floats_is_a_config_error(mode, tmp_path):
+    # muB * 1e300 T / hbar overflows: the field is refused by name before any
+    # Hamiltonian is built.
+    run = _gate_time_in_subprocess(mode, "Bz1_T=1e300", tmp_path)
+    assert run.returncode == EXIT_CONFIG and run.stdout == ""
+    lines = run.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Bz1" in lines[0], run.stderr
 
 
 def test_t1_is_an_unknown_key(static_config_path, capsys):

@@ -65,6 +65,25 @@ class TestValidate:
             validate(reference_config(initial_state=state_vector(1e-8, 0, 0, 0)))
         assert any(isinstance(v, NonUnitInitialState) for v in exc.value.violations)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "fields, named",
+        [
+            (dict(Bz1=1e300), "Bz1=1e+300"),
+            (dict(Bg2=np.float64(-1e300)), "Bg2=-1e+300"),
+            (dict(Bz1=1.5e297, Bz2=1.5e297), "Bz2=1.5e+297"),  # only their sum overflows
+        ],
+    )
+    def test_zeeman_frequencies_beyond_the_floats_rejected(self, fields, named):
+        with pytest.raises(ConfigError) as exc:
+            validate(reference_config(**fields))
+        assert [type(v) for v in exc.value.violations] == [ConfigErrorItem]
+        assert named in str(exc.value) and "Zeeman" in str(exc.value)
+
+    def test_largest_zeeman_frequencies_accepted(self):
+        # muB * 1e297 T / hbar is about 8.8e307 rad/s, still a float.
+        assert validate(reference_config(Bz1=1e297)).Bz1 == 1e297
+
     def test_all_violations_collected(self):
         with pytest.raises(ConfigError) as exc:
             validate(reference_config(r=-1, t_max=-1, initial_state=np.zeros(4)))

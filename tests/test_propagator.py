@@ -8,12 +8,16 @@ from buckygate.constants import CONSTANTS
 from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
+from buckygate import propagator
 from buckygate.propagator import (
     MAX_STEPS,
     STEPS_PER_CHUNK,
     SpectralPropagator,
     Trajectory,
     _expm_taylor,
+    _prefix_products,
+    _real_form,
+    _taylor_degree,
     largest_substep,
     propagate_magnus,
     propagate_numeric,
@@ -308,6 +312,28 @@ class TestMagnus:
         if size == 0:
             np.testing.assert_array_equal(_expm_taylor(a), np.broadcast_to(np.eye(4), a.shape))
 
+    @pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 2.0])
+    def test_taylor_exponential_of_the_real_form(self, size):
+        # The inputs of test_taylor_exponential, in the real form the Magnus
+        # pass carries: the same exponential, and the same degree.
+        rng = np.random.default_rng(11)
+        z = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        a = z - z.conj().swapaxes(-1, -2)
+        a *= size / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+        real = _expm_taylor(_real_form(a))
+        assert real.dtype == float and real.shape == (6, 8, 8)
+        assert np.max(np.abs(real - _real_form(_expm_taylor(a)))) <= 1e-15
+        assert _taylor_degree(_real_form(a)) == _taylor_degree(a)
+
+    def test_real_form_keeps_products_and_adjoints(self):
+        rng = np.random.default_rng(12)
+        a, b = rng.normal(size=(2, 3, 4, 4)) + 1j * rng.normal(size=(2, 3, 4, 4))
+        psi = rng.normal(size=4) + 1j * rng.normal(size=4)
+        np.testing.assert_allclose(_real_form(a @ b), _real_form(a) @ _real_form(b), atol=1e-14)
+        np.testing.assert_array_equal(_real_form(a.conj().swapaxes(-1, -2)), _real_form(a).swapaxes(-1, -2))
+        image = _real_form(a) @ np.concatenate([psi.real, psi.imag])
+        np.testing.assert_allclose(image[:, :4] + 1j * image[:, 4:], a @ psi, atol=1e-14)
+
     def test_norm_drift_names_the_substep_taken(self):
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, norm_tolerance=1e-18)
         times = np.linspace(0, 1.2e-8, 1201)
@@ -320,6 +346,48 @@ class TestMagnus:
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(OutOfRange, match="exceed the limit"):
             self.run(cfg, times, 1.2e-8 / (2 * MAX_STEPS))
+
+
+class TestChunks:
+    """How ``_chunks`` groups sample intervals and advances the state."""
+
+    @pytest.mark.parametrize("length", [1, 2, 3, 5, 127, 128])
+    def test_prefix_products_match_a_loop(self, length):
+        rng = np.random.default_rng(length)
+        z = rng.normal(size=(length, 4, 4)) + 1j * rng.normal(size=(length, 4, 4))
+        m = _expm_taylor(_real_form(z - z.conj().swapaxes(-1, -2)))  # orthogonal 8x8
+        expected, running = [], np.eye(8)
+        for u in m:
+            running = u @ running
+            expected.append(running)
+        assert np.max(np.abs(_prefix_products(m.copy()) - expected)) <= 1e-14
+
+    def test_long_interval_among_short_ones(self, monkeypatch):
+        # Greedy chunks: no chunk pads beyond STEPS_PER_CHUNK steps unless one
+        # interval alone exceeds it, and none could take its next interval.
+        shapes = []
+        interval_products = propagator._interval_products
+
+        def record(step_matrices, starts, counts, sizes, width):
+            shapes.append((len(starts), width))
+            return interval_products(step_matrices, starts, counts, sizes, width)
+
+        monkeypatch.setattr(propagator, "_interval_products", record)
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=4e-9)
+        dt_max = 1e-12
+        counts = np.random.default_rng(4).integers(1, 6, 300)
+        counts[140] = 3 * STEPS_PER_CHUNK + 7
+        times = np.concatenate([[0.0], np.cumsum(counts * dt_max * 0.999)])
+        TestMagnus.run(cfg, times, dt_max)
+        assert sum(rows for rows, _ in shapes) == len(counts)
+        first = 0
+        for rows, width in shapes:
+            assert width == max(counts[first : first + rows])
+            assert rows * width <= STEPS_PER_CHUNK or rows == 1
+            if first + rows < len(counts):
+                assert max(width, counts[first + rows]) * (rows + 1) > STEPS_PER_CHUNK
+            first += rows
+        assert (1, 3 * STEPS_PER_CHUNK + 7) in shapes
 
 
 class TestRecommendedStep:
