@@ -25,7 +25,6 @@ from .fields import ResonancePair, WirePair, gradient_field, resonance_frequenci
 from .hamiltonian import build_drive, build_static, dipole_coupling
 from .propagator import (
     Trajectory,
-    propagate_numeric,
     propagate_static,
     recommended_step,
 )
@@ -51,7 +50,6 @@ __all__ = [
     "gradient_field",
     "ops_budget",
     "product_state",
-    "propagate_numeric",
     "propagate_static",
     "recommended_step",
     "resonance_frequencies",

@@ -109,8 +109,7 @@ def cmd_simulate(args) -> int:
     """Write trajectory.csv, summary.txt and run_manifest.json to the outdir.
 
     The manifest pairs the outputs with the exact config that produced them:
-    ``config_snapshot`` records as ``dt_s`` the step RK4 was given, so
-    rerunning it reproduces the outputs; ``samples`` and
+    rerunning ``config_snapshot`` reproduces the outputs; ``samples`` and
     ``max_theta_step_rad`` (the largest per-sample |delta theta|, the unwrap
     margin) describe the sample grid.
     """
@@ -232,13 +231,16 @@ def _sweep_point(base_config, param, wires, value) -> str:
 def cmd_sweep(args) -> int:
     param, values, base_config, wires = read_key_values(args.spec, parse_sweep_spec)
     point = functools.partial(_sweep_point, base_config, param, wires)
+    # A fork-started pool starts all its workers at once: no more than there
+    # are points or cores.
+    workers = min(args.jobs, len(values), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         ordered_map = map  # Executor.map, like map, yields results in input order
-        if args.jobs > 1:
+        if workers > 1:
             # Workers keep main's silence on floating-point warnings also
             # when they are spawned rather than forked.
             pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=args.jobs, initializer=np.seterr, initargs=("ignore",)
+                max_workers=workers, initializer=np.seterr, initargs=("ignore",)
             )
             ordered_map = stack.enter_context(pool).map
         rows = list(ordered_map(point, values))

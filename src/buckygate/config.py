@@ -52,10 +52,10 @@ def product_state(qubit1, qubit2) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """All physical parameters plus numerical controls.
+    """All physical parameters of a run.
 
     Distances in metres, fields in tesla, J0 in rad/s, times in seconds.
-    ``dt`` may be None, in which case the engine picks a step from the
+    There are no numerical controls: the engine picks every step from the
     spectral scale of the Hamiltonian.
     """
 
@@ -69,10 +69,8 @@ class SimulationConfig:
     J0: float = 0.0
     initial_state: np.ndarray = field(default_factory=default_initial_state)
     t_max: float = 2e-8
-    dt: float | None = None
     mode: str = "static"
     T2: float = 20e-6
-    norm_tolerance: float = 1e-8
 
     def replace(self, **changes) -> "SimulationConfig":
         return dataclasses.replace(self, **changes)
@@ -91,7 +89,7 @@ def validate(config: SimulationConfig) -> SimulationConfig:
 
     for name in CONFIG_KEYS.values():  # every float field
         value = getattr(config, name)
-        if value is not None and not math.isfinite(value):
+        if not math.isfinite(value):
             violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
     if config.r <= 0:
         violations.append(NonPositiveDistance(f"r must be > 0, got {config.r}"))
@@ -119,15 +117,6 @@ def validate(config: SimulationConfig) -> SimulationConfig:
         violations.append(
             StepTooCoarse(f"t_max must be >= {sys.float_info.min} s, got {config.t_max}")
         )
-    if config.dt is not None:
-        if config.dt <= 0:
-            violations.append(StepTooCoarse(f"dt must be > 0, got {config.dt}"))
-        elif config.t_max > 0 and config.dt > config.t_max / 100:
-            violations.append(
-                StepTooCoarse(
-                    f"dt={config.dt} too coarse: must be <= t_max/100 = {config.t_max / 100}"
-                )
-            )
     if config.T2 <= 0:
         violations.append(ConfigErrorItem(f"T2 must be > 0, got {config.T2}"))
     if config.mode not in MODES:
@@ -180,9 +169,7 @@ CONFIG_KEYS = {
     "Bl2_T": "Bl2",
     "J0_rad_s": "J0",
     "t_max_s": "t_max",
-    "dt_s": "dt",
     "T2_s": "T2",
-    "norm_tolerance": "norm_tolerance",
 }
 
 
@@ -251,10 +238,7 @@ def format_config(config: SimulationConfig) -> str:
     """Serialize a config back to the key=value file format."""
     lines = []
     for file_key, attr in CONFIG_KEYS.items():
-        value = getattr(config, attr)
-        if value is None:
-            continue
-        lines.append(f"{file_key}={float(value)!r}")
+        lines.append(f"{file_key}={float(getattr(config, attr))!r}")
     lines.append(f"mode={config.mode}")
     psi = np.asarray(config.initial_state, dtype=complex)
     flat = ",".join(f"{float(v)!r}" for c in psi for v in (c.real, c.imag))

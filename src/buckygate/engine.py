@@ -34,13 +34,13 @@ from .errors import PhaseAliasing
 from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import build_static, static_terms
 from .propagator import (
+    DEFAULT_STEP_SAFETY,
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
     propagate_magnus,
     propagate_static,
     recommended_step,
-    resolve_step,
     rk4_segment,
     time_dependent_hamiltonian,
     _rk4_chunks,
@@ -57,7 +57,7 @@ MAX_SAMPLES = 50001
 
 @dataclass(frozen=True)
 class SimulationResult:
-    config: SimulationConfig  # validated, with the step RK4 is given as dt
+    config: SimulationConfig  # validated
     resonances: ResonancePair
     trajectory: Trajectory
     phases: PhaseSeries
@@ -118,8 +118,8 @@ class TrajectoryEvaluator:
     """One propagated run, and continuous theta(t) / psi(t) between its samples.
 
     Re-propagates from the nearest earlier sample (exactly with the run's own
-    SpectralPropagator for the static case, with RK4 substeps of at most the
-    config's ``dt`` for the driven case).  theta is the argument of
+    SpectralPropagator for the static case, with RK4 substeps of at most
+    ``refine_step`` for the driven case).  theta is the argument of
     c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
     interpolated sampled theta, which is safe because per-sample theta
     increments stay below MAX_THETA_STEP.
@@ -129,7 +129,7 @@ class TrajectoryEvaluator:
     """
 
     def __init__(self, config, resonances, trajectory, phases, scan_step,
-                 unresolved, spectral, hfun):
+                 unresolved, spectral, hfun, refine_step):
         self.config = config
         self.resonances = resonances
         self.trajectory = trajectory
@@ -138,6 +138,7 @@ class TrajectoryEvaluator:
         self.unresolved = unresolved
         self.spectral = spectral
         self.hfun = hfun
+        self.refine_step = refine_step
         self.theta0 = float(composite_angle(trajectory.states[0]))
 
     def state_at(self, t: float) -> np.ndarray:
@@ -149,7 +150,7 @@ class TrajectoryEvaluator:
             return psi_i.copy()
         if self.spectral is not None:
             return self.spectral.evolve(psi_i, t - times[i])
-        return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.config.dt)
+        return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.refine_step)
 
     def theta_at(self, t: float) -> float:
         return float(self._aligned(t, self.state_at(t)))
@@ -166,7 +167,7 @@ class TrajectoryEvaluator:
             states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
         else:
             grid = np.concatenate([samples[i[:1]], times])
-            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.config.dt)
+            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.refine_step)
             states = np.concatenate([block for _, block in chunks])
         return self._aligned(times, states)
 
@@ -183,17 +184,14 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
     per-sample step below MAX_THETA_STEP over the horizon.  A driven run
     takes Magnus steps of at most ``recommended_step`` at the Hamiltonian
-    scale, which ``dt`` does not enter.  Once the sample grid is built,
-    ``dt`` becomes min(dt, largest sample spacing), the step RK4 is given
-    between samples, since no step is longer than its sample interval.  The
-    evaluator refines with it and its config records it, so rerunning that
-    config reproduces the run.
+    scale.  The evaluator refines a driven run between samples by RK4 steps
+    of at most DEFAULT_STEP_SAFETY times that step, bounded by the largest
+    sample spacing, since no step is longer than its sample interval.
     """
     cfg = validate(config)
     resonances = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     h0 = build_static(cfg)
     scale = hamiltonian_scale(cfg, resonances, h0)
-    cfg = resolve_step(cfg, resonances, scale)
     step = recommended_step(scale)
     spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
@@ -202,6 +200,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         traj = propagate_magnus(spectral, cfg, resonances, times, step)
         # The evaluator refines a driven run by RK4 from the stored samples.
         spectral, hfun = None, time_dependent_hamiltonian(cfg, resonances, h0)
+        refine_step = min(DEFAULT_STEP_SAFETY * step, float(np.max(np.diff(times))))
     else:
         rate, unresolved = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
@@ -213,10 +212,11 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 "shorten t_max"
             )
         traj = propagate_static(spectral, cfg.initial_state, times)
-        hfun = None
-    cfg = cfg.replace(dt=min(cfg.dt, float(np.max(np.diff(times)))))
+        hfun = refine_step = None
     phases = unwrap_phases(traj)
-    return TrajectoryEvaluator(cfg, resonances, traj, phases, step, unresolved, spectral, hfun)
+    return TrajectoryEvaluator(
+        cfg, resonances, traj, phases, step, unresolved, spectral, hfun, refine_step
+    )
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:

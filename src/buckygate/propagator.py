@@ -8,7 +8,7 @@ Three routes are provided:
   the static Hamiltonian H0 with the 4th-order Magnus step, whose step is set
   by the drive instead of by the Zeeman precession;
 * ``propagate_numeric`` integrates the (possibly time-dependent) equations
-  with fixed-step classical RK4, the oracle for driven runs.
+  with classical RK4 at the step it is given, the oracle for driven runs.
 
 For a linear equation one step of either integrator is a 4x4 matrix, so they
 build the step matrices of many steps in one batched pass, compose the steps
@@ -52,9 +52,13 @@ from .hamiltonian import (
 # Phase advanced per integration step at the fastest Hamiltonian scale.
 MAX_PHASE_PER_STEP = 0.05
 
-# The engine integrates a factor below the bound above so that RK4 norm drift
-# stays well inside the default 1e-8 tolerance over ~10 ns horizons.
+# The engine refines driven runs by RK4 steps a factor below the bound above,
+# so that RK4 norm drift stays well inside NORM_TOLERANCE over ~10 ns horizons.
 DEFAULT_STEP_SAFETY = 0.2
+
+# Largest departure of a stored state's squared norm from 1 before a run
+# fails with NormDrift.
+NORM_TOLERANCE = 1e-8
 
 # Upper bound on the steps whose matrices are built and composed at once.  It
 # is set by page faults.  At 128 the largest temporaries of a Magnus chunk, its
@@ -109,37 +113,15 @@ def recommended_step(h_scale: float) -> float:
     return MAX_PHASE_PER_STEP / h_scale
 
 
-def hamiltonian_scale(
-    config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray | None = None
-) -> float:
-    """Fastest angular-frequency scale of the full (static + drive) problem.
-
-    ``h0`` is the config's static Hamiltonian, for callers that have already
-    built it.
-    """
-    if h0 is None:
-        h0 = build_static(config)
+def hamiltonian_scale(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray) -> float:
+    """Fastest angular-frequency scale of the full (static + drive) problem,
+    whose static Hamiltonian is ``h0``."""
     return max(
         float(np.max(np.abs(h0))),
         drive_peak_amplitude(config),
         abs(resonances.omega1),
         abs(resonances.omega2),
     )
-
-
-def resolve_step(
-    config: SimulationConfig, resonances: ResonancePair, scale: float | None = None
-) -> SimulationConfig:
-    """Fill in the integration step when the config leaves it automatic.
-
-    ``scale`` is the config's ``hamiltonian_scale``, for callers that have
-    already computed it.
-    """
-    if config.dt is not None:
-        return config
-    if scale is None:
-        scale = hamiltonian_scale(config, resonances)
-    return config.replace(dt=DEFAULT_STEP_SAFETY * recommended_step(scale))
 
 
 class SpectralPropagator:
@@ -444,7 +426,7 @@ def propagate_magnus(
     the Zeeman precession enters only through the phase factors, which steps
     of at most ``dt_max`` resolve.  Raises NormDrift, like
     ``propagate_numeric``, at the first stored state whose squared norm
-    departs from 1 by more than the configured tolerance.
+    departs from 1 by more than NORM_TOLERANCE.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -461,43 +443,44 @@ def propagate_magnus(
     for first, block in _chunks(steps, xi[0], times, counts, np.full(len(counts), h)):
         xi[first : first + len(block)] = block
     states = spectral.from_eigen(xi[:, :4] + 1j * xi[:, 4:], np.full(len(times), h / 2))
-    _check_norms(config, times, states, f"Magnus substep taken was {h:.3e} s")
+    _check_norms(times, states, f"Magnus substep taken was {h:.3e} s")
     return Trajectory(times=times, states=states)
 
 
-def propagate_numeric(config: SimulationConfig, resonances: ResonancePair, times) -> Trajectory:
-    """Fixed-step RK4 trajectory recorded at the requested sample times.
+def propagate_numeric(
+    config: SimulationConfig, resonances: ResonancePair, times, dt_max: float
+) -> Trajectory:
+    """RK4 trajectory by uniform steps of at most ``dt_max`` per sample
+    interval, recorded at the requested sample times.
 
-    Integrates at the configured base step (or an automatically chosen one)
-    and raises NormDrift, naming the first sample whose squared norm departs
-    from 1 by more than the configured tolerance and the largest substep
-    taken, which a smaller dt must undercut to help; the check runs after each
+    Raises NormDrift, naming the first sample whose squared norm departs
+    from 1 by more than NORM_TOLERANCE and the largest substep taken, which
+    a smaller ``dt_max`` must undercut to help; the check runs after each
     chunk of steps, so integration stops at most one chunk past that sample.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
     hfun = time_dependent_hamiltonian(config, resonances)
-    dt = resolve_step(config, resonances).dt
     states = np.empty((len(times), 4), dtype=complex)
     states[0] = config.initial_state
-    taken = f"RK4 substep taken was {largest_substep(times, dt):.3e} s, set dt below it"
-    for first, block in _rk4_chunks(hfun, states[0], times, dt):
+    taken = f"RK4 substep taken was {largest_substep(times, dt_max):.3e} s"
+    for first, block in _rk4_chunks(hfun, states[0], times, dt_max):
         states[first : first + len(block)] = block
-        _check_norms(config, times[first:], block, taken)
+        _check_norms(times[first:], block, taken)
     return Trajectory(times=times, states=states)
 
 
-def _check_norms(config: SimulationConfig, times, states, taken: str):
+def _check_norms(times, states, taken: str):
     """Raise NormDrift at the first of ``states`` (at ``times``) whose squared
-    norm departs from 1 by more than the tolerance or is not a number;
+    norm departs from 1 by more than NORM_TOLERANCE or is not a number;
     ``taken`` names the largest substep in the message."""
     drift = np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)
-    bad = np.flatnonzero(~(drift <= config.norm_tolerance))
+    bad = np.flatnonzero(~(drift <= NORM_TOLERANCE))
     if bad.size:
         i = bad[0]
         raise NormDrift(
             f"squared norm drifted by {drift[i]:.3e} at t={times[i]:.6e} s "
-            f"(tolerance {config.norm_tolerance:.1e}); the largest {taken}"
+            f"(tolerance {NORM_TOLERANCE:.1e}); the largest {taken}"
         )
 
 

@@ -51,7 +51,7 @@ def static_result():
 @pytest.fixture(scope="module")
 def driven_result():
     return run_simulation(
-        reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, dt=1e-12)
+        reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
     )
 
 
@@ -132,7 +132,7 @@ def test_criterion_6_concurrence_targets(static_result, driven_result):
 
 
 def test_criterion_7_oracle_equivalence():
-    cfg = reference_config(t_max=1e-8, dt=5e-13)
+    cfg = reference_config(t_max=1e-8)
     from buckygate.config import validate
 
     cfg = validate(cfg)
@@ -140,7 +140,7 @@ def test_criterion_7_oracle_equivalence():
     times = np.linspace(0, 1e-8, 401)
     from buckygate.propagator import propagate_numeric
 
-    numeric = propagate_numeric(cfg, res, times)
+    numeric = propagate_numeric(cfg, res, times, 5e-13)
     exact = propagate_static(build_static(cfg), cfg.initial_state, times)
     err = np.max(np.abs(numeric.states - exact.states))
     report(7, err <= 1e-8, f"RK4 vs spectral max amplitude error {err:.2e} over [0, 10 ns] (tol 1e-8)")

@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -98,26 +99,20 @@ class TestSimulate:
     def test_missing_file_exit_1(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
-    def test_manifest_records_grid_and_step_taken(self, tmp_path):
-        # dt_s above the 1.2e-11 s sample spacing: the spacing is recorded.
-        path = tmp_path / "dt.cfg"
-        path.write_text(STATIC_CONFIG + "dt_s=5e-11\n")
+    def test_manifest_records_grid_and_step_taken(self, static_config_path, tmp_path):
         outdir = str(tmp_path / "out")
-        assert main(["simulate", str(path), "--outdir", outdir]) == EXIT_OK
+        assert main(["simulate", static_config_path, "--outdir", outdir]) == EXIT_OK
         with open(os.path.join(outdir, "run_manifest.json")) as fh:
             manifest = json.load(fh)
         result = run_simulation(SimulationConfig(
-            r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8, dt=5e-11
+            r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8
         ))
         assert manifest["samples"] == len(result.trajectory.times) == 1001
         assert manifest["max_theta_step_rad"] == result.phases.max_step
         assert 0 < manifest["max_theta_step_rad"] < np.pi / 2
-        assert f"dt_s={result.config.dt!r}" in manifest["config_snapshot"]
-        assert result.config.dt == pytest.approx(1.2e-11, rel=1e-12)
 
     def test_recorded_config_reproduces_the_outputs(self, tmp_path):
-        # A driven run whose automatic dt is below the sample spacing: the
-        # recorded dt_s must be the step RK4 was given.
+        # A driven run, which refines its gate time by RK4 between samples.
         path = tmp_path / "driven.cfg"
         path.write_text(DRIVEN_CONFIG)
         first, again = tmp_path / "first", tmp_path / "again"
@@ -173,9 +168,7 @@ NON_FINITE = [
     ("Bl2_T=nan", "Bl2"),
     ("J0_rad_s=inf", "J0"),
     ("t_max_s=inf", "t_max"),
-    ("dt_s=nan", "dt"),
     ("T2_s=nan", "T2"),
-    ("norm_tolerance=nan", "norm_tolerance"),
     ("initial_state=nan,0,0.5,0,0.5,0,0.5,0", "initial_state amplitude c1"),
     ("initial_state=0.5,0,0.5,inf,0.5,0,0.5,0", "initial_state amplitude c2"),
     ("initial_state=0.5,0,0.5,0,-inf,0,0.5,0", "initial_state amplitude c3"),
@@ -247,13 +240,17 @@ def test_zeeman_frequency_beyond_the_floats_is_a_config_error(mode, tmp_path):
     assert len(lines) == 1 and lines[0].startswith("error: ") and "Bz1" in lines[0], run.stderr
 
 
-def test_t1_is_an_unknown_key(static_config_path, capsys):
+# Keys that earlier releases accepted; the engine now picks every step and
+# fixes the norm-drift bound itself.
+@pytest.mark.parametrize("line", ["T1_s=1e-3", "dt_s=1e-12", "norm_tolerance=-1"])
+def test_removed_key_is_unknown(line, static_config_path, capsys):
     with open(static_config_path, "a", encoding="utf-8") as fh:
-        fh.write("T1_s=1e-3\n")
+        fh.write(line + "\n")
     assert main(["gate-time", static_config_path]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unknown config key 'T1_s'" in captured.err
+    key = line.split("=")[0]
+    assert captured.err == f"error: unknown config key {key!r}\n"
 
 
 @pytest.mark.filterwarnings("error")
@@ -423,6 +420,36 @@ class TestSweep:
             assert code == EXIT_OK
             statuses = [row.split(",")[-1] for row in text.strip().splitlines()[1:]]
             assert statuses == ["ok", "ConfigErrorItem", "ok"]
+
+    @pytest.mark.parametrize(
+        "cores, jobs, workers",
+        [(8, "100000", 3), (2, "100000", 2), (None, "100000", None), (8, "1", None)],
+    )
+    def test_jobs_bounded_by_points_and_cores(self, tmp_path, monkeypatch, cores, jobs, workers):
+        # No real process is started: the pool is replaced by one that records
+        # its size and maps in this process.
+        created = []
+
+        class SerialPool:
+            def __init__(self, max_workers, initializer, initargs):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable):
+                return map(fn, iterable)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        spec = SWEEP_BASE + "param=r\nvalues=1.0e-9,1.14e-9,1.3e-9\n"
+        code, text = self.run_sweep(tmp_path, spec, "--jobs", jobs)
+        assert code == EXIT_OK
+        assert len(text.strip().splitlines()) == 4
+        assert created == ([] if workers is None else [workers])
 
     def test_current_sweep_without_wires_rejected(self, tmp_path):
         spec = SWEEP_BASE + "param=I\nvalues=0.3,0.6\nd_m=1e-6\n"

@@ -17,7 +17,6 @@ from buckygate.errors import (
     ConfigError,
     NonPositiveDistance,
     NonUnitInitialState,
-    StepTooCoarse,
 )
 
 
@@ -54,11 +53,6 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             validate(reference_config(r=0.0))
         assert any(isinstance(v, NonPositiveDistance) for v in exc.value.violations)
-
-    def test_coarse_step_rejected(self):
-        with pytest.raises(ConfigError) as exc:
-            validate(reference_config(dt=1e-9))  # > t_max / 100
-        assert any(isinstance(v, StepTooCoarse) for v in exc.value.violations)
 
     def test_near_zero_state_rejected(self):
         with pytest.raises(ConfigError) as exc:
@@ -119,12 +113,11 @@ class TestProductState:
 
 class TestConfigFiles:
     def test_round_trip(self):
-        cfg = validate(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, dt=1e-12))
+        cfg = validate(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
         parsed = config_from_mapping(parse_key_values(format_config(cfg)))
         assert parsed.r == cfg.r
         assert parsed.mode == cfg.mode
         assert parsed.Bl1 == cfg.Bl1
-        assert parsed.dt == cfg.dt
         np.testing.assert_array_equal(parsed.initial_state, cfg.initial_state)
 
     def test_comments_and_blank_lines(self):

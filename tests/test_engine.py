@@ -3,7 +3,7 @@ import pytest
 
 from buckygate import engine, propagator
 from buckygate.analysis import PHASE_TOL, _scan_margin
-from buckygate.config import SimulationConfig, product_state, validate
+from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import (
     TrajectoryEvaluator,
     run_simulation,
@@ -12,7 +12,19 @@ from buckygate.engine import (
 )
 from buckygate.errors import NoCrossing, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static
-from buckygate.propagator import hamiltonian_scale, propagate_numeric, resolve_step
+from buckygate.propagator import (
+    DEFAULT_STEP_SAFETY,
+    hamiltonian_scale,
+    propagate_numeric,
+    recommended_step,
+)
+
+
+def automatic_step(run):
+    """DEFAULT_STEP_SAFETY times the recommended step at the run's Hamiltonian
+    scale, computed afresh from its config."""
+    scale = hamiltonian_scale(run.config, run.resonances, build_static(run.config))
+    return DEFAULT_STEP_SAFETY * recommended_step(scale)
 
 
 def reference_config(**overrides):
@@ -40,10 +52,6 @@ class TestStaticRun:
         assert traj.times[0] == 0.0
         assert traj.times[-1] == pytest.approx(1.2e-8)
         np.testing.assert_allclose(traj.norms, 1.0, atol=1e-8)
-
-    def test_step_resolved(self, static_result):
-        assert static_result.config.dt is not None
-        assert static_result.config.dt > 0
 
     def test_correction_phases_consistent_with_composite_phase(self, static_result):
         # Applying the four single-qubit corrections to psi(tau) returns every
@@ -103,8 +111,9 @@ def test_driven_trajectory_matches_rk4_oracle(bz, bl):
     # 2e-14 s on these points.
     config = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=1.5e-8)
     run = run_trajectory(config)
-    auto = resolve_step(validate(config), run.resonances).dt
-    oracle = propagate_numeric(run.config.replace(dt=auto / 4), run.resonances, run.trajectory.times)
+    oracle = propagate_numeric(
+        run.config, run.resonances, run.trajectory.times, automatic_step(run) / 4
+    )
     assert np.max(np.abs(run.trajectory.states - oracle.states)) <= 1e-9
     assert np.max(np.abs(run.trajectory.norms - 1.0)) <= 1e-12
 
@@ -279,7 +288,7 @@ class TestThetaRateGrid:
         run = run_trajectory(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
         assert len(run.trajectory.times) <= 2200
         assert run.phases.max_step <= 0.5 + 2 * run.unresolved
-        scale = hamiltonian_scale(run.config, run.resonances)
+        scale = hamiltonian_scale(run.config, run.resonances, build_static(run.config))
         assert run.scan_step * scale == pytest.approx(0.05)
 
     def test_scan_points_do_not_grow_with_t_max(self, monkeypatch):
@@ -302,16 +311,46 @@ class TestThetaRateGrid:
             run_simulation(reference_config(t_max=1e-3))
 
 
-class TestRecordedStep:
-    def test_step_above_spacing_records_spacing(self):
-        # A weak bias field keeps RK4 norm drift small at one step per sample.
-        run = run_trajectory(
-            reference_config(mode="driven", Bz1=0.01, Bz2=0.01, Bl1=5e-4, Bl2=5e-4, dt=5e-11)
-        )
-        assert run.config.dt == pytest.approx(run.trajectory.times[1], rel=1e-12)
+class TestRefinementStep:
+    """The RK4 step that refines a driven run between its samples is
+    min(DEFAULT_STEP_SAFETY * recommended_step(scale), sample spacing)."""
 
-    def test_automatic_step_is_kept(self, static_result):
-        assert static_result.config.dt < static_result.trajectory.times[1]
+    @staticmethod
+    def record_steps(monkeypatch):
+        """Record the step bound of every RK4 refinement the engine makes."""
+        steps = []
+        for name in ("rk4_segment", "_rk4_chunks"):
+            def recording(*args, _original=getattr(engine, name)):
+                steps.append(args[-1])
+                return _original(*args)
+
+            monkeypatch.setattr(engine, name, recording)
+        return steps
+
+    def test_driven_solve_refines_at_the_automatic_step(self, monkeypatch):
+        config = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
+        run = run_trajectory(config)
+        spacing = float(np.max(np.diff(run.trajectory.times)))
+        assert automatic_step(run) < spacing
+        steps = self.record_steps(monkeypatch)
+        run_simulation(config)
+        assert steps and set(steps) == {automatic_step(run)}
+
+    def test_spacing_bounds_the_step(self, monkeypatch):
+        # 0.1 ns at Bz = 0.1 T is under 10 rad at the Hamiltonian scale, so
+        # MIN_SAMPLES samples lie closer than the automatic step.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, t_max=1e-10))
+        spacing = float(np.max(np.diff(run.trajectory.times)))
+        assert spacing < automatic_step(run)
+        steps = self.record_steps(monkeypatch)
+        run.state_at(run.trajectory.times[1] / 2)
+        run.theta_on(run.trajectory.times[1:3] - run.trajectory.times[1] / 2)
+        assert steps == [spacing, spacing]
+
+    def test_static_solve_takes_no_rk4_step(self, monkeypatch):
+        steps = self.record_steps(monkeypatch)
+        run_simulation(reference_config())
+        assert steps == []
 
 
 # Static inputs away from the benchmark's ranges: small c1 (large

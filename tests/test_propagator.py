@@ -10,6 +10,7 @@ from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate import propagator
 from buckygate.propagator import (
+    DEFAULT_STEP_SAFETY,
     MAX_STEPS,
     STEPS_PER_CHUNK,
     SpectralPropagator,
@@ -18,12 +19,12 @@ from buckygate.propagator import (
     _prefix_products,
     _real_form,
     _taylor_degree,
+    hamiltonian_scale,
     largest_substep,
     propagate_magnus,
     propagate_numeric,
     propagate_static,
     recommended_step,
-    resolve_step,
     rk4_segment,
     time_dependent_hamiltonian,
 )
@@ -39,6 +40,13 @@ def reference_config(**overrides):
 
 def resonances_for(cfg):
     return resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+
+
+def automatic_step(cfg):
+    """The RK4 step the engine refines a driven run with, before the bound by
+    the sample spacing."""
+    scale = hamiltonian_scale(cfg, resonances_for(cfg), build_static(cfg))
+    return DEFAULT_STEP_SAFETY * recommended_step(scale)
 
 
 UNIFORM = state_vector(0.5, 0.5, 0.5, 0.5)
@@ -62,18 +70,17 @@ def _scalar_rk4_segment(hfun, psi, t0, t1, dt_max):
     return psi
 
 
-def _scalar_states(cfg, times):
-    """Reference trajectory by the scalar loop, and the first sample time whose
-    squared norm leaves the tolerance band (None if none does)."""
-    res = resonances_for(cfg)
-    hfun = time_dependent_hamiltonian(cfg, res)
-    dt = resolve_step(cfg, res).dt
+def _scalar_states(cfg, times, dt):
+    """Reference trajectory by the scalar loop with steps of at most ``dt``,
+    and the first sample time whose squared norm leaves the tolerance band
+    (None if none does)."""
+    hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
     states = [np.asarray(cfg.initial_state, dtype=complex)]
     first_drift = None
     for t0, t1 in zip(times[:-1], times[1:]):
         states.append(_scalar_rk4_segment(hfun, states[-1], t0, t1, dt))
         drift = abs(np.sum(np.abs(states[-1]) ** 2) - 1.0)
-        if first_drift is None and drift > cfg.norm_tolerance:
+        if first_drift is None and drift > propagator.NORM_TOLERANCE:
             first_drift = t1
     return np.array(states), first_drift
 
@@ -140,25 +147,25 @@ class TestSpectral:
 
 class TestNumeric:
     def test_matches_spectral_oracle(self):
-        cfg = reference_config(dt=5e-13, t_max=1e-8)
+        cfg = reference_config(t_max=1e-8)
         times = np.linspace(0, 1e-8, 401)
-        numeric = propagate_numeric(cfg, resonances_for(cfg), times)
+        numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
         exact = propagate_static(build_static(cfg), cfg.initial_state, times)
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
 
     def test_drive_free_driven_mode_reduces_to_static(self):
-        cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, dt=5e-13, t_max=4e-9)
+        cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
         times = np.linspace(0, 4e-9, 201)
-        numeric = propagate_numeric(cfg, resonances_for(cfg), times)
+        numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
         exact = propagate_static(build_static(cfg), cfg.initial_state, times)
         # dominated by RK4 truncation error, same bound as the oracle check
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
 
     def test_norm_drift_detected(self):
-        cfg = reference_config(dt=1.1e-10, t_max=1.2e-8)  # ~2 rad per step
+        cfg = reference_config(t_max=1.2e-8)
         times = np.linspace(0, 1.2e-8, 109)
         with pytest.raises(NormDrift):
-            propagate_numeric(cfg, resonances_for(cfg), times)
+            propagate_numeric(cfg, resonances_for(cfg), times, 1.1e-10)  # ~2 rad per step
 
     def test_convergence_order(self):
         # Classical RK4: halving dt must shrink the one-shot error ~16x.
@@ -177,9 +184,9 @@ class TestNumeric:
     def test_times_validation(self):
         cfg = reference_config()
         with pytest.raises(ValueError):
-            propagate_numeric(cfg, resonances_for(cfg), [1e-9, 2e-9])
+            propagate_numeric(cfg, resonances_for(cfg), [1e-9, 2e-9], 5e-13)
         with pytest.raises(ValueError):
-            propagate_numeric(cfg, resonances_for(cfg), [0.0, 2e-9, 1e-9])
+            propagate_numeric(cfg, resonances_for(cfg), [0.0, 2e-9, 1e-9], 5e-13)
 
 
 class TestBatchedRK4:
@@ -193,19 +200,20 @@ class TestBatchedRK4:
     def test_matches_scalar_loop(self, bz):
         cfg = self.driven_config(Bz1=bz, Bz2=bz, t_max=1.5e-8)
         times = np.linspace(0, 1e-9, 101)
-        batched = propagate_numeric(cfg, resonances_for(cfg), times)
-        reference, _ = _scalar_states(cfg, times)
+        dt = automatic_step(cfg)
+        batched = propagate_numeric(cfg, resonances_for(cfg), times, dt)
+        reference, _ = _scalar_states(cfg, times, dt)
         assert np.max(np.abs(batched.states - reference)) <= 1e-12
 
     def test_non_uniform_grid(self):
         # Intervals of 1 to ~50 steps share chunks (identity padding); one
         # interval of more than two chunks' worth of steps is split.
-        cfg = self.driven_config(dt=2e-13, t_max=4e-9)
+        cfg = self.driven_config(t_max=4e-9)
         spans = np.random.default_rng(3).uniform(1e-14, 1e-11, 200)
         spans[57] = (2 * STEPS_PER_CHUNK + 37) * 2e-13
         times = np.concatenate([[0.0], np.cumsum(spans)])
-        batched = propagate_numeric(cfg, resonances_for(cfg), times)
-        reference, _ = _scalar_states(cfg, times)
+        batched = propagate_numeric(cfg, resonances_for(cfg), times, 2e-13)
+        reference, _ = _scalar_states(cfg, times, 2e-13)
         assert np.max(np.abs(batched.states - reference)) <= 1e-12
 
     def test_segment_longer_than_a_chunk(self):
@@ -220,22 +228,22 @@ class TestBatchedRK4:
     def test_norm_drift_names_first_offending_sample(self):
         # One step per sample: the drift crosses the tolerance past the
         # first chunk of samples.
-        cfg = self.driven_config(Bl1=5e-4, Bl2=5e-4, dt=2e-12, t_max=4e-9)
+        cfg = self.driven_config(Bl1=5e-4, Bl2=5e-4, t_max=4e-9)
         times = np.linspace(0, 4e-9, 2001)
-        _, first_drift = _scalar_states(cfg, times)
+        _, first_drift = _scalar_states(cfg, times, 2e-12)
         assert first_drift is not None and first_drift > times[STEPS_PER_CHUNK]
         with pytest.raises(NormDrift) as info:
-            propagate_numeric(cfg, resonances_for(cfg), times)
+            propagate_numeric(cfg, resonances_for(cfg), times, 2e-12)
         reported = float(re.search(r"at t=(\S+) s", str(info.value)).group(1))
         assert reported == float(f"{first_drift:.6e}")
 
     @pytest.mark.parametrize("dt", [2e-11, 5e-11])
     def test_norm_drift_names_the_substep_taken(self, dt):
         # No step is longer than the 1e-11 s sample spacing, whatever dt says.
-        cfg = self.driven_config(dt=dt, t_max=1.2e-8)
+        cfg = self.driven_config(t_max=1.2e-8)
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest RK4 substep taken was 1\.000e-11 s"):
-            propagate_numeric(cfg, resonances_for(cfg), times)
+            propagate_numeric(cfg, resonances_for(cfg), times, dt)
 
     @pytest.mark.parametrize("dt, taken", [(5e-11, 1e-11), (1e-11, 1e-11), (3e-12, 2.5e-12)])
     def test_largest_substep(self, dt, taken):
@@ -245,12 +253,12 @@ class TestBatchedRK4:
         assert largest_substep(times, dt) == pytest.approx(taken, rel=1e-9)
 
     def test_recorded_step_reproduces_the_run(self):
-        # Rerunning with the step taken as dt gives the same states.
-        cfg = self.driven_config(Bz1=0.01, Bz2=0.01, dt=5e-11, t_max=1.2e-8)
+        # Rerunning with the step taken as the step bound gives the same states.
+        cfg = self.driven_config(Bz1=0.01, Bz2=0.01, t_max=1.2e-8)
         times = np.linspace(0, 1.2e-8, 1201)
         res = resonances_for(cfg)
-        first = propagate_numeric(cfg, res, times)
-        again = propagate_numeric(cfg.replace(dt=largest_substep(times, cfg.dt)), res, times)
+        first = propagate_numeric(cfg, res, times, 5e-11)
+        again = propagate_numeric(cfg, res, times, largest_substep(times, 5e-11))
         np.testing.assert_array_equal(first.states, again.states)
 
     def test_build_drive_array_matches_scalar(self):
@@ -387,8 +395,9 @@ class TestMagnus:
         image = _real_form(a) @ np.concatenate([psi.real, psi.imag])
         np.testing.assert_allclose(image[:, :4] + 1j * image[:, 4:], a @ psi, atol=1e-14)
 
-    def test_norm_drift_names_the_substep_taken(self):
-        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, norm_tolerance=1e-18)
+    def test_norm_drift_names_the_substep_taken(self, monkeypatch):
+        monkeypatch.setattr(propagator, "NORM_TOLERANCE", 1e-18)
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest Magnus substep taken was 2\.500e-12 s"):
             self.run(cfg, times, 3e-12)
@@ -432,7 +441,7 @@ class TestChunks:
         counts[140] = 3 * STEPS_PER_CHUNK + 7
         times = np.concatenate([[0.0], np.cumsum(counts * dt_max * 0.999)])
         # RK4 is the route that takes non-uniform grids.
-        propagate_numeric(cfg.replace(dt=dt_max), resonances_for(cfg), times)
+        propagate_numeric(cfg, resonances_for(cfg), times, dt_max)
         assert sum(rows for rows, _ in shapes) == len(counts)
         first = 0
         for rows, width in shapes:
