@@ -64,6 +64,12 @@ def _point_count(name: str, count: int) -> int:
     return count
 
 
+def _job_count(count: int) -> int:
+    if count < 1:
+        raise ConfigErrorItem(f"--jobs must be a worker count of at least 1, got {count}")
+    return count
+
+
 def _write(path, text: str) -> None:
     """Write ``text`` to the file ``path``, or to stdout when no path is given."""
     if not path:
@@ -229,11 +235,12 @@ def _sweep_point(base_config, param, wires, value) -> str:
 
 
 def cmd_sweep(args) -> int:
+    jobs = _job_count(args.jobs)
     param, values, base_config, wires = read_key_values(args.spec, parse_sweep_spec)
     point = functools.partial(_sweep_point, base_config, param, wires)
     # A fork-started pool starts all its workers at once: no more than there
     # are points or cores.
-    workers = min(args.jobs, len(values), os.cpu_count() or 1)
+    workers = min(jobs, len(values), os.cpu_count() or 1)
     with contextlib.ExitStack() as stack:
         ordered_map = map  # Executor.map, like map, yields results in input order
         if workers > 1:

@@ -38,6 +38,7 @@ from .propagator import (
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
+    magnus_steps,
     propagate_magnus,
     propagate_static,
     recommended_step,
@@ -183,10 +184,13 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     The static Hamiltonian is built and diagonalized once per run.  A static
     run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
     per-sample step below MAX_THETA_STEP over the horizon.  A driven run
-    takes Magnus steps of at most ``recommended_step`` at the Hamiltonian
-    scale.  The evaluator refines a driven run between samples by RK4 steps
-    of at most DEFAULT_STEP_SAFETY times that step, bounded by the largest
-    sample spacing, since no step is longer than its sample interval.
+    takes ``magnus_steps`` Magnus steps per sample interval, set by the
+    drive and the fitted error of the step rather than by the Zeeman
+    precession: one or two on the benchmark's driven points.  The evaluator
+    refines a driven run between samples by RK4 steps of at most
+    DEFAULT_STEP_SAFETY times ``recommended_step`` at the Hamiltonian scale,
+    bounded by the largest sample spacing, since no step is longer than its
+    sample interval.
     """
     cfg = validate(config)
     resonances = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
@@ -197,7 +201,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     if cfg.mode == "driven":
         unresolved = 0.0
         times = sample_times(cfg.t_max, scale)
-        traj = propagate_magnus(spectral, cfg, resonances, times, step)
+        traj = propagate_magnus(spectral, cfg, resonances, times, magnus_steps(cfg, scale, times))
         # The evaluator refines a driven run by RK4 from the stored samples.
         spectral, hfun = None, time_dependent_hamiltonian(cfg, resonances, h0)
         refine_step = min(DEFAULT_STEP_SAFETY * step, float(np.max(np.diff(times))))

@@ -5,8 +5,10 @@ Three routes are provided:
 * ``propagate_static`` solves the time-independent problem exactly through an
   eigendecomposition and serves as the oracle for everything else;
 * ``propagate_magnus`` integrates driven runs in the interaction picture of
-  the static Hamiltonian H0 with the 4th-order Magnus step, whose step is set
-  by the drive instead of by the Zeeman precession;
+  the static Hamiltonian H0 with the 4th-order Magnus step, whose generator
+  integrates the oscillating phase factors of the interaction picture
+  exactly, so that its step follows the drive, not the Zeeman precession
+  (see ``_drive_integrals``, ``magnus_steps``);
 * ``propagate_numeric`` integrates the (possibly time-dependent) equations
   with classical RK4 at the step it is given, the oracle for driven runs.
 
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -71,13 +73,25 @@ NORM_TOLERANCE = 1e-8
 STEPS_PER_CHUNK = 128
 
 # Upper bound on the steps of one integration, checked before any is taken:
-# about a minute of work.  The benchmark's driven runs take at most 6 000.
+# about a minute of work.  The benchmark's driven runs take at most 2 000.
 MAX_STEPS = 10**7
 
-_IDENTITY_4 = np.eye(4, dtype=complex)
+# The truncation error of a driven run's Magnus steps, max |dpsi| over the
+# run against the same run at 1/16 of the step, was measured as 0.011 to
+# 0.016 times (a h)^3 (S h)^2 N for N steps of h, with a the drive peak and
+# S the Hamiltonian scale: Bz 0.01 to 1 T, Bl 0.2 to 10 mT on both spins,
+# 1 000 to 3 500 samples, W = 1 and 2; less where the spins' drives differ.
+# ``magnus_steps`` keeps MAGNUS_ERROR (a h)^3 (S h)^2 N at most
+# MAGNUS_TOLERANCE.
+MAGNUS_ERROR = 0.016
+MAGNUS_TOLERANCE = 2e-10
 
-# Gauss-Legendre nodes of the 4th-order Magnus step, as fractions of the step.
-_GAUSS_NODES = 0.5 + np.array([-1.0, 1.0]) * np.sqrt(3) / 6
+# Largest phase a Magnus step advances at the Hamiltonian scale.  It binds
+# only where MAX_SAMPLES spreads a driven grid beyond it and the drive is
+# weak, and bounds the node count of the step's Legendre rule.
+MAX_MAGNUS_PHASE = 4.0
+
+_IDENTITY_4 = np.eye(4, dtype=complex)
 
 # A Taylor polynomial of exp(Omega) stops once its remainder bound is below
 # double-precision rounding.
@@ -238,14 +252,19 @@ def _substeps(times: np.ndarray, dt_max: float):
     """
     spans = np.diff(times)
     counts = np.maximum(1, np.ceil(spans / dt_max))
-    total = float(np.sum(counts))
-    if not total <= MAX_STEPS:
-        raise OutOfRange(
-            f"{total:.4g} steps of at most {dt_max:.4g} s over {times[-1] - times[0]:.4g} s "
-            f"exceed the limit of {MAX_STEPS:.0e}"
-        )
+    _check_step_count(float(np.sum(counts)), dt_max, times[-1] - times[0])
     counts = counts.astype(np.int64)
     return counts, spans / counts
+
+
+def _check_step_count(total, step: float, horizon: float):
+    """Raise OutOfRange when ``total`` steps of at most ``step`` over
+    ``horizon`` are more than MAX_STEPS."""
+    if not total <= MAX_STEPS:
+        raise OutOfRange(
+            f"{total:.4g} steps of at most {step:.4g} s over {horizon:.4g} s "
+            f"exceed the limit of {MAX_STEPS:.0e}"
+        )
 
 
 def _interval_products(step_matrices, starts, counts, sizes, width):
@@ -290,32 +309,101 @@ def _midpoint_steps(spectral: SpectralPropagator, config, resonances, h: float):
     ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
 
     With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
-    P(t_m) exp(Omega) P(t_m)^dag, where Omega is the step at t_m = 0 for
-    Ht(s) = P(s) V^dag D(t_m + s) V P(s)^dag: with b_j = -i h Ht(s_j) / 2 at
-    the Gauss-Legendre offsets s_j = -+ sqrt(3) h / 6,
-    Omega = b1 + b2 + sqrt(3)/3 [b2, b1].  On xi the step is therefore
-    exp(Omega) exp(-i L h).  As a_i(t) = a_i(0) cos(w_i t)
+    P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
+    at t_m = 0 for Ht(s) = P(s) V^dag D(t_m + s) V P(s)^dag.  On xi the step
+    is therefore exp(Omega) exp(-i L h).  As a_i(t) = a_i(0) cos(w_i t)
     (``drive_amplitudes``) and cos(w (t_m + s)) = cos(w t_m) cos(w s) -
     sin(w t_m) sin(w s), Ht(s) = sum_q k_q F_q(s) with
     k = (cos w1 t_m, cos w2 t_m, sin w1 t_m, sin w2 t_m), so
-    Omega = sum_q k_q A_q + sum_qr k_q k_r C_qr with A_q = b_q1 + b_q2,
-    C_qr = sqrt(3)/3 (b_q2 b_r1 - b_q1 b_r2) and b_qj = -i h F_q(s_j) / 2:
-    20 real-form matrices, built here once per run.
+    Omega = sum_q k_q A_q + sum_qr k_q k_r C_qr with the A_q and C_qr of
+    ``_drive_integrals``: 20 real-form matrices, built here once per run.
     """
-    v, rates = spectral.eigenvectors, spectral.eigenvalues
-    operators = np.tile(v.conj().T @ DRIVE_OPERATORS @ v, (2, 1, 1))  # D_i of each k_q
+    a, c = _drive_integrals(spectral, config, resonances, h)
+    basis = _real_form(np.concatenate([a, c.reshape(16, 4, 4)])).reshape(20, 64)
+    rotation = _real_form(np.diag(_unit_phases(-h * spectral.eigenvalues)))
+    return partial(_midpoint_matrices, basis, rotation, np.array([resonances.omega1, resonances.omega2]))
+
+
+def _drive_integrals(spectral: SpectralPropagator, config, resonances, h: float):
+    """(A, C) of the Magnus step of length h: A[q] = -i int F_q and
+    C[q, r] = 1/2 int int_{s2 < s1} [-i F_q(s1), -i F_r(s2)] over
+    -h/2 < s2 < s1 < h/2, with F_q(s) = c_q(s) P(s) V^dag a_i D_i V P(s)^dag,
+    c_q(s) = cos(w_i s) for q = i and -sin(w_i s) for q = 2 + i (see
+    ``_midpoint_steps``).  Shapes (4, 4, 4) and (4, 4, 4, 4).
+
+    Entry (j, l) of F_q(s) is a sum of two exp(i nu s), nu = L_j - L_l +- w_i,
+    an entire function of s.  With s = h u / 2, F_q(u) = sum_m f_qm P_m(u) in
+    Legendre polynomials, whose coefficients come from the Gauss-Legendre rule
+    of ``_legendre_rule``; A[q] = -i h f_q0 and, as the double integrals
+    Q_mn of P_m(u1) P_n(u2) over u2 < u1 vanish unless |m - n| = 1 or
+    m = n = 0, C[q, r] = -(h^2 / 8) sum_mn Q_mn [f_qm, f_rn].  The node
+    count follows the largest |nu| h / 2, so the sums are exact to rounding
+    for any step, and no term divides by a small nu.
+    """
+    v, rates = spectral.eigenvectors, spectral.eigenvalues  # rates ascending
+    amplitudes = np.array(drive_amplitudes(config, resonances, 0.0))
+    drives = amplitudes[:, None, None] * (v.conj().T @ DRIVE_OPERATORS @ v)  # a_i V^dag D_i V
     omegas = np.array([resonances.omega1, resonances.omega2])
-    offsets = (_GAUSS_NODES - 0.5) * h
-    phases = np.multiply.outer(offsets, omegas)  # (node, spin)
-    weights = np.concatenate([np.cos(phases), -np.sin(phases)], axis=-1)
-    weights = weights * (-0.5j * h * np.tile(drive_amplitudes(config, resonances, 0.0), 2))
-    p = _unit_phases(np.multiply.outer(offsets, rates))
-    frames = p[:, None, :, None] * p.conj()[:, None, None, :]  # P(s_j) . P(s_j)^dag
-    b1, b2 = _real_form(weights[..., None, None] * operators * frames)
-    commutators = b2[:, None] @ b1[None, :] - b1[:, None] @ b2[None, :]
-    basis = np.concatenate([(b1 + b2).reshape(4, 64), np.sqrt(3) / 3 * commutators.reshape(16, 64)])
-    rotation = _real_form(np.diag(_unit_phases(-h * rates)))
-    return partial(_midpoint_matrices, basis, rotation, omegas)
+    top = h / 2 * (rates[-1] - rates[0] + max(abs(resonances.omega1), abs(resonances.omega2)))
+    nodes, projections = _legendre_rule(_legendre_node_count(top))
+    n = len(nodes)
+    s = h / 2 * nodes
+    spins = _unit_phases(np.multiply.outer(omegas, s))
+    weights = np.stack([spins.real, -spins.imag])  # c_q(s_k) as (cos/sin, spin, k)
+    frames = _unit_phases(np.multiply.outer(s, np.subtract.outer(rates, rates)))
+    f = weights[..., None, None] * frames * drives[:, None]  # F_q(s_k), q = 2 (cos/sin) + spin
+    # f_qm and sum_n Q_mn f_qn, as x[q, 0 or 1, m, j, l].
+    x = (projections @ f.reshape(4, n, 16)).reshape(4, 2, n, 4, 4)
+    # Both sums over m of [f_qm, sum_n Q_mn f_rn] from one 2-D product over
+    # the pairs (m, l): rows (0 or 1, q, j) times columns (0 or 1, r, k).
+    rows = x.transpose(1, 0, 3, 2, 4).reshape(32, 4 * n)
+    columns = x.transpose(2, 3, 1, 0, 4).reshape(4 * n, 32)
+    products = (rows @ columns).reshape(2, 4, 4, 2, 4, 4)
+    commutators = products[0, :, :, 1].transpose(0, 2, 1, 3) - products[1, :, :, 0].transpose(2, 0, 1, 3)
+    return -1j * h * x[:, 0, 0], -(h * h / 8) * commutators
+
+
+@lru_cache(maxsize=32)
+def _legendre_rule(n: int):
+    """(nodes, projections) of the n-node Gauss-Legendre rule on [-1, 1].
+
+    For F at the nodes, projections @ F stacks the first n Legendre
+    coefficients f_m of F and sum_n Q_mn f_n, where
+    Q_mn = int_{-1}^{1} P_m(u1) int_{-1}^{u1} P_n(u2) du2 du1 is 2 at
+    m = n = 0, +-2 / ((2k + 1) (2k + 3)) at (k + 1, k) and (k, k + 1) and 0
+    elsewhere.  The nodes are the eigenvalues of the Jacobi matrix of the
+    orthonormal Legendre polynomials, whose eigenvectors q_j hold
+    sqrt(w_j / 2) sqrt(2m + 1) P_m(x_j) up to sign (Golub and Welsch), so
+    f_m = sqrt(2m + 1) sum_j q_mj q_0j F(x_j).  The arrays are shared and
+    read-only.
+    """
+    k = np.arange(1.0, n)
+    nodes, q = np.linalg.eigh(np.diag(k / np.sqrt(4 * k * k - 1), -1))
+    moments = np.sqrt(2 * np.arange(n) + 1.0)[:, None] * q * q[0]
+    band = np.diag(2 / ((2 * k - 1) * (2 * k + 1)), -1)
+    band -= band.T
+    band[0, 0] = 2.0
+    projections = np.concatenate([moments, band @ moments])
+    nodes.setflags(write=False)
+    projections.setflags(write=False)
+    return nodes, projections
+
+
+def _legendre_node_count(top: float) -> int:
+    """Fewest Gauss-Legendre nodes n for functions of u in [-1, 1] whose
+    frequencies are at most ``top``.
+
+    exp(i nu u) has Legendre coefficients (2m + 1) i^m j_m(nu), of modulus
+    at most b_m = |nu|^m / (2m - 1)!!.  With n nodes the omitted terms of
+    ``_drive_integrals`` are products of a coefficient of degree n or more
+    and one of degree n - 1 or more, and the rule's aliasing is smaller
+    still, so n is the first count with b_n b_(n-1) below rounding.
+    """
+    n, previous, bound = 1, 1.0, top
+    while _TAYLOR_TOL < previous * bound < math.inf:
+        n += 1
+        previous, bound = bound, bound * top / (2 * n - 1)
+    return n
 
 
 def _midpoint_matrices(basis, rotation, omegas, nodes, h):
@@ -393,19 +481,37 @@ def _compose(m):
     return m[:, 0]
 
 
-def time_dependent_hamiltonian(
-    config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray | None = None
-):
-    """Return H(t) for the configured mode as a callable of time.
+def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray):
+    """Return H(t) for the configured mode as a callable of time, where
+    ``h0`` is the config's static Hamiltonian.
 
-    ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.  ``h0``
-    is the config's static Hamiltonian, for callers that have already built it.
+    ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.
     """
-    if h0 is None:
-        h0 = build_static(config)
     if config.mode != "driven" or (config.Bl1 == 0 and config.Bl2 == 0):
         return lambda t: np.broadcast_to(h0, np.shape(t) + (4, 4))
     return lambda t: h0 + build_drive(config, resonances, t)
+
+
+def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
+    """Magnus steps W per interval of the uniform grid ``times`` for a driven
+    run of ``config`` whose Hamiltonian scale is ``scale``.
+
+    The fewest W that keep the fitted error MAGNUS_ERROR (a h)^3 (S h)^2 N
+    of N = W (len(times) - 1) steps of h = spacing / W at most
+    MAGNUS_TOLERANCE, where a is the drive peak and S the Hamiltonian scale;
+    the error falls as W^-4.  Two bounds apply: W never exceeds the count
+    that advances MAX_PHASE_PER_STEP at S per step, which resolves the
+    Zeeman precession itself and which long, strongly driven runs would
+    otherwise exceed, and no step advances more than MAX_MAGNUS_PHASE at S.
+    More than MAX_STEPS steps come back as a count that ``propagate_magnus``
+    refuses.
+    """
+    spacing = times[-1] / (len(times) - 1)
+    zeeman = scale * spacing / MAX_PHASE_PER_STEP
+    drive = drive_peak_amplitude(config) * spacing
+    error = MAGNUS_ERROR * drive**3 * (scale * spacing) ** 2 * (len(times) - 1) if drive else 0.0
+    steps = max(min(zeeman, (error / MAGNUS_TOLERANCE) ** 0.25), scale * spacing / MAX_MAGNUS_PHASE)
+    return max(1, math.ceil(min(steps, MAX_STEPS + 1)))
 
 
 def propagate_magnus(
@@ -413,18 +519,20 @@ def propagate_magnus(
     config: SimulationConfig,
     resonances: ResonancePair,
     times,
-    dt_max: float,
+    steps: int,
 ) -> Trajectory:
-    """Driven trajectory by 4th-order Magnus steps of at most ``dt_max``.
+    """Driven trajectory by ``steps`` uniform 4th-order Magnus steps per
+    sample interval.
 
     ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
-    ValueError otherwise.  Every interval takes the same number of steps,
-    the most that any interval needs.  ``spectral`` holds H0 = V L V^dag, the
-    config's static Hamiltonian.  With psi(t) = V exp(-i L t) phi(t), phi
-    obeys i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^dag D(t) V
+    ValueError otherwise, and OutOfRange, before any step is taken, for more
+    than MAX_STEPS steps.  ``spectral`` holds H0 = V L V^dag, the config's
+    static Hamiltonian.  With psi(t) = V exp(-i L t) phi(t), phi obeys
+    i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^dag D(t) V
     exp(-i L t) and D(t) is the drive term.  H_I is as large as the drive;
-    the Zeeman precession enters only through the phase factors, which steps
-    of at most ``dt_max`` resolve.  Raises NormDrift, like
+    the Zeeman precession enters only through its phase factors, which each
+    step integrates exactly (``_drive_integrals``), so the step need only
+    follow the drive (``magnus_steps``).  Raises NormDrift, like
     ``propagate_numeric``, at the first stored state whose squared norm
     departs from 1 by more than NORM_TOLERANCE.
     """
@@ -432,15 +540,16 @@ def propagate_magnus(
     _check_times(times)
     if not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
         raise ValueError("Magnus steps need a uniform grid, np.linspace(0, t_end, n)")
-    counts, _ = _substeps(times, dt_max)
-    counts[:] = np.max(counts)
-    h = times[-1] / np.sum(counts)
+    total = steps * (len(times) - 1)
+    h = times[-1] / total
+    _check_step_count(total, h, times[-1])
     # xi = exp(i L h/2) V^dag psi as the real 8-vector [Re xi, Im xi].
     xi0 = spectral.evolve(config.initial_state, -h / 2) @ spectral.eigenvectors.conj()
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
-    steps = _midpoint_steps(spectral, config, resonances, h)
-    for first, block in _chunks(steps, xi[0], times, counts, np.full(len(counts), h)):
+    matrices = _midpoint_steps(spectral, config, resonances, h)
+    counts = np.full(len(times) - 1, steps)
+    for first, block in _chunks(matrices, xi[0], times, counts, np.full(len(counts), h)):
         xi[first : first + len(block)] = block
     states = spectral.from_eigen(xi[:, :4] + 1j * xi[:, 4:], np.full(len(times), h / 2))
     _check_norms(times, states, f"Magnus substep taken was {h:.3e} s")
@@ -460,7 +569,7 @@ def propagate_numeric(
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    hfun = time_dependent_hamiltonian(config, resonances)
+    hfun = time_dependent_hamiltonian(config, resonances, build_static(config))
     states = np.empty((len(times), 4), dtype=complex)
     states[0] = config.initial_state
     taken = f"RK4 substep taken was {largest_substep(times, dt_max):.3e} s"

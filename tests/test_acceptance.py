@@ -212,7 +212,7 @@ def test_criterion_11_rk4_convergence_order():
 
     cfg = validate(cfg)
     res = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-    hfun = time_dependent_hamiltonian(cfg, res)
+    hfun = time_dependent_hamiltonian(cfg, res, build_static(cfg))
     psi0 = cfg.initial_state
     horizon = 2e-9
     finals = [

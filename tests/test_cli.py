@@ -475,7 +475,8 @@ def test_value_error_in_the_pipeline_is_not_an_input_error(static_config_path, t
 SWEEP_R = SWEEP_BASE + "param=r\n"
 
 # Inputs that ended in a traceback, in exit 1 only because cli.main caught
-# every ValueError, or (equal-huge-fields) in a scan of 1.8e12 points:
+# every ValueError, (equal-huge-fields) in a scan of 1.8e12 points, or
+# (jobs-zero, jobs-negative) in a serial sweep with exit 0:
 # (id, command, file text, extra arguments, exit code, text of the error
 # line).  A later key=value line overrides an earlier one.  An error met
 # while reading a file names the file.
@@ -499,6 +500,8 @@ BAD_INPUTS = [
      EXIT_CONFIG, "--points"),
     ("points-huge", "field-profile", WIRES_CONFIG, ["--from=-1e-7", "--to=1e-7", "--points=10000000000000"],
      EXIT_CONFIG, "--points"),
+    ("jobs-zero", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\n", ["--jobs=0"], EXIT_CONFIG, "--jobs"),
+    ("jobs-negative", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\n", ["--jobs=-5"], EXIT_CONFIG, "--jobs"),
 ]
 
 

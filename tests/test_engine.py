@@ -10,12 +10,13 @@ from buckygate.engine import (
     run_trajectory,
     sample_times,
 )
-from buckygate.errors import NoCrossing, PhaseAliasing, UndefinedPhase
+from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
     hamiltonian_scale,
     propagate_numeric,
+    propagate_static,
     recommended_step,
 )
 
@@ -99,17 +100,36 @@ class TestDrivenRun:
         assert result.gate.theta_at_tau == pytest.approx(-np.pi, abs=1e-6)
         np.testing.assert_allclose(result.trajectory.norms, 1.0, atol=1e-8)
 
+    def test_drive_free_long_run_matches_static(self):
+        # Rounding grows with the Magnus step count: 5 293 steps over 150 ns
+        # at 0.1 T, one per sample interval, as the drive needs none.
+        run = run_trajectory(reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=1.5e-7))
+        exact = propagate_static(build_static(run.config), run.config.initial_state, run.trajectory.times)
+        assert np.max(np.abs(run.trajectory.states - exact.states)) <= 5e-13
+
+    def test_drive_free_horizon_beyond_the_step_limit_is_refused(self):
+        # 50 001 samples over 1 s are 2e-5 s apart, 3.5e5 rad at the
+        # Hamiltonian scale: the phase per Magnus step, not the drive, sets
+        # the count, and the run is refused before any step is built.
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            run_trajectory(reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=1.0))
+
 
 # The driven reference points: the benchmark's three base fields and the
-# ends and middle of its drive range, over a 15 ns horizon.
-DRIVEN_POINTS = [(bz, bl) for bz in (0.025, 0.05, 0.1) for bl in (2e-4, 6e-4, 1e-3)]
+# ends and middle of its drive range, over a 15 ns horizon; and one point at
+# 1 T, where the grid's own spacing is short, over 1.5 ns.
+DRIVEN_POINTS = [(bz, bl, 1.5e-8) for bz in (0.025, 0.05, 0.1) for bl in (2e-4, 6e-4, 1e-3)]
+DRIVEN_POINTS.append((1.0, 1e-3, 1.5e-9))
+DRIVEN_IDS = [
+    f"Bz={bz}-Bl={bl}" + ("" if t_max == 1.5e-8 else f"-t_max={t_max}") for bz, bl, t_max in DRIVEN_POINTS
+]
 
 
-@pytest.mark.parametrize("bz, bl", DRIVEN_POINTS, ids=[f"Bz={bz}-Bl={bl}" for bz, bl in DRIVEN_POINTS])
-def test_driven_trajectory_matches_rk4_oracle(bz, bl):
+@pytest.mark.parametrize("bz, bl, t_max", DRIVEN_POINTS, ids=DRIVEN_IDS)
+def test_driven_trajectory_matches_rk4_oracle(bz, bl, t_max):
     # RK4 at a quarter of the automatic step is within about 4e-11 of RK4 at
-    # 2e-14 s on these points.
-    config = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=1.5e-8)
+    # 2e-14 s on the 15 ns points.
+    config = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
     run = run_trajectory(config)
     oracle = propagate_numeric(
         run.config, run.resonances, run.trajectory.times, automatic_step(run) / 4

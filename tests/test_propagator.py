@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,18 +10,22 @@ from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate import propagator
+from buckygate.engine import sample_times
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
+    MAGNUS_TOLERANCE,
     MAX_STEPS,
     STEPS_PER_CHUNK,
     SpectralPropagator,
     Trajectory,
+    _drive_integrals,
     _expm_taylor,
     _prefix_products,
     _real_form,
     _taylor_degree,
     hamiltonian_scale,
     largest_substep,
+    magnus_steps,
     propagate_magnus,
     propagate_numeric,
     propagate_static,
@@ -74,7 +79,7 @@ def _scalar_states(cfg, times, dt):
     """Reference trajectory by the scalar loop with steps of at most ``dt``,
     and the first sample time whose squared norm leaves the tolerance band
     (None if none does)."""
-    hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+    hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
     states = [np.asarray(cfg.initial_state, dtype=complex)]
     first_drift = None
     for t0, t1 in zip(times[:-1], times[1:]):
@@ -170,7 +175,7 @@ class TestNumeric:
     def test_convergence_order(self):
         # Classical RK4: halving dt must shrink the one-shot error ~16x.
         cfg = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         horizon = 2e-9
         finals = [
             rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
@@ -218,7 +223,7 @@ class TestBatchedRK4:
 
     def test_segment_longer_than_a_chunk(self):
         cfg = self.driven_config()
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         dt = 1e-12
         horizon = (3 * STEPS_PER_CHUNK + 5) * dt
         batched = rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
@@ -273,7 +278,7 @@ class TestBatchedRK4:
     @pytest.mark.parametrize("mode", ["static", "driven"])
     def test_hamiltonian_callable_is_vectorized(self, mode):
         cfg = self.driven_config(mode=mode)
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg))
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         t = np.linspace(0, 1e-9, 6).reshape(2, 3)
         batched = hfun(t)
         assert batched.shape == (2, 3, 4, 4)
@@ -282,19 +287,50 @@ class TestBatchedRK4:
         assert hfun(1e-10).shape == (4, 4)
 
 
+def _interaction_picture(cfg, frame_time=0.0):
+    """H_I(s) = P(s) V^dag D(frame_time + s) V P(s)^dag with P(s) = exp(i L s),
+    from build_drive, as a callable of an array of s."""
+    res = resonances_for(cfg)
+    lam, v = np.linalg.eigh(build_static(cfg))
+
+    def interaction(s):
+        p = np.exp(1j * np.multiply.outer(s, lam))
+        drive = v.conj().T @ build_drive(cfg, res, frame_time + s) @ v
+        return p[..., :, None] * drive * p.conj()[..., None, :]
+
+    return interaction
+
+
+def _exact_magnus_terms(terms, t0, h, nodes=48):
+    """Omega1[q] = -i int X_q and Omega2[q, r] = 1/2 int int_{s2 < s1}
+    [-i X_q(s1), -i X_r(s2)] over t0 < s2 < s1 < t0 + h for the matrices
+    X_q(s) = terms(s)[..., q, :, :], by nested Gauss-Legendre rules: for each
+    outer node s1, an inner rule of ``nodes`` nodes on [t0, s1]."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    outer_s, outer_w = t0 + h / 2 * (1 + x), h / 2 * w
+    outer = -1j * terms(outer_s)
+    inner_s = t0 + np.multiply.outer(outer_s - t0, (1 + x) / 2)
+    inner_w = np.multiply.outer(outer_s - t0, w / 2)
+    inner = np.einsum("ak,akqij->aqij", inner_w, -1j * terms(inner_s))
+    omega1 = np.einsum("a,aqij->qij", outer_w, outer)
+    omega2 = 0.5 * np.einsum("a,aqrij->qrij", outer_w,
+                             outer[:, :, None] @ inner[:, None] - inner[:, None] @ outer[:, :, None])
+    return omega1, omega2
+
+
 class TestMagnus:
     """The interaction-picture Magnus integrator of driven runs."""
 
     @staticmethod
-    def run(cfg, times, dt_max):
+    def run(cfg, times, steps):
         spectral = SpectralPropagator(build_static(cfg))
-        return propagate_magnus(spectral, cfg, resonances_for(cfg), times, dt_max)
+        return propagate_magnus(spectral, cfg, resonances_for(cfg), times, steps)
 
     def test_drive_free_reduces_to_static(self):
         # Without a drive H_I vanishes: every step is an exact identity.
         cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
         times = np.linspace(0, 4e-9, 201)
-        magnus = self.run(cfg, times, 1e-12)
+        magnus = self.run(cfg, times, 20)
         exact = propagate_static(build_static(cfg), cfg.initial_state, times)
         assert np.max(np.abs(magnus.states - exact.states)) <= 1e-13
 
@@ -302,7 +338,7 @@ class TestMagnus:
         # 4th order: halving the step must shrink the error about 16x.
         cfg = reference_config(mode="driven", Bz1=0.025, Bz2=0.025, Bl1=1e-3, Bl2=1e-3)
         times = np.linspace(0, 2e-9, 3)
-        finals = [self.run(cfg, times, dt).states[-1] for dt in (4e-11, 2e-11, 1e-11)]
+        finals = [self.run(cfg, times, steps).states[-1] for steps in (25, 50, 100)]
         e1 = np.max(np.abs(finals[0] - finals[1]))
         e2 = np.max(np.abs(finals[1] - finals[2]))
         assert np.log2(e1 / e2) >= 3.8
@@ -316,32 +352,88 @@ class TestMagnus:
     )
     def test_matches_a_direct_interaction_picture_step(self, overrides):
         # The textbook step, from the one drive definition: H_I(t) =
-        # exp(i L t) V^dag (H(t) - H0) V exp(-i L t) at the two Gauss nodes, one
-        # commutator, exp(Omega) by eigh.  12 steps of 2.5e-11 s carry the
-        # drive phases over 1.3 to 5.3 rad; the spins differ in field and
-        # drive, and the state is not symmetric in them.
+        # exp(i L t) V^dag (H(t) - H0) V exp(-i L t), Omega = Omega1 + Omega2
+        # by a fine nested quadrature, exp(Omega) by eigh.  12 steps of
+        # 2.5e-11 s carry the drive phases over 1.3 to 5.3 rad; the spins
+        # differ in field and drive, and the state is not symmetric in them.
         psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
         cfg = reference_config(mode="driven", initial_state=psi0 / np.linalg.norm(psi0), **overrides)
-        res = resonances_for(cfg)
         lam, v = np.linalg.eigh(build_static(cfg))
-
-        def interaction(t):
-            p = np.exp(1j * lam * t)
-            return p[:, None] * (v.conj().T @ build_drive(cfg, res, t) @ v) * p.conj()
-
+        interaction = _interaction_picture(cfg)
         times = np.linspace(0, 3e-10, 4)
         h = 2.5e-11
         phi, expected = v.conj().T @ cfg.initial_state, [cfg.initial_state]
         for k in range(12):
             t = k * h
-            b1, b2 = (-1j * h * interaction(t + c * h) for c in 0.5 + np.array([-1, 1]) * np.sqrt(3) / 6)
-            omega = (b1 + b2) / 2 + np.sqrt(3) / 12 * (b2 @ b1 - b1 @ b2)
+            omega1, omega2 = _exact_magnus_terms(lambda s: interaction(s)[..., None, :, :], t, h, nodes=16)
+            omega = omega1[0] + omega2[0, 0]
             w, u = np.linalg.eigh(1j * omega)
             phi = (u * np.exp(-1j * w)) @ u.conj().T @ phi
             if k % 4 == 3:
                 expected.append(v @ (np.exp(-1j * lam * (t + h)) * phi))
-        magnus = self.run(cfg, times, 1.05 * h)
+        magnus = self.run(cfg, times, 4)
         assert np.max(np.abs(magnus.states - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("phase", [1e-8, 1e-4, 0.1, 1.0, 5.0, 30.0])
+    def test_drive_integrals_match_a_fine_quadrature(self, phase):
+        # The A_q and C_qr of a step whose largest frequency times the step is
+        # ``phase``, against their definitions with F_q(s) =
+        # c_q(s) P(s) V^dag a_i D_i V P(s)^dag, c_q = cos(w_i s) or
+        # -sin(w_i s).  C is compared on the scale of (|D| h)^2, not of its
+        # own size: the F_q nearly commute, so C is about ``phase`` times
+        # smaller, and a formula that divides by a small frequency loses
+        # exactly those digits.
+        cfg = reference_config(mode="driven", Bz1=0.05, Bz2=0.025, Bl1=3e-4, Bl2=8e-4, J0=2e8)
+        res = resonances_for(cfg)
+        spectral = SpectralPropagator(build_static(cfg))
+        lam, v = spectral.eigenvalues, spectral.eigenvectors
+        h = phase / (np.ptp(lam) + max(abs(res.omega1), abs(res.omega2)))
+        # a_i(0) V^dag D_i V, from build_drive with the other spin undriven.
+        drives = [v.conj().T @ build_drive(replace(cfg, **{other: 0.0}), res, 0.0) @ v for other in ("Bl2", "Bl1")]
+
+        def terms(s):
+            p = np.exp(1j * np.multiply.outer(s, lam))
+            c = [np.cos(res.omega1 * s), np.cos(res.omega2 * s), -np.sin(res.omega1 * s), -np.sin(res.omega2 * s)]
+            f = np.stack([c_q[..., None, None] * d for c_q, d in zip(c, drives * 2)], axis=-3)
+            return p[..., None, :, None] * f * p.conj()[..., None, None, :]
+
+        a, c = _drive_integrals(spectral, cfg, res, h)
+        omega1, omega2 = _exact_magnus_terms(terms, -h / 2, h)
+        scale = h * np.max(np.abs(build_drive(cfg, res, 0.0)))
+        assert np.max(np.abs(a - omega1)) <= 1e-14 * scale
+        assert np.max(np.abs(c - omega2)) <= 1e-14 * scale**2
+
+    @pytest.mark.parametrize("bz, bl, t_max", [(0.1, 1e-3, 1.5e-8), (0.025, 1e-3, 1.5e-8), (0.1, 1e-6, 4e-6)])
+    def test_step_rule_meets_its_tolerance(self, bz, bl, t_max):
+        # Against the same run at 8 times as many steps.  The last point is
+        # on the 50 001-sample cap with a weak drive: one step per interval
+        # advances 1.4 rad at the Hamiltonian scale, beyond the 0.5 rad of the
+        # points the error model was fitted on.
+        cfg = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
+        res = resonances_for(cfg)
+        h0 = build_static(cfg)
+        scale = hamiltonian_scale(cfg, res, h0)
+        times = sample_times(t_max, scale)
+        steps = magnus_steps(cfg, scale, times)
+        fine = self.run(cfg, times, 8 * steps)
+        assert np.max(np.abs(self.run(cfg, times, steps).states - fine.states)) <= MAGNUS_TOLERANCE
+
+    @pytest.mark.parametrize(
+        "bl, t_max, phase",
+        [(1e-3, 2e-5, propagator.MAX_PHASE_PER_STEP), (0.0, 1e-3, propagator.MAX_MAGNUS_PHASE)],
+        ids=["strong-drive-long-run", "drive-free"],
+    )
+    def test_step_rule_bounds(self, bl, t_max, phase):
+        # On the 50 001-sample cap at 0.1 T.  A long, strongly driven run
+        # takes no more steps than resolve the Zeeman precession at 0.05 rad
+        # per step, where the fitted error alone would ask for more; a
+        # drive-free run needs no step for accuracy, and only the phase per
+        # step bounds its count.
+        cfg = reference_config(mode="driven", Bl1=bl, Bl2=bl, t_max=t_max)
+        scale = hamiltonian_scale(cfg, resonances_for(cfg), build_static(cfg))
+        times = sample_times(t_max, scale)
+        spacing = times[-1] / (len(times) - 1)
+        assert magnus_steps(cfg, scale, times) == np.ceil(scale * spacing / phase) > 1
 
     @pytest.mark.parametrize("steps_per_chunk", [4, 100])
     def test_chunk_size_that_does_not_divide_an_interval(self, monkeypatch, steps_per_chunk):
@@ -349,16 +441,16 @@ class TestMagnus:
         # (96 steps) to a chunk.
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=2e-4)
         times = np.linspace(0, 3e-9, 201)
-        default = self.run(cfg, times, 2.6e-12)
+        default = self.run(cfg, times, 6)
         monkeypatch.setattr(propagator, "STEPS_PER_CHUNK", steps_per_chunk)
-        assert np.max(np.abs(self.run(cfg, times, 2.6e-12).states - default.states)) <= 1e-13
+        assert np.max(np.abs(self.run(cfg, times, 6).states - default.states)) <= 1e-13
 
     def test_non_uniform_grid_is_refused(self):
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-9, 11)
         times[3] += 1e-12
         with pytest.raises(ValueError, match="uniform grid"):
-            self.run(cfg, times, 1e-12)
+            self.run(cfg, times, 100)
 
     @pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 2.0])
     def test_taylor_exponential(self, size):
@@ -400,14 +492,14 @@ class TestMagnus:
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest Magnus substep taken was 2\.500e-12 s"):
-            self.run(cfg, times, 3e-12)
+            self.run(cfg, times, 4)
 
     def test_step_limit(self):
         # Refused before any step is taken.
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(OutOfRange, match="exceed the limit"):
-            self.run(cfg, times, 1.2e-8 / (2 * MAX_STEPS))
+            self.run(cfg, times, MAX_STEPS // 1200 + 1)
 
 
 class TestChunks:
