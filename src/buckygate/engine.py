@@ -43,8 +43,8 @@ from .propagator import (
     propagate_static,
     recommended_step,
     rk4_segment,
+    rk4_spans,
     time_dependent_hamiltonian,
-    _rk4_chunks,
 )
 
 # Target phase advance between stored samples at the rate the grid follows:
@@ -118,9 +118,9 @@ def theta_rate(config, spectral):
 class TrajectoryEvaluator:
     """One propagated run, and continuous theta(t) / psi(t) between its samples.
 
-    Re-propagates from the nearest earlier sample (exactly with the run's own
-    SpectralPropagator for the static case, with RK4 substeps of at most
-    ``refine_step`` for the driven case).  theta is the argument of
+    Re-propagates each time from its nearest earlier sample, exactly with the
+    run's own SpectralPropagator for the static case, with RK4 substeps of at
+    most ``refine_step`` for the driven case.  theta is the argument of
     c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
     interpolated sampled theta, which is safe because per-sample theta
     increments stay below MAX_THETA_STEP.
@@ -157,19 +157,16 @@ class TrajectoryEvaluator:
         return float(self._aligned(t, self.state_at(t)))
 
     def theta_on(self, times: np.ndarray) -> np.ndarray:
-        """theta at each of the increasing ``times``, in one vectorized pass.
-
-        Static runs evolve each time exactly from its nearest earlier sample;
-        driven runs take one RK4 pass from the sample at or before times[0].
-        """
+        """theta at each of ``times``, in one vectorized pass that carries
+        every time from its nearest earlier sample, as ``state_at`` does; the
+        driven RK4 spans all take the step count of the longest
+        (``rk4_spans``)."""
         samples = self.trajectory.times
         i = np.clip(np.searchsorted(samples, times, side="right") - 1, 0, len(samples) - 1)
         if self.spectral is not None:
             states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
         else:
-            grid = np.concatenate([samples[i[:1]], times])
-            chunks = _rk4_chunks(self.hfun, self.trajectory.states[i[0]], grid, self.refine_step)
-            states = np.concatenate([block for _, block in chunks])
+            states = rk4_spans(self.hfun, self.trajectory.states[i], samples[i], times, self.refine_step)
         return self._aligned(times, states)
 
     def _aligned(self, t, states):

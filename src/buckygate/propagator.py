@@ -1,6 +1,6 @@
 """Schrodinger propagation of the four basis amplitudes.
 
-Three routes are provided:
+Two routes are provided, and one refinement:
 
 * ``propagate_static`` solves the time-independent problem exactly through an
   eigendecomposition and serves as the oracle for everything else;
@@ -9,15 +9,16 @@ Three routes are provided:
   integrates the oscillating phase factors of the interaction picture
   exactly, so that its step follows the drive, not the Zeeman precession
   (see ``_drive_integrals``, ``magnus_steps``);
-* ``propagate_numeric`` integrates the (possibly time-dependent) equations
-  with classical RK4 at the step it is given, the oracle for driven runs.
+* ``rk4_spans`` carries states from stored samples to nearby times with
+  classical RK4, which is how the engine refines driven runs between samples.
 
 For a linear equation one step of either integrator is a 4x4 matrix, so they
-build the step matrices of many steps in one batched pass, compose the steps
-of each sample interval with a pairwise product tree, take the running
-products of a chunk's intervals by prefix doubling and apply them to the
-chunk's starting state at once.  The RK4 arithmetic is that of the classical
-scalar loop, reassociated.  The Magnus pass forms each step in the frame of
+build the step matrices of many steps in one batched pass and compose the
+steps of each interval with a pairwise product tree.  Each RK4 span applies
+its own product to its own start state; the RK4 arithmetic is that of the
+classical scalar loop, reassociated.  The Magnus pass takes the running
+products of a chunk's sample intervals by prefix doubling and applies them
+to the chunk's starting state at once.  It forms each step in the frame of
 its midpoint, where a chunk's generators are one matrix product (see
 ``_midpoint_steps``), and carries its matrices in the real form
 R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
@@ -45,7 +46,6 @@ from .fields import ResonancePair
 from .hamiltonian import (
     DRIVE_OPERATORS,
     build_drive,
-    build_static,
     drive_amplitudes,
     drive_peak_amplitude,
     is_hermitian,
@@ -188,43 +188,53 @@ def propagate_static(h, psi0: np.ndarray, times) -> Trajectory:
 
 def rk4_segment(hfun, psi: np.ndarray, t0: float, t1: float, dt_max: float) -> np.ndarray:
     """Integrate i dpsi/dt = H(t) psi from t0 to t1 with uniform steps <= dt_max."""
-    if t1 == t0:
-        return psi.copy()
-    _, states = next(_rk4_chunks(hfun, psi, np.array([t0, t1]), dt_max))
-    return states[0]
+    return rk4_spans(hfun, psi[None], np.array([t0]), np.array([t1]), dt_max)[0]
 
 
-def _rk4_chunks(hfun, psi: np.ndarray, times: np.ndarray, dt_max: float):
-    """Classical RK4 from ``times[0]`` through each later sample time, in the
-    chunks of ``_chunks``."""
-    return _chunks(partial(_rk4_matrices, hfun), psi, times, *_substeps(times, dt_max))
+def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: float) -> np.ndarray:
+    """psi[j] carried by classical RK4 from t0[j] to t1[j], for every j at once.
 
-
-def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, counts, sizes):
-    """psi carried from ``times[0]`` through each later sample time by the
-    steps whose matrices ``step_matrices(nodes, h)`` returns.
-
-    Interval i takes counts[i] steps of sizes[i].  Whole intervals are
-    grouped into chunks of at most STEPS_PER_CHUNK steps, the shorter
-    intervals of a chunk padded with identity steps (h = 0) up to its
-    longest; an interval longer than a chunk forms a chunk of its own.
-    Yields (first, states) per chunk, where states[j] is psi at
-    times[first + j].  ``psi`` and the matrices may be complex or real.
+    Every span takes the same ceil(longest span / dt_max) uniform steps, at
+    least one, so a span of zero takes exact identity steps.  The spans are
+    batched at most STEPS_PER_CHUNK steps at a time, or one span at a time
+    if it takes more.  Raises OutOfRange, before any step is taken, when the
+    steps number more than MAX_STEPS.
     """
-    first = 0
-    while first < len(counts):
-        # Padded steps of the chunk that ends after each of the next intervals:
-        # increasing, so the chunks that fit are a prefix.
-        widths = np.maximum.accumulate(counts[first : first + STEPS_PER_CHUNK])
-        padded = widths * np.arange(1, len(widths) + 1)
-        last = first + max(1, int(np.count_nonzero(padded <= STEPS_PER_CHUNK)))
-        width = int(widths[last - first - 1])
-        rows = slice(first, last)
-        products = _interval_products(step_matrices, times[rows], counts[rows], sizes[rows], width)
+    spans = t1 - t0
+    longest = float(np.max(spans))
+    steps = np.maximum(1.0, np.ceil(longest / dt_max))
+    _check_step_count(steps * len(spans), dt_max, longest * len(spans))
+    count = int(steps)
+    sizes = spans / count
+    step_matrices = partial(_rk4_matrices, hfun)
+    states = np.empty(np.shape(psi), dtype=complex)
+    per = max(1, STEPS_PER_CHUNK // count)
+    for first in range(0, len(spans), per):
+        rows = slice(first, first + per)
+        products = _interval_products(step_matrices, t0[rows], count, sizes[rows])
+        states[rows] = (products @ psi[rows, :, None])[..., 0]
+    return states
+
+
+def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, count: int):
+    """psi carried from ``times[0]`` through each later time of the uniform
+    grid ``times`` by ``count`` steps per interval, whose matrices
+    ``step_matrices(nodes, h)`` returns.
+
+    A chunk holds STEPS_PER_CHUNK // count whole intervals, or one interval
+    if it takes more steps.  Yields (first, states) per chunk, where
+    states[j] is psi at times[first + j].  ``psi`` and the matrices may be
+    complex or real.
+    """
+    intervals = len(times) - 1
+    sizes = np.full(intervals, (times[-1] - times[0]) / (count * intervals))
+    per = max(1, STEPS_PER_CHUNK // count)
+    for first in range(0, intervals, per):
+        rows = slice(first, min(first + per, intervals))
+        products = _interval_products(step_matrices, times[rows], count, sizes[rows])
         states = _prefix_products(products) @ psi
         psi = states[-1]
         yield first + 1, states
-        first = last
 
 
 def _prefix_products(m):
@@ -237,26 +247,6 @@ def _prefix_products(m):
     return m
 
 
-def largest_substep(times: np.ndarray, dt_max: float) -> float:
-    """Largest step taken through the sample grid ``times`` with steps of
-    at most ``dt_max``: min(dt_max, spacing) on a uniform grid."""
-    return float(np.max(_substeps(times, dt_max)[1]))
-
-
-def _substeps(times: np.ndarray, dt_max: float):
-    """Step count and uniform step size of each sample interval.
-
-    No step is longer than its interval, so a ``dt_max`` above the sample
-    spacing is never taken.  Raises OutOfRange when the steps would number
-    more than MAX_STEPS.
-    """
-    spans = np.diff(times)
-    counts = np.maximum(1, np.ceil(spans / dt_max))
-    _check_step_count(float(np.sum(counts)), dt_max, times[-1] - times[0])
-    counts = counts.astype(np.int64)
-    return counts, spans / counts
-
-
 def _check_step_count(total, step: float, horizon: float):
     """Raise OutOfRange when ``total`` steps of at most ``step`` over
     ``horizon`` are more than MAX_STEPS."""
@@ -267,18 +257,17 @@ def _check_step_count(total, step: float, horizon: float):
         )
 
 
-def _interval_products(step_matrices, starts, counts, sizes, width):
-    """Product of the step matrices of each interval, later steps left.
+def _interval_products(step_matrices, starts, count: int, sizes):
+    """Product of the ``count`` step matrices of each interval, later steps
+    left.
 
-    Step times accumulate as ``t += h`` from each interval's start, the way
-    a scalar loop takes them; steps past an interval's count have h = 0 and
-    so are exact identities.
+    Interval j takes its steps of sizes[j] from starts[j], step times
+    accumulating as ``t += h``, the way a scalar loop takes them.
     """
     t = starts
     product = None
-    for c in range(0, width, STEPS_PER_CHUNK):
-        steps = np.arange(c, min(c + STEPS_PER_CHUNK, width))
-        h = np.where(steps < counts[:, None], sizes[:, None], 0.0)
+    for c in range(0, count, STEPS_PER_CHUNK):
+        h = np.broadcast_to(sizes[:, None], (len(sizes), min(STEPS_PER_CHUNK, count - c)))
         nodes = np.cumsum(np.column_stack([t, h]), axis=1)
         block = _compose(step_matrices(nodes, h))
         product = block if product is None else block @ product
@@ -409,7 +398,7 @@ def _legendre_node_count(top: float) -> int:
 def _midpoint_matrices(basis, rotation, omegas, nodes, h):
     """Real forms of the step matrices exp(Omega) exp(-i L h) of
     ``_midpoint_steps`` for the steps run as in ``_rk4_matrices``, all of the
-    length ``rotation`` was built for (``propagate_magnus`` pads none)."""
+    length ``rotation`` was built for."""
     midpoints = nodes[..., :-1] + h / 2
     phases = np.multiply.outer(midpoints, omegas)
     # Row 0 holds k, row 1 + q holds k_q k: the weights of the basis rows.
@@ -482,13 +471,12 @@ def _compose(m):
 
 
 def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray):
-    """Return H(t) for the configured mode as a callable of time, where
-    ``h0`` is the config's static Hamiltonian.
+    """Return H(t) = h0 + the config's drive term as a callable of time, where
+    ``h0`` is the config's static Hamiltonian; without a drive (static
+    configs have Bl1 = Bl2 = 0) the drive term is exact zeros.
 
     ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.
     """
-    if config.mode != "driven" or (config.Bl1 == 0 and config.Bl2 == 0):
-        return lambda t: np.broadcast_to(h0, np.shape(t) + (4, 4))
     return lambda t: h0 + build_drive(config, resonances, t)
 
 
@@ -532,9 +520,9 @@ def propagate_magnus(
     exp(-i L t) and D(t) is the drive term.  H_I is as large as the drive;
     the Zeeman precession enters only through its phase factors, which each
     step integrates exactly (``_drive_integrals``), so the step need only
-    follow the drive (``magnus_steps``).  Raises NormDrift, like
-    ``propagate_numeric``, at the first stored state whose squared norm
-    departs from 1 by more than NORM_TOLERANCE.
+    follow the drive (``magnus_steps``).  Raises NormDrift at the first
+    stored state whose squared norm departs from 1 by more than
+    NORM_TOLERANCE.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -548,34 +536,10 @@ def propagate_magnus(
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
     matrices = _midpoint_steps(spectral, config, resonances, h)
-    counts = np.full(len(times) - 1, steps)
-    for first, block in _chunks(matrices, xi[0], times, counts, np.full(len(counts), h)):
+    for first, block in _chunks(matrices, xi[0], times, steps):
         xi[first : first + len(block)] = block
     states = spectral.from_eigen(xi[:, :4] + 1j * xi[:, 4:], np.full(len(times), h / 2))
     _check_norms(times, states, f"Magnus substep taken was {h:.3e} s")
-    return Trajectory(times=times, states=states)
-
-
-def propagate_numeric(
-    config: SimulationConfig, resonances: ResonancePair, times, dt_max: float
-) -> Trajectory:
-    """RK4 trajectory by uniform steps of at most ``dt_max`` per sample
-    interval, recorded at the requested sample times.
-
-    Raises NormDrift, naming the first sample whose squared norm departs
-    from 1 by more than NORM_TOLERANCE and the largest substep taken, which
-    a smaller ``dt_max`` must undercut to help; the check runs after each
-    chunk of steps, so integration stops at most one chunk past that sample.
-    """
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
-    hfun = time_dependent_hamiltonian(config, resonances, build_static(config))
-    states = np.empty((len(times), 4), dtype=complex)
-    states[0] = config.initial_state
-    taken = f"RK4 substep taken was {largest_substep(times, dt_max):.3e} s"
-    for first, block in _rk4_chunks(hfun, states[0], times, dt_max):
-        states[first : first + len(block)] = block
-        _check_norms(times[first:], block, taken)
     return Trajectory(times=times, states=states)
 
 

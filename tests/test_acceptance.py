@@ -138,7 +138,7 @@ def test_criterion_7_oracle_equivalence():
     cfg = validate(cfg)
     res = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     times = np.linspace(0, 1e-8, 401)
-    from buckygate.propagator import propagate_numeric
+    from rk4_oracle import propagate_numeric
 
     numeric = propagate_numeric(cfg, res, times, 5e-13)
     exact = propagate_static(build_static(cfg), cfg.initial_state, times)

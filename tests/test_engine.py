@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from buckygate import engine, propagator
+from buckygate import engine
 from buckygate.analysis import PHASE_TOL, _scan_margin
 from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import (
@@ -15,10 +15,10 @@ from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
     hamiltonian_scale,
-    propagate_numeric,
     propagate_static,
     recommended_step,
 )
+from rk4_oracle import propagate_numeric
 
 
 def automatic_step(run):
@@ -100,6 +100,18 @@ class TestDrivenRun:
         assert result.gate.theta_at_tau == pytest.approx(-np.pi, abs=1e-6)
         np.testing.assert_allclose(result.trajectory.norms, 1.0, atol=1e-8)
 
+    def test_theta_on_matches_theta_at(self):
+        # Times over six sample intervals, sample times among them, in one
+        # batch: each is carried from its own sample by as many RK4 steps as
+        # the longest span takes, where theta_at takes its own span's count.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
+        samples = run.trajectory.times
+        times = np.sort(np.concatenate([
+            np.random.default_rng(7).uniform(samples[40], samples[46], 60), samples[41:46]
+        ]))
+        expected = [run.theta_at(t) for t in times]
+        assert np.max(np.abs(run.theta_on(times) - expected)) <= 1e-10
+
     def test_drive_free_long_run_matches_static(self):
         # Rounding grows with the Magnus step count: 5 293 steps over 150 ns
         # at 0.1 T, one per sample interval, as the drive needs none.
@@ -147,7 +159,6 @@ def test_driven_solve_builds_h0_once(monkeypatch):
         return build_static(config)
 
     monkeypatch.setattr(engine, "build_static", counting)
-    monkeypatch.setattr(propagator, "build_static", counting)
     run_simulation(reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8))
     assert len(calls) == 1
 
@@ -339,7 +350,7 @@ class TestRefinementStep:
     def record_steps(monkeypatch):
         """Record the step bound of every RK4 refinement the engine makes."""
         steps = []
-        for name in ("rk4_segment", "_rk4_chunks"):
+        for name in ("rk4_segment", "rk4_spans"):
             def recording(*args, _original=getattr(engine, name)):
                 steps.append(args[-1])
                 return _original(*args)

@@ -24,15 +24,15 @@ from buckygate.propagator import (
     _real_form,
     _taylor_degree,
     hamiltonian_scale,
-    largest_substep,
     magnus_steps,
     propagate_magnus,
-    propagate_numeric,
     propagate_static,
     recommended_step,
     rk4_segment,
+    rk4_spans,
     time_dependent_hamiltonian,
 )
+from rk4_oracle import propagate_numeric
 
 
 def reference_config(**overrides):
@@ -57,13 +57,10 @@ def automatic_step(cfg):
 UNIFORM = state_vector(0.5, 0.5, 0.5, 0.5)
 
 
-def _scalar_rk4_segment(hfun, psi, t0, t1, dt_max):
-    """Reference: one classical RK4 step at a time on the state vector."""
-    span = t1 - t0
-    if span == 0:
-        return psi.copy()
-    n = max(1, int(np.ceil(span / dt_max)))
-    h = span / n
+def _scalar_rk4_steps(hfun, psi, t0, t1, n):
+    """Reference: n classical RK4 steps from t0 to t1, one at a time on the
+    state vector."""
+    h = (t1 - t0) / n
     t = t0
     for _ in range(n):
         k1 = -1j * (hfun(t) @ psi)
@@ -75,15 +72,22 @@ def _scalar_rk4_segment(hfun, psi, t0, t1, dt_max):
     return psi
 
 
+def _scalar_rk4_segment(hfun, psi, t0, t1, dt_max):
+    """Reference: uniform RK4 steps of at most dt_max from t0 to t1."""
+    return _scalar_rk4_steps(hfun, psi, t0, t1, max(1, int(np.ceil((t1 - t0) / dt_max))))
+
+
 def _scalar_states(cfg, times, dt):
-    """Reference trajectory by the scalar loop with steps of at most ``dt``,
-    and the first sample time whose squared norm leaves the tolerance band
-    (None if none does)."""
+    """Reference trajectory on the uniform grid ``times`` by the scalar loop,
+    with the RK4 oracle's ceil(spacing / dt) steps per interval, and the first
+    sample time whose squared norm leaves the tolerance band (None if none
+    does)."""
     hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+    steps = max(1, int(np.ceil(times[-1] / (len(times) - 1) / dt)))
     states = [np.asarray(cfg.initial_state, dtype=complex)]
     first_drift = None
     for t0, t1 in zip(times[:-1], times[1:]):
-        states.append(_scalar_rk4_segment(hfun, states[-1], t0, t1, dt))
+        states.append(_scalar_rk4_steps(hfun, states[-1], t0, t1, steps))
         drift = abs(np.sum(np.abs(states[-1]) ** 2) - 1.0)
         if first_drift is None and drift > propagator.NORM_TOLERANCE:
             first_drift = t1
@@ -210,16 +214,31 @@ class TestBatchedRK4:
         reference, _ = _scalar_states(cfg, times, dt)
         assert np.max(np.abs(batched.states - reference)) <= 1e-12
 
-    def test_non_uniform_grid(self):
-        # Intervals of 1 to ~50 steps share chunks (identity padding); one
-        # interval of more than two chunks' worth of steps is split.
+    def test_spans_match_scalar_loop(self):
+        # One call over spans of 0 to more than two chunks' worth of steps at
+        # dt, from their own states and start times: every span takes the
+        # longest one's count of steps.
         cfg = self.driven_config(t_max=4e-9)
-        spans = np.random.default_rng(3).uniform(1e-14, 1e-11, 200)
-        spans[57] = (2 * STEPS_PER_CHUNK + 37) * 2e-13
-        times = np.concatenate([[0.0], np.cumsum(spans)])
-        batched = propagate_numeric(cfg, resonances_for(cfg), times, 2e-13)
-        reference, _ = _scalar_states(cfg, times, 2e-13)
-        assert np.max(np.abs(batched.states - reference)) <= 1e-12
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        rng = np.random.default_rng(3)
+        dt = 2e-13
+        spans = np.array([0.0, 0.6, 1.0, 7.3, STEPS_PER_CHUNK + 0.5, 2 * STEPS_PER_CHUNK + 37]) * dt
+        t0 = rng.uniform(0, 2e-9, len(spans))
+        z = rng.normal(size=(len(spans), 4)) + 1j * rng.normal(size=(len(spans), 4))
+        psi = z / np.linalg.norm(z, axis=1, keepdims=True)
+        batched = rk4_spans(hfun, psi, t0, t0 + spans, dt)
+        count = int(np.ceil(spans[-1] / dt))
+        for j, span in enumerate(spans):
+            reference = _scalar_rk4_steps(hfun, psi[j], t0[j], t0[j] + span, count)
+            assert np.max(np.abs(batched[j] - reference)) <= 1e-12
+        np.testing.assert_array_equal(batched[0], psi[0])
+
+    def test_span_step_limit(self):
+        # Refused before any step is taken.
+        cfg = self.driven_config()
+        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            rk4_spans(hfun, np.array([UNIFORM, UNIFORM]), np.zeros(2), np.array([1e-6, 1e-5]), 1e-12)
 
     def test_segment_longer_than_a_chunk(self):
         cfg = self.driven_config()
@@ -249,22 +268,6 @@ class TestBatchedRK4:
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest RK4 substep taken was 1\.000e-11 s"):
             propagate_numeric(cfg, resonances_for(cfg), times, dt)
-
-    @pytest.mark.parametrize("dt, taken", [(5e-11, 1e-11), (1e-11, 1e-11), (3e-12, 2.5e-12)])
-    def test_largest_substep(self, dt, taken):
-        # On the 1201-sample, 1.2e-8 s grid a dt above the 1e-11 s spacing is
-        # never taken; a smaller one is rounded down to divide the spacing.
-        times = np.linspace(0, 1.2e-8, 1201)
-        assert largest_substep(times, dt) == pytest.approx(taken, rel=1e-9)
-
-    def test_recorded_step_reproduces_the_run(self):
-        # Rerunning with the step taken as the step bound gives the same states.
-        cfg = self.driven_config(Bz1=0.01, Bz2=0.01, t_max=1.2e-8)
-        times = np.linspace(0, 1.2e-8, 1201)
-        res = resonances_for(cfg)
-        first = propagate_numeric(cfg, res, times, 5e-11)
-        again = propagate_numeric(cfg, res, times, largest_substep(times, 5e-11))
-        np.testing.assert_array_equal(first.states, again.states)
 
     def test_build_drive_array_matches_scalar(self):
         cfg = self.driven_config(Bl2=3e-4)
@@ -516,33 +519,26 @@ class TestChunks:
             expected.append(running)
         assert np.max(np.abs(_prefix_products(m.copy()) - expected)) <= 1e-14
 
-    def test_long_interval_among_short_ones(self, monkeypatch):
-        # Greedy chunks: no chunk pads beyond STEPS_PER_CHUNK steps unless one
-        # interval alone exceeds it, and none could take its next interval.
-        shapes = []
+    @pytest.mark.parametrize("count", [1, 6, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
+    def test_chunks_hold_whole_intervals(self, monkeypatch, count):
+        # STEPS_PER_CHUNK // count intervals to a chunk, in order, or one
+        # interval when it alone takes more steps; the last chunk holds the rest.
+        chunks = []
         interval_products = propagator._interval_products
 
-        def record(step_matrices, starts, counts, sizes, width):
-            shapes.append((len(starts), width))
-            return interval_products(step_matrices, starts, counts, sizes, width)
+        def record(step_matrices, starts, steps, sizes):
+            assert steps == count and len(sizes) == len(starts)
+            chunks.append(starts)
+            return interval_products(step_matrices, starts, steps, sizes)
 
         monkeypatch.setattr(propagator, "_interval_products", record)
-        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=4e-9)
-        dt_max = 1e-12
-        counts = np.random.default_rng(4).integers(1, 6, 300)
-        counts[140] = 3 * STEPS_PER_CHUNK + 7
-        times = np.concatenate([[0.0], np.cumsum(counts * dt_max * 0.999)])
-        # RK4 is the route that takes non-uniform grids.
-        propagate_numeric(cfg, resonances_for(cfg), times, dt_max)
-        assert sum(rows for rows, _ in shapes) == len(counts)
-        first = 0
-        for rows, width in shapes:
-            assert width == max(counts[first : first + rows])
-            assert rows * width <= STEPS_PER_CHUNK or rows == 1
-            if first + rows < len(counts):
-                assert max(width, counts[first + rows]) * (rows + 1) > STEPS_PER_CHUNK
-            first += rows
-        assert (1, 3 * STEPS_PER_CHUNK + 7) in shapes
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
+        times = np.linspace(0, 1e-10, 31)
+        norms = TestMagnus.run(cfg, times, count).norms
+        per = max(1, STEPS_PER_CHUNK // count)
+        assert [len(c) for c in chunks] == [per] * (30 // per) + ([30 % per] if 30 % per else [])
+        np.testing.assert_array_equal(np.concatenate(chunks), times[:-1])
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
 class TestRecommendedStep:
