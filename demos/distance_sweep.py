@@ -7,7 +7,7 @@ shows the corresponding operations budget within a 20 us coherence time.
 
 import numpy as np
 
-from buckygate import CONSTANTS, SimulationConfig, dipole_coupling, run_simulation
+from buckygate import SimulationConfig, dipole_coupling, run_simulation
 
 distances = np.array([0.9e-9, 1.0e-9, 1.14e-9, 1.3e-9, 1.5e-9])
 
@@ -18,7 +18,7 @@ for r in distances:
         r=r, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=6e-8
     )
     result = run_simulation(config)
-    g = dipole_coupling(CONSTANTS, r)
+    g = dipole_coupling(r)
     taus.append(result.gate.tau)
     print(f"{r * 1e9:5.2f}  {g:.4e}  {result.gate.tau * 1e9:9.4f}  "
           f"{result.gate.tau * g / np.pi:8.4f}  "

@@ -9,7 +9,7 @@ individually.
 
 import numpy as np
 
-from buckygate import CONSTANTS, WirePair, gradient_field, resonance_frequencies
+from buckygate import WirePair, gradient_field, resonance_frequencies
 
 wires = WirePair(current=0.6, separation=1e-6, radius=1e-6)
 half_span = wires.half_span
@@ -25,7 +25,7 @@ for xi, bi in zip(x, field):
 # midpoint, so each sees a tiny field offset of opposite sign.
 x1, x2 = -0.57e-9, 0.57e-9
 bg1, bg2 = gradient_field(wires, x1), gradient_field(wires, x2)
-res = resonance_frequencies(CONSTANTS, 0.1, bg1, 0.1, bg2)
+res = resonance_frequencies(0.1, bg1, 0.1, bg2)
 print(f"\nqubits at x = {x1 * 1e9:+.2f}, {x2 * 1e9:+.2f} nm:")
 print(f"  Bg1 = {bg1:+.4e} T, Bg2 = {bg2:+.4e} T")
 print(f"  omega1 = {res.omega1:.6e} rad/s")

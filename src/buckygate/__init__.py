@@ -23,11 +23,7 @@ from .constants import CONSTANTS, PhysicalConstants
 from .engine import SimulationResult, run_simulation
 from .fields import ResonancePair, WirePair, gradient_field, resonance_frequencies
 from .hamiltonian import build_drive, build_static, dipole_coupling
-from .propagator import (
-    Trajectory,
-    propagate_static,
-    recommended_step,
-)
+from .propagator import Trajectory, propagate_static
 
 __all__ = [
     "CONSTANTS",
@@ -51,7 +47,6 @@ __all__ = [
     "ops_budget",
     "product_state",
     "propagate_static",
-    "recommended_step",
     "resonance_frequencies",
     "run_simulation",
     "state_vector",

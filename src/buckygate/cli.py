@@ -7,10 +7,11 @@ Subcommands:
   field-profile <wires>    wire-pair field profile CSV
 
 Exit codes: 0 success, 1 configuration error (including a file that cannot
-be decoded or parsed), 2 no gate-time crossing,
-3 any other SimulationError (numerical failure: norm drift, undefined or
-aliased phase, non-Hermitian Hamiltonian, zero state, value out of range,
-field evaluated on a wire).  Every error is reported on one stderr line.
+be decoded or parsed, and a command line that argparse rejects), 2 no
+gate-time crossing, 3 any other SimulationError (numerical failure: norm
+drift, undefined or aliased phase, non-Hermitian Hamiltonian, zero state,
+value out of range, field evaluated on a wire).  Every error is reported on
+one stderr line; ``--help`` and ``--version`` exit 0.
 
 All numeric output uses repr formatting, so identical inputs produce
 byte-identical files.
@@ -33,7 +34,7 @@ from . import __version__
 from .analysis import concurrence
 from .config import config_from_mapping, format_config, load_config, read_key_values
 from .engine import run_simulation
-from .errors import ConfigError, ConfigErrorItem, NoCrossing, SimulationError, SweepSpecError
+from .errors import ConfigError, ConfigErrorItem, NoCrossing, SimulationError
 from .fields import WirePair, gradient_field
 
 EXIT_OK = 0
@@ -156,7 +157,7 @@ def parse_sweep_spec(kv: dict):
     """Split a sweep file's mapping into (param name, values, base config, wire mapping)."""
     param = kv.pop("param", None)
     if param not in SWEEP_PARAMS:
-        raise SweepSpecError(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
+        raise ConfigErrorItem(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
     values = None
     if "values" in kv:
         values = [float(v) for v in kv.pop("values").split(",")]
@@ -164,7 +165,7 @@ def parse_sweep_spec(kv: dict):
         key = "range" if "range" in kv else "logrange"
         parts = kv.pop(key).split(",")
         if len(parts) != 3:
-            raise SweepSpecError(f"{key} needs start,stop,count")
+            raise ConfigErrorItem(f"{key} needs start,stop,count")
         start, stop = float(parts[0]), float(parts[1])
         count = _point_count(f"{key} count", int(parts[2]))
         if key == "range":
@@ -172,9 +173,9 @@ def parse_sweep_spec(kv: dict):
         else:
             values = list(np.geomspace(start, stop, count))
     else:
-        raise SweepSpecError("sweep spec needs `values=` or `range=`/`logrange=`")
+        raise ConfigErrorItem("sweep spec needs `values=` or `range=`/`logrange=`")
     if len(values) < 2:
-        raise SweepSpecError(f"a sweep needs at least 2 points, got {len(values)}")
+        raise ConfigErrorItem(f"a sweep needs at least 2 points, got {len(values)}")
 
     wires = {}
     for key in WIRE_KEYS:
@@ -182,7 +183,7 @@ def parse_sweep_spec(kv: dict):
             wires[key] = float(kv.pop(key))
     missing = [k for k in WIRE_KEYS if k not in wires]
     if param == "I" and missing:
-        raise SweepSpecError(f"sweeping I needs wire keys {missing}")
+        raise ConfigErrorItem(f"sweeping I needs wire keys {missing}")
     return param, values, config_from_mapping(kv), wires
 
 
@@ -208,7 +209,7 @@ def apply_sweep_param(base_config, param: str, value: float, wires: dict):
             Bg1=gradient_field(pair, wires["x1_m"]),
             Bg2=gradient_field(pair, wires["x2_m"]),
         )
-    raise SweepSpecError(f"unknown sweep parameter {param!r}")
+    raise ConfigErrorItem(f"unknown sweep parameter {param!r}")
 
 
 def _sweep_point(base_config, param, wires, value) -> str:
@@ -259,14 +260,14 @@ def cmd_sweep(args) -> int:
 
 
 def parse_wires(kv: dict) -> WirePair:
+    """The WirePair of a wire file's mapping, which holds I_A, d_m and rho_m only."""
     try:
-        return WirePair(
-            current=float(kv["I_A"]),
-            separation=float(kv["d_m"]),
-            radius=float(kv["rho_m"]),
-        )
+        current, separation, radius = (float(kv.pop(key)) for key in ("I_A", "d_m", "rho_m"))
     except KeyError as exc:
         raise ConfigErrorItem(f"wire config missing key {exc}") from exc
+    if kv:
+        raise ConfigErrorItem(f"unknown config key {next(iter(kv))!r}")
+    return WirePair(current=current, separation=separation, radius=radius)
 
 
 def cmd_field_profile(args) -> int:
@@ -279,8 +280,17 @@ def cmd_field_profile(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that raises its usage errors as ConfigErrorItem, so
+    ``main`` reports them as one line with exit code 1 instead of argparse's
+    usage block and exit code 2, which is EXIT_NO_CROSSING."""
+
+    def error(self, message):
+        raise ConfigErrorItem(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="buckygate",
         description="Two-qubit phase gate simulation for dipole-coupled spins.",
     )
@@ -313,13 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     # Extreme inputs overflow on their way to an error; that error's one line
     # is the report, so numpy's floating-point RuntimeWarnings stay silent.
     with np.errstate(all="ignore"):
         try:
+            args = build_parser().parse_args(argv)
             return args.func(args)
-        except (ConfigError, ConfigErrorItem, SweepSpecError, OSError) as exc:
+        except (ConfigError, ConfigErrorItem, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         except NoCrossing as exc:

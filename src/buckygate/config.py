@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import CONSTANTS
-from .errors import (
-    ConfigError,
-    ConfigErrorItem,
-    NonPositiveDistance,
-    NonUnitInitialState,
-    StepTooCoarse,
-)
+from .errors import ConfigError, ConfigErrorItem, NonPositiveDistance, NonUnitInitialState
 from .hamiltonian import dipole_coupling, zeeman_terms
 
 MODES = ("static", "driven")
@@ -95,7 +88,7 @@ def validate(config: SimulationConfig) -> SimulationConfig:
         violations.append(NonPositiveDistance(f"r must be > 0, got {config.r}"))
     elif math.isfinite(config.r):
         with np.errstate(all="ignore"):  # r**3 overflows to inf or underflows to 0
-            g = dipole_coupling(CONSTANTS, np.float64(config.r))
+            g = dipole_coupling(np.float64(config.r))
         if not 0 < g < math.inf:
             violations.append(
                 ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
@@ -115,7 +108,7 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     # A subnormal horizon cannot hold a strictly increasing sample grid.
     if config.t_max < sys.float_info.min:
         violations.append(
-            StepTooCoarse(f"t_max must be >= {sys.float_info.min} s, got {config.t_max}")
+            ConfigErrorItem(f"t_max must be >= {sys.float_info.min} s, got {config.t_max}")
         )
     if config.T2 <= 0:
         violations.append(ConfigErrorItem(f"T2 must be > 0, got {config.T2}"))

@@ -11,11 +11,7 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class PhysicalConstants:
-    """CODATA constants.
-
-    The pipeline reads the module's CONSTANTS; only the formula helpers
-    ``dipole_coupling`` and ``resonance_frequencies`` take an instance
-    explicitly.
+    """CODATA constants; the whole package reads the module's CONSTANTS.
 
     mu0:   vacuum permeability (T*m/A)
     muB:   Bohr magneton (J/T)
@@ -27,11 +23,6 @@ class PhysicalConstants:
     muB: float = 9.2740100783e-24
     hbar: float = 1.054571817e-34
     gamma: float = 2.0
-
-    def __post_init__(self):
-        for name in ("mu0", "muB", "hbar", "gamma"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
 
 
 CONSTANTS = PhysicalConstants()

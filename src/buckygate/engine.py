@@ -29,19 +29,18 @@ from .analysis import (
     unwrap_phases,
 )
 from .config import SimulationConfig, validate
-from .constants import CONSTANTS
 from .errors import PhaseAliasing
 from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import build_static, static_terms
 from .propagator import (
     DEFAULT_STEP_SAFETY,
+    MAX_PHASE_PER_STEP,
     SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
     magnus_steps,
     propagate_magnus,
     propagate_static,
-    recommended_step,
     rk4_segment,
     rk4_spans,
     time_dependent_hamiltonian,
@@ -183,17 +182,16 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     per-sample step below MAX_THETA_STEP over the horizon.  A driven run
     takes ``magnus_steps`` Magnus steps per sample interval, set by the
     drive and the fitted error of the step rather than by the Zeeman
-    precession: one or two on the benchmark's driven points.  The evaluator
-    refines a driven run between samples by RK4 steps of at most
-    DEFAULT_STEP_SAFETY times ``recommended_step`` at the Hamiltonian scale,
-    bounded by the largest sample spacing, since no step is longer than its
-    sample interval.
+    precession: one or two on the benchmark's driven points.  Gate-time
+    refinement scans at ``scan_step``, MAX_PHASE_PER_STEP rad at the
+    Hamiltonian scale, and refines a driven run between samples by RK4
+    steps of at most DEFAULT_STEP_SAFETY times that.
     """
     cfg = validate(config)
-    resonances = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+    resonances = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     h0 = build_static(cfg)
     scale = hamiltonian_scale(cfg, resonances, h0)
-    step = recommended_step(scale)
+    scan_step = MAX_PHASE_PER_STEP / scale
     spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
         unresolved = 0.0
@@ -201,7 +199,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         traj = propagate_magnus(spectral, cfg, resonances, times, magnus_steps(cfg, scale, times))
         # The evaluator refines a driven run by RK4 from the stored samples.
         spectral, hfun = None, time_dependent_hamiltonian(cfg, resonances, h0)
-        refine_step = min(DEFAULT_STEP_SAFETY * step, float(np.max(np.diff(times))))
+        refine_step = DEFAULT_STEP_SAFETY * scan_step
     else:
         rate, unresolved = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
@@ -216,7 +214,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         hfun = refine_step = None
     phases = unwrap_phases(traj)
     return TrajectoryEvaluator(
-        cfg, resonances, traj, phases, step, unresolved, spectral, hfun, refine_step
+        cfg, resonances, traj, phases, scan_step, unresolved, spectral, hfun, refine_step
     )
 
 

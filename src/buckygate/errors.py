@@ -19,7 +19,7 @@ class ConfigError(SimulationError):
 
 class ConfigErrorItem(SimulationError):
     """Generic single-invariant violation without a dedicated class, and any
-    input file that cannot be decoded or parsed."""
+    input file or command line that cannot be decoded or parsed."""
 
 
 class NonPositiveDistance(SimulationError):
@@ -27,10 +27,6 @@ class NonPositiveDistance(SimulationError):
 
 
 class NonUnitInitialState(SimulationError):
-    pass
-
-
-class StepTooCoarse(SimulationError):
     pass
 
 
@@ -73,8 +69,4 @@ class ZeroState(SimulationError):
 
 
 class OutOfRange(SimulationError):
-    pass
-
-
-class SweepSpecError(SimulationError):
     pass

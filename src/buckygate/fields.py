@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import ConfigErrorItem, SingularPosition
 
 # Feasibility window for the wire current: outside it either the frequency
@@ -78,9 +78,7 @@ def gradient_field(wires: WirePair, x):
     return float(b) if np.isscalar(x) else b
 
 
-def resonance_frequencies(
-    constants: PhysicalConstants, Bz1, Bg1, Bz2, Bg2
-) -> ResonancePair:
+def resonance_frequencies(Bz1, Bg1, Bz2, Bg2) -> ResonancePair:
     """Zeeman resonance frequencies omega_i = gamma muB (Bz_i + Bg_i) / hbar."""
-    scale = constants.gamma * constants.muB / constants.hbar
+    scale = CONSTANTS.gamma * CONSTANTS.muB / CONSTANTS.hbar
     return ResonancePair(omega1=scale * (Bz1 + Bg1), omega2=scale * (Bz2 + Bg2))

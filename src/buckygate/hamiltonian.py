@@ -13,7 +13,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .constants import CONSTANTS, PhysicalConstants
+from .constants import CONSTANTS
 from .errors import NonPositiveDistance
 from .fields import ResonancePair
 
@@ -26,7 +26,7 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def dipole_coupling(constants: PhysicalConstants, r: float) -> float:
+def dipole_coupling(r: float) -> float:
     """Dipole-dipole coupling strength g(r) = mu0 muB^2 / (4 pi r^3 hbar), rad/s.
 
     The 1/(4 pi) prefactor is the one that reproduces the nanosecond-scale
@@ -35,13 +35,13 @@ def dipole_coupling(constants: PhysicalConstants, r: float) -> float:
     """
     if r <= 0:
         raise NonPositiveDistance(f"spin separation must be > 0, got {r}")
-    return constants.mu0 * constants.muB**2 / (4 * np.pi * r**3 * constants.hbar)
+    return CONSTANTS.mu0 * CONSTANTS.muB**2 / (4 * np.pi * r**3 * CONSTANTS.hbar)
 
 
 def static_terms(config: SimulationConfig):
     """Return (g, m1, m2) in rad/s, g the dipole coupling and (m1, m2) the
     ``zeeman_terms``."""
-    return (dipole_coupling(CONSTANTS, config.r), *zeeman_terms(config))
+    return (dipole_coupling(config.r), *zeeman_terms(config))
 
 
 def zeeman_terms(config: SimulationConfig):

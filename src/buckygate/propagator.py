@@ -115,18 +115,6 @@ class Trajectory:
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
 
-def recommended_step(h_scale: float) -> float:
-    """Step dt such that h_scale * dt <= 0.05 rad per step.
-
-    ``h_scale`` is the largest absolute Hamiltonian entry, drive peak and
-    resonance frequency included.  This is an upper bound on a usable step;
-    long integrations should stay a factor of a few below it.
-    """
-    if h_scale <= 0:
-        raise ValueError(f"h_scale must be > 0, got {h_scale}")
-    return MAX_PHASE_PER_STEP / h_scale
-
-
 def hamiltonian_scale(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray) -> float:
     """Fastest angular-frequency scale of the full (static + drive) problem,
     whose static Hamiltonian is ``h0``."""

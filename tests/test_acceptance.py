@@ -14,7 +14,6 @@ from buckygate.analysis import (
     unwrap_phases,
 )
 from buckygate.config import SimulationConfig, product_state, state_vector
-from buckygate.constants import CONSTANTS
 from buckygate.engine import run_simulation
 from buckygate.errors import NoCrossing, UndefinedPhase
 from buckygate.fields import resonance_frequencies
@@ -56,7 +55,7 @@ def driven_result():
 
 
 def test_criterion_1_resonance_reproduction():
-    res = resonance_frequencies(CONSTANTS, 0.1, 6.08e-5, 0.1, -6.08e-5)
+    res = resonance_frequencies(0.1, 6.08e-5, 0.1, -6.08e-5)
     err1 = abs(res.omega1 - REFERENCE_OMEGA1) / REFERENCE_OMEGA1
     err2 = abs(res.omega2 - REFERENCE_OMEGA2) / REFERENCE_OMEGA2
     report(
@@ -136,7 +135,7 @@ def test_criterion_7_oracle_equivalence():
     from buckygate.config import validate
 
     cfg = validate(cfg)
-    res = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+    res = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     times = np.linspace(0, 1e-8, 401)
     from rk4_oracle import propagate_numeric
 
@@ -211,7 +210,7 @@ def test_criterion_11_rk4_convergence_order():
     from buckygate.config import validate
 
     cfg = validate(cfg)
-    res = resonance_frequencies(CONSTANTS, cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+    res = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     hfun = time_dependent_hamiltonian(cfg, res, build_static(cfg))
     psi0 = cfg.initial_state
     horizon = 2e-9

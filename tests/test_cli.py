@@ -475,8 +475,10 @@ def test_value_error_in_the_pipeline_is_not_an_input_error(static_config_path, t
 SWEEP_R = SWEEP_BASE + "param=r\n"
 
 # Inputs that ended in a traceback, in exit 1 only because cli.main caught
-# every ValueError, (equal-huge-fields) in a scan of 1.8e12 points, or
-# (jobs-zero, jobs-negative) in a serial sweep with exit 0:
+# every ValueError, (equal-huge-fields) in a scan of 1.8e12 points,
+# (jobs-zero, jobs-negative) in a serial sweep with exit 0, (jobs-not-an-int,
+# from-without-equals) in argparse's usage block with exit 2, or
+# (wire-unknown-key) in a profile that ignored the key with exit 0:
 # (id, command, file text, extra arguments, exit code, text of the error
 # line).  A later key=value line overrides an earlier one.  An error met
 # while reading a file names the file.
@@ -502,6 +504,14 @@ BAD_INPUTS = [
      EXIT_CONFIG, "--points"),
     ("jobs-zero", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\n", ["--jobs=0"], EXIT_CONFIG, "--jobs"),
     ("jobs-negative", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\n", ["--jobs=-5"], EXIT_CONFIG, "--jobs"),
+    ("jobs-not-an-int", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\n", ["--jobs", "x"], EXIT_CONFIG,
+     "buckygate sweep: argument --jobs: invalid int value: 'x'"),
+    # argparse's negative-number pattern has no exponent form: -1e-6 reads
+    # as an option, so --from needs the --from=-1e-6 form.
+    ("from-without-equals", "field-profile", WIRES_CONFIG, ["--from", "-1e-6", "--to", "1e-6", "--points", "3"],
+     EXIT_CONFIG, "buckygate field-profile: argument --from: expected one argument"),
+    ("wire-unknown-key", "field-profile", WIRES_CONFIG + "I_a=5\nrho=2\n",
+     ["--from=-1e-6", "--to=1e-6", "--points=3"], EXIT_CONFIG, "unknown config key 'I_a'"),
 ]
 
 
@@ -518,3 +528,18 @@ def test_bad_input_ends_in_one_error_line(command, text, extra, code, message, t
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_missing_subcommand_ends_in_one_error_line(capsys):
+    assert main([]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: buckygate: the following arguments are required: command\n"
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag])
+    assert exit_info.value.code == EXIT_OK
+    assert capsys.readouterr().out

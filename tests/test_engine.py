@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from buckygate import engine
+from buckygate import engine, propagator
 from buckygate.analysis import PHASE_TOL, _scan_margin
 from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import (
@@ -14,18 +14,18 @@ from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPha
 from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
+    MAX_PHASE_PER_STEP,
     hamiltonian_scale,
     propagate_static,
-    recommended_step,
 )
 from rk4_oracle import propagate_numeric
 
 
 def automatic_step(run):
-    """DEFAULT_STEP_SAFETY times the recommended step at the run's Hamiltonian
-    scale, computed afresh from its config."""
+    """DEFAULT_STEP_SAFETY times MAX_PHASE_PER_STEP rad at the run's
+    Hamiltonian scale, computed afresh from its config."""
     scale = hamiltonian_scale(run.config, run.resonances, build_static(run.config))
-    return DEFAULT_STEP_SAFETY * recommended_step(scale)
+    return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
 
 
 def reference_config(**overrides):
@@ -343,8 +343,9 @@ class TestThetaRateGrid:
 
 
 class TestRefinementStep:
-    """The RK4 step that refines a driven run between its samples is
-    min(DEFAULT_STEP_SAFETY * recommended_step(scale), sample spacing)."""
+    """The RK4 step bound that refines a driven run between its samples is
+    DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale); no step taken is longer
+    than the sample spacing."""
 
     @staticmethod
     def record_steps(monkeypatch):
@@ -373,10 +374,16 @@ class TestRefinementStep:
         run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, t_max=1e-10))
         spacing = float(np.max(np.diff(run.trajectory.times)))
         assert spacing < automatic_step(run)
-        steps = self.record_steps(monkeypatch)
+        taken = []
+
+        def recording(hfun, nodes, h, _original=propagator._rk4_matrices):
+            taken.append(float(np.max(h)))
+            return _original(hfun, nodes, h)
+
+        monkeypatch.setattr(propagator, "_rk4_matrices", recording)
         run.state_at(run.trajectory.times[1] / 2)
         run.theta_on(run.trajectory.times[1:3] - run.trajectory.times[1] / 2)
-        assert steps == [spacing, spacing]
+        assert len(taken) == 2 and max(taken) <= spacing
 
     def test_static_solve_takes_no_rk4_step(self, monkeypatch):
         steps = self.record_steps(monkeypatch)

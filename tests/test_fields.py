@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from buckygate.constants import CONSTANTS
 from buckygate.errors import ConfigErrorItem, SingularPosition
 from buckygate.fields import (
     ResonancePair,
@@ -64,20 +63,20 @@ def test_degenerate_wires_rejected():
 class TestResonanceFrequencies:
     def test_reference_values(self):
         # omega_i = 2 muB (Bz_i + Bg_i) / hbar for g-factor 2
-        res = resonance_frequencies(CONSTANTS, 0.1, 6.08e-5, 0.1, -6.08e-5)
+        res = resonance_frequencies(0.1, 6.08e-5, 0.1, -6.08e-5)
         assert abs(res.omega1 - 1.7599e10) / 1.7599e10 <= 1e-3
         assert abs(res.omega2 - 1.7577e10) / 1.7577e10 <= 1e-3
 
     def test_zero_field_degenerate(self):
-        res = resonance_frequencies(CONSTANTS, 0.0, 0.0, 0.0, 0.0)
+        res = resonance_frequencies(0.0, 0.0, 0.0, 0.0)
         assert res == ResonancePair(0.0, 0.0)
 
     def test_linear_in_field(self):
-        one = resonance_frequencies(CONSTANTS, 0.05, 1e-5, 0.02, 0.0)
-        two = resonance_frequencies(CONSTANTS, 0.10, 2e-5, 0.04, 0.0)
+        one = resonance_frequencies(0.05, 1e-5, 0.02, 0.0)
+        two = resonance_frequencies(0.10, 2e-5, 0.04, 0.0)
         assert np.isclose(two.omega1, 2 * one.omega1, rtol=1e-14)
         assert np.isclose(two.omega2, 2 * one.omega2, rtol=1e-14)
 
     def test_addressability(self):
-        res = resonance_frequencies(CONSTANTS, 0.1, 6.08e-5, 0.1, -6.08e-5)
+        res = resonance_frequencies(0.1, 6.08e-5, 0.1, -6.08e-5)
         assert res.omega1 != res.omega2

@@ -20,19 +20,19 @@ SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
-def build_static_kron(config, constants=CONSTANTS):
+def build_static_kron(config):
     """The static Hamiltonian via the explicit tensor-product construction.
 
     Independent route kept as a guard against transcription errors in the
     closed-form matrix: g (sz sz + sy sy - 2 sx sx) + Zeeman + exchange.
     """
-    g = dipole_coupling(constants, config.r)
+    g = dipole_coupling(config.r)
     dipole = g * (
         np.kron(SIGMA_Z, SIGMA_Z)
         + np.kron(SIGMA_Y, SIGMA_Y)
         - 2 * np.kron(SIGMA_X, SIGMA_X)
     )
-    zeeman = -constants.muB / constants.hbar * (
+    zeeman = -CONSTANTS.muB / CONSTANTS.hbar * (
         (config.Bz1 + config.Bg1) * np.kron(SIGMA_Z, IDENTITY_2)
         + (config.Bz2 + config.Bg2) * np.kron(IDENTITY_2, SIGMA_Z)
     )
@@ -54,19 +54,19 @@ class TestDipoleCoupling:
     def test_reference_distance(self):
         # mu0 muB^2 / (4 pi r^3 hbar) at r = 1.14 nm, frozen from direct
         # constant arithmetic.
-        assert dipole_coupling(CONSTANTS, 1.14e-9) == pytest.approx(
+        assert dipole_coupling(1.14e-9) == pytest.approx(
             55048363.47952259, rel=1e-12
         )
 
     def test_cubic_scaling(self):
-        g1 = dipole_coupling(CONSTANTS, 1e-9)
-        g2 = dipole_coupling(CONSTANTS, 2e-9)
+        g1 = dipole_coupling(1e-9)
+        g2 = dipole_coupling(2e-9)
         assert g2 == pytest.approx(g1 / 8, rel=1e-12)
 
     @pytest.mark.parametrize("r", [0.0, -1e-9])
     def test_nonpositive_distance(self, r):
         with pytest.raises(NonPositiveDistance):
-            dipole_coupling(CONSTANTS, r)
+            dipole_coupling(r)
 
 
 class TestStaticTerms:
@@ -85,7 +85,7 @@ class TestBuildStatic:
     def test_unit_matrix_structure(self):
         # In units of g, with m1=m2=0 for no fields.
         cfg = validate(SimulationConfig(r=1.0, Bz1=0.0, Bz2=0.0, t_max=1.0))
-        h = build_static(cfg) / dipole_coupling(CONSTANTS, cfg.r)
+        h = build_static(cfg) / dipole_coupling(cfg.r)
         expected = np.array(
             [
                 [1, 0, 0, -3],
@@ -135,9 +135,7 @@ class TestBuildStatic:
 class TestBuildDrive:
     def setup_method(self):
         self.cfg = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
-        self.res = resonance_frequencies(
-            CONSTANTS, self.cfg.Bz1, self.cfg.Bg1, self.cfg.Bz2, self.cfg.Bg2
-        )
+        self.res = resonance_frequencies(self.cfg.Bz1, self.cfg.Bg1, self.cfg.Bz2, self.cfg.Bg2)
 
     def test_zero_without_amplitude(self):
         cfg = reference_config(mode="driven")
