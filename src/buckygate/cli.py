@@ -290,6 +290,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser; ``main`` runs subcommand ``name`` as
+    ``cmd_<name>``, dashes read as underscores."""
     parser = _Parser(
         prog="buckygate",
         description="Two-qubit phase gate simulation for dipole-coupled spins.",
@@ -300,17 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulation, write CSV + summary")
     p.add_argument("config")
     p.add_argument("--outdir", default=".")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("gate-time", help="print the gate summary only")
     p.add_argument("config")
-    p.set_defaults(func=cmd_gate_time)
 
     p = sub.add_parser("sweep", help="run a one-parameter sweep")
     p.add_argument("spec")
     p.add_argument("--output", "-o", default=None)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("field-profile", help="wire-pair field profile CSV")
     p.add_argument("wires")
@@ -318,8 +317,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="x_to", type=float, required=True)
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--output", "-o", default=None)
-    p.set_defaults(func=cmd_field_profile)
     return parser
+
+
+# main's parser, built once per process: building one costs more than the
+# parse.  main looks each cmd_* up by name when it runs, so a replaced one runs.
+_main_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None) -> int:
@@ -327,8 +330,8 @@ def main(argv=None) -> int:
     # is the report, so numpy's floating-point RuntimeWarnings stay silent.
     with np.errstate(all="ignore"):
         try:
-            args = build_parser().parse_args(argv)
-            return args.func(args)
+            args = _main_parser().parse_args(argv)
+            return globals()["cmd_" + args.command.replace("-", "_")](args)
         except (ConfigError, ConfigErrorItem, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

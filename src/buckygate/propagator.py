@@ -16,17 +16,17 @@ For a linear equation one step of either integrator is a 4x4 matrix, so they
 build the step matrices of many steps in one batched pass and compose the
 steps of each interval with a pairwise product tree.  Each RK4 span applies
 its own product to its own start state; the RK4 arithmetic is that of the
-classical scalar loop, reassociated.  The Magnus pass takes the running
-products of a chunk's sample intervals by prefix doubling and applies them
-to the chunk's starting state at once.  It forms each step in the frame of
-its midpoint, where a chunk's generators are one matrix product (see
-``_midpoint_steps``), and carries its matrices in the real form
+classical scalar loop, reassociated.  The Magnus pass carries the state
+through a chunk's sample intervals in blocks of 8 (see ``_carry``).  It
+forms each step in the frame of its midpoint, where a chunk's generators are
+one matrix product at one Taylor degree for the whole run (see
+``_magnus_steps``), and carries its matrices in the real form
 R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
 matrices about five times faster than 4x4 complex ones.
 
 Steps are processed in chunks of at most STEPS_PER_CHUNK, so memory does not
-grow with the horizon and a chunk's temporaries come from the heap instead of
-being mapped and page-faulted in anew on every allocation.
+grow with the horizon and the Magnus pass's buffers, allocated once per run,
+come from the heap instead of being mapped and page-faulted in anew.
 
 The state is never renormalized during integration: norm drift is the
 step-size diagnostic, hiding it would defeat the check.
@@ -63,13 +63,13 @@ DEFAULT_STEP_SAFETY = 0.2
 NORM_TOLERANCE = 1e-8
 
 # Upper bound on the steps whose matrices are built and composed at once.  It
-# is set by page faults.  At 128 the largest temporaries of a Magnus chunk, its
-# (steps, 8, 8) generators and Taylor terms, are 64 kB and come from the heap:
-# a driven solve at Bz = 0.1 T takes 0 to 2 minor faults, alone or inside a
-# sweep.  At 192 to 512 steps it takes 2 000 to 3 300, as temporaries are
-# mapped, or the heap top trimmed, and faulted in anew, and was no faster in a
-# fresh process.  At 64 the per-chunk overhead made driven solves about 1.3x
-# slower.
+# is set by page faults.  At 128 each of the five (steps, 8, 8) buffers of a
+# Magnus run is 64 kB and comes from the heap: after the first, a driven solve
+# at Bz = 0.1 T takes 0 to 2 minor faults.  At 256 they are mapped and faulted
+# in anew on every run, 80 faults per Magnus pass, for a pass about 10 % faster
+# in a fresh process (1.79 against 1.97 ms best, 2.79 against 3.09 ms median
+# per pass on the 9 driven reference points, 2-core shared host).  At 64 the
+# per-chunk overhead makes the pass slower: 2.83 ms best, 4.82 ms median.
 STEPS_PER_CHUNK = 128
 
 # Upper bound on the steps of one integration, checked before any is taken:
@@ -138,18 +138,13 @@ class SpectralPropagator:
         self._from_eigen = self.eigenvectors.T
 
     def evolve(self, psi: np.ndarray, dtau) -> np.ndarray:
-        """psi(t0 + dtau) from psi(t0).
+        """psi(t0 + dtau) = V exp(-i L dtau) V^dag psi(t0).
 
         ``dtau`` may be an array of n steps; ``psi`` is then one state or n
         states, one per step, and the result has shape (n, 4).
         """
-        return self.from_eigen(psi @ self._to_eigen, dtau)
-
-    def from_eigen(self, coefficients: np.ndarray, dtau) -> np.ndarray:
-        """V exp(-i L dtau) c: the state whose eigenbasis coefficients are c
-        at time 0, evolved by ``dtau`` (shapes as in ``evolve``)."""
         phases = _unit_phases(np.multiply.outer(dtau, self._rates))
-        phases *= coefficients
+        phases *= psi @ self._to_eigen
         return phases @ self._from_eigen
 
 
@@ -204,27 +199,6 @@ def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: flo
     return states
 
 
-def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, count: int):
-    """psi carried from ``times[0]`` through each later time of the uniform
-    grid ``times`` by ``count`` steps per interval, whose matrices
-    ``step_matrices(nodes, h)`` returns.
-
-    A chunk holds STEPS_PER_CHUNK // count whole intervals, or one interval
-    if it takes more steps.  Yields (first, states) per chunk, where
-    states[j] is psi at times[first + j].  ``psi`` and the matrices may be
-    complex or real.
-    """
-    intervals = len(times) - 1
-    sizes = np.full(intervals, (times[-1] - times[0]) / (count * intervals))
-    per = max(1, STEPS_PER_CHUNK // count)
-    for first in range(0, intervals, per):
-        rows = slice(first, min(first + per, intervals))
-        products = _interval_products(step_matrices, times[rows], count, sizes[rows])
-        states = _prefix_products(products) @ psi
-        psi = states[-1]
-        yield first + 1, states
-
-
 def _prefix_products(m):
     """Running products m[j] @ ... @ m[1] @ m[0] of every j, in place, by
     Hillis-Steele doubling: ceil(log2(len(m))) batched products."""
@@ -233,6 +207,25 @@ def _prefix_products(m):
         m[k:] = m[k:] @ m[:-k]
         k *= 2
     return m
+
+
+def _carry(m, psi):
+    """States m[j] @ ... @ m[0] @ psi of every j, for complex or real m.
+
+    The products of each block of 8 (``_compose``) and their running products
+    (``_prefix_products``) give every block's starting state, from which 8
+    batched matrix-vector products carry all blocks at once.
+    """
+    starts = np.empty((-(-len(m) // 8),) + psi.shape, dtype=np.result_type(m, psi))
+    starts[0] = psi
+    if len(starts) > 1:
+        totals = _compose(m[: 8 * (len(starts) - 1)].reshape((-1, 8) + m.shape[1:]))
+        starts[1:] = _prefix_products(totals) @ psi
+    states = np.empty((len(m),) + psi.shape, dtype=starts.dtype)
+    for i in range(min(8, len(m))):
+        rows = m[i::8]
+        starts = states[i::8] = (rows @ starts[: len(rows), :, None])[..., 0]
+    return states
 
 
 def _check_step_count(total, step: float, horizon: float):
@@ -281,9 +274,11 @@ def _rk4_matrices(hfun, nodes, h):
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
-def _midpoint_steps(spectral: SpectralPropagator, config, resonances, h: float):
-    """``step_matrices`` of Magnus steps of length h for the drive of
-    ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
+def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, size: int):
+    """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
+    steps j to j + n - 1, n <= size, of length h for the drive of ``config``,
+    on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).  They live in
+    buffers that the next call overwrites.
 
     With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
     P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
@@ -293,12 +288,47 @@ def _midpoint_steps(spectral: SpectralPropagator, config, resonances, h: float):
     sin(w t_m) sin(w s), Ht(s) = sum_q k_q F_q(s) with
     k = (cos w1 t_m, cos w2 t_m, sin w1 t_m, sin w2 t_m), so
     Omega = sum_q k_q A_q + sum_qr k_q k_r C_qr with the A_q and C_qr of
-    ``_drive_integrals``: 20 real-form matrices, built here once per run.
+    ``_drive_integrals``: 20 real-form matrices, built here once per run,
+    as is the Taylor degree of exp(Omega), from ``_generator_bound``.  Step j
+    has its midpoint at t_m = (j + 1/2) h.
     """
     a, c = _drive_integrals(spectral, config, resonances, h)
     basis = _real_form(np.concatenate([a, c.reshape(16, 4, 4)])).reshape(20, 64)
     rotation = _real_form(np.diag(_unit_phases(-h * spectral.eigenvalues)))
-    return partial(_midpoint_matrices, basis, rotation, np.array([resonances.omega1, resonances.omega2]))
+    omegas = np.array([resonances.omega1, resonances.omega2])
+    degree = _taylor_degree(_generator_bound(basis))
+    # The weights of the basis rows, step index last: row 0 holds k, row 1 + q
+    # holds k_q k.
+    k = np.empty((5, 4, size))
+    weights = k.reshape(20, size)
+    # Five arrays of at most 64 kB come from the heap; one 320 kB array would be
+    # mapped, and faulted in, anew on every run.
+    generators, matrices, *work = (np.empty((size, 8, 8)) for _ in range(5))
+
+    def step_matrices(j: int, n: int):
+        phases = np.multiply.outer(omegas, (np.arange(j, j + n) + 0.5) * h)
+        np.cos(phases, out=k[0, :2, :n])
+        np.sin(phases, out=k[0, 2:, :n])
+        np.multiply(k[0, :, None, :n], k[0, None, :, :n], out=k[1:, :, :n])
+        np.matmul(weights[:, :n].T, basis, out=generators[:n].reshape(n, 64))
+        exponentials = _expm_taylor(generators[:n], degree, [w[:n] for w in work])
+        # One 2-D product with the constant rotation, not a stack of 8x8 ones.
+        np.matmul(exponentials.reshape(-1, 8), rotation, out=matrices[:n].reshape(-1, 8))
+        return matrices[:n]
+
+    return step_matrices
+
+
+def _generator_bound(basis) -> float:
+    """Bound on the Frobenius norm of every step's Omega = sum_q k_q A_q +
+    sum_qr k_q k_r C_qr (see ``_magnus_steps``) from ``basis``, the real
+    forms of the A_q and C_qr as rows.  As |k|^2 = 2 and the k_q k_r have
+    norm |k|^2, it is sqrt(2 lmax(G_A)) + 2 sqrt(lmax(G_C)) with G the Gram
+    matrices of the A and the C; a real form doubles squared norms.
+    """
+    gram = basis @ basis.T / 2
+    a, c = (max(0.0, float(np.linalg.eigvalsh(g)[-1])) for g in (gram[:4, :4], gram[4:, 4:]))
+    return math.sqrt(2 * a) + 2 * math.sqrt(c)
 
 
 def _drive_integrals(spectral: SpectralPropagator, config, resonances, h: float):
@@ -306,7 +336,7 @@ def _drive_integrals(spectral: SpectralPropagator, config, resonances, h: float)
     C[q, r] = 1/2 int int_{s2 < s1} [-i F_q(s1), -i F_r(s2)] over
     -h/2 < s2 < s1 < h/2, with F_q(s) = c_q(s) P(s) V^dag a_i D_i V P(s)^dag,
     c_q(s) = cos(w_i s) for q = i and -sin(w_i s) for q = 2 + i (see
-    ``_midpoint_steps``).  Shapes (4, 4, 4) and (4, 4, 4, 4).
+    ``_magnus_steps``).  Shapes (4, 4, 4) and (4, 4, 4, 4).
 
     Entry (j, l) of F_q(s) is a sum of two exp(i nu s), nu = L_j - L_l +- w_i,
     an entire function of s.  With s = h u / 2, F_q(u) = sum_m f_qm P_m(u) in
@@ -383,52 +413,34 @@ def _legendre_node_count(top: float) -> int:
     return n
 
 
-def _midpoint_matrices(basis, rotation, omegas, nodes, h):
-    """Real forms of the step matrices exp(Omega) exp(-i L h) of
-    ``_midpoint_steps`` for the steps run as in ``_rk4_matrices``, all of the
-    length ``rotation`` was built for."""
-    midpoints = nodes[..., :-1] + h / 2
-    phases = np.multiply.outer(midpoints, omegas)
-    # Row 0 holds k, row 1 + q holds k_q k: the weights of the basis rows.
-    k = np.empty(midpoints.shape + (5, 4))
-    np.cos(phases, out=k[..., 0, :2])
-    np.sin(phases, out=k[..., 0, 2:])
-    np.einsum("...q,...r->...qr", k[..., 0, :], k[..., 0, :], out=k[..., 1:, :])
-    generators = (k.reshape(-1, 20) @ basis).reshape(midpoints.shape + (8, 8))
-    # One 2-D product with the constant rotation, not a stack of 8x8 ones.
-    return (_expm_taylor(generators).reshape(-1, 8) @ rotation).reshape(generators.shape)
-
-
-def _expm_taylor(omega):
-    """exp(omega) of small matrices by their Taylor polynomial.
+def _expm_taylor(omega, degree: int, work):
+    """exp(omega) of small matrices by their Taylor polynomial of odd degree
+    ``degree`` = 2m + 1, in one of the three arrays ``work`` of omega's shape,
+    which it returns.
 
     ``omega`` holds complex matrices W, or their real forms R(W) (see
-    ``_real_form``); the result is then R(exp W).  The degree 2m + 1 is
-    ``_taylor_degree(omega)``.  The polynomial is evaluated by Horner's rule
-    in omega^2 over the pairs I/(2k)! + omega/(2k+1)!: m + 1 matrix products.
+    ``_real_form``); the result is then R(exp W).  The polynomial is
+    evaluated by Horner's rule in omega^2 over the pairs
+    I/(2k)! + omega/(2k+1)!: m + 1 matrix products.
     """
-    n = omega.shape[-1]
-    square = omega @ omega
-    result = None
-    for k in range(_taylor_degree(omega) // 2, -1, -1):
-        pair = omega * (1 / math.factorial(2 * k + 1))
-        # Every (n + 1)th of an n x n matrix's entries is on its diagonal.
-        pair.reshape(pair.shape[:-2] + (n * n,))[..., :: n + 1] += 1 / math.factorial(2 * k)
-        if result is not None:
-            pair += square @ result
-        result = pair
+    identity, m = np.eye(omega.shape[-1]), degree // 2
+    square, result, product = work
+    np.matmul(omega, omega, out=square)
+    for k in range(m, -1, -1):
+        if k < m:
+            np.matmul(square, result, out=product)
+        np.multiply(omega, 1 / math.factorial(2 * k + 1), out=result)
+        result += identity / math.factorial(2 * k)
+        if k < m:
+            result += product
     return result
 
 
-def _taylor_degree(omega) -> int:
+def _taylor_degree(nu: float) -> int:
     """Lowest odd degree 2m + 1 whose Taylor remainder bound for exp(W),
-    nu^(2m+2) / (2m+2)! with nu the largest Frobenius norm of a W in the
-    batch, is below _TAYLOR_TOL.  ``omega`` holds the W or their real forms
-    R(W), whose squared Frobenius norm is twice that of W."""
-    flat = omega.reshape(omega.shape[:-2] + (omega.shape[-1] ** 2,))
-    nu2 = float(np.max(np.einsum("...i,...i->...", flat, flat.conj()).real, initial=0.0))
-    if not np.iscomplexobj(omega):
-        nu2 /= 2
+    nu^(2m+2) / (2m+2)! with nu a bound on the Frobenius norm of W, is below
+    _TAYLOR_TOL."""
+    nu2 = nu * nu
     m, bound = 0, nu2 / 2
     while _TAYLOR_TOL < bound < math.inf:
         m += 1
@@ -523,10 +535,22 @@ def propagate_magnus(
     xi0 = spectral.evolve(config.initial_state, -h / 2) @ spectral.eigenvectors.conj()
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
-    matrices = _midpoint_steps(spectral, config, resonances, h)
-    for first, block in _chunks(matrices, xi[0], times, steps):
-        xi[first : first + len(block)] = block
-    states = spectral.from_eigen(xi[:, :4] + 1j * xi[:, 4:], np.full(len(times), h / 2))
+    # A chunk holds STEPS_PER_CHUNK // steps whole intervals, or one interval
+    # built STEPS_PER_CHUNK steps at a time if it takes more.
+    per = max(1, STEPS_PER_CHUNK // steps)
+    batch = min(steps, STEPS_PER_CHUNK)
+    step_matrices = _magnus_steps(spectral, config, resonances, h, min(total, per * batch))
+    for first in range(0, len(times) - 1, per):
+        n = min(per, len(times) - 1 - first)
+        products = None
+        for c in range(0, steps, batch):
+            w = min(batch, steps - c)
+            block = _compose(step_matrices(first * steps + c, n * w).reshape(n, w, 8, 8))
+            products = block if products is None else block @ products
+        xi[first + 1 : first + 1 + n] = _carry(products, xi[first])
+    # psi = V exp(-i L h/2) xi, with one phase factor for every sample.
+    coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-h / 2 * spectral.eigenvalues)
+    states = coefficients @ spectral.eigenvectors.T
     _check_norms(times, states, f"Magnus substep taken was {h:.3e} s")
     return Trajectory(times=times, states=states)
 

@@ -1,7 +1,7 @@
 """Classical RK4 over a whole trajectory: the tests' oracle for driven runs.
 
-Built from the package's own RK4 step matrices and the chunks of its Magnus
-pass, so it takes the uniform sample grids those serve.
+Built from the package's own RK4 step matrices, so it takes the uniform
+sample grids the package's Magnus pass serves.
 """
 
 import math
@@ -11,10 +11,12 @@ import numpy as np
 
 from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
+    STEPS_PER_CHUNK,
     Trajectory,
     _check_norms,
     _check_times,
-    _chunks,
+    _interval_products,
+    _prefix_products,
     _rk4_matrices,
     time_dependent_hamiltonian,
 )
@@ -44,3 +46,23 @@ def propagate_numeric(config, resonances, times, dt_max: float) -> Trajectory:
         states[first : first + len(block)] = block
         _check_norms(times[first:], block, taken)
     return Trajectory(times=times, states=states)
+
+
+def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, count: int):
+    """psi carried from ``times[0]`` through each later time of the uniform
+    grid ``times`` by ``count`` steps per interval, whose matrices
+    ``step_matrices(nodes, h)`` returns.
+
+    A chunk holds STEPS_PER_CHUNK // count whole intervals, or one interval
+    if it takes more steps.  Yields (first, states) per chunk, where
+    states[j] is psi at times[first + j].
+    """
+    intervals = len(times) - 1
+    sizes = np.full(intervals, (times[-1] - times[0]) / (count * intervals))
+    per = max(1, STEPS_PER_CHUNK // count)
+    for first in range(0, intervals, per):
+        rows = slice(first, min(first + per, intervals))
+        products = _interval_products(step_matrices, times[rows], count, sizes[rows])
+        states = _prefix_products(products) @ psi
+        psi = states[-1]
+        yield first + 1, states

@@ -543,3 +543,21 @@ def test_help_and_version_exit_0(flag, capsys):
         main([flag])
     assert exit_info.value.code == EXIT_OK
     assert capsys.readouterr().out
+
+
+def test_repeated_main_calls_share_one_parser(tmp_path, capsys, monkeypatch):
+    # The parser is built once per process, yet each call dispatches afresh:
+    # two calls give the same bytes, and a replaced cmd_sweep is the one run.
+    spec = tmp_path / "sweep.cfg"
+    spec.write_text(SWEEP_BASE.replace("t_max_s=4e-8", "t_max_s=1.2e-8") + "param=Bl\nvalues=0,5e-4\n")
+    outputs = []
+    for name in ("first.csv", "second.csv"):
+        assert main(["sweep", str(spec), "--output", str(tmp_path / name)]) == EXIT_OK
+        outputs.append((tmp_path / name).read_bytes())
+    assert outputs[0] == outputs[1]
+    assert cli._main_parser() is cli._main_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_sweep", lambda args: calls.append(args.spec) or EXIT_NO_CROSSING)
+    assert main(["sweep", str(spec)]) == EXIT_NO_CROSSING
+    assert calls == [str(spec)]
+    assert capsys.readouterr().out == ""

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -148,6 +153,34 @@ def test_driven_trajectory_matches_rk4_oracle(bz, bl, t_max):
     )
     assert np.max(np.abs(run.trajectory.states - oracle.states)) <= 1e-9
     assert np.max(np.abs(run.trajectory.norms - 1.0)) <= 1e-12
+
+
+_FAULTS_PER_SOLVE = """
+import json, resource
+from buckygate import SimulationConfig, run_simulation
+config = SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
+                          t_max=1.5e-8, mode="driven", Bl1=1e-3, Bl2=1e-3)
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_simulation(config)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def test_driven_solves_take_few_page_faults():
+    # Minor page faults of each of 6 driven solves at Bz 0.1 T in a fresh
+    # process.  After the first they read 0 to 2; Magnus temporaries that
+    # are mapped and faulted in anew on every solve took 2 000 to 6 700.
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", _FAULTS_PER_SOLVE],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    faults = json.loads(run.stdout)
+    assert len(faults) == 6 and max(faults[1:]) <= 200, faults
 
 
 def test_driven_solve_builds_h0_once(monkeypatch):

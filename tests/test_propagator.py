@@ -18,8 +18,10 @@ from buckygate.propagator import (
     STEPS_PER_CHUNK,
     SpectralPropagator,
     Trajectory,
+    _carry,
     _drive_integrals,
     _expm_taylor,
+    _generator_bound,
     _prefix_products,
     _real_form,
     _taylor_degree,
@@ -31,6 +33,7 @@ from buckygate.propagator import (
     rk4_spans,
     time_dependent_hamiltonian,
 )
+import rk4_oracle
 from rk4_oracle import propagate_numeric
 
 
@@ -53,6 +56,27 @@ def automatic_step(cfg):
 
 
 UNIFORM = state_vector(0.5, 0.5, 0.5, 0.5)
+
+
+def _taylor_exp(a, degree):
+    """_expm_taylor of the stack a at ``degree``, in fresh buffers."""
+    return _expm_taylor(a, degree, np.empty((3,) + a.shape, dtype=a.dtype))
+
+
+def _orthogonal(rng, length):
+    """``length`` random orthogonal 8x8 matrices: real forms of unitaries."""
+    z = rng.normal(size=(length, 4, 4)) + 1j * rng.normal(size=(length, 4, 4))
+    a = z - z.conj().swapaxes(-1, -2)
+    return _taylor_exp(_real_form(a), _taylor_degree(np.max(np.linalg.norm(a, axis=(-2, -1)))))
+
+
+def _step_norms(terms, phases):
+    """Frobenius norms of sum_q k_q A_q + sum_qr k_q k_r C_qr, with the
+    complex 4x4 A_q and C_qr stacked in ``terms``, at each pair of drive
+    phases w_i t_m, where k = (cos w1 t_m, cos w2 t_m, sin w1 t_m, sin w2 t_m)."""
+    k = np.concatenate([np.cos(phases), np.sin(phases)], axis=1)
+    weights = np.concatenate([k, (k[:, :, None] * k[:, None, :]).reshape(-1, 16)], axis=1)
+    return np.linalg.norm(weights @ terms.reshape(20, 16), axis=1)
 
 
 def _scalar_rk4_steps(hfun, psi, t0, t1, n):
@@ -468,22 +492,58 @@ class TestMagnus:
         a *= size / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
         w, v = np.linalg.eigh(1j * a)
         exact = (v * np.exp(-1j * w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        assert np.max(np.abs(_expm_taylor(a) - exact)) <= 1e-14 * max(1.0, size)
+        result = _taylor_exp(a, _taylor_degree(size))
+        assert np.max(np.abs(result - exact)) <= 1e-14 * max(1.0, size)
         if size == 0:
-            np.testing.assert_array_equal(_expm_taylor(a), np.broadcast_to(np.eye(4), a.shape))
+            np.testing.assert_array_equal(result, np.broadcast_to(np.eye(4), a.shape))
 
     @pytest.mark.parametrize("size", [0.0, 1e-3, 0.3, 2.0])
     def test_taylor_exponential_of_the_real_form(self, size):
         # The inputs of test_taylor_exponential, in the real form the Magnus
-        # pass carries: the same exponential, and the same degree.
+        # pass carries: the same exponential at the same degree.
         rng = np.random.default_rng(11)
         z = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
         a = z - z.conj().swapaxes(-1, -2)
         a *= size / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
-        real = _expm_taylor(_real_form(a))
+        real = _taylor_exp(_real_form(a), _taylor_degree(size))
         assert real.dtype == float and real.shape == (6, 8, 8)
-        assert np.max(np.abs(real - _real_form(_expm_taylor(a)))) <= 1e-15
-        assert _taylor_degree(_real_form(a)) == _taylor_degree(a)
+        assert np.max(np.abs(real - _real_form(_taylor_exp(a, _taylor_degree(size))))) <= 1e-15
+
+    @pytest.mark.parametrize("a_size", [0.0, 1.0])
+    def test_generator_bound_holds_for_any_phases(self, a_size):
+        # Random A and C of like size, or C alone, against Omega at random
+        # midpoint phases: on the driven grids above C is too small to show.
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(20, 4, 4)) + 1j * rng.normal(size=(20, 4, 4))
+        z[:4] *= a_size
+        norms = _step_norms(z, rng.uniform(0, 2 * np.pi, size=(20000, 2)))
+        assert _generator_bound(_real_form(z).reshape(20, 64)) >= np.max(norms) > 0
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [dict(Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl) for bz in (0.025, 0.05, 0.1) for bl in (2e-4, 6e-4, 1e-3)]
+        + [dict(Bl1=1e-3, Bl2=0.0), dict(Bz1=0.05, Bz2=0.025, Bl1=3e-4, Bl2=8e-4, J0=2e8)],
+    )
+    def test_taylor_degree_holds_for_every_step(self, overrides):
+        # The per-run bound of _generator_bound against the Frobenius norm
+        # of every step's Omega on the engine's grid over 15 ns, and its
+        # degree against the degree of each chunk's largest step.
+        cfg = reference_config(mode="driven", t_max=1.5e-8, **overrides)
+        res = resonances_for(cfg)
+        spectral = SpectralPropagator(build_static(cfg))
+        scale = hamiltonian_scale(cfg, res, build_static(cfg))
+        times = sample_times(cfg.t_max, scale)
+        steps = magnus_steps(cfg, scale, times)
+        h = times[-1] / (steps * (len(times) - 1))
+        a, c = _drive_integrals(spectral, cfg, res, h)
+        terms = np.concatenate([a, c.reshape(16, 4, 4)])
+        phases = np.multiply.outer((np.arange(steps * (len(times) - 1)) + 0.5) * h, [res.omega1, res.omega2])
+        norms = _step_norms(terms, phases)
+        bound = _generator_bound(_real_form(terms).reshape(20, 64))
+        assert bound >= np.max(norms)
+        chunk = max(1, STEPS_PER_CHUNK // steps) * steps
+        degrees = {_taylor_degree(np.max(norms[j : j + chunk])) for j in range(0, len(norms), chunk)}
+        assert degrees == {_taylor_degree(bound)}
 
     def test_real_form_keeps_products_and_adjoints(self):
         rng = np.random.default_rng(12)
@@ -510,35 +570,88 @@ class TestMagnus:
 
 
 class TestChunks:
-    """How ``_chunks`` groups sample intervals and advances the state."""
+    """How the Magnus pass and the RK4 oracle group sample intervals and
+    advance the state."""
 
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 127, 128])
     def test_prefix_products_match_a_loop(self, length):
-        rng = np.random.default_rng(length)
-        z = rng.normal(size=(length, 4, 4)) + 1j * rng.normal(size=(length, 4, 4))
-        m = _expm_taylor(_real_form(z - z.conj().swapaxes(-1, -2)))  # orthogonal 8x8
+        m = _orthogonal(np.random.default_rng(length), length)
         expected, running = [], np.eye(8)
         for u in m:
             running = u @ running
             expected.append(running)
         assert np.max(np.abs(_prefix_products(m.copy()) - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("length", [1, 7, 8, 64, 104, 128])
+    @pytest.mark.parametrize("form", ["real", "complex"])
+    def test_carry_matches_a_loop(self, length, form):
+        rng = np.random.default_rng(length)
+        m = _orthogonal(rng, length)
+        psi = rng.normal(size=8)
+        if form == "complex":
+            # The unitaries whose real forms m holds.
+            m, psi = m[:, :4, :4] + 1j * m[:, 4:, :4], psi[:4] + 1j * psi[4:]
+        states = _carry(m, psi)
+        expected = []
+        for u in m:
+            psi = u @ psi
+            expected.append(psi)
+        assert states.dtype == m.dtype
+        assert np.max(np.abs(states - expected)) <= 1e-14
+
     @pytest.mark.parametrize("count", [1, 6, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
     def test_chunks_hold_whole_intervals(self, monkeypatch, count):
         # STEPS_PER_CHUNK // count intervals to a chunk, in order, or one
-        # interval when it alone takes more steps; the last chunk holds the rest.
+        # interval when it alone takes more steps, built STEPS_PER_CHUNK
+        # steps at a time; the last chunk holds the rest.
+        builds, carried = [], []
+        magnus_steps_of = propagator._magnus_steps
+        carry = propagator._carry
+
+        def build(spectral, config, resonances, h, size):
+            step_matrices = magnus_steps_of(spectral, config, resonances, h, size)
+
+            def record(j, n):
+                assert n <= size
+                builds.append((j, n))
+                return step_matrices(j, n)
+
+            return record
+
+        def record_carry(m, psi):
+            carried.append(len(m))
+            return carry(m, psi)
+
+        monkeypatch.setattr(propagator, "_magnus_steps", build)
+        monkeypatch.setattr(propagator, "_carry", record_carry)
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
+        times = np.linspace(0, 1e-10, 31)
+        norms = TestMagnus.run(cfg, times, count).norms
+        per = max(1, STEPS_PER_CHUNK // count)
+        assert carried == [per] * (30 // per) + ([30 % per] if 30 % per else [])
+        batches = [min(STEPS_PER_CHUNK, count - c) for c in range(0, count, STEPS_PER_CHUNK)]
+        expected = [n * count for n in carried] if count <= STEPS_PER_CHUNK else batches * 30
+        assert [n for _, n in builds] == expected
+        # Every step once, in order.
+        assert [j for j, _ in builds] == list(np.cumsum([0] + expected[:-1]))
+        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("count", [1, 6, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
+    def test_oracle_chunks_hold_whole_intervals(self, monkeypatch, count):
+        # The RK4 oracle's chunks: STEPS_PER_CHUNK // count intervals to a
+        # chunk, in order, or one interval when it alone takes more steps.
         chunks = []
-        interval_products = propagator._interval_products
+        interval_products = rk4_oracle._interval_products
 
         def record(step_matrices, starts, steps, sizes):
             assert steps == count and len(sizes) == len(starts)
             chunks.append(starts)
             return interval_products(step_matrices, starts, steps, sizes)
 
-        monkeypatch.setattr(propagator, "_interval_products", record)
+        monkeypatch.setattr(rk4_oracle, "_interval_products", record)
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-10, 31)
-        norms = TestMagnus.run(cfg, times, count).norms
+        norms = propagate_numeric(cfg, resonances_for(cfg), times, 1e-10 / 30 / (count - 0.5)).norms
         per = max(1, STEPS_PER_CHUNK // count)
         assert [len(c) for c in chunks] == [per] * (30 // per) + ([30 % per] if 30 % per else [])
         np.testing.assert_array_equal(np.concatenate(chunks), times[:-1])
