@@ -24,9 +24,12 @@ one matrix product at one Taylor degree for the whole run (see
 R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
 matrices about five times faster than 4x4 complex ones.
 
-Steps are processed in chunks of at most STEPS_PER_CHUNK, so memory does not
-grow with the horizon and the Magnus pass's buffers, allocated once per run,
-come from the heap instead of being mapped and page-faulted in anew.
+Steps are processed in chunks of at most STEPS_PER_CHUNK (Magnus) or
+_RK4_STEPS_PER_CHUNK (RK4), so memory does not grow with the horizon.  The
+Magnus pass keeps its chunk-sized arrays in four (STEPS_PER_CHUNK, 8, 8)
+buffers per thread, 4 x STEPS_PER_CHUNK x 512 B allocated at the thread's
+first driven run and reused by every later one (see ``_workspace``), so that
+a run maps and page-faults in no memory anew.
 
 The state is never renormalized during integration: norm drift is the
 step-size diagnostic, hiding it would defeat the check.
@@ -35,6 +38,7 @@ step-size diagnostic, hiding it would defeat the check.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -62,15 +66,25 @@ DEFAULT_STEP_SAFETY = 0.2
 # fails with NormDrift.
 NORM_TOLERANCE = 1e-8
 
-# Upper bound on the steps whose matrices are built and composed at once.  It
-# is set by page faults.  At 128 each of the five (steps, 8, 8) buffers of a
-# Magnus run is 64 kB and comes from the heap: after the first, a driven solve
-# at Bz = 0.1 T takes 0 to 2 minor faults.  At 256 they are mapped and faulted
-# in anew on every run, 80 faults per Magnus pass, for a pass about 10 % faster
-# in a fresh process (1.79 against 1.97 ms best, 2.79 against 3.09 ms median
-# per pass on the 9 driven reference points, 2-core shared host).  At 64 the
-# per-chunk overhead makes the pass slower: 2.83 ms best, 4.82 ms median.
-STEPS_PER_CHUNK = 128
+# Upper bound on the steps whose matrices are built and composed at once.  A
+# chunk costs a fixed count of numpy calls whatever its size, and the Magnus
+# pass keeps its chunk-sized arrays between runs (``_workspace``), so that no
+# size takes page faults after a thread's first run.  CPU time per Magnus pass
+# on the 9 driven reference points, median over 5 fresh processes of 20
+# rounds each (2-core shared host), and minor faults per driven solve after
+# the first round:
+#     steps     128   256   384   512   768
+#     ms       3.17  2.55  2.43  2.28  2.37
+#     faults    0-1     0     0     0   0-1
+# With its buffers allocated on every run, the pass took 2.98 ms at 128 steps
+# and 2.85 ms at 512, where each solve took 283 to 320 faults.
+STEPS_PER_CHUNK = 512
+
+# The same bound for RK4 steps, whose arrays are allocated on every call: at
+# 128 steps none is above 32 kB and all come from the heap.  At 512, a call
+# over 20 spans of 23 steps took 209 minor faults, and no less time (2.2 to
+# 2.4 ms against 1.8 to 2.1).
+_RK4_STEPS_PER_CHUNK = 128
 
 # Upper bound on the steps of one integration, checked before any is taken:
 # about a minute of work.  The benchmark's driven runs take at most 2 000.
@@ -179,7 +193,7 @@ def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: flo
 
     Every span takes the same ceil(longest span / dt_max) uniform steps, at
     least one, so a span of zero takes exact identity steps.  The spans are
-    batched at most STEPS_PER_CHUNK steps at a time, or one span at a time
+    batched at most _RK4_STEPS_PER_CHUNK steps at a time, or one span at a time
     if it takes more.  Raises OutOfRange, before any step is taken, when the
     steps number more than MAX_STEPS.
     """
@@ -191,7 +205,7 @@ def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: flo
     sizes = spans / count
     step_matrices = partial(_rk4_matrices, hfun)
     states = np.empty(np.shape(psi), dtype=complex)
-    per = max(1, STEPS_PER_CHUNK // count)
+    per = max(1, _RK4_STEPS_PER_CHUNK // count)
     for first in range(0, len(spans), per):
         rows = slice(first, first + per)
         products = _interval_products(step_matrices, t0[rows], count, sizes[rows])
@@ -209,17 +223,18 @@ def _prefix_products(m):
     return m
 
 
-def _carry(m, psi):
+def _carry(m, psi, work):
     """States m[j] @ ... @ m[0] @ psi of every j, for complex or real m.
 
-    The products of each block of 8 (``_compose``) and their running products
-    (``_prefix_products``) give every block's starting state, from which 8
-    batched matrix-vector products carry all blocks at once.
+    The products of each block of 8 (``_compose``, in ``work``) and their
+    running products (``_prefix_products``) give every block's starting
+    state, from which 8 batched matrix-vector products carry all blocks at
+    once.
     """
     starts = np.empty((-(-len(m) // 8),) + psi.shape, dtype=np.result_type(m, psi))
     starts[0] = psi
     if len(starts) > 1:
-        totals = _compose(m[: 8 * (len(starts) - 1)].reshape((-1, 8) + m.shape[1:]))
+        totals = _compose(m[: 8 * (len(starts) - 1)].reshape((-1, 8) + m.shape[1:]), work)
         starts[1:] = _prefix_products(totals) @ psi
     states = np.empty((len(m),) + psi.shape, dtype=starts.dtype)
     for i in range(min(8, len(m))):
@@ -247,8 +262,8 @@ def _interval_products(step_matrices, starts, count: int, sizes):
     """
     t = starts
     product = None
-    for c in range(0, count, STEPS_PER_CHUNK):
-        h = np.broadcast_to(sizes[:, None], (len(sizes), min(STEPS_PER_CHUNK, count - c)))
+    for c in range(0, count, _RK4_STEPS_PER_CHUNK):
+        h = np.broadcast_to(sizes[:, None], (len(sizes), min(_RK4_STEPS_PER_CHUNK, count - c)))
         nodes = np.cumsum(np.column_stack([t, h]), axis=1)
         block = _compose(step_matrices(nodes, h))
         product = block if product is None else block @ product
@@ -274,11 +289,12 @@ def _rk4_matrices(hfun, nodes, h):
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
-def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, size: int):
+def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, buffers):
     """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
-    steps j to j + n - 1, n <= size, of length h for the drive of ``config``,
-    on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).  They live in
-    buffers that the next call overwrites.
+    steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
+    ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
+    ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
+    returns its matrices in buffers[0] and overwrites the other three.
 
     With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
     P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
@@ -297,26 +313,41 @@ def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, si
     rotation = _real_form(np.diag(_unit_phases(-h * spectral.eigenvalues)))
     omegas = np.array([resonances.omega1, resonances.omega2])
     degree = _taylor_degree(_generator_bound(basis))
+    matrices, *work = buffers
     # The weights of the basis rows, step index last: row 0 holds k, row 1 + q
     # holds k_q k.
-    k = np.empty((5, 4, size))
-    weights = k.reshape(20, size)
-    # Five arrays of at most 64 kB come from the heap; one 320 kB array would be
-    # mapped, and faulted in, anew on every run.
-    generators, matrices, *work = (np.empty((size, 8, 8)) for _ in range(5))
+    k = np.empty((5, 4, len(matrices)))
+    weights = k.reshape(20, -1)
 
     def step_matrices(j: int, n: int):
         phases = np.multiply.outer(omegas, (np.arange(j, j + n) + 0.5) * h)
         np.cos(phases, out=k[0, :2, :n])
         np.sin(phases, out=k[0, 2:, :n])
         np.multiply(k[0, :, None, :n], k[0, None, :, :n], out=k[1:, :, :n])
-        np.matmul(weights[:, :n].T, basis, out=generators[:n].reshape(n, 64))
-        exponentials = _expm_taylor(generators[:n], degree, [w[:n] for w in work])
+        # The generators, whose exponentials take the place of their matrices.
+        np.matmul(weights[:, :n].T, basis, out=matrices[:n].reshape(n, 64))
+        exponentials = _expm_taylor(matrices[:n], degree, [w[:n] for w in work])
         # One 2-D product with the constant rotation, not a stack of 8x8 ones.
         np.matmul(exponentials.reshape(-1, 8), rotation, out=matrices[:n].reshape(-1, 8))
         return matrices[:n]
 
     return step_matrices
+
+
+_thread = threading.local()
+
+
+def _workspace(size: int):
+    """Four (size, 8, 8) buffers of this thread for the Magnus pass (see
+    ``propagate_magnus``), size <= STEPS_PER_CHUNK.  They are slices of one
+    array that the thread allocates at its first driven run, or when
+    STEPS_PER_CHUNK has grown, and keeps for every later run, so that a run
+    maps and faults in no memory anew.
+    """
+    buffers = getattr(_thread, "buffers", None)
+    if buffers is None or buffers.shape[1] < size:
+        buffers = _thread.buffers = np.empty((4, STEPS_PER_CHUNK, 8, 8))
+    return buffers[:, :size]
 
 
 def _generator_bound(basis) -> float:
@@ -460,13 +491,25 @@ def _real_form(m):
     return out
 
 
-def _compose(m):
-    """Pairwise product tree over axis 1: m[:, -1] @ ... @ m[:, 1] @ m[:, 0]."""
+def _compose(m, work=None):
+    """Pairwise product tree over axis 1: m[:, -1] @ ... @ m[:, 1] @ m[:, 0].
+
+    The levels of the tree go in turn to the head and the tail of ``work``,
+    a buffer of at least as many matrices as m that m does not share, or of
+    a new one.
+    """
+    rows, count = m.shape[:2]
+    if work is None:
+        work = np.empty((rows * count,) + m.shape[2:], dtype=m.dtype)
+    head = rows * -(-count // 2)
+    halves = work[:head], work[head:]
     while m.shape[1] > 1:
-        pairs = m[:, 1::2] @ m[:, 0 : m.shape[1] - 1 : 2]
-        if m.shape[1] % 2:
-            pairs = np.concatenate([pairs, m[:, -1:]], axis=1)
-        m = pairs
+        half, odd = divmod(m.shape[1], 2)
+        level = halves[0][: rows * (half + odd)].reshape((rows, half + odd) + m.shape[2:])
+        np.matmul(m[:, 1::2], m[:, : 2 * half : 2], out=level[:, :half])
+        if odd:
+            level[:, half] = m[:, -1]
+        m, halves = level, halves[::-1]
     return m[:, 0]
 
 
@@ -536,18 +579,23 @@ def propagate_magnus(
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
     # A chunk holds STEPS_PER_CHUNK // steps whole intervals, or one interval
-    # built STEPS_PER_CHUNK steps at a time if it takes more.
+    # built STEPS_PER_CHUNK steps at a time if it takes more.  Between calls
+    # of step_matrices, buffers[1] holds the products of a chunk's intervals
+    # and buffers[2] the work of _carry; an interval of several batches keeps
+    # its running product out of the buffers, which the next batch overwrites.
     per = max(1, STEPS_PER_CHUNK // steps)
     batch = min(steps, STEPS_PER_CHUNK)
-    step_matrices = _magnus_steps(spectral, config, resonances, h, min(total, per * batch))
+    buffers = _workspace(min(total, per * batch))
+    step_matrices = _magnus_steps(spectral, config, resonances, h, buffers)
+    work = buffers[1] if steps == batch else None
     for first in range(0, len(times) - 1, per):
         n = min(per, len(times) - 1 - first)
         products = None
         for c in range(0, steps, batch):
             w = min(batch, steps - c)
-            block = _compose(step_matrices(first * steps + c, n * w).reshape(n, w, 8, 8))
+            block = _compose(step_matrices(first * steps + c, n * w).reshape(n, w, 8, 8), work)
             products = block if products is None else block @ products
-        xi[first + 1 : first + 1 + n] = _carry(products, xi[first])
+        xi[first + 1 : first + 1 + n] = _carry(products, xi[first], buffers[2])
     # psi = V exp(-i L h/2) xi, with one phase factor for every sample.
     coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-h / 2 * spectral.eigenvalues)
     states = coefficients @ spectral.eigenvectors.T

@@ -11,7 +11,7 @@ import numpy as np
 
 from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
-    STEPS_PER_CHUNK,
+    _RK4_STEPS_PER_CHUNK,
     Trajectory,
     _check_norms,
     _check_times,
@@ -53,13 +53,13 @@ def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, count: int):
     grid ``times`` by ``count`` steps per interval, whose matrices
     ``step_matrices(nodes, h)`` returns.
 
-    A chunk holds STEPS_PER_CHUNK // count whole intervals, or one interval
+    A chunk holds _RK4_STEPS_PER_CHUNK // count whole intervals, or one interval
     if it takes more steps.  Yields (first, states) per chunk, where
     states[j] is psi at times[first + j].
     """
     intervals = len(times) - 1
     sizes = np.full(intervals, (times[-1] - times[0]) / (count * intervals))
-    per = max(1, STEPS_PER_CHUNK // count)
+    per = max(1, _RK4_STEPS_PER_CHUNK // count)
     for first in range(0, intervals, per):
         rows = slice(first, min(first + per, intervals))
         products = _interval_products(step_matrices, times[rows], count, sizes[rows])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -156,10 +157,11 @@ def test_driven_trajectory_matches_rk4_oracle(bz, bl, t_max):
 
 
 _FAULTS_PER_SOLVE = """
-import json, resource
+import json, resource, sys
 from buckygate import SimulationConfig, run_simulation
-config = SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
-                          t_max=1.5e-8, mode="driven", Bl1=1e-3, Bl2=1e-3)
+bz, bl = map(float, sys.argv[1:])
+config = SimulationConfig(r=1.14e-9, Bz1=bz, Bz2=bz, Bg1=6.08e-5, Bg2=-6.08e-5,
+                          t_max=1.5e-8, mode="driven", Bl1=bl, Bl2=bl)
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -170,17 +172,62 @@ print(json.dumps(faults))
 
 
 def test_driven_solves_take_few_page_faults():
-    # Minor page faults of each of 6 driven solves at Bz 0.1 T in a fresh
-    # process.  After the first they read 0 to 2; Magnus temporaries that
-    # are mapped and faulted in anew on every solve took 2 000 to 6 700.
+    # Minor page faults of each of 6 driven solves in a fresh process, at
+    # Bz 0.1 T, Bl 1 mT (2 Magnus steps per sample interval) and at Bz
+    # 0.05 T, Bl 0.6 mT (1 step, so a chunk holds the most intervals).
+    # After the first solve, which allocates the Magnus pass's workspace,
+    # they read 0.  A chunk-sized array mapped anew on every run costs 32 or
+    # more: the pass's buffers allocated per run took 64 to 320 per solve.
     pytest.importorskip("resource")
     src = os.path.dirname(os.path.dirname(engine.__file__))
-    run = subprocess.run(
-        [sys.executable, "-c", _FAULTS_PER_SOLVE],
-        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
-    )
-    faults = json.loads(run.stdout)
-    assert len(faults) == 6 and max(faults[1:]) <= 200, faults
+    for bz, bl in [(0.1, 1e-3), (0.05, 6e-4)]:
+        run = subprocess.run(
+            [sys.executable, "-c", _FAULTS_PER_SOLVE, str(bz), str(bl)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+        )
+        faults = json.loads(run.stdout)
+        assert len(faults) == 6 and max(faults[1:]) <= 5, (bz, bl, faults)
+
+
+# Driven runs at 1 to 5 Magnus steps per sample interval, over 1 001, 1 586
+# and 1 413 samples.
+WORKSPACE_CONFIGS = [
+    reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
+    for bz, bl, t_max in [
+        (0.05, 6e-4, 1.5e-8), (0.1, 1e-3, 1.5e-8), (0.3, 1e-3, 1.5e-8), (0.05, 2e-3, 2e-8), (0.1, 1e-3, 4e-8)
+    ]
+]
+
+
+def _solve(config):
+    result = run_simulation(config)
+    return result.trajectory.states, result.gate.tau
+
+
+def _alone(config):
+    """The solve of ``config`` in a thread of its own, whose Magnus workspace
+    is new."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_solve, config).result()
+
+
+def test_magnus_workspace_keeps_no_state_between_runs():
+    # The same states and tau, bit for bit, whether each run has the
+    # workspace to itself, follows runs of other sizes in one thread, or
+    # shares the process with another thread's runs.
+    alone = [_alone(config) for config in WORKSPACE_CONFIGS]
+    interleaved = [_solve(config) for config in WORKSPACE_CONFIGS * 2]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside the pass too
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            concurrent = list(pool.map(_solve, WORKSPACE_CONFIGS[::-1] * 2, timeout=60))[::-1]
+    finally:
+        sys.setswitchinterval(interval)
+    for results in (interleaved, concurrent):
+        for (states, tau), (states0, tau0) in zip(results, alone * 2):
+            np.testing.assert_array_equal(states, states0)
+            assert tau == tau0
 
 
 def test_driven_solve_builds_h0_once(monkeypatch):

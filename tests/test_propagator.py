@@ -18,7 +18,9 @@ from buckygate.propagator import (
     STEPS_PER_CHUNK,
     SpectralPropagator,
     Trajectory,
+    _RK4_STEPS_PER_CHUNK,
     _carry,
+    _compose,
     _drive_integrals,
     _expm_taylor,
     _generator_bound,
@@ -244,7 +246,7 @@ class TestBatchedRK4:
         hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         rng = np.random.default_rng(3)
         dt = 2e-13
-        spans = np.array([0.0, 0.6, 1.0, 7.3, STEPS_PER_CHUNK + 0.5, 2 * STEPS_PER_CHUNK + 37]) * dt
+        spans = np.array([0.0, 0.6, 1.0, 7.3, _RK4_STEPS_PER_CHUNK + 0.5, 2 * _RK4_STEPS_PER_CHUNK + 37]) * dt
         t0 = rng.uniform(0, 2e-9, len(spans))
         z = rng.normal(size=(len(spans), 4)) + 1j * rng.normal(size=(len(spans), 4))
         psi = z / np.linalg.norm(z, axis=1, keepdims=True)
@@ -266,7 +268,7 @@ class TestBatchedRK4:
         cfg = self.driven_config()
         hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         dt = 1e-12
-        horizon = (3 * STEPS_PER_CHUNK + 5) * dt
+        horizon = (3 * _RK4_STEPS_PER_CHUNK + 5) * dt
         batched = rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
         reference = _scalar_rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
         assert np.max(np.abs(batched - reference)) <= 1e-12
@@ -277,7 +279,7 @@ class TestBatchedRK4:
         cfg = self.driven_config(Bl1=5e-4, Bl2=5e-4, t_max=4e-9)
         times = np.linspace(0, 4e-9, 2001)
         _, first_drift = _scalar_states(cfg, times, 2e-12)
-        assert first_drift is not None and first_drift > times[STEPS_PER_CHUNK]
+        assert first_drift is not None and first_drift > times[_RK4_STEPS_PER_CHUNK]
         with pytest.raises(NormDrift) as info:
             propagate_numeric(cfg, resonances_for(cfg), times, 2e-12)
         reported = float(re.search(r"at t=(\S+) s", str(info.value)).group(1))
@@ -582,7 +584,7 @@ class TestChunks:
             expected.append(running)
         assert np.max(np.abs(_prefix_products(m.copy()) - expected)) <= 1e-14
 
-    @pytest.mark.parametrize("length", [1, 7, 8, 64, 104, 128])
+    @pytest.mark.parametrize("length", [1, 7, 8, 64, 104, 128, STEPS_PER_CHUNK])
     @pytest.mark.parametrize("form", ["real", "complex"])
     def test_carry_matches_a_loop(self, length, form):
         rng = np.random.default_rng(length)
@@ -591,7 +593,7 @@ class TestChunks:
         if form == "complex":
             # The unitaries whose real forms m holds.
             m, psi = m[:, :4, :4] + 1j * m[:, 4:, :4], psi[:4] + 1j * psi[4:]
-        states = _carry(m, psi)
+        states = _carry(m, psi, np.empty_like(m))
         expected = []
         for u in m:
             psi = u @ psi
@@ -599,7 +601,22 @@ class TestChunks:
         assert states.dtype == m.dtype
         assert np.max(np.abs(states - expected)) <= 1e-14
 
-    @pytest.mark.parametrize("count", [1, 6, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 8, 9])
+    def test_compose_in_work_matches_a_loop(self, count):
+        # The levels take turns at the head and the tail of a buffer of m's
+        # size, here filled with NaN, which none of them reads.
+        rng = np.random.default_rng(count)
+        m = _orthogonal(rng, 3 * count).reshape(3, count, 8, 8)
+        work = np.full((3 * count, 8, 8), np.nan)
+        composed = _compose(m, work)
+        np.testing.assert_array_equal(composed, _compose(m))
+        for row, product in zip(m, composed):
+            expected = np.eye(8)
+            for u in row:
+                expected = u @ expected
+            assert np.max(np.abs(product - expected)) <= 1e-14
+
+    @pytest.mark.parametrize("count", [1, 6, 128, 263, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
     def test_chunks_hold_whole_intervals(self, monkeypatch, count):
         # STEPS_PER_CHUNK // count intervals to a chunk, in order, or one
         # interval when it alone takes more steps, built STEPS_PER_CHUNK
@@ -608,19 +625,19 @@ class TestChunks:
         magnus_steps_of = propagator._magnus_steps
         carry = propagator._carry
 
-        def build(spectral, config, resonances, h, size):
-            step_matrices = magnus_steps_of(spectral, config, resonances, h, size)
+        def build(spectral, config, resonances, h, buffers):
+            step_matrices = magnus_steps_of(spectral, config, resonances, h, buffers)
 
             def record(j, n):
-                assert n <= size
+                assert n <= len(buffers[0])
                 builds.append((j, n))
                 return step_matrices(j, n)
 
             return record
 
-        def record_carry(m, psi):
+        def record_carry(m, psi, work):
             carried.append(len(m))
-            return carry(m, psi)
+            return carry(m, psi, work)
 
         monkeypatch.setattr(propagator, "_magnus_steps", build)
         monkeypatch.setattr(propagator, "_carry", record_carry)
@@ -636,9 +653,9 @@ class TestChunks:
         assert [j for j, _ in builds] == list(np.cumsum([0] + expected[:-1]))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("count", [1, 6, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
+    @pytest.mark.parametrize("count", [1, 6, _RK4_STEPS_PER_CHUNK, 2 * _RK4_STEPS_PER_CHUNK + 7])
     def test_oracle_chunks_hold_whole_intervals(self, monkeypatch, count):
-        # The RK4 oracle's chunks: STEPS_PER_CHUNK // count intervals to a
+        # The RK4 oracle's chunks: _RK4_STEPS_PER_CHUNK // count intervals to a
         # chunk, in order, or one interval when it alone takes more steps.
         chunks = []
         interval_products = rk4_oracle._interval_products
@@ -652,7 +669,7 @@ class TestChunks:
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-10, 31)
         norms = propagate_numeric(cfg, resonances_for(cfg), times, 1e-10 / 30 / (count - 0.5)).norms
-        per = max(1, STEPS_PER_CHUNK // count)
+        per = max(1, _RK4_STEPS_PER_CHUNK // count)
         assert [len(c) for c in chunks] == [per] * (30 // per) + ([30 % per] if 30 % per else [])
         np.testing.assert_array_equal(np.concatenate(chunks), times[:-1])
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
