@@ -13,11 +13,12 @@ Two routes are provided, and one refinement:
   classical RK4, which is how the engine refines driven runs between samples.
 
 For a linear equation one step of either integrator is a 4x4 matrix, so they
-build the step matrices of many steps in one batched pass and compose the
-steps of each interval with a pairwise product tree.  Each RK4 span applies
-its own product to its own start state; the RK4 arithmetic is that of the
-classical scalar loop, reassociated.  The Magnus pass carries the state
-through a chunk's sample intervals in blocks of 8 (see ``_carry``).  It
+build the step matrices of many steps in one batched pass.  RK4 composes the
+steps of each span with a pairwise product tree and applies the product to
+the span's start state; its arithmetic is that of the classical scalar loop,
+reassociated.  The Magnus pass treats a run as one sequence of steps and
+carries the state through each chunk of them step by step, in blocks of 8
+(see ``_carry``), keeping the state after every interval's last step.  It
 forms each step in the frame of its midpoint, where a chunk's generators are
 one matrix product at one Taylor degree for the whole run (see
 ``_magnus_steps``), and carries its matrices in the real form
@@ -66,18 +67,16 @@ DEFAULT_STEP_SAFETY = 0.2
 # fails with NormDrift.
 NORM_TOLERANCE = 1e-8
 
-# Upper bound on the steps whose matrices are built and composed at once.  A
+# Upper bound on the steps whose matrices are built and carried at once.  A
 # chunk costs a fixed count of numpy calls whatever its size, and the Magnus
 # pass keeps its chunk-sized arrays between runs (``_workspace``), so that no
 # size takes page faults after a thread's first run.  CPU time per Magnus pass
 # on the 9 driven reference points, median over 5 fresh processes of 20
-# rounds each (2-core shared host), and minor faults per driven solve after
-# the first round:
+# rounds each (2-core shared host, where one process's figure varies by up
+# to 1 ms), and minor faults per driven solve after the first round:
 #     steps     128   256   384   512   768
-#     ms       3.17  2.55  2.43  2.28  2.37
-#     faults    0-1     0     0     0   0-1
-# With its buffers allocated on every run, the pass took 2.98 ms at 128 steps
-# and 2.85 ms at 512, where each solve took 283 to 320 faults.
+#     ms       3.29  2.53  2.59  2.20  2.43
+#     faults      0     0     0     0     0
 STEPS_PER_CHUNK = 512
 
 # The same bound for RK4 steps, whose arrays are allocated on every call: at
@@ -294,7 +293,8 @@ def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, bu
     steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
     ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
     ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
-    returns its matrices in buffers[0] and overwrites the other three.
+    returns its matrices in buffers[0] and runs Horner's rule in the other
+    three, of which only buffers[1] serves between calls, as ``_carry``'s work.
 
     With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
     P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
@@ -496,7 +496,8 @@ def _compose(m, work=None):
 
     The levels of the tree go in turn to the head and the tail of ``work``,
     a buffer of at least as many matrices as m that m does not share, or of
-    a new one.
+    a new one.  ``_carry`` composes blocks of 8 Magnus steps in its work
+    buffer; the RK4 spans compose their steps in a new one.
     """
     rows, count = m.shape[:2]
     if work is None:
@@ -563,8 +564,10 @@ def propagate_magnus(
     exp(-i L t) and D(t) is the drive term.  H_I is as large as the drive;
     the Zeeman precession enters only through its phase factors, which each
     step integrates exactly (``_drive_integrals``), so the step need only
-    follow the drive (``magnus_steps``).  Raises NormDrift at the first
-    stored state whose squared norm departs from 1 by more than
+    follow the drive (``magnus_steps``).  The run's steps (len(times) - 1)
+    steps are built and carried STEPS_PER_CHUNK at a time (``_carry``), and
+    the state after every steps-th one is stored.  Raises NormDrift at the
+    first stored state whose squared norm departs from 1 by more than
     NORM_TOLERANCE.
     """
     times = np.asarray(times, dtype=float)
@@ -578,24 +581,19 @@ def propagate_magnus(
     xi0 = spectral.evolve(config.initial_state, -h / 2) @ spectral.eigenvectors.conj()
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
-    # A chunk holds STEPS_PER_CHUNK // steps whole intervals, or one interval
-    # built STEPS_PER_CHUNK steps at a time if it takes more.  Between calls
-    # of step_matrices, buffers[1] holds the products of a chunk's intervals
-    # and buffers[2] the work of _carry; an interval of several batches keeps
-    # its running product out of the buffers, which the next batch overwrites.
-    per = max(1, STEPS_PER_CHUNK // steps)
-    batch = min(steps, STEPS_PER_CHUNK)
-    buffers = _workspace(min(total, per * batch))
+    buffers = _workspace(min(total, STEPS_PER_CHUNK))
     step_matrices = _magnus_steps(spectral, config, resonances, h, buffers)
-    work = buffers[1] if steps == batch else None
-    for first in range(0, len(times) - 1, per):
-        n = min(per, len(times) - 1 - first)
-        products = None
-        for c in range(0, steps, batch):
-            w = min(batch, steps - c)
-            block = _compose(step_matrices(first * steps + c, n * w).reshape(n, w, 8, 8), work)
-            products = block if products is None else block @ products
-        xi[first + 1 : first + 1 + n] = _carry(products, xi[first], buffers[2])
+    state = xi[0]
+    for first in range(0, total, STEPS_PER_CHUNK):
+        states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, total - first)), state, buffers[1])
+        state = states[-1]
+        # states[k] follows step first + k, which ends an interval when
+        # first + k + 1 is a multiple of steps: a chunk need not begin or
+        # end on a sample, nor hold one.
+        lead = -(first + 1) % steps
+        samples = states[lead::steps]
+        i = (first + lead + 1) // steps
+        xi[i : i + len(samples)] = samples
     # psi = V exp(-i L h/2) xi, with one phase factor for every sample.
     coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-h / 2 * spectral.eigenvalues)
     states = coefficients @ spectral.eigenvectors.T

@@ -170,6 +170,40 @@ for _ in range(6):
 print(json.dumps(faults))
 """
 
+_FAULTS_PER_MAGNUS_PASS = """
+import json, resource, sys
+import numpy as np
+from buckygate import SimulationConfig
+from buckygate.config import validate
+from buckygate.fields import resonance_frequencies
+from buckygate.hamiltonian import build_static
+from buckygate.propagator import SpectralPropagator, propagate_magnus
+steps = int(sys.argv[1])
+config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
+                                   t_max=1e-10, mode="driven", Bl1=6e-4, Bl2=6e-4))
+resonances = resonance_frequencies(config.Bz1, config.Bg1, config.Bz2, config.Bg2)
+spectral = SpectralPropagator(build_static(config))
+times = np.linspace(0, 1e-10, 31)
+faults = []
+for _ in range(6):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    propagate_magnus(spectral, config, resonances, times, steps)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps(faults))
+"""
+
+
+def _minor_faults(script, *args):
+    """Minor page faults of each run that ``script`` makes in a fresh
+    interpreter, as it prints them."""
+    pytest.importorskip("resource")
+    src = os.path.dirname(os.path.dirname(engine.__file__))
+    run = subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return json.loads(run.stdout)
+
 
 def test_driven_solves_take_few_page_faults():
     # Minor page faults of each of 6 driven solves in a fresh process, at
@@ -178,15 +212,18 @@ def test_driven_solves_take_few_page_faults():
     # After the first solve, which allocates the Magnus pass's workspace,
     # they read 0.  A chunk-sized array mapped anew on every run costs 32 or
     # more: the pass's buffers allocated per run took 64 to 320 per solve.
-    pytest.importorskip("resource")
-    src = os.path.dirname(os.path.dirname(engine.__file__))
     for bz, bl in [(0.1, 1e-3), (0.05, 6e-4)]:
-        run = subprocess.run(
-            [sys.executable, "-c", _FAULTS_PER_SOLVE, str(bz), str(bl)],
-            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True, timeout=60,
-        )
-        faults = json.loads(run.stdout)
+        faults = _minor_faults(_FAULTS_PER_SOLVE, bz, bl)
         assert len(faults) == 6 and max(faults[1:]) <= 5, (bz, bl, faults)
+
+
+def test_magnus_pass_with_intervals_longer_than_a_chunk_takes_few_page_faults():
+    # 1 031 Magnus steps per sample interval, more than STEPS_PER_CHUNK: an
+    # interval spans chunks, and its steps stay in the workspace like any
+    # other.  Composing each interval's steps in a new array instead took
+    # 1 980 faults per run after the first.
+    faults = _minor_faults(_FAULTS_PER_MAGNUS_PASS, 2 * propagator.STEPS_PER_CHUNK + 7)
+    assert len(faults) == 6 and max(faults[1:]) <= 5, faults
 
 
 # Driven runs at 1 to 5 Magnus steps per sample interval, over 1 001, 1 586

@@ -468,15 +468,19 @@ class TestMagnus:
         spacing = times[-1] / (len(times) - 1)
         assert magnus_steps(cfg, scale, times) == np.ceil(scale * spacing / phase) > 1
 
-    @pytest.mark.parametrize("steps_per_chunk", [4, 100])
+    @pytest.mark.parametrize("steps_per_chunk", [4, 5, 100])
     def test_chunk_size_that_does_not_divide_an_interval(self, monkeypatch, steps_per_chunk):
-        # 6 steps per interval: split 4 + 2 across chunks, or 16 intervals
-        # (96 steps) to a chunk.
+        # Chunks of 4, 5 or 100 steps against intervals of 3, 6 or 7 steps:
+        # the samples fall at every offset inside a chunk, and where an
+        # interval is longer than a chunk some chunks hold no sample at all.
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=2e-4)
         times = np.linspace(0, 3e-9, 201)
-        default = self.run(cfg, times, 6)
-        monkeypatch.setattr(propagator, "STEPS_PER_CHUNK", steps_per_chunk)
-        assert np.max(np.abs(self.run(cfg, times, 6).states - default.states)) <= 1e-13
+        for steps in (3, 6, 7):
+            default = self.run(cfg, times, steps)
+            with monkeypatch.context() as patch:
+                patch.setattr(propagator, "STEPS_PER_CHUNK", steps_per_chunk)
+                chunked = self.run(cfg, times, steps)
+            assert np.max(np.abs(chunked.states - default.states)) <= 1e-13, steps
 
     def test_non_uniform_grid_is_refused(self):
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
@@ -543,8 +547,9 @@ class TestMagnus:
         norms = _step_norms(terms, phases)
         bound = _generator_bound(_real_form(terms).reshape(20, 64))
         assert bound >= np.max(norms)
-        chunk = max(1, STEPS_PER_CHUNK // steps) * steps
-        degrees = {_taylor_degree(np.max(norms[j : j + chunk])) for j in range(0, len(norms), chunk)}
+        degrees = {
+            _taylor_degree(np.max(norms[j : j + STEPS_PER_CHUNK])) for j in range(0, len(norms), STEPS_PER_CHUNK)
+        }
         assert degrees == {_taylor_degree(bound)}
 
     def test_real_form_keeps_products_and_adjoints(self):
@@ -572,8 +577,8 @@ class TestMagnus:
 
 
 class TestChunks:
-    """How the Magnus pass and the RK4 oracle group sample intervals and
-    advance the state."""
+    """How the Magnus pass groups its steps and the RK4 oracle its sample
+    intervals, and how they advance the state."""
 
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 127, 128])
     def test_prefix_products_match_a_loop(self, length):
@@ -617,10 +622,10 @@ class TestChunks:
             assert np.max(np.abs(product - expected)) <= 1e-14
 
     @pytest.mark.parametrize("count", [1, 6, 128, 263, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
-    def test_chunks_hold_whole_intervals(self, monkeypatch, count):
-        # STEPS_PER_CHUNK // count intervals to a chunk, in order, or one
-        # interval when it alone takes more steps, built STEPS_PER_CHUNK
-        # steps at a time; the last chunk holds the rest.
+    def test_chunks_carry_every_step_once_in_order(self, monkeypatch, count):
+        # The run's 30 * count steps are built STEPS_PER_CHUNK at a time,
+        # in order, the last build holding the rest, whether a chunk holds
+        # many intervals or part of one; each build goes to _carry as built.
         builds, carried = [], []
         magnus_steps_of = propagator._magnus_steps
         carry = propagator._carry
@@ -630,13 +635,14 @@ class TestChunks:
 
             def record(j, n):
                 assert n <= len(buffers[0])
-                builds.append((j, n))
-                return step_matrices(j, n)
+                m = step_matrices(j, n)
+                builds.append((j, n, m))
+                return m
 
             return record
 
         def record_carry(m, psi, work):
-            carried.append(len(m))
+            carried.append(m)
             return carry(m, psi, work)
 
         monkeypatch.setattr(propagator, "_magnus_steps", build)
@@ -644,13 +650,10 @@ class TestChunks:
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-10, 31)
         norms = TestMagnus.run(cfg, times, count).norms
-        per = max(1, STEPS_PER_CHUNK // count)
-        assert carried == [per] * (30 // per) + ([30 % per] if 30 % per else [])
-        batches = [min(STEPS_PER_CHUNK, count - c) for c in range(0, count, STEPS_PER_CHUNK)]
-        expected = [n * count for n in carried] if count <= STEPS_PER_CHUNK else batches * 30
-        assert [n for _, n in builds] == expected
-        # Every step once, in order.
-        assert [j for j, _ in builds] == list(np.cumsum([0] + expected[:-1]))
+        total = 30 * count
+        expected = [(j, min(STEPS_PER_CHUNK, total - j)) for j in range(0, total, STEPS_PER_CHUNK)]
+        assert [(j, n) for j, n, _ in builds] == expected
+        assert len(carried) == len(builds) and all(c is m for c, (_, _, m) in zip(carried, builds))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("count", [1, 6, _RK4_STEPS_PER_CHUNK, 2 * _RK4_STEPS_PER_CHUNK + 7])
