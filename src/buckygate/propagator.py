@@ -17,11 +17,11 @@ build the step matrices of many steps in one batched pass.  RK4 composes the
 steps of each span with a pairwise product tree and applies the product to
 the span's start state; its arithmetic is that of the classical scalar loop,
 reassociated.  The Magnus pass treats a run as one sequence of steps and
-carries the state through each chunk of them step by step, in blocks of 8
-(see ``_carry``), keeping the state after every interval's last step.  It
-forms each step in the frame of its midpoint, where a chunk's generators are
-one matrix product at one Taylor degree for the whole run (see
-``_magnus_steps``), and carries its matrices in the real form
+carries the state through each chunk of them step by step, by recursive
+doubling (see ``_carry``), keeping the state after every interval's last
+step.  It forms each step in the frame of its midpoint, where a chunk's
+generators are one matrix product at one Taylor degree for the whole run
+(see ``_magnus_steps``), and carries its matrices in the real form
 R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
 matrices about five times faster than 4x4 complex ones.
 
@@ -71,12 +71,14 @@ NORM_TOLERANCE = 1e-8
 # chunk costs a fixed count of numpy calls whatever its size, and the Magnus
 # pass keeps its chunk-sized arrays between runs (``_workspace``), so that no
 # size takes page faults after a thread's first run.  CPU time per Magnus pass
-# on the 9 driven reference points, median over 5 fresh processes of 20
+# on the 9 driven reference points, median over 10 fresh processes of 20
 # rounds each (2-core shared host, where one process's figure varies by up
 # to 1 ms), and minor faults per driven solve after the first round:
 #     steps     128   256   384   512   768
-#     ms       3.29  2.53  2.59  2.20  2.43
+#     ms       3.12  2.49  2.71  2.55  2.38
 #     faults      0     0     0     0     0
+# 768 was faster than 512 in 7 of the 10 processes, by less than the spread
+# between 512's quartiles (0.62 ms).
 STEPS_PER_CHUNK = 512
 
 # The same bound for RK4 steps, whose arrays are allocated on every call: at
@@ -212,33 +214,23 @@ def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: flo
     return states
 
 
-def _prefix_products(m):
-    """Running products m[j] @ ... @ m[1] @ m[0] of every j, in place, by
-    Hillis-Steele doubling: ceil(log2(len(m))) batched products."""
-    k = 1
-    while k < len(m):
-        m[k:] = m[k:] @ m[:-k]
-        k *= 2
-    return m
-
-
 def _carry(m, psi, work):
     """States m[j] @ ... @ m[0] @ psi of every j, for complex or real m.
 
-    The products of each block of 8 (``_compose``, in ``work``) and their
-    running products (``_prefix_products``) give every block's starting
-    state, from which 8 batched matrix-vector products carry all blocks at
-    once.
+    By recursive doubling: the products of adjacent pairs of steps, in the
+    head of ``work``, are carried by the same function, in the rest of
+    ``work``, to the state after every pair, and one batched matrix-vector
+    product fills in the steps between.  ``work`` holds at least
+    len(m) - 1 matrices of m's dtype that m does not share; m is left as it
+    is.
     """
-    starts = np.empty((-(-len(m) // 8),) + psi.shape, dtype=np.result_type(m, psi))
-    starts[0] = psi
-    if len(starts) > 1:
-        totals = _compose(m[: 8 * (len(starts) - 1)].reshape((-1, 8) + m.shape[1:]), work)
-        starts[1:] = _prefix_products(totals) @ psi
-    states = np.empty((len(m),) + psi.shape, dtype=starts.dtype)
-    for i in range(min(8, len(m))):
-        rows = m[i::8]
-        starts = states[i::8] = (rows @ starts[: len(rows), :, None])[..., 0]
+    states = np.empty((len(m),) + psi.shape, dtype=np.result_type(m, psi))
+    states[0] = m[0] @ psi
+    if len(m) > 1:
+        half = len(m) // 2
+        pairs = np.matmul(m[1 : 2 * half : 2], m[: 2 * half : 2], out=work[:half])
+        states[1::2] = _carry(pairs, psi, work[half:])
+        states[2::2] = (m[2::2] @ states[1:-1:2, :, None])[..., 0]
     return states
 
 
@@ -294,7 +286,8 @@ def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, bu
     ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
     ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
     returns its matrices in buffers[0] and runs Horner's rule in the other
-    three, of which only buffers[1] serves between calls, as ``_carry``'s work.
+    three, of which only buffers[1] serves between calls, as ``_carry``'s work
+    (n - 1 matrices of it).
 
     With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
     P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
@@ -491,26 +484,13 @@ def _real_form(m):
     return out
 
 
-def _compose(m, work=None):
-    """Pairwise product tree over axis 1: m[:, -1] @ ... @ m[:, 1] @ m[:, 0].
-
-    The levels of the tree go in turn to the head and the tail of ``work``,
-    a buffer of at least as many matrices as m that m does not share, or of
-    a new one.  ``_carry`` composes blocks of 8 Magnus steps in its work
-    buffer; the RK4 spans compose their steps in a new one.
-    """
-    rows, count = m.shape[:2]
-    if work is None:
-        work = np.empty((rows * count,) + m.shape[2:], dtype=m.dtype)
-    head = rows * -(-count // 2)
-    halves = work[:head], work[head:]
+def _compose(m):
+    """Pairwise product tree over axis 1: m[:, -1] @ ... @ m[:, 1] @ m[:, 0]."""
     while m.shape[1] > 1:
-        half, odd = divmod(m.shape[1], 2)
-        level = halves[0][: rows * (half + odd)].reshape((rows, half + odd) + m.shape[2:])
-        np.matmul(m[:, 1::2], m[:, : 2 * half : 2], out=level[:, :half])
-        if odd:
-            level[:, half] = m[:, -1]
-        m, halves = level, halves[::-1]
+        pairs = m[:, 1::2] @ m[:, 0 : m.shape[1] - 1 : 2]
+        if m.shape[1] % 2:
+            pairs = np.concatenate([pairs, m[:, -1:]], axis=1)
+        m = pairs
     return m[:, 0]
 
 

@@ -13,10 +13,10 @@ from buckygate.hamiltonian import build_static
 from buckygate.propagator import (
     _RK4_STEPS_PER_CHUNK,
     Trajectory,
+    _carry,
     _check_norms,
     _check_times,
     _interval_products,
-    _prefix_products,
     _rk4_matrices,
     time_dependent_hamiltonian,
 )
@@ -63,6 +63,6 @@ def _chunks(step_matrices, psi: np.ndarray, times: np.ndarray, count: int):
     for first in range(0, intervals, per):
         rows = slice(first, min(first + per, intervals))
         products = _interval_products(step_matrices, times[rows], count, sizes[rows])
-        states = _prefix_products(products) @ psi
+        states = _carry(products, psi, np.empty_like(products))
         psi = states[-1]
         yield first + 1, states
