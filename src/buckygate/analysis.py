@@ -31,7 +31,7 @@ AMP_FLOOR = 1e-12
 MAX_THETA_STEP = math.pi / 2
 
 # find_gate_time refines the crossing until its phase residual is at most
-# PHASE_TOL rad.
+# PHASE_TOL rad, within one or two evaluations from the Hermite start.
 PHASE_TOL = 1e-10
 
 # Points of the first-crossing scan per call of its theta evaluator, at most.
@@ -112,22 +112,28 @@ def find_gate_time(
     theta can reach the level and turn back between two samples, which the
     sampled series does not show.  So the times before the first sampled
     crossing at which theta could reach the level are scanned with
-    ``scan_fn`` (theta at an array of times) at a spacing of at most
-    ``scan_step`` (s).  Those are the times where the linear interpolation
-    of the samples comes within ``2 * unresolved`` plus half the largest
-    second difference of the samples of the level: ``unresolved`` (rad)
-    bounds the part of theta the samples do not resolve, the second
-    difference the interpolation error of the part they do.  The scan runs
-    in time order in batches and stops at the first crossing, so its cost
-    follows that window, not the horizon.
+    ``scan_fn`` (theta and its rate at an array of times) at a spacing of
+    at most ``scan_step`` (s).  Those are the times where the linear
+    interpolation of the samples comes within ``2 * unresolved`` plus half
+    the largest second difference of the samples of the level:
+    ``unresolved`` (rad) bounds the part of theta the samples do not
+    resolve, the second difference the interpolation error of the part
+    they do.  The scan runs in time order in batches and stops at the
+    first crossing, so its cost follows that window, not the horizon.
 
     Inside the bracket of the first crossing found, the crossing is refined
-    by Illinois regula falsi (Dowell & Jarratt, BIT 11, 168 (1971)) on
-    ``theta_fn`` (theta at one time, typically by re-propagation).  It stops
-    when the phase residual is at most PHASE_TOL rad, or when the next
-    secant point is no longer strictly inside the bracket (float
-    resolution); then the end of the bracket with the smaller residual is
-    returned.
+    by Newton steps on ``theta_fn`` (theta and its rate at one time,
+    typically by re-propagation), safeguarded to the bracket as in Press et
+    al., Numerical Recipes, 3rd ed., sec. 9.4 (rtsafe): a step that would
+    leave the bracket, or go further than half the step before, is replaced
+    by bisection.  Runs of Newton steps thus shrink geometrically and every
+    bisection halves the bracket, so the refinement ends, at float
+    resolution at the latest.  The first point is the root of the cubic
+    Hermite interpolant on the bracket, or its secant root when the bracket
+    comes from the samples, which carry no rate.  The refinement stops when
+    the phase residual is at most PHASE_TOL rad, or when no next point lies
+    strictly inside the bracket (float resolution); then the end of the
+    bracket with the smaller residual is returned.
 
     Raises NoCrossing when the phase never reaches the target before the end
     of the series; the exception carries theta at the final sample.
@@ -146,30 +152,39 @@ def find_gate_time(
         return float(times[0])
     margin = _scan_margin(theta, unresolved)
     scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, scan_fn, scan_step)
-    t_lo, t_hi, th_lo, th_hi = scanned or (times[i - 1], times[i], theta[i - 1], theta[i])
+    bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
+    t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
 
     crossed = level if th_hi >= level else -level
     f_lo, f_hi = th_lo - crossed, th_hi - crossed
-    # The secant runs through the weights w, which are the residuals f except
-    # that an end kept by two steps in a row has its weight halved.
-    w_lo, w_hi = f_lo, f_hi
-    moved = 0  # -1 after the lower end moved, +1 after the upper end
-    while min(abs(f_lo), abs(f_hi)) > PHASE_TOL:
-        t = t_lo + (t_hi - t_lo) * (w_lo / (w_lo - w_hi))
-        if not t_lo < t < t_hi:  # float resolution reached
-            break
-        f = theta_fn(t) - crossed
+    t = t_lo + (t_hi - t_lo) * _hermite_root(f_lo, f_hi, rate_lo * (t_hi - t_lo), rate_hi * (t_hi - t_lo))
+    last = t_hi - t_lo  # the step before
+    while min(abs(f_lo), abs(f_hi)) > PHASE_TOL and t_lo < t < t_hi:
+        theta_t, rate = map(float, theta_fn(t))
+        f = theta_t - crossed
         if (f > 0) == (f_lo > 0):
-            t_lo, f_lo, w_lo = t, f, f
-            if moved < 0:
-                w_hi /= 2
-            moved = -1
+            t_lo, f_lo = t, f
         else:
-            t_hi, f_hi, w_hi = t, f, f
-            if moved > 0:
-                w_lo /= 2
-            moved = 1
-    return float(t_lo if abs(f_lo) < abs(f_hi) else t_hi)
+            t_hi, f_hi = t, f
+        # A zero or NaN rate fails the step bound, a huge one leaves t - step
+        # at t, not strictly inside: both bisect.
+        step = f / rate if abs(f) < abs(rate) * last / 2 else math.inf
+        t_next = t - step if t_lo < t - step < t_hi else (t_lo + t_hi) / 2
+        t, last = t_next, abs(t_next - t)
+    return t_lo if abs(f_lo) < abs(f_hi) else t_hi
+
+
+def _hermite_root(f0, f1, m0, m1):
+    """Root in (0, 1) of the cubic with values f0, f1 and slopes m0, m1 at 0
+    and 1, by three Newton steps from the secant root f0 / (f0 - f1); the
+    secant root when that leaves (0, 1) or meets a zero or non-finite slope."""
+    s = secant = f0 / (f0 - f1)
+    c2 = 3 * (f1 - f0) - 2 * m0 - m1
+    c3 = 2 * (f0 - f1) + m0 + m1
+    for _ in range(3):
+        slope = m0 + s * (2 * c2 + 3 * c3 * s)
+        s -= (f0 + s * (m0 + s * (c2 + s * c3))) / slope if slope else math.nan
+    return s if 0 < s < 1 else secant
 
 
 def _scan_margin(theta, unresolved):
@@ -185,8 +200,10 @@ def _scan_margin(theta, unresolved):
 
 
 def _scan(times, theta, level, margin, scan_fn, scan_step):
-    """Bracket (t_lo, t_hi, theta_lo, theta_hi) of the first crossing of
-    |theta| = level on the scan grid, or None if the scan finds none.
+    """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
+    first crossing of |theta| = level on the scan grid, or None if the scan
+    finds none.  ``scan_fn`` gives theta and its rate at an array of times;
+    a lower end at a sample has rate NaN.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
@@ -226,21 +243,21 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
             f"spacing, above {MAX_SCAN_POINTS}"
         )
     first = first.astype(int)
-    prev = t0[0], a[0]
+    prev = t0[0], a[0], math.nan
     for k in range(0, first[-1], SCAN_BATCH):
         index = np.arange(k, min(k + SCAN_BATCH, first[-1]))
         band = np.searchsorted(first, index, side="right") - 1
         points = start[band] + width[band] * ((index - first[band]) / cells[band])
         # Adjacent bands can share the sample between them.
         points = points[np.concatenate([[True], points[1:] > points[:-1]])]
-        values = scan_fn(points)
+        values, rates = scan_fn(points)
         cross = np.flatnonzero(np.abs(values) >= level)
         if cross.size:
             j = cross[0]
             if j > 0:
-                return points[j - 1], points[j], values[j - 1], values[j]
-            return prev[0], points[0], prev[1], values[0]
-        prev = points[-1], values[-1]
+                return points[j - 1], points[j], values[j - 1], values[j], rates[j - 1], rates[j]
+            return prev[0], points[0], prev[1], values[0], prev[2], rates[0]
+        prev = points[-1], values[-1], rates[-1]
     return None
 
 

@@ -5,8 +5,8 @@ follows theta's own rate, driven mode with 4th-order Magnus steps in the
 interaction picture of the static Hamiltonian on a grid at the fastest
 Hamiltonian scale.  Gate-time refinement re-propagates between the stored
 samples, first to scan the intervals near the crossing at a fine spacing and
-then to refine the first crossing found by regula falsi, instead of
-interpolating the sampled phase.
+then to refine the first crossing found by safeguarded Newton steps on
+theta's exact rate, instead of interpolating the sampled phase.
 """
 
 from __future__ import annotations
@@ -122,7 +122,9 @@ class TrajectoryEvaluator:
     most ``refine_step`` for the driven case.  theta is the argument of
     c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
     interpolated sampled theta, which is safe because per-sample theta
-    increments stay below MAX_THETA_STEP.
+    increments stay below MAX_THETA_STEP.  Its rate comes exactly from the
+    same state: with i dpsi/dt = H(t) psi, where ``hfun`` gives H(t),
+    dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``scan_step`` is the point spacing, 0.05 rad at the run's Hamiltonian
     scale, at which find_gate_time scans for crossings between samples;
     ``unresolved`` bounds the part of theta the sample grid does not resolve.
@@ -140,6 +142,7 @@ class TrajectoryEvaluator:
         self.hfun = hfun
         self.refine_step = refine_step
         self.theta0 = float(composite_angle(trajectory.states[0]))
+        self._last = None, None
 
     def state_at(self, t: float) -> np.ndarray:
         times = self.trajectory.times
@@ -152,26 +155,35 @@ class TrajectoryEvaluator:
             return self.spectral.evolve(psi_i, t - times[i])
         return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.refine_step)
 
-    def theta_at(self, t: float) -> float:
-        return float(self._aligned(t, self.state_at(t)))
+    def theta_at(self, t: float):
+        """(theta(t), dtheta/dt at t) from one propagated state, which is
+        kept as ``_last`` for the caller that needs psi at the time found."""
+        psi = self.state_at(t)
+        self._last = t, psi
+        return float(self._aligned(t, psi)), float(self._rate(t, psi))
 
-    def theta_on(self, times: np.ndarray) -> np.ndarray:
-        """theta at each of ``times``, in one vectorized pass that carries
-        every time from its nearest earlier sample, as ``state_at`` does; the
-        driven RK4 spans all take the step count of the longest
-        (``rk4_spans``)."""
+    def theta_on(self, times: np.ndarray):
+        """(theta, dtheta/dt) at each of ``times``, in one vectorized pass
+        that carries every time from its nearest earlier sample, as
+        ``state_at`` does; the driven RK4 spans all take the step count of
+        the longest (``rk4_spans``)."""
         samples = self.trajectory.times
         i = np.clip(np.searchsorted(samples, times, side="right") - 1, 0, len(samples) - 1)
         if self.spectral is not None:
             states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
         else:
             states = rk4_spans(self.hfun, self.trajectory.states[i], samples[i], times, self.refine_step)
-        return self._aligned(times, states)
+        return self._aligned(times, states), self._rate(times, states)
 
     def _aligned(self, t, states):
         raw = composite_angle(states) - self.theta0
         ref = np.interp(t, self.trajectory.times, self.phases.theta)
         return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
+
+    def _rate(self, t, states):
+        h = self.hfun(t)  # one matrix, or one per time of a driven batch
+        ratio = (states @ h.T if h.ndim == 2 else (h @ states[..., None])[..., 0]) / states
+        return -(ratio[..., 0] - ratio[..., 1] - ratio[..., 2] + ratio[..., 3]).real
 
 
 def run_trajectory(config) -> TrajectoryEvaluator:
@@ -211,7 +223,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 "shorten t_max"
             )
         traj = propagate_static(spectral, cfg.initial_state, times)
-        hfun = refine_step = None
+        hfun, refine_step = (lambda t: h0), None
     phases = unwrap_phases(traj)
     return TrajectoryEvaluator(
         cfg, resonances, traj, phases, scan_step, unresolved, spectral, hfun, refine_step
@@ -223,7 +235,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     run = run_trajectory(config)
     traj = run.trajectory
     tau = find_gate_time(run.phases, run.theta_at, run.theta_on, run.scan_step, run.unresolved)
-    psi_tau = run.state_at(tau)
+    t_last, psi_last = run._last  # the latest refined time and its state
+    psi_tau = psi_last if t_last == tau else run.state_at(tau)
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
     phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()
     c_tau = concurrence(psi_tau)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,67 +100,112 @@ class TestUnwrapPhases:
             unwrap_phases(traj)
 
 
+def evaluator(theta, rate):
+    """theta and its rate at one time or an array of times, the pair that
+    find_gate_time's evaluators return."""
+    return lambda t: (theta(t), np.broadcast_to(rate(t), np.shape(t)))
+
+
+def dip_theta(t):
+    """theta dipping below -pi around t = 0.3055, between the samples at 0.30
+    and 0.31 of a 0.01 grid, and turning back; it falls through -pi for good
+    from 0.71 on.  Its first crossing is at DIP_TAU."""
+    dip = 0.003 * np.exp(-(((t - 0.3055) / 0.003) ** 2))
+    return -np.pi + 0.002 - dip - 10 * np.maximum(0.0, t - 0.7)
+
+
+def dip_rate(t):
+    u = (t - 0.3055) / 0.003
+    return 2 * u * np.exp(-(u**2)) - 10.0 * (t > 0.7)
+
+
+DIP_TAU = 0.3055 - 0.003 * np.sqrt(np.log(1.5))
+
+
 class TestFindGateTime:
     def linear_series(self, tau0, t_max=1.0, n=101):
         times = np.linspace(0, t_max, n)
         theta = -(np.pi / tau0) * times
         return PhaseSeries(times=times, theta=theta)
 
-    def gate_time(self, series, theta, scan_step=1e-3, unresolved=0.0):
-        """find_gate_time with ``theta`` as both the point and the scan evaluator."""
-        return find_gate_time(series, theta, theta, scan_step, unresolved)
+    def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0):
+        """find_gate_time with ``theta`` and ``rate`` as both the point and
+        the scan evaluator."""
+        fn = evaluator(theta, rate)
+        return find_gate_time(series, fn, fn, scan_step, unresolved)
 
     def test_linear_crossing(self):
-        tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t)
+        tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t, lambda t: -np.pi / 0.4)
         assert tau == pytest.approx(0.4, rel=1e-10)
 
     def test_refinement_with_evaluator(self):
         tau0 = 0.37
         series = self.linear_series(tau0)
-        tau = self.gate_time(series, lambda t: -(np.pi / tau0) * t)
+        tau = self.gate_time(series, lambda t: -(np.pi / tau0) * t, lambda t: -np.pi / tau0)
         assert tau == pytest.approx(tau0, abs=5e-12)
 
     def test_positive_crossing_reported_first(self):
         times = np.linspace(0, 1.0, 101)
         theta = lambda t: (np.pi / 0.25) * t  # rises through +pi at t=0.25
-        tau = self.gate_time(PhaseSeries(times, theta(times)), theta)
+        tau = self.gate_time(PhaseSeries(times, theta(times)), theta, lambda t: np.pi / 0.25)
         assert tau == pytest.approx(0.25, rel=1e-10)
 
     def test_scan_finds_crossing_between_samples(self):
-        # theta dips below -pi around t = 0.3055, between the samples at 0.30
-        # and 0.31, and turns back; the sampled series first crosses at 0.71.
-        def theta(t):
-            dip = 0.003 * np.exp(-(((t - 0.3055) / 0.003) ** 2))
-            return -np.pi + 0.002 - dip - 10 * np.maximum(0.0, t - 0.7)
-
         times = np.linspace(0, 1.0, 101)
-        series = PhaseSeries(times, theta(times))
+        series = PhaseSeries(times, dip_theta(times))
         assert np.all(np.abs(series.theta[times < 0.7]) < np.pi)
-        tau = self.gate_time(series, theta)
-        assert tau == pytest.approx(0.3055 - 0.003 * np.sqrt(np.log(1.5)), abs=1e-9)
+        tau = self.gate_time(series, dip_theta, dip_rate)
+        assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
     def test_refinement_meets_phase_tol_in_few_calls(self):
         # theta wiggles by 1e-3 rad about a line through -pi at 0.37.  The
         # scan is as coarse as the samples, so the refinement starts from the
-        # whole band around the level, and regula falsi converges
-        # superlinearly there.
+        # whole band around the level; the root of the cubic Hermite
+        # interpolant on the scan's bracket meets PHASE_TOL at the first call.
         times = np.linspace(0, 1.0, 101)
         theta = lambda t: -(np.pi / 0.37) * t + 1e-3 * np.sin(40 * t)
+        rate = lambda t: -(np.pi / 0.37) + 0.04 * np.cos(40 * t)
         calls = []
+        point = evaluator(theta, rate)
 
         def theta_fn(t):
             calls.append(t)
-            return theta(t)
+            return point(t)
 
-        tau = find_gate_time(PhaseSeries(times, theta(times)), theta_fn, theta, 1e-2, 1e-3)
+        tau = find_gate_time(PhaseSeries(times, theta(times)), theta_fn, point, 1e-2, 1e-3)
         assert abs(theta(tau) + np.pi) <= PHASE_TOL
-        assert len(calls) <= 6
+        assert len(calls) <= 1
+
+    @pytest.mark.parametrize(
+        "bad_rate",
+        [lambda t: -dip_rate(t), lambda t: 0.0, lambda t: math.nan, lambda t: 1e300, lambda t: -math.inf],
+        ids=["wrong-sign", "zero", "nan", "1e300", "-inf"],
+    )
+    def test_bad_rates_still_give_the_first_crossing(self, bad_rate):
+        # A rate of no use makes every Newton step fail its safeguard, so the
+        # refinement bisects: the bracket of width 1e-3 halves at least every
+        # other call, and PHASE_TOL needs it below about 1e-10 (theta turns at
+        # 0.85 rad/s there), some 23 halvings.
+        times = np.linspace(0, 1.0, 101)
+        calls = []
+        point = evaluator(dip_theta, bad_rate)
+
+        def theta_fn(t):
+            calls.append(t)
+            return point(t)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tau = find_gate_time(PhaseSeries(times, dip_theta(times)), theta_fn, point, 1e-3, 0.0)
+        assert abs(dip_theta(tau) + np.pi) <= PHASE_TOL
+        assert tau == pytest.approx(DIP_TAU, abs=1e-9)
+        assert len(calls) <= 2 * 24
 
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)
         theta = lambda t: -0.5 * t
         with pytest.raises(NoCrossing) as exc:
-            self.gate_time(PhaseSeries(times, theta(times)), theta)
+            self.gate_time(PhaseSeries(times, theta(times)), theta, lambda t: -0.5)
         assert exc.value.theta_end == pytest.approx(-0.5)
 
 

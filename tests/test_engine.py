@@ -82,7 +82,7 @@ class TestEvaluator:
         ev = run_trajectory(reference_config())
         for i in [1, 100, 500]:
             t = static_result.trajectory.times[i]
-            assert ev.theta_at(t) == pytest.approx(
+            assert ev.theta_at(t)[0] == pytest.approx(
                 static_result.phases.theta[i], abs=1e-9
             )
             np.testing.assert_allclose(
@@ -94,7 +94,17 @@ class TestEvaluator:
         times = static_result.trajectory.times
         t_mid = 0.5 * (times[10] + times[11])
         lo, hi = sorted([static_result.phases.theta[10], static_result.phases.theta[11]])
-        assert lo - 0.1 <= ev.theta_at(t_mid) <= hi + 0.1
+        assert lo - 0.1 <= ev.theta_at(t_mid)[0] <= hi + 0.1
+
+    def test_theta_on_matches_theta_at(self, static_result):
+        # The batched and the single spectral evolution round differently.
+        ev = run_trajectory(reference_config())
+        samples = ev.trajectory.times
+        times = np.random.default_rng(7).uniform(samples[40], samples[46], 60)
+        theta, rate = ev.theta_on(times)
+        expected = np.array([ev.theta_at(t) for t in times])
+        assert np.max(np.abs(theta - expected[:, 0])) <= 1e-12
+        assert np.max(np.abs(rate - expected[:, 1])) <= 1e-10 * np.max(np.abs(expected[:, 1]))
 
 
 class TestDrivenRun:
@@ -115,8 +125,10 @@ class TestDrivenRun:
         times = np.sort(np.concatenate([
             np.random.default_rng(7).uniform(samples[40], samples[46], 60), samples[41:46]
         ]))
-        expected = [run.theta_at(t) for t in times]
-        assert np.max(np.abs(run.theta_on(times) - expected)) <= 1e-10
+        expected = np.array([run.theta_at(t) for t in times])
+        theta, rate = run.theta_on(times)
+        assert np.max(np.abs(theta - expected[:, 0])) <= 1e-10
+        assert np.max(np.abs(rate - expected[:, 1])) <= 1e-10 * np.max(np.abs(expected[:, 1]))
 
     def test_drive_free_long_run_matches_static(self):
         # Rounding grows with the Magnus step count: 5 293 steps over 150 ns
@@ -426,7 +438,64 @@ def test_refinement_takes_few_evaluations(config, monkeypatch):
     monkeypatch.setattr(TrajectoryEvaluator, "theta_at", counting)
     result = run_simulation(config)
     assert abs(result.gate.theta_at_tau + np.pi) <= PHASE_TOL
-    assert 0 < len(calls) <= 6
+    assert 0 < len(calls) <= 2
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(), reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)],
+    ids=["static", "driven"],
+)
+def test_state_at_tau_comes_from_the_last_refinement(config, monkeypatch):
+    # The refinement's last state is psi(tau): no RK4 span beyond those of
+    # theta_at, and the same bits as state_at(tau) gives.
+    calls = {"theta_at": 0, "rk4_segment": 0}
+    states = []
+    theta_at, rk4_segment, concurrence = TrajectoryEvaluator.theta_at, engine.rk4_segment, engine.concurrence
+
+    def counting_theta_at(self, t):
+        calls["theta_at"] += 1
+        return theta_at(self, t)
+
+    def counting_rk4_segment(*args):
+        calls["rk4_segment"] += 1
+        return rk4_segment(*args)
+
+    def recording_concurrence(psi):
+        states.append(psi)
+        return concurrence(psi)
+
+    monkeypatch.setattr(TrajectoryEvaluator, "theta_at", counting_theta_at)
+    monkeypatch.setattr(engine, "rk4_segment", counting_rk4_segment)
+    monkeypatch.setattr(engine, "concurrence", recording_concurrence)
+    tau = run_simulation(config).gate.tau
+    assert calls["theta_at"] > 0
+    assert calls["rk4_segment"] <= calls["theta_at"]
+    assert np.array_equal(states[0], run_trajectory(config).state_at(tau))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config()]
+    + [
+        reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
+        for bz, bl, t_max in (DRIVEN_POINTS[0], DRIVEN_POINTS[4], DRIVEN_POINTS[8])
+    ],
+    ids=["static"] + [DRIVEN_IDS[0], DRIVEN_IDS[4], DRIVEN_IDS[8]],
+)
+def test_theta_rate_matches_a_central_difference(config):
+    # At the gate time and in the middle of its sample interval.  The step,
+    # 5e-4 rad at the Hamiltonian scale (about 1e-14 s), keeps the central
+    # difference's h^2 error of theta's Zeeman-scale wiggle below 1e-7.
+    run = run_trajectory(config)
+    tau = run_simulation(config).gate.tau
+    samples = run.trajectory.times
+    i = int(samples.searchsorted(tau)) - 1
+    h = run.scan_step / 100
+    for t in (tau, (samples[i] + samples[i + 1]) / 2):
+        rate = run.theta_at(t)[1]
+        central = (run.theta_at(t + h)[0] - run.theta_at(t - h)[0]) / (2 * h)
+        assert abs(central / rate - 1) <= 1e-6
 
 
 class TestThetaRateGrid:
