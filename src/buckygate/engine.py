@@ -163,10 +163,9 @@ class TrajectoryEvaluator:
         return float(self._aligned(t, psi)), float(self._rate(t, psi))
 
     def theta_on(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``, in one vectorized pass
-        that carries every time from its nearest earlier sample, as
-        ``state_at`` does; the driven RK4 spans all take the step count of
-        the longest (``rk4_spans``)."""
+        """(theta, dtheta/dt) at each of ``times``, each carried from its
+        nearest earlier sample as ``state_at`` does: in one vectorized pass
+        for a static run, by RK4 in its own step count for a driven one."""
         samples = self.trajectory.times
         i = np.clip(np.searchsorted(samples, times, side="right") - 1, 0, len(samples) - 1)
         if self.spectral is not None:

@@ -9,14 +9,13 @@ Two routes are provided, and one refinement:
   integrates the oscillating phase factors of the interaction picture
   exactly, so that its step follows the drive, not the Zeeman precession
   (see ``_drive_integrals``, ``magnus_steps``);
-* ``rk4_spans`` carries states from stored samples to nearby times with
+* ``rk4_segment`` carries a state from a stored sample to a nearby time with
   classical RK4, which is how the engine refines driven runs between samples.
 
 For a linear equation one step of either integrator is a 4x4 matrix, so they
-build the step matrices of many steps in one batched pass.  RK4 composes the
-steps of each span with a pairwise product tree and applies the product to
-the span's start state; its arithmetic is that of the classical scalar loop,
-reassociated.  The Magnus pass treats a run as one sequence of steps and
+build the step matrices of many steps in one batched pass.  RK4 applies its
+steps to the state one by one, as the classical scalar loop does.  The
+Magnus pass treats a run as one sequence of steps and
 carries the state through each chunk of them step by step, by recursive
 doubling (see ``_carry``), keeping the state after every interval's last
 step.  It forms each step in the frame of its midpoint, where a chunk's
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -81,10 +80,9 @@ NORM_TOLERANCE = 1e-8
 # between 512's quartiles (0.62 ms).
 STEPS_PER_CHUNK = 512
 
-# The same bound for RK4 steps, whose arrays are allocated on every call: at
-# 128 steps none is above 32 kB and all come from the heap.  At 512, a call
-# over 20 spans of 23 steps took 209 minor faults, and no less time (2.2 to
-# 2.4 ms against 1.8 to 2.1).
+# The same bound for RK4 steps, whose arrays are allocated on every call: one
+# rk4_segment of 389 steps took 2.2 to 2.4 ms at 128 and at 512, but 138
+# minor faults per call at 512 against none at 128.
 _RK4_STEPS_PER_CHUNK = 128
 
 # Upper bound on the steps of one integration, checked before any is taken:
@@ -185,33 +183,33 @@ def propagate_static(h, psi0: np.ndarray, times) -> Trajectory:
 
 
 def rk4_segment(hfun, psi: np.ndarray, t0: float, t1: float, dt_max: float) -> np.ndarray:
-    """Integrate i dpsi/dt = H(t) psi from t0 to t1 with uniform steps <= dt_max."""
-    return rk4_spans(hfun, psi[None], np.array([t0]), np.array([t1]), dt_max)[0]
+    """psi carried from t0 to t1 by classical RK4 in ceil((t1 - t0) / dt_max)
+    uniform steps, at least one, whose matrices are built at most
+    _RK4_STEPS_PER_CHUNK at a time and applied in order, step times
+    accumulating as ``t += h`` as in a scalar loop.  Raises OutOfRange, before
+    any step is taken, for more than MAX_STEPS steps.
+    """
+    steps = np.maximum(1.0, np.ceil((t1 - t0) / dt_max))
+    _check_step_count(steps, dt_max, t1 - t0)
+    count, h = int(steps), (t1 - t0) / steps
+    for first in range(0, count, _RK4_STEPS_PER_CHUNK):
+        sizes = np.full(min(_RK4_STEPS_PER_CHUNK, count - first), h)
+        nodes = np.cumsum(np.concatenate([[t0], sizes]))
+        for m in _rk4_matrices(hfun, nodes, sizes):
+            psi = m @ psi
+        t0 = nodes[-1]
+    return psi
 
 
 def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: float) -> np.ndarray:
-    """psi[j] carried by classical RK4 from t0[j] to t1[j], for every j at once.
-
-    Every span takes the same ceil(longest span / dt_max) uniform steps, at
-    least one, so a span of zero takes exact identity steps.  The spans are
-    batched at most _RK4_STEPS_PER_CHUNK steps at a time, or one span at a time
-    if it takes more.  Raises OutOfRange, before any step is taken, when the
-    steps number more than MAX_STEPS.
+    """psi[j] carried by ``rk4_segment`` from t0[j] to t1[j], for every j,
+    each span in its own count of steps.  Raises OutOfRange, before any step
+    is taken, when the steps of all spans number more than MAX_STEPS.
     """
-    spans = t1 - t0
-    longest = float(np.max(spans))
-    steps = np.maximum(1.0, np.ceil(longest / dt_max))
-    _check_step_count(steps * len(spans), dt_max, longest * len(spans))
-    count = int(steps)
-    sizes = spans / count
-    step_matrices = partial(_rk4_matrices, hfun)
-    states = np.empty(np.shape(psi), dtype=complex)
-    per = max(1, _RK4_STEPS_PER_CHUNK // count)
-    for first in range(0, len(spans), per):
-        rows = slice(first, first + per)
-        products = _interval_products(step_matrices, t0[rows], count, sizes[rows])
-        states[rows] = (products @ psi[rows, :, None])[..., 0]
-    return states
+    steps = np.maximum(1.0, np.ceil((t1 - t0) / dt_max))
+    _check_step_count(np.sum(steps), dt_max, np.sum(t1 - t0))
+    states = [rk4_segment(hfun, *span, dt_max) for span in zip(psi, t0, t1)]
+    return np.array(states, dtype=complex).reshape(np.shape(psi))
 
 
 def _carry(m, psi, work):
@@ -242,24 +240,6 @@ def _check_step_count(total, step: float, horizon: float):
             f"{total:.4g} steps of at most {step:.4g} s over {horizon:.4g} s "
             f"exceed the limit of {MAX_STEPS:.0e}"
         )
-
-
-def _interval_products(step_matrices, starts, count: int, sizes):
-    """Product of the ``count`` step matrices of each interval, later steps
-    left.
-
-    Interval j takes its steps of sizes[j] from starts[j], step times
-    accumulating as ``t += h``, the way a scalar loop takes them.
-    """
-    t = starts
-    product = None
-    for c in range(0, count, _RK4_STEPS_PER_CHUNK):
-        h = np.broadcast_to(sizes[:, None], (len(sizes), min(_RK4_STEPS_PER_CHUNK, count - c)))
-        nodes = np.cumsum(np.column_stack([t, h]), axis=1)
-        block = _compose(step_matrices(nodes, h))
-        product = block if product is None else block @ product
-        t = nodes[:, -1]
-    return product
 
 
 def _rk4_matrices(hfun, nodes, h):
@@ -482,16 +462,6 @@ def _real_form(m):
     out[..., n:, :n] = m.imag
     np.negative(m.imag, out=out[..., :n, n:])
     return out
-
-
-def _compose(m):
-    """Pairwise product tree over axis 1: m[:, -1] @ ... @ m[:, 1] @ m[:, 0]."""
-    while m.shape[1] > 1:
-        pairs = m[:, 1::2] @ m[:, 0 : m.shape[1] - 1 : 2]
-        if m.shape[1] % 2:
-            pairs = np.concatenate([pairs, m[:, -1:]], axis=1)
-        m = pairs
-    return m[:, 0]
 
 
 def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray):

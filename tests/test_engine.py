@@ -554,22 +554,73 @@ class TestRefinementStep:
         run_simulation(config)
         assert steps and set(steps) == {automatic_step(run)}
 
-    def test_spacing_bounds_the_step(self, monkeypatch):
-        # 0.1 ns at Bz = 0.1 T is under 10 rad at the Hamiltonian scale, so
-        # MIN_SAMPLES samples lie closer than the automatic step.
-        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, t_max=1e-10))
-        spacing = float(np.max(np.diff(run.trajectory.times)))
-        assert spacing < automatic_step(run)
-        taken = []
+    @staticmethod
+    def record_builds(monkeypatch):
+        """Record the step sizes of every RK4 step matrix build."""
+        builds = []
 
         def recording(hfun, nodes, h, _original=propagator._rk4_matrices):
-            taken.append(float(np.max(h)))
+            builds.append(h)
             return _original(hfun, nodes, h)
 
         monkeypatch.setattr(propagator, "_rk4_matrices", recording)
+        return builds
+
+    def test_spacing_bounds_the_step(self, monkeypatch):
+        # 0.1 ns at Bz = 0.1 T is under 10 rad at the Hamiltonian scale, so
+        # MIN_SAMPLES samples lie closer than the automatic step.  One build
+        # per refined time.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, t_max=1e-10))
+        spacing = float(np.max(np.diff(run.trajectory.times)))
+        assert spacing < automatic_step(run)
+        builds = self.record_builds(monkeypatch)
         run.state_at(run.trajectory.times[1] / 2)
         run.theta_on(run.trajectory.times[1:3] - run.trajectory.times[1] / 2)
-        assert len(taken) == 2 and max(taken) <= spacing
+        taken = [float(np.max(h)) for h in builds]
+        assert len(taken) == 3 and max(taken) <= spacing
+
+    def test_theta_on_takes_each_time_in_its_own_step_count(self, monkeypatch):
+        # Times at different depths in their sample intervals, one of them on
+        # a sample: each is carried from its own sample in
+        # max(1, ceil(depth / refine_step)) steps, not in the longest one's.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
+        samples = run.trajectory.times
+        starts = samples[[3, 5, 7, 9]]
+        times = starts + np.array([0.1, 0.9, 0.0, 0.5]) * samples[1]
+        builds = self.record_builds(monkeypatch)
+        run.theta_on(times)
+        counts = [max(1, int(np.ceil(depth / run.refine_step))) for depth in times - starts]
+        assert [len(h) for h in builds] == counts
+        assert len(set(counts)) == 4
+
+    @pytest.mark.parametrize(
+        "bz, bl, t_max",
+        [DRIVEN_POINTS[0], DRIVEN_POINTS[4], DRIVEN_POINTS[8]],
+        ids=[DRIVEN_IDS[0], DRIVEN_IDS[4], DRIVEN_IDS[8]],
+    )
+    def test_rk4_steps_built_are_the_segment_counts(self, monkeypatch, bz, bl, t_max):
+        # Every RK4 step of a driven solve is built inside an rk4_segment
+        # call, which takes max(1, ceil((t1 - t0) / dt_max)) of them, so a
+        # wrapper of rk4_segment in the engine and the propagator counts
+        # all the refinement's steps, those of theta_on included.
+        counted = []
+
+        def counting(hfun, psi, t0, t1, dt_max, _original=propagator.rk4_segment):
+            counted.append(max(1, int(np.ceil((t1 - t0) / dt_max))))
+            return _original(hfun, psi, t0, t1, dt_max)
+
+        spans = []
+
+        def spanning(hfun, psi, t0, t1, dt_max, _original=engine.rk4_spans):
+            spans.append(len(t1))
+            return _original(hfun, psi, t0, t1, dt_max)
+
+        monkeypatch.setattr(engine, "rk4_segment", counting)
+        monkeypatch.setattr(propagator, "rk4_segment", counting)
+        monkeypatch.setattr(engine, "rk4_spans", spanning)
+        builds = self.record_builds(monkeypatch)
+        run_simulation(reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max))
+        assert spans and sum(len(h) for h in builds) == sum(counted)
 
     def test_static_solve_takes_no_rk4_step(self, monkeypatch):
         steps = self.record_steps(monkeypatch)

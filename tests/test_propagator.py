@@ -20,7 +20,6 @@ from buckygate.propagator import (
     Trajectory,
     _RK4_STEPS_PER_CHUNK,
     _carry,
-    _compose,
     _drive_integrals,
     _expm_taylor,
     _generator_bound,
@@ -222,7 +221,7 @@ class TestNumeric:
 
 
 class TestBatchedRK4:
-    """The batched step-matrix integrator against the scalar RK4 loop."""
+    """The step-matrix RK4 integrator against the scalar RK4 loop."""
 
     @staticmethod
     def driven_config(**overrides):
@@ -239,8 +238,8 @@ class TestBatchedRK4:
 
     def test_spans_match_scalar_loop(self):
         # One call over spans of 0 to more than two chunks' worth of steps at
-        # dt, from their own states and start times: every span takes the
-        # longest one's count of steps.
+        # dt, from their own states and start times: every span takes its own
+        # ceil(span / dt) steps, at least one.
         cfg = self.driven_config(t_max=4e-9)
         hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
         rng = np.random.default_rng(3)
@@ -250,18 +249,23 @@ class TestBatchedRK4:
         z = rng.normal(size=(len(spans), 4)) + 1j * rng.normal(size=(len(spans), 4))
         psi = z / np.linalg.norm(z, axis=1, keepdims=True)
         batched = rk4_spans(hfun, psi, t0, t0 + spans, dt)
-        count = int(np.ceil(spans[-1] / dt))
         for j, span in enumerate(spans):
-            reference = _scalar_rk4_steps(hfun, psi[j], t0[j], t0[j] + span, count)
+            reference = _scalar_rk4_segment(hfun, psi[j], t0[j], t0[j] + span, dt)
             assert np.max(np.abs(batched[j] - reference)) <= 1e-12
         np.testing.assert_array_equal(batched[0], psi[0])
 
-    def test_span_step_limit(self):
-        # Refused before any step is taken.
+    def test_span_step_limit(self, monkeypatch):
+        # Each span alone is within MAX_STEPS, both together are not: refused
+        # before any step matrix is built.
         cfg = self.driven_config()
         hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        built = []
+        monkeypatch.setattr(propagator, "_rk4_matrices", lambda *args: built.append(args))
+        t1 = np.array([3e-6, 8e-6])
+        assert np.all(np.ceil(t1 / 1e-12) <= MAX_STEPS) and np.sum(np.ceil(t1 / 1e-12)) > MAX_STEPS
         with pytest.raises(OutOfRange, match="exceed the limit"):
-            rk4_spans(hfun, np.array([UNIFORM, UNIFORM]), np.zeros(2), np.array([1e-6, 1e-5]), 1e-12)
+            rk4_spans(hfun, np.array([UNIFORM, UNIFORM]), np.zeros(2), t1, 1e-12)
+        assert built == []
 
     def test_segment_longer_than_a_chunk(self):
         cfg = self.driven_config()
@@ -273,8 +277,8 @@ class TestBatchedRK4:
         assert np.max(np.abs(batched - reference)) <= 1e-12
 
     def test_norm_drift_names_first_offending_sample(self):
-        # One step per sample: the drift crosses the tolerance past the
-        # first chunk of samples.
+        # One step per sample: the drift crosses the tolerance well into the
+        # run, past the first _RK4_STEPS_PER_CHUNK samples.
         cfg = self.driven_config(Bl1=5e-4, Bl2=5e-4, t_max=4e-9)
         times = np.linspace(0, 4e-9, 2001)
         _, first_drift = _scalar_states(cfg, times, 2e-12)
@@ -609,16 +613,6 @@ class TestChunks:
         np.testing.assert_array_equal(states, _carry(m, psi, np.empty_like(m)))
         assert np.all(np.isfinite(states))
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 5, 6, 8, 9])
-    def test_compose_matches_a_loop(self, count):
-        rng = np.random.default_rng(count)
-        m = _orthogonal(rng, 3 * count).reshape(3, count, 8, 8)
-        for row, product in zip(m, _compose(m)):
-            expected = np.eye(8)
-            for u in row:
-                expected = u @ expected
-            assert np.max(np.abs(product - expected)) <= 1e-14
-
     @pytest.mark.parametrize("count", [1, 6, 128, 263, STEPS_PER_CHUNK, 2 * STEPS_PER_CHUNK + 7])
     def test_chunks_carry_every_step_once_in_order(self, monkeypatch, count):
         # The run's 30 * count steps are built STEPS_PER_CHUNK at a time,
@@ -657,26 +651,26 @@ class TestChunks:
         assert len(carried) == len(builds) and all(c is m for c, (_, _, m) in zip(carried, builds))
         np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("count", [1, 6, _RK4_STEPS_PER_CHUNK, 2 * _RK4_STEPS_PER_CHUNK + 7])
+    @pytest.mark.parametrize("count", [1, 6, 128, 263])
     def test_oracle_chunks_hold_whole_intervals(self, monkeypatch, count):
-        # The RK4 oracle's chunks: _RK4_STEPS_PER_CHUNK // count intervals to a
-        # chunk, in order, or one interval when it alone takes more steps.
-        chunks = []
-        interval_products = rk4_oracle._interval_products
+        # The RK4 oracle carries one whole sample interval per rk4_segment
+        # call, in order, each in ``count`` steps, and matches the scalar loop.
+        spans = []
+        segment = rk4_oracle.rk4_segment
 
-        def record(step_matrices, starts, steps, sizes):
-            assert steps == count and len(sizes) == len(starts)
-            chunks.append(starts)
-            return interval_products(step_matrices, starts, steps, sizes)
+        def record(hfun, psi, t0, t1, dt_max):
+            spans.append((t0, t1, max(1, int(np.ceil((t1 - t0) / dt_max)))))
+            return segment(hfun, psi, t0, t1, dt_max)
 
-        monkeypatch.setattr(rk4_oracle, "_interval_products", record)
+        monkeypatch.setattr(rk4_oracle, "rk4_segment", record)
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-10, 31)
-        norms = propagate_numeric(cfg, resonances_for(cfg), times, 1e-10 / 30 / (count - 0.5)).norms
-        per = max(1, _RK4_STEPS_PER_CHUNK // count)
-        assert [len(c) for c in chunks] == [per] * (30 // per) + ([30 % per] if 30 % per else [])
-        np.testing.assert_array_equal(np.concatenate(chunks), times[:-1])
-        np.testing.assert_allclose(norms, 1.0, atol=1e-12)
+        dt = 1e-10 / 30 / (count - 0.5)
+        numeric = propagate_numeric(cfg, resonances_for(cfg), times, dt)
+        assert spans == [(t0, t1, count) for t0, t1 in zip(times[:-1], times[1:])]
+        reference, _ = _scalar_states(cfg, times, dt)
+        assert np.max(np.abs(numeric.states - reference)) <= 1e-12
+        np.testing.assert_allclose(numeric.norms, 1.0, atol=1e-12)
 
 
 def test_trajectory_shape_guard():
