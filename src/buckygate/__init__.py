@@ -16,7 +16,6 @@ from .config import (
     SimulationConfig,
     default_initial_state,
     product_state,
-    state_vector,
     validate,
 )
 from .constants import CONSTANTS, PhysicalConstants
@@ -49,7 +48,6 @@ __all__ = [
     "propagate_static",
     "resonance_frequencies",
     "run_simulation",
-    "state_vector",
     "unwrap_phases",
     "validate",
 ]

@@ -48,6 +48,11 @@ TRAJECTORY_HEADER = (
 SWEEP_HEADER = "param_value,tau_s,concurrence_at_tau,eof_at_tau,ops_budget,status"
 
 SWEEP_PARAMS = ("r", "Bz", "Bg1", "Bg2", "Bl", "I", "J0")
+# The config fields a swept value sets, for every parameter but the wire current I.
+SWEEP_FIELDS = {
+    "r": ("r",), "Bz": ("Bz1", "Bz2"), "Bg1": ("Bg1",),
+    "Bg2": ("Bg2",), "Bl": ("Bl1", "Bl2"), "J0": ("J0",),
+}
 WIRE_KEYS = ("d_m", "rho_m", "x1_m", "x2_m")
 
 # Far more points than a sweep or a profile needs; a count near numpy's
@@ -188,28 +193,18 @@ def parse_sweep_spec(kv: dict):
 
 
 def apply_sweep_param(base_config, param: str, value: float, wires: dict):
-    if param == "r":
-        return base_config.replace(r=value)
-    if param == "Bz":
-        return base_config.replace(Bz1=value, Bz2=value)
-    if param == "Bg1":
-        return base_config.replace(Bg1=value)
-    if param == "Bg2":
-        return base_config.replace(Bg2=value)
-    if param == "J0":
-        return base_config.replace(J0=value)
-    if param == "Bl":
-        mode = "driven" if value != 0 else "static"
-        return base_config.replace(Bl1=value, Bl2=value, mode=mode)
     if param == "I":
-        pair = WirePair(
-            current=value, separation=wires["d_m"], radius=wires["rho_m"]
-        )
+        pair = WirePair(current=value, separation=wires["d_m"], radius=wires["rho_m"])
         return base_config.replace(
             Bg1=gradient_field(pair, wires["x1_m"]),
             Bg2=gradient_field(pair, wires["x2_m"]),
         )
-    raise ConfigErrorItem(f"unknown sweep parameter {param!r}")
+    if param not in SWEEP_FIELDS:
+        raise ConfigErrorItem(f"unknown sweep parameter {param!r}")
+    changes = dict.fromkeys(SWEEP_FIELDS[param], value)
+    if param == "Bl":
+        changes["mode"] = "driven" if value != 0 else "static"
+    return base_config.replace(**changes)
 
 
 def _sweep_point(base_config, param, wires, value) -> str:

@@ -32,10 +32,6 @@ def default_initial_state() -> np.ndarray:
     return np.full(4, 0.5, dtype=complex)
 
 
-def state_vector(c1, c2, c3, c4) -> np.ndarray:
-    return np.array([c1, c2, c3, c4], dtype=complex)
-
-
 def product_state(qubit1, qubit2) -> np.ndarray:
     """Two-qubit product state from two single-qubit amplitude pairs."""
     q1 = np.asarray(qubit1, dtype=complex)

@@ -41,7 +41,6 @@ from .propagator import (
     magnus_steps,
     propagate_magnus,
     propagate_static,
-    rk4_segment,
     rk4_spans,
     time_dependent_hamiltonian,
 )
@@ -117,13 +116,15 @@ def theta_rate(config, spectral):
 class TrajectoryEvaluator:
     """One propagated run, and continuous theta(t) / psi(t) between its samples.
 
-    Re-propagates each time from its nearest earlier sample, exactly with the
-    run's own SpectralPropagator for the static case, with RK4 substeps of at
-    most ``refine_step`` for the driven case.  theta is the argument of
-    c1 c4 conj(c2 c3) aligned to the nearest branch of the linearly
-    interpolated sampled theta, which is safe because per-sample theta
-    increments stay below MAX_THETA_STEP.  Its rate comes exactly from the
-    same state: with i dpsi/dt = H(t) psi, where ``hfun`` gives H(t),
+    ``carry(psi, t0, t1)`` carries states psi[j] from the times t0[j] to
+    t1[j]: exactly with the run's SpectralPropagator for a static run, by RK4
+    from each time's own sample for a driven one.  ``states_at`` carries each
+    time from its nearest earlier sample, and every state the evaluator gives
+    comes from it.  theta is the argument of c1 c4 conj(c2 c3) aligned to the
+    nearest branch of the linearly interpolated sampled theta, which is safe
+    because per-sample theta increments stay below MAX_THETA_STEP.  Its rate
+    comes exactly from the same state: with i dpsi/dt = H(t) psi, where
+    ``apply_h(t, psi)`` gives H(t) psi for each time and state,
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``scan_step`` is the point spacing, 0.05 rad at the run's Hamiltonian
     scale, at which find_gate_time scans for crossings between samples;
@@ -131,47 +132,36 @@ class TrajectoryEvaluator:
     """
 
     def __init__(self, config, resonances, trajectory, phases, scan_step,
-                 unresolved, spectral, hfun, refine_step):
+                 unresolved, carry, apply_h):
         self.config = config
         self.resonances = resonances
         self.trajectory = trajectory
         self.phases = phases
         self.scan_step = scan_step
         self.unresolved = unresolved
-        self.spectral = spectral
-        self.hfun = hfun
-        self.refine_step = refine_step
+        self.carry = carry
+        self.apply_h = apply_h
         self.theta0 = float(composite_angle(trajectory.states[0]))
-        self._last = None, None
+        # The latest evaluated times and their states; before any, the first sample.
+        self._last = trajectory.times[:1], trajectory.states[:1]
 
-    def state_at(self, t: float) -> np.ndarray:
-        times = self.trajectory.times
-        i = int(times.searchsorted(t, side="right")) - 1
-        i = min(max(i, 0), len(times) - 1)
-        psi_i = self.trajectory.states[i]
-        if t == times[i]:
-            return psi_i.copy()
-        if self.spectral is not None:
-            return self.spectral.evolve(psi_i, t - times[i])
-        return rk4_segment(self.hfun, psi_i.copy(), times[i], t, self.refine_step)
+    def states_at(self, times) -> np.ndarray:
+        """psi at each of ``times``, carried from its nearest earlier sample."""
+        times = np.asarray(times, dtype=float)
+        samples = self.trajectory.times
+        i = np.maximum(samples.searchsorted(times, side="right") - 1, 0)
+        return self.carry(self.trajectory.states[i], samples[i], times)
 
     def theta_at(self, t: float):
-        """(theta(t), dtheta/dt at t) from one propagated state, which is
-        kept as ``_last`` for the caller that needs psi at the time found."""
-        psi = self.state_at(t)
-        self._last = t, psi
-        return float(self._aligned(t, psi)), float(self._rate(t, psi))
+        """(theta(t), dtheta/dt at t) as floats, by ``theta_on``."""
+        (theta,), (rate,) = self.theta_on(np.array([t]))
+        return float(theta), float(rate)
 
     def theta_on(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``, each carried from its
-        nearest earlier sample as ``state_at`` does: in one vectorized pass
-        for a static run, by RK4 in its own step count for a driven one."""
-        samples = self.trajectory.times
-        i = np.clip(np.searchsorted(samples, times, side="right") - 1, 0, len(samples) - 1)
-        if self.spectral is not None:
-            states = self.spectral.evolve(self.trajectory.states[i], times - samples[i])
-        else:
-            states = rk4_spans(self.hfun, self.trajectory.states[i], samples[i], times, self.refine_step)
+        """(theta, dtheta/dt) at each of ``times``.  The states are kept as
+        ``_last`` for the caller that needs psi at the time found."""
+        states = self.states_at(times)
+        self._last = times, states
         return self._aligned(times, states), self._rate(times, states)
 
     def _aligned(self, t, states):
@@ -180,8 +170,7 @@ class TrajectoryEvaluator:
         return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
 
     def _rate(self, t, states):
-        h = self.hfun(t)  # one matrix, or one per time of a driven batch
-        ratio = (states @ h.T if h.ndim == 2 else (h @ states[..., None])[..., 0]) / states
+        ratio = self.apply_h(t, states) / states
         return -(ratio[..., 0] - ratio[..., 1] - ratio[..., 2] + ratio[..., 3]).real
 
 
@@ -195,8 +184,11 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     drive and the fitted error of the step rather than by the Zeeman
     precession: one or two on the benchmark's driven points.  Gate-time
     refinement scans at ``scan_step``, MAX_PHASE_PER_STEP rad at the
-    Hamiltonian scale, and refines a driven run between samples by RK4
-    steps of at most DEFAULT_STEP_SAFETY times that.
+    Hamiltonian scale.  The mode also picks, once, the evaluator's ``carry``
+    from a sample to a later time, the static run's exact spectral evolution
+    or for a driven run ``rk4_spans`` in steps of at most DEFAULT_STEP_SAFETY
+    times ``scan_step``, and its ``apply_h``: one product with the static
+    Hamiltonian for every time, or one H(t) per time of a driven batch.
     """
     cfg = validate(config)
     resonances = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
@@ -208,9 +200,10 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         unresolved = 0.0
         times = sample_times(cfg.t_max, scale)
         traj = propagate_magnus(spectral, cfg, resonances, times, magnus_steps(cfg, scale, times))
-        # The evaluator refines a driven run by RK4 from the stored samples.
-        spectral, hfun = None, time_dependent_hamiltonian(cfg, resonances, h0)
-        refine_step = DEFAULT_STEP_SAFETY * scan_step
+        hfun = time_dependent_hamiltonian(cfg, resonances, h0)
+        step = DEFAULT_STEP_SAFETY * scan_step
+        carry = lambda psi, t0, t1: rk4_spans(hfun, psi, t0, t1, step)  # noqa: E731
+        apply_h = lambda t, psi: (hfun(t) @ psi[..., None])[..., 0]  # noqa: E731
     else:
         rate, unresolved = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
@@ -222,11 +215,12 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 "shorten t_max"
             )
         traj = propagate_static(spectral, cfg.initial_state, times)
-        hfun, refine_step = (lambda t: h0), None
+        carry = lambda psi, t0, t1: spectral.evolve(psi, t1 - t0)  # noqa: E731
+        # One product for all times, C-contiguous as in SpectralPropagator.
+        h0_t = np.ascontiguousarray(h0.T)
+        apply_h = lambda t, psi: psi @ h0_t  # noqa: E731
     phases = unwrap_phases(traj)
-    return TrajectoryEvaluator(
-        cfg, resonances, traj, phases, scan_step, unresolved, spectral, hfun, refine_step
-    )
+    return TrajectoryEvaluator(cfg, resonances, traj, phases, scan_step, unresolved, carry, apply_h)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -234,8 +228,8 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     run = run_trajectory(config)
     traj = run.trajectory
     tau = find_gate_time(run.phases, run.theta_at, run.theta_on, run.scan_step, run.unresolved)
-    t_last, psi_last = run._last  # the latest refined time and its state
-    psi_tau = psi_last if t_last == tau else run.state_at(tau)
+    t_last, psi_last = run._last  # the latest evaluated times and their states
+    psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
     phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()
     c_tau = concurrence(psi_tau)

@@ -147,8 +147,9 @@ class SpectralPropagator:
             raise NonHermitianInput("static Hamiltonian is not Hermitian")
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
         self._rates = -self.eigenvalues
+        # Both C-contiguous, so that a state gets the same bits alone or in a batch.
         self._to_eigen = self.eigenvectors.conj()
-        self._from_eigen = self.eigenvectors.T
+        self._from_eigen = np.ascontiguousarray(self.eigenvectors.T)
 
     def evolve(self, psi: np.ndarray, dtau) -> np.ndarray:
         """psi(t0 + dtau) = V exp(-i L dtau) V^dag psi(t0).

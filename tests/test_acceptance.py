@@ -13,7 +13,7 @@ from buckygate.analysis import (
     ops_budget,
     unwrap_phases,
 )
-from buckygate.config import SimulationConfig, product_state, state_vector
+from buckygate.config import SimulationConfig, product_state
 from buckygate.engine import run_simulation
 from buckygate.errors import NoCrossing, UndefinedPhase
 from buckygate.fields import resonance_frequencies
@@ -165,7 +165,7 @@ def test_criterion_8_unitarity_and_block_conservation(static_result, driven_resu
 
 
 def test_criterion_9_formula_level_properties():
-    epr = state_vector(1, 0, 0, 1) / np.sqrt(2)
+    epr = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
     ok = abs(concurrence(epr) - 1.0) <= 1e-12
     rng = np.random.default_rng(103)
     worst_product = 0.0

@@ -15,11 +15,11 @@ from buckygate.analysis import (
     ops_budget,
     unwrap_phases,
 )
-from buckygate.config import product_state, state_vector
+from buckygate.config import product_state
 from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase, ZeroState
 from buckygate.propagator import Trajectory
 
-EPR = state_vector(1, 0, 0, 1) / np.sqrt(2)
+EPR = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
 def spin_flip(psi):
@@ -40,7 +40,7 @@ class TestUnwrapPhases:
         np.testing.assert_array_equal(phases.theta, 0.0)
 
     def test_theta_offset_rescaled_to_zero(self):
-        psi = state_vector(0.5j, 0.5, -0.5, 0.5)
+        psi = np.array([0.5j, 0.5, -0.5, 0.5], dtype=complex)
         traj = make_trajectory([psi] * 5)
         assert unwrap_phases(traj).theta[0] == 0.0
 
@@ -95,7 +95,7 @@ class TestUnwrapPhases:
         assert phases.max_step == pytest.approx(20.0 * (1 - times[-2] ** 2), rel=1e-9)
 
     def test_vanishing_amplitude_rejected(self):
-        traj = make_trajectory([state_vector(1, 0, 0, 0)] * 4)
+        traj = make_trajectory([np.array([1, 0, 0, 0], dtype=complex)] * 4)
         with pytest.raises(UndefinedPhase):
             unwrap_phases(traj)
 
@@ -240,7 +240,7 @@ class TestConcurrence:
         assert concurrence(EPR) == pytest.approx(1.0, abs=1e-15)
 
     def test_basis_state(self):
-        assert concurrence(state_vector(1, 0, 0, 0)) == 0.0
+        assert concurrence(np.array([1, 0, 0, 0], dtype=complex)) == 0.0
 
     def test_uniform_product_state(self):
         assert concurrence(np.full(4, 0.5)) == 0.0

@@ -16,10 +16,11 @@ from buckygate.cli import (
     EXIT_OK,
     SWEEP_HEADER,
     TRAJECTORY_HEADER,
+    apply_sweep_param,
     main,
     trajectory_csv,
 )
-from buckygate.config import SimulationConfig
+from buckygate.config import ConfigErrorItem, SimulationConfig
 from buckygate.engine import run_simulation
 
 STATIC_CONFIG = """\
@@ -339,6 +340,8 @@ t_max_s=4e-8
 
 
 class TestSweep:
+    BASE = SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8)
+
     def run_sweep(self, tmp_path, spec_text, *extra):
         spec = tmp_path / "sweep.cfg"
         spec.write_text(spec_text)
@@ -455,6 +458,26 @@ class TestSweep:
         spec = SWEEP_BASE + "param=I\nvalues=0.3,0.6\nd_m=1e-6\n"
         code, _ = self.run_sweep(tmp_path, spec)
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "param, value, fields",
+        [
+            ("r", 1.2e-9, {"r": 1.2e-9}),
+            ("Bz", 0.2, {"Bz1": 0.2, "Bz2": 0.2}),
+            ("Bg1", 1e-4, {"Bg1": 1e-4, "Bg2": -6.08e-5}),
+            ("Bg2", 1e-4, {"Bg1": 6.08e-5, "Bg2": 1e-4}),
+            ("Bl", 5e-4, {"Bl1": 5e-4, "Bl2": 5e-4, "mode": "driven"}),
+            ("Bl", 0.0, {"Bl1": 0.0, "Bl2": 0.0, "mode": "static"}),
+            ("J0", -3e7, {"J0": -3e7}),
+        ],
+    )
+    def test_swept_value_sets_its_fields(self, param, value, fields):
+        swept = apply_sweep_param(self.BASE, param, value, {})
+        assert {name: getattr(swept, name) for name in fields} == fields
+
+    def test_unknown_param_is_a_config_error(self):
+        with pytest.raises(ConfigErrorItem, match="unknown sweep parameter"):
+            apply_sweep_param(self.BASE, "bogus", 1.0, {})
 
 
 def test_value_error_in_the_pipeline_is_not_an_input_error(static_config_path, tmp_path, monkeypatch):

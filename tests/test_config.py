@@ -10,7 +10,6 @@ from buckygate.config import (
     format_config,
     parse_key_values,
     product_state,
-    state_vector,
     validate,
 )
 from buckygate.errors import (
@@ -46,7 +45,7 @@ class TestValidate:
         assert np.isclose(np.linalg.norm(cfg.initial_state), 1.0, atol=1e-12)
 
     def test_renormalizes_initial_state(self):
-        cfg = validate(reference_config(initial_state=state_vector(2, 0, 0, 0)))
+        cfg = validate(reference_config(initial_state=np.array([2, 0, 0, 0], dtype=complex)))
         np.testing.assert_allclose(cfg.initial_state, [1, 0, 0, 0], atol=1e-15)
 
     def test_zero_distance_rejected(self):
@@ -56,7 +55,7 @@ class TestValidate:
 
     def test_near_zero_state_rejected(self):
         with pytest.raises(ConfigError) as exc:
-            validate(reference_config(initial_state=state_vector(1e-8, 0, 0, 0)))
+            validate(reference_config(initial_state=np.array([1e-8, 0, 0, 0], dtype=complex)))
         assert any(isinstance(v, NonUnitInitialState) for v in exc.value.violations)
 
     @pytest.mark.filterwarnings("error")
@@ -92,7 +91,7 @@ class TestValidate:
         assert cfg.Bl1 == 5e-4
 
     def test_idempotent(self):
-        once = validate(reference_config(initial_state=state_vector(2, 0, 0, 0)))
+        once = validate(reference_config(initial_state=np.array([2, 0, 0, 0], dtype=complex)))
         twice = validate(once)
         assert once.replace(initial_state=None) == twice.replace(initial_state=None)
         np.testing.assert_array_equal(once.initial_state, twice.initial_state)

@@ -69,7 +69,7 @@ class TestStaticRun:
         gate = static_result.gate
         s1_0, s1_1, s2_0, s2_1 = gate.correction_phases
         local = np.exp(1j * np.array([s1_0 + s2_0, s1_0 + s2_1, s1_1 + s2_0, s1_1 + s2_1]))
-        corrected = local * ev.state_at(gate.tau)
+        corrected = local * ev.states_at([gate.tau])[0]
         target = np.array([1, 1, 1, np.exp(1j * gate.theta_at_tau)])
         target = target * static_result.trajectory.states[0]
         np.testing.assert_allclose(
@@ -86,8 +86,15 @@ class TestEvaluator:
                 static_result.phases.theta[i], abs=1e-9
             )
             np.testing.assert_allclose(
-                ev.state_at(t), static_result.trajectory.states[i], atol=1e-12
+                ev.states_at([t])[0], static_result.trajectory.states[i], atol=1e-12
             )
+        # A driven time on a sample is a zero-span rk4_segment, one identity
+        # step, so it returns the stored state bit for bit.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
+        i = [1, 100, 500]
+        assert np.array_equal(run.states_at(run.trajectory.times[i]), run.trajectory.states[i])
+        for k in i:
+            assert run.theta_at(run.trajectory.times[k])[0] == pytest.approx(run.phases.theta[k], abs=1e-9)
 
     def test_between_samples_continuity(self, static_result):
         ev = run_trajectory(reference_config())
@@ -97,14 +104,15 @@ class TestEvaluator:
         assert lo - 0.1 <= ev.theta_at(t_mid)[0] <= hi + 0.1
 
     def test_theta_on_matches_theta_at(self, static_result):
-        # The batched and the single spectral evolution round differently.
+        # theta_at is theta_on at one time: a state gets the same bits alone
+        # or in a batch.
         ev = run_trajectory(reference_config())
         samples = ev.trajectory.times
         times = np.random.default_rng(7).uniform(samples[40], samples[46], 60)
         theta, rate = ev.theta_on(times)
         expected = np.array([ev.theta_at(t) for t in times])
-        assert np.max(np.abs(theta - expected[:, 0])) <= 1e-12
-        assert np.max(np.abs(rate - expected[:, 1])) <= 1e-10 * np.max(np.abs(expected[:, 1]))
+        assert np.array_equal(theta, expected[:, 0])
+        assert np.array_equal(rate, expected[:, 1])
 
 
 class TestDrivenRun:
@@ -118,8 +126,8 @@ class TestDrivenRun:
 
     def test_theta_on_matches_theta_at(self):
         # Times over six sample intervals, sample times among them, in one
-        # batch: each is carried from its own sample by as many RK4 steps as
-        # the longest span takes, where theta_at takes its own span's count.
+        # batch: each is carried from its own sample in its own span's RK4
+        # step count, as theta_at, which is theta_on at one time, carries it.
         run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
         samples = run.trajectory.times
         times = np.sort(np.concatenate([
@@ -127,8 +135,8 @@ class TestDrivenRun:
         ]))
         expected = np.array([run.theta_at(t) for t in times])
         theta, rate = run.theta_on(times)
-        assert np.max(np.abs(theta - expected[:, 0])) <= 1e-10
-        assert np.max(np.abs(rate - expected[:, 1])) <= 1e-10 * np.max(np.abs(expected[:, 1]))
+        assert np.array_equal(theta, expected[:, 0])
+        assert np.array_equal(rate, expected[:, 1])
 
     def test_drive_free_long_run_matches_static(self):
         # Rounding grows with the Magnus step count: 5 293 steps over 150 ns
@@ -447,31 +455,34 @@ def test_refinement_takes_few_evaluations(config, monkeypatch):
     ids=["static", "driven"],
 )
 def test_state_at_tau_comes_from_the_last_refinement(config, monkeypatch):
-    # The refinement's last state is psi(tau): no RK4 span beyond those of
-    # theta_at, and the same bits as state_at(tau) gives.
-    calls = {"theta_at": 0, "rk4_segment": 0}
-    states = []
-    theta_at, rk4_segment, concurrence = TrajectoryEvaluator.theta_at, engine.rk4_segment, engine.concurrence
+    # tau is the last time the refinement evaluated, so its state is psi(tau):
+    # states_at, the evaluator's one propagation, is not called after
+    # find_gate_time returns, and the state has the same bits as
+    # states_at([tau]) gives.
+    events, states = [], []
+    find_gate_time, states_at, concurrence = engine.find_gate_time, TrajectoryEvaluator.states_at, engine.concurrence
 
-    def counting_theta_at(self, t):
-        calls["theta_at"] += 1
-        return theta_at(self, t)
+    def recording_find_gate_time(*args):
+        tau = find_gate_time(*args)
+        events.append(("find_gate_time", tau))
+        return tau
 
-    def counting_rk4_segment(*args):
-        calls["rk4_segment"] += 1
-        return rk4_segment(*args)
+    def recording_states_at(self, times):
+        events.append(("states_at", np.asarray(times)))
+        return states_at(self, times)
 
     def recording_concurrence(psi):
         states.append(psi)
         return concurrence(psi)
 
-    monkeypatch.setattr(TrajectoryEvaluator, "theta_at", counting_theta_at)
-    monkeypatch.setattr(engine, "rk4_segment", counting_rk4_segment)
+    monkeypatch.setattr(engine, "find_gate_time", recording_find_gate_time)
+    monkeypatch.setattr(TrajectoryEvaluator, "states_at", recording_states_at)
     monkeypatch.setattr(engine, "concurrence", recording_concurrence)
     tau = run_simulation(config).gate.tau
-    assert calls["theta_at"] > 0
-    assert calls["rk4_segment"] <= calls["theta_at"]
-    assert np.array_equal(states[0], run_trajectory(config).state_at(tau))
+    names = [name for name, _ in events]
+    assert names[-1] == "find_gate_time" and names.count("find_gate_time") == 1
+    assert events[-2][0] == "states_at" and events[-2][1][-1] == tau
+    assert np.array_equal(states[0], run_trajectory(config).states_at([tau])[0])
 
 
 @pytest.mark.parametrize(
@@ -537,12 +548,12 @@ class TestRefinementStep:
     def record_steps(monkeypatch):
         """Record the step bound of every RK4 refinement the engine makes."""
         steps = []
-        for name in ("rk4_segment", "rk4_spans"):
-            def recording(*args, _original=getattr(engine, name)):
-                steps.append(args[-1])
-                return _original(*args)
 
-            monkeypatch.setattr(engine, name, recording)
+        def recording(*args, _original=engine.rk4_spans):
+            steps.append(args[-1])
+            return _original(*args)
+
+        monkeypatch.setattr(engine, "rk4_spans", recording)
         return steps
 
     def test_driven_solve_refines_at_the_automatic_step(self, monkeypatch):
@@ -574,7 +585,7 @@ class TestRefinementStep:
         spacing = float(np.max(np.diff(run.trajectory.times)))
         assert spacing < automatic_step(run)
         builds = self.record_builds(monkeypatch)
-        run.state_at(run.trajectory.times[1] / 2)
+        run.states_at([run.trajectory.times[1] / 2])
         run.theta_on(run.trajectory.times[1:3] - run.trajectory.times[1] / 2)
         taken = [float(np.max(h)) for h in builds]
         assert len(taken) == 3 and max(taken) <= spacing
@@ -582,14 +593,15 @@ class TestRefinementStep:
     def test_theta_on_takes_each_time_in_its_own_step_count(self, monkeypatch):
         # Times at different depths in their sample intervals, one of them on
         # a sample: each is carried from its own sample in
-        # max(1, ceil(depth / refine_step)) steps, not in the longest one's.
+        # max(1, ceil(depth / automatic_step(run))) steps, not in the longest
+        # one's.
         run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
         samples = run.trajectory.times
         starts = samples[[3, 5, 7, 9]]
         times = starts + np.array([0.1, 0.9, 0.0, 0.5]) * samples[1]
         builds = self.record_builds(monkeypatch)
         run.theta_on(times)
-        counts = [max(1, int(np.ceil(depth / run.refine_step))) for depth in times - starts]
+        counts = [max(1, int(np.ceil(depth / automatic_step(run)))) for depth in times - starts]
         assert [len(h) for h in builds] == counts
         assert len(set(counts)) == 4
 
@@ -601,8 +613,8 @@ class TestRefinementStep:
     def test_rk4_steps_built_are_the_segment_counts(self, monkeypatch, bz, bl, t_max):
         # Every RK4 step of a driven solve is built inside an rk4_segment
         # call, which takes max(1, ceil((t1 - t0) / dt_max)) of them, so a
-        # wrapper of rk4_segment in the engine and the propagator counts
-        # all the refinement's steps, those of theta_on included.
+        # wrapper of rk4_segment in the propagator, where rk4_spans finds
+        # it, counts all the refinement's steps.
         counted = []
 
         def counting(hfun, psi, t0, t1, dt_max, _original=propagator.rk4_segment):
@@ -615,7 +627,6 @@ class TestRefinementStep:
             spans.append(len(t1))
             return _original(hfun, psi, t0, t1, dt_max)
 
-        monkeypatch.setattr(engine, "rk4_segment", counting)
         monkeypatch.setattr(propagator, "rk4_segment", counting)
         monkeypatch.setattr(engine, "rk4_spans", spanning)
         builds = self.record_builds(monkeypatch)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from buckygate.config import SimulationConfig, state_vector, validate
+from buckygate.config import SimulationConfig, validate
 from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
@@ -55,7 +55,7 @@ def automatic_step(cfg):
     return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
 
 
-UNIFORM = state_vector(0.5, 0.5, 0.5, 0.5)
+UNIFORM = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
 
 
 def _taylor_exp(a, degree):
@@ -139,7 +139,7 @@ class TestSpectral:
         g, m1, _ = static_terms(cfg)
         h = build_static(cfg)
         times = np.linspace(0, 2e-9, 400)
-        traj = propagate_static(h, state_vector(1, 0, 0, 0), times)
+        traj = propagate_static(h, np.array([1, 0, 0, 0], dtype=complex), times)
         omega = np.hypot(m1, 3 * g)
         expected = 1 - (9 * g**2 / omega**2) * np.sin(omega * times) ** 2
         np.testing.assert_allclose(np.abs(traj.states[:, 0]) ** 2, expected, atol=1e-10)
@@ -150,6 +150,15 @@ class TestSpectral:
             build_static(cfg), UNIFORM, np.linspace(0, 1e-8, 500)
         )
         np.testing.assert_allclose(traj.norms, 1.0, atol=1e-12)
+
+    def test_state_gets_the_same_bits_alone_or_in_a_batch(self):
+        spectral = SpectralPropagator(build_static(reference_config()))
+        rng = np.random.default_rng(3)
+        psi = rng.normal(size=(60, 4)) + 1j * rng.normal(size=(60, 4))
+        dtau = rng.uniform(0.0, 1e-10, 60)
+        batch = spectral.evolve(psi, dtau)
+        assert all(np.array_equal(batch[j], spectral.evolve(psi[j], dtau[j])) for j in range(60))
+        assert all(np.array_equal(batch[j], spectral.evolve(psi[j : j + 1], dtau[j : j + 1])[0]) for j in range(60))
 
     def test_non_hermitian_rejected(self):
         h = np.zeros((4, 4), dtype=complex)
