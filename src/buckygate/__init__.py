@@ -15,7 +15,6 @@ from .analysis import (
 from .config import (
     SimulationConfig,
     default_initial_state,
-    product_state,
     validate,
 )
 from .constants import CONSTANTS, PhysicalConstants
@@ -44,7 +43,6 @@ __all__ = [
     "find_gate_time",
     "gradient_field",
     "ops_budget",
-    "product_state",
     "propagate_static",
     "resonance_frequencies",
     "run_simulation",

@@ -136,7 +136,7 @@ def find_gate_time(
     bracket with the smaller residual is returned.
 
     Raises NoCrossing when the phase never reaches the target before the end
-    of the series; the exception carries theta at the final sample.
+    of the series; its message gives theta at the final sample.
     """
     level = math.pi
     times, theta = phases.times, phases.theta
@@ -144,8 +144,7 @@ def find_gate_time(
     if len(hit) == 0:
         raise NoCrossing(
             f"theta stayed in (-{level:.6f}, {level:.6f}) up to "
-            f"t={times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)",
-            theta_end=float(theta[-1]),
+            f"t={times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)"
         )
     i = hit[0]
     if i == 0:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import functools
 import json
 import os
@@ -67,12 +66,6 @@ def _fmt(x) -> str:
 def _point_count(name: str, count: int) -> int:
     if not 0 <= count <= MAX_POINTS:
         raise ConfigErrorItem(f"{name} must be a point count in [0, {MAX_POINTS}], got {count}")
-    return count
-
-
-def _job_count(count: int) -> int:
-    if count < 1:
-        raise ConfigErrorItem(f"--jobs must be a worker count of at least 1, got {count}")
     return count
 
 
@@ -231,22 +224,23 @@ def _sweep_point(base_config, param, wires, value) -> str:
 
 
 def cmd_sweep(args) -> int:
-    jobs = _job_count(args.jobs)
+    if args.jobs < 1:
+        raise ConfigErrorItem(f"--jobs must be a worker count of at least 1, got {args.jobs}")
     param, values, base_config, wires = read_key_values(args.spec, parse_sweep_spec)
     point = functools.partial(_sweep_point, base_config, param, wires)
     # A fork-started pool starts all its workers at once: no more than there
     # are points or cores.
-    workers = min(jobs, len(values), os.cpu_count() or 1)
-    with contextlib.ExitStack() as stack:
-        ordered_map = map  # Executor.map, like map, yields results in input order
-        if workers > 1:
-            # Workers keep main's silence on floating-point warnings also
-            # when they are spawned rather than forked.
-            pool = concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, initializer=np.seterr, initargs=("ignore",)
-            )
-            ordered_map = stack.enter_context(pool).map
-        rows = list(ordered_map(point, values))
+    workers = min(args.jobs, len(values), os.cpu_count() or 1)
+    if workers > 1:
+        # Workers keep main's silence on floating-point warnings also when
+        # they are spawned rather than forked.  Executor.map, like map,
+        # yields results in input order.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, initializer=np.seterr, initargs=("ignore",)
+        ) as pool:
+            rows = list(pool.map(point, values))
+    else:
+        rows = list(map(point, values))
     _write(args.output, SWEEP_HEADER + "\n" + "\n".join(rows) + "\n")
     return EXIT_OK
 
@@ -284,9 +278,12 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigErrorItem(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser; ``main`` runs subcommand ``name`` as
-    ``cmd_<name>``, dashes read as underscores."""
+@functools.lru_cache(maxsize=1)
+def _main_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: building one costs
+    more than the parse.  ``main`` runs subcommand ``name`` as ``cmd_<name>``,
+    dashes read as underscores, looked up by name when it runs, so a replaced
+    one runs."""
     parser = _Parser(
         prog="buckygate",
         description="Two-qubit phase gate simulation for dipole-coupled spins.",
@@ -313,11 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201)
     p.add_argument("--output", "-o", default=None)
     return parser
-
-
-# main's parser, built once per process: building one costs more than the
-# parse.  main looks each cmd_* up by name when it runs, so a replaced one runs.
-_main_parser = functools.lru_cache(maxsize=1)(build_parser)
 
 
 def main(argv=None) -> int:

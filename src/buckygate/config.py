@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ConfigErrorItem, NonPositiveDistance, NonUnitInitialState
+from .errors import ConfigError, ConfigErrorItem
 from .hamiltonian import dipole_coupling, zeeman_terms
 
 MODES = ("static", "driven")
@@ -30,13 +30,6 @@ def default_initial_state() -> np.ndarray:
     phases, so the composite gate phase is well defined from t=0.
     """
     return np.full(4, 0.5, dtype=complex)
-
-
-def product_state(qubit1, qubit2) -> np.ndarray:
-    """Two-qubit product state from two single-qubit amplitude pairs."""
-    q1 = np.asarray(qubit1, dtype=complex)
-    q2 = np.asarray(qubit2, dtype=complex)
-    return np.kron(q1 / np.linalg.norm(q1), q2 / np.linalg.norm(q2))
 
 
 @dataclass(frozen=True)
@@ -81,7 +74,7 @@ def validate(config: SimulationConfig) -> SimulationConfig:
         if not math.isfinite(value):
             violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
     if config.r <= 0:
-        violations.append(NonPositiveDistance(f"r must be > 0, got {config.r}"))
+        violations.append(ConfigErrorItem(f"r must be > 0, got {config.r}"))
     elif math.isfinite(config.r):
         with np.errstate(all="ignore"):  # r**3 overflows to inf or underflows to 0
             g = dipole_coupling(np.float64(config.r))
@@ -113,12 +106,12 @@ def validate(config: SimulationConfig) -> SimulationConfig:
 
     psi = np.asarray(config.initial_state, dtype=complex)
     if psi.shape != (4,):
-        violations.append(NonUnitInitialState(f"initial_state must have 4 amplitudes, got shape {psi.shape}"))
+        violations.append(ConfigErrorItem(f"initial_state must have 4 amplitudes, got shape {psi.shape}"))
         psi = default_initial_state()
     elif not np.all(np.isfinite(psi)):
         for k in np.flatnonzero(~np.isfinite(psi)).tolist():
             violations.append(
-                NonUnitInitialState(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
+                ConfigErrorItem(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
             )
     else:
         with np.errstate(over="ignore"):
@@ -128,7 +121,7 @@ def validate(config: SimulationConfig) -> SimulationConfig:
             nrm = np.linalg.norm(psi)
         if nrm < RENORMALIZABLE_TOL:
             violations.append(
-                NonUnitInitialState(f"initial_state norm {nrm:.3e} too small to renormalize")
+                ConfigErrorItem(f"initial_state norm {nrm:.3e} too small to renormalize")
             )
         else:
             psi = psi / nrm
@@ -163,16 +156,19 @@ CONFIG_KEYS = {
 
 
 def parse_key_values(text: str) -> dict:
-    """Parse `key=value` lines with `#` comments into a string dict."""
-    out = {}
+    """Parse `key=value` lines with `#` comments into a string dict; a key
+    may appear on one line only."""
+    out, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ConfigErrorItem(f"line {lineno}: expected key=value, got {raw!r}")
-        key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in lines:
+            raise ConfigErrorItem(f"lines {lines[key]} and {lineno}: key {key!r} is set twice")
+        out[key], lines[key] = value, lineno
     return out
 
 

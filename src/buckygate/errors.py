@@ -18,16 +18,9 @@ class ConfigError(SimulationError):
 
 
 class ConfigErrorItem(SimulationError):
-    """Generic single-invariant violation without a dedicated class, and any
-    input file or command line that cannot be decoded or parsed."""
-
-
-class NonPositiveDistance(SimulationError):
-    pass
-
-
-class NonUnitInitialState(SimulationError):
-    pass
+    """One violated invariant of a configuration, wire pair or sweep point,
+    or an input file or command line that cannot be decoded or parsed; its
+    message says which."""
 
 
 class SingularPosition(SimulationError):
@@ -53,15 +46,8 @@ class PhaseAliasing(SimulationError):
 
 
 class NoCrossing(SimulationError):
-    """The composite phase never reached the target within the horizon.
-
-    ``theta_end`` carries the unwrapped phase at the end of the horizon so
-    callers can report how far the evolution got.
-    """
-
-    def __init__(self, message, theta_end=None):
-        super().__init__(message)
-        self.theta_end = theta_end
+    """The composite phase never reached the target within the horizon; the
+    message gives the unwrapped phase at its end as ``theta_end=``."""
 
 
 class ZeroState(SimulationError):

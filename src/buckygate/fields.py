@@ -7,6 +7,7 @@ opposite-sign field contributions and acquire distinct resonance frequencies.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -42,6 +43,9 @@ class WirePair:
             raise ConfigErrorItem(f"wire separation must be > 0, got {self.separation}")
         if self.current == 0:
             raise ConfigErrorItem("wire current must be nonzero")
+        for name in ("current", "separation", "radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigErrorItem(f"wire {name} must be finite, got {getattr(self, name)}")
         lo, hi = CURRENT_WINDOW
         if not lo <= abs(self.current) <= hi:
             warnings.warn(

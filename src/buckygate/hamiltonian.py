@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .constants import CONSTANTS
-from .errors import NonPositiveDistance
+from .errors import ConfigErrorItem
 from .fields import ResonancePair
 
 if TYPE_CHECKING:  # config imports this module to validate r
@@ -34,7 +34,7 @@ def dipole_coupling(r: float) -> float:
     prefactor conventions).  Strictly decreasing in r, diverges as r -> 0.
     """
     if r <= 0:
-        raise NonPositiveDistance(f"spin separation must be > 0, got {r}")
+        raise ConfigErrorItem(f"spin separation must be > 0, got {r}")
     return CONSTANTS.mu0 * CONSTANTS.muB**2 / (4 * np.pi * r**3 * CONSTANTS.hbar)
 
 
@@ -75,17 +75,14 @@ def build_static(config: SimulationConfig) -> np.ndarray:
         dtype=complex,
     )
     if config.J0 != 0:
-        h = h + config.J0 * _exchange_operator()
+        h = h + config.J0 * _EXCHANGE_OPERATOR
     return h
 
 
-def _exchange_operator() -> np.ndarray:
-    return (
-        np.kron(SIGMA_X, SIGMA_X)
-        + np.kron(SIGMA_Y, SIGMA_Y)
-        + np.kron(SIGMA_Z, SIGMA_Z)
-    )
-
+# sigma1 . sigma2, the isotropic exchange term per unit J0.
+_EXCHANGE_OPERATOR = (
+    np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
+)
 
 # Drive operators, one per spin: a linear field at 45 degrees in the x-y
 # plane couples through sigma_x + sigma_y on each spin.

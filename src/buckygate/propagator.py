@@ -467,8 +467,8 @@ def _real_form(m):
 
 def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray):
     """Return H(t) = h0 + the config's drive term as a callable of time, where
-    ``h0`` is the config's static Hamiltonian; without a drive (static
-    configs have Bl1 = Bl2 = 0) the drive term is exact zeros.
+    ``h0`` is the config's static Hamiltonian: the H(t) of a driven run's RK4
+    refinement and of theta's rate (``engine.run_trajectory``).
 
     ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.
     """

@@ -53,6 +53,20 @@ rho_m=1e-6
 """
 
 
+def with_lines(text, *lines):
+    """``text`` with each ``key=value`` of ``lines`` in place of the line that
+    sets the same key, or appended where none does: a file sets a key once."""
+    out = text.splitlines()
+    for line in lines:
+        key = line.split("=", 1)[0]
+        same = [i for i, old in enumerate(out) if old.split("=", 1)[0] == key]
+        if same:
+            out[same[0]] = line
+        else:
+            out.append(line)
+    return "\n".join(out) + "\n"
+
+
 @pytest.fixture
 def static_config_path(tmp_path):
     path = tmp_path / "static.cfg"
@@ -181,7 +195,7 @@ NON_FINITE = [
 @pytest.mark.parametrize("line, field", NON_FINITE, ids=[line for line, _ in NON_FINITE])
 def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
     path = tmp_path / "nonfinite.cfg"
-    path.write_text(STATIC_CONFIG.replace("mode=static", "mode=driven") + line + "\n")
+    path.write_text(with_lines(STATIC_CONFIG.replace("mode=static", "mode=driven"), line))
     assert main(["gate-time", str(path)]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -194,7 +208,7 @@ def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
 def test_phase_aliasing_message_stays_short(line, tmp_path, capsys):
     # A step of 1e288 rad or more is printed in exponent form.
     path = tmp_path / "long.cfg"
-    path.write_text(STATIC_CONFIG + line + "\n")
+    path.write_text(with_lines(STATIC_CONFIG, line))
     assert main(["gate-time", str(path)]) == EXIT_NUMERICAL
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: PhaseAliasing: ")
@@ -214,7 +228,7 @@ def _gate_time_in_subprocess(mode, line, tmp_path):
     ``line``, in a separate interpreter, so that no warning filter of the test
     run can hide a RuntimeWarning printed before the error line."""
     path = tmp_path / "extreme.cfg"
-    path.write_text(STATIC_CONFIG.replace("mode=static", f"mode={mode}") + line + "\n")
+    path.write_text(with_lines(STATIC_CONFIG.replace("mode=static", f"mode={mode}"), line))
     src = os.path.dirname(os.path.dirname(buckygate.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(
@@ -503,23 +517,23 @@ SWEEP_R = SWEEP_BASE + "param=r\n"
 # from-without-equals) in argparse's usage block with exit 2, or
 # (wire-unknown-key) in a profile that ignored the key with exit 0:
 # (id, command, file text, extra arguments, exit code, text of the error
-# line).  A later key=value line overrides an earlier one.  An error met
+# line).  ``with_lines`` sets a key of the base file anew.  An error met
 # while reading a file names the file.
 BAD_INPUTS = [
-    ("r-underflow", "gate-time", STATIC_CONFIG + "r_m=1e-120\n", [], EXIT_CONFIG, "r=1e-120"),
-    ("r-overflow", "gate-time", STATIC_CONFIG + "r_m=1e103\n", [], EXIT_CONFIG, "r=1e+103"),
+    ("r-underflow", "gate-time", with_lines(STATIC_CONFIG, "r_m=1e-120"), [], EXIT_CONFIG, "r=1e-120"),
+    ("r-overflow", "gate-time", with_lines(STATIC_CONFIG, "r_m=1e103"), [], EXIT_CONFIG, "r=1e+103"),
     ("T2-huge", "gate-time", STATIC_CONFIG + "T2_s=1.7e308\n", [], EXIT_NUMERICAL, "OutOfRange: T2/tau"),
     ("T2-negative", "gate-time", STATIC_CONFIG + "T2_s=-1\n", [], EXIT_CONFIG, "T2 must be > 0"),
-    ("equal-huge-fields", "gate-time", STATIC_CONFIG + "Bz1_T=3.16e10\nBz2_T=3.16e10\n", [], EXIT_NUMERICAL,
+    ("equal-huge-fields", "gate-time", with_lines(STATIC_CONFIG, "Bz1_T=3.16e10", "Bz2_T=3.16e10"), [], EXIT_NUMERICAL,
      "OutOfRange: the first-crossing scan"),
-    ("t_max-subnormal", "gate-time", STATIC_CONFIG + "t_max_s=5e-324\n", [], EXIT_CONFIG, "t_max must be >="),
-    ("not-a-number", "gate-time", STATIC_CONFIG + "Bz1_T=abc\n", [], EXIT_CONFIG, "input.cfg: could not convert"),
+    ("t_max-subnormal", "gate-time", with_lines(STATIC_CONFIG, "t_max_s=5e-324"), [], EXIT_CONFIG, "t_max must be >="),
+    ("not-a-number", "gate-time", with_lines(STATIC_CONFIG, "Bz1_T=abc"), [], EXIT_CONFIG, "input.cfg: could not convert"),
     ("not-utf8", "gate-time", b"\xff" + STATIC_CONFIG.encode(), [], EXIT_CONFIG, "input.cfg: 'utf-8' codec can't decode byte 0xff"),
     ("empty-values", "sweep", SWEEP_R + "values=\n", [], EXIT_CONFIG, "input.cfg: could not convert"),
     ("range-count-negative", "sweep", SWEEP_R + "range=1e-9,2e-9,-1\n", [], EXIT_CONFIG, "range count"),
     ("range-count-huge", "sweep", SWEEP_R + "range=1e-9,2e-9,100000000000000\n", [], EXIT_CONFIG, "range count"),
     ("logrange-zero", "sweep", SWEEP_R + "logrange=0,1e-9,3\n", [], EXIT_CONFIG, "input.cfg: Geometric sequence cannot include zero"),
-    ("wire-current-not-a-number", "field-profile", WIRES_CONFIG + "I_A=abc\n", ["--from=-1e-7", "--to=1e-7"],
+    ("wire-current-not-a-number", "field-profile", with_lines(WIRES_CONFIG, "I_A=abc"), ["--from=-1e-7", "--to=1e-7"],
      EXIT_CONFIG, "input.cfg: could not convert"),
     ("points-negative", "field-profile", WIRES_CONFIG, ["--from=-1e-7", "--to=1e-7", "--points=-3"],
      EXIT_CONFIG, "--points"),
@@ -535,6 +549,20 @@ BAD_INPUTS = [
      EXIT_CONFIG, "buckygate field-profile: argument --from: expected one argument"),
     ("wire-unknown-key", "field-profile", WIRES_CONFIG + "I_a=5\nrho=2\n",
      ["--from=-1e-6", "--to=1e-6", "--points=3"], EXIT_CONFIG, "unknown config key 'I_a'"),
+    # A repeated key is refused wherever it is, not read as its last line.
+    ("config-key-twice", "gate-time", STATIC_CONFIG + "r_m=5e-9\n", [], EXIT_CONFIG,
+     "lines 2 and 9: key 'r_m' is set twice"),
+    ("sweep-key-twice", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\nparam=Bz\n", [], EXIT_CONFIG,
+     "lines 7 and 9: key 'param' is set twice"),
+    ("wire-key-twice", "field-profile", WIRES_CONFIG + "d_m=2e-6\n", ["--from=-1e-7", "--to=1e-7"],
+     EXIT_CONFIG, "lines 2 and 4: key 'd_m' is set twice"),
+    # NaN and infinity in a wire file, which WirePair's sign checks let pass.
+    ("wire-current-infinite", "field-profile", with_lines(WIRES_CONFIG, "I_A=inf"), ["--from=-1e-7", "--to=1e-7"],
+     EXIT_CONFIG, "wire current must be finite, got inf"),
+    ("wire-separation-nan", "field-profile", with_lines(WIRES_CONFIG, "d_m=nan"), ["--from=-1e-7", "--to=1e-7"],
+     EXIT_CONFIG, "wire separation must be finite, got nan"),
+    ("wire-radius-infinite", "field-profile", with_lines(WIRES_CONFIG, "rho_m=inf"), ["--from=-1e-7", "--to=1e-7"],
+     EXIT_CONFIG, "wire radius must be finite, got inf"),
 ]
 
 

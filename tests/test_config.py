@@ -9,14 +9,9 @@ from buckygate.config import (
     default_initial_state,
     format_config,
     parse_key_values,
-    product_state,
     validate,
 )
-from buckygate.errors import (
-    ConfigError,
-    NonPositiveDistance,
-    NonUnitInitialState,
-)
+from buckygate.errors import ConfigError
 
 
 def reference_config(**overrides):
@@ -51,12 +46,17 @@ class TestValidate:
     def test_zero_distance_rejected(self):
         with pytest.raises(ConfigError) as exc:
             validate(reference_config(r=0.0))
-        assert any(isinstance(v, NonPositiveDistance) for v in exc.value.violations)
+        assert any(
+            isinstance(v, ConfigErrorItem) and "r must be > 0" in str(v) for v in exc.value.violations
+        )
 
     def test_near_zero_state_rejected(self):
         with pytest.raises(ConfigError) as exc:
             validate(reference_config(initial_state=np.array([1e-8, 0, 0, 0], dtype=complex)))
-        assert any(isinstance(v, NonUnitInitialState) for v in exc.value.violations)
+        assert any(
+            isinstance(v, ConfigErrorItem) and "too small to renormalize" in str(v)
+            for v in exc.value.violations
+        )
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -97,19 +97,6 @@ class TestValidate:
         np.testing.assert_array_equal(once.initial_state, twice.initial_state)
 
 
-class TestProductState:
-    def test_normalizes_factors(self):
-        psi = product_state([2, 0], [1, 1])
-        np.testing.assert_allclose(psi, [1 / np.sqrt(2), 1 / np.sqrt(2), 0, 0])
-
-    def test_product_state_unentangled(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            q1 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            q2 = rng.normal(size=2) + 1j * rng.normal(size=2)
-            assert concurrence(product_state(q1, q2)) < 1e-12
-
-
 class TestConfigFiles:
     def test_round_trip(self):
         cfg = validate(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4))
@@ -123,6 +110,11 @@ class TestConfigFiles:
         kv = parse_key_values("# comment\n\nr_m=1e-9  # trailing\nBz1_T=0.1\nBz2_T=0.1\n")
         cfg = config_from_mapping(kv)
         assert cfg.r == 1e-9
+
+    def test_repeated_key_rejected(self):
+        # Read as its last line, the second r_m would run at 5 nm.
+        with pytest.raises(ConfigErrorItem, match="lines 1 and 4: key 'r_m' is set twice"):
+            parse_key_values("r_m=1.14e-9\nBz1_T=0.1\nBz2_T=0.1\nr_m = 5e-9  # again\n")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigErrorItem):

@@ -60,6 +60,14 @@ def test_degenerate_wires_rejected():
         WirePair(current=0.6, separation=1e-6, radius=0.0)
 
 
+@pytest.mark.filterwarnings("error")  # refused before the current-window warning
+@pytest.mark.parametrize("field", ["current", "separation", "radius"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_wires_rejected(field, value):
+    with pytest.raises(ConfigErrorItem, match=f"wire {field} must be finite, got {value}"):
+        WirePair(**{**REFERENCE_WIRES, field: value})
+
+
 class TestResonanceFrequencies:
     def test_reference_values(self):
         # omega_i = 2 muB (Bz_i + Bg_i) / hbar for g-factor 2

@@ -3,7 +3,7 @@ import pytest
 
 from buckygate.config import SimulationConfig, validate
 from buckygate.constants import CONSTANTS
-from buckygate.errors import NonPositiveDistance
+from buckygate.errors import ConfigErrorItem
 from buckygate.fields import ResonancePair, resonance_frequencies
 from buckygate.hamiltonian import (
     build_drive,
@@ -65,7 +65,7 @@ class TestDipoleCoupling:
 
     @pytest.mark.parametrize("r", [0.0, -1e-9])
     def test_nonpositive_distance(self, r):
-        with pytest.raises(NonPositiveDistance):
+        with pytest.raises(ConfigErrorItem, match="spin separation must be > 0"):
             dipole_coupling(r)
 
 
