@@ -21,7 +21,7 @@ from .constants import CONSTANTS, PhysicalConstants
 from .engine import SimulationResult, run_simulation
 from .fields import ResonancePair, WirePair, gradient_field, resonance_frequencies
 from .hamiltonian import build_drive, build_static, dipole_coupling
-from .propagator import Trajectory, propagate_static
+from .propagator import Trajectory
 
 __all__ = [
     "CONSTANTS",
@@ -43,7 +43,6 @@ __all__ = [
     "find_gate_time",
     "gradient_field",
     "ops_budget",
-    "propagate_static",
     "resonance_frequencies",
     "run_simulation",
     "unwrap_phases",

@@ -101,9 +101,7 @@ def unwrap_phases(traj: Trajectory) -> PhaseSeries:
     return PhaseSeries(times=traj.times, theta=np.concatenate([[0.0], np.cumsum(steps)]))
 
 
-def find_gate_time(
-    phases: PhaseSeries, theta_fn, scan_fn, scan_step: float, unresolved: float
-) -> float:
+def find_gate_time(phases: PhaseSeries, theta_fn, scan_step: float, unresolved: float) -> float:
     """First time the unwrapped composite phase reaches +/-pi.
 
     The nominal target is -pi; if the series reaches +pi first that
@@ -112,28 +110,27 @@ def find_gate_time(
     theta can reach the level and turn back between two samples, which the
     sampled series does not show.  So the times before the first sampled
     crossing at which theta could reach the level are scanned with
-    ``scan_fn`` (theta and its rate at an array of times) at a spacing of
-    at most ``scan_step`` (s).  Those are the times where the linear
-    interpolation of the samples comes within ``2 * unresolved`` plus half
-    the largest second difference of the samples of the level:
-    ``unresolved`` (rad) bounds the part of theta the samples do not
-    resolve, the second difference the interpolation error of the part
-    they do.  The scan runs in time order in batches and stops at the
-    first crossing, so its cost follows that window, not the horizon.
+    ``theta_fn``, which maps an array of times to theta and its rate there
+    (typically by re-propagation), at a spacing of at most ``scan_step`` (s).
+    Those are the times where the linear interpolation of the samples comes
+    within ``2 * unresolved`` plus half the largest second difference of the
+    samples of the level: ``unresolved`` (rad) bounds the part of theta the
+    samples do not resolve, the second difference the interpolation error of
+    the part they do.  The scan runs in time order in batches and stops at
+    the first crossing, so its cost follows that window, not the horizon.
 
     Inside the bracket of the first crossing found, the crossing is refined
-    by Newton steps on ``theta_fn`` (theta and its rate at one time,
-    typically by re-propagation), safeguarded to the bracket as in Press et
-    al., Numerical Recipes, 3rd ed., sec. 9.4 (rtsafe): a step that would
-    leave the bracket, or go further than half the step before, is replaced
-    by bisection.  Runs of Newton steps thus shrink geometrically and every
-    bisection halves the bracket, so the refinement ends, at float
-    resolution at the latest.  The first point is the root of the cubic
-    Hermite interpolant on the bracket, or its secant root when the bracket
-    comes from the samples, which carry no rate.  The refinement stops when
-    the phase residual is at most PHASE_TOL rad, or when no next point lies
-    strictly inside the bracket (float resolution); then the end of the
-    bracket with the smaller residual is returned.
+    by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
+    the bracket as in Press et al., Numerical Recipes, 3rd ed., sec. 9.4
+    (rtsafe): a step that would leave the bracket, or go further than half
+    the step before, is replaced by bisection.  Runs of Newton steps thus
+    shrink geometrically and every bisection halves the bracket, so the
+    refinement ends, at float resolution at the latest.  The first point is
+    the root of the cubic Hermite interpolant on the bracket, or its secant
+    root when the bracket comes from the samples, which carry no rate.  The
+    refinement stops when the phase residual is at most PHASE_TOL rad, or
+    when no next point lies strictly inside the bracket (float resolution);
+    then the end of the bracket with the smaller residual is returned.
 
     Raises NoCrossing when the phase never reaches the target before the end
     of the series; its message gives theta at the final sample.
@@ -150,7 +147,7 @@ def find_gate_time(
     if i == 0:
         return float(times[0])
     margin = _scan_margin(theta, unresolved)
-    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, scan_fn, scan_step)
+    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step)
     bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
 
@@ -159,8 +156,8 @@ def find_gate_time(
     t = t_lo + (t_hi - t_lo) * _hermite_root(f_lo, f_hi, rate_lo * (t_hi - t_lo), rate_hi * (t_hi - t_lo))
     last = t_hi - t_lo  # the step before
     while min(abs(f_lo), abs(f_hi)) > PHASE_TOL and t_lo < t < t_hi:
-        theta_t, rate = map(float, theta_fn(t))
-        f = theta_t - crossed
+        (theta_t,), (rate,) = theta_fn(np.array([t]))
+        f, rate = float(theta_t) - crossed, float(rate)
         if (f > 0) == (f_lo > 0):
             t_lo, f_lo = t, f
         else:
@@ -198,17 +195,17 @@ def _scan_margin(theta, unresolved):
     return 2 * unresolved + 0.5 * np.max(np.abs(np.diff(theta, 2)), initial=0.0)
 
 
-def _scan(times, theta, level, margin, scan_fn, scan_step):
+def _scan(times, theta, level, margin, theta_fn, scan_step):
     """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
     first crossing of |theta| = level on the scan grid, or None if the scan
-    finds none.  ``scan_fn`` gives theta and its rate at an array of times;
+    finds none.  ``theta_fn`` gives theta and its rate at an array of times;
     a lower end at a sample has rate NaN.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
     ``margin`` of the level, at both ends of the band and at a uniform
     spacing of at most ``scan_step`` between them.  The bands are evaluated
-    in time order, at most SCAN_BATCH points per call of ``scan_fn``, until
+    in time order, at most SCAN_BATCH points per call of ``theta_fn``, until
     one holds a crossing.  Raises OutOfRange if that takes more than
     MAX_SCAN_POINTS points.
     """
@@ -249,7 +246,7 @@ def _scan(times, theta, level, margin, scan_fn, scan_step):
         points = start[band] + width[band] * ((index - first[band]) / cells[band])
         # Adjacent bands can share the sample between them.
         points = points[np.concatenate([[True], points[1:] > points[:-1]])]
-        values, rates = scan_fn(points)
+        values, rates = theta_fn(points)
         cross = np.flatnonzero(np.abs(values) >= level)
         if cross.size:
             j = cross[0]

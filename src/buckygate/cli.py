@@ -261,6 +261,9 @@ def parse_wires(kv: dict) -> WirePair:
 
 def cmd_field_profile(args) -> int:
     wires = read_key_values(args.wires, parse_wires)
+    for flag, x in (("--from", args.x_from), ("--to", args.x_to)):
+        if not np.isfinite(x):
+            raise ConfigErrorItem(f"{flag} must be finite, got {x}")
     xs = np.linspace(args.x_from, args.x_to, _point_count("--points", args.points))
     bg = gradient_field(wires, xs)
     lines = ["x_m,Bg_T"]

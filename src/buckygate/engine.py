@@ -120,9 +120,11 @@ class TrajectoryEvaluator:
     t1[j]: exactly with the run's SpectralPropagator for a static run, by RK4
     from each time's own sample for a driven one.  ``states_at`` carries each
     time from its nearest earlier sample, and every state the evaluator gives
-    comes from it.  theta is the argument of c1 c4 conj(c2 c3) aligned to the
-    nearest branch of the linearly interpolated sampled theta, which is safe
-    because per-sample theta increments stay below MAX_THETA_STEP.  Its rate
+    comes from it.  ``theta_at`` gives theta and its rate at an array of
+    times, for find_gate_time's scan batches and one-time Newton steps alike.
+    theta is the argument of c1 c4 conj(c2 c3) aligned to the nearest branch
+    of the linearly interpolated sampled theta, which is safe because
+    per-sample theta increments stay below MAX_THETA_STEP.  Its rate
     comes exactly from the same state: with i dpsi/dt = H(t) psi, where
     ``apply_h(t, psi)`` gives H(t) psi for each time and state,
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
@@ -152,14 +154,9 @@ class TrajectoryEvaluator:
         i = np.maximum(samples.searchsorted(times, side="right") - 1, 0)
         return self.carry(self.trajectory.states[i], samples[i], times)
 
-    def theta_at(self, t: float):
-        """(theta(t), dtheta/dt at t) as floats, by ``theta_on``."""
-        (theta,), (rate,) = self.theta_on(np.array([t]))
-        return float(theta), float(rate)
-
-    def theta_on(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``.  The states are kept as
-        ``_last`` for the caller that needs psi at the time found."""
+    def theta_at(self, times: np.ndarray):
+        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The states
+        are kept as ``_last`` for the caller that needs psi at the time found."""
         states = self.states_at(times)
         self._last = times, states
         return self._aligned(times, states), self._rate(times, states)
@@ -184,7 +181,8 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     drive and the fitted error of the step rather than by the Zeeman
     precession: one or two on the benchmark's driven points.  Gate-time
     refinement scans at ``scan_step``, MAX_PHASE_PER_STEP rad at the
-    Hamiltonian scale.  The mode also picks, once, the evaluator's ``carry``
+    Hamiltonian scale, and refines, both through the evaluator's
+    ``theta_at``.  The mode also picks, once, the evaluator's ``carry``
     from a sample to a later time, the static run's exact spectral evolution
     or for a driven run ``rk4_spans`` in steps of at most DEFAULT_STEP_SAFETY
     times ``scan_step``, and its ``apply_h``: one product with the static
@@ -227,7 +225,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
     run = run_trajectory(config)
     traj = run.trajectory
-    tau = find_gate_time(run.phases, run.theta_at, run.theta_on, run.scan_step, run.unresolved)
+    tau = find_gate_time(run.phases, run.theta_at, run.scan_step, run.unresolved)
     t_last, psi_last = run._last  # the latest evaluated times and their states
     psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].

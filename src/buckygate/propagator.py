@@ -171,15 +171,11 @@ def _unit_phases(x) -> np.ndarray:
     return phases
 
 
-def propagate_static(h, psi0: np.ndarray, times) -> Trajectory:
-    """Exact static-Hamiltonian trajectory psi(t) = V exp(-i L t) V^dag psi0.
-
-    ``h`` is the Hamiltonian or a SpectralPropagator already built from it.
-    """
+def propagate_static(spectral: SpectralPropagator, psi0: np.ndarray, times) -> Trajectory:
+    """Exact static-Hamiltonian trajectory psi(t) = V exp(-i L t) V^dag psi0."""
     times = np.asarray(times, dtype=float)
     _check_times(times)
-    prop = h if isinstance(h, SpectralPropagator) else SpectralPropagator(h)
-    states = prop.evolve(np.asarray(psi0, dtype=complex), times)
+    states = spectral.evolve(np.asarray(psi0, dtype=complex), times)
     return Trajectory(times=times, states=states)
 
 

@@ -18,7 +18,7 @@ from buckygate.engine import run_simulation
 from buckygate.errors import NoCrossing, UndefinedPhase
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_static
-from buckygate.propagator import propagate_static, rk4_segment, time_dependent_hamiltonian
+from buckygate.propagator import SpectralPropagator, propagate_static, rk4_segment, time_dependent_hamiltonian
 
 REFERENCE_OMEGA1 = 1.7599e10
 REFERENCE_OMEGA2 = 1.7577e10
@@ -138,7 +138,7 @@ def test_criterion_7_oracle_equivalence():
     from rk4_oracle import propagate_numeric
 
     numeric = propagate_numeric(cfg, res, times, 5e-13)
-    exact = propagate_static(build_static(cfg), cfg.initial_state, times)
+    exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
     err = np.max(np.abs(numeric.states - exact.states))
     report(7, err <= 1e-8, f"RK4 vs spectral max amplitude error {err:.2e} over [0, 10 ns] (tol 1e-8)")
 

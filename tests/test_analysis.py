@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from buckygate import analysis
 from buckygate.analysis import (
     PHASE_TOL,
     PhaseSeries,
@@ -100,8 +101,8 @@ class TestUnwrapPhases:
 
 
 def evaluator(theta, rate):
-    """theta and its rate at one time or an array of times, the pair that
-    find_gate_time's evaluators return."""
+    """theta and its rate at an array of times, the pair of arrays that
+    find_gate_time's evaluator returns."""
     return lambda t: (theta(t), np.broadcast_to(rate(t), np.shape(t)))
 
 
@@ -121,6 +122,27 @@ def dip_rate(t):
 DIP_TAU = 0.3055 - 0.003 * np.sqrt(np.log(1.5))
 
 
+def newton_calls(series, theta_fn, scan_step, unresolved):
+    """find_gate_time's result and the times of its Newton steps: the calls
+    of ``theta_fn`` at one time after the scan has returned."""
+    calls, scanned = [], []
+    scan = analysis._scan
+
+    def recording_scan(*args):
+        bracket = scan(*args)
+        scanned.append(True)
+        return bracket
+
+    def recording(t):
+        if scanned:
+            calls.append(t)
+        return theta_fn(t)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_scan", recording_scan)
+        return find_gate_time(series, recording, scan_step, unresolved), calls
+
+
 class TestFindGateTime:
     def linear_series(self, tau0, t_max=1.0, n=101):
         times = np.linspace(0, t_max, n)
@@ -128,10 +150,8 @@ class TestFindGateTime:
         return PhaseSeries(times=times, theta=theta)
 
     def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0):
-        """find_gate_time with ``theta`` and ``rate`` as both the point and
-        the scan evaluator."""
-        fn = evaluator(theta, rate)
-        return find_gate_time(series, fn, fn, scan_step, unresolved)
+        """find_gate_time with ``theta`` and ``rate`` as its evaluator."""
+        return find_gate_time(series, evaluator(theta, rate), scan_step, unresolved)
 
     def test_linear_crossing(self):
         tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t, lambda t: -np.pi / 0.4)
@@ -164,14 +184,8 @@ class TestFindGateTime:
         times = np.linspace(0, 1.0, 101)
         theta = lambda t: -(np.pi / 0.37) * t + 1e-3 * np.sin(40 * t)
         rate = lambda t: -(np.pi / 0.37) + 0.04 * np.cos(40 * t)
-        calls = []
-        point = evaluator(theta, rate)
-
-        def theta_fn(t):
-            calls.append(t)
-            return point(t)
-
-        tau = find_gate_time(PhaseSeries(times, theta(times)), theta_fn, point, 1e-2, 1e-3)
+        series = PhaseSeries(times, theta(times))
+        tau, calls = newton_calls(series, evaluator(theta, rate), 1e-2, 1e-3)
         assert abs(theta(tau) + np.pi) <= PHASE_TOL
         assert len(calls) <= 1
 
@@ -186,19 +200,26 @@ class TestFindGateTime:
         # other call, and PHASE_TOL needs it below about 1e-10 (theta turns at
         # 0.85 rad/s there), some 23 halvings.
         times = np.linspace(0, 1.0, 101)
-        calls = []
-        point = evaluator(dip_theta, bad_rate)
-
-        def theta_fn(t):
-            calls.append(t)
-            return point(t)
-
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tau = find_gate_time(PhaseSeries(times, dip_theta(times)), theta_fn, point, 1e-3, 0.0)
+            series = PhaseSeries(times, dip_theta(times))
+            tau, calls = newton_calls(series, evaluator(dip_theta, bad_rate), 1e-3, 0.0)
         assert abs(dip_theta(tau) + np.pi) <= PHASE_TOL
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
         assert len(calls) <= 2 * 24
+
+    def test_evaluator_gets_one_dimensional_times_only(self):
+        # The scan's batches and each Newton step's one time are all 1-D
+        # arrays; an evaluator that accepts nothing else still finds tau.
+        point = evaluator(dip_theta, dip_rate)
+
+        def strict(t):
+            assert isinstance(t, np.ndarray) and t.ndim == 1 and t.size >= 1, t
+            return point(t)
+
+        times = np.linspace(0, 1.0, 101)
+        tau = find_gate_time(PhaseSeries(times, dip_theta(times)), strict, 1e-3, 0.0)
+        assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)

@@ -563,6 +563,13 @@ BAD_INPUTS = [
      EXIT_CONFIG, "wire separation must be finite, got nan"),
     ("wire-radius-infinite", "field-profile", with_lines(WIRES_CONFIG, "rho_m=inf"), ["--from=-1e-7", "--to=1e-7"],
      EXIT_CONFIG, "wire radius must be finite, got inf"),
+    # NaN and infinity as the ends of a field profile.
+    ("profile-from-nan", "field-profile", WIRES_CONFIG, ["--from=nan", "--to=1e-7", "--points=3"],
+     EXIT_CONFIG, "--from must be finite, got nan"),
+    ("profile-from-minus-inf", "field-profile", WIRES_CONFIG, ["--from=-inf", "--to=1e-7", "--points=3"],
+     EXIT_CONFIG, "--from must be finite, got -inf"),
+    ("profile-to-inf", "field-profile", WIRES_CONFIG, ["--from=-1e-7", "--to=inf", "--points=3"],
+     EXIT_CONFIG, "--to must be finite, got inf"),
 ]
 
 

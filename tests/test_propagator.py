@@ -119,7 +119,7 @@ def _scalar_states(cfg, times, dt):
 class TestSpectral:
     def test_zero_hamiltonian_identity(self):
         times = np.linspace(0, 1e-9, 11)
-        traj = propagate_static(np.zeros((4, 4), dtype=complex), UNIFORM, times)
+        traj = propagate_static(SpectralPropagator(np.zeros((4, 4), dtype=complex)), UNIFORM, times)
         for state in traj.states:
             np.testing.assert_allclose(state, UNIFORM, atol=1e-15)
 
@@ -129,7 +129,7 @@ class TestSpectral:
         times = np.linspace(0, t_max, 50001)
         eigenvalues, v = np.linalg.eigh(h)
         reference = (np.exp(-1j * np.outer(times, eigenvalues)) * (v.conj().T @ UNIFORM)) @ v.T
-        states = propagate_static(h, UNIFORM, times).states
+        states = propagate_static(SpectralPropagator(h), UNIFORM, times).states
         assert np.max(np.abs(states - reference)) <= 1e-15
 
     def test_rabi_closed_form(self):
@@ -139,7 +139,7 @@ class TestSpectral:
         g, m1, _ = static_terms(cfg)
         h = build_static(cfg)
         times = np.linspace(0, 2e-9, 400)
-        traj = propagate_static(h, np.array([1, 0, 0, 0], dtype=complex), times)
+        traj = propagate_static(SpectralPropagator(h), np.array([1, 0, 0, 0], dtype=complex), times)
         omega = np.hypot(m1, 3 * g)
         expected = 1 - (9 * g**2 / omega**2) * np.sin(omega * times) ** 2
         np.testing.assert_allclose(np.abs(traj.states[:, 0]) ** 2, expected, atol=1e-10)
@@ -147,7 +147,7 @@ class TestSpectral:
     def test_norm_conserved(self):
         cfg = reference_config()
         traj = propagate_static(
-            build_static(cfg), UNIFORM, np.linspace(0, 1e-8, 500)
+            SpectralPropagator(build_static(cfg)), UNIFORM, np.linspace(0, 1e-8, 500)
         )
         np.testing.assert_allclose(traj.norms, 1.0, atol=1e-12)
 
@@ -164,12 +164,12 @@ class TestSpectral:
         h = np.zeros((4, 4), dtype=complex)
         h[0, 1] = 1.0
         with pytest.raises(NonHermitianInput):
-            propagate_static(h, UNIFORM, np.linspace(0, 1.0, 5))
+            SpectralPropagator(h)
 
     def test_energy_conserved(self):
         cfg = reference_config()
         h = build_static(cfg)
-        traj = propagate_static(h, UNIFORM, np.linspace(0, 1e-8, 300))
+        traj = propagate_static(SpectralPropagator(h), UNIFORM, np.linspace(0, 1e-8, 300))
         energies = np.einsum("ti,ij,tj->t", traj.states.conj(), h, traj.states).real
         scale = max(abs(energies[0]), np.max(np.abs(np.linalg.eigvalsh(h))))
         assert np.max(np.abs(energies - energies[0])) <= 1e-8 * scale
@@ -177,7 +177,7 @@ class TestSpectral:
     def test_block_populations_conserved(self):
         cfg = reference_config()
         traj = propagate_static(
-            build_static(cfg), UNIFORM, np.linspace(0, 1e-8, 300)
+            SpectralPropagator(build_static(cfg)), UNIFORM, np.linspace(0, 1e-8, 300)
         )
         p_outer = np.abs(traj.states[:, 0]) ** 2 + np.abs(traj.states[:, 3]) ** 2
         p_inner = np.abs(traj.states[:, 1]) ** 2 + np.abs(traj.states[:, 2]) ** 2
@@ -190,14 +190,14 @@ class TestNumeric:
         cfg = reference_config(t_max=1e-8)
         times = np.linspace(0, 1e-8, 401)
         numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
-        exact = propagate_static(build_static(cfg), cfg.initial_state, times)
+        exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
 
     def test_drive_free_driven_mode_reduces_to_static(self):
         cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
         times = np.linspace(0, 4e-9, 201)
         numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
-        exact = propagate_static(build_static(cfg), cfg.initial_state, times)
+        exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
         # dominated by RK4 truncation error, same bound as the oracle check
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
 
@@ -370,7 +370,7 @@ class TestMagnus:
         cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
         times = np.linspace(0, 4e-9, 201)
         magnus = self.run(cfg, times, 20)
-        exact = propagate_static(build_static(cfg), cfg.initial_state, times)
+        exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
         assert np.max(np.abs(magnus.states - exact.states)) <= 1e-13
 
     def test_convergence_order(self):
