@@ -25,8 +25,8 @@ config = SimulationConfig(
 result = run_simulation(config)
 gate = result.gate
 
-print(f"resonances        : {result.resonances.omega1:.4e}, "
-      f"{result.resonances.omega2:.4e} rad/s")
+resonances = result.config.resonances
+print(f"resonances        : {resonances.omega1:.4e}, {resonances.omega2:.4e} rad/s")
 print(f"gate time tau     : {gate.tau * 1e9:.4f} ns")
 print(f"theta(tau)        : {gate.theta_at_tau:+.8f} rad (target -pi)")
 print(f"concurrence C(tau): {gate.concurrence_at_tau:.4f}")
@@ -39,6 +39,7 @@ print(f"corrections       : s1_0={gate.correction_phases[0]:+.4f}, "
 
 # theta(t) is linear to a very good approximation; show the fitted slope
 # against the -6 g prediction of the block-diagonal model.
-mask = result.phases.times <= gate.tau
-slope = np.polyfit(result.phases.times[mask], result.phases.theta[mask], 1)[0]
+times = result.trajectory.times
+mask = times <= gate.tau
+slope = np.polyfit(times[mask], result.theta[mask], 1)[0]
 print(f"\ntheta slope       : {slope:.4e} rad/s (pi/tau = {np.pi / gate.tau:.4e})")

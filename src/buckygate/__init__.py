@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .analysis import (
     GateResult,
-    PhaseSeries,
     concurrence,
     correction_phases,
     entanglement_of_formation,
@@ -26,7 +25,6 @@ from .propagator import Trajectory
 __all__ = [
     "CONSTANTS",
     "GateResult",
-    "PhaseSeries",
     "PhysicalConstants",
     "ResonancePair",
     "SimulationConfig",

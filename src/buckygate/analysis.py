@@ -44,19 +44,6 @@ MAX_SCAN_POINTS = 10**6
 
 
 @dataclass(frozen=True)
-class PhaseSeries:
-    """The unwrapped composite phase theta at each sample, with theta[0] = 0."""
-
-    times: np.ndarray
-    theta: np.ndarray
-
-    @property
-    def max_step(self) -> float:
-        """Largest per-sample |delta theta| (rad): the unwrap margin."""
-        return float(np.max(np.abs(np.diff(self.theta)), initial=0.0))
-
-
-@dataclass(frozen=True)
 class GateResult:
     """Summary of one gate run."""
 
@@ -74,8 +61,9 @@ def composite_angle(states) -> np.ndarray:
     return np.angle(c[..., 0] * c[..., 3] * np.conj(c[..., 1] * c[..., 2]))
 
 
-def unwrap_phases(traj: Trajectory) -> PhaseSeries:
-    """Continuous composite phase theta(t), unwrapped from the sampled states.
+def unwrap_phases(traj: Trajectory) -> np.ndarray:
+    """The continuous composite phase theta at each of ``traj.times``,
+    unwrapped from the sampled states, with theta[0] = 0.
 
     Raises UndefinedPhase if any amplitude magnitude falls below
     AMP_FLOOR anywhere along the trajectory, and PhaseAliasing if a
@@ -98,11 +86,12 @@ def unwrap_phases(traj: Trajectory) -> PhaseSeries:
             f"t={traj.times[k]:.6e} s and t={traj.times[k + 1]:.6e} s, above the "
             f"unwrap bound {MAX_THETA_STEP:.3f} rad; shorten t_max"
         )
-    return PhaseSeries(times=traj.times, theta=np.concatenate([[0.0], np.cumsum(steps)]))
+    return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def find_gate_time(phases: PhaseSeries, theta_fn, scan_step: float, unresolved: float) -> float:
-    """First time the unwrapped composite phase reaches +/-pi.
+def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float) -> float:
+    """First time the unwrapped composite phase reaches +/-pi, from its
+    samples ``theta`` at the increasing ``times`` (``unwrap_phases``).
 
     The nominal target is -pi; if the series reaches +pi first that
     earlier crossing is returned instead.
@@ -136,7 +125,6 @@ def find_gate_time(phases: PhaseSeries, theta_fn, scan_step: float, unresolved: 
     of the series; its message gives theta at the final sample.
     """
     level = math.pi
-    times, theta = phases.times, phases.theta
     hit = np.flatnonzero(np.abs(theta) >= level)
     if len(hit) == 0:
         raise NoCrossing(

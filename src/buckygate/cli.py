@@ -83,7 +83,7 @@ def trajectory_csv(result) -> str:
     n = len(traj.times)
     re_im = np.stack([traj.states.real, traj.states.imag], axis=-1).reshape(n, 8)
     table = np.column_stack(
-        [traj.times, re_im, result.phases.theta, concurrence(traj.states), traj.norms]
+        [traj.times, re_im, result.theta, concurrence(traj.states), traj.norms]
     )
     rows = [TRAJECTORY_HEADER]
     rows.extend(",".join(map(repr, row)) for row in table.tolist())
@@ -95,8 +95,8 @@ def summary_text(result) -> str:
     s1_0, s1_1, s2_0, s2_1 = g.correction_phases
     lines = [
         f"mode={result.config.mode}",
-        f"omega1_rad_s={_fmt(result.resonances.omega1)}",
-        f"omega2_rad_s={_fmt(result.resonances.omega2)}",
+        f"omega1_rad_s={_fmt(result.config.resonances.omega1)}",
+        f"omega2_rad_s={_fmt(result.config.resonances.omega2)}",
         f"tau_s={_fmt(g.tau)}",
         f"theta_at_tau_rad={_fmt(g.theta_at_tau)}",
         f"concurrence_at_tau={_fmt(g.concurrence_at_tau)}",
@@ -134,7 +134,7 @@ def cmd_simulate(args) -> int:
         "outputs": [traj_path, summary_path],
         "duration_s": time.monotonic() - start,
         "samples": len(result.trajectory.times),
-        "max_theta_step_rad": result.phases.max_step,
+        "max_theta_step_rad": float(np.max(np.abs(np.diff(result.theta)), initial=0.0)),
         "config_snapshot": format_config(result.config).splitlines(),
     }
     _write(manifest_path, json.dumps(manifest, indent=2) + "\n")
@@ -156,11 +156,13 @@ def parse_sweep_spec(kv: dict):
     param = kv.pop("param", None)
     if param not in SWEEP_PARAMS:
         raise ConfigErrorItem(f"param must be one of {SWEEP_PARAMS}, got {param!r}")
-    values = None
-    if "values" in kv:
+    given = [key for key in ("values", "range", "logrange") if key in kv]
+    if len(given) != 1:
+        raise ConfigErrorItem(f"a sweep spec takes one of values=, range=, logrange=; got {given}")
+    key = given[0]
+    if key == "values":
         values = [float(v) for v in kv.pop("values").split(",")]
-    elif "range" in kv or "logrange" in kv:
-        key = "range" if "range" in kv else "logrange"
+    else:
         parts = kv.pop(key).split(",")
         if len(parts) != 3:
             raise ConfigErrorItem(f"{key} needs start,stop,count")
@@ -170,8 +172,6 @@ def parse_sweep_spec(kv: dict):
             values = list(np.linspace(start, stop, count))
         else:
             values = list(np.geomspace(start, stop, count))
-    else:
-        raise ConfigErrorItem("sweep spec needs `values=` or `range=`/`logrange=`")
     if len(values) < 2:
         raise ConfigErrorItem(f"a sweep needs at least 2 points, got {len(values)}")
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ConfigErrorItem
+from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import dipole_coupling, zeeman_terms
 
 MODES = ("static", "driven")
@@ -56,6 +57,11 @@ class SimulationConfig:
 
     def replace(self, **changes) -> "SimulationConfig":
         return dataclasses.replace(self, **changes)
+
+    @property
+    def resonances(self) -> ResonancePair:
+        """The drive frequencies, each spin's resonance in its static field."""
+        return resonance_frequencies(self.Bz1, self.Bg1, self.Bz2, self.Bg2)
 
 
 def validate(config: SimulationConfig) -> SimulationConfig:

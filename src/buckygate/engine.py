@@ -19,7 +19,6 @@ import numpy as np
 from .analysis import (
     MAX_THETA_STEP,
     GateResult,
-    PhaseSeries,
     composite_angle,
     concurrence,
     correction_phases,
@@ -30,7 +29,6 @@ from .analysis import (
 )
 from .config import SimulationConfig, validate
 from .errors import PhaseAliasing
-from .fields import ResonancePair, resonance_frequencies
 from .hamiltonian import build_static, static_terms
 from .propagator import (
     DEFAULT_STEP_SAFETY,
@@ -56,10 +54,9 @@ MAX_SAMPLES = 50001
 
 @dataclass(frozen=True)
 class SimulationResult:
-    config: SimulationConfig  # validated
-    resonances: ResonancePair
+    config: SimulationConfig  # validated; its resonances are the drive frequencies
     trajectory: Trajectory
-    phases: PhaseSeries
+    theta: np.ndarray  # the unwrapped composite phase at each trajectory.times
     gate: GateResult
 
 
@@ -114,7 +111,8 @@ def theta_rate(config, spectral):
 
 
 class TrajectoryEvaluator:
-    """One propagated run, and continuous theta(t) / psi(t) between its samples.
+    """One propagated run, its unwrapped theta at each of ``trajectory.times``,
+    and continuous theta(t) / psi(t) between its samples.
 
     ``carry(psi, t0, t1)`` carries states psi[j] from the times t0[j] to
     t1[j]: exactly with the run's SpectralPropagator for a static run, by RK4
@@ -133,12 +131,10 @@ class TrajectoryEvaluator:
     ``unresolved`` bounds the part of theta the sample grid does not resolve.
     """
 
-    def __init__(self, config, resonances, trajectory, phases, scan_step,
-                 unresolved, carry, apply_h):
+    def __init__(self, config, trajectory, theta, scan_step, unresolved, carry, apply_h):
         self.config = config
-        self.resonances = resonances
         self.trajectory = trajectory
-        self.phases = phases
+        self.theta = theta
         self.scan_step = scan_step
         self.unresolved = unresolved
         self.carry = carry
@@ -163,7 +159,7 @@ class TrajectoryEvaluator:
 
     def _aligned(self, t, states):
         raw = composite_angle(states) - self.theta0
-        ref = np.interp(t, self.trajectory.times, self.phases.theta)
+        ref = np.interp(t, self.trajectory.times, self.theta)
         return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
 
     def _rate(self, t, states):
@@ -174,31 +170,31 @@ class TrajectoryEvaluator:
 def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap; the returned evaluator holds the run.
 
-    The static Hamiltonian is built and diagonalized once per run.  A static
-    run raises PhaseAliasing if MAX_SAMPLES samples cannot hold theta's
-    per-sample step below MAX_THETA_STEP over the horizon.  A driven run
-    takes ``magnus_steps`` Magnus steps per sample interval, set by the
-    drive and the fitted error of the step rather than by the Zeeman
-    precession: one or two on the benchmark's driven points.  Gate-time
-    refinement scans at ``scan_step``, MAX_PHASE_PER_STEP rad at the
-    Hamiltonian scale, and refines, both through the evaluator's
-    ``theta_at``.  The mode also picks, once, the evaluator's ``carry``
-    from a sample to a later time, the static run's exact spectral evolution
-    or for a driven run ``rk4_spans`` in steps of at most DEFAULT_STEP_SAFETY
-    times ``scan_step``, and its ``apply_h``: one product with the static
-    Hamiltonian for every time, or one H(t) per time of a driven batch.
+    The static Hamiltonian is built and diagonalized once per run, and a
+    driven run's drive is at ``config.resonances``.  A static run raises
+    PhaseAliasing if MAX_SAMPLES samples cannot hold theta's per-sample step
+    below MAX_THETA_STEP over the horizon.  A driven run takes
+    ``magnus_steps`` Magnus steps per sample interval, set by the drive and
+    the fitted error of the step rather than by the Zeeman precession: one or
+    two on the benchmark's driven points.  Gate-time refinement scans at
+    ``scan_step``, MAX_PHASE_PER_STEP rad at the Hamiltonian scale, and
+    refines, both through the evaluator's ``theta_at``.  The mode also picks,
+    once, the evaluator's ``carry`` from a sample to a later time, the static
+    run's exact spectral evolution or for a driven run ``rk4_spans`` in steps
+    of at most DEFAULT_STEP_SAFETY times ``scan_step``, and its ``apply_h``:
+    one product with the static Hamiltonian for every time, or one H(t) per
+    time of a driven batch.
     """
     cfg = validate(config)
-    resonances = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     h0 = build_static(cfg)
-    scale = hamiltonian_scale(cfg, resonances, h0)
+    scale = hamiltonian_scale(cfg, h0)
     scan_step = MAX_PHASE_PER_STEP / scale
     spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
         unresolved = 0.0
         times = sample_times(cfg.t_max, scale)
-        traj = propagate_magnus(spectral, cfg, resonances, times, magnus_steps(cfg, scale, times))
-        hfun = time_dependent_hamiltonian(cfg, resonances, h0)
+        traj = propagate_magnus(spectral, cfg, times, magnus_steps(cfg, scale, times))
+        hfun = time_dependent_hamiltonian(cfg, h0)
         step = DEFAULT_STEP_SAFETY * scan_step
         carry = lambda psi, t0, t1: rk4_spans(hfun, psi, t0, t1, step)  # noqa: E731
         apply_h = lambda t, psi: (hfun(t) @ psi[..., None])[..., 0]  # noqa: E731
@@ -217,15 +213,14 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         # One product for all times, C-contiguous as in SpectralPropagator.
         h0_t = np.ascontiguousarray(h0.T)
         apply_h = lambda t, psi: psi @ h0_t  # noqa: E731
-    phases = unwrap_phases(traj)
-    return TrajectoryEvaluator(cfg, resonances, traj, phases, scan_step, unresolved, carry, apply_h)
+    return TrajectoryEvaluator(cfg, traj, unwrap_phases(traj), scan_step, unresolved, carry, apply_h)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
     run = run_trajectory(config)
     traj = run.trajectory
-    tau = find_gate_time(run.phases, run.theta_at, run.scan_step, run.unresolved)
+    tau = find_gate_time(traj.times, run.theta, run.theta_at, run.scan_step, run.unresolved)
     t_last, psi_last = run._last  # the latest evaluated times and their states
     psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
@@ -239,7 +234,4 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
         ops_budget=ops_budget(tau, run.config.T2),
         correction_phases=correction_phases(phi[0], phi[1], phi[2]),
     )
-    return SimulationResult(
-        config=run.config, resonances=run.resonances, trajectory=traj,
-        phases=run.phases, gate=gate,
-    )
+    return SimulationResult(config=run.config, trajectory=traj, theta=run.theta, gate=gate)

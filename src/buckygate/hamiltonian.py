@@ -15,7 +15,6 @@ import numpy as np
 
 from .constants import CONSTANTS
 from .errors import ConfigErrorItem
-from .fields import ResonancePair
 
 if TYPE_CHECKING:  # config imports this module to validate r
     from .config import SimulationConfig
@@ -91,25 +90,26 @@ DRIVE_OPERATORS = np.array(
 )
 
 
-def drive_amplitudes(config: SimulationConfig, resonances: ResonancePair, t):
+def drive_amplitudes(config: SimulationConfig, t):
     """(a1(t), a2(t)) in rad/s, the coefficients of the DRIVE_OPERATORS.
 
-    Spin i is driven at its own resonance frequency with amplitude
-    a_i(t) = -muB Bl_i cos(omega_i t) / hbar on both sigma_x and sigma_y
-    (a linearly polarized field, both components share the same cosine).
+    Spin i is driven at its resonance omega_i (``config.resonances``) with
+    amplitude a_i(t) = -muB Bl_i cos(omega_i t) / hbar on both sigma_x and
+    sigma_y (a linearly polarized field, both components share the cosine).
     """
+    resonances = config.resonances
     a1 = -CONSTANTS.muB * config.Bl1 * np.cos(resonances.omega1 * t) / CONSTANTS.hbar
     a2 = -CONSTANTS.muB * config.Bl2 * np.cos(resonances.omega2 * t) / CONSTANTS.hbar
     return a1, a2
 
 
-def build_drive(config: SimulationConfig, resonances: ResonancePair, t) -> np.ndarray:
-    """Time-dependent drive term only (rad/s); add to the static matrix.
+def build_drive(config: SimulationConfig, t) -> np.ndarray:
+    """Drive term only at ``config.resonances`` (rad/s); add to the static matrix.
 
     ``t`` may be a scalar or an array; the result has shape
     ``np.shape(t) + (4, 4)``.
     """
-    a1, a2 = drive_amplitudes(config, resonances, t)
+    a1, a2 = drive_amplitudes(config, t)
     return np.multiply.outer(a1, DRIVE_OPERATORS[0]) + np.multiply.outer(a2, DRIVE_OPERATORS[1])
 
 

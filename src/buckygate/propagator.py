@@ -46,7 +46,6 @@ import numpy as np
 
 from .config import SimulationConfig
 from .errors import NonHermitianInput, NormDrift, OutOfRange
-from .fields import ResonancePair
 from .hamiltonian import (
     DRIVE_OPERATORS,
     build_drive,
@@ -128,9 +127,10 @@ class Trajectory:
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
 
-def hamiltonian_scale(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray) -> float:
+def hamiltonian_scale(config: SimulationConfig, h0: np.ndarray) -> float:
     """Fastest angular-frequency scale of the full (static + drive) problem,
     whose static Hamiltonian is ``h0``."""
+    resonances = config.resonances
     return max(
         float(np.max(np.abs(h0))),
         drive_peak_amplitude(config),
@@ -257,7 +257,7 @@ def _rk4_matrices(hfun, nodes, h):
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
-def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, buffers):
+def _magnus_steps(spectral: SpectralPropagator, config, h: float, buffers):
     """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
     steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
     ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
@@ -278,9 +278,10 @@ def _magnus_steps(spectral: SpectralPropagator, config, resonances, h: float, bu
     as is the Taylor degree of exp(Omega), from ``_generator_bound``.  Step j
     has its midpoint at t_m = (j + 1/2) h.
     """
-    a, c = _drive_integrals(spectral, config, resonances, h)
+    a, c = _drive_integrals(spectral, config, h)
     basis = _real_form(np.concatenate([a, c.reshape(16, 4, 4)])).reshape(20, 64)
     rotation = _real_form(np.diag(_unit_phases(-h * spectral.eigenvalues)))
+    resonances = config.resonances
     omegas = np.array([resonances.omega1, resonances.omega2])
     degree = _taylor_degree(_generator_bound(basis))
     matrices, *work = buffers
@@ -332,7 +333,7 @@ def _generator_bound(basis) -> float:
     return math.sqrt(2 * a) + 2 * math.sqrt(c)
 
 
-def _drive_integrals(spectral: SpectralPropagator, config, resonances, h: float):
+def _drive_integrals(spectral: SpectralPropagator, config, h: float):
     """(A, C) of the Magnus step of length h: A[q] = -i int F_q and
     C[q, r] = 1/2 int int_{s2 < s1} [-i F_q(s1), -i F_r(s2)] over
     -h/2 < s2 < s1 < h/2, with F_q(s) = c_q(s) P(s) V^dag a_i D_i V P(s)^dag,
@@ -349,7 +350,8 @@ def _drive_integrals(spectral: SpectralPropagator, config, resonances, h: float)
     for any step, and no term divides by a small nu.
     """
     v, rates = spectral.eigenvectors, spectral.eigenvalues  # rates ascending
-    amplitudes = np.array(drive_amplitudes(config, resonances, 0.0))
+    resonances = config.resonances
+    amplitudes = np.array(drive_amplitudes(config, 0.0))
     drives = amplitudes[:, None, None] * (v.conj().T @ DRIVE_OPERATORS @ v)  # a_i V^dag D_i V
     omegas = np.array([resonances.omega1, resonances.omega2])
     top = h / 2 * (rates[-1] - rates[0] + max(abs(resonances.omega1), abs(resonances.omega2)))
@@ -461,14 +463,14 @@ def _real_form(m):
     return out
 
 
-def time_dependent_hamiltonian(config: SimulationConfig, resonances: ResonancePair, h0: np.ndarray):
-    """Return H(t) = h0 + the config's drive term as a callable of time, where
-    ``h0`` is the config's static Hamiltonian: the H(t) of a driven run's RK4
-    refinement and of theta's rate (``engine.run_trajectory``).
+def time_dependent_hamiltonian(config: SimulationConfig, h0: np.ndarray):
+    """Return H(t) = h0 + ``build_drive(config, t)`` as a callable of time,
+    where ``h0`` is the config's static Hamiltonian: the H(t) of a driven
+    run's RK4 refinement and of theta's rate (``engine.run_trajectory``).
 
     ``t`` may be an array; H(t) then has shape ``t.shape + (4, 4)``.
     """
-    return lambda t: h0 + build_drive(config, resonances, t)
+    return lambda t: h0 + build_drive(config, t)
 
 
 def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
@@ -494,11 +496,7 @@ def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
 
 
 def propagate_magnus(
-    spectral: SpectralPropagator,
-    config: SimulationConfig,
-    resonances: ResonancePair,
-    times,
-    steps: int,
+    spectral: SpectralPropagator, config: SimulationConfig, times, steps: int
 ) -> Trajectory:
     """Driven trajectory by ``steps`` uniform 4th-order Magnus steps per
     sample interval.
@@ -508,14 +506,14 @@ def propagate_magnus(
     than MAX_STEPS steps.  ``spectral`` holds H0 = V L V^dag, the config's
     static Hamiltonian.  With psi(t) = V exp(-i L t) phi(t), phi obeys
     i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^dag D(t) V
-    exp(-i L t) and D(t) is the drive term.  H_I is as large as the drive;
-    the Zeeman precession enters only through its phase factors, which each
-    step integrates exactly (``_drive_integrals``), so the step need only
-    follow the drive (``magnus_steps``).  The run's steps (len(times) - 1)
-    steps are built and carried STEPS_PER_CHUNK at a time (``_carry``), and
-    the state after every steps-th one is stored.  Raises NormDrift at the
-    first stored state whose squared norm departs from 1 by more than
-    NORM_TOLERANCE.
+    exp(-i L t) and D(t) is the drive term at ``config.resonances``.  H_I
+    is as large as the drive; the Zeeman precession enters only through its
+    phase factors, which each step integrates exactly (``_drive_integrals``),
+    so the step need only follow the drive (``magnus_steps``).  The run's
+    steps (len(times) - 1) steps are built and carried STEPS_PER_CHUNK at a
+    time (``_carry``), and the state after every steps-th one is stored.
+    Raises NormDrift at the first stored state whose squared norm departs
+    from 1 by more than NORM_TOLERANCE.
     """
     times = np.asarray(times, dtype=float)
     _check_times(times)
@@ -529,7 +527,7 @@ def propagate_magnus(
     xi = np.empty((len(times), 8))
     xi[0] = np.concatenate([xi0.real, xi0.imag])
     buffers = _workspace(min(total, STEPS_PER_CHUNK))
-    step_matrices = _magnus_steps(spectral, config, resonances, h, buffers)
+    step_matrices = _magnus_steps(spectral, config, h, buffers)
     state = xi[0]
     for first in range(0, total, STEPS_PER_CHUNK):
         states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, total - first)), state, buffers[1])

@@ -18,7 +18,7 @@ from buckygate.propagator import (
 )
 
 
-def propagate_numeric(config, resonances, times, dt_max: float) -> Trajectory:
+def propagate_numeric(config, times, dt_max: float) -> Trajectory:
     """RK4 trajectory on the uniform grid ``times`` = np.linspace(0, t_end, n)
     by ceil(spacing / dt_max) uniform steps per sample interval, at least one.
 
@@ -33,7 +33,7 @@ def propagate_numeric(config, resonances, times, dt_max: float) -> Trajectory:
         raise ValueError("the RK4 oracle needs a uniform grid, np.linspace(0, t_end, n)")
     spacing = times[-1] / (len(times) - 1)
     count = max(1, math.ceil(spacing / dt_max))
-    hfun = time_dependent_hamiltonian(config, resonances, build_static(config))
+    hfun = time_dependent_hamiltonian(config, build_static(config))
     states = np.empty((len(times), 4), dtype=complex)
     states[0] = config.initial_state
     taken = f"RK4 substep taken was {spacing / count:.3e} s"

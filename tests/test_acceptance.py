@@ -79,9 +79,9 @@ def test_criterion_3_driven_gate_time(driven_result):
 
 
 def test_criterion_4_phase_linearity(static_result):
-    phases = static_result.phases
-    mask = phases.times <= static_result.gate.tau
-    t, theta = phases.times[mask], phases.theta[mask]
+    times = static_result.trajectory.times
+    mask = times <= static_result.gate.tau
+    t, theta = times[mask], static_result.theta[mask]
     slope, intercept = np.polyfit(t, theta, 1)
     fit = slope * t + intercept
     ss_res = np.sum((theta - fit) ** 2)
@@ -133,11 +133,10 @@ def test_criterion_7_oracle_equivalence():
     from buckygate.config import validate
 
     cfg = validate(cfg)
-    res = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
     times = np.linspace(0, 1e-8, 401)
     from rk4_oracle import propagate_numeric
 
-    numeric = propagate_numeric(cfg, res, times, 5e-13)
+    numeric = propagate_numeric(cfg, times, 5e-13)
     exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
     err = np.max(np.abs(numeric.states - exact.states))
     report(7, err <= 1e-8, f"RK4 vs spectral max amplitude error {err:.2e} over [0, 10 ns] (tol 1e-8)")
@@ -209,8 +208,7 @@ def test_criterion_11_rk4_convergence_order():
     from buckygate.config import validate
 
     cfg = validate(cfg)
-    res = resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-    hfun = time_dependent_hamiltonian(cfg, res, build_static(cfg))
+    hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
     psi0 = cfg.initial_state
     horizon = 2e-9
     finals = [

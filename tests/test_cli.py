@@ -123,7 +123,7 @@ class TestSimulate:
             r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5, t_max=1.2e-8
         ))
         assert manifest["samples"] == len(result.trajectory.times) == 1001
-        assert manifest["max_theta_step_rad"] == result.phases.max_step
+        assert manifest["max_theta_step_rad"] == float(np.max(np.abs(np.diff(result.theta))))
         assert 0 < manifest["max_theta_step_rad"] < np.pi / 2
 
     def test_recorded_config_reproduces_the_outputs(self, tmp_path):
@@ -288,7 +288,7 @@ def _trajectory_csv_per_row(result):
         return float(2 * abs(c[1] * c[2] - c[0] * c[3]) / nrm2)
 
     rows = [TRAJECTORY_HEADER]
-    traj, phases = result.trajectory, result.phases
+    traj = result.trajectory
     norms = traj.norms
     for i, t in enumerate(traj.times):
         c = traj.states[i]
@@ -296,7 +296,7 @@ def _trajectory_csv_per_row(result):
         for j in range(4):
             fields.append(repr(float(c[j].real)))
             fields.append(repr(float(c[j].imag)))
-        fields.append(repr(float(phases.theta[i])))
+        fields.append(repr(float(result.theta[i])))
         fields.append(repr(concurrence(c)))
         fields.append(repr(float(norms[i])))
         rows.append(",".join(fields))
@@ -533,6 +533,11 @@ BAD_INPUTS = [
     ("range-count-negative", "sweep", SWEEP_R + "range=1e-9,2e-9,-1\n", [], EXIT_CONFIG, "range count"),
     ("range-count-huge", "sweep", SWEEP_R + "range=1e-9,2e-9,100000000000000\n", [], EXIT_CONFIG, "range count"),
     ("logrange-zero", "sweep", SWEEP_R + "logrange=0,1e-9,3\n", [], EXIT_CONFIG, "input.cfg: Geometric sequence cannot include zero"),
+    # A spec with two ways to give its values is refused with the keys given.
+    ("values-and-range", "sweep", SWEEP_R + "values=1.0e-9,1.2e-9\nrange=1e-9,2e-9,3\n", [], EXIT_CONFIG,
+     "a sweep spec takes one of values=, range=, logrange=; got ['values', 'range']"),
+    ("range-and-logrange", "sweep", SWEEP_R + "range=1e-9,2e-9,3\nlogrange=1e-9,2e-9,3\n", [], EXIT_CONFIG,
+     "a sweep spec takes one of values=, range=, logrange=; got ['range', 'logrange']"),
     ("wire-current-not-a-number", "field-profile", with_lines(WIRES_CONFIG, "I_A=abc"), ["--from=-1e-7", "--to=1e-7"],
      EXIT_CONFIG, "input.cfg: could not convert"),
     ("points-negative", "field-profile", WIRES_CONFIG, ["--from=-1e-7", "--to=1e-7", "--points=-3"],

@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import buckygate
 from buckygate import analysis, engine, propagator
 from buckygate.analysis import PHASE_TOL, _scan_margin
 from buckygate.config import SimulationConfig
@@ -32,8 +33,16 @@ from rk4_oracle import propagate_numeric
 def automatic_step(run):
     """DEFAULT_STEP_SAFETY times MAX_PHASE_PER_STEP rad at the run's
     Hamiltonian scale, computed afresh from its config."""
-    scale = hamiltonian_scale(run.config, run.resonances, build_static(run.config))
+    scale = hamiltonian_scale(run.config, build_static(run.config))
     return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
+
+
+def test_star_import_gives_every_public_name():
+    namespace = {}
+    exec("from buckygate import *", namespace)
+    assert len(set(buckygate.__all__)) == len(buckygate.__all__)
+    for name in buckygate.__all__:
+        assert namespace[name] is getattr(buckygate, name)
 
 
 def reference_config(**overrides):
@@ -85,7 +94,7 @@ class TestEvaluator:
         for i in [1, 100, 500]:
             t = static_result.trajectory.times[i]
             assert ev.theta_at(np.array([t]))[0][0] == pytest.approx(
-                static_result.phases.theta[i], abs=1e-9
+                static_result.theta[i], abs=1e-9
             )
             np.testing.assert_allclose(
                 ev.states_at([t])[0], static_result.trajectory.states[i], atol=1e-12
@@ -96,13 +105,13 @@ class TestEvaluator:
         i = [1, 100, 500]
         assert np.array_equal(run.states_at(run.trajectory.times[i]), run.trajectory.states[i])
         for k in i:
-            assert run.theta_at(run.trajectory.times[[k]])[0][0] == pytest.approx(run.phases.theta[k], abs=1e-9)
+            assert run.theta_at(run.trajectory.times[[k]])[0][0] == pytest.approx(run.theta[k], abs=1e-9)
 
     def test_between_samples_continuity(self, static_result):
         ev = run_trajectory(reference_config())
         times = static_result.trajectory.times
         t_mid = 0.5 * (times[10] + times[11])
-        lo, hi = sorted([static_result.phases.theta[10], static_result.phases.theta[11]])
+        lo, hi = sorted([static_result.theta[10], static_result.theta[11]])
         assert lo - 0.1 <= ev.theta_at(np.array([t_mid]))[0][0] <= hi + 0.1
 
     def test_theta_at_batch_matches_one_time_at_a_time(self, static_result):
@@ -173,9 +182,7 @@ def test_driven_trajectory_matches_rk4_oracle(bz, bl, t_max):
     # 2e-14 s on the 15 ns points.
     config = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
     run = run_trajectory(config)
-    oracle = propagate_numeric(
-        run.config, run.resonances, run.trajectory.times, automatic_step(run) / 4
-    )
+    oracle = propagate_numeric(run.config, run.trajectory.times, automatic_step(run) / 4)
     assert np.max(np.abs(run.trajectory.states - oracle.states)) <= 1e-9
     assert np.max(np.abs(run.trajectory.norms - 1.0)) <= 1e-12
 
@@ -199,19 +206,17 @@ import json, resource, sys
 import numpy as np
 from buckygate import SimulationConfig
 from buckygate.config import validate
-from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_static
 from buckygate.propagator import SpectralPropagator, propagate_magnus
 steps = int(sys.argv[1])
 config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
                                    t_max=1e-10, mode="driven", Bl1=6e-4, Bl2=6e-4))
-resonances = resonance_frequencies(config.Bz1, config.Bg1, config.Bz2, config.Bg2)
 spectral = SpectralPropagator(build_static(config))
 times = np.linspace(0, 1e-10, 31)
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    propagate_magnus(spectral, config, resonances, times, steps)
+    propagate_magnus(spectral, config, times, steps)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """
@@ -553,8 +558,8 @@ class TestThetaRateGrid:
         # Zeeman rate, so the grid stays near MIN_SAMPLES instead of the cap.
         run = run_trajectory(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
         assert len(run.trajectory.times) <= 2200
-        assert run.phases.max_step <= 0.5 + 2 * run.unresolved
-        scale = hamiltonian_scale(run.config, run.resonances, build_static(run.config))
+        assert np.max(np.abs(np.diff(run.theta))) <= 0.5 + 2 * run.unresolved
+        scale = hamiltonian_scale(run.config, build_static(run.config))
         assert run.scan_step * scale == pytest.approx(0.05)
 
     def test_scan_points_do_not_grow_with_t_max(self, monkeypatch):
@@ -712,7 +717,7 @@ def test_scan_margin_bounds_theta_between_samples(config):
     # of the sampled theta stays further than the scan margin from the level;
     # the exact theta must not leave that band around the interpolation.
     run = run_trajectory(config)
-    times, theta = run.phases.times, run.phases.theta
+    times, theta = run.trajectory.times, run.theta
     margin = _scan_margin(theta, run.unresolved)
     dense = np.linspace(0.0, times[-1], 400_001)
     exact = exact_theta(run.config, dense)

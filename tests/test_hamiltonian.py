@@ -4,7 +4,7 @@ import pytest
 from buckygate.config import SimulationConfig, validate
 from buckygate.constants import CONSTANTS
 from buckygate.errors import ConfigErrorItem
-from buckygate.fields import ResonancePair, resonance_frequencies
+from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import (
     build_drive,
     build_static,
@@ -135,22 +135,21 @@ class TestBuildStatic:
 class TestBuildDrive:
     def setup_method(self):
         self.cfg = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
-        self.res = resonance_frequencies(self.cfg.Bz1, self.cfg.Bg1, self.cfg.Bz2, self.cfg.Bg2)
 
     def test_zero_without_amplitude(self):
         cfg = reference_config(mode="driven")
         np.testing.assert_array_equal(
-            build_drive(cfg, self.res, 1e-9), np.zeros((4, 4))
+            build_drive(cfg, 1e-9), np.zeros((4, 4))
         )
 
     def test_zero_at_cosine_node(self):
         cfg = self.cfg.replace(Bl2=0.0)
-        t_node = np.pi / (2 * self.res.omega1)
-        h = build_drive(cfg, self.res, t_node)
+        t_node = np.pi / (2 * cfg.resonances.omega1)
+        h = build_drive(cfg, t_node)
         assert np.max(np.abs(h)) <= 1e-8 * drive_peak_amplitude(cfg)
 
     def test_amplitude_at_t0(self):
-        h = build_drive(self.cfg, self.res, 0.0)
+        h = build_drive(self.cfg, 0.0)
         a = -CONSTANTS.muB * 5e-4 / CONSTANTS.hbar
         assert abs(a) == pytest.approx(4.397e7, rel=1e-3)
         # spin-1 coupling enters as a*(sigma_x + sigma_y) on the first factor
@@ -160,12 +159,35 @@ class TestBuildDrive:
     def test_total_hamiltonian_hermitian(self):
         h0 = build_static(self.cfg)
         for t in np.linspace(0, 2e-9, 7):
-            assert is_hermitian(h0 + build_drive(self.cfg, self.res, t))
+            assert is_hermitian(h0 + build_drive(self.cfg, t))
 
     def test_each_spin_driven_at_own_resonance(self):
-        res = ResonancePair(omega1=1e10, omega2=2e10)
+        # Static fields at which the spins resonate at 1e10 and 2e10 rad/s.
+        scale = CONSTANTS.gamma * CONSTANTS.muB / CONSTANTS.hbar
+        cfg = self.cfg.replace(Bz1=1e10 / scale, Bz2=2e10 / scale, Bg1=0.0, Bg2=0.0)
+        assert cfg.resonances.omega1 == pytest.approx(1e10, rel=1e-15)
+        assert cfg.resonances.omega2 == pytest.approx(2e10, rel=1e-15)
         t = np.pi / 1e10  # cos(w1 t) = -1, cos(w2 t) = +1
-        h = build_drive(self.cfg, res, t)
+        h = build_drive(cfg, t)
         a = -CONSTANTS.muB * 5e-4 / CONSTANTS.hbar
         assert h[0, 2] == pytest.approx(-a * (1 - 1j), rel=1e-12)
         assert h[0, 1] == pytest.approx(a * (1 - 1j), rel=1e-12)
+
+    def test_resonances_follow_the_config(self):
+        cfg = self.cfg
+        assert cfg.resonances == resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
+        # Doubling Bz1 moves spin 1's drive frequency and leaves spin 2's.
+        moved = cfg.replace(Bz1=2 * cfg.Bz1)
+        assert moved.resonances == resonance_frequencies(moved.Bz1, moved.Bg1, moved.Bz2, moved.Bg2)
+        assert moved.resonances.omega1 != cfg.resonances.omega1
+        assert moved.resonances.omega2 == cfg.resonances.omega2
+        t = np.linspace(0.0, 1e-9, 7)
+        a = -CONSTANTS.muB * 5e-4 / CONSTANTS.hbar
+        drive = np.kron(SIGMA_X + SIGMA_Y, IDENTITY_2), np.kron(IDENTITY_2, SIGMA_X + SIGMA_Y)
+        for c in (cfg, moved):
+            w = c.resonances
+            expected = np.multiply.outer(a * np.cos(w.omega1 * t), drive[0]) + np.multiply.outer(
+                a * np.cos(w.omega2 * t), drive[1]
+            )
+            np.testing.assert_allclose(build_drive(c, t), expected, rtol=0, atol=1e-12 * abs(a))
+        assert np.max(np.abs(build_drive(moved, t) - build_drive(cfg, t))) > abs(a)

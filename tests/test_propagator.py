@@ -6,7 +6,6 @@ import pytest
 
 from buckygate.config import SimulationConfig, validate
 from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
-from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate import propagator
 from buckygate.engine import sample_times
@@ -45,13 +44,9 @@ def reference_config(**overrides):
     return validate(SimulationConfig(**kwargs))
 
 
-def resonances_for(cfg):
-    return resonance_frequencies(cfg.Bz1, cfg.Bg1, cfg.Bz2, cfg.Bg2)
-
-
 def automatic_step(cfg):
     """The RK4 step the engine refines a driven run with."""
-    scale = hamiltonian_scale(cfg, resonances_for(cfg), build_static(cfg))
+    scale = hamiltonian_scale(cfg, build_static(cfg))
     return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
 
 
@@ -104,7 +99,7 @@ def _scalar_states(cfg, times, dt):
     with the RK4 oracle's ceil(spacing / dt) steps per interval, and the first
     sample time whose squared norm leaves the tolerance band (None if none
     does)."""
-    hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+    hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
     steps = max(1, int(np.ceil(times[-1] / (len(times) - 1) / dt)))
     states = [np.asarray(cfg.initial_state, dtype=complex)]
     first_drift = None
@@ -189,14 +184,14 @@ class TestNumeric:
     def test_matches_spectral_oracle(self):
         cfg = reference_config(t_max=1e-8)
         times = np.linspace(0, 1e-8, 401)
-        numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
+        numeric = propagate_numeric(cfg, times, 5e-13)
         exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
 
     def test_drive_free_driven_mode_reduces_to_static(self):
         cfg = reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=4e-9)
         times = np.linspace(0, 4e-9, 201)
-        numeric = propagate_numeric(cfg, resonances_for(cfg), times, 5e-13)
+        numeric = propagate_numeric(cfg, times, 5e-13)
         exact = propagate_static(SpectralPropagator(build_static(cfg)), cfg.initial_state, times)
         # dominated by RK4 truncation error, same bound as the oracle check
         assert np.max(np.abs(numeric.states - exact.states)) <= 1e-8
@@ -205,12 +200,12 @@ class TestNumeric:
         cfg = reference_config(t_max=1.2e-8)
         times = np.linspace(0, 1.2e-8, 109)
         with pytest.raises(NormDrift):
-            propagate_numeric(cfg, resonances_for(cfg), times, 1.1e-10)  # ~2 rad per step
+            propagate_numeric(cfg, times, 1.1e-10)  # ~2 rad per step
 
     def test_convergence_order(self):
         # Classical RK4: halving dt must shrink the one-shot error ~16x.
         cfg = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         horizon = 2e-9
         finals = [
             rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
@@ -224,9 +219,9 @@ class TestNumeric:
     def test_times_validation(self):
         cfg = reference_config()
         with pytest.raises(ValueError):
-            propagate_numeric(cfg, resonances_for(cfg), [1e-9, 2e-9], 5e-13)
+            propagate_numeric(cfg, [1e-9, 2e-9], 5e-13)
         with pytest.raises(ValueError):
-            propagate_numeric(cfg, resonances_for(cfg), [0.0, 2e-9, 1e-9], 5e-13)
+            propagate_numeric(cfg, [0.0, 2e-9, 1e-9], 5e-13)
 
 
 class TestBatchedRK4:
@@ -241,7 +236,7 @@ class TestBatchedRK4:
         cfg = self.driven_config(Bz1=bz, Bz2=bz, t_max=1.5e-8)
         times = np.linspace(0, 1e-9, 101)
         dt = automatic_step(cfg)
-        batched = propagate_numeric(cfg, resonances_for(cfg), times, dt)
+        batched = propagate_numeric(cfg, times, dt)
         reference, _ = _scalar_states(cfg, times, dt)
         assert np.max(np.abs(batched.states - reference)) <= 1e-12
 
@@ -250,7 +245,7 @@ class TestBatchedRK4:
         # dt, from their own states and start times: every span takes its own
         # ceil(span / dt) steps, at least one.
         cfg = self.driven_config(t_max=4e-9)
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         rng = np.random.default_rng(3)
         dt = 2e-13
         spans = np.array([0.0, 0.6, 1.0, 7.3, _RK4_STEPS_PER_CHUNK + 0.5, 2 * _RK4_STEPS_PER_CHUNK + 37]) * dt
@@ -267,7 +262,7 @@ class TestBatchedRK4:
         # Each span alone is within MAX_STEPS, both together are not: refused
         # before any step matrix is built.
         cfg = self.driven_config()
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         built = []
         monkeypatch.setattr(propagator, "_rk4_matrices", lambda *args: built.append(args))
         t1 = np.array([3e-6, 8e-6])
@@ -278,7 +273,7 @@ class TestBatchedRK4:
 
     def test_segment_longer_than_a_chunk(self):
         cfg = self.driven_config()
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         dt = 1e-12
         horizon = (3 * _RK4_STEPS_PER_CHUNK + 5) * dt
         batched = rk4_segment(hfun, UNIFORM.copy(), 0.0, horizon, dt)
@@ -293,7 +288,7 @@ class TestBatchedRK4:
         _, first_drift = _scalar_states(cfg, times, 2e-12)
         assert first_drift is not None and first_drift > times[_RK4_STEPS_PER_CHUNK]
         with pytest.raises(NormDrift) as info:
-            propagate_numeric(cfg, resonances_for(cfg), times, 2e-12)
+            propagate_numeric(cfg, times, 2e-12)
         reported = float(re.search(r"at t=(\S+) s", str(info.value)).group(1))
         assert reported == float(f"{first_drift:.6e}")
 
@@ -303,21 +298,20 @@ class TestBatchedRK4:
         cfg = self.driven_config(t_max=1.2e-8)
         times = np.linspace(0, 1.2e-8, 1201)
         with pytest.raises(NormDrift, match=r"largest RK4 substep taken was 1\.000e-11 s"):
-            propagate_numeric(cfg, resonances_for(cfg), times, dt)
+            propagate_numeric(cfg, times, dt)
 
     def test_build_drive_array_matches_scalar(self):
         cfg = self.driven_config(Bl2=3e-4)
-        res = resonances_for(cfg)
         t = np.random.default_rng(5).uniform(0, 1e-8, (3, 5))
-        batched = build_drive(cfg, res, t)
+        batched = build_drive(cfg, t)
         assert batched.shape == (3, 5, 4, 4)
         for index in np.ndindex(t.shape):
-            np.testing.assert_array_equal(batched[index], build_drive(cfg, res, t[index]))
+            np.testing.assert_array_equal(batched[index], build_drive(cfg, t[index]))
 
     @pytest.mark.parametrize("mode", ["static", "driven"])
     def test_hamiltonian_callable_is_vectorized(self, mode):
         cfg = self.driven_config(mode=mode)
-        hfun = time_dependent_hamiltonian(cfg, resonances_for(cfg), build_static(cfg))
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         t = np.linspace(0, 1e-9, 6).reshape(2, 3)
         batched = hfun(t)
         assert batched.shape == (2, 3, 4, 4)
@@ -329,12 +323,11 @@ class TestBatchedRK4:
 def _interaction_picture(cfg, frame_time=0.0):
     """H_I(s) = P(s) V^dag D(frame_time + s) V P(s)^dag with P(s) = exp(i L s),
     from build_drive, as a callable of an array of s."""
-    res = resonances_for(cfg)
     lam, v = np.linalg.eigh(build_static(cfg))
 
     def interaction(s):
         p = np.exp(1j * np.multiply.outer(s, lam))
-        drive = v.conj().T @ build_drive(cfg, res, frame_time + s) @ v
+        drive = v.conj().T @ build_drive(cfg, frame_time + s) @ v
         return p[..., :, None] * drive * p.conj()[..., None, :]
 
     return interaction
@@ -363,7 +356,7 @@ class TestMagnus:
     @staticmethod
     def run(cfg, times, steps):
         spectral = SpectralPropagator(build_static(cfg))
-        return propagate_magnus(spectral, cfg, resonances_for(cfg), times, steps)
+        return propagate_magnus(spectral, cfg, times, steps)
 
     def test_drive_free_reduces_to_static(self):
         # Without a drive H_I vanishes: every step is an exact identity.
@@ -423,12 +416,12 @@ class TestMagnus:
         # smaller, and a formula that divides by a small frequency loses
         # exactly those digits.
         cfg = reference_config(mode="driven", Bz1=0.05, Bz2=0.025, Bl1=3e-4, Bl2=8e-4, J0=2e8)
-        res = resonances_for(cfg)
+        res = cfg.resonances
         spectral = SpectralPropagator(build_static(cfg))
         lam, v = spectral.eigenvalues, spectral.eigenvectors
         h = phase / (np.ptp(lam) + max(abs(res.omega1), abs(res.omega2)))
         # a_i(0) V^dag D_i V, from build_drive with the other spin undriven.
-        drives = [v.conj().T @ build_drive(replace(cfg, **{other: 0.0}), res, 0.0) @ v for other in ("Bl2", "Bl1")]
+        drives = [v.conj().T @ build_drive(replace(cfg, **{other: 0.0}), 0.0) @ v for other in ("Bl2", "Bl1")]
 
         def terms(s):
             p = np.exp(1j * np.multiply.outer(s, lam))
@@ -436,9 +429,9 @@ class TestMagnus:
             f = np.stack([c_q[..., None, None] * d for c_q, d in zip(c, drives * 2)], axis=-3)
             return p[..., None, :, None] * f * p.conj()[..., None, None, :]
 
-        a, c = _drive_integrals(spectral, cfg, res, h)
+        a, c = _drive_integrals(spectral, cfg, h)
         omega1, omega2 = _exact_magnus_terms(terms, -h / 2, h)
-        scale = h * np.max(np.abs(build_drive(cfg, res, 0.0)))
+        scale = h * np.max(np.abs(build_drive(cfg, 0.0)))
         assert np.max(np.abs(a - omega1)) <= 1e-14 * scale
         assert np.max(np.abs(c - omega2)) <= 1e-14 * scale**2
 
@@ -455,9 +448,8 @@ class TestMagnus:
         # there two steps per interval read 7.9e-11 and 2.0e-11, one step
         # fewer 1.2e-9 and 3.1e-10.
         cfg = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
-        res = resonances_for(cfg)
         h0 = build_static(cfg)
-        scale = hamiltonian_scale(cfg, res, h0)
+        scale = hamiltonian_scale(cfg, h0)
         times = sample_times(t_max, scale)
         steps = magnus_steps(cfg, scale, times)
         fine = self.run(cfg, times, 8 * steps)
@@ -475,7 +467,7 @@ class TestMagnus:
         # drive-free run needs no step for accuracy, and only the phase per
         # step bounds its count.
         cfg = reference_config(mode="driven", Bl1=bl, Bl2=bl, t_max=t_max)
-        scale = hamiltonian_scale(cfg, resonances_for(cfg), build_static(cfg))
+        scale = hamiltonian_scale(cfg, build_static(cfg))
         times = sample_times(t_max, scale)
         spacing = times[-1] / (len(times) - 1)
         assert magnus_steps(cfg, scale, times) == np.ceil(scale * spacing / phase) > 1
@@ -547,13 +539,13 @@ class TestMagnus:
         # of every step's Omega on the engine's grid over 15 ns, and its
         # degree against the degree of each chunk's largest step.
         cfg = reference_config(mode="driven", t_max=1.5e-8, **overrides)
-        res = resonances_for(cfg)
+        res = cfg.resonances
         spectral = SpectralPropagator(build_static(cfg))
-        scale = hamiltonian_scale(cfg, res, build_static(cfg))
+        scale = hamiltonian_scale(cfg, build_static(cfg))
         times = sample_times(cfg.t_max, scale)
         steps = magnus_steps(cfg, scale, times)
         h = times[-1] / (steps * (len(times) - 1))
-        a, c = _drive_integrals(spectral, cfg, res, h)
+        a, c = _drive_integrals(spectral, cfg, h)
         terms = np.concatenate([a, c.reshape(16, 4, 4)])
         phases = np.multiply.outer((np.arange(steps * (len(times) - 1)) + 0.5) * h, [res.omega1, res.omega2])
         norms = _step_norms(terms, phases)
@@ -633,8 +625,8 @@ class TestChunks:
         magnus_steps_of = propagator._magnus_steps
         carry = propagator._carry
 
-        def build(spectral, config, resonances, h, buffers):
-            step_matrices = magnus_steps_of(spectral, config, resonances, h, buffers)
+        def build(spectral, config, h, buffers):
+            step_matrices = magnus_steps_of(spectral, config, h, buffers)
 
             def record(j, n):
                 assert n <= len(buffers[0])
@@ -675,7 +667,7 @@ class TestChunks:
         cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4)
         times = np.linspace(0, 1e-10, 31)
         dt = 1e-10 / 30 / (count - 0.5)
-        numeric = propagate_numeric(cfg, resonances_for(cfg), times, dt)
+        numeric = propagate_numeric(cfg, times, dt)
         assert spans == [(t0, t1, count) for t0, t1 in zip(times[:-1], times[1:])]
         reference, _ = _scalar_states(cfg, times, dt)
         assert np.max(np.abs(numeric.states - reference)) <= 1e-12
