@@ -31,7 +31,8 @@ AMP_FLOOR = 1e-12
 MAX_THETA_STEP = math.pi / 2
 
 # find_gate_time refines the crossing until its phase residual is at most
-# PHASE_TOL rad, within one or two evaluations from the Hermite start.
+# PHASE_TOL rad, within one or two evaluations from the Hermite start (one
+# where the scan's bound lets it cut the bracket to width ``fine``).
 PHASE_TOL = 1e-10
 
 # Points of the first-crossing scan per call of its theta evaluator, at most.
@@ -41,6 +42,16 @@ SCAN_BATCH = 1 << 16
 # evaluations).  Runs in the benchmark's ranges need a few thousand; equal
 # fields of 1e9 T on both spins need over 1e10, at the Zeeman scale.
 MAX_SCAN_POINTS = 10**6
+
+# The first-crossing scan sizes its cells so that the Hermite error bound of
+# a cell is this fraction of theta's change across it at the sampled slope:
+# then only a cell next to the level fails its test (see _scan).
+CELL_ERROR = 0.1
+
+# One more round of the scan, a call of its theta evaluator and the search
+# of its cells, costs about as much as this many more points in one call
+# (about 40 us against 0.16 us a point on a static run, 2-vCPU x86-64 host).
+CALL_POINTS = 300
 
 
 @dataclass(frozen=True)
@@ -89,7 +100,7 @@ def unwrap_phases(traj: Trajectory) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(steps)])
 
 
-def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float) -> float:
+def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m4: float) -> float:
     """First time the unwrapped composite phase reaches +/-pi, from its
     samples ``theta`` at the increasing ``times`` (``unwrap_phases``).
 
@@ -100,13 +111,21 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float) 
     sampled series does not show.  So the times before the first sampled
     crossing at which theta could reach the level are scanned with
     ``theta_fn``, which maps an array of times to theta and its rate there
-    (typically by re-propagation), at a spacing of at most ``scan_step`` (s).
-    Those are the times where the linear interpolation of the samples comes
-    within ``2 * unresolved`` plus half the largest second difference of the
-    samples of the level: ``unresolved`` (rad) bounds the part of theta the
-    samples do not resolve, the second difference the interpolation error of
-    the part they do.  The scan runs in time order in batches and stops at
-    the first crossing, so its cost follows that window, not the horizon.
+    (typically by re-propagation).  Those are the times where the linear
+    interpolation of the samples comes within ``2 * unresolved`` plus half
+    the largest second difference of the samples of the level:
+    ``unresolved`` (rad) bounds the part of theta the samples do not
+    resolve, the second difference the interpolation error of the part they
+    do.  The scan cuts them into cells whose ends it evaluates, and searches
+    each cell through the cubic Hermite interpolant of theta and its rate at
+    the ends, within its error bound h^4 m4 / 384 from ``m4``, a bound on
+    |theta''''| (infinite where there is none): a crossing the cubic or the
+    bound allows is looked for inside the cell, so a crossing shorter than
+    a cell is found too (see _scan and _first_crossing).  Only cells around
+    the crossing found are narrower than ``scan_step`` (s), and with no
+    bound every cell is that wide.  The scan runs in time order in batches and
+    stops at the first crossing, so its cost follows that window, not the
+    horizon.
 
     Inside the bracket of the first crossing found, the crossing is refined
     by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
@@ -135,7 +154,7 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float) 
     if i == 0:
         return float(times[0])
     margin = _scan_margin(theta, unresolved)
-    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step)
+    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step, m4)
     bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
 
@@ -183,43 +202,62 @@ def _scan_margin(theta, unresolved):
     return 2 * unresolved + 0.5 * np.max(np.abs(np.diff(theta, 2)), initial=0.0)
 
 
-def _scan(times, theta, level, margin, theta_fn, scan_step):
+def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
     """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
-    first crossing of |theta| = level on the scan grid, or None if the scan
-    finds none.  ``theta_fn`` gives theta and its rate at an array of times;
-    a lower end at a sample has rate NaN.
+    first crossing of |theta| = level that the scan finds, or None.
+    ``theta_fn`` gives theta and its rate at an array of times; a lower end
+    at a sample has rate NaN.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
-    ``margin`` of the level, at both ends of the band and at a uniform
-    spacing of at most ``scan_step`` between them.  The bands are evaluated
-    in time order, at most SCAN_BATCH points per call of ``theta_fn``, until
-    one holds a crossing.  Raises OutOfRange if that takes more than
-    MAX_SCAN_POINTS points.
+    ``margin`` of the level, cut into cells of equal width whose ends are
+    evaluated.  The width is chosen up front from ``m4`` and the interval's
+    sampled slope: a cell's Hermite error bound, h^4 m4 / 384, is CELL_ERROR
+    times the change of theta across it, so that only a cell next to the
+    level fails the test of ``_first_crossing``.  It is never below
+    ``scan_step``, and is ``scan_step`` when ``m4`` is infinite.  The last
+    band holds the sampled crossing: it is cut at once into cells of the
+    width ``fine`` that the crossing's cell is cut to (where the root of the
+    cubic meets PHASE_TOL by the bound) when that costs at most CALL_POINTS
+    more points, which saves a round.  The cell ends are evaluated in time
+    order, at most SCAN_BATCH points per call of ``theta_fn``, and the cells
+    of each batch are searched before the next batch is evaluated.  Raises
+    OutOfRange if the cell ends number more than MAX_SCAN_POINTS.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
-    rows = np.flatnonzero(near[:-1] | near[1:])
-    # In the direction s of its larger end, an interval's interpolation u
-    # passes floor at the fraction x; it is scanned from there on toward
-    # that end, or whole if u also falls to -floor.  x may lie outside
-    # [0, 1], so the band is clipped to the interval.
-    a, b = theta[rows], theta[rows + 1]
-    s = np.sign(a + b)
-    ua, ub = s * a, s * b
-    d = ub - ua
-    x = (floor - ua) / np.where(d == 0, 1.0, d)
-    whole = np.minimum(ua, ub) <= -floor
-    lo = np.where((d > 0) & ~whole, x, 0.0)
-    hi = np.where((d < 0) & ~whole, x, 1.0)
-    # theta is past the level wherever the interpolation is past it by the
-    # margin, so the last interval is scanned no further than that.
-    hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
-
-    t0, span = times[rows], times[rows + 1] - times[rows]
-    start = t0 + np.clip(lo, 0.0, 1.0) * span
-    width = t0 + np.clip(hi, 0.0, 1.0) * span - start
-    cells = np.maximum(np.ceil(width / scan_step), 1.0)
+    rows = np.flatnonzero(near[:-1] | near[1:]).tolist()
+    # The last band holds the sampled crossing; cells of the width the
+    # crossing's cell is cut to cost fewer points there than a round of cuts.
+    fine = (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
+    start, width, cells = [], [], []
+    for row in rows:  # few: the sample intervals near the level
+        a, b = float(theta[row]), float(theta[row + 1])
+        t0, span = float(times[row]), float(times[row + 1] - times[row])
+        # In the direction s of its larger end, the interval's interpolation
+        # u passes floor at the fraction x; it is scanned from there on
+        # toward that end, or whole if u also falls to -floor.  x may lie
+        # outside [0, 1], so the band is clipped to the interval.
+        s = float((a + b > 0) - (a + b < 0))
+        ua, ub = s * a, s * b
+        d = ub - ua
+        x = (floor - ua) / (d or 1.0)
+        whole = min(ua, ub) <= -floor
+        lo = x if d > 0 and not whole else 0.0
+        hi = x if d < 0 and not whole else 1.0
+        if row == rows[-1]:
+            # theta is past the level wherever the interpolation is past it
+            # by the margin, so the last interval is scanned no further.
+            hi = min(hi, (level + margin - ua) / d)
+        begin = t0 + min(max(lo, 0.0), 1.0) * span
+        start.append(begin)
+        width.append(t0 + min(max(hi, 0.0), 1.0) * span - begin)
+        # m4 = 0: theta is linear, one cell a band.
+        size = max((abs(d) / span * 384 * CELL_ERROR / m4) ** (1 / 3), scan_step) if m4 else math.inf
+        cells.append(max(math.ceil(width[-1] / size), 1))
+    if width[-1] / fine <= cells[-1] + CALL_POINTS:
+        cells[-1] = max(math.ceil(width[-1] / fine), cells[-1])
+    start, width, cells = np.array(start), np.array(width), np.array(cells, float)
     first = np.concatenate([[0], np.cumsum(cells + 1)])  # per band
     if not first[-1] <= MAX_SCAN_POINTS:
         raise OutOfRange(
@@ -227,22 +265,155 @@ def _scan(times, theta, level, margin, theta_fn, scan_step):
             f"spacing, above {MAX_SCAN_POINTS}"
         )
     first = first.astype(int)
-    prev = t0[0], a[0], math.nan
+    widest = float((width / cells).max())
+    # Batches overlap by one point, so that every cell lies in one of them.
     for k in range(0, first[-1], SCAN_BATCH):
-        index = np.arange(k, min(k + SCAN_BATCH, first[-1]))
+        index = np.arange(max(k - 1, 0), min(k + SCAN_BATCH, first[-1]))
         band = np.searchsorted(first, index, side="right") - 1
-        points = start[band] + width[band] * ((index - first[band]) / cells[band])
-        # Adjacent bands can share the sample between them.
-        points = points[np.concatenate([[True], points[1:] > points[:-1]])]
+        step = index - first[band]
+        points = start[band] + width[band] * (step / cells[band])
+        inner = step < cells[band]  # a band's cell starts at the point
+        # Adjacent bands can share the sample between them; the later copy
+        # starts the next cell.
+        keep = np.ones(len(points), bool)
+        keep[:-1] = points[1:] > points[:-1]
+        points, inner = points[keep], inner[keep]
         values, rates = theta_fn(points)
-        cross = np.flatnonzero(np.abs(values) >= level)
-        if cross.size:
-            j = cross[0]
-            if j > 0:
-                return points[j - 1], points[j], values[j - 1], values[j], rates[j - 1], rates[j]
-            return prev[0], points[0], prev[1], values[0], prev[2], rates[0]
-        prev = points[-1], values[-1], rates[-1]
+        if abs(values[0]) >= level:  # the scan margin did not hold
+            return times[rows[0]], points[0], theta[rows[0]], values[0], math.nan, rates[0]
+        cells_near = _near_cells(points, values, rates, inner[:-1], level, widest, m4)
+        bracket = _first_crossing(cells_near, level, theta_fn, scan_step, m4, fine)
+        if bracket is not None:
+            return bracket
     return None
+
+
+def _near_cells(t, v, r, open_, level, widest, m4):
+    """The cells between the increasing times ``t``, no wider than ``widest``,
+    where theta is ``v`` and its rate ``r``, that may hold a crossing, as
+    (t0, t1, theta0, theta1, rate0, rate1, open) in time order, up to the
+    first end past the level, whose cell is the last one listed.
+
+    On [0, 1] the cubic Hermite interpolant p of a cell's end values and
+    slopes m0, m1 departs from its chord by
+    x (1 - x) ((1 - x) (m0 - D) - x (m1 - D)), D = theta1 - theta0, so by at
+    most max(|m0 - D|, |m1 - D|) / 4, and theta lies within widest^4 m4 / 384
+    of p; a cell whose ends are further than the sum from the level holds no
+    crossing.
+    """
+    size = np.abs(v)
+    h = t[1:] - t[:-1]
+    d = v[1:] - v[:-1]
+    bend = np.maximum(np.abs(r[:-1] * h - d), np.abs(r[1:] * h - d))
+    # Products, not a power: beyond the floats reads inf.
+    err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
+    near = ~(np.maximum(size[:-1], size[1:]) + bend / 4 < level - err) & open_
+    past = size >= level
+    k = int(past.argmax())
+    found = np.flatnonzero(near[: k - 1] if past[k] else near).tolist()
+    if past[k]:
+        found.append(k - 1)
+    return [(*map(float, (t[i], t[i + 1], v[i], v[i + 1], r[i], r[i + 1])), bool(open_[i])) for i in found]
+
+
+def _first_crossing(cells, level, theta_fn, scan_step, m4, fine):
+    """Bracket (t0, t1, theta0, theta1, rate0, rate1) of the first crossing
+    of |theta| = level in ``cells``, or None if there is none.
+
+    ``cells`` lists (t0, t1, theta0, theta1, rate0, rate1, open) in time
+    order: the scan's cells that may hold a crossing, and the first one
+    with an end past the level.  A cell that is not open lies between two
+    bands, where the scan margin rules a crossing out, and is a bracket only
+    if its end is past the level.  Each round evaluates theta at the nodes
+    ``_cell_nodes`` gives on every open cell, in one call of ``theta_fn``.
+    A node past the level closes its cell's bracket there; the others split
+    their cells, unless the cell is narrower than 2 scan_step, which is
+    dismissed then.  The cells a cut makes are searched as the scan's are.
+    The search ends when no cell before the first end past the level is left.
+    """
+    while True:
+        for k, cell in enumerate(cells):
+            if abs(cell[3]) >= level:
+                cells = cells[: k + 1]
+                break
+        plan = [_cell_nodes(*cell, level, scan_step, m4, fine) for cell in cells]
+        if not any(plan):
+            return cells[-1][:6] if cells and abs(cells[-1][3]) >= level else None
+        values, rates = theta_fn(np.array([x for step in plan if step for x in step[0]]))
+        k, pieces = 0, []
+        for cell, step in zip(cells, plan):
+            if step is None:
+                if abs(cell[3]) >= level:  # the bracket so far
+                    pieces.append(cell)
+                continue
+            t, split = step
+            j, k = k, k + len(t)
+            if len(t) > 1:  # the crossing cell, cut into a grid
+                grid = [np.concatenate(([cell[a]], x, [cell[a + 1]])) for a, x in ((0, t), (2, values[j:k]), (4, rates[j:k]))]
+                pieces += _near_cells(*grid, np.ones(len(t) + 1, bool), level, (cell[1] - cell[0]) / (len(t) + 1), m4)
+                continue
+            tx, vx, rx = t[0], float(values[j]), float(rates[j])
+            if split or abs(vx) >= level:
+                pieces.append((cell[0], tx, cell[2], vx, cell[4], rx, True))
+            if split:
+                pieces.append((tx, cell[1], vx, cell[3], rx, cell[5], True))
+        cells = pieces
+
+
+def _cell_nodes(t0, t1, v0, v1, r0, r1, open_, level, scan_step, m4, fine):
+    """(times, split): where ``_first_crossing`` evaluates theta on one cell,
+    and whether they split it; None if the cell needs none.
+
+    On a cell of width h theta lies within h^4 m4 / 384 of the cubic
+    Hermite interpolant p of its end values and rates.  A cell below the
+    level at its end is dismissed when p's extreme toward the level plus
+    that bound stays below the level; otherwise its node is the extreme, or
+    the cell's middle if the extreme is an end.  The cell past the level
+    at its end is cut into at most CALL_POINTS + 1 cells of width ``fine``,
+    where the root of p meets PHASE_TOL by the bound; once narrower, it is
+    the bracket unless p peaks inside it, where its node is.  No cell is
+    split below ``scan_step``: there, and everywhere when m4 is infinite,
+    the extreme is a node only where p itself reaches the level.
+    """
+    if not open_:
+        return None
+    h = t1 - t0
+    crossing = abs(v1) >= level
+    if crossing and h >= 2 * fine:
+        n = min(math.floor(h / fine) - 1, CALL_POINTS)
+        return [t0 + h * (k / (n + 1)) for k in range(1, n + 1)], True
+    split = h >= 2 * scan_step
+    err = h * h * h * h * m4 / 384 if split and math.isfinite(m4) else 0.0
+    s = 1.0 if v0 + v1 > 0 else -1.0
+    x, top = _hermite_peak(s * v0, s * v1, s * r0 * h, s * r1 * h)
+    interior = 0 < x < 1
+    if not (interior and split if crossing else (split or interior) and top + err >= level):
+        return None
+    if not interior:
+        x = 0.5
+    if split:
+        x = min(max(x, scan_step / h), 1 - scan_step / h)
+    return [t0 + x * h], split
+
+
+def _hermite_peak(f0, f1, m0, m1):
+    """(x, p(x)) at the largest value on [0, 1] of the cubic p with values f0,
+    f1 and slopes m0, m1 at 0 and 1; the larger end where the slopes are not
+    finite."""
+    x, top = (1.0, f1) if f1 > f0 else (0.0, f0)
+    c2 = 3 * (f1 - f0) - 2 * m0 - m1
+    c3 = 2 * (f0 - f1) + m0 + m1
+    disc = c2 * c2 - 3 * c3 * m0
+    if not (math.isfinite(disc) and disc >= 0):
+        return x, top
+    # Roots of p' = m0 + 2 c2 x + 3 c3 x^2, in the form that keeps its digits.
+    q = -(c2 + math.copysign(math.sqrt(disc), c2))
+    for root in (q / (3 * c3) if c3 else math.nan, m0 / q if q else math.nan):
+        if 0 < root < 1:
+            value = f0 + root * (m0 + root * (c2 + root * c3))
+            if value > top:
+                x, top = root, value
+    return x, top
 
 
 def correction_phases(phi00: float, phi01: float, phi10: float):

@@ -4,9 +4,10 @@ Static mode propagates with the exact spectral solution on a grid that
 follows theta's own rate, driven mode with 4th-order Magnus steps in the
 interaction picture of the static Hamiltonian on a grid at the fastest
 Hamiltonian scale.  Gate-time refinement re-propagates between the stored
-samples, first to scan the intervals near the crossing at a fine spacing and
-then to refine the first crossing found by safeguarded Newton steps on
-theta's exact rate, instead of interpolating the sampled phase.
+samples, first to search the intervals near the crossing in cubic Hermite
+cells on theta and its exact rate, then to refine the first crossing found
+by safeguarded Newton steps on that rate, instead of interpolating the
+sampled phase.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ def sample_times(t_max: float, rate: float) -> np.ndarray:
 
 
 def theta_rate(config, spectral):
-    """(rate, unresolved) of theta on a static run, both from H's spectrum.
+    """(rate, unresolved, m4) of theta on a static run, all from H's spectrum.
 
     theta turns at the dipolar rate 4 (g + J0) and beats at the
     {|01>,|10>}-block frequency 2 sqrt(m2^2 + (g - 2 J0)^2); the Zeeman
@@ -89,25 +90,53 @@ def theta_rate(config, spectral):
     When some leak is not below its floor the wiggle has no bound: the
     rate is infinite, so the grid takes MAX_SAMPLES, and ``unresolved`` is
     pi, so the scan covers every interval up to the first sampled crossing.
+
+    ``m4`` bounds |theta''''|, which sizes the cubic Hermite cells of the
+    first-crossing scan.  theta = Im log z with z = c1 c4 conj(c2 c3), so
+    theta'''' is a signed sum of Im (log c_j)''''.  Each amplitude is
+    c_j = exp(-i lam_top t) u_j with the exponential sum
+    u_j(t) = sum_k V_jk a_k exp(-i (lam_k - lam_top) t), whose n-th
+    derivative is at most D_n = sum_k weight_k gap_k^n in modulus and whose
+    modulus is at least floor - leak = 2 weight_top - sum(weight) > 0; the
+    factor in front drops out of every derivative of log c_j past the first.
+    Faa di Bruno's formula for log u,
+        (log u)'''' = u''''/u - (4 u' u''' + 3 u''^2)/u^2 + 12 u'^2 u''/u^3 - 6 (u'/u)^4,
+    then bounds each term by the D_n and floor - leak.  ``m4`` is infinite
+    when some floor - leak is not positive, and where the rate is.
     """
     g, _, m2 = static_terms(config)
     j0 = config.J0
     slow = 4 * abs(g + j0) + 2 * math.hypot(m2, g - 2 * j0)
     v, lam = spectral.eigenvectors, spectral.eigenvalues.tolist()
-    rate, unresolved = slow, 0.0
+    rate, unresolved, m4 = slow, 0.0, 0.0
     for weight in np.abs(v * (config.initial_state @ v.conj())).tolist():  # |V_jk a_k|
         top = max(range(4), key=weight.__getitem__)
         gap = [abs(x - lam[top]) for x in lam]
         off = [k for k in range(4) if gap[k] > slow]
         leak = sum(weight[k] for k in off)
         floor = 2 * weight[top] - (sum(weight) - leak)
-        if not leak:
-            continue
-        if leak >= floor:
-            return math.inf, math.pi
-        rate += sum(gap[k] * weight[k] for k in off) / (floor - leak)
-        unresolved += math.asin(leak / floor)
-    return rate, unresolved
+        if leak and leak >= floor:
+            return math.inf, math.pi, math.inf
+        u = floor - leak
+        if u <= 0:
+            m4 = math.inf
+        else:
+            # q_n = D_n / u by products, not powers: a float product beyond
+            # the floats reads inf, and a zero weight keeps its terms at zero.
+            q1 = q2 = q3 = q4 = 0.0
+            for w, x in zip(weight, gap):
+                w = w * x / u
+                q1 += w
+                w *= x
+                q2 += w
+                w *= x
+                q3 += w
+                q4 += w * x
+            m4 += q4 + 4 * q1 * q3 + 3 * q2 * q2 + 12 * q1 * q1 * q2 + 6 * q1 * q1 * q1 * q1
+        if leak:
+            rate += sum(gap[k] * weight[k] for k in off) / (floor - leak)
+            unresolved += math.asin(leak / floor)
+    return rate, unresolved, m4
 
 
 class TrajectoryEvaluator:
@@ -119,24 +148,26 @@ class TrajectoryEvaluator:
     from each time's own sample for a driven one.  ``states_at`` carries each
     time from its nearest earlier sample, and every state the evaluator gives
     comes from it.  ``theta_at`` gives theta and its rate at an array of
-    times, for find_gate_time's scan batches and one-time Newton steps alike.
+    times, for find_gate_time's scan rounds and one-time Newton steps alike.
     theta is the argument of c1 c4 conj(c2 c3) aligned to the nearest branch
     of the linearly interpolated sampled theta, which is safe because
     per-sample theta increments stay below MAX_THETA_STEP.  Its rate
     comes exactly from the same state: with i dpsi/dt = H(t) psi, where
     ``apply_h(t, psi)`` gives H(t) psi for each time and state,
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
-    ``scan_step`` is the point spacing, 0.05 rad at the run's Hamiltonian
-    scale, at which find_gate_time scans for crossings between samples;
-    ``unresolved`` bounds the part of theta the sample grid does not resolve.
+    ``scan_step``, 0.05 rad at the run's Hamiltonian scale, is the narrowest
+    cell find_gate_time's scan for crossings between samples splits;
+    ``unresolved`` bounds the part of theta the sample grid does not resolve,
+    and ``m4`` bounds |theta''''| (infinite where there is no bound).
     """
 
-    def __init__(self, config, trajectory, theta, scan_step, unresolved, carry, apply_h):
+    def __init__(self, config, trajectory, theta, scan_step, unresolved, m4, carry, apply_h):
         self.config = config
         self.trajectory = trajectory
         self.theta = theta
         self.scan_step = scan_step
         self.unresolved = unresolved
+        self.m4 = m4
         self.carry = carry
         self.apply_h = apply_h
         self.theta0 = float(composite_angle(trajectory.states[0]))
@@ -176,9 +207,10 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     below MAX_THETA_STEP over the horizon.  A driven run takes
     ``magnus_steps`` Magnus steps per sample interval, set by the drive and
     the fitted error of the step rather than by the Zeeman precession: one or
-    two on the benchmark's driven points.  Gate-time refinement scans at
-    ``scan_step``, MAX_PHASE_PER_STEP rad at the Hamiltonian scale, and
-    refines, both through the evaluator's ``theta_at``.  The mode also picks,
+    two on the benchmark's driven points.  Gate-time refinement scans in
+    cells no narrower than ``scan_step``, MAX_PHASE_PER_STEP rad at the
+    Hamiltonian scale, but around the crossing, and refines, both through
+    the evaluator's ``theta_at``.  The mode also picks,
     once, the evaluator's ``carry`` from a sample to a later time, the static
     run's exact spectral evolution or for a driven run ``rk4_spans`` in steps
     of at most DEFAULT_STEP_SAFETY times ``scan_step``, and its ``apply_h``:
@@ -191,7 +223,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     scan_step = MAX_PHASE_PER_STEP / scale
     spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
-        unresolved = 0.0
+        unresolved, m4 = 0.0, math.inf
         times = sample_times(cfg.t_max, scale)
         traj = propagate_magnus(spectral, cfg, times, magnus_steps(cfg, scale, times))
         hfun = time_dependent_hamiltonian(cfg, h0)
@@ -199,7 +231,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         carry = lambda psi, t0, t1: rk4_spans(hfun, psi, t0, t1, step)  # noqa: E731
         apply_h = lambda t, psi: (hfun(t) @ psi[..., None])[..., 0]  # noqa: E731
     else:
-        rate, unresolved = theta_rate(cfg, spectral)
+        rate, unresolved, m4 = theta_rate(cfg, spectral)
         times = sample_times(cfg.t_max, rate)
         theta_step = rate * times[1]
         if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
@@ -213,14 +245,14 @@ def run_trajectory(config) -> TrajectoryEvaluator:
         # One product for all times, C-contiguous as in SpectralPropagator.
         h0_t = np.ascontiguousarray(h0.T)
         apply_h = lambda t, psi: psi @ h0_t  # noqa: E731
-    return TrajectoryEvaluator(cfg, traj, unwrap_phases(traj), scan_step, unresolved, carry, apply_h)
+    return TrajectoryEvaluator(cfg, traj, unwrap_phases(traj), scan_step, unresolved, m4, carry, apply_h)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
     run = run_trajectory(config)
     traj = run.trajectory
-    tau = find_gate_time(traj.times, run.theta, run.theta_at, run.scan_step, run.unresolved)
+    tau = find_gate_time(traj.times, run.theta, run.theta_at, run.scan_step, run.unresolved, run.m4)
     t_last, psi_last = run._last  # the latest evaluated times and their states
     psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].

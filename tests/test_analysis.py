@@ -120,7 +120,30 @@ def dip_rate(t):
 DIP_TAU = 0.3055 - 0.003 * np.sqrt(np.log(1.5))
 
 
-def newton_calls(times, theta, theta_fn, scan_step, unresolved):
+# theta rises past -pi by GRAZE_DEPTH rad for under 1e-4 around t = GRAZE_AT,
+# on a hump of width 0.01: less than a tenth of the 1e-3 scan step, so no
+# scan point need fall inside it.  It falls through -pi for good from 0.71
+# on.  Its first crossing is at GRAZE_TAU.
+GRAZE_AT, GRAZE_DEPTH, GRAZE_HUMP, GRAZE_WIDTH = 0.30055, 2e-7, 0.01, 0.01
+
+
+def graze_theta(t):
+    u = (t - GRAZE_AT) / GRAZE_WIDTH
+    return -np.pi + GRAZE_HUMP - GRAZE_DEPTH - GRAZE_HUMP * np.exp(-(u**2)) - 10 * np.maximum(0.0, t - 0.7)
+
+
+def graze_rate(t):
+    u = (t - GRAZE_AT) / GRAZE_WIDTH
+    return 2 * GRAZE_HUMP * u / GRAZE_WIDTH * np.exp(-(u**2)) - 10.0 * (t > 0.7)
+
+
+GRAZE_TAU = GRAZE_AT - GRAZE_WIDTH * np.sqrt(np.log(GRAZE_HUMP / (GRAZE_HUMP - GRAZE_DEPTH)))
+# |theta''''| on the hump is at most 12 GRAZE_HUMP / GRAZE_WIDTH^4: the
+# fourth derivative of exp(-u^2) peaks at 12, at u = 0.
+GRAZE_M4 = 12 * GRAZE_HUMP / GRAZE_WIDTH**4
+
+
+def newton_calls(times, theta, theta_fn, scan_step, unresolved, m4=math.inf):
     """find_gate_time's result and the times of its Newton steps: the calls
     of ``theta_fn`` at one time after the scan has returned."""
     calls, scanned = [], []
@@ -138,7 +161,7 @@ def newton_calls(times, theta, theta_fn, scan_step, unresolved):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_scan", recording_scan)
-        return find_gate_time(times, theta, recording, scan_step, unresolved), calls
+        return find_gate_time(times, theta, recording, scan_step, unresolved, m4), calls
 
 
 class TestFindGateTime:
@@ -147,10 +170,10 @@ class TestFindGateTime:
         theta = -(np.pi / tau0) * times
         return times, theta
 
-    def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0):
+    def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0, m4=math.inf):
         """find_gate_time on the samples ``series`` = (times, theta) with
         ``theta`` and ``rate`` as its evaluator."""
-        return find_gate_time(*series, evaluator(theta, rate), scan_step, unresolved)
+        return find_gate_time(*series, evaluator(theta, rate), scan_step, unresolved, m4)
 
     def test_linear_crossing(self):
         tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t, lambda t: -np.pi / 0.4)
@@ -174,6 +197,28 @@ class TestFindGateTime:
         assert np.all(np.abs(sampled[times < 0.7]) < np.pi)
         tau = self.gate_time((times, sampled), dip_theta, dip_rate)
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
+
+    @pytest.mark.parametrize("m4", [GRAZE_M4, math.inf], ids=["bound", "no-bound"])
+    def test_scan_finds_crossing_shorter_than_its_step(self, m4):
+        # theta is past -pi for under 1e-4 around GRAZE_AT, and no point of
+        # the scan's first batch falls there: a scan of points alone would
+        # return the crossing after 0.7.  The cubic Hermite interpolant of a
+        # cell reaches the level there, with or without the bound on
+        # |theta''''|, so theta is evaluated at its extreme and the first
+        # crossing is found.
+        times = np.linspace(0, 1.0, 101)
+        assert np.all(np.abs(graze_theta(times[times < 0.7])) < np.pi)
+        batches = []
+
+        def recording(t):
+            batches.append(t)
+            return graze_theta(t), np.broadcast_to(graze_rate(t), np.shape(t))
+
+        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, 0.0, m4)
+        first = batches[0]
+        assert np.all(np.abs(graze_theta(first[first < 0.7])) < np.pi)
+        assert abs(graze_theta(tau) + np.pi) <= PHASE_TOL
+        assert tau == pytest.approx(GRAZE_TAU, abs=1e-7)
 
     def test_refinement_meets_phase_tol_in_few_calls(self):
         # theta wiggles by 1e-3 rad about a line through -pi at 0.37.  The
@@ -215,7 +260,7 @@ class TestFindGateTime:
             return point(t)
 
         times = np.linspace(0, 1.0, 101)
-        tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0)
+        tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0, math.inf)
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
     def test_no_crossing(self):

@@ -19,7 +19,7 @@ from buckygate.engine import (
     sample_times,
 )
 from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
-from buckygate.hamiltonian import build_static
+from buckygate.hamiltonian import build_static, static_terms
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
     MAX_PHASE_PER_STEP,
@@ -206,7 +206,7 @@ import json, resource, sys
 import numpy as np
 from buckygate import SimulationConfig
 from buckygate.config import validate
-from buckygate.hamiltonian import build_static
+from buckygate.hamiltonian import build_static, static_terms
 from buckygate.propagator import SpectralPropagator, propagate_magnus
 steps = int(sys.argv[1])
 config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
@@ -406,8 +406,8 @@ GRAZING_INPUTS = {
 
 
 # A static input on which the exact theta passes -pi by 2.45e-5 rad for
-# 2.2 ps, from 5.0934 to 5.0956 ns, between two points of the first-crossing
-# scan, which misses it and returns tau = 5.2788 ns.
+# 2.2 ps, from 5.0934 to 5.0956 ns, less than the 4.59 ps scan_step: a scan
+# of points alone misses it and returns tau = 5.2788 ns.
 SHORT_EXCURSION = dict(
     r=9.418893731597024e-10,
     Bz1=0.06137074334382504,
@@ -430,15 +430,7 @@ SHORT_EXCURSION = dict(
     "config",
     [reference_config(r=8e-9, t_max=1.2e-5)]
     + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
-    + [
-        pytest.param(
-            SimulationConfig(**SHORT_EXCURSION),
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="ROADMAP item 1: the scan misses a crossing shorter than its spacing",
-            ),
-        )
-    ],
+    + [SimulationConfig(**SHORT_EXCURSION)],
     ids=["r=8nm", "grazing-far", "grazing-near", "short-excursion"],
 )
 def test_gate_time_is_first_exact_crossing(config):
@@ -460,15 +452,87 @@ def count_scan_points(monkeypatch):
     counts = []
     scan = analysis._scan
 
-    def counting_scan(times, theta, level, margin, theta_fn, scan_step):
+    def counting_scan(times, theta, level, margin, theta_fn, scan_step, m4):
         def counting(points):
             counts.append(len(points))
             return theta_fn(points)
 
-        return scan(times, theta, level, margin, counting, scan_step)
+        return scan(times, theta, level, margin, counting, scan_step, m4)
 
     monkeypatch.setattr(analysis, "_scan", counting_scan)
     return counts
+
+
+def exact_theta_fourth_derivative(config, times):
+    """theta'''' at ``times`` from the exponential sums of the amplitudes:
+    theta = Im log(c1 c4 conj(c2 c3)), and (log c)'''' by Faa di Bruno's
+    formula from the exact derivatives of c, to rounding."""
+    eigenvalues, v = np.linalg.eigh(build_static(config))
+    coef = v.conj().T @ config.initial_state
+    total = np.zeros(len(times))
+    for j, sign in enumerate((1, -1, -1, 1)):
+        terms = np.exp(-1j * np.outer(times, eigenvalues)) * (v[j] * coef)
+        c0, c1, c2, c3, c4 = (terms @ (-1j * eigenvalues) ** n for n in range(5))
+        f4 = c4 / c0 - (4 * c1 * c3 + 3 * c2**2) / c0**2 + 12 * c1**2 * c2 / c0**3 - 6 * (c1 / c0) ** 4
+        total += sign * f4.imag
+    return total
+
+
+def benchmark_like_configs(seed, r_lo, r_hi, n=2):
+    """n static inputs drawn as the benchmark draws them: r log-uniform in
+    [r_lo, r_hi), Bz1 = Bz2 in 0.05-0.15 T, Bg1 = -Bg2 in 3e-5-1.2e-4 T,
+    both spins in one random state with min |q_i| >= 0.35, over 2.5 times
+    the gate time scaled from the reference by r^3."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    while len(configs) < n:
+        q = rng.normal(size=2) + 1j * rng.normal(size=2)
+        q /= np.linalg.norm(q)
+        if min(abs(q)) < 0.35:
+            continue
+        r = float(np.exp(rng.uniform(np.log(r_lo), np.log(r_hi))))
+        bz, bg = rng.uniform(0.05, 0.15), rng.uniform(3e-5, 1.2e-4)
+        t_max = 2.5 * 9.54e-9 * (r / 1.14e-9) ** 3
+        configs.append(SimulationConfig(r=r, Bz1=bz, Bz2=bz, Bg1=bg, Bg2=-bg, t_max=t_max, initial_state=np.kron(q, q)))
+    return configs
+
+
+BOUND_INPUTS = (
+    [reference_config(), reference_config(r=12e-9, t_max=2.5 * TAU_12NM)]
+    + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
+    + [c for seed in (1, 2, 3) for c in benchmark_like_configs(seed, 0.9e-9, 1.5e-9)]
+    + [c for seed in (1, 2, 3) for c in benchmark_like_configs(seed, 3e-9, 12e-9)]
+)
+BOUND_IDS = ["reference", "12nm", "grazing-far", "grazing-near"] + [
+    f"{kind}-{seed}-{k}" for kind in ("near", "far") for seed in (1, 2, 3) for k in range(2)
+]
+
+
+@pytest.mark.parametrize("config", BOUND_INPUTS, ids=BOUND_IDS)
+def test_fourth_derivative_bound_holds(config):
+    # engine.theta_rate's m4 bounds |theta''''| everywhere; on a dense grid
+    # of 16 points per period of the largest eigenvalue gap, over two
+    # periods of the slow beat, the exact theta'''' reaches at least a
+    # quarter of it, so the bound sizes the scan's cells without waste.
+    run = run_trajectory(config)
+    eigenvalues = np.linalg.eigvalsh(build_static(run.config))
+    period = 2 * np.pi / np.ptp(eigenvalues)
+    g, _, m2 = static_terms(run.config)
+    beat = 2 * np.pi / (2 * np.hypot(m2, g - 2 * run.config.J0))
+    times = np.arange(0.0, min(2 * beat, run.config.t_max), period / 16)
+    peak = np.max(np.abs(exact_theta_fourth_derivative(run.config, times)))
+    assert np.isfinite(run.m4)
+    assert peak <= run.m4 <= 4 * peak
+
+
+def test_scan_at_12nm_takes_few_points_and_calls(monkeypatch):
+    # 2.5 tau at 12 nm: the scan at a uniform 0.05 rad of the Zeeman scale
+    # took 2 150 points; the Hermite cells take at most 100 in at most 3
+    # calls of theta_at.
+    counts = count_scan_points(monkeypatch)
+    run_simulation(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
+    assert len(counts) <= 3
+    assert sum(counts) <= 100
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,107 @@
+"""Property test of the gate time over generated static runs.
+
+For static configs drawn over r 0.8-12 nm, with unequal fields, exchange
+coupling J0, and product or entangled initial states, the gate time is the
+first crossing of the exact composite phase: no earlier |theta| reaches pi,
+and |theta(tau) +/- pi| is within PHASE_TOL plus the rounding of the exact
+phase.  The exact phase comes from the eigen-evolution on a grid of 8 points
+per period of the largest eigenvalue gap, the fastest frequency in theta.
+Draws whose run raises (no crossing within t_max, an aliased or undefined
+phase) are rejected: other tests cover those errors.
+"""
+
+import math
+import tempfile
+
+import numpy as np
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
+
+from buckygate.analysis import PHASE_TOL
+from buckygate.config import SimulationConfig
+from buckygate.engine import run_simulation
+from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
+from buckygate.hamiltonian import build_static, dipole_coupling
+
+# Hypothesis keeps its storage directory out of the working tree.
+HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME.name)
+
+# Exact-phase points per evaluation, to bound memory at 12 nm (about 1e6).
+CHUNK = 1 << 17
+
+
+def exact_theta(config, times):
+    """The unwrapped composite phase at the increasing ``times`` from the
+    exact eigen-evolution, with theta(times[0]) = 0; evaluated in chunks."""
+    eigenvalues, v = np.linalg.eigh(build_static(config))
+    coef = v.conj().T @ config.initial_state
+    pieces, last = [], None
+    for k in range(0, len(times), CHUNK):
+        c = (np.exp(-1j * np.outer(times[k : k + CHUNK], eigenvalues)) * coef) @ v.T
+        angle = np.angle(c[:, 0] * c[:, 3] * np.conj(c[:, 1] * c[:, 2]))
+        if last is None:
+            theta = np.unwrap(angle)
+        else:
+            theta = np.unwrap(np.concatenate([[last[0]], angle]))[1:] - last[0] + last[1]
+        pieces.append(theta)
+        last = angle[-1], theta[-1]
+    theta = np.concatenate(pieces)
+    return theta - theta[0]
+
+
+@st.composite
+def static_configs(draw):
+    r = math.exp(draw(st.floats(math.log(0.8e-9), math.log(12e-9))))
+    g = dipole_coupling(r)
+    j0 = g * draw(st.floats(-0.5, 0.5))
+    unit = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):  # a product state
+        q1, q2 = (np.array(draw(st.tuples(unit, unit, unit, unit))) for _ in range(2))
+        state = np.kron(q1[:2] + 1j * q1[2:], q2[:2] + 1j * q2[2:])
+    else:
+        x = np.array(draw(st.tuples(*[unit] * 8)))
+        state = x[:4] + 1j * x[4:]
+    assume(np.linalg.norm(state) > 0.1)
+    return SimulationConfig(
+        r=r,
+        Bz1=draw(st.floats(0.02, 0.2)),
+        Bz2=draw(st.floats(0.02, 0.2)),
+        Bg1=draw(st.floats(-2e-4, 2e-4)),
+        Bg2=draw(st.floats(-2e-4, 2e-4)),
+        J0=j0,
+        # theta turns at about 4 (g + J0) on average.
+        t_max=3 * math.pi / (4 * abs(g + j0)),
+        initial_state=state,
+    )
+
+
+def check_first_crossing(config):
+    """tau of ``config`` is the first crossing of the exact theta, to
+    PHASE_TOL plus rounding; draws whose run raises are rejected."""
+    try:
+        result = run_simulation(config)
+    except (NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase):
+        assume(False)
+    tau = result.gate.tau
+    eigenvalues = np.linalg.eigvalsh(build_static(result.config))
+    spacing = 2 * np.pi / np.ptp(eigenvalues) / 8
+    theta = exact_theta(result.config, np.append(np.arange(0.0, tau, spacing), tau))
+    assert np.max(np.abs(theta[:-1])) < np.pi
+    # The exact phase at tau rounds by about eps |lambda| tau.
+    slack = 1e-9 + 64 * np.finfo(float).eps * np.max(np.abs(eigenvalues)) * tau
+    assert abs(abs(theta[-1]) - np.pi) <= PHASE_TOL + slack
+
+
+# Fixed examples and no example database keep the test deterministic.
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=50,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(config=static_configs())
+def test_gate_time_is_the_first_exact_crossing(config):
+    check_first_crossing(config)
