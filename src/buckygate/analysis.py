@@ -72,9 +72,14 @@ def composite_angle(states) -> np.ndarray:
     return np.angle(c[..., 0] * c[..., 3] * np.conj(c[..., 1] * c[..., 2]))
 
 
-def unwrap_phases(traj: Trajectory) -> np.ndarray:
+def unwrap_phases(traj: Trajectory, start: float = 0.0) -> np.ndarray:
     """The continuous composite phase theta at each of ``traj.times``,
-    unwrapped from the sampled states, with theta[0] = 0.
+    unwrapped from the sampled states, with theta[0] = ``start``.
+
+    theta is summed in sample order, so that a run unwrapped piece by piece,
+    each piece starting at the last sample of the one before with that
+    sample's theta as ``start``, gives the series of the whole run, bit for
+    bit.
 
     Raises UndefinedPhase if any amplitude magnitude falls below
     AMP_FLOOR anywhere along the trajectory, and PhaseAliasing if a
@@ -87,7 +92,7 @@ def unwrap_phases(traj: Trajectory) -> np.ndarray:
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
             "Arg is undefined at vanishing amplitude"
         )
-    # Each step of the argument taken to [-pi, pi], then summed from theta[0] = 0.
+    # Each step of the argument taken to [-pi, pi], then summed from theta[0].
     steps = np.diff(composite_angle(traj.states))
     steps -= 2 * np.pi * np.rint(steps / (2 * np.pi))
     if np.max(np.abs(steps), initial=0.0) > MAX_THETA_STEP:
@@ -97,7 +102,7 @@ def unwrap_phases(traj: Trajectory) -> np.ndarray:
             f"t={traj.times[k]:.6e} s and t={traj.times[k + 1]:.6e} s, above the "
             f"unwrap bound {MAX_THETA_STEP:.3f} rad; shorten t_max"
         )
-    return np.concatenate([[0.0], np.cumsum(steps)])
+    return np.cumsum(np.concatenate([[start], steps]))
 
 
 def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m4: float) -> float:
@@ -116,16 +121,19 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     the largest second difference of the samples of the level:
     ``unresolved`` (rad) bounds the part of theta the samples do not
     resolve, the second difference the interpolation error of the part they
-    do.  The scan cuts them into cells whose ends it evaluates, and searches
-    each cell through the cubic Hermite interpolant of theta and its rate at
-    the ends, within its error bound h^4 m4 / 384 from ``m4``, a bound on
-    |theta''''| (infinite where there is none): a crossing the cubic or the
-    bound allows is looked for inside the cell, so a crossing shorter than
-    a cell is found too (see _scan and _first_crossing).  Only cells around
-    the crossing found are narrower than ``scan_step`` (s), and with no
-    bound every cell is that wide.  The scan runs in time order in batches and
-    stops at the first crossing, so its cost follows that window, not the
-    horizon.
+    do.  Only the second differences around the intervals scanned count,
+    those of the samples up to the one after the first sampled crossing, so
+    the gate does not depend on the samples beyond it: a driven run may
+    stop there (``engine.run_trajectory``).  The scan cuts the times into
+    cells whose ends it evaluates, and searches each cell through the cubic
+    Hermite interpolant of theta and its rate at the ends, within its error
+    bound h^4 m4 / 384 from ``m4``, a bound on |theta''''| (infinite where
+    there is none): a crossing the cubic or the bound allows is looked for
+    inside the cell, so a crossing shorter than a cell is found too (see
+    _scan and _first_crossing).  Only cells around the crossing found are
+    narrower than ``scan_step`` (s), and with no bound every cell is that
+    wide.  The scan runs in time order in batches and stops at the first
+    crossing, so its cost follows that window, not the horizon.
 
     Inside the bracket of the first crossing found, the crossing is refined
     by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
@@ -153,7 +161,7 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     i = hit[0]
     if i == 0:
         return float(times[0])
-    margin = _scan_margin(theta, unresolved)
+    margin = _scan_margin(theta[: i + 2], unresolved)
     scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step, m4)
     bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
@@ -191,7 +199,8 @@ def _hermite_root(f0, f1, m0, m1):
 
 
 def _scan_margin(theta, unresolved):
-    """Bound on |theta(t) - its linear interpolation between samples| (rad).
+    """Bound on |theta(t) - its linear interpolation between samples| (rad)
+    over the intervals between the samples ``theta``.
 
     ``unresolved`` bounds the part of theta the samples do not resolve; it
     enters twice, once at t and once in the samples.  The interpolation error

@@ -121,11 +121,14 @@ def cmd_simulate(args) -> int:
     config = load_config(args.config)
     start = time.monotonic()
     result = run_simulation(config)
+    # Reading a driven run's trajectory completes its pass, which can fail:
+    # before anything is written.
+    csv = trajectory_csv(result)
     os.makedirs(args.outdir, exist_ok=True)
     traj_path = os.path.join(args.outdir, "trajectory.csv")
     summary_path = os.path.join(args.outdir, "summary.txt")
     manifest_path = os.path.join(args.outdir, "run_manifest.json")
-    _write(traj_path, trajectory_csv(result))
+    _write(traj_path, csv)
     text = summary_text(result)
     _write(summary_path, text)
     manifest = {

@@ -25,7 +25,9 @@ R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
 matrices about five times faster than 4x4 complex ones.
 
 Steps are processed in chunks of at most STEPS_PER_CHUNK (Magnus) or
-_RK4_STEPS_PER_CHUNK (RK4), so memory does not grow with the horizon.  The
+_RK4_STEPS_PER_CHUNK (RK4), so memory does not grow with the horizon.  A
+Magnus pass (``MagnusPass``) can stop after any chunk and be resumed later,
+so that a driven run is taken only as far as its reader needs.  The
 Magnus pass keeps its chunk-sized arrays in four (STEPS_PER_CHUNK, 8, 8)
 buffers per thread, 4 x STEPS_PER_CHUNK x 512 B allocated at the thread's
 first driven run and reused by every later one (see ``_workspace``), so that
@@ -495,11 +497,86 @@ def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
     return max(1, math.ceil(min(steps, MAX_STEPS + 1)))
 
 
+class MagnusPass:
+    """A driven run's Magnus pass (see ``propagate_magnus``), ``steps``
+    steps per sample interval, taken in as many calls of ``advance`` as its
+    caller makes; the pass is ``done`` once it has taken all ``total``
+    steps, each of length ``h``.
+
+    ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
+    ValueError otherwise, and OutOfRange, before any step is taken, for more
+    than MAX_STEPS steps over the whole run.  ``trajectory`` holds the
+    samples stored so far, ``count`` of them: the first, and the state after
+    every interval whose last step has been taken.
+    """
+
+    def __init__(self, spectral: SpectralPropagator, config: SimulationConfig, times, steps: int):
+        times = np.asarray(times, dtype=float)
+        _check_times(times)
+        if not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
+            raise ValueError("Magnus steps need a uniform grid, np.linspace(0, t_end, n)")
+        self.times, self.steps = times, steps
+        self.total = steps * (len(times) - 1)
+        self.h = times[-1] / self.total
+        _check_step_count(self.total, self.h, times[-1])
+        self._spectral, self._config = spectral, config
+        self.taken, self.count = 0, 1
+        # xi = exp(i L h/2) V^dag psi as the real 8-vector [Re xi, Im xi],
+        # after the steps taken.
+        xi0 = spectral.evolve(config.initial_state, -self.h / 2) @ spectral.eigenvectors.conj()
+        self._state = np.concatenate([xi0.real, xi0.imag])
+        self._states = np.empty((len(times), 4), dtype=complex)
+        self._store(0, self._state[None])
+        # The workspace the step kernel was built on, and the kernel.
+        self._kernel = None, None
+
+    @property
+    def done(self) -> bool:
+        return self.taken == self.total
+
+    @property
+    def trajectory(self) -> Trajectory:
+        return Trajectory(times=self.times[: self.count], states=self._states[: self.count])
+
+    def advance(self, n: int):
+        """Take the next n steps, or the rest of the run if fewer, built and
+        carried STEPS_PER_CHUNK at a time from the step after the last one
+        taken (``_carry``), and store the state after every interval's last
+        step.  The chunks use the workspace of the thread that takes them
+        (``_workspace``): a pass resumed in another thread builds its step
+        kernel again there.  Raises NormDrift at the first sample stored here
+        whose squared norm departs from 1 by more than NORM_TOLERANCE; the
+        pass is then left as it was before the call.
+        """
+        end = min(self.taken + n, self.total)
+        buffers = _workspace(min(self.total, STEPS_PER_CHUNK))
+        if self._kernel[0] is not buffers.base:
+            self._kernel = buffers.base, _magnus_steps(self._spectral, self._config, self.h, buffers)
+        step_matrices, state = self._kernel[1], self._state
+        for first in range(self.taken, end, STEPS_PER_CHUNK):
+            states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, end - first)), state, buffers[1])
+            state = states[-1]
+            # states[k] follows step first + k, which ends an interval when
+            # first + k + 1 is a multiple of steps: a chunk need not begin or
+            # end on a sample, nor hold one.
+            lead = -(first + 1) % self.steps
+            self._store((first + lead + 1) // self.steps, states[lead :: self.steps])
+        self.taken, self.count, self._state = end, end // self.steps + 1, state
+
+    def _store(self, i: int, xi):
+        """Store psi = V exp(-i L h/2) xi, with one phase factor for every
+        sample, as the samples from i on, and check their norms."""
+        coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-self.h / 2 * self._spectral.eigenvalues)
+        states = self._states[i : i + len(xi)]
+        np.matmul(coefficients, self._spectral.eigenvectors.T, out=states)
+        _check_norms(self.times[i : i + len(xi)], states, f"Magnus substep taken was {self.h:.3e} s")
+
+
 def propagate_magnus(
     spectral: SpectralPropagator, config: SimulationConfig, times, steps: int
 ) -> Trajectory:
     """Driven trajectory by ``steps`` uniform 4th-order Magnus steps per
-    sample interval.
+    sample interval: a ``MagnusPass`` taken to its end in one call.
 
     ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
     ValueError otherwise, and OutOfRange, before any step is taken, for more
@@ -515,35 +592,9 @@ def propagate_magnus(
     Raises NormDrift at the first stored state whose squared norm departs
     from 1 by more than NORM_TOLERANCE.
     """
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
-    if not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
-        raise ValueError("Magnus steps need a uniform grid, np.linspace(0, t_end, n)")
-    total = steps * (len(times) - 1)
-    h = times[-1] / total
-    _check_step_count(total, h, times[-1])
-    # xi = exp(i L h/2) V^dag psi as the real 8-vector [Re xi, Im xi].
-    xi0 = spectral.evolve(config.initial_state, -h / 2) @ spectral.eigenvectors.conj()
-    xi = np.empty((len(times), 8))
-    xi[0] = np.concatenate([xi0.real, xi0.imag])
-    buffers = _workspace(min(total, STEPS_PER_CHUNK))
-    step_matrices = _magnus_steps(spectral, config, h, buffers)
-    state = xi[0]
-    for first in range(0, total, STEPS_PER_CHUNK):
-        states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, total - first)), state, buffers[1])
-        state = states[-1]
-        # states[k] follows step first + k, which ends an interval when
-        # first + k + 1 is a multiple of steps: a chunk need not begin or
-        # end on a sample, nor hold one.
-        lead = -(first + 1) % steps
-        samples = states[lead::steps]
-        i = (first + lead + 1) // steps
-        xi[i : i + len(samples)] = samples
-    # psi = V exp(-i L h/2) xi, with one phase factor for every sample.
-    coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-h / 2 * spectral.eigenvalues)
-    states = coefficients @ spectral.eigenvectors.T
-    _check_norms(times, states, f"Magnus substep taken was {h:.3e} s")
-    return Trajectory(times=times, states=states)
+    run = MagnusPass(spectral, config, times, steps)
+    run.advance(run.total)
+    return run.trajectory
 
 
 def _check_norms(times, states, taken: str):

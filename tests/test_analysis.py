@@ -263,6 +263,33 @@ class TestFindGateTime:
         tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0, math.inf)
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
+    def test_samples_past_the_one_after_the_crossing_are_not_read(self):
+        # A driven run stops its pass just past the first sampled crossing,
+        # so the scan margin is taken over the samples up to the one after
+        # it.  Later samples, here with second differences 100 times the
+        # ones before, change neither the scan nor the gate.
+        times = np.linspace(0, 1.0, 101)
+        theta = lambda t: -(np.pi / 0.37) * t + 1e-3 * np.sin(40 * t)
+        rate = lambda t: -(np.pi / 0.37) + 0.04 * np.cos(40 * t)
+        sampled = theta(times)
+        i = np.flatnonzero(np.abs(sampled) >= np.pi)[0]
+        wild = sampled.copy()
+        wild[i + 2 :: 2] += 0.5
+        runs = []
+        for series in ((times[: i + 2], sampled[: i + 2]), (times, sampled), (times, wild)):
+            batches = []
+
+            def recording(t):
+                batches.append(t.copy())
+                return theta(t), np.broadcast_to(rate(t), np.shape(t))
+
+            runs.append((find_gate_time(*series, recording, 1e-2, 1e-3, math.inf), batches))
+        for tau, batches in runs[1:]:
+            assert tau == runs[0][0]
+            assert len(batches) == len(runs[0][1])
+            for batch, first in zip(batches, runs[0][1]):
+                np.testing.assert_array_equal(batch, first)
+
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)
         theta = lambda t: -0.5 * t

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import buckygate
-from buckygate import cli, errors
+from buckygate import analysis, cli, errors, propagator
 from buckygate.cli import (
     EXIT_CONFIG,
     EXIT_NO_CROSSING,
@@ -20,8 +20,8 @@ from buckygate.cli import (
     main,
     trajectory_csv,
 )
-from buckygate.config import ConfigErrorItem, SimulationConfig
-from buckygate.engine import run_simulation
+from buckygate.config import ConfigErrorItem, SimulationConfig, load_config
+from buckygate.engine import run_simulation, run_trajectory
 
 STATIC_CONFIG = """\
 # reference static setup
@@ -169,6 +169,63 @@ def test_simulation_errors_exit_3_without_traceback(error, static_config_path, m
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {error.__name__}: detail\n"
+
+
+# Driven runs whose pass stops at the gate, well before t_max.  The first
+# fails the unwrap bound only after it, at 28 ns; on the second a bound set
+# between its extremes over the samples the gate reads and over the rest
+# does the same.
+TAIL_ALIASING = with_lines(
+    DRIVEN_CONFIG, "Bz1_T=0.025", "Bz2_T=0.025", "Bg1_T=2e-4", "Bg2_T=-2e-4",
+    "Bl1_T=1.5e-3", "Bl2_T=1.5e-3", "t_max_s=3e-8",
+)
+TAIL_BOUND = with_lines(DRIVEN_CONFIG, "Bz1_T=0.1", "Bz2_T=0.1", "Bl1_T=2e-4", "Bl2_T=2e-4", "t_max_s=1.5e-8")
+
+
+def _bound_failing_after_the_gate(config, error, monkeypatch):
+    """Set the bound whose breach raises ``error`` halfway between its
+    extremes over the samples the gate reads and over the rest of the run."""
+    run = run_trajectory(config)
+    n = len(run._samples.times)
+    traj = run.trajectory
+    if error == "NormDrift":
+        drift = np.abs(traj.norms - 1.0)
+        head, tail = drift[:n].max(), drift[n:].max()
+        monkeypatch.setattr(propagator, "NORM_TOLERANCE", (head + tail) / 2)
+    else:
+        amps = np.abs(traj.states)
+        head, tail = -amps[:n].min(), -amps[n:].min()
+        monkeypatch.setattr(analysis, "AMP_FLOOR", -(head + tail) / 2)
+    assert head < tail
+
+
+@pytest.mark.parametrize("error", ["NormDrift", "UndefinedPhase", "PhaseAliasing"])
+def test_failure_after_the_gate_fails_only_the_trajectory(error, tmp_path, monkeypatch, capsys):
+    # gate-time and sweep read only the gate, which the samples up to just
+    # past the first sampled crossing give; the rest of the run is computed,
+    # and fails, when the trajectory is read, as simulate does.
+    text = TAIL_ALIASING if error == "PhaseAliasing" else TAIL_BOUND
+    path = tmp_path / "driven.cfg"
+    path.write_text(text)
+    config = load_config(str(path))
+    if error != "PhaseAliasing":
+        _bound_failing_after_the_gate(config, error, monkeypatch)
+    result = run_simulation(config)
+    for _ in range(2):  # at every read
+        with pytest.raises(getattr(errors, error)):
+            result.trajectory
+    assert main(["gate-time", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == cli.summary_text(result)
+    spec = tmp_path / "sweep.cfg"
+    bl = config.Bl1
+    spec.write_text(text + f"param=Bl\nvalues={bl!r},{bl!r}\n")
+    assert main(["sweep", str(spec), "--output", str(tmp_path / "sweep.csv")]) == EXIT_OK
+    rows = (tmp_path / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.endswith(",ok") for row in rows), rows
+    outdir = tmp_path / "out"
+    assert main(["simulate", str(path), "--outdir", str(outdir)]) == EXIT_NUMERICAL
+    assert capsys.readouterr().err.startswith(f"error: {error}: ")
+    assert not outdir.exists()
 
 
 # One non-finite value for each float field and for each initial-state

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import buckygate
 from buckygate import analysis, engine, propagator
-from buckygate.analysis import PHASE_TOL, _scan_margin
+from buckygate.analysis import PHASE_TOL, _scan_margin, find_gate_time, unwrap_phases
 from buckygate.config import SimulationConfig
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -187,6 +188,95 @@ def test_driven_trajectory_matches_rk4_oracle(bz, bl, t_max):
     assert np.max(np.abs(run.trajectory.norms - 1.0)) <= 1e-12
 
 
+def count_magnus_steps(monkeypatch):
+    """A list whose one entry counts the Magnus steps built from here on, by
+    wrapping ``_magnus_steps``."""
+    built = [0]
+    magnus_steps_of = propagator._magnus_steps
+
+    def counting(spectral, config, h, buffers):
+        step_matrices = magnus_steps_of(spectral, config, h, buffers)
+
+        def count(j, n):
+            built[0] += n
+            return step_matrices(j, n)
+
+        return count
+
+    monkeypatch.setattr(propagator, "_magnus_steps", counting)
+    return built
+
+
+# The 15 ns driven reference points, whose gates lie at 47 to 63 % of t_max.
+GATE_POINTS, GATE_IDS = DRIVEN_POINTS[:9], DRIVEN_IDS[:9]
+
+
+@pytest.mark.parametrize("bz, bl, t_max", GATE_POINTS, ids=GATE_IDS)
+def test_gate_only_solve_builds_few_magnus_steps(bz, bl, t_max, monkeypatch):
+    built = count_magnus_steps(monkeypatch)
+    result = run_simulation(reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max))
+    gate_only = built[0]
+    result.trajectory
+    assert gate_only <= 0.75 * built[0], (gate_only, built[0])
+    # The completed run builds every step once.
+    assert built[0] == propagator.magnus_steps(
+        result.config, hamiltonian_scale(result.config, build_static(result.config)), result.trajectory.times
+    ) * (len(result.trajectory.times) - 1)
+
+
+@pytest.mark.parametrize("bz, bl, t_max", GATE_POINTS, ids=GATE_IDS)
+def test_driven_gate_does_not_depend_on_the_trajectory_read(bz, bl, t_max):
+    # The same gate whether the trajectory is read before it, after it or
+    # never, and from the samples of the completed run: the scan reads no
+    # sample past the one after the first sampled crossing.
+    config = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
+    gate = run_simulation(config).gate
+    before = run_simulation(config)
+    before.trajectory
+    assert before.gate == gate
+    after = run_simulation(config)
+    assert after.gate == gate
+    after.trajectory
+    assert after.gate == gate
+    run = run_trajectory(config)
+    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.unresolved, run.m4)
+    assert tau == gate.tau
+
+
+def test_completed_trajectory_extends_the_samples_the_gate_used(monkeypatch):
+    used = []
+    find = engine.find_gate_time
+
+    def recording(times, theta, *args):
+        used.append((times, theta))
+        return find(times, theta, *args)
+
+    monkeypatch.setattr(engine, "find_gate_time", recording)
+    config = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)
+    result = run_simulation(config)
+    (times, theta), = used
+    n = len(times)
+    assert n < len(result.trajectory.times)
+    np.testing.assert_array_equal(result.trajectory.times[:n], times)
+    np.testing.assert_array_equal(result.theta[:n], theta)
+    np.testing.assert_array_equal(result.theta, unwrap_phases(result.trajectory))
+    run = run_trajectory(config)
+    states = run._samples.states
+    assert len(states) == n
+    np.testing.assert_array_equal(run.trajectory.states[:n], states)
+
+
+@pytest.mark.parametrize("overrides", [{}, dict(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)])
+def test_result_pickles_with_its_whole_trajectory(overrides):
+    result = run_simulation(reference_config(**overrides))
+    copy = pickle.loads(pickle.dumps(result))
+    assert pickle.dumps(copy.config) == pickle.dumps(result.config)
+    assert copy.gate == result.gate
+    np.testing.assert_array_equal(copy.trajectory.times, result.trajectory.times)
+    np.testing.assert_array_equal(copy.trajectory.states, result.trajectory.states)
+    np.testing.assert_array_equal(copy.theta, result.theta)
+
+
 _FAULTS_PER_SOLVE = """
 import json, resource, sys
 from buckygate import SimulationConfig, run_simulation
@@ -315,6 +405,17 @@ class TestNoCrossing:
             run_simulation(reference_config(t_max=1e-9))
         theta_end = float(re.search(r"theta_end=(\S+) rad", str(exc.value))[1])
         assert -np.pi < theta_end < 0
+
+    def test_driven_short_horizon(self):
+        # With no crossing the pass runs to the end: theta_end is theta at
+        # the final sample of the whole run.
+        config = reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=3e-9)
+        with pytest.raises(NoCrossing) as exc:
+            run_simulation(config)
+        run = run_trajectory(config)
+        assert len(run._samples.times) == len(run.trajectory.times)
+        assert f"(theta_end={run.theta[-1]:.6f} rad)" in str(exc.value)
+        assert -np.pi < run.theta[-1] < 0
 
 
 class TestInitialStateDependence:

@@ -1,4 +1,5 @@
 import re
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -15,6 +16,7 @@ from buckygate.propagator import (
     MAX_PHASE_PER_STEP,
     MAX_STEPS,
     STEPS_PER_CHUNK,
+    MagnusPass,
     SpectralPropagator,
     Trajectory,
     _RK4_STEPS_PER_CHUNK,
@@ -601,6 +603,19 @@ class TestChunks:
         assert states.dtype == m.dtype
         assert np.max(np.abs(states - expected)) <= 1e-14
 
+    @pytest.mark.parametrize("form", ["real", "complex"])
+    def test_carry_prefix_does_not_depend_on_the_chunk_length(self, form):
+        # The first k states of a chunk are the same bits however many steps
+        # follow them in it: where a pass stops does not change them.
+        rng = np.random.default_rng(3)
+        m = _orthogonal(rng, STEPS_PER_CHUNK)
+        psi = rng.normal(size=8)
+        if form == "complex":
+            m, psi = m[:, :4, :4] + 1j * m[:, 4:, :4], psi[:4] + 1j * psi[4:]
+        whole = _carry(m, psi, np.empty_like(m))
+        for length in (1, 2, 3, 7, 8, 64, 100, 337, STEPS_PER_CHUNK - 1):
+            np.testing.assert_array_equal(_carry(m[:length], psi, np.empty_like(m)), whole[:length])
+
     @pytest.mark.parametrize("length", [1, 2, 3, 5, 8, 9, 337, STEPS_PER_CHUNK])
     def test_carry_keeps_m_and_reads_no_more_than_its_work(self, length):
         # len(m) - 1 matrices of work, the most _carry may use, filled with
@@ -672,6 +687,64 @@ class TestChunks:
         reference, _ = _scalar_states(cfg, times, dt)
         assert np.max(np.abs(numeric.states - reference)) <= 1e-12
         np.testing.assert_allclose(numeric.norms, 1.0, atol=1e-12)
+
+
+class TestMagnusPass:
+    """A Magnus pass taken in several calls, as the engine takes a driven run
+    to its gate and completes it later."""
+
+    # 300 intervals of 3 steps: chunks of 7, 100 and 512 steps begin and end
+    # inside intervals.
+    CFG = reference_config(mode="driven", Bl1=6e-4, Bl2=2e-4)
+    TIMES = np.linspace(0, 3e-9, 301)
+    STEPS = 3
+
+    def start(self):
+        """A pass advanced by 7 and then 100 steps."""
+        run = MagnusPass(SpectralPropagator(build_static(self.CFG)), self.CFG, self.TIMES, self.STEPS)
+        run.advance(7)
+        run.advance(100)
+        return run
+
+    def test_uneven_advances_match_one_pass(self):
+        whole = TestMagnus.run(self.CFG, self.TIMES, self.STEPS)
+        run = MagnusPass(SpectralPropagator(build_static(self.CFG)), self.CFG, self.TIMES, self.STEPS)
+        assert (run.taken, run.count, run.done) == (0, 1, False)
+        for n, taken in [(7, 7), (100, 107), (512, 619), (10**6, 900)]:
+            run.advance(n)
+            traj = run.trajectory
+            assert run.taken == taken and run.count == taken // self.STEPS + 1
+            np.testing.assert_array_equal(traj.times, self.TIMES[: run.count])
+            assert np.max(np.abs(traj.states - whole.states[: run.count])) <= 1e-13
+        assert run.done
+
+    def test_resumed_pass_matches_one_not_interrupted(self):
+        # Between the calls, another run fills this thread's workspace, or
+        # the rest is taken in another thread, on that thread's workspace.
+        plain = self.start()
+        plain.advance(plain.total)
+        other = reference_config(mode="driven", Bz1=0.05, Bz2=0.05, Bl1=1e-3, Bl2=1e-3)
+        run = self.start()
+        TestMagnus.run(other, np.linspace(0, 2e-9, 101), 7)
+        run.advance(run.total)
+        np.testing.assert_array_equal(run.trajectory.states, plain.trajectory.states)
+        run = self.start()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            pool.submit(run.advance, run.total).result(timeout=60)
+        np.testing.assert_array_equal(run.trajectory.states, plain.trajectory.states)
+
+    def test_norm_drift_leaves_the_pass_as_it_was(self, monkeypatch):
+        plain = self.start()
+        plain.advance(plain.total)
+        run = self.start()
+        with monkeypatch.context() as patch:
+            patch.setattr(propagator, "NORM_TOLERANCE", 1e-18)
+            for _ in range(2):
+                with pytest.raises(NormDrift):
+                    run.advance(run.total)
+                assert (run.taken, run.count) == (107, 36)
+        run.advance(run.total)
+        np.testing.assert_array_equal(run.trajectory.states, plain.trajectory.states)
 
 
 def test_trajectory_shape_guard():
