@@ -105,7 +105,7 @@ def unwrap_phases(traj: Trajectory, start: float = 0.0) -> np.ndarray:
     return np.cumsum(np.concatenate([[start], steps]))
 
 
-def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m4: float) -> float:
+def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m2: float, m4: float) -> float:
     """First time the unwrapped composite phase reaches +/-pi, from its
     samples ``theta`` at the increasing ``times`` (``unwrap_phases``).
 
@@ -117,14 +117,16 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     crossing at which theta could reach the level are scanned with
     ``theta_fn``, which maps an array of times to theta and its rate there
     (typically by re-propagation).  Those are the times where the linear
-    interpolation of the samples comes within ``2 * unresolved`` plus half
-    the largest second difference of the samples of the level:
-    ``unresolved`` (rad) bounds the part of theta the samples do not
-    resolve, the second difference the interpolation error of the part they
-    do.  Only the second differences around the intervals scanned count,
-    those of the samples up to the one after the first sampled crossing, so
-    the gate does not depend on the samples beyond it: a driven run may
-    stop there (``engine.run_trajectory``).  The scan cuts the times into
+    interpolation of the samples comes within the margin of the level
+    (``_scan_margin``): ``2 * unresolved``, where ``unresolved`` (rad) bounds
+    the part of theta the samples do not resolve, plus h^2 m2 / 8 for the
+    interpolation error of the part they do, with h the widest sample
+    interval and ``m2`` a bound on that part's |theta''|.  Where there is no
+    such bound (``m2`` infinite) half the largest second difference of the
+    samples stands for it, an estimate.  Only the samples up to the one
+    after the first sampled crossing count, so the gate does not depend on
+    the samples beyond it: a driven run may stop there
+    (``engine.run_trajectory``).  The scan cuts the times into
     cells whose ends it evaluates, and searches each cell through the cubic
     Hermite interpolant of theta and its rate at the ends, within its error
     bound h^4 m4 / 384 from ``m4``, a bound on |theta''''| (infinite where
@@ -161,7 +163,7 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     i = hit[0]
     if i == 0:
         return float(times[0])
-    margin = _scan_margin(theta[: i + 2], unresolved)
+    margin = _scan_margin(times[: i + 2], theta[: i + 2], unresolved, m2)
     scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step, m4)
     bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
@@ -198,16 +200,20 @@ def _hermite_root(f0, f1, m0, m1):
     return s if 0 < s < 1 else secant
 
 
-def _scan_margin(theta, unresolved):
+def _scan_margin(times, theta, unresolved, m2):
     """Bound on |theta(t) - its linear interpolation between samples| (rad)
-    over the intervals between the samples ``theta``.
+    over the intervals between the samples ``theta`` at ``times``.
 
     ``unresolved`` bounds the part of theta the samples do not resolve; it
     enters twice, once at t and once in the samples.  The interpolation error
-    of the resolved part is at most h^2 max|theta''| / 8, about an eighth of
-    the largest second difference of the samples; the margin allows four
-    times that.
+    of the resolved part is at most h^2 max|theta''| / 8 on an interval of
+    width h, and ``m2`` bounds that |theta''|.  With no bound (``m2``
+    infinite) the margin allows four times an eighth of the largest second
+    difference of the samples, an estimate of it.
     """
+    if math.isfinite(m2):
+        h = float(np.max(np.diff(times), initial=0.0))
+        return 2 * unresolved + h * h * m2 / 8
     return 2 * unresolved + 0.5 * np.max(np.abs(np.diff(theta, 2)), initial=0.0)
 
 

@@ -1,10 +1,10 @@
 """High-level driver: from a configuration to a full gate summary.
 
-Static mode propagates with the exact spectral solution on a grid that
-follows theta's own rate, driven mode with 4th-order Magnus steps in the
-interaction picture of the static Hamiltonian on a grid at the fastest
-Hamiltonian scale, as far as the gate needs: the rest of a driven
-trajectory is computed when it is read.  Gate-time refinement re-propagates
+Static mode propagates with the exact spectral solution on a grid sized
+by bounds on theta's rate and curvature, driven mode with 4th-order Magnus
+steps in the interaction picture of the static Hamiltonian on a grid at the
+fastest Hamiltonian scale, as far as the gate needs.  The trajectory a run
+outputs is computed when it is read.  Gate-time refinement re-propagates
 between the stored samples, first to search the intervals near the crossing
 in cubic Hermite cells on theta and its exact rate, then to refine the first
 crossing found by safeguarded Newton steps on that rate, instead of
@@ -55,16 +55,23 @@ MAX_PHASE_PER_SAMPLE = 0.5
 MIN_SAMPLES = 1001
 MAX_SAMPLES = 50001
 
+# Bound (rad) on h^2 m2 / 8, the interpolation error of theta's resolved
+# part between the static gate grid's samples h apart: the part of the
+# first-crossing scan's margin that the grid sets (analysis._scan_margin).
+# A wider margin widens the bands the scan evaluates, a narrower one takes
+# more samples.
+MARGIN_TARGET = 3e-4
+
 
 @dataclass(frozen=True)
 class SimulationResult:
     """One solve: its validated ``config``, whose resonances are the drive
-    frequencies, and its ``gate``.  ``trajectory`` holds the run's samples up
-    to t_max and ``theta`` the unwrapped composite phase at each of their
-    times.  A driven run's Magnus pass stops just past the first sampled
-    crossing (``run_trajectory``), so both are completed on first read, and
-    a NormDrift, UndefinedPhase or PhaseAliasing after that sample is raised
-    there, not by ``run_simulation``.
+    frequencies, and its ``gate``.  ``trajectory`` holds the run's output
+    samples up to t_max and ``theta`` the unwrapped composite phase at each
+    of their times.  The gate reads samples of its own (``run_trajectory``),
+    so both are computed on first read, and a NormDrift, UndefinedPhase or
+    PhaseAliasing that only they meet is raised there, not by
+    ``run_simulation``.
     """
 
     config: SimulationConfig
@@ -80,7 +87,7 @@ class SimulationResult:
         return self._run.theta
 
     def __reduce__(self):
-        # The run holds closures: a result pickles as its completed samples.
+        # The run holds closures: a result pickles as its output samples.
         return _result_of_samples, (self.config, self.gate, self.trajectory, self.theta)
 
 
@@ -88,94 +95,118 @@ def _result_of_samples(config, gate, trajectory, theta) -> SimulationResult:
     return SimulationResult(config, gate, SimpleNamespace(trajectory=trajectory, theta=theta))
 
 
-def sample_times(t_max: float, rate: float) -> np.ndarray:
-    """Uniform output grid advancing MAX_PHASE_PER_SAMPLE rad per sample at
-    ``rate`` (rad/s), within MIN_SAMPLES and MAX_SAMPLES.
+def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndarray:
+    """Uniform grid from 0 to t_max advancing MAX_PHASE_PER_SAMPLE rad per
+    sample at ``rate`` (rad/s), within ``least`` and MAX_SAMPLES samples.
 
     Static runs pass theta_rate, so at large r the grid follows theta and no
     longer resolves the Zeeman precession of the single amplitudes, which are
     still exact at each sample; driven runs pass the Hamiltonian scale.
     """
     n = np.ceil(t_max * rate / MAX_PHASE_PER_SAMPLE) + 1
-    return np.linspace(0.0, t_max, int(min(max(n, MIN_SAMPLES), MAX_SAMPLES)))
+    return np.linspace(0.0, t_max, int(min(max(n, least), MAX_SAMPLES)))
 
 
 def theta_rate(config, spectral):
-    """(rate, unresolved, m4) of theta on a static run, all from H's spectrum.
+    """(rate, unresolved, m2, m4) of theta on a static run, all from H's
+    spectrum: bounds on |theta'|, on the part of theta the gate's samples
+    need not resolve, on |theta''| of the rest and on |theta''''|.
 
-    theta turns at the dipolar rate 4 (g + J0) and beats at the
-    {|01>,|10>}-block frequency 2 sqrt(m2^2 + (g - 2 J0)^2); the Zeeman
-    terms cancel in c1 c4 conj(c2 c3).  The slow rate is the sum of the two.
-    An amplitude's eigencomponents further than that from the frequency of
-    its largest one (the -3g mixing of |00> and |11> across the Zeeman gap)
-    are off-resonant: with weights summing to ``leak`` against a lower bound
-    ``floor`` on the modulus of the rest, they add arg(1 + eps(t)) to theta
-    with |eps| <= leak / floor, which moves at most arcsin(leak / floor) rad
-    and at most sum(gap * weight) / (floor - leak) rad/s.  ``rate`` adds those
-    rates to the slow one, ``unresolved`` sums the amplitudes: the grid is
-    not asked to resolve that wiggle, the first-crossing scan allows for it.
-    When some leak is not below its floor the wiggle has no bound: the
-    rate is infinite, so the grid takes MAX_SAMPLES, and ``unresolved`` is
-    pi, so the scan covers every interval up to the first sampled crossing.
+    Each amplitude is c_j = exp(-i lam_top t) u_j with the exponential sum
+    u_j(t) = sum_k V_jk a_k exp(-i (lam_k - lam_top) t) about its largest
+    eigencomponent, top, whose n-th derivative is at most
+    D_n = sum_k weight_k gap_k^n in modulus and whose modulus is at least
+    2 weight_top - sum(weight).  theta = Im log z with z = c1 c4 conj(c2 c3),
+    so theta' is -(lam_top1 + lam_top4 - lam_top2 - lam_top3) plus a signed
+    sum of Im (log u_j)', each at most D_1 / (2 weight_top - sum(weight)):
+    ``rate`` sums their moduli.  It is never below the dipolar rate
+    4 |g + J0|, which H's spectrum no longer shows where J0 dwarfs the other
+    terms beyond float resolution (J0 = 1e300 rad/s): such a run is refused
+    with PhaseAliasing, not sampled as if theta stood still.
 
-    ``m4`` bounds |theta''''|, which sizes the cubic Hermite cells of the
-    first-crossing scan.  theta = Im log z with z = c1 c4 conj(c2 c3), so
-    theta'''' is a signed sum of Im (log c_j)''''.  Each amplitude is
-    c_j = exp(-i lam_top t) u_j with the exponential sum
-    u_j(t) = sum_k V_jk a_k exp(-i (lam_k - lam_top) t), whose n-th
-    derivative is at most D_n = sum_k weight_k gap_k^n in modulus and whose
-    modulus is at least floor - leak = 2 weight_top - sum(weight) > 0; the
-    factor in front drops out of every derivative of log c_j past the first.
-    Faa di Bruno's formula for log u,
+    theta turns at the dipolar rate and beats at the {|01>,|10>}-block
+    frequency 2 sqrt(d^2 + (g - 2 J0)^2), d the field difference term of
+    ``static_terms``; the Zeeman terms cancel in z.  An amplitude's
+    eigencomponents further than the sum of the two from top (the -3g
+    mixing of |00> and |11> across the Zeeman gap) are off-resonant: with
+    weights summing to ``leak`` against a lower bound ``floor`` on the
+    modulus of the near ones, they add arg(1 + eps(t)) to theta with
+    |eps| <= leak / floor, which moves at most arcsin(leak / floor) rad.
+    ``unresolved`` sums those amplitudes: the gate's grid is not asked to
+    resolve that wiggle, the first-crossing scan allows for it.  The rest,
+    the argument of the near part, has (log near)'' = near''/near -
+    (near'/near)^2, so ``m2`` sums Q_2 + Q_1^2 over the amplitudes, Q_n the
+    near components' D_n over ``floor``: between samples h apart theta
+    departs from their linear interpolation by at most h^2 m2 / 8 besides
+    the wiggle (``find_gate_time``).
+
+    ``m4`` sizes the cubic Hermite cells of the first-crossing scan.  The
+    factor in front of u_j drops out of every derivative of log c_j past the
+    first, and Faa di Bruno's formula for log u,
         (log u)'''' = u''''/u - (4 u' u''' + 3 u''^2)/u^2 + 12 u'^2 u''/u^3 - 6 (u'/u)^4,
-    then bounds each term by the D_n and floor - leak.  ``m4`` is infinite
-    when some floor - leak is not positive, and where the rate is.
+    bounds each term by the D_n and 2 weight_top - sum(weight).
+
+    An amplitude with no dominant eigencomponent, 2 weight_top <= sum(weight),
+    may pass near zero, where theta turns without bound: then ``rate``,
+    ``m2`` and ``m4`` are infinite, so the grid takes MAX_SAMPLES, and where
+    some leak is not below its floor ``unresolved`` is pi, so the scan
+    covers every interval up to the first sampled crossing.
     """
-    g, _, m2 = static_terms(config)
+    g, _, d = static_terms(config)
     j0 = config.J0
-    slow = 4 * abs(g + j0) + 2 * math.hypot(m2, g - 2 * j0)
+    slow = 4 * abs(g + j0) + 2 * math.hypot(d, g - 2 * j0)
     v, lam = spectral.eigenvectors, spectral.eigenvalues.tolist()
-    rate, unresolved, m4 = slow, 0.0, 0.0
-    for weight in np.abs(v * (config.initial_state @ v.conj())).tolist():  # |V_jk a_k|
+    turn, rate, unresolved, m2, m4 = 0.0, 0.0, 0.0, 0.0, 0.0
+    weights = np.abs(v * (config.initial_state @ v.conj())).tolist()  # |V_jk a_k|
+    for sign, weight in zip((1, -1, -1, 1), weights):
         top = max(range(4), key=weight.__getitem__)
+        turn += sign * lam[top]
         gap = [abs(x - lam[top]) for x in lam]
-        off = [k for k in range(4) if gap[k] > slow]
-        leak = sum(weight[k] for k in off)
+        leak = sum(w for w, x in zip(weight, gap) if x > slow)
         floor = 2 * weight[top] - (sum(weight) - leak)
         if leak and leak >= floor:
-            return math.inf, math.pi, math.inf
+            return math.inf, math.pi, math.inf, math.inf
+        if leak:
+            unresolved += math.asin(leak / floor)
         u = floor - leak
         if u <= 0:
-            m4 = math.inf
-        else:
-            # q_n = D_n / u by products, not powers: a float product beyond
-            # the floats reads inf, and a zero weight keeps its terms at zero.
-            q1 = q2 = q3 = q4 = 0.0
-            for w, x in zip(weight, gap):
-                w = w * x / u
-                q1 += w
-                w *= x
-                q2 += w
-                w *= x
-                q3 += w
-                q4 += w * x
-            m4 += q4 + 4 * q1 * q3 + 3 * q2 * q2 + 12 * q1 * q1 * q2 + 6 * q1 * q1 * q1 * q1
-        if leak:
-            rate += sum(gap[k] * weight[k] for k in off) / (floor - leak)
-            unresolved += math.asin(leak / floor)
-    return rate, unresolved, m4
+            rate = m2 = m4 = math.inf
+            continue
+        # q_n = D_n / u and p_n, the near components' D_n over floor, by
+        # products, not powers: a float product beyond the floats reads inf,
+        # and a zero weight keeps its terms at zero.
+        q1 = q2 = q3 = q4 = p1 = p2 = 0.0
+        for w, x in zip(weight, gap):
+            if x <= slow:
+                p = w * x / floor
+                p1 += p
+                p2 += p * x
+            w = w * x / u
+            q1 += w
+            w *= x
+            q2 += w
+            w *= x
+            q3 += w
+            q4 += w * x
+        rate += q1
+        m2 += p2 + p1 * p1
+        m4 += q4 + 4 * q1 * q3 + 3 * q2 * q2 + 12 * q1 * q1 * q2 + 6 * q1 * q1 * q1 * q1
+    return max(abs(turn) + rate, 4 * abs(g + j0)), unresolved, m2, m4
 
 
 class TrajectoryEvaluator:
-    """One propagated run, its unwrapped theta at each of ``trajectory.times``,
-    and continuous theta(t) / psi(t) between its samples.
+    """One propagated run: the samples the gate reads, theta unwrapped at
+    each of them, and continuous theta(t) / psi(t) between them; and the
+    run's output, ``trajectory`` to t_max and ``theta`` at its times.
 
-    ``trajectory`` and ``theta`` are the run's to t_max.  A driven run's
-    Magnus pass, ``magnus``, may have stopped before the end: the evaluator
-    then holds the samples up to where it stopped, and the first read of
-    ``trajectory`` or ``theta`` completes the pass and unwraps theta over the
-    rest; a failure there is raised at every read.  ``states_at`` and
-    ``theta_at`` use the samples at hand.
+    The gate's samples, ``_samples`` and ``_theta``, are a static run's
+    grid sized for the gate, or a driven run's Magnus pass up to where it
+    stopped (``run_trajectory``).  ``finish()`` gives the output as
+    (trajectory, theta): the static output grid propagated and unwrapped,
+    or the driven pass completed to t_max.  It runs on the first read of
+    ``trajectory`` or ``theta``, and a failure there is raised at every
+    read.  ``states_at`` and ``theta_at`` use the gate's samples, before and
+    after that read alike.
 
     ``carry(psi, t0, t1)`` carries states psi[j] from the times t0[j] to
     t1[j]: exactly with the run's SpectralPropagator for a static run, by RK4
@@ -191,39 +222,39 @@ class TrajectoryEvaluator:
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``scan_step``, 0.05 rad at the run's Hamiltonian scale, is the narrowest
     cell find_gate_time's scan for crossings between samples splits;
-    ``unresolved`` bounds the part of theta the sample grid does not resolve,
-    and ``m4`` bounds |theta''''| (infinite where there is no bound).
+    ``unresolved`` bounds the part of theta the samples do not resolve,
+    ``m2`` |theta''| of the rest and ``m4`` |theta''''|, each infinite where
+    there is no bound.
     """
 
-    def __init__(self, config, trajectory, theta, scan_step, unresolved, m4, carry, apply_h, magnus):
+    def __init__(self, config, samples, theta, scan_step, unresolved, m2, m4, carry, apply_h, finish):
         self.config = config
-        self._samples = trajectory
+        self._samples = samples
         self._theta = theta
-        self._magnus = magnus
+        self._finish = finish
+        self._output = None
         self.scan_step = scan_step
         self.unresolved = unresolved
+        self.m2 = m2
         self.m4 = m4
         self.carry = carry
         self.apply_h = apply_h
-        self.theta0 = float(composite_angle(trajectory.states[0]))
+        self.theta0 = float(composite_angle(samples.states[0]))
         # The latest evaluated times and their states; before any, the first sample.
-        self._last = trajectory.times[:1], trajectory.states[:1]
+        self._last = samples.times[:1], samples.states[:1]
 
     @property
     def trajectory(self) -> Trajectory:
-        self._complete()
-        return self._samples
+        return self._complete()[0]
 
     @property
     def theta(self) -> np.ndarray:
-        self._complete()
-        return self._theta
+        return self._complete()[1]
 
     def _complete(self):
-        if self._magnus is not None:
-            self._magnus.advance(self._magnus.total)
-            self._theta = _unwrap_new_samples(self._magnus, self._theta)
-            self._samples, self._magnus = self._magnus.trajectory, None
+        if self._output is None:
+            self._output = self._finish()
+        return self._output
 
     def states_at(self, times) -> np.ndarray:
         """psi at each of ``times``, carried from its nearest earlier sample."""
@@ -291,20 +322,26 @@ def _run_to_first_crossing(magnus) -> np.ndarray:
 
 
 def run_trajectory(config) -> TrajectoryEvaluator:
-    """Validate, propagate and unwrap; the returned evaluator holds the run.
+    """Validate, propagate and unwrap what the gate reads; the returned
+    evaluator holds the run and computes its output when that is read.
 
     The static Hamiltonian is built and diagonalized once per run, and a
-    driven run's drive is at ``config.resonances``.  A static run raises
-    PhaseAliasing if MAX_SAMPLES samples cannot hold theta's per-sample step
-    below MAX_THETA_STEP over the horizon, and is propagated to t_max.  A
-    driven run takes ``magnus_steps`` Magnus steps per sample interval, set
-    by the drive and the fitted error of the step rather than by the Zeeman
-    precession: one or two on the benchmark's driven points.  Its pass
-    stops just past the first sampled crossing (``_run_to_first_crossing``),
-    which is all the gate needs; the evaluator completes it when its
-    ``trajectory`` or ``theta`` is first read, so that a NormDrift,
-    UndefinedPhase or PhaseAliasing after that sample is raised there.
-    MAX_STEPS bounds the whole run, before any step.  Gate-time refinement
+    driven run's drive is at ``config.resonances``.  A static run samples
+    the gate on a grid with no MIN_SAMPLES floor, from 0 to t_max, whose
+    spacing h keeps theta's step within MAX_PHASE_PER_SAMPLE at the bound
+    ``rate`` of ``theta_rate`` and the interpolation error h^2 m2 / 8 of its
+    resolved part within MARGIN_TARGET; it raises PhaseAliasing if
+    MAX_SAMPLES samples cannot hold theta's step below MAX_THETA_STEP.  Its
+    output is the MIN_SAMPLES-floored grid at ``rate``, propagated and
+    unwrapped when the evaluator's ``trajectory`` or ``theta`` is first
+    read.  A driven run takes ``magnus_steps`` Magnus steps per sample
+    interval, set by the drive and the fitted error of the step rather than
+    by the Zeeman precession: one or two on the benchmark's driven points.
+    Its pass stops just past the first sampled crossing
+    (``_run_to_first_crossing``), which is all the gate needs, and is
+    completed on that read.  So a NormDrift, UndefinedPhase or
+    PhaseAliasing that only the output meets is raised there.  MAX_STEPS
+    bounds the whole driven run, before any step.  Gate-time refinement
     scans in cells no narrower than ``scan_step``, MAX_PHASE_PER_STEP rad at
     the Hamiltonian scale, but around the crossing, and refines, both
     through the evaluator's ``theta_at``.  The mode also picks, once, the
@@ -320,18 +357,25 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     scan_step = MAX_PHASE_PER_STEP / scale
     spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
-        unresolved, m4 = 0.0, math.inf
+        unresolved, m2, m4 = 0.0, math.inf, math.inf
         times = sample_times(cfg.t_max, scale)
         magnus = MagnusPass(spectral, cfg, times, magnus_steps(cfg, scale, times))
         theta = _run_to_first_crossing(magnus)
         traj = magnus.trajectory
+
+        def finish():
+            magnus.advance(magnus.total)
+            return magnus.trajectory, _unwrap_new_samples(magnus, theta)
+
         hfun = time_dependent_hamiltonian(cfg, h0)
         step = DEFAULT_STEP_SAFETY * scan_step
         carry = lambda psi, t0, t1: rk4_spans(hfun, psi, t0, t1, step)  # noqa: E731
         apply_h = lambda t, psi: (hfun(t) @ psi[..., None])[..., 0]  # noqa: E731
     else:
-        rate, unresolved, m4 = theta_rate(cfg, spectral)
-        times = sample_times(cfg.t_max, rate)
+        rate, unresolved, m2, m4 = theta_rate(cfg, spectral)
+        # m2 is infinite only where the rate is, which asks for MAX_SAMPLES.
+        pace = max(rate, MAX_PHASE_PER_SAMPLE * math.sqrt(m2 / (8 * MARGIN_TARGET)))
+        times = sample_times(cfg.t_max, pace, least=2)
         theta_step = rate * times[1]
         if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
             raise PhaseAliasing(
@@ -340,19 +384,24 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 "shorten t_max"
             )
         traj = propagate_static(spectral, cfg.initial_state, times)
-        theta, magnus = unwrap_phases(traj), None
+        theta = unwrap_phases(traj)
+
+        def finish():
+            output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, rate))
+            return output, unwrap_phases(output)
+
         carry = lambda psi, t0, t1: spectral.evolve(psi, t1 - t0)  # noqa: E731
         # One product for all times, C-contiguous as in SpectralPropagator.
         h0_t = np.ascontiguousarray(h0.T)
         apply_h = lambda t, psi: psi @ h0_t  # noqa: E731
-    return TrajectoryEvaluator(cfg, traj, theta, scan_step, unresolved, m4, carry, apply_h, magnus)
+    return TrajectoryEvaluator(cfg, traj, theta, scan_step, unresolved, m2, m4, carry, apply_h, finish)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
     run = run_trajectory(config)
-    traj = run._samples  # up to where a driven pass stopped
-    tau = find_gate_time(traj.times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m4)
+    traj = run._samples  # the samples the gate reads
+    tau = find_gate_time(traj.times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
     t_last, psi_last = run._last  # the latest evaluated times and their states
     psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].

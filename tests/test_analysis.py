@@ -161,7 +161,7 @@ def newton_calls(times, theta, theta_fn, scan_step, unresolved, m4=math.inf):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_scan", recording_scan)
-        return find_gate_time(times, theta, recording, scan_step, unresolved, m4), calls
+        return find_gate_time(times, theta, recording, scan_step, unresolved, math.inf, m4), calls
 
 
 class TestFindGateTime:
@@ -173,7 +173,7 @@ class TestFindGateTime:
     def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0, m4=math.inf):
         """find_gate_time on the samples ``series`` = (times, theta) with
         ``theta`` and ``rate`` as its evaluator."""
-        return find_gate_time(*series, evaluator(theta, rate), scan_step, unresolved, m4)
+        return find_gate_time(*series, evaluator(theta, rate), scan_step, unresolved, math.inf, m4)
 
     def test_linear_crossing(self):
         tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t, lambda t: -np.pi / 0.4)
@@ -214,7 +214,7 @@ class TestFindGateTime:
             batches.append(t)
             return graze_theta(t), np.broadcast_to(graze_rate(t), np.shape(t))
 
-        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, 0.0, m4)
+        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, 0.0, math.inf, m4)
         first = batches[0]
         assert np.all(np.abs(graze_theta(first[first < 0.7])) < np.pi)
         assert abs(graze_theta(tau) + np.pi) <= PHASE_TOL
@@ -260,7 +260,7 @@ class TestFindGateTime:
             return point(t)
 
         times = np.linspace(0, 1.0, 101)
-        tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0, math.inf)
+        tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0, math.inf, math.inf)
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
     def test_samples_past_the_one_after_the_crossing_are_not_read(self):
@@ -283,7 +283,7 @@ class TestFindGateTime:
                 batches.append(t.copy())
                 return theta(t), np.broadcast_to(rate(t), np.shape(t))
 
-            runs.append((find_gate_time(*series, recording, 1e-2, 1e-3, math.inf), batches))
+            runs.append((find_gate_time(*series, recording, 1e-2, 1e-3, math.inf, math.inf), batches))
         for tau, batches in runs[1:]:
             assert tau == runs[0][0]
             assert len(batches) == len(runs[0][1])

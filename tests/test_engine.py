@@ -12,7 +12,7 @@ import pytest
 import buckygate
 from buckygate import analysis, engine, propagator
 from buckygate.analysis import PHASE_TOL, _scan_margin, find_gate_time, unwrap_phases
-from buckygate.config import SimulationConfig
+from buckygate.config import SimulationConfig, validate
 from buckygate.engine import (
     TrajectoryEvaluator,
     run_simulation,
@@ -239,7 +239,7 @@ def test_driven_gate_does_not_depend_on_the_trajectory_read(bz, bl, t_max):
     after.trajectory
     assert after.gate == gate
     run = run_trajectory(config)
-    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.unresolved, run.m4)
+    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
     assert tau == gate.tau
 
 
@@ -268,13 +268,66 @@ def test_completed_trajectory_extends_the_samples_the_gate_used(monkeypatch):
 
 @pytest.mark.parametrize("overrides", [{}, dict(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)])
 def test_result_pickles_with_its_whole_trajectory(overrides):
+    # Pickled before its trajectory is read: the copy holds the output grid,
+    # at least MIN_SAMPLES samples, not the gate's.
     result = run_simulation(reference_config(**overrides))
     copy = pickle.loads(pickle.dumps(result))
+    assert len(copy.trajectory.times) >= engine.MIN_SAMPLES > len(result._run._samples.times)
     assert pickle.dumps(copy.config) == pickle.dumps(result.config)
     assert copy.gate == result.gate
     np.testing.assert_array_equal(copy.trajectory.times, result.trajectory.times)
     np.testing.assert_array_equal(copy.trajectory.states, result.trajectory.states)
     np.testing.assert_array_equal(copy.theta, result.theta)
+
+
+def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
+    # The gate reads a grid sized by theta's bounds, with no MIN_SAMPLES
+    # floor; the output grid is propagated and unwrapped on the first read
+    # of the trajectory, once.
+    lengths = []
+    propagate = engine.propagate_static
+
+    def recording(spectral, psi0, times):
+        lengths.append(len(times))
+        return propagate(spectral, psi0, times)
+
+    monkeypatch.setattr(engine, "propagate_static", recording)
+    result = run_simulation(reference_config())
+    assert len(lengths) == 1 and lengths[0] < 100
+    result.trajectory
+    result.theta
+    assert lengths[1:] == [engine.MIN_SAMPLES]
+
+
+def test_static_output_does_not_depend_on_the_gate_grid():
+    # README's example: the trajectory read is the exact solution on the
+    # MIN_SAMPLES grid at theta's rate and its unwrapped theta, bit for bit,
+    # whatever grid the gate read.
+    run = run_trajectory(reference_config())
+    times = np.linspace(0.0, 1.2e-8, engine.MIN_SAMPLES)
+    expected = propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times)
+    assert len(run._samples.times) < len(times)
+    np.testing.assert_array_equal(run.trajectory.times, times)
+    np.testing.assert_array_equal(run.trajectory.states, expected.states)
+    np.testing.assert_array_equal(run.theta, unwrap_phases(expected))
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(), reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)],
+    ids=["static", "driven"],
+)
+def test_theta_at_does_not_change_when_the_trajectory_is_read(config):
+    # theta_at reads the gate's samples before and after the output is
+    # computed, so it gives the same bits, here around the gate.
+    run = run_trajectory(config)
+    tau = run_simulation(config).gate.tau
+    times = tau * np.linspace(0.5, 1.0, 17)
+    before = run.theta_at(times)
+    run.trajectory
+    after = run.theta_at(times)
+    for a, b in zip(before, after):
+        assert np.array_equal(a, b)
 
 
 _FAULTS_PER_SOLVE = """
@@ -503,7 +556,29 @@ GRAZING_INPUTS = {
             ]
         ),
     ),
+    # static-far seed 2, input 130: theta passes -pi by up to 6.3e-5 rad
+    # from 2.81453 to 2.81466 us and turns back.  On the 34 samples theta's
+    # rate alone asks for, a margin estimated from the sampled second
+    # differences misses that and gives 2.8147 us; the bound h^2 m2 / 8
+    # does not.
+    "far-sampled-margin": dict(
+        r=6.64092994189384e-09,
+        Bz1=0.0705203621610508,
+        Bz2=0.0705203621610508,
+        Bg1=0.00010424895111771364,
+        Bg2=-0.00010424895111771364,
+        t_max=4.714770152010997e-06,
+        initial_state=np.array(
+            [
+                0.35724526304823767 + 0.25760741435640344j,
+                -0.15425349914133477 + 0.47186676425223667j,
+                -0.15425349914133477 + 0.47186676425223667j,
+                -0.5595475272512506 - 0.004004552256040968j,
+            ]
+        ),
+    ),
 }
+GRAZING_IDS = [f"grazing-{name}" for name in GRAZING_INPUTS]
 
 
 # A static input on which the exact theta passes -pi by 2.45e-5 rad for
@@ -532,7 +607,7 @@ SHORT_EXCURSION = dict(
     [reference_config(r=8e-9, t_max=1.2e-5)]
     + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
     + [SimulationConfig(**SHORT_EXCURSION)],
-    ids=["r=8nm", "grazing-far", "grazing-near", "short-excursion"],
+    ids=["r=8nm"] + GRAZING_IDS + ["short-excursion"],
 )
 def test_gate_time_is_first_exact_crossing(config):
     # tau meets analysis.PHASE_TOL on the exact theta, and the exact theta
@@ -604,7 +679,7 @@ BOUND_INPUTS = (
     + [c for seed in (1, 2, 3) for c in benchmark_like_configs(seed, 0.9e-9, 1.5e-9)]
     + [c for seed in (1, 2, 3) for c in benchmark_like_configs(seed, 3e-9, 12e-9)]
 )
-BOUND_IDS = ["reference", "12nm", "grazing-far", "grazing-near"] + [
+BOUND_IDS = ["reference", "12nm"] + GRAZING_IDS + [
     f"{kind}-{seed}-{k}" for kind in ("near", "far") for seed in (1, 2, 3) for k in range(2)
 ]
 
@@ -624,6 +699,47 @@ def test_fourth_derivative_bound_holds(config):
     peak = np.max(np.abs(exact_theta_fourth_derivative(run.config, times)))
     assert np.isfinite(run.m4)
     assert peak <= run.m4 <= 4 * peak
+
+
+def exact_theta_rate(config, times):
+    """theta' at ``times`` from the exponential sums of the amplitudes:
+    theta = Im log(c1 c4 conj(c2 c3)), so theta' = Im sum_j +/- c_j' / c_j."""
+    eigenvalues, v = np.linalg.eigh(build_static(config))
+    coef = v.conj().T @ config.initial_state
+    total = np.zeros(len(times))
+    for j, sign in enumerate((1, -1, -1, 1)):
+        terms = np.exp(-1j * np.outer(times, eigenvalues)) * (v[j] * coef)
+        total += sign * ((terms @ (-1j * eigenvalues)) / terms.sum(axis=1)).imag
+    return total
+
+
+def independent_spin_configs():
+    """The six draws of test_independent_spins_do_not_share_gate_time."""
+    rng = np.random.default_rng(31)
+    configs = []
+    for _ in range(6):
+        q1 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        q2 = rng.normal(size=2) + 1j * rng.normal(size=2)
+        product = np.kron(q1 / np.linalg.norm(q1), q2 / np.linalg.norm(q2))
+        configs.append(reference_config(initial_state=product, t_max=6e-8))
+    return configs
+
+
+@pytest.mark.parametrize(
+    "config",
+    independent_spin_configs() + [reference_config()] + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()],
+    ids=[f"independent-{k}" for k in range(6)] + ["reference"] + GRAZING_IDS,
+)
+def test_rate_bounds_theta_rate(config):
+    # engine.theta_rate's rate bounds |theta'| over the whole horizon, taken
+    # exactly on a dense grid of 16 points per period of the largest
+    # eigenvalue gap: the static gate grid, with no MIN_SAMPLES floor,
+    # relies on it to keep theta's per-sample step within the unwrap bound.
+    config = validate(config)
+    rate = engine.theta_rate(config, SpectralPropagator(build_static(config)))[0]
+    period = 2 * np.pi / np.ptp(np.linalg.eigvalsh(build_static(config)))
+    times = np.arange(0.0, config.t_max, period / 16)
+    assert np.max(np.abs(exact_theta_rate(config, times))) <= rate
 
 
 def test_scan_at_12nm_takes_few_points_and_calls(monkeypatch):
@@ -875,15 +991,17 @@ def test_edge_inputs_find_first_exact_crossing(overrides):
     [reference_config(), reference_config(r=8e-9, t_max=1.2e-5)]
     + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
     + [reference_config(**fields) for fields in EDGE_INPUTS.values()],
-    ids=["reference", "r=8nm", "grazing-far", "grazing-near"] + list(EDGE_INPUTS),
+    ids=["reference", "r=8nm"] + GRAZING_IDS + list(EDGE_INPUTS),
 )
 def test_scan_margin_bounds_theta_between_samples(config):
     # The first-crossing scan skips the times where the linear interpolation
     # of the sampled theta stays further than the scan margin from the level;
-    # the exact theta must not leave that band around the interpolation.
+    # the exact theta must not leave that band around the interpolation of
+    # the samples the gate reads, with the margin find_gate_time takes.
     run = run_trajectory(config)
-    times, theta = run.trajectory.times, run.theta
-    margin = _scan_margin(theta, run.unresolved)
+    times, theta = run._samples.times, run._theta
+    assert np.isfinite(run.m2)
+    margin = _scan_margin(times, theta, run.unresolved, run.m2)
     dense = np.linspace(0.0, times[-1], 400_001)
     exact = exact_theta(run.config, dense)
     assert np.max(np.abs(exact - np.interp(dense, times, theta))) <= margin
