@@ -66,10 +66,9 @@ class GateResult:
     correction_phases: tuple  # (s1_0, s1_1, s2_0, s2_1) in rad
 
 
-def composite_angle(states) -> np.ndarray:
+def composite_angle(c: np.ndarray) -> np.ndarray:
     """Arg(c1 c4 conj(c2 c3)) in [-pi, pi] for each state of a (..., 4) array."""
-    c = np.asarray(states)
-    return np.angle(c[..., 0] * c[..., 3] * np.conj(c[..., 1] * c[..., 2]))
+    return np.angle(c[..., 0] * c[..., 3] * (c[..., 1] * c[..., 2]).conj())
 
 
 def unwrap_phases(traj: Trajectory, start: float = 0.0) -> np.ndarray:
@@ -86,23 +85,24 @@ def unwrap_phases(traj: Trajectory, start: float = 0.0) -> np.ndarray:
     per-sample step of theta exceeds MAX_THETA_STEP.
     """
     amps = np.abs(traj.states)
-    if np.min(amps) < AMP_FLOOR:
-        i, j = np.unravel_index(np.argmin(amps), amps.shape)
+    if amps.min() < AMP_FLOOR:
+        i, j = np.unravel_index(amps.argmin(), amps.shape)
         raise UndefinedPhase(
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
             "Arg is undefined at vanishing amplitude"
         )
     # Each step of the argument taken to [-pi, pi], then summed from theta[0].
-    steps = np.diff(composite_angle(traj.states))
+    angles = composite_angle(traj.states)
+    steps = angles[1:] - angles[:-1]
     steps -= 2 * np.pi * np.rint(steps / (2 * np.pi))
-    if np.max(np.abs(steps), initial=0.0) > MAX_THETA_STEP:
-        k = int(np.argmax(np.abs(steps)))
+    if np.abs(steps).max(initial=0.0) > MAX_THETA_STEP:
+        k = int(np.abs(steps).argmax())
         raise PhaseAliasing(
             f"theta steps by {abs(steps[k]):.3f} rad between the samples at "
             f"t={traj.times[k]:.6e} s and t={traj.times[k + 1]:.6e} s, above the "
             f"unwrap bound {MAX_THETA_STEP:.3f} rad; shorten t_max"
         )
-    return np.cumsum(np.concatenate([[start], steps]))
+    return np.concatenate(([start], steps)).cumsum()
 
 
 def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m2: float, m4: float) -> float:
@@ -154,13 +154,13 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     of the series; its message gives theta at the final sample.
     """
     level = math.pi
-    hit = np.flatnonzero(np.abs(theta) >= level)
-    if len(hit) == 0:
+    past = np.abs(theta) >= level
+    i = int(past.argmax())
+    if not past[i]:
         raise NoCrossing(
             f"theta stayed in (-{level:.6f}, {level:.6f}) up to "
             f"t={times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)"
         )
-    i = hit[0]
     if i == 0:
         return float(times[0])
     margin = _scan_margin(times[: i + 2], theta[: i + 2], unresolved, m2)
@@ -212,9 +212,9 @@ def _scan_margin(times, theta, unresolved, m2):
     difference of the samples, an estimate of it.
     """
     if math.isfinite(m2):
-        h = float(np.max(np.diff(times), initial=0.0))
+        h = float((times[1:] - times[:-1]).max(initial=0.0))
         return 2 * unresolved + h * h * m2 / 8
-    return 2 * unresolved + 0.5 * np.max(np.abs(np.diff(theta, 2)), initial=0.0)
+    return 2 * unresolved + 0.5 * np.abs(np.diff(theta, 2)).max(initial=0.0)
 
 
 def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
@@ -234,14 +234,16 @@ def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
     band holds the sampled crossing: it is cut at once into cells of the
     width ``fine`` that the crossing's cell is cut to (where the root of the
     cubic meets PHASE_TOL by the bound) when that costs at most CALL_POINTS
-    more points, which saves a round.  The cell ends are evaluated in time
-    order, at most SCAN_BATCH points per call of ``theta_fn``, and the cells
-    of each batch are searched before the next batch is evaluated.  Raises
-    OutOfRange if the cell ends number more than MAX_SCAN_POINTS.
+    more points, which saves a round.  The cell ends of all bands are laid
+    out once, less each end the next does not follow (the earlier copy of a
+    time two bands share), and evaluated in time order, at most SCAN_BATCH
+    points per call of ``theta_fn``; the cells of each batch are searched
+    before the next batch is evaluated.  Raises OutOfRange, before any
+    evaluation, if the cell ends number more than MAX_SCAN_POINTS.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
-    rows = np.flatnonzero(near[:-1] | near[1:]).tolist()
+    rows = (near[:-1] | near[1:]).nonzero()[0].tolist()
     # The last band holds the sampled crossing; cells of the width the
     # crossing's cell is cut to cost fewer points there than a round of cuts.
     fine = (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
@@ -272,31 +274,29 @@ def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
         cells.append(max(math.ceil(width[-1] / size), 1))
     if width[-1] / fine <= cells[-1] + CALL_POINTS:
         cells[-1] = max(math.ceil(width[-1] / fine), cells[-1])
-    start, width, cells = np.array(start), np.array(width), np.array(cells, float)
-    first = np.concatenate([[0], np.cumsum(cells + 1)])  # per band
-    if not first[-1] <= MAX_SCAN_POINTS:
+    total = sum(cells) + len(cells)
+    if not total <= MAX_SCAN_POINTS:
         raise OutOfRange(
-            f"the first-crossing scan needs {first[-1]:.3g} points at a {scan_step:.3e} s "
+            f"the first-crossing scan needs {total:.3g} points at a {scan_step:.3e} s "
             f"spacing, above {MAX_SCAN_POINTS}"
         )
-    first = first.astype(int)
-    widest = float((width / cells).max())
+    widest = max(w / n for w, n in zip(width, cells))
+    # Each band's cell ends, begin + width (k / n) for k = 0 .. n; a band's
+    # cell starts at each but its last.
+    steps = np.arange(max(cells) + 1.0)
+    points = np.concatenate([b + w * (steps[: n + 1] / n) for b, w, n in zip(start, width, cells)])
+    inner = np.concatenate([steps[: n + 1] < n for n in cells])
+    # Adjacent bands can share the sample between them; the later copy
+    # starts the next cell.
+    keep = np.concatenate((points[1:] > points[:-1], [True]))
+    points, inner = points[keep], inner[keep]
     # Batches overlap by one point, so that every cell lies in one of them.
-    for k in range(0, first[-1], SCAN_BATCH):
-        index = np.arange(max(k - 1, 0), min(k + SCAN_BATCH, first[-1]))
-        band = np.searchsorted(first, index, side="right") - 1
-        step = index - first[band]
-        points = start[band] + width[band] * (step / cells[band])
-        inner = step < cells[band]  # a band's cell starts at the point
-        # Adjacent bands can share the sample between them; the later copy
-        # starts the next cell.
-        keep = np.ones(len(points), bool)
-        keep[:-1] = points[1:] > points[:-1]
-        points, inner = points[keep], inner[keep]
-        values, rates = theta_fn(points)
+    for k in range(0, len(points), SCAN_BATCH):
+        batch, open_ = points[max(k - 1, 0) : k + SCAN_BATCH], inner[max(k - 1, 0) : k + SCAN_BATCH]
+        values, rates = theta_fn(batch)
         if abs(values[0]) >= level:  # the scan margin did not hold
-            return times[rows[0]], points[0], theta[rows[0]], values[0], math.nan, rates[0]
-        cells_near = _near_cells(points, values, rates, inner[:-1], level, widest, m4)
+            return times[rows[0]], batch[0], theta[rows[0]], values[0], math.nan, rates[0]
+        cells_near = _near_cells(batch, values, rates, open_[:-1], level, widest, m4)
         bracket = _first_crossing(cells_near, level, theta_fn, scan_step, m4, fine)
         if bracket is not None:
             return bracket
@@ -317,18 +317,19 @@ def _near_cells(t, v, r, open_, level, widest, m4):
     crossing.
     """
     size = np.abs(v)
-    h = t[1:] - t[:-1]
-    d = v[1:] - v[:-1]
-    bend = np.maximum(np.abs(r[:-1] * h - d), np.abs(r[1:] * h - d))
-    # Products, not a power: beyond the floats reads inf.
-    err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
-    near = ~(np.maximum(size[:-1], size[1:]) + bend / 4 < level - err) & open_
     past = size >= level
     k = int(past.argmax())
-    found = np.flatnonzero(near[: k - 1] if past[k] else near).tolist()
+    n = k + 1 if past[k] else len(v)  # the cells up to the first end past the level
+    h = t[1:n] - t[: n - 1]
+    d = v[1:n] - v[: n - 1]
+    bend = np.maximum(np.abs(r[: n - 1] * h - d), np.abs(r[1:n] * h - d))
+    # Products, not a power: beyond the floats reads inf.
+    err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
+    near = ~(np.maximum(size[: n - 1], size[1:n]) + bend / 4 < level - err) & open_[: n - 1]
     if past[k]:
-        found.append(k - 1)
-    return [(*map(float, (t[i], t[i + 1], v[i], v[i + 1], r[i], r[i + 1])), bool(open_[i])) for i in found]
+        near[-1] = True  # the cell of the first end past the level
+    found = near.nonzero()[0].tolist()
+    return [(*t[i : i + 2].tolist(), *v[i : i + 2].tolist(), *r[i : i + 2].tolist(), bool(open_[i])) for i in found]
 
 
 def _first_crossing(cells, level, theta_fn, scan_step, m4, fine):
@@ -449,14 +450,14 @@ def concurrence(psi):
     (result: an array of n values).
     """
     c = np.asarray(psi, dtype=complex)
-    nrm2 = np.sum(np.abs(c) ** 2, axis=-1)
-    if np.any(nrm2 < AMP_FLOOR**2):
+    nrm2 = (np.abs(c) ** 2).sum(axis=-1)
+    if (nrm2 < AMP_FLOOR**2).any():
         raise ZeroState("cannot compute concurrence of the zero state")
     # c2 c3 - c1 c4 and its modulus in real arithmetic: numpy's vectorized
     # complex multiply and abs round differently from its scalar ones, and
     # this form gives every state the same bits whether passed alone or in
-    # an array.
-    a, b = np.moveaxis(c.real, -1, 0), np.moveaxis(c.imag, -1, 0)
+    # an array.  a[k] and b[k] are the real and imaginary parts of c_(k+1).
+    a, b = c.real.T, c.imag.T
     re = (a[1] * a[2] - b[1] * b[2]) - (a[0] * a[3] - b[0] * b[3])
     im = (a[1] * b[2] + b[1] * a[2]) - (a[0] * b[3] + b[0] * a[3])
     value = 2 * np.hypot(re, im) / nrm2

@@ -79,17 +79,19 @@ def validate(config: SimulationConfig) -> SimulationConfig:
         value = getattr(config, name)
         if not math.isfinite(value):
             violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
+    psi = np.asarray(config.initial_state, dtype=complex)
+    # r**3 overflows to inf or underflows to 0, fields of about 1e300 T
+    # overflow the Zeeman terms, amplitudes of about 1e155 the norm.
+    with np.errstate(all="ignore"):
+        g = dipole_coupling(np.float64(config.r)) if 0 < config.r < math.inf else None
+        m1, m2 = zeeman_terms(config)
+        nrm = np.linalg.norm(psi)
     if config.r <= 0:
         violations.append(ConfigErrorItem(f"r must be > 0, got {config.r}"))
-    elif math.isfinite(config.r):
-        with np.errstate(all="ignore"):  # r**3 overflows to inf or underflows to 0
-            g = dipole_coupling(np.float64(config.r))
-        if not 0 < g < math.inf:
-            violations.append(
-                ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
-            )
-    with np.errstate(all="ignore"):  # fields of about 1e300 T overflow them
-        m1, m2 = zeeman_terms(config)
+    elif g is not None and not 0 < g < math.inf:
+        violations.append(
+            ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
+        )
     fields = ("Bz1", "Bg1", "Bz2", "Bg2")
     if not (math.isfinite(m1) and math.isfinite(m2)) and all(
         math.isfinite(getattr(config, name)) for name in fields
@@ -110,20 +112,17 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     if config.mode not in MODES:
         violations.append(ConfigErrorItem(f"mode must be one of {MODES}, got {config.mode!r}"))
 
-    psi = np.asarray(config.initial_state, dtype=complex)
     if psi.shape != (4,):
         violations.append(ConfigErrorItem(f"initial_state must have 4 amplitudes, got shape {psi.shape}"))
         psi = default_initial_state()
-    elif not np.all(np.isfinite(psi)):
+    elif not np.isfinite(psi).all():
         for k in np.flatnonzero(~np.isfinite(psi)).tolist():
             violations.append(
                 ConfigErrorItem(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
             )
     else:
-        with np.errstate(over="ignore"):
-            nrm = np.linalg.norm(psi)
         if not math.isfinite(nrm):  # |c|^2 overflows: scale by the largest |c| first
-            psi = psi / np.max(np.abs(psi))
+            psi = psi / np.abs(psi).max()
             nrm = np.linalg.norm(psi)
         if nrm < RENORMALIZABLE_TOL:
             violations.append(
@@ -135,11 +134,9 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     if violations:
         raise ConfigError(violations)
 
-    changes = {"initial_state": psi}
     if config.mode == "static":
-        changes["Bl1"] = 0.0
-        changes["Bl2"] = 0.0
-    return config.replace(**changes)
+        return config.replace(initial_state=psi, Bl1=0.0, Bl2=0.0)
+    return config.replace(initial_state=psi)
 
 
 # --- plain-text config files -------------------------------------------------

@@ -213,7 +213,8 @@ class TrajectoryEvaluator:
     from each time's own sample for a driven one.  ``states_at`` carries each
     time from its nearest earlier sample, and every state the evaluator gives
     comes from it.  ``theta_at`` gives theta and its rate at an array of
-    times, for find_gate_time's scan rounds and one-time Newton steps alike.
+    times, for find_gate_time's scan rounds and one-time Newton steps alike,
+    and keeps the latest evaluation, where run_simulation reads tau's.
     theta is the argument of c1 c4 conj(c2 c3) aligned to the nearest branch
     of the linearly interpolated sampled theta, which is safe because
     per-sample theta increments stay below MAX_THETA_STEP.  Its rate
@@ -240,8 +241,8 @@ class TrajectoryEvaluator:
         self.carry = carry
         self.apply_h = apply_h
         self.theta0 = float(composite_angle(samples.states[0]))
-        # The latest evaluated times and their states; before any, the first sample.
-        self._last = samples.times[:1], samples.states[:1]
+        # The latest evaluated times, states and theta; before any, the first sample.
+        self._last = samples.times[:1], samples.states[:1], theta[:1]
 
     @property
     def trajectory(self) -> Trajectory:
@@ -259,25 +260,21 @@ class TrajectoryEvaluator:
     def states_at(self, times) -> np.ndarray:
         """psi at each of ``times``, carried from its nearest earlier sample."""
         times = np.asarray(times, dtype=float)
-        samples = self._samples.times
-        i = np.maximum(samples.searchsorted(times, side="right") - 1, 0)
-        return self.carry(self._samples.states[i], samples[i], times)
+        samples = self._samples
+        i = samples.times[1:].searchsorted(times, side="right")
+        return self.carry(samples.states[i], samples.times[i], times)
 
     def theta_at(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The states
-        are kept as ``_last`` for the caller that needs psi at the time found."""
+        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The times, states
+        and theta are kept as ``_last`` for the caller that needs them at tau."""
         states = self.states_at(times)
-        self._last = times, states
-        return self._aligned(times, states), self._rate(times, states)
-
-    def _aligned(self, t, states):
         raw = composite_angle(states) - self.theta0
-        ref = np.interp(t, self._samples.times, self._theta)
-        return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
-
-    def _rate(self, t, states):
-        ratio = self.apply_h(t, states) / states
-        return -(ratio[..., 0] - ratio[..., 1] - ratio[..., 2] + ratio[..., 3]).real
+        ref = np.interp(times, self._samples.times, self._theta)
+        theta = raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
+        self._last = times, states, theta
+        # dtheta/dt as above, from the real parts of the ratios with the signs turned.
+        ratio = (self.apply_h(times, states) / states).real
+        return theta, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3]
 
 
 def _unwrap_new_samples(magnus, theta):
@@ -398,18 +395,22 @@ def run_trajectory(config) -> TrajectoryEvaluator:
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
-    """Full pipeline: propagate, find the pi-gate time, summarize the gate."""
+    """Full pipeline: propagate, find the pi-gate time, summarize the gate.
+    The state and theta at tau are those of the evaluation that accepted tau,
+    the refinement's last unless tau is the earlier end of its bracket."""
     run = run_trajectory(config)
     traj = run._samples  # the samples the gate reads
     tau = find_gate_time(traj.times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
-    t_last, psi_last = run._last  # the latest evaluated times and their states
-    psi_tau = psi_last[-1] if t_last[-1] == tau else run.states_at([tau])[0]
+    if run._last[0][-1] != tau:  # tau is not the latest time evaluated
+        run.theta_at(np.array([tau]))
+    _, states, theta = run._last  # the evaluation that accepted tau
+    psi_tau = states[-1]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
-    phi = np.angle(psi_tau * np.conj(traj.states[0])).tolist()
+    phi = np.angle(psi_tau * traj.states[0].conj()).tolist()
     c_tau = concurrence(psi_tau)
     gate = GateResult(
         tau=tau,
-        theta_at_tau=float(run._aligned(tau, psi_tau)),
+        theta_at_tau=float(theta[-1]),
         concurrence_at_tau=c_tau,
         eof_at_tau=entanglement_of_formation(c_tau),
         ops_budget=ops_budget(tau, run.config.T2),

@@ -120,7 +120,7 @@ def drive_peak_amplitude(config: SimulationConfig) -> float:
 
 def is_hermitian(h: np.ndarray) -> bool:
     """Whether h - h^dag vanishes to within 1e-12 times h's largest entry."""
-    scale = np.max(np.abs(h))
+    scale = np.abs(h).max()
     if scale == 0:
         return True
-    return np.max(np.abs(h - h.conj().T)) <= 1e-12 * scale
+    return np.abs(h - h.conj().T).max() <= 1e-12 * scale

@@ -134,7 +134,7 @@ def hamiltonian_scale(config: SimulationConfig, h0: np.ndarray) -> float:
     whose static Hamiltonian is ``h0``."""
     resonances = config.resonances
     return max(
-        float(np.max(np.abs(h0))),
+        float(np.abs(h0).max()),
         drive_peak_amplitude(config),
         abs(resonances.omega1),
         abs(resonances.omega2),
@@ -159,7 +159,7 @@ class SpectralPropagator:
         ``dtau`` may be an array of n steps; ``psi`` is then one state or n
         states, one per step, and the result has shape (n, 4).
         """
-        phases = _unit_phases(np.multiply.outer(dtau, self._rates))
+        phases = _unit_phases(np.asarray(dtau)[..., None] * self._rates)
         phases *= psi @ self._to_eigen
         return phases @ self._from_eigen
 
@@ -167,7 +167,7 @@ class SpectralPropagator:
 def _unit_phases(x) -> np.ndarray:
     """exp(i x), filled from cos and sin: cheaper than np.exp of an imaginary
     array, and equal to it to rounding."""
-    phases = np.empty(np.shape(x), dtype=complex)
+    phases = np.empty(x.shape, dtype=complex)
     np.cos(x, out=phases.real)
     np.sin(x, out=phases.imag)
     return phases
@@ -614,5 +614,5 @@ def _check_norms(times, states, taken: str):
 def _check_times(times: np.ndarray):
     if len(times) < 2 or times[0] != 0:
         raise ValueError("times must start at 0 and contain at least two samples")
-    if np.any(np.diff(times) <= 0):
+    if ((times[1:] - times[:-1]) <= 0).any():
         raise ValueError("times must be strictly increasing")

@@ -1,0 +1,114 @@
+"""The accuracy contract of tau, checked at 40 digits.
+
+The engine promises |theta(tau) +/- pi| <= analysis.PHASE_TOL.  The engine,
+tier-1's exact theta and the benchmark's oracle all evaluate theta in
+float64, so they share its rounding.  Here theta(tau) is evaluated with
+mpmath at 40 digits from the same float64 matrix ``build_static`` gives, the
+same validated initial state and the same tau: the residual of tau is the
+distance from -pi (or +pi) of the exact theta of the run's float64
+Hamiltonian.  Parameters such as g +/- m1 would differ by their own
+rounding, about 3e-11 rad of theta at 12 nm, so they are not recomputed.
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from buckygate.analysis import PHASE_TOL
+from buckygate.config import SimulationConfig, validate
+from buckygate.engine import run_simulation
+from buckygate.hamiltonian import build_static
+from test_engine import GRAZING_IDS, GRAZING_INPUTS, TAU_12NM, reference_config
+
+DIGITS = 40
+
+# Allowance for the 40-digit evaluation itself.  Its phases lambda t reach
+# about 3e5 rad on these inputs, so each carries about 1e-34 rad of
+# rounding; the eigenvalues and theta carry as little.
+EVALUATION_SLACK = 1e-20
+
+
+def exact_residual(config, tau: float) -> float:
+    """|theta(tau) +/- pi| at DIGITS digits for the static run of ``config``."""
+    cfg = validate(config)
+    h = build_static(cfg)
+    assert not h.imag.any()  # real symmetric: the J0 term is real too
+    with mpmath.workdps(DIGITS):
+        lam, v = mpmath.eigsy(mpmath.matrix(h.real.tolist()))
+        psi0 = [mpmath.mpc(complex(c)) for c in cfg.initial_state]
+        coef = [mpmath.fsum(v[k, j] * psi0[k] for k in range(4)) for j in range(4)]
+
+        def angle(t):
+            terms = [coef[j] * mpmath.expj(-lam[j] * t) for j in range(4)]
+            c = [mpmath.fsum(v[k, j] * terms[j] for j in range(4)) for k in range(4)]
+            return mpmath.arg(c[0] * c[3] * mpmath.conj(c[1] * c[2]))
+
+        # theta(tau) + pi up to a multiple of 2 pi, taken to [-pi, pi]; theta
+        # is within PHASE_TOL of -pi or pi, so that is its distance from it.
+        d = angle(mpmath.mpf(tau)) - angle(0) + mpmath.pi
+        return float(abs(d - 2 * mpmath.pi * mpmath.nint(d / (2 * mpmath.pi))))
+
+
+def workload_config(fields):
+    """A SimulationConfig from the benchmark's ``workloads.config_fields``."""
+    state = np.array([complex(re, im) for re, im in fields["initial_state"]])
+    return SimulationConfig(**{**fields, "initial_state": state})
+
+
+# static-far seed 1 input 24 and seed 3 input 66: of the 36 largest-r
+# static-far inputs of seeds 1-3 (11.2-12 nm), the two whose exact residual
+# exceeds PHASE_TOL, by 2.13e-10 and 1.12e-10 rad.  At tau of about 15 us
+# the 4x4 evolution carries Zeeman phases of about 2.6e5 rad, whose float64
+# rounding enters theta; the engine reads at most 2.6e-11 rad on them.
+FOUND_INPUTS = {
+    "far-seed1-24": {
+        "r": 1.1853419615858346e-08,
+        "Bz1": 0.1226553863920664,
+        "Bz2": 0.1226553863920664,
+        "Bg1": 0.0001098004404242,
+        "Bg2": -0.0001098004404242,
+        "t_max": 2.6810493369475674e-05,
+        "initial_state": [
+            [-0.352716611298593, 0.09185642463041216],
+            [-0.2505518397130915, -0.4109239039148829],
+            [-0.2505518397130915, -0.4109239039148829],
+            [0.4240350909615107, -0.47336906596955936],
+        ],
+    },
+    "far-seed3-66": {
+        "r": 1.1514482198632599e-08,
+        "Bz1": 0.06967321557499702,
+        "Bz2": 0.06967321557499702,
+        "Bg1": 8.680858361745578e-05,
+        "Bg2": -8.680858361745578e-05,
+        "t_max": 2.4575766241446636e-05,
+        "initial_state": [
+            [0.2650019617049875, 0.7434147333921837],
+            [0.33097973589659807, -0.23831841798065098],
+            [0.33097973589659807, -0.23831841798065095],
+            [-0.16583885847006252, -0.13007482324923292],
+        ],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "config",
+    [reference_config(), reference_config(r=12e-9, t_max=2.5 * TAU_12NM)]
+    + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
+    + [
+        pytest.param(
+            workload_config(fields),
+            marks=pytest.mark.xfail(strict=True, reason="float64 rounding of Zeeman-scale phases"),
+        )
+        for fields in FOUND_INPUTS.values()
+    ],
+    ids=["reference", "12nm"] + GRAZING_IDS + list(FOUND_INPUTS),
+)
+def test_tau_meets_phase_tol_at_40_digits(config):
+    tau = run_simulation(config).gate.tau
+    residual = exact_residual(config, tau)
+    assert math.isfinite(residual)
+    assert residual <= PHASE_TOL + EVALUATION_SLACK

@@ -346,6 +346,14 @@ class TestConcurrence:
             psi = rng.normal(size=4) + 1j * rng.normal(size=4)
             assert 0.0 <= concurrence(psi) <= 1.0 + 1e-12
 
+    def test_state_alone_and_in_an_array_give_the_same_bits(self):
+        # The docstring's promise: one state gets the same bits passed alone
+        # as in an (n, 4) array, on states of any norm.
+        rng = np.random.default_rng(23)
+        states = (rng.normal(size=(1001, 4)) + 1j * rng.normal(size=(1001, 4))) * rng.uniform(0.1, 10, (1001, 1))
+        alone = np.array([concurrence(psi) for psi in states])
+        np.testing.assert_array_equal(alone, concurrence(states))
+
     def test_spin_flip_invariance(self):
         rng = np.random.default_rng(19)
         for _ in range(50):

@@ -809,6 +809,62 @@ def test_state_at_tau_comes_from_the_last_refinement(config, monkeypatch):
     assert np.array_equal(states[0], run_trajectory(config).states_at([tau])[0])
 
 
+# static-near seed 1 input 72: theta at tau evaluated from the one state
+# alone, not as a 1-element array, reads 1 ulp off the value the refinement
+# accepted (on x86-64 with numpy 2.4).
+ONE_ULP_INPUT = dict(
+    r=1.0551873123170203e-09,
+    Bz1=0.1436646985702538,
+    Bz2=0.1436646985702538,
+    Bg1=5.45065049607112e-05,
+    Bg2=-5.45065049607112e-05,
+    t_max=1.5130472761871483e-08,
+    initial_state=np.array(
+        [
+            -0.11141021758778262 - 0.09781499637529777j,
+            -0.23760395614971064 - 0.2642364819774953j,
+            -0.23760395614971064 - 0.26423648197749533j,
+            -0.49105223953101823 - 0.6959414998267034j,
+        ]
+    ),
+)
+BIT_INPUTS = (
+    [reference_config(), reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8)]
+    + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
+    + [SimulationConfig(**SHORT_EXCURSION), SimulationConfig(**ONE_ULP_INPUT)]
+)
+BIT_IDS = ["static", "driven"] + GRAZING_IDS + ["short-excursion", "one-ulp"]
+
+
+@pytest.mark.parametrize("config", BIT_INPUTS, ids=BIT_IDS)
+def test_theta_at_tau_is_the_evaluators_theta_at_tau(config):
+    # theta_at_tau is the value the refinement accepted: bit for bit the
+    # evaluator's theta at the 1-D array [tau], as a fresh run gives it.
+    gate = run_simulation(config).gate
+    assert gate.theta_at_tau == run_trajectory(config).theta_at(np.array([gate.tau]))[0][0]
+
+
+@pytest.mark.parametrize("config", BIT_INPUTS, ids=BIT_IDS)
+def test_tau_is_a_time_the_refinement_evaluated(config, monkeypatch):
+    # tau is one of the times find_gate_time passed to theta_at, so the
+    # state and theta reported at tau are the ones the refinement accepted.
+    evaluated, seen = [], []
+    theta_at, find_gate_time = TrajectoryEvaluator.theta_at, engine.find_gate_time
+
+    def recording_theta_at(self, times):
+        evaluated.extend(np.asarray(times).tolist())
+        return theta_at(self, times)
+
+    def recording_find_gate_time(*args):
+        tau = find_gate_time(*args)
+        seen.extend(evaluated)
+        return tau
+
+    monkeypatch.setattr(TrajectoryEvaluator, "theta_at", recording_theta_at)
+    monkeypatch.setattr(engine, "find_gate_time", recording_find_gate_time)
+    assert run_simulation(config).gate.tau in seen
+
+
 @pytest.mark.parametrize(
     "config",
     [reference_config()]
