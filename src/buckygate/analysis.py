@@ -91,15 +91,21 @@ def unwrap_phases(traj: Trajectory, start: float = 0.0) -> np.ndarray:
             f"|c{j + 1}| = {amps[i, j]:.3e} at t={traj.times[i]:.6e} s; "
             "Arg is undefined at vanishing amplitude"
         )
-    # Each step of the argument taken to [-pi, pi], then summed from theta[0].
-    angles = composite_angle(traj.states)
+    return unwrap_angles(traj.times, composite_angle(traj.states), start)
+
+
+def unwrap_angles(times, angles, start: float = 0.0) -> np.ndarray:
+    """theta unwrapped from ``angles``, theta at each of ``times`` up to a
+    multiple of 2 pi, with theta[0] = ``start``: each step taken to
+    [-pi, pi], then summed from theta[0].  Raises PhaseAliasing if a step
+    exceeds MAX_THETA_STEP."""
     steps = angles[1:] - angles[:-1]
     steps -= 2 * np.pi * np.rint(steps / (2 * np.pi))
     if np.abs(steps).max(initial=0.0) > MAX_THETA_STEP:
         k = int(np.abs(steps).argmax())
         raise PhaseAliasing(
             f"theta steps by {abs(steps[k]):.3f} rad between the samples at "
-            f"t={traj.times[k]:.6e} s and t={traj.times[k + 1]:.6e} s, above the "
+            f"t={times[k]:.6e} s and t={times[k + 1]:.6e} s, above the "
             f"unwrap bound {MAX_THETA_STEP:.3f} rad; shorten t_max"
         )
     return np.concatenate(([start], steps)).cumsum()

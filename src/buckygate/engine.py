@@ -1,14 +1,16 @@
 """High-level driver: from a configuration to a full gate summary.
 
-Static mode propagates with the exact spectral solution on a grid sized
-by bounds on theta's rate and curvature, driven mode with 4th-order Magnus
-steps in the interaction picture of the static Hamiltonian on a grid at the
-fastest Hamiltonian scale, as far as the gate needs.  The trajectory a run
-outputs is computed when it is read.  Gate-time refinement re-propagates
-between the stored samples, first to search the intervals near the crossing
-in cubic Hermite cells on theta and its exact rate, then to refine the first
-crossing found by safeguarded Newton steps on that rate, instead of
-interpolating the sampled phase.
+Static mode takes theta, its rate and the states in closed form from the
+static Hamiltonian's two 2x2 blocks (``BlockPropagator``), on a grid sized
+by bounds on theta's rate and curvature; driven mode propagates with
+4th-order Magnus steps in the interaction picture of the static Hamiltonian
+on a grid at the fastest Hamiltonian scale, as far as the gate needs.  The
+trajectory a run outputs is computed when it is read, a static one by the
+exact spectral solution.  Gate-time refinement evaluates theta between the
+stored samples, a driven run by re-propagating from them, first to search
+the intervals near the crossing in cubic Hermite cells on theta and its
+exact rate, then to refine the first crossing found by safeguarded Newton
+steps on that rate, instead of interpolating the sampled phase.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .analysis import (
+    AMP_FLOOR,
     MAX_THETA_STEP,
     GateResult,
     composite_angle,
@@ -28,15 +31,17 @@ from .analysis import (
     entanglement_of_formation,
     find_gate_time,
     ops_budget,
+    unwrap_angles,
     unwrap_phases,
 )
 from .config import SimulationConfig, validate
 from .errors import PhaseAliasing
-from .hamiltonian import build_static, static_terms
+from .hamiltonian import build_static
 from .propagator import (
     DEFAULT_STEP_SAFETY,
     MAX_PHASE_PER_STEP,
     STEPS_PER_CHUNK,
+    BlockPropagator,
     MagnusPass,
     SpectralPropagator,
     Trajectory,
@@ -107,10 +112,11 @@ def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndar
     return np.linspace(0.0, t_max, int(min(max(n, least), MAX_SAMPLES)))
 
 
-def theta_rate(config, spectral):
-    """(rate, unresolved, m2, m4) of theta on a static run, all from H's
-    spectrum: bounds on |theta'|, on the part of theta the gate's samples
-    need not resolve, on |theta''| of the rest and on |theta''''|.
+def theta_rate(blocks):
+    """(rate, unresolved, m2, m4) of theta on a static run, all from the
+    spectrum and the terms s and rho of its ``BlockPropagator`` ``blocks``:
+    bounds on |theta'|, on the part of theta the gate's samples need not
+    resolve, on |theta''| of the rest and on |theta''''|.
 
     Each amplitude is c_j = exp(-i lam_top t) u_j with the exponential sum
     u_j(t) = sum_k V_jk a_k exp(-i (lam_k - lam_top) t) about its largest
@@ -120,13 +126,12 @@ def theta_rate(config, spectral):
     so theta' is -(lam_top1 + lam_top4 - lam_top2 - lam_top3) plus a signed
     sum of Im (log u_j)', each at most D_1 / (2 weight_top - sum(weight)):
     ``rate`` sums their moduli.  It is never below the dipolar rate
-    4 |g + J0|, which H's spectrum no longer shows where J0 dwarfs the other
-    terms beyond float resolution (J0 = 1e300 rad/s): such a run is refused
-    with PhaseAliasing, not sampled as if theta stood still.
+    |s| = 4 |g + J0|, which H's spectrum no longer shows where J0 dwarfs the
+    other terms beyond float resolution (J0 = 1e300 rad/s): such a run is
+    refused with PhaseAliasing, not sampled as if theta stood still.
 
     theta turns at the dipolar rate and beats at the {|01>,|10>}-block
-    frequency 2 sqrt(d^2 + (g - 2 J0)^2), d the field difference term of
-    ``static_terms``; the Zeeman terms cancel in z.  An amplitude's
+    frequency 2 rho_B; the Zeeman terms cancel in z.  An amplitude's
     eigencomponents further than the sum of the two from top (the -3g
     mixing of |00> and |11> across the Zeeman gap) are off-resonant: with
     weights summing to ``leak`` against a lower bound ``floor`` on the
@@ -152,12 +157,11 @@ def theta_rate(config, spectral):
     some leak is not below its floor ``unresolved`` is pi, so the scan
     covers every interval up to the first sampled crossing.
     """
-    g, _, d = static_terms(config)
-    j0 = config.J0
-    slow = 4 * abs(g + j0) + 2 * math.hypot(d, g - 2 * j0)
-    v, lam = spectral.eigenvectors, spectral.eigenvalues.tolist()
+    dipolar = abs(blocks.s)
+    slow = dipolar + 2 * blocks.rho[1]
+    lam = blocks.eigenvalues.tolist()
     turn, rate, unresolved, m2, m4 = 0.0, 0.0, 0.0, 0.0, 0.0
-    weights = np.abs(v * (config.initial_state @ v.conj())).tolist()  # |V_jk a_k|
+    weights = np.abs(blocks.components.T).tolist()  # |V_jk a_k|
     for sign, weight in zip((1, -1, -1, 1), weights):
         top = max(range(4), key=weight.__getitem__)
         turn += sign * lam[top]
@@ -191,36 +195,39 @@ def theta_rate(config, spectral):
         rate += q1
         m2 += p2 + p1 * p1
         m4 += q4 + 4 * q1 * q3 + 3 * q2 * q2 + 12 * q1 * q1 * q2 + 6 * q1 * q1 * q1 * q1
-    return max(abs(turn) + rate, 4 * abs(g + j0)), unresolved, m2, m4
+    return max(abs(turn) + rate, dipolar), unresolved, m2, m4
 
 
 class TrajectoryEvaluator:
-    """One propagated run: the samples the gate reads, theta unwrapped at
-    each of them, and continuous theta(t) / psi(t) between them; and the
-    run's output, ``trajectory`` to t_max and ``theta`` at its times.
+    """One run: the samples the gate reads, theta unwrapped at each of them,
+    and continuous theta(t) / psi(t) between them; and the run's output,
+    ``trajectory`` to t_max and ``theta`` at its times.
 
-    The gate's samples, ``_samples`` and ``_theta``, are a static run's
-    grid sized for the gate, or a driven run's Magnus pass up to where it
-    stopped (``run_trajectory``).  ``finish()`` gives the output as
-    (trajectory, theta): the static output grid propagated and unwrapped,
-    or the driven pass completed to t_max.  It runs on the first read of
-    ``trajectory`` or ``theta``, and a failure there is raised at every
-    read.  ``states_at`` and ``theta_at`` use the gate's samples, before and
-    after that read alike.
+    The gate's samples, at ``_times`` with theta ``_theta``, are a static
+    run's grid sized for the gate, or a driven run's Magnus pass up to where
+    it stopped (``run_trajectory``); ``psi0`` is the run's state at time 0
+    as the mode gives it.  ``finish()`` gives the output as (trajectory,
+    theta): the static output grid propagated and unwrapped, or the driven
+    pass completed to t_max.  It runs on the first read of ``trajectory`` or
+    ``theta``, and a failure there is raised at every read.  ``states_at``
+    and ``theta_at`` give the same before and after that read.
 
-    ``carry(psi, t0, t1)`` carries states psi[j] from the times t0[j] to
-    t1[j]: exactly with the run's SpectralPropagator for a static run, by RK4
-    from each time's own sample for a driven one.  ``states_at`` carries each
-    time from its nearest earlier sample, and every state the evaluator gives
-    comes from it.  ``theta_at`` gives theta and its rate at an array of
-    times, for find_gate_time's scan rounds and one-time Newton steps alike,
-    and keeps the latest evaluation, where run_simulation reads tau's.
-    theta is the argument of c1 c4 conj(c2 c3) aligned to the nearest branch
-    of the linearly interpolated sampled theta, which is safe because
-    per-sample theta increments stay below MAX_THETA_STEP.  Its rate
-    comes exactly from the same state: with i dpsi/dt = H(t) psi, where
-    ``apply_h(t, psi)`` gives H(t) psi for each time and state,
+    The mode gives ``states(times)``, psi at each time, through which
+    ``states_at`` gives every state the evaluator gives: a static run's
+    closed form (``BlockPropagator.states``), or a driven run's RK4 carry
+    from each time's nearest earlier sample.  It gives
+    ``angles(times, states_at)``: theta at each time up to a multiple of
+    2 pi, its exact rate, and the states from ``states_at`` at least at the
+    last time.  A static run takes theta and its rate from the blocks'
+    ellipses (``BlockPropagator.theta``) and one state; a driven run takes
+    the states at every time, theta as the argument of c1 c4 conj(c2 c3)
+    less its value at 0, and its rate, with i dpsi/dt = H(t) psi, as
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
+    ``theta_at`` gives theta and its rate at an array of times, for
+    find_gate_time's scan rounds and one-time Newton steps alike, with theta
+    on the nearest branch of the linearly interpolated sampled theta, which
+    is safe because per-sample theta increments stay below MAX_THETA_STEP,
+    and keeps the latest evaluation, where run_simulation reads tau's.
     ``scan_step``, 0.05 rad at the run's Hamiltonian scale, is the narrowest
     cell find_gate_time's scan for crossings between samples splits;
     ``unresolved`` bounds the part of theta the samples do not resolve,
@@ -228,21 +235,21 @@ class TrajectoryEvaluator:
     there is no bound.
     """
 
-    def __init__(self, config, samples, theta, scan_step, unresolved, m2, m4, carry, apply_h, finish):
+    def __init__(self, config, times, theta, psi0, scan_step, unresolved, m2, m4, states, angles, finish):
         self.config = config
-        self._samples = samples
+        self._times = times
         self._theta = theta
+        self.psi0 = psi0
         self._finish = finish
         self._output = None
         self.scan_step = scan_step
         self.unresolved = unresolved
         self.m2 = m2
         self.m4 = m4
-        self.carry = carry
-        self.apply_h = apply_h
-        self.theta0 = float(composite_angle(samples.states[0]))
+        self._states = states
+        self._angles = angles
         # The latest evaluated times, states and theta; before any, the first sample.
-        self._last = samples.times[:1], samples.states[:1], theta[:1]
+        self._last = times[:1], psi0[None], theta[:1]
 
     @property
     def trajectory(self) -> Trajectory:
@@ -258,23 +265,18 @@ class TrajectoryEvaluator:
         return self._output
 
     def states_at(self, times) -> np.ndarray:
-        """psi at each of ``times``, carried from its nearest earlier sample."""
-        times = np.asarray(times, dtype=float)
-        samples = self._samples
-        i = samples.times[1:].searchsorted(times, side="right")
-        return self.carry(samples.states[i], samples.times[i], times)
+        """psi at each of ``times``."""
+        return self._states(np.asarray(times, dtype=float))
 
     def theta_at(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The times, states
-        and theta are kept as ``_last`` for the caller that needs them at tau."""
-        states = self.states_at(times)
-        raw = composite_angle(states) - self.theta0
-        ref = np.interp(times, self._samples.times, self._theta)
+        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The times, the
+        states evaluated (the last at least) and theta are kept as ``_last``
+        for the caller that needs them at tau."""
+        raw, rate, states = self._angles(times, self.states_at)
+        ref = np.interp(times, self._times, self._theta)
         theta = raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
         self._last = times, states, theta
-        # dtheta/dt as above, from the real parts of the ratios with the signs turned.
-        ratio = (self.apply_h(times, states) / states).real
-        return theta, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3]
+        return theta, rate
 
 
 def _unwrap_new_samples(magnus, theta):
@@ -322,43 +324,49 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap what the gate reads; the returned
     evaluator holds the run and computes its output when that is read.
 
-    The static Hamiltonian is built and diagonalized once per run, and a
-    driven run's drive is at ``config.resonances``.  A static run samples
-    the gate on a grid with no MIN_SAMPLES floor, from 0 to t_max, whose
-    spacing h keeps theta's step within MAX_PHASE_PER_SAMPLE at the bound
-    ``rate`` of ``theta_rate`` and the interpolation error h^2 m2 / 8 of its
-    resolved part within MARGIN_TARGET; it raises PhaseAliasing if
-    MAX_SAMPLES samples cannot hold theta's step below MAX_THETA_STEP.  Its
-    output is the MIN_SAMPLES-floored grid at ``rate``, propagated and
-    unwrapped when the evaluator's ``trajectory`` or ``theta`` is first
-    read.  A driven run takes ``magnus_steps`` Magnus steps per sample
-    interval, set by the drive and the fitted error of the step rather than
-    by the Zeeman precession: one or two on the benchmark's driven points.
-    Its pass stops just past the first sampled crossing
-    (``_run_to_first_crossing``), which is all the gate needs, and is
-    completed on that read.  So a NormDrift, UndefinedPhase or
-    PhaseAliasing that only the output meets is raised there.  MAX_STEPS
-    bounds the whole driven run, before any step.  Gate-time refinement
-    scans in cells no narrower than ``scan_step``, MAX_PHASE_PER_STEP rad at
-    the Hamiltonian scale, but around the crossing, and refines, both
-    through the evaluator's ``theta_at``.  The mode also picks, once, the
-    evaluator's ``carry`` from a sample to a later time, the static run's
-    exact spectral evolution or for a driven run ``rk4_spans`` in steps of
-    at most DEFAULT_STEP_SAFETY times ``scan_step``, and its ``apply_h``:
-    one product with the static Hamiltonian for every time, or one H(t) per
-    time of a driven batch.
+    The static Hamiltonian is built once per run, and a driven run's drive
+    is at ``config.resonances``.  A static run's gate reads the closed form
+    of ``BlockPropagator``, built from the Hamiltonian's two 2x2 blocks,
+    for theta, its rate, the states and the spectrum ``theta_rate`` bounds
+    theta from; its gate calls neither eigh nor a 4x4 evolution.  It
+    samples the gate on a grid with no MIN_SAMPLES floor, from 0 to t_max,
+    whose spacing h keeps theta's step within MAX_PHASE_PER_SAMPLE at the
+    bound ``rate`` of ``theta_rate`` and the interpolation error h^2 m2 / 8
+    of its resolved part within MARGIN_TARGET; it raises PhaseAliasing if
+    MAX_SAMPLES samples cannot hold theta's step below MAX_THETA_STEP.  The
+    samples' theta is unwrapped by ``unwrap_angles``, the rule of
+    ``unwrap_phases``.  Where the blocks do not bound every amplitude's
+    modulus above AMP_FLOOR, ``unwrap_phases`` first checks the samples'
+    states, so a vanishing amplitude raises UndefinedPhase, before any
+    PhaseAliasing.  Its output is the MIN_SAMPLES-floored grid at ``rate``,
+    diagonalized, propagated and unwrapped (``SpectralPropagator``,
+    ``propagate_static``, ``unwrap_phases``) when the evaluator's
+    ``trajectory`` or ``theta`` is first read.  A driven
+    run takes ``magnus_steps`` Magnus steps per sample interval, set by the
+    drive and the fitted error of the step rather than by the Zeeman
+    precession: one or two on the benchmark's driven points.  Its pass
+    stops just past the first sampled crossing (``_run_to_first_crossing``),
+    which is all the gate needs, and is completed on that read.  So a
+    NormDrift, UndefinedPhase or PhaseAliasing that only the output meets is
+    raised there.  MAX_STEPS bounds the whole driven run, before any step.
+    Gate-time refinement scans in cells no narrower than ``scan_step``,
+    MAX_PHASE_PER_STEP rad at the Hamiltonian scale, but around the
+    crossing, and refines, both through the evaluator's ``theta_at``.  A
+    driven run's states between samples are carried by ``rk4_spans`` in
+    steps of at most DEFAULT_STEP_SAFETY times ``scan_step``, and theta's
+    rate takes one H(t) per time of a batch.
     """
     cfg = validate(config)
     h0 = build_static(cfg)
     scale = hamiltonian_scale(cfg, h0)
     scan_step = MAX_PHASE_PER_STEP / scale
-    spectral = SpectralPropagator(h0)
     if cfg.mode == "driven":
         unresolved, m2, m4 = 0.0, math.inf, math.inf
         times = sample_times(cfg.t_max, scale)
-        magnus = MagnusPass(spectral, cfg, times, magnus_steps(cfg, scale, times))
+        magnus = MagnusPass(SpectralPropagator(h0), cfg, times, magnus_steps(cfg, scale, times))
         theta = _run_to_first_crossing(magnus)
         traj = magnus.trajectory
+        times, psi0 = traj.times, traj.states[0]
 
         def finish():
             magnus.advance(magnus.total)
@@ -366,13 +374,26 @@ def run_trajectory(config) -> TrajectoryEvaluator:
 
         hfun = time_dependent_hamiltonian(cfg, h0)
         step = DEFAULT_STEP_SAFETY * scan_step
-        carry = lambda psi, t0, t1: rk4_spans(hfun, psi, t0, t1, step)  # noqa: E731
-        apply_h = lambda t, psi: (hfun(t) @ psi[..., None])[..., 0]  # noqa: E731
+        theta0 = float(composite_angle(psi0))
+
+        def states(t):
+            i = times[1:].searchsorted(t, side="right")
+            return rk4_spans(hfun, traj.states[i], times[i], t, step)
+
+        def angles(t, states_at):
+            psi = states_at(t)
+            # dtheta/dt (TrajectoryEvaluator) from the real parts of the
+            # ratios, with the signs turned.
+            ratio = ((hfun(t) @ psi[..., None])[..., 0] / psi).real
+            return composite_angle(psi) - theta0, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3], psi
     else:
-        rate, unresolved, m2, m4 = theta_rate(cfg, spectral)
+        blocks = BlockPropagator(h0, cfg.initial_state)
+        rate, unresolved, m2, m4 = theta_rate(blocks)
         # m2 is infinite only where the rate is, which asks for MAX_SAMPLES.
         pace = max(rate, MAX_PHASE_PER_SAMPLE * math.sqrt(m2 / (8 * MARGIN_TARGET)))
         times = sample_times(cfg.t_max, pace, least=2)
+        if blocks.least_modulus < AMP_FLOOR:  # an amplitude may vanish: check the samples' states
+            unwrap_phases(Trajectory(times=times, states=blocks.states(times)))
         theta_step = rate * times[1]
         if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
             raise PhaseAliasing(
@@ -380,18 +401,18 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
                 "shorten t_max"
             )
-        traj = propagate_static(spectral, cfg.initial_state, times)
-        theta = unwrap_phases(traj)
+        theta = unwrap_angles(times, blocks.angles(times))
+        psi0, states = blocks.psi0, blocks.states
 
         def finish():
+            spectral = SpectralPropagator(h0)
             output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, rate))
             return output, unwrap_phases(output)
 
-        carry = lambda psi, t0, t1: spectral.evolve(psi, t1 - t0)  # noqa: E731
-        # One product for all times, C-contiguous as in SpectralPropagator.
-        h0_t = np.ascontiguousarray(h0.T)
-        apply_h = lambda t, psi: psi @ h0_t  # noqa: E731
-    return TrajectoryEvaluator(cfg, traj, theta, scan_step, unresolved, m2, m4, carry, apply_h, finish)
+        def angles(t, states_at):
+            return *blocks.theta(t), states_at(t[-1:])
+
+    return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, unresolved, m2, m4, states, angles, finish)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -399,14 +420,13 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     The state and theta at tau are those of the evaluation that accepted tau,
     the refinement's last unless tau is the earlier end of its bracket."""
     run = run_trajectory(config)
-    traj = run._samples  # the samples the gate reads
-    tau = find_gate_time(traj.times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
+    tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
     if run._last[0][-1] != tau:  # tau is not the latest time evaluated
         run.theta_at(np.array([tau]))
     _, states, theta = run._last  # the evaluation that accepted tau
     psi_tau = states[-1]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
-    phi = np.angle(psi_tau * traj.states[0].conj()).tolist()
+    phi = np.angle(psi_tau * run.psi0.conj()).tolist()
     c_tau = concurrence(psi_tau)
     gate = GateResult(
         tau=tau,

@@ -1,9 +1,12 @@
 """Schrodinger propagation of the four basis amplitudes.
 
-Two routes are provided, and one refinement:
+Two routes are provided, a closed form and one refinement:
 
 * ``propagate_static`` solves the time-independent problem exactly through an
   eigendecomposition and serves as the oracle for everything else;
+* ``BlockPropagator`` solves it in closed form from the static Hamiltonian's
+  two 2x2 blocks, with the composite phase theta and its rate, for the
+  static gate;
 * ``propagate_magnus`` integrates driven runs in the interaction picture of
   the static Hamiltonian H0 with the 4th-order Magnus step, whose generator
   integrates the oscillating phase factors of the interaction picture
@@ -39,6 +42,7 @@ step-size diagnostic, hiding it would defeat the check.
 
 from __future__ import annotations
 
+import cmath
 import math
 import threading
 from dataclasses import dataclass
@@ -111,6 +115,8 @@ _IDENTITY_4 = np.eye(4, dtype=complex)
 # double-precision rounding.
 _TAYLOR_TOL = 2.0**-53
 
+_EPS = 2.0**-52
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -162,6 +168,103 @@ class SpectralPropagator:
         phases = _unit_phases(np.asarray(dtau)[..., None] * self._rates)
         phases *= psi @ self._to_eigen
         return phases @ self._from_eigen
+
+
+class BlockPropagator:
+    """Exact evolution of one initial state ``psi0`` under a static
+    Hamiltonian ``h`` of ``build_static``'s form, in closed form from its two
+    real 2x2 blocks, A on {|00>,|11>} and B on {|01>,|10>}: no eigh.
+
+    A block [[h_ii, h_ij], [h_ij, h_jj]] has the eigenvalues mu +/- rho, with
+    its mean mu = (h_ii + h_jj) / 2 and half-gap rho = hypot(d, h_ij),
+    d = (h_ii - h_jj) / 2, and the eigenvectors (cos, sin) and (-sin, cos) of
+    phi / 2, phi = atan2(h_ij, d).  Nothing divides by rho: where it is 0,
+    phi is 0.  With b+ and b- the components of psi0 on the two, the product
+    of the block's amplitudes is exp(-2 i mu t) E(t), E the ellipse
+        E(t) = K + P exp(-2 i rho t) + Q exp(2 i rho t),
+        K = b+ b- cos(phi),  P = b+^2 sin(phi) / 2,  Q = -b-^2 sin(phi) / 2.
+    So theta = Arg(c1 c4 conj(c2 c3)), less its value at 0, is
+    -s t + Arg E_A - Arg E_B less theirs, with s = 2 (mu_A - mu_B) summed
+    from the float matrix, (h00 + h33) - (h11 + h22) = 4 (g + J0), in which
+    the Zeeman terms cancel exactly.  A Zeeman-scale phase enters theta only
+    through cos and sin of 2 rho_A t, as the turn of E_A about K_A, not as
+    the difference of two large rounded phases as in the 4x4 evolution.
+    theta' = -s + Im(E_A' / E_A) - Im(E_B' / E_B).
+
+    ``eigenvalues`` lam_k are H's spectrum, as eigh gives it up to order,
+    and row k of ``components`` is psi0's component b_k V[:, k] on the k-th
+    eigenvector, so that psi(t) = sum_k exp(-i lam_k t) components[k];
+    ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
+    ``least_modulus`` is a lower bound on every |c_j(t)|: the squared
+    moduli of a block's amplitudes are M -/+ sin(phi)
+    Re(b+ conj(b-) exp(-2 i rho t)), with their means M = |b+|^2 cos^2 +
+    |b-|^2 sin^2 of phi / 2 and the other way round, so at least
+    M - |b+ b- sin(phi)|.
+    """
+
+    def __init__(self, h: np.ndarray, psi0: np.ndarray):
+        h = h.real.tolist()
+        self.psi0 = psi0 = np.asarray(psi0, dtype=complex)
+        a = psi0.tolist()
+        self.s = (h[0][0] + h[3][3]) - (h[1][1] + h[2][2])
+        lam, rho, ellipses = [], [], []
+        components = [[0j] * 4 for _ in range(4)]
+        least = math.inf
+        for k, (i, j) in enumerate(((0, 3), (1, 2))):
+            half = (h[i][i] - h[j][j]) / 2
+            mu, r = (h[i][i] + h[j][j]) / 2, math.hypot(half, h[i][j])
+            phi = math.atan2(h[i][j], half)
+            ch, sh, cos, sin = math.cos(phi / 2), math.sin(phi / 2), math.cos(phi), math.sin(phi)
+            plus, minus = ch * a[i] + sh * a[j], ch * a[j] - sh * a[i]
+            lam += [mu + r, mu - r]
+            components[2 * k][i], components[2 * k][j] = plus * ch, plus * sh
+            components[2 * k + 1][i], components[2 * k + 1][j] = -minus * sh, minus * ch
+            # E = K + C cos + S sin of 2 rho t, C = P + Q and S = i (Q - P).
+            p, q = plus * plus * sin / 2, -minus * minus * sin / 2
+            ellipses.append((plus * minus * cos, p + q, 1j * (q - p)))
+            rho.append(r)
+            mean = min(abs(plus * ch) ** 2 + abs(minus * sh) ** 2, abs(plus * sh) ** 2 + abs(minus * ch) ** 2)
+            least = min(least, mean - abs(plus * minus * sin))
+        self.eigenvalues, self.rho = np.array(lam), tuple(rho)
+        # Less 8 eps for the rounding of squares of at most 1 (psi0 is normalized).
+        self.least_modulus = math.sqrt(max(least - 8 * _EPS, 0.0))
+        # C-contiguous, so that a state gets the same bits alone or in a batch.
+        self.components = np.array(components)
+        self._rates = -self.eigenvalues
+        # Block A's ellipse turned by -theta(0), so that Arg E_A - Arg E_B
+        # starts at 0 (atan2(0, 0) = 0 where an amplitude vanishes).
+        (ka, ca, sa), (kb, cb, sb) = ellipses
+        z0 = (ka + ca) * (kb + cb).conjugate()
+        turn = cmath.exp(-1j * math.atan2(z0.imag, z0.real))
+        self._k = np.array([ka * turn, kb])
+        self._c = np.array([ca * turn, cb])
+        self._s = np.array([sa * turn, sb])
+        self._two_rho = 2 * np.array(rho)
+        # dE/dt = dS cos - dC sin of 2 rho t, dC = 2 rho C and dS = 2 rho S.
+        self._dc, self._ds = self._two_rho * self._c, self._two_rho * self._s
+
+    def states(self, times: np.ndarray) -> np.ndarray:
+        """psi at each of ``times``, shape (len(times), 4)."""
+        return _unit_phases(np.multiply.outer(times, self._rates)) @ self.components
+
+    def angles(self, times: np.ndarray) -> np.ndarray:
+        """theta at each of ``times``, up to a multiple of 2 pi."""
+        return self._ellipses(times)[0]
+
+    def theta(self, times: np.ndarray):
+        """(theta, theta') at each of ``times``, theta up to a multiple of 2 pi."""
+        theta, e, cos, sin = self._ellipses(times)
+        ratio = ((self._ds * cos - self._dc * sin) / e).imag
+        return theta, ratio[:, 0] - ratio[:, 1] - self.s
+
+    def _ellipses(self, times):
+        """(theta, E, cos, sin): E of both blocks at each of ``times``, and cos
+        and sin of 2 rho t."""
+        x = np.multiply.outer(times, self._two_rho)
+        cos, sin = np.cos(x), np.sin(x)
+        e = self._k + self._c * cos + self._s * sin
+        z = e[:, 0] * e[:, 1].conj()
+        return np.arctan2(z.imag, z.real) - self.s * times, e, cos, sin
 
 
 def _unit_phases(x) -> np.ndarray:

@@ -59,9 +59,10 @@ def workload_config(fields):
 
 # static-far seed 1 input 24 and seed 3 input 66: of the 36 largest-r
 # static-far inputs of seeds 1-3 (11.2-12 nm), the two whose exact residual
-# exceeds PHASE_TOL, by 2.13e-10 and 1.12e-10 rad.  At tau of about 15 us
-# the 4x4 evolution carries Zeeman phases of about 2.6e5 rad, whose float64
-# rounding enters theta; the engine reads at most 2.6e-11 rad on them.
+# exceeded PHASE_TOL, by 2.13e-10 and 1.12e-10 rad, while theta was taken
+# from the 4x4 evolution: at tau of about 15 us it carries Zeeman phases of
+# about 2.6e5 rad, whose float64 rounding entered theta.  The closed form
+# of the two 2x2 blocks keeps those phases out of theta.
 FOUND_INPUTS = {
     "far-seed1-24": {
         "r": 1.1853419615858346e-08,
@@ -98,13 +99,7 @@ FOUND_INPUTS = {
     "config",
     [reference_config(), reference_config(r=12e-9, t_max=2.5 * TAU_12NM)]
     + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
-    + [
-        pytest.param(
-            workload_config(fields),
-            marks=pytest.mark.xfail(strict=True, reason="float64 rounding of Zeeman-scale phases"),
-        )
-        for fields in FOUND_INPUTS.values()
-    ],
+    + [workload_config(fields) for fields in FOUND_INPUTS.values()],
     ids=["reference", "12nm"] + GRAZING_IDS + list(FOUND_INPUTS),
 )
 def test_tau_meets_phase_tol_at_40_digits(config):

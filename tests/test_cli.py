@@ -186,7 +186,7 @@ def _bound_failing_after_the_gate(config, error, monkeypatch):
     """Set the bound whose breach raises ``error`` halfway between its
     extremes over the samples the gate reads and over the rest of the run."""
     run = run_trajectory(config)
-    n = len(run._samples.times)
+    n = len(run._times)
     traj = run.trajectory
     if error == "NormDrift":
         drift = np.abs(traj.norms - 1.0)

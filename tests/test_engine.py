@@ -11,7 +11,7 @@ import pytest
 
 import buckygate
 from buckygate import analysis, engine, propagator
-from buckygate.analysis import PHASE_TOL, _scan_margin, find_gate_time, unwrap_phases
+from buckygate.analysis import PHASE_TOL, _scan_margin, composite_angle, find_gate_time, unwrap_phases
 from buckygate.config import SimulationConfig, validate
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -20,9 +20,10 @@ from buckygate.engine import (
     sample_times,
 )
 from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
-from buckygate.hamiltonian import build_static, static_terms
+from buckygate.hamiltonian import build_static, dipole_coupling, static_terms
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
+    BlockPropagator,
     MAX_PHASE_PER_STEP,
     SpectralPropagator,
     hamiltonian_scale,
@@ -261,7 +262,7 @@ def test_completed_trajectory_extends_the_samples_the_gate_used(monkeypatch):
     np.testing.assert_array_equal(result.theta[:n], theta)
     np.testing.assert_array_equal(result.theta, unwrap_phases(result.trajectory))
     run = run_trajectory(config)
-    states = run._samples.states
+    states = run.states_at(run._times)  # a driven time on a sample is its stored state
     assert len(states) == n
     np.testing.assert_array_equal(run.trajectory.states[:n], states)
 
@@ -272,7 +273,7 @@ def test_result_pickles_with_its_whole_trajectory(overrides):
     # at least MIN_SAMPLES samples, not the gate's.
     result = run_simulation(reference_config(**overrides))
     copy = pickle.loads(pickle.dumps(result))
-    assert len(copy.trajectory.times) >= engine.MIN_SAMPLES > len(result._run._samples.times)
+    assert len(copy.trajectory.times) >= engine.MIN_SAMPLES > len(result._run._times)
     assert pickle.dumps(copy.config) == pickle.dumps(result.config)
     assert copy.gate == result.gate
     np.testing.assert_array_equal(copy.trajectory.times, result.trajectory.times)
@@ -281,22 +282,33 @@ def test_result_pickles_with_its_whole_trajectory(overrides):
 
 
 def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
-    # The gate reads a grid sized by theta's bounds, with no MIN_SAMPLES
-    # floor; the output grid is propagated and unwrapped on the first read
-    # of the trajectory, once.
-    lengths = []
-    propagate = engine.propagate_static
+    # The gate reads the closed form of the Hamiltonian's two 2x2 blocks on
+    # a grid sized by theta's bounds: no eigh, no 4x4 evolution and no
+    # propagate_static.  The output grid is diagonalized, propagated and
+    # unwrapped on the first read of the trajectory, once.
+    calls = []
+    eigh, evolve, propagate = np.linalg.eigh, SpectralPropagator.evolve, engine.propagate_static
+
+    def recording_eigh(h):
+        calls.append("eigh")
+        return eigh(h)
+
+    def recording_evolve(self, psi, dtau):
+        calls.append("evolve")
+        return evolve(self, psi, dtau)
 
     def recording(spectral, psi0, times):
-        lengths.append(len(times))
+        calls.append(len(times))
         return propagate(spectral, psi0, times)
 
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    monkeypatch.setattr(SpectralPropagator, "evolve", recording_evolve)
     monkeypatch.setattr(engine, "propagate_static", recording)
     result = run_simulation(reference_config())
-    assert len(lengths) == 1 and lengths[0] < 100
+    assert calls == []
     result.trajectory
     result.theta
-    assert lengths[1:] == [engine.MIN_SAMPLES]
+    assert calls == ["eigh", engine.MIN_SAMPLES, "evolve"]
 
 
 def test_static_output_does_not_depend_on_the_gate_grid():
@@ -306,7 +318,7 @@ def test_static_output_does_not_depend_on_the_gate_grid():
     run = run_trajectory(reference_config())
     times = np.linspace(0.0, 1.2e-8, engine.MIN_SAMPLES)
     expected = propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times)
-    assert len(run._samples.times) < len(times)
+    assert len(run._times) < len(times)
     np.testing.assert_array_equal(run.trajectory.times, times)
     np.testing.assert_array_equal(run.trajectory.states, expected.states)
     np.testing.assert_array_equal(run.theta, unwrap_phases(expected))
@@ -466,7 +478,7 @@ class TestNoCrossing:
         with pytest.raises(NoCrossing) as exc:
             run_simulation(config)
         run = run_trajectory(config)
-        assert len(run._samples.times) == len(run.trajectory.times)
+        assert len(run._times) == len(run.trajectory.times)
         assert f"(theta_end={run.theta[-1]:.6f} rad)" in str(exc.value)
         assert -np.pi < run.theta[-1] < 0
 
@@ -736,10 +748,78 @@ def test_rate_bounds_theta_rate(config):
     # eigenvalue gap: the static gate grid, with no MIN_SAMPLES floor,
     # relies on it to keep theta's per-sample step within the unwrap bound.
     config = validate(config)
-    rate = engine.theta_rate(config, SpectralPropagator(build_static(config)))[0]
+    rate = engine.theta_rate(BlockPropagator(build_static(config), config.initial_state))[0]
     period = 2 * np.pi / np.ptp(np.linalg.eigvalsh(build_static(config)))
     times = np.arange(0.0, config.t_max, period / 16)
     assert np.max(np.abs(exact_theta_rate(config, times))) <= rate
+
+
+def spectral_theta_fn(config, times, theta):
+    """theta_at of a static run as the 4x4 evolution gives it: the states
+    from SpectralPropagator.evolve, theta from composite_angle on the branch
+    of the sampled ``theta`` at ``times``, its rate from the H psi ratio."""
+    h0 = build_static(config)
+    spectral = SpectralPropagator(h0)
+    theta0 = composite_angle(config.initial_state)
+
+    def theta_fn(t):
+        states = spectral.evolve(config.initial_state, t)
+        raw = composite_angle(states) - theta0
+        ref = np.interp(t, times, theta)
+        ratio = ((states @ h0.T) / states).real
+        return raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi)), ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3]
+
+    return theta_fn
+
+
+CLOSED_FORM_INPUTS = [reference_config()] + [c for seed in (1, 2, 3) for c in benchmark_like_configs(seed, 0.9e-9, 1.5e-9)]
+CLOSED_FORM_IDS = ["reference"] + [f"near-{seed}-{k}" for seed in (1, 2, 3) for k in range(2)]
+
+
+@pytest.mark.parametrize("config", CLOSED_FORM_INPUTS, ids=CLOSED_FORM_IDS)
+def test_closed_form_theta_matches_the_spectral_path(config):
+    # On the gate's grid, theta from the blocks' ellipses matches theta
+    # unwrapped from the 4x4 evolution within 1e-11 rad (2.5e-13 measured),
+    # and its rate the H psi ratio within 1e-11 rad over the horizon
+    # (|d theta'| t_max; 2e-12 measured).  Beyond 3 nm the 4x4 evolution's
+    # own rounding reaches 1e-10 rad (tests/test_accuracy.py).
+    run = run_trajectory(config)
+    times = run._times
+    expected = unwrap_phases(propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times))
+    np.testing.assert_allclose(run._theta, expected, rtol=0, atol=1e-11)
+    theta, rate = run.theta_at(times)
+    spectral_theta, spectral_rate = spectral_theta_fn(run.config, times, expected)(times)
+    np.testing.assert_allclose(theta, spectral_theta, rtol=0, atol=1e-11)
+    assert np.max(np.abs(rate - spectral_rate)) * run.config.t_max <= 1e-11
+
+
+def test_degenerate_block_gate_time_matches_the_spectral_path():
+    # Equal fields, no gradient and J0 = g/2: the {|01>,|10>} block is a
+    # multiple of the identity, rho_B = 0, and E_B stands still.  The closed
+    # form divides by no rho; its tau is the one the spectral path refines
+    # from the same samples, within the phase tolerance at theta's rate.
+    r = 1.14e-9
+    config = validate(reference_config(Bg1=0.0, Bg2=0.0, J0=dipole_coupling(r) / 2))
+    assert BlockPropagator(build_static(config), config.initial_state).rho[1] == 0.0
+    run = run_trajectory(config)
+    gate = run_simulation(config).gate
+    theta_fn = spectral_theta_fn(config, run._times, run._theta)
+    args = (run.scan_step, run.unresolved, run.m2, run.m4)
+    tau = find_gate_time(run._times, run._theta, theta_fn, *args)
+    (theta,), (rate,) = theta_fn(np.array([tau]))
+    assert abs(theta + np.pi) <= PHASE_TOL
+    assert abs(gate.tau - tau) <= 2 * PHASE_TOL / abs(rate)
+    assert abs(gate.theta_at_tau + np.pi) <= PHASE_TOL
+
+
+@pytest.mark.parametrize("j", range(4))
+def test_vanishing_initial_amplitude_raises_undefined_phase(j):
+    # The closed form's bound on the amplitudes' moduli is 0 here, so the
+    # gate's samples are checked; c_j is 0 at the first.
+    state = np.full(4, 0.5, dtype=complex)
+    state[j] = 0.0
+    with pytest.raises(UndefinedPhase, match=rf"\|c{j + 1}\| = .* at t=0\.0"):
+        run_simulation(reference_config(initial_state=state))
 
 
 def test_scan_at_12nm_takes_few_points_and_calls(monkeypatch):
@@ -1055,7 +1135,7 @@ def test_scan_margin_bounds_theta_between_samples(config):
     # the exact theta must not leave that band around the interpolation of
     # the samples the gate reads, with the margin find_gate_time takes.
     run = run_trajectory(config)
-    times, theta = run._samples.times, run._theta
+    times, theta = run._times, run._theta
     assert np.isfinite(run.m2)
     margin = _scan_margin(times, theta, run.unresolved, run.m2)
     dense = np.linspace(0.0, times[-1], 400_001)
