@@ -215,13 +215,13 @@ class TrajectoryEvaluator:
     The mode gives ``states(times)``, psi at each time, through which
     ``states_at`` gives every state the evaluator gives: a static run's
     closed form (``BlockPropagator.states``), or a driven run's RK4 carry
-    from each time's nearest earlier sample.  It gives
-    ``angles(times, states_at)``: theta at each time up to a multiple of
-    2 pi, its exact rate, and the states from ``states_at`` at least at the
-    last time.  A static run takes theta and its rate from the blocks'
-    ellipses (``BlockPropagator.theta``) and one state; a driven run takes
-    the states at every time, theta as the argument of c1 c4 conj(c2 c3)
-    less its value at 0, and its rate, with i dpsi/dt = H(t) psi, as
+    from each time's nearest earlier sample.  It gives ``angles(times)``:
+    theta at each time up to a multiple of 2 pi, its exact rate, and the
+    states at the times where the mode computed them, else None.  A static
+    run takes theta and its rate from the blocks' ellipses
+    (``BlockPropagator.theta``) and no state; a driven run takes the states
+    at every time, theta as the argument of c1 c4 conj(c2 c3) less its value
+    at 0, and its rate, with i dpsi/dt = H(t) psi, as
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``theta_at`` gives theta and its rate at an array of times, for
     find_gate_time's scan rounds and one-time Newton steps alike, with theta
@@ -248,7 +248,7 @@ class TrajectoryEvaluator:
         self.m4 = m4
         self._states = states
         self._angles = angles
-        # The latest evaluated times, states and theta; before any, the first sample.
+        # The latest evaluated times, states (or None) and theta; before any, the first sample.
         self._last = times[:1], psi0[None], theta[:1]
 
     @property
@@ -270,9 +270,9 @@ class TrajectoryEvaluator:
 
     def theta_at(self, times: np.ndarray):
         """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The times, the
-        states evaluated (the last at least) and theta are kept as ``_last``
-        for the caller that needs them at tau."""
-        raw, rate, states = self._angles(times, self.states_at)
+        states ``angles`` gave (or None) and theta are kept as ``_last`` for
+        the caller that needs them at tau."""
+        raw, rate, states = self._angles(times)
         ref = np.interp(times, self._times, self._theta)
         theta = raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
         self._last = times, states, theta
@@ -380,8 +380,8 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             i = times[1:].searchsorted(t, side="right")
             return rk4_spans(hfun, traj.states[i], times[i], t, step)
 
-        def angles(t, states_at):
-            psi = states_at(t)
+        def angles(t):
+            psi = states(t)
             # dtheta/dt (TrajectoryEvaluator) from the real parts of the
             # ratios, with the signs turned.
             ratio = ((hfun(t) @ psi[..., None])[..., 0] / psi).real
@@ -409,22 +409,23 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, rate))
             return output, unwrap_phases(output)
 
-        def angles(t, states_at):
-            return *blocks.theta(t), states_at(t[-1:])
+        def angles(t):
+            return *blocks.theta(t), None
 
     return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, unresolved, m2, m4, states, angles, finish)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
     """Full pipeline: propagate, find the pi-gate time, summarize the gate.
-    The state and theta at tau are those of the evaluation that accepted tau,
-    the refinement's last unless tau is the earlier end of its bracket."""
+    Theta at tau is that of the evaluation that accepted tau, the
+    refinement's last unless tau is the earlier end of its bracket, and so
+    is a driven run's state at tau; a static run's is evaluated once."""
     run = run_trajectory(config)
     tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
     if run._last[0][-1] != tau:  # tau is not the latest time evaluated
         run.theta_at(np.array([tau]))
     _, states, theta = run._last  # the evaluation that accepted tau
-    psi_tau = states[-1]
+    psi_tau = run.states_at([tau])[0] if states is None else states[-1]
     # Per-basis phases accumulated by tau, mod 2 pi in (-pi, pi].
     phi = np.angle(psi_tau * run.psi0.conj()).tolist()
     c_tau = concurrence(psi_tau)

@@ -306,6 +306,7 @@ def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
     monkeypatch.setattr(engine, "propagate_static", recording)
     result = run_simulation(reference_config())
     assert calls == []
+    assert len(result._run._times) < 100
     result.trajectory
     result.theta
     assert calls == ["eigh", engine.MIN_SAMPLES, "evolve"]
@@ -859,12 +860,14 @@ def test_refinement_takes_few_evaluations(config, monkeypatch):
     ids=["static", "driven"],
 )
 def test_state_at_tau_comes_from_the_last_refinement(config, monkeypatch):
-    # tau is the last time the refinement evaluated, so its state is psi(tau):
-    # states_at, the evaluator's one propagation, is not called after
-    # find_gate_time returns, and the state has the same bits as
-    # states_at([tau]) gives.
+    # tau is the last time the refinement evaluated.  A driven run's state
+    # at tau is the one that evaluation carried: nothing is propagated after
+    # find_gate_time returns.  A static run's theta_at evaluates no state,
+    # so psi(tau) is one states_at([tau]) after it.  Either has the same
+    # bits as states_at([tau]) gives.
     events, states = [], []
     find_gate_time, states_at, concurrence = engine.find_gate_time, TrajectoryEvaluator.states_at, engine.concurrence
+    rk4_spans = engine.rk4_spans
 
     def recording_find_gate_time(*args):
         tau = find_gate_time(*args)
@@ -875,17 +878,28 @@ def test_state_at_tau_comes_from_the_last_refinement(config, monkeypatch):
         events.append(("states_at", np.asarray(times)))
         return states_at(self, times)
 
+    def recording_rk4_spans(hfun, psi, t0, t1, dt_max):
+        events.append(("rk4_spans", np.asarray(t1)))
+        return rk4_spans(hfun, psi, t0, t1, dt_max)
+
     def recording_concurrence(psi):
         states.append(psi)
         return concurrence(psi)
 
     monkeypatch.setattr(engine, "find_gate_time", recording_find_gate_time)
     monkeypatch.setattr(TrajectoryEvaluator, "states_at", recording_states_at)
+    monkeypatch.setattr(engine, "rk4_spans", recording_rk4_spans)
     monkeypatch.setattr(engine, "concurrence", recording_concurrence)
     tau = run_simulation(config).gate.tau
     names = [name for name, _ in events]
-    assert names[-1] == "find_gate_time" and names.count("find_gate_time") == 1
-    assert events[-2][0] == "states_at" and events[-2][1][-1] == tau
+    assert names.count("find_gate_time") == 1
+    end = names.index("find_gate_time")
+    if config.mode == "driven":
+        assert end == len(names) - 1
+        assert names[end - 1] == "rk4_spans" and events[end - 1][1][-1] == tau
+    else:
+        assert names[:end] == [] and names[end + 1 :] == ["states_at"]
+        assert events[-1][1].tolist() == [tau]
     assert np.array_equal(states[0], run_trajectory(config).states_at([tau])[0])
 
 
