@@ -9,12 +9,19 @@ c1 c4 conj(c2 c3) and shifted so that theta(0) = 0.  The Zeeman terms on the
 diagonal of H cancel exactly in that product, so it turns at the dipole rate
 (about 4 g) instead of the Zeeman rate of the single arguments, and one
 unwrapped series resolves it on any sample grid that resolves theta itself.
+
+The gate time is theta's first crossing of +/-pi (``find_gate_time``).  A
+static run hands the search the samples of theta's slow part S and bounds
+on the rest (``SlowPhase``), so that theta itself is evaluated only in the
+window where S comes within the fast part's amplitude of pi; a driven run
+hands it samples of theta and no bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,13 +46,14 @@ PHASE_TOL = 1e-10
 SCAN_BATCH = 1 << 16
 
 # Points of the first-crossing scan per solve, at most (about 0.5 s of
-# evaluations).  Runs in the benchmark's ranges need a few thousand; equal
-# fields of 1e9 T on both spins need over 1e10, at the Zeeman scale.
+# evaluations).  Runs in the benchmark's ranges need a few hundred; a run
+# searched with no bound at equal fields of 1e9 T on both spins would need
+# over 1e10, at the Zeeman scale.
 MAX_SCAN_POINTS = 10**6
 
 # The first-crossing scan sizes its cells so that the Hermite error bound of
 # a cell is this fraction of theta's change across it at the sampled slope:
-# then only a cell next to the level fails its test (see _scan).
+# then only a cell next to the level fails its test (see _slow_scan).
 CELL_ERROR = 0.1
 
 # One more round of the scan, a call of its theta evaluator and the search
@@ -111,37 +119,54 @@ def unwrap_angles(times, angles, start: float = 0.0) -> np.ndarray:
     return np.concatenate(([start], steps)).cumsum()
 
 
-def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, m2: float, m4: float) -> float:
-    """First time the unwrapped composite phase reaches +/-pi, from its
-    samples ``theta`` at the increasing ``times`` (``unwrap_phases``).
+class SlowPhase(NamedTuple):
+    """A static run's split theta = S + F (``propagator.BlockPropagator``),
+    for ``find_gate_time``: ``rates`` are S' at the samples, which are of S;
+    |S'| <= ``rate`` (rad/s), |F| <= ``fast`` (rad), |S''''| <= ``m4_slow``
+    and |theta''''| <= ``m4`` (rad/s^4)."""
 
-    The nominal target is -pi; if the series reaches +pi first that
-    earlier crossing is returned instead.
+    rates: np.ndarray
+    rate: float
+    fast: float
+    m4_slow: float
+    m4: float
+
+
+def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | None = None) -> float:
+    """First time the unwrapped composite phase reaches +/-pi, from its
+    samples ``theta`` at the increasing ``times`` (``unwrap_phases``), or,
+    with ``slow``, from the samples of its slow part S.
+
+    The nominal target is -pi; if theta reaches +pi first that earlier
+    crossing is returned instead.
 
     theta can reach the level and turn back between two samples, which the
-    sampled series does not show.  So the times before the first sampled
-    crossing at which theta could reach the level are scanned with
+    samples do not show.  So the times at which theta could reach the level
+    before the first crossing the samples show are scanned with
     ``theta_fn``, which maps an array of times to theta and its rate there
-    (typically by re-propagation).  Those are the times where the linear
-    interpolation of the samples comes within the margin of the level
-    (``_scan_margin``): ``2 * unresolved``, where ``unresolved`` (rad) bounds
-    the part of theta the samples do not resolve, plus h^2 m2 / 8 for the
-    interpolation error of the part they do, with h the widest sample
-    interval and ``m2`` a bound on that part's |theta''|.  Where there is no
-    such bound (``m2`` infinite) half the largest second difference of the
-    samples stands for it, an estimate.  Only the samples up to the one
-    after the first sampled crossing count, so the gate does not depend on
-    the samples beyond it: a driven run may stop there
-    (``engine.run_trajectory``).  The scan cuts the times into
-    cells whose ends it evaluates, and searches each cell through the cubic
-    Hermite interpolant of theta and its rate at the ends, within its error
-    bound h^4 m4 / 384 from ``m4``, a bound on |theta''''| (infinite where
-    there is none): a crossing the cubic or the bound allows is looked for
-    inside the cell, so a crossing shorter than a cell is found too (see
-    _scan and _first_crossing).  Only cells around the crossing found are
-    narrower than ``scan_step`` (s), and with no bound every cell is that
-    wide.  The scan runs in time order in batches and stops at the first
-    crossing, so its cost follows that window, not the horizon.
+    (typically by re-propagation), in cells whose ends it evaluates.  Each
+    cell is searched through the cubic Hermite interpolant of theta and its
+    rate at the ends, within its error bound h^4 m4 / 384 from a bound m4
+    on |theta''''| (infinite where there is none): a crossing the cubic or
+    the bound allows is looked for inside the cell, so a crossing shorter
+    than a cell is found too (see _first_crossing).  No cell is split below
+    ``scan_step`` (s).  The scan runs in time order in batches and stops at
+    the first crossing, so its cost follows its window, not the horizon.
+
+    With no ``slow``, the samples are of theta and there is no bound: the
+    window is where the linear interpolation of the samples comes within a
+    margin of the level, half the largest second difference of the samples,
+    an estimate, up to the first sample past the level, and its cells are
+    ``scan_step`` wide (``_scan``).  Only the samples up to the one after
+    that sample count, so the gate does not depend on the samples beyond
+    it: a driven run may stop there (``engine.run_trajectory``).
+
+    With ``slow`` (a static run), theta = S + F with |F| <= ``slow.fast``
+    and the samples and ``slow.rates`` are S and S': theta can reach the
+    level only where S's cubic Hermite band, its interpolant within
+    h^4 m4_slow / 384, comes within ``fast`` of it, and is past it where
+    that band is past the level by ``fast``.  Only that window is scanned,
+    in cells sized from ``slow.m4`` (``_slow_scan``).
 
     Inside the bracket of the first crossing found, the crossing is refined
     by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
@@ -156,22 +181,27 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     when no next point lies strictly inside the bracket (float resolution);
     then the end of the bracket with the smaller residual is returned.
 
-    Raises NoCrossing when the phase never reaches the target before the end
-    of the series; its message gives theta at the final sample.
+    Raises NoCrossing when theta never reaches the target before the end
+    of the samples; its message gives theta at the final sample.
     """
     level = math.pi
-    past = np.abs(theta) >= level
-    i = int(past.argmax())
-    if not past[i]:
-        raise NoCrossing(
-            f"theta stayed in (-{level:.6f}, {level:.6f}) up to "
-            f"t={times[-1]:.6e} s (theta_end={theta[-1]:.6f} rad)"
-        )
-    if i == 0:
-        return float(times[0])
-    margin = _scan_margin(times[: i + 2], theta[: i + 2], unresolved, m2)
-    scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step, m4)
-    bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
+    if slow is None:
+        past = np.abs(theta) >= level
+        i = int(past.argmax())
+        if not past[i]:
+            raise NoCrossing(_no_crossing(level, times[-1], theta[-1]))
+        if i == 0:
+            return float(times[0])
+        # Four times an eighth of the largest second difference of the
+        # samples up to the one after the first past the level.
+        margin = 0.5 * np.abs(np.diff(theta[: i + 2], 2)).max(initial=0.0)
+        scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step)
+        bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
+    else:
+        bracket = _slow_scan(times, theta, level, theta_fn, scan_step, slow)
+        if bracket is None:
+            (end,), _ = theta_fn(times[-1:])
+            raise NoCrossing(_no_crossing(level, times[-1], end))
     t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
 
     crossed = level if th_hi >= level else -level
@@ -193,6 +223,13 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, unresolved: float, 
     return t_lo if abs(f_lo) < abs(f_hi) else t_hi
 
 
+def _no_crossing(level, t_end, theta_end) -> str:
+    return (
+        f"theta stayed in (-{level:.6f}, {level:.6f}) up to "
+        f"t={t_end:.6e} s (theta_end={theta_end:.6f} rad)"
+    )
+
+
 def _hermite_root(f0, f1, m0, m1):
     """Root in (0, 1) of the cubic with values f0, f1 and slopes m0, m1 at 0
     and 1, by three Newton steps from the secant root f0 / (f0 - f1); the
@@ -206,54 +243,20 @@ def _hermite_root(f0, f1, m0, m1):
     return s if 0 < s < 1 else secant
 
 
-def _scan_margin(times, theta, unresolved, m2):
-    """Bound on |theta(t) - its linear interpolation between samples| (rad)
-    over the intervals between the samples ``theta`` at ``times``.
-
-    ``unresolved`` bounds the part of theta the samples do not resolve; it
-    enters twice, once at t and once in the samples.  The interpolation error
-    of the resolved part is at most h^2 max|theta''| / 8 on an interval of
-    width h, and ``m2`` bounds that |theta''|.  With no bound (``m2``
-    infinite) the margin allows four times an eighth of the largest second
-    difference of the samples, an estimate of it.
-    """
-    if math.isfinite(m2):
-        h = float((times[1:] - times[:-1]).max(initial=0.0))
-        return 2 * unresolved + h * h * m2 / 8
-    return 2 * unresolved + 0.5 * np.abs(np.diff(theta, 2)).max(initial=0.0)
-
-
-def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
+def _scan(times, theta, level, margin, theta_fn, scan_step):
     """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
-    first crossing of |theta| = level that the scan finds, or None.
-    ``theta_fn`` gives theta and its rate at an array of times; a lower end
-    at a sample has rate NaN.
+    first crossing of |theta| = level that the scan of samples with no bound
+    finds, or None.  A lower end at a sample has rate NaN.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
-    ``margin`` of the level, cut into cells of equal width whose ends are
-    evaluated.  The width is chosen up front from ``m4`` and the interval's
-    sampled slope: a cell's Hermite error bound, h^4 m4 / 384, is CELL_ERROR
-    times the change of theta across it, so that only a cell next to the
-    level fails the test of ``_first_crossing``.  It is never below
-    ``scan_step``, and is ``scan_step`` when ``m4`` is infinite.  The last
-    band holds the sampled crossing: it is cut at once into cells of the
-    width ``fine`` that the crossing's cell is cut to (where the root of the
-    cubic meets PHASE_TOL by the bound) when that costs at most CALL_POINTS
-    more points, which saves a round.  The cell ends of all bands are laid
-    out once, less each end the next does not follow (the earlier copy of a
-    time two bands share), and evaluated in time order, at most SCAN_BATCH
-    points per call of ``theta_fn``; the cells of each batch are searched
-    before the next batch is evaluated.  Raises OutOfRange, before any
-    evaluation, if the cell ends number more than MAX_SCAN_POINTS.
+    ``margin`` of the level, cut into cells ``scan_step`` wide, or one
+    narrower (``_scan_bands``).
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
     rows = (near[:-1] | near[1:]).nonzero()[0].tolist()
-    # The last band holds the sampled crossing; cells of the width the
-    # crossing's cell is cut to cost fewer points there than a round of cuts.
-    fine = (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
-    start, width, cells = [], [], []
+    start, width = [], []
     for row in rows:  # few: the sample intervals near the level
         a, b = float(theta[row]), float(theta[row + 1])
         t0, span = float(times[row]), float(times[row + 1] - times[row])
@@ -275,37 +278,150 @@ def _scan(times, theta, level, margin, theta_fn, scan_step, m4):
         begin = t0 + min(max(lo, 0.0), 1.0) * span
         start.append(begin)
         width.append(t0 + min(max(hi, 0.0), 1.0) * span - begin)
-        # m4 = 0: theta is linear, one cell a band.
-        size = max((abs(d) / span * 384 * CELL_ERROR / m4) ** (1 / 3), scan_step) if m4 else math.inf
-        cells.append(max(math.ceil(width[-1] / size), 1))
-    if width[-1] / fine <= cells[-1] + CALL_POINTS:
-        cells[-1] = max(math.ceil(width[-1] / fine), cells[-1])
+    cells = [max(math.ceil(w / scan_step), 1) for w in width]
+    before = times[rows[0]], theta[rows[0]]
+    return _scan_bands(start, width, cells, level, theta_fn, scan_step, math.inf, before)
+
+
+def _slow_scan(times, theta, level, theta_fn, scan_step, slow):
+    """Bracket of the first crossing of |theta| = level, or None, from the
+    samples ``theta`` of theta's slow part S at ``times`` (``find_gate_time``).
+
+    On a sample interval of width h, S lies within err = h^4 m4_slow / 384 of
+    the cubic Hermite interpolant p of S and S' at its ends, and theta within
+    ``fast`` of S.  So theta is below the level, in the direction of the
+    interval's larger end, where p is below level - fast - err, and past it
+    from a sample where |S| >= level + fast, or from the first time p
+    reaches level + fast + err.  The window is the times before that where
+    p is not below: on the intervals whose ends the bound ``rate`` on |S'|
+    does not keep below, from the first time p reaches the lower level
+    (``_hermite_reach``).  Each of its bands is cut into cells whose Hermite
+    error bound is CELL_ERROR times theta's change across them at S's
+    sampled slope, not below ``scan_step``, or at once into cells of the
+    width ``fine`` that a crossing's cell is cut to (``_cell_nodes``) when
+    that costs at most CALL_POINTS more points, which saves a round.
+    """
+    rates, rate, fast, m4_slow, m4 = slow
+    h = times[1:] - times[:-1]
+    widest = float(h.max(initial=0.0))
+    err = widest * widest * widest * widest * m4_slow / 384
+    low, high = level - fast - err, level + fast + err
+    size = np.abs(theta)
+    past = size >= level + fast
+    n = int(past.argmax()) + 1 if past.any() else len(theta)
+    # |S| is at most the larger end of an interval plus rate h / 2 on it.
+    near = size[:n] >= low - err - rate * widest / 2
+    rows = (near[:-1] | near[1:]).nonzero()[0].tolist()
+    start, width, slope = [], [], []
+    for row in rows:  # few: the sample intervals near the level
+        t0, span = float(times[row]), float(h[row])
+        a, b, m0, m1 = theta[row : row + 2].tolist() + rates[row : row + 2].tolist()
+        s = 1.0 if a + b > 0 else -1.0
+        cubic = s * a, s * b, s * m0 * span, s * m1 * span
+        reach = _hermite_reach(*cubic, low)
+        if reach is None:
+            continue
+        end = _hermite_reach(*cubic, high)
+        begin = t0 + reach[0] * span
+        start.append(begin)
+        width.append(t0 + (1.0 if end is None else end[1]) * span - begin)
+        slope.append(abs(b - a) / span)
+        if end is not None:  # theta is past the level there
+            break
+    if not start:
+        return None
+    # m4 = 0: theta is linear, one cell a band.
+    cells = [
+        max(math.ceil(w / max((x * 384 * CELL_ERROR / m4) ** (1 / 3), scan_step)), 1) if m4 else 1
+        for w, x in zip(width, slope)
+    ]
+    fine = _fine(m4)
+    if sum(width) / fine <= sum(cells) + CALL_POINTS:
+        cells = [max(math.ceil(w / fine), n) for w, n in zip(width, cells)]
+    # theta(0) = 0: a fallback before the window, which its bounds make unused.
+    return _scan_bands(start, width, cells, level, theta_fn, scan_step, m4, (times[0], 0.0))
+
+
+def _fine(m4):
+    """Width of the cells a crossing's cell is cut to: there the root of
+    the cubic Hermite interpolant meets PHASE_TOL by the bound h^4 m4 / 384."""
+    return (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
+
+
+def _scan_bands(start, width, cells, level, theta_fn, scan_step, m4, before):
+    """Bracket of the first crossing of |theta| = level on the bands
+    [start, start + width], in time order, each cut into its count of
+    ``cells`` of equal width whose ends are evaluated, or None.
+
+    The cell ends of all bands are laid out once, less each end the next
+    does not follow (the earlier copy of a time two bands share), and
+    evaluated in time order, at most SCAN_BATCH points per call of
+    ``theta_fn``; the cells of each batch are searched (``_near_cells``,
+    ``_first_crossing``) before the next batch is evaluated.  A cell between
+    two bands is not searched.  If theta is past the level at the first end,
+    the bracket reaches back to ``before``, (time, theta) before it.  Raises
+    OutOfRange, before any evaluation, if the cell ends number more than
+    MAX_SCAN_POINTS.
+    """
     total = sum(cells) + len(cells)
     if not total <= MAX_SCAN_POINTS:
-        raise OutOfRange(
-            f"the first-crossing scan needs {total:.3g} points at a {scan_step:.3e} s "
-            f"spacing, above {MAX_SCAN_POINTS}"
-        )
+        raise OutOfRange(f"the first-crossing scan needs {total:.3g} points, above {MAX_SCAN_POINTS}")
     widest = max(w / n for w, n in zip(width, cells))
+    fine = _fine(m4)
     # Each band's cell ends, begin + width (k / n) for k = 0 .. n; a band's
     # cell starts at each but its last.
     steps = np.arange(max(cells) + 1.0)
     points = np.concatenate([b + w * (steps[: n + 1] / n) for b, w, n in zip(start, width, cells)])
     inner = np.concatenate([steps[: n + 1] < n for n in cells])
-    # Adjacent bands can share the sample between them; the later copy
-    # starts the next cell.
+    # Adjacent bands can share a time; the later copy starts the next cell.
     keep = np.concatenate((points[1:] > points[:-1], [True]))
     points, inner = points[keep], inner[keep]
     # Batches overlap by one point, so that every cell lies in one of them.
     for k in range(0, len(points), SCAN_BATCH):
         batch, open_ = points[max(k - 1, 0) : k + SCAN_BATCH], inner[max(k - 1, 0) : k + SCAN_BATCH]
         values, rates = theta_fn(batch)
-        if abs(values[0]) >= level:  # the scan margin did not hold
-            return times[rows[0]], batch[0], theta[rows[0]], values[0], math.nan, rates[0]
+        if abs(values[0]) >= level:  # the window did not hold
+            return before[0], batch[0], before[1], values[0], math.nan, rates[0]
         cells_near = _near_cells(batch, values, rates, open_[:-1], level, widest, m4)
         bracket = _first_crossing(cells_near, level, theta_fn, scan_step, m4, fine)
         if bracket is not None:
             return bracket
+    return None
+
+
+def _hermite_reach(f0, f1, m0, m1, level):
+    """(a, b) with p(a) < level <= p(b) and b - a at most 1e-9, around the
+    first x in [0, 1] where the cubic p with values f0, f1 and slopes m0, m1
+    at 0 and 1 reaches ``level``, or None if it stays below; (0, 0) if f0
+    does not.  The critical points of p cut [0, 1] into pieces on which p is
+    monotone; on the first whose end reaches the level, the crossing is
+    bracketed by regula falsi with the Illinois step."""
+    if f0 >= level:
+        return 0.0, 0.0
+    c2 = 3 * (f1 - f0) - 2 * m0 - m1
+    c3 = 2 * (f0 - f1) + m0 + m1
+    a, fa = 0.0, f0 - level
+    for b in sorted(x for x in _critical_points(m0, c2, c3) if 0 < x < 1) + [1.0]:
+        fb = f0 + b * (m0 + b * (c2 + b * c3)) - level
+        if fb < 0:
+            a, fa = b, fb
+            continue
+        side = 0
+        for _ in range(100):  # a few in practice
+            if b - a <= 1e-9:
+                break
+            x = (a * fb - b * fa) / (fb - fa)
+            x = x if a < x < b else (a + b) / 2
+            fx = f0 + x * (m0 + x * (c2 + x * c3)) - level
+            if fx < 0:
+                a, fa = x, fx
+                fb = fb / 2 if side < 0 else fb
+                side = -1
+            else:
+                b, fb = x, fx
+                fa = fa / 2 if side > 0 else fa
+                side = 1
+        return a, b
     return None
 
 
@@ -425,17 +541,23 @@ def _hermite_peak(f0, f1, m0, m1):
     x, top = (1.0, f1) if f1 > f0 else (0.0, f0)
     c2 = 3 * (f1 - f0) - 2 * m0 - m1
     c3 = 2 * (f0 - f1) + m0 + m1
-    disc = c2 * c2 - 3 * c3 * m0
-    if not (math.isfinite(disc) and disc >= 0):
-        return x, top
-    # Roots of p' = m0 + 2 c2 x + 3 c3 x^2, in the form that keeps its digits.
-    q = -(c2 + math.copysign(math.sqrt(disc), c2))
-    for root in (q / (3 * c3) if c3 else math.nan, m0 / q if q else math.nan):
+    for root in _critical_points(m0, c2, c3):
         if 0 < root < 1:
             value = f0 + root * (m0 + root * (c2 + root * c3))
             if value > top:
                 x, top = root, value
     return x, top
+
+
+def _critical_points(m0, c2, c3):
+    """The roots of p' = m0 + 2 c2 x + 3 c3 x^2 of a cubic
+    p = f0 + m0 x + c2 x^2 + c3 x^3, in the form that keeps its digits, NaN
+    for one that does not exist; none where they are not real and finite."""
+    disc = c2 * c2 - 3 * c3 * m0
+    if not (math.isfinite(disc) and disc >= 0):
+        return ()
+    q = -(c2 + math.copysign(math.sqrt(disc), c2))
+    return q / (3 * c3) if c3 else math.nan, m0 / q if q else math.nan
 
 
 def correction_phases(phi00: float, phi01: float, phi10: float):

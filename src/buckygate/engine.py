@@ -1,16 +1,19 @@
 """High-level driver: from a configuration to a full gate summary.
 
 Static mode takes theta, its rate and the states in closed form from the
-static Hamiltonian's two 2x2 blocks (``BlockPropagator``), on a grid sized
-by bounds on theta's rate and curvature; driven mode propagates with
-4th-order Magnus steps in the interaction picture of the static Hamiltonian
-on a grid at the fastest Hamiltonian scale, as far as the gate needs.  The
-trajectory a run outputs is computed when it is read, a static one by the
-exact spectral solution.  Gate-time refinement evaluates theta between the
-stored samples, a driven run by re-propagating from them, first to search
-the intervals near the crossing in cubic Hermite cells on theta and its
-exact rate, then to refine the first crossing found by safeguarded Newton
-steps on that rate, instead of interpolating the sampled phase.
+static Hamiltonian's two 2x2 blocks (``BlockPropagator``).  Its gate samples
+theta's slow part S, the dipolar turn and block B's beat, on a grid sized by
+closed-form bounds on S's rate and fourth derivative, and evaluates theta
+itself only where S comes within the amplitude of the fast part, block A's
+Zeeman-scale wiggle, of pi.  Driven mode propagates with 4th-order Magnus
+steps in the interaction picture of the static Hamiltonian on a grid at the
+fastest Hamiltonian scale, as far as the gate needs.  The trajectory a run
+outputs is computed when it is read, a static one by the exact spectral
+solution.  Gate-time refinement evaluates theta between the stored
+samples, a driven run by re-propagating from them, first to search the
+times near the crossing in cubic Hermite cells on theta and its exact rate,
+then to refine the first crossing found by safeguarded Newton steps on that
+rate, instead of interpolating the sampled phase.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from .analysis import (
     AMP_FLOOR,
     MAX_THETA_STEP,
     GateResult,
+    SlowPhase,
     composite_angle,
     concurrence,
     correction_phases,
@@ -53,19 +57,24 @@ from .propagator import (
 )
 
 # Target phase advance between stored samples at the rate the grid follows:
-# theta's own rate for static runs (theta_rate), the fastest coefficient's
-# for driven runs.  The unwrap trusts steps up to MAX_THETA_STEP (pi / 2).
+# the bound on theta's slow part's rate for a static gate grid, on theta's
+# rate for a static output grid, the fastest coefficient's for driven runs.
+# The unwrap trusts steps up to MAX_THETA_STEP (pi / 2).
 MAX_PHASE_PER_SAMPLE = 0.5
 
 MIN_SAMPLES = 1001
 MAX_SAMPLES = 50001
 
-# Bound (rad) on h^2 m2 / 8, the interpolation error of theta's resolved
-# part between the static gate grid's samples h apart: the part of the
-# first-crossing scan's margin that the grid sets (analysis._scan_margin).
-# A wider margin widens the bands the scan evaluates, a narrower one takes
-# more samples.
-MARGIN_TARGET = 3e-4
+# Bound (rad) on h^4 m4_slow / 384, the cubic Hermite error of theta's slow
+# part S between the static gate grid's samples h apart, where the fast
+# part's amplitude is not smaller.  With that amplitude it sets the window in
+# which the gate evaluates theta itself (analysis._slow_scan), so the window
+# is at most twice as wide as the fast part needs: a wider bound widens the
+# window, a narrower one takes more samples.  On the benchmark's static-far
+# inputs (seed 1), 1e-4 takes 172 samples and 2.01 theta_at calls of 83
+# points per solve, 5e-5 without the cap 154 samples and 91.5 points, 3e-4
+# without it 99 samples, but 2.29 calls of 126 points.
+MARGIN_TARGET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -104,98 +113,13 @@ def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndar
     """Uniform grid from 0 to t_max advancing MAX_PHASE_PER_SAMPLE rad per
     sample at ``rate`` (rad/s), within ``least`` and MAX_SAMPLES samples.
 
-    Static runs pass theta_rate, so at large r the grid follows theta and no
-    longer resolves the Zeeman precession of the single amplitudes, which are
-    still exact at each sample; driven runs pass the Hamiltonian scale.
+    A static run's gate grid passes a pace from the bounds on theta's slow
+    part and its output grid the bound on theta's rate, so at large r neither
+    resolves the Zeeman precession of the single amplitudes, which are still
+    exact at each sample; driven runs pass the Hamiltonian scale.
     """
     n = np.ceil(t_max * rate / MAX_PHASE_PER_SAMPLE) + 1
     return np.linspace(0.0, t_max, int(min(max(n, least), MAX_SAMPLES)))
-
-
-def theta_rate(blocks):
-    """(rate, unresolved, m2, m4) of theta on a static run, all from the
-    spectrum and the terms s and rho of its ``BlockPropagator`` ``blocks``:
-    bounds on |theta'|, on the part of theta the gate's samples need not
-    resolve, on |theta''| of the rest and on |theta''''|.
-
-    Each amplitude is c_j = exp(-i lam_top t) u_j with the exponential sum
-    u_j(t) = sum_k V_jk a_k exp(-i (lam_k - lam_top) t) about its largest
-    eigencomponent, top, whose n-th derivative is at most
-    D_n = sum_k weight_k gap_k^n in modulus and whose modulus is at least
-    2 weight_top - sum(weight).  theta = Im log z with z = c1 c4 conj(c2 c3),
-    so theta' is -(lam_top1 + lam_top4 - lam_top2 - lam_top3) plus a signed
-    sum of Im (log u_j)', each at most D_1 / (2 weight_top - sum(weight)):
-    ``rate`` sums their moduli.  It is never below the dipolar rate
-    |s| = 4 |g + J0|, which H's spectrum no longer shows where J0 dwarfs the
-    other terms beyond float resolution (J0 = 1e300 rad/s): such a run is
-    refused with PhaseAliasing, not sampled as if theta stood still.
-
-    theta turns at the dipolar rate and beats at the {|01>,|10>}-block
-    frequency 2 rho_B; the Zeeman terms cancel in z.  An amplitude's
-    eigencomponents further than the sum of the two from top (the -3g
-    mixing of |00> and |11> across the Zeeman gap) are off-resonant: with
-    weights summing to ``leak`` against a lower bound ``floor`` on the
-    modulus of the near ones, they add arg(1 + eps(t)) to theta with
-    |eps| <= leak / floor, which moves at most arcsin(leak / floor) rad.
-    ``unresolved`` sums those amplitudes: the gate's grid is not asked to
-    resolve that wiggle, the first-crossing scan allows for it.  The rest,
-    the argument of the near part, has (log near)'' = near''/near -
-    (near'/near)^2, so ``m2`` sums Q_2 + Q_1^2 over the amplitudes, Q_n the
-    near components' D_n over ``floor``: between samples h apart theta
-    departs from their linear interpolation by at most h^2 m2 / 8 besides
-    the wiggle (``find_gate_time``).
-
-    ``m4`` sizes the cubic Hermite cells of the first-crossing scan.  The
-    factor in front of u_j drops out of every derivative of log c_j past the
-    first, and Faa di Bruno's formula for log u,
-        (log u)'''' = u''''/u - (4 u' u''' + 3 u''^2)/u^2 + 12 u'^2 u''/u^3 - 6 (u'/u)^4,
-    bounds each term by the D_n and 2 weight_top - sum(weight).
-
-    An amplitude with no dominant eigencomponent, 2 weight_top <= sum(weight),
-    may pass near zero, where theta turns without bound: then ``rate``,
-    ``m2`` and ``m4`` are infinite, so the grid takes MAX_SAMPLES, and where
-    some leak is not below its floor ``unresolved`` is pi, so the scan
-    covers every interval up to the first sampled crossing.
-    """
-    dipolar = abs(blocks.s)
-    slow = dipolar + 2 * blocks.rho[1]
-    lam = blocks.eigenvalues.tolist()
-    turn, rate, unresolved, m2, m4 = 0.0, 0.0, 0.0, 0.0, 0.0
-    weights = np.abs(blocks.components.T).tolist()  # |V_jk a_k|
-    for sign, weight in zip((1, -1, -1, 1), weights):
-        top = max(range(4), key=weight.__getitem__)
-        turn += sign * lam[top]
-        gap = [abs(x - lam[top]) for x in lam]
-        leak = sum(w for w, x in zip(weight, gap) if x > slow)
-        floor = 2 * weight[top] - (sum(weight) - leak)
-        if leak and leak >= floor:
-            return math.inf, math.pi, math.inf, math.inf
-        if leak:
-            unresolved += math.asin(leak / floor)
-        u = floor - leak
-        if u <= 0:
-            rate = m2 = m4 = math.inf
-            continue
-        # q_n = D_n / u and p_n, the near components' D_n over floor, by
-        # products, not powers: a float product beyond the floats reads inf,
-        # and a zero weight keeps its terms at zero.
-        q1 = q2 = q3 = q4 = p1 = p2 = 0.0
-        for w, x in zip(weight, gap):
-            if x <= slow:
-                p = w * x / floor
-                p1 += p
-                p2 += p * x
-            w = w * x / u
-            q1 += w
-            w *= x
-            q2 += w
-            w *= x
-            q3 += w
-            q4 += w * x
-        rate += q1
-        m2 += p2 + p1 * p1
-        m4 += q4 + 4 * q1 * q3 + 3 * q2 * q2 + 12 * q1 * q1 * q2 + 6 * q1 * q1 * q1 * q1
-    return max(abs(turn) + rate, dipolar), unresolved, m2, m4
 
 
 class TrajectoryEvaluator:
@@ -206,11 +130,14 @@ class TrajectoryEvaluator:
     The gate's samples, at ``_times`` with theta ``_theta``, are a static
     run's grid sized for the gate, or a driven run's Magnus pass up to where
     it stopped (``run_trajectory``); ``psi0`` is the run's state at time 0
-    as the mode gives it.  ``finish()`` gives the output as (trajectory,
-    theta): the static output grid propagated and unwrapped, or the driven
-    pass completed to t_max.  It runs on the first read of ``trajectory`` or
-    ``theta``, and a failure there is raised at every read.  ``states_at``
-    and ``theta_at`` give the same before and after that read.
+    as the mode gives it.  ``slow`` is None, or, on a static run whose
+    bounds exist, the ``SlowPhase`` of the gate: then ``_theta`` holds
+    theta's slow part S, within ``slow.fast`` of theta, and ``slow.rates``
+    S'.  ``finish()`` gives the output as (trajectory, theta): the static
+    output grid propagated and unwrapped, or the driven pass completed to
+    t_max.  It runs on the first read of ``trajectory`` or ``theta``, and a
+    failure there is raised at every read.  ``states_at`` and ``theta_at``
+    give the same before and after that read.
 
     The mode gives ``states(times)``, psi at each time, through which
     ``states_at`` gives every state the evaluator gives: a static run's
@@ -225,17 +152,15 @@ class TrajectoryEvaluator:
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``theta_at`` gives theta and its rate at an array of times, for
     find_gate_time's scan rounds and one-time Newton steps alike, with theta
-    on the nearest branch of the linearly interpolated sampled theta, which
-    is safe because per-sample theta increments stay below MAX_THETA_STEP,
-    and keeps the latest evaluation, where run_simulation reads tau's.
-    ``scan_step``, 0.05 rad at the run's Hamiltonian scale, is the narrowest
-    cell find_gate_time's scan for crossings between samples splits;
-    ``unresolved`` bounds the part of theta the samples do not resolve,
-    ``m2`` |theta''| of the rest and ``m4`` |theta''''|, each infinite where
-    there is no bound.
+    on the branch nearest the linear interpolation of ``_theta``, which is
+    safe because per-sample increments stay below MAX_THETA_STEP and, where
+    ``_theta`` holds S, |theta - S| <= ``slow.fast`` < pi / 2, and keeps the
+    latest evaluation, where run_simulation reads tau's.  ``scan_step``,
+    0.05 rad at the run's Hamiltonian scale, is the narrowest cell
+    find_gate_time's scan for crossings between samples splits.
     """
 
-    def __init__(self, config, times, theta, psi0, scan_step, unresolved, m2, m4, states, angles, finish):
+    def __init__(self, config, times, theta, psi0, scan_step, slow, states, angles, finish):
         self.config = config
         self._times = times
         self._theta = theta
@@ -243,13 +168,12 @@ class TrajectoryEvaluator:
         self._finish = finish
         self._output = None
         self.scan_step = scan_step
-        self.unresolved = unresolved
-        self.m2 = m2
-        self.m4 = m4
+        self.slow = slow
         self._states = states
         self._angles = angles
-        # The latest evaluated times, states (or None) and theta; before any, the first sample.
-        self._last = times[:1], psi0[None], theta[:1]
+        # The latest evaluated times, states (or None) and theta; before any,
+        # time 0, where theta is 0.
+        self._last = times[:1], psi0[None], np.zeros(1)
 
     @property
     def trajectory(self) -> Trajectory:
@@ -327,21 +251,27 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     The static Hamiltonian is built once per run, and a driven run's drive
     is at ``config.resonances``.  A static run's gate reads the closed form
     of ``BlockPropagator``, built from the Hamiltonian's two 2x2 blocks,
-    for theta, its rate, the states and the spectrum ``theta_rate`` bounds
-    theta from; its gate calls neither eigh nor a 4x4 evolution.  It
-    samples the gate on a grid with no MIN_SAMPLES floor, from 0 to t_max,
-    whose spacing h keeps theta's step within MAX_PHASE_PER_SAMPLE at the
-    bound ``rate`` of ``theta_rate`` and the interpolation error h^2 m2 / 8
-    of its resolved part within MARGIN_TARGET; it raises PhaseAliasing if
-    MAX_SAMPLES samples cannot hold theta's step below MAX_THETA_STEP.  The
-    samples' theta is unwrapped by ``unwrap_angles``, the rule of
+    for theta, its slow part S, their rates, the states and the bounds
+    (``BlockPropagator.bounds``); its gate calls neither eigh nor a 4x4
+    evolution.  Where the bounds exist, it samples S and S' on a grid with
+    no MIN_SAMPLES floor, from 0 to t_max, whose spacing h keeps S's step
+    within MAX_PHASE_PER_SAMPLE at the bound on its rate and the Hermite
+    error h^4 m4_slow / 384 within MARGIN_TARGET and the fast part's
+    amplitude; the gate evaluates theta itself only near pi
+    (``find_gate_time`` with the run's ``SlowPhase``).
+    Where they do not (an ellipse may pass through 0, or block A's does not
+    keep its centre's side), it samples theta on a grid at the bound on
+    theta's rate, floored at MIN_SAMPLES, as a driven run's, and the gate
+    searches it with no bound.  Either raises PhaseAliasing if MAX_SAMPLES
+    samples cannot hold the step below MAX_THETA_STEP at that bound.  The
+    samples are unwrapped by ``unwrap_angles``, the rule of
     ``unwrap_phases``.  Where the blocks do not bound every amplitude's
     modulus above AMP_FLOOR, ``unwrap_phases`` first checks the samples'
     states, so a vanishing amplitude raises UndefinedPhase, before any
-    PhaseAliasing.  Its output is the MIN_SAMPLES-floored grid at ``rate``,
-    diagonalized, propagated and unwrapped (``SpectralPropagator``,
-    ``propagate_static``, ``unwrap_phases``) when the evaluator's
-    ``trajectory`` or ``theta`` is first read.  A driven
+    PhaseAliasing.  Its output is the MIN_SAMPLES-floored grid at the bound
+    on theta's rate, diagonalized, propagated and unwrapped
+    (``SpectralPropagator``, ``propagate_static``, ``unwrap_phases``) when
+    the evaluator's ``trajectory`` or ``theta`` is first read.  A driven
     run takes ``magnus_steps`` Magnus steps per sample interval, set by the
     drive and the fitted error of the step rather than by the Zeeman
     precession: one or two on the benchmark's driven points.  Its pass
@@ -361,7 +291,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     scale = hamiltonian_scale(cfg, h0)
     scan_step = MAX_PHASE_PER_STEP / scale
     if cfg.mode == "driven":
-        unresolved, m2, m4 = 0.0, math.inf, math.inf
+        slow = None
         times = sample_times(cfg.t_max, scale)
         magnus = MagnusPass(SpectralPropagator(h0), cfg, times, magnus_steps(cfg, scale, times))
         theta = _run_to_first_crossing(magnus)
@@ -388,10 +318,16 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             return composite_angle(psi) - theta0, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3], psi
     else:
         blocks = BlockPropagator(h0, cfg.initial_state)
-        rate, unresolved, m2, m4 = theta_rate(blocks)
-        # m2 is infinite only where the rate is, which asks for MAX_SAMPLES.
-        pace = max(rate, MAX_PHASE_PER_SAMPLE * math.sqrt(m2 / (8 * MARGIN_TARGET)))
-        times = sample_times(cfg.t_max, pace, least=2)
+        bounds = blocks.bounds()
+        bounded = all(map(math.isfinite, (bounds.slow_rate, bounds.slow_m4, bounds.fast, bounds.m4)))
+        if bounded:
+            rate = bounds.slow_rate
+            target = min(MARGIN_TARGET, bounds.fast) if bounds.fast else MARGIN_TARGET
+            pace = max(rate, (bounds.slow_m4 / (384 * target)) ** 0.25 * MAX_PHASE_PER_SAMPLE)
+            times = sample_times(cfg.t_max, pace, least=2)
+        else:  # theta itself, on a grid as a driven run's
+            rate = bounds.rate
+            times = sample_times(cfg.t_max, rate)
         if blocks.least_modulus < AMP_FLOOR:  # an amplitude may vanish: check the samples' states
             unwrap_phases(Trajectory(times=times, states=blocks.states(times)))
         theta_step = rate * times[1]
@@ -401,18 +337,23 @@ def run_trajectory(config) -> TrajectoryEvaluator:
                 f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
                 "shorten t_max"
             )
-        theta = unwrap_angles(times, blocks.angles(times))
+        if bounded:  # S and S'; S(0) = -F(0), as theta(0) = 0
+            phase, rates = blocks.slow(times)
+            slow, start = SlowPhase(rates, rate, bounds.fast, bounds.slow_m4, bounds.m4), float(phase[0])
+        else:
+            phase, slow, start = blocks.angles(times), None, 0.0
+        theta = unwrap_angles(times, phase, start)
         psi0, states = blocks.psi0, blocks.states
 
         def finish():
             spectral = SpectralPropagator(h0)
-            output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, rate))
+            output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, bounds.rate))
             return output, unwrap_phases(output)
 
         def angles(t):
             return *blocks.theta(t), None
 
-    return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, unresolved, m2, m4, states, angles, finish)
+    return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, slow, states, angles, finish)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -421,7 +362,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     refinement's last unless tau is the earlier end of its bracket, and so
     is a driven run's state at tau; a static run's is evaluated once."""
     run = run_trajectory(config)
-    tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
+    tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.slow)
     if run._last[0][-1] != tau:  # tau is not the latest time evaluated
         run.theta_at(np.array([tau]))
     _, states, theta = run._last  # the evaluation that accepted tau

@@ -5,8 +5,9 @@ Two routes are provided, a closed form and one refinement:
 * ``propagate_static`` solves the time-independent problem exactly through an
   eigendecomposition and serves as the oracle for everything else;
 * ``BlockPropagator`` solves it in closed form from the static Hamiltonian's
-  two 2x2 blocks, with the composite phase theta and its rate, for the
-  static gate;
+  two 2x2 blocks, with the composite phase theta, its slow part and their
+  rates, and closed-form bounds on them (``PhaseBounds``), for the static
+  gate;
 * ``propagate_magnus`` integrates driven runs in the interaction picture of
   the static Hamiltonian H0 with the 4th-order Magnus step, whose generator
   integrates the oscillating phase factors of the interaction picture
@@ -47,6 +48,7 @@ import math
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -200,6 +202,14 @@ class BlockPropagator:
     Re(b+ conj(b-) exp(-2 i rho t)), with their means M = |b+|^2 cos^2 +
     |b-|^2 sin^2 of phi / 2 and the other way round, so at least
     M - |b+ b- sin(phi)|.
+
+    theta splits into a slow part S and a fast part F,
+        S(t) = -s t - Arg E_B(t) + Arg K_A,  F(t) = Arg(E_A(t) / K_A),
+    with block A's ellipse turned by -theta(0), as ``theta`` takes it, so
+    that S(0) = -F(0).
+    S turns at the dipolar rate and beats at 2 rho_B (``slow``); F is the
+    Zeeman-scale turn of E_A about K_A, small where K_A dominates
+    (``bounds``).
     """
 
     def __init__(self, h: np.ndarray, psi0: np.ndarray):
@@ -207,7 +217,7 @@ class BlockPropagator:
         self.psi0 = psi0 = np.asarray(psi0, dtype=complex)
         a = psi0.tolist()
         self.s = (h[0][0] + h[3][3]) - (h[1][1] + h[2][2])
-        lam, rho, ellipses = [], [], []
+        lam, rho, ellipses, moduli = [], [], [], []
         components = [[0j] * 4 for _ in range(4)]
         least = math.inf
         for k, (i, j) in enumerate(((0, 3), (1, 2))):
@@ -222,10 +232,12 @@ class BlockPropagator:
             # E = K + C cos + S sin of 2 rho t, C = P + Q and S = i (Q - P).
             p, q = plus * plus * sin / 2, -minus * minus * sin / 2
             ellipses.append((plus * minus * cos, p + q, 1j * (q - p)))
+            moduli.append((abs(plus * minus * cos), abs(p) + abs(q), abs(abs(p) - abs(q))))
             rho.append(r)
             mean = min(abs(plus * ch) ** 2 + abs(minus * sh) ** 2, abs(plus * sh) ** 2 + abs(minus * ch) ** 2)
             least = min(least, mean - abs(plus * minus * sin))
         self.eigenvalues, self.rho = np.array(lam), tuple(rho)
+        self._moduli = moduli  # (|K|, |P| + |Q|, ||P| - |Q||) of each block
         # Less 8 eps for the rounding of squares of at most 1 (psi0 is normalized).
         self.least_modulus = math.sqrt(max(least - 8 * _EPS, 0.0))
         # C-contiguous, so that a state gets the same bits alone or in a batch.
@@ -257,6 +269,38 @@ class BlockPropagator:
         ratio = ((self._ds * cos - self._dc * sin) / e).imag
         return theta, ratio[:, 0] - ratio[:, 1] - self.s
 
+    def slow(self, times: np.ndarray):
+        """(S, S') at each of ``times``, S up to a multiple of 2 pi, from
+        block B's ellipse alone: S' = -s - Im(E_B' / E_B)."""
+        x = times * self._two_rho[1]
+        cos, sin = np.cos(x), np.sin(x)
+        e = self._k[1] + self._c[1] * cos + self._s[1] * sin
+        z = self._k[0] * e.conj()
+        rate = ((self._ds[1] * cos - self._dc[1] * sin) / e).imag
+        return np.arctan2(z.imag, z.real) - self.s * times, -rate - self.s
+
+    def bounds(self) -> PhaseBounds:
+        """Bounds on S and theta over all times, each infinite where it does
+        not exist.
+
+        An ellipse E = K + P exp(-2 i rho t) + Q exp(2 i rho t) turns about K
+        with semi-axes |P| + |Q| and ||P| - |Q||, so |E^(n)| <= (2 rho)^n
+        (|P| + |Q|) for n >= 1 and |E| >= u = max(|K| - |P| - |Q|,
+        ||P| - |Q|| - |K|).  With q_n = (2 rho)^n (|P| + |Q|) / u,
+        |(Arg E)'| <= q_1, and Faa di Bruno's formula for log E,
+            (log E)'''' = E''''/E - (4 E' E''' + 3 E''^2)/E^2 + 12 E'^2 E''/E^3 - 6 (E'/E)^4,
+        bounds |(Arg E)''''| by q_4 + 4 q_1 q_3 + 3 q_2^2 + 12 q_1^2 q_2 + 6 q_1^4.
+        Where u <= 0 the ellipse may pass through 0 and there is no bound.
+        S takes block B's bounds and the dipolar rate |s|, theta both
+        blocks'.  E_A / K_A = 1 + eps with |eps| <= (|P_A| + |Q_A|) / |K_A|,
+        so |F| <= ``fast``, the arcsine of that where it is below 1.
+        """
+        (q1_a, m4_a), (q1_b, m4_b) = (_arg_bounds(2 * r, *m) for r, m in zip(self.rho, self._moduli))
+        k, d, _ = self._moduli[0]
+        dipolar = abs(self.s)
+        fast = math.asin(d / k) if d < k else math.inf
+        return PhaseBounds(dipolar + q1_b, m4_b, fast, dipolar + q1_a + q1_b, m4_a + m4_b)
+
     def _ellipses(self, times):
         """(theta, E, cos, sin): E of both blocks at each of ``times``, and cos
         and sin of 2 rho t."""
@@ -265,6 +309,28 @@ class BlockPropagator:
         e = self._k + self._c * cos + self._s * sin
         z = e[:, 0] * e[:, 1].conj()
         return np.arctan2(z.imag, z.real) - self.s * times, e, cos, sin
+
+
+class PhaseBounds(NamedTuple):
+    """``BlockPropagator.bounds``: each infinite where there is none."""
+
+    slow_rate: float  # |S'|, rad/s
+    slow_m4: float  # |S''''|, rad/s^4
+    fast: float  # |F| = |theta - S|, rad
+    rate: float  # |theta'|, rad/s
+    m4: float  # |theta''''|, rad/s^4
+
+
+def _arg_bounds(w, k, d, e):
+    """(bound on |(Arg E)'|, bound on |(Arg E)''''|) of an ellipse E with
+    |K| = k, |P| + |Q| = d and ||P| - |Q|| = e, turning at w = 2 rho
+    (``BlockPropagator.bounds``); infinite where E may pass through 0."""
+    u = max(k - d, e - k)
+    if not u > 0:
+        return math.inf, math.inf
+    # Products, not powers: a float product beyond the floats reads inf.
+    q1 = w * d / u
+    return q1, q1 * (w * w * w + q1 * (7 * w * w + q1 * (12 * w + 6 * q1)))
 
 
 def _unit_phases(x) -> np.ndarray:

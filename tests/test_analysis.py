@@ -7,6 +7,7 @@ import pytest
 from buckygate import analysis
 from buckygate.analysis import (
     PHASE_TOL,
+    SlowPhase,
     binary_entropy,
     concurrence,
     correction_phases,
@@ -141,9 +142,12 @@ GRAZE_TAU = GRAZE_AT - GRAZE_WIDTH * np.sqrt(np.log(GRAZE_HUMP / (GRAZE_HUMP - G
 # |theta''''| on the hump is at most 12 GRAZE_HUMP / GRAZE_WIDTH^4: the
 # fourth derivative of exp(-u^2) peaks at 12, at u = 0.
 GRAZE_M4 = 12 * GRAZE_HUMP / GRAZE_WIDTH**4
+# |theta'| is at most 10 plus the hump's steepest slope: |2 u exp(-u^2)|
+# peaks at sqrt(2 / e).
+GRAZE_RATE = 10 + GRAZE_HUMP / GRAZE_WIDTH * math.sqrt(2 / math.e)
 
 
-def newton_calls(times, theta, theta_fn, scan_step, unresolved, m4=math.inf):
+def newton_calls(times, theta, theta_fn, scan_step):
     """find_gate_time's result and the times of its Newton steps: the calls
     of ``theta_fn`` at one time after the scan has returned."""
     calls, scanned = [], []
@@ -161,7 +165,7 @@ def newton_calls(times, theta, theta_fn, scan_step, unresolved, m4=math.inf):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_scan", recording_scan)
-        return find_gate_time(times, theta, recording, scan_step, unresolved, math.inf, m4), calls
+        return find_gate_time(times, theta, recording, scan_step), calls
 
 
 class TestFindGateTime:
@@ -170,10 +174,10 @@ class TestFindGateTime:
         theta = -(np.pi / tau0) * times
         return times, theta
 
-    def gate_time(self, series, theta, rate, scan_step=1e-3, unresolved=0.0, m4=math.inf):
+    def gate_time(self, series, theta, rate, scan_step=1e-3):
         """find_gate_time on the samples ``series`` = (times, theta) with
         ``theta`` and ``rate`` as its evaluator."""
-        return find_gate_time(*series, evaluator(theta, rate), scan_step, unresolved, math.inf, m4)
+        return find_gate_time(*series, evaluator(theta, rate), scan_step)
 
     def test_linear_crossing(self):
         tau = self.gate_time(self.linear_series(0.4), lambda t: -(np.pi / 0.4) * t, lambda t: -np.pi / 0.4)
@@ -214,7 +218,10 @@ class TestFindGateTime:
             batches.append(t)
             return graze_theta(t), np.broadcast_to(graze_rate(t), np.shape(t))
 
-        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, 0.0, math.inf, m4)
+        # With the bounds the samples are of theta's slow part, here all
+        # of it: theta = S, |F| <= 0 and |S''''| <= m4.
+        slow = SlowPhase(graze_rate(times), GRAZE_RATE, 0.0, m4, m4) if math.isfinite(m4) else None
+        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, slow)
         first = batches[0]
         assert np.all(np.abs(graze_theta(first[first < 0.7])) < np.pi)
         assert abs(graze_theta(tau) + np.pi) <= PHASE_TOL
@@ -228,7 +235,7 @@ class TestFindGateTime:
         times = np.linspace(0, 1.0, 101)
         theta = lambda t: -(np.pi / 0.37) * t + 1e-3 * np.sin(40 * t)
         rate = lambda t: -(np.pi / 0.37) + 0.04 * np.cos(40 * t)
-        tau, calls = newton_calls(times, theta(times), evaluator(theta, rate), 1e-2, 1e-3)
+        tau, calls = newton_calls(times, theta(times), evaluator(theta, rate), 1e-2)
         assert abs(theta(tau) + np.pi) <= PHASE_TOL
         assert len(calls) <= 1
 
@@ -245,7 +252,7 @@ class TestFindGateTime:
         times = np.linspace(0, 1.0, 101)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tau, calls = newton_calls(times, dip_theta(times), evaluator(dip_theta, bad_rate), 1e-3, 0.0)
+            tau, calls = newton_calls(times, dip_theta(times), evaluator(dip_theta, bad_rate), 1e-3)
         assert abs(dip_theta(tau) + np.pi) <= PHASE_TOL
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
         assert len(calls) <= 2 * 24
@@ -260,7 +267,7 @@ class TestFindGateTime:
             return point(t)
 
         times = np.linspace(0, 1.0, 101)
-        tau = find_gate_time(times, dip_theta(times), strict, 1e-3, 0.0, math.inf, math.inf)
+        tau = find_gate_time(times, dip_theta(times), strict, 1e-3)
         assert tau == pytest.approx(DIP_TAU, abs=1e-9)
 
     def test_samples_past_the_one_after_the_crossing_are_not_read(self):
@@ -283,7 +290,7 @@ class TestFindGateTime:
                 batches.append(t.copy())
                 return theta(t), np.broadcast_to(rate(t), np.shape(t))
 
-            runs.append((find_gate_time(*series, recording, 1e-2, 1e-3, math.inf, math.inf), batches))
+            runs.append((find_gate_time(*series, recording, 1e-2), batches))
         for tau, batches in runs[1:]:
             assert tau == runs[0][0]
             assert len(batches) == len(runs[0][1])

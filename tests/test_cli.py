@@ -569,7 +569,10 @@ def test_value_error_in_the_pipeline_is_not_an_input_error(static_config_path, t
 SWEEP_R = SWEEP_BASE + "param=r\n"
 
 # Inputs that ended in a traceback, in exit 1 only because cli.main caught
-# every ValueError, (equal-huge-fields) in a scan of 1.8e12 points,
+# every ValueError, (equal-huge-fields) in a scan of 1.8e12 points: with the
+# default state the slow-phase search now solves that input
+# (test_equal_huge_fields_gate_meets_phase_tol), but a state on which block
+# B's ellipse has no bound still asks the scan of sampled theta for 1.9e6,
 # (jobs-zero, jobs-negative) in a serial sweep with exit 0, (jobs-not-an-int,
 # from-without-equals) in argparse's usage block with exit 2, or
 # (wire-unknown-key) in a profile that ignored the key with exit 0:
@@ -581,8 +584,9 @@ BAD_INPUTS = [
     ("r-overflow", "gate-time", with_lines(STATIC_CONFIG, "r_m=1e103"), [], EXIT_CONFIG, "r=1e+103"),
     ("T2-huge", "gate-time", STATIC_CONFIG + "T2_s=1.7e308\n", [], EXIT_NUMERICAL, "OutOfRange: T2/tau"),
     ("T2-negative", "gate-time", STATIC_CONFIG + "T2_s=-1\n", [], EXIT_CONFIG, "T2 must be > 0"),
-    ("equal-huge-fields", "gate-time", with_lines(STATIC_CONFIG, "Bz1_T=3.16e10", "Bz2_T=3.16e10"), [], EXIT_NUMERICAL,
-     "OutOfRange: the first-crossing scan"),
+    ("equal-huge-fields", "gate-time",
+     with_lines(STATIC_CONFIG, "Bz1_T=3.16e10", "Bz2_T=3.16e10", "initial_state=0.5,0,0.5,0,0,0.5,0.5,0"), [],
+     EXIT_NUMERICAL, "OutOfRange: the first-crossing scan"),
     ("t_max-subnormal", "gate-time", with_lines(STATIC_CONFIG, "t_max_s=5e-324"), [], EXIT_CONFIG, "t_max must be >="),
     ("not-a-number", "gate-time", with_lines(STATIC_CONFIG, "Bz1_T=abc"), [], EXIT_CONFIG, "input.cfg: could not convert"),
     ("not-utf8", "gate-time", b"\xff" + STATIC_CONFIG.encode(), [], EXIT_CONFIG, "input.cfg: 'utf-8' codec can't decode byte 0xff"),
@@ -648,6 +652,18 @@ def test_bad_input_ends_in_one_error_line(command, text, extra, code, message, t
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0], lines
+
+
+def test_equal_huge_fields_gate_meets_phase_tol(tmp_path, capsys):
+    # Equal fields of 3.16e10 T with the default state: the fast part's
+    # amplitude is 3e-14 rad, so the gate evaluates theta in one cell next to
+    # pi, where the scan of sampled theta needed 1.8e12 points.  theta(tau)
+    # from the printed gate meets PHASE_TOL (40 digits give 4.8e-14 rad).
+    path = tmp_path / "input.cfg"
+    path.write_text(with_lines(STATIC_CONFIG, "Bz1_T=3.16e10", "Bz2_T=3.16e10"))
+    assert main(["gate-time", str(path)]) == EXIT_OK
+    values = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines() if "=" in line)
+    assert abs(float(values["theta_at_tau_rad"]) + np.pi) <= analysis.PHASE_TOL
 
 
 def test_missing_subcommand_ends_in_one_error_line(capsys):

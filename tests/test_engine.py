@@ -11,7 +11,7 @@ import pytest
 
 import buckygate
 from buckygate import analysis, engine, propagator
-from buckygate.analysis import PHASE_TOL, _scan_margin, composite_angle, find_gate_time, unwrap_phases
+from buckygate.analysis import PHASE_TOL, composite_angle, find_gate_time, unwrap_phases
 from buckygate.config import SimulationConfig, validate
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -167,6 +167,24 @@ class TestDrivenRun:
         with pytest.raises(OutOfRange, match="exceed the limit"):
             run_trajectory(reference_config(mode="driven", Bl1=0.0, Bl2=0.0, t_max=1.0))
 
+    @pytest.mark.xfail(
+        strict=True,
+        raises=PhaseAliasing,
+        reason="the driven grid follows the Hamiltonian scale, not theta's rate where an amplitude passes near 0",
+    )
+    def test_strong_drive_output_unwraps(self):
+        # The gate is found at 5.2874 ns, but past it an amplitude falls to
+        # 0.0026 and theta steps by 1.635 rad between the output samples at
+        # 28.17 and 28.20 ns, above the unwrap bound: reading theta raises
+        # PhaseAliasing, which `simulate` reports as exit 3.  This passes
+        # once the driven grid bounds theta's per-sample step.
+        config = reference_config(
+            mode="driven", Bz1=0.025, Bz2=0.025, Bg1=2e-4, Bg2=-2e-4, Bl1=1.5e-3, Bl2=1.5e-3, t_max=3e-8
+        )
+        result = run_simulation(config)
+        assert result.gate.tau == pytest.approx(5.2874e-9, rel=1e-4)
+        assert np.max(np.abs(np.diff(result.theta))) <= np.pi / 2
+
 
 # The driven reference points: the benchmark's three base fields and the
 # ends and middle of its drive range, over a 15 ns horizon; and one point at
@@ -240,7 +258,7 @@ def test_driven_gate_does_not_depend_on_the_trajectory_read(bz, bl, t_max):
     after.trajectory
     assert after.gate == gate
     run = run_trajectory(config)
-    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.unresolved, run.m2, run.m4)
+    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.slow)
     assert tau == gate.tau
 
 
@@ -637,34 +655,40 @@ TAU_12NM = 9.54e-9 * (12 / 1.14) ** 3
 
 def count_scan_points(monkeypatch):
     """Record the number of times passed to each call the first-crossing
-    scan makes of its theta evaluator."""
+    scan makes of its theta evaluator: the calls under ``_scan_bands``,
+    which both the scan of sampled theta and the slow-phase window take."""
     counts = []
-    scan = analysis._scan
+    scan_bands = analysis._scan_bands
 
-    def counting_scan(times, theta, level, margin, theta_fn, scan_step, m4):
+    def counting_scan_bands(start, width, cells, level, theta_fn, *args):
         def counting(points):
             counts.append(len(points))
             return theta_fn(points)
 
-        return scan(times, theta, level, margin, counting, scan_step, m4)
+        return scan_bands(start, width, cells, level, counting, *args)
 
-    monkeypatch.setattr(analysis, "_scan", counting_scan)
+    monkeypatch.setattr(analysis, "_scan_bands", counting_scan_bands)
     return counts
 
 
-def exact_theta_fourth_derivative(config, times):
-    """theta'''' at ``times`` from the exponential sums of the amplitudes:
-    theta = Im log(c1 c4 conj(c2 c3)), and (log c)'''' by Faa di Bruno's
-    formula from the exact derivatives of c, to rounding."""
+def exact_log_derivatives(config, times, n):
+    """Im (log c_j)^(n) at ``times`` for each amplitude j, shape (4, len(times)),
+    for n = 1 or 4, from the exponential sums of the amplitudes and the
+    exact derivatives of c, to rounding: (log c)' = c'/c, and (log c)''''
+    by Faa di Bruno's formula.  theta = Im log(c1 c4 conj(c2 c3)) sums them
+    with the signs +, -, -, +."""
     eigenvalues, v = np.linalg.eigh(build_static(config))
     coef = v.conj().T @ config.initial_state
-    total = np.zeros(len(times))
-    for j, sign in enumerate((1, -1, -1, 1)):
+    rows = []
+    for j in range(4):
         terms = np.exp(-1j * np.outer(times, eigenvalues)) * (v[j] * coef)
-        c0, c1, c2, c3, c4 = (terms @ (-1j * eigenvalues) ** n for n in range(5))
-        f4 = c4 / c0 - (4 * c1 * c3 + 3 * c2**2) / c0**2 + 12 * c1**2 * c2 / c0**3 - 6 * (c1 / c0) ** 4
-        total += sign * f4.imag
-    return total
+        c = [terms @ (-1j * eigenvalues) ** k for k in range(n + 1)]
+        if n == 1:
+            rows.append((c[1] / c[0]).imag)
+        else:
+            c0, c1, c2, c3, c4 = c
+            rows.append((c4 / c0 - (4 * c1 * c3 + 3 * c2**2) / c0**2 + 12 * c1**2 * c2 / c0**3 - 6 * (c1 / c0) ** 4).imag)
+    return np.array(rows)
 
 
 def benchmark_like_configs(seed, r_lo, r_hi, n=2):
@@ -699,31 +723,33 @@ BOUND_IDS = ["reference", "12nm"] + GRAZING_IDS + [
 
 @pytest.mark.parametrize("config", BOUND_INPUTS, ids=BOUND_IDS)
 def test_fourth_derivative_bound_holds(config):
-    # engine.theta_rate's m4 bounds |theta''''| everywhere; on a dense grid
-    # of 16 points per period of the largest eigenvalue gap, over two
-    # periods of the slow beat, the exact theta'''' reaches at least a
-    # quarter of it, so the bound sizes the scan's cells without waste.
+    # The blocks' bounds on |theta''''| and on |S''''|, S = theta - F the
+    # slow part, hold everywhere; on a dense grid of 16 points per period
+    # of the largest eigenvalue gap, over two periods of the slow beat, the
+    # exact theta'''' reaches at least a quarter of its bound, so the bound
+    # sizes the scan's cells without waste.  S = -s t - Arg E_B, where
+    # Arg E_B is Arg(c2 c3) plus a term linear in t, so S'''' is
+    # -Im (log c2 c3)''''.
     run = run_trajectory(config)
     eigenvalues = np.linalg.eigvalsh(build_static(run.config))
     period = 2 * np.pi / np.ptp(eigenvalues)
     g, _, m2 = static_terms(run.config)
     beat = 2 * np.pi / (2 * np.hypot(m2, g - 2 * run.config.J0))
     times = np.arange(0.0, min(2 * beat, run.config.t_max), period / 16)
-    peak = np.max(np.abs(exact_theta_fourth_derivative(run.config, times)))
-    assert np.isfinite(run.m4)
-    assert peak <= run.m4 <= 4 * peak
+    d = exact_log_derivatives(run.config, times, 4)
+    peak = np.max(np.abs(d[0] - d[1] - d[2] + d[3]))
+    assert np.isfinite(run.slow.m4)
+    assert peak <= run.slow.m4 <= 4 * peak
+    assert np.max(np.abs(d[1] + d[2])) <= run.slow.m4_slow
 
 
-def exact_theta_rate(config, times):
-    """theta' at ``times`` from the exponential sums of the amplitudes:
-    theta = Im log(c1 c4 conj(c2 c3)), so theta' = Im sum_j +/- c_j' / c_j."""
-    eigenvalues, v = np.linalg.eigh(build_static(config))
-    coef = v.conj().T @ config.initial_state
-    total = np.zeros(len(times))
-    for j, sign in enumerate((1, -1, -1, 1)):
-        terms = np.exp(-1j * np.outer(times, eigenvalues)) * (v[j] * coef)
-        total += sign * ((terms @ (-1j * eigenvalues)) / terms.sum(axis=1)).imag
-    return total
+def exact_rates(config, times):
+    """(theta', S') at ``times``: theta' = Im sum_j +/- c_j' / c_j, and with
+    S = -s t - Arg E_B, s = 2 (mu_A - mu_B) and Arg E_B = Arg(c2 c3) +
+    2 mu_B t, S' = -2 mu_A - Im(c2' / c2 + c3' / c3), 2 mu_A = h00 + h33."""
+    h = build_static(config).real
+    d = exact_log_derivatives(config, times, 1)
+    return d[0] - d[1] - d[2] + d[3], -(h[0, 0] + h[3, 3]) - d[1] - d[2]
 
 
 def independent_spin_configs():
@@ -744,15 +770,61 @@ def independent_spin_configs():
     ids=[f"independent-{k}" for k in range(6)] + ["reference"] + GRAZING_IDS,
 )
 def test_rate_bounds_theta_rate(config):
-    # engine.theta_rate's rate bounds |theta'| over the whole horizon, taken
-    # exactly on a dense grid of 16 points per period of the largest
-    # eigenvalue gap: the static gate grid, with no MIN_SAMPLES floor,
-    # relies on it to keep theta's per-sample step within the unwrap bound.
+    # The blocks' rate bounds hold on |theta'| and on |S'| over the whole
+    # horizon, taken exactly on a dense grid of 16 points per period of the
+    # largest eigenvalue gap: the static gate grid, with no MIN_SAMPLES
+    # floor, relies on S's to keep the step of its samples within the
+    # unwrap bound, and the output grid on theta's.  Where block B's ellipse
+    # may pass through 0 (the sixth draw) both are infinite.
     config = validate(config)
-    rate = engine.theta_rate(BlockPropagator(build_static(config), config.initial_state))[0]
+    bounds = BlockPropagator(build_static(config), config.initial_state).bounds()
     period = 2 * np.pi / np.ptp(np.linalg.eigvalsh(build_static(config)))
     times = np.arange(0.0, config.t_max, period / 16)
-    assert np.max(np.abs(exact_theta_rate(config, times))) <= rate
+    theta_rate, slow_rate = exact_rates(config, times)
+    assert np.max(np.abs(theta_rate)) <= bounds.rate
+    assert np.max(np.abs(slow_rate)) <= bounds.slow_rate
+
+
+def exact_fast_part(config, times):
+    """F = Arg(E_A / K_A) at ``times``: E_A = c1 c4 exp(2 i mu_A t), block
+    A's ellipse from the eigen-evolution, and K_A its centre, the mean of
+    E_A over 64 points of one turn."""
+    h = build_static(config).real
+    eigenvalues, v = np.linalg.eigh(build_static(config))
+    coef = v.conj().T @ config.initial_state
+    turn = np.pi / np.hypot((h[0, 0] - h[3, 3]) / 2, h[0, 3])
+
+    def ellipse(t):
+        c = (np.exp(-1j * np.outer(t, eigenvalues)) * coef) @ v.T
+        return c[:, 0] * c[:, 3] * np.exp(1j * (h[0, 0] + h[3, 3]) * t)
+
+    centre = np.mean(ellipse(np.arange(64) * (turn / 64)))
+    return np.angle(ellipse(times) / centre), turn
+
+
+@pytest.mark.parametrize("config", BOUND_INPUTS, ids=BOUND_IDS)
+def test_fast_part_bound_holds(config):
+    # |F| = |theta - S| stays within the blocks' bound over two turns of
+    # block A's ellipse, 4 096 points each, up to the rounding of the exact
+    # phases, about eps |lambda| t (the bound is exact where the ellipse is
+    # a circle, as at 12 nm, where the two meet within 1e-16 rad).
+    config = validate(config)
+    fast = BlockPropagator(build_static(config), config.initial_state).bounds().fast
+    turn = exact_fast_part(config, np.zeros(1))[1]
+    slack = 8 * np.finfo(float).eps * np.max(np.abs(np.linalg.eigvalsh(build_static(config)))) * 2 * turn
+    assert np.max(np.abs(exact_fast_part(config, np.linspace(0.0, 2 * turn, 8193))[0])) <= fast + slack
+
+
+def test_fast_part_bound_is_tight_at_the_reference():
+    # At the reference point the bound is the exact largest |F|, 9.39e-3
+    # rad, to 1e-3 relative, so the window the gate scans is as narrow as
+    # F allows.
+    config = validate(reference_config())
+    fast = BlockPropagator(build_static(config), config.initial_state).bounds().fast
+    turn = exact_fast_part(config, np.zeros(1))[1]
+    peak = np.max(np.abs(exact_fast_part(config, np.linspace(0.0, turn, 100_001))[0]))
+    assert peak <= fast <= peak * (1 + 1e-3)
+    assert peak == pytest.approx(9.39e-3, rel=1e-3)
 
 
 def spectral_theta_fn(config, times, theta):
@@ -787,8 +859,10 @@ def test_closed_form_theta_matches_the_spectral_path(config):
     run = run_trajectory(config)
     times = run._times
     expected = unwrap_phases(propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times))
-    np.testing.assert_allclose(run._theta, expected, rtol=0, atol=1e-11)
     theta, rate = run.theta_at(times)
+    np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-11)
+    # The gate's samples are of the slow part S, within fast of theta.
+    assert np.max(np.abs(run._theta - expected)) <= run.slow.fast
     spectral_theta, spectral_rate = spectral_theta_fn(run.config, times, expected)(times)
     np.testing.assert_allclose(theta, spectral_theta, rtol=0, atol=1e-11)
     assert np.max(np.abs(rate - spectral_rate)) * run.config.t_max <= 1e-11
@@ -805,8 +879,7 @@ def test_degenerate_block_gate_time_matches_the_spectral_path():
     run = run_trajectory(config)
     gate = run_simulation(config).gate
     theta_fn = spectral_theta_fn(config, run._times, run._theta)
-    args = (run.scan_step, run.unresolved, run.m2, run.m4)
-    tau = find_gate_time(run._times, run._theta, theta_fn, *args)
+    tau = find_gate_time(run._times, run._theta, theta_fn, run.scan_step, run.slow)
     (theta,), (rate,) = theta_fn(np.array([tau]))
     assert abs(theta + np.pi) <= PHASE_TOL
     assert abs(gate.tau - tau) <= 2 * PHASE_TOL / abs(rate)
@@ -971,16 +1044,23 @@ def test_tau_is_a_time_the_refinement_evaluated(config, monkeypatch):
 def test_theta_rate_matches_a_central_difference(config):
     # At the gate time and in the middle of its sample interval.  The step,
     # 5e-4 rad at the Hamiltonian scale (about 1e-14 s), keeps the central
-    # difference's h^2 error of theta's Zeeman-scale wiggle below 1e-7.
+    # difference's h^2 error of theta's Zeeman-scale wiggle below 1e-7.  A
+    # static run's slow part S, whose rate the gate grid samples, is checked
+    # the same way.
     run = run_trajectory(config)
     tau = run_simulation(config).gate.tau
     samples = run.trajectory.times
     i = int(samples.searchsorted(tau)) - 1
     h = run.scan_step / 100
+    blocks = BlockPropagator(build_static(run.config), run.config.initial_state)
     for t in (tau, (samples[i] + samples[i + 1]) / 2):
         (theta_lo, _, theta_hi), (_, rate, _) = run.theta_at(np.array([t - h, t, t + h]))
         central = (theta_hi - theta_lo) / (2 * h)
         assert abs(central / rate - 1) <= 1e-6
+        if config.mode == "static":
+            slow, (_, slow_rate, _) = blocks.slow(np.array([t - h, t, t + h]))
+            slow = np.unwrap(slow)
+            assert abs((slow[2] - slow[0]) / (2 * h) / slow_rate - 1) <= 1e-6
 
 
 class TestThetaRateGrid:
@@ -989,7 +1069,7 @@ class TestThetaRateGrid:
         # Zeeman rate, so the grid stays near MIN_SAMPLES instead of the cap.
         run = run_trajectory(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
         assert len(run.trajectory.times) <= 2200
-        assert np.max(np.abs(np.diff(run.theta))) <= 0.5 + 2 * run.unresolved
+        assert np.max(np.abs(np.diff(run.theta))) <= 0.5
         scale = hamiltonian_scale(run.config, build_static(run.config))
         assert run.scan_step * scale == pytest.approx(0.05)
 
@@ -1144,14 +1224,20 @@ def test_edge_inputs_find_first_exact_crossing(overrides):
     ids=["reference", "r=8nm"] + GRAZING_IDS + list(EDGE_INPUTS),
 )
 def test_scan_margin_bounds_theta_between_samples(config):
-    # The first-crossing scan skips the times where the linear interpolation
-    # of the sampled theta stays further than the scan margin from the level;
-    # the exact theta must not leave that band around the interpolation of
-    # the samples the gate reads, with the margin find_gate_time takes.
+    # The gate scans theta only where the cubic Hermite interpolant of the
+    # samples of S and S' it reads comes within fast + h^4 m4_slow / 384 of
+    # the level; the exact theta must not leave that band around the
+    # interpolant.
     run = run_trajectory(config)
-    times, theta = run._times, run._theta
-    assert np.isfinite(run.m2)
-    margin = _scan_margin(times, theta, run.unresolved, run.m2)
+    times, slow = run._times, run.slow
+    assert slow is not None
+    h = float(np.max(np.diff(times)))
+    margin = slow.fast + h**4 * slow.m4_slow / 384
     dense = np.linspace(0.0, times[-1], 400_001)
     exact = exact_theta(run.config, dense)
-    assert np.max(np.abs(exact - np.interp(dense, times, theta))) <= margin
+    i = np.minimum(times.searchsorted(dense, side="right") - 1, len(times) - 2)
+    span = times[i + 1] - times[i]
+    x = (dense - times[i]) / span
+    f0, f1, m0, m1 = run._theta[i], run._theta[i + 1], slow.rates[i] * span, slow.rates[i + 1] * span
+    cubic = f0 + x * (m0 + x * (3 * (f1 - f0) - 2 * m0 - m1 + x * (2 * (f0 - f1) + m0 + m1)))
+    assert np.max(np.abs(exact - cubic)) <= margin
