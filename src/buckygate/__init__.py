@@ -7,9 +7,7 @@ from .analysis import (
     concurrence,
     correction_phases,
     entanglement_of_formation,
-    find_gate_time,
     ops_budget,
-    unwrap_phases,
 )
 from .config import (
     SimulationConfig,
@@ -38,11 +36,9 @@ __all__ = [
     "default_initial_state",
     "dipole_coupling",
     "entanglement_of_formation",
-    "find_gate_time",
     "gradient_field",
     "ops_budget",
     "resonance_frequencies",
     "run_simulation",
-    "unwrap_phases",
     "validate",
 ]

@@ -39,7 +39,7 @@ MAX_THETA_STEP = math.pi / 2
 
 # find_gate_time refines the crossing until its phase residual is at most
 # PHASE_TOL rad, within one or two evaluations from the Hermite start (one
-# where the scan's bound lets it cut the bracket to width ``fine``).
+# where the search's bound lets it cut the bracket to width ``fine``).
 PHASE_TOL = 1e-10
 
 # Points of the first-crossing scan per call of its theta evaluator, at most.
@@ -51,15 +51,16 @@ SCAN_BATCH = 1 << 16
 # over 1e10, at the Zeeman scale.
 MAX_SCAN_POINTS = 10**6
 
-# The first-crossing scan sizes its cells so that the Hermite error bound of
-# a cell is this fraction of theta's change across it at the sampled slope:
-# then only a cell next to the level fails its test (see _slow_scan).
-CELL_ERROR = 0.1
-
-# One more round of the scan, a call of its theta evaluator and the search
-# of its cells, costs about as much as this many more points in one call
-# (about 40 us against 0.16 us a point on a static run, 2-vCPU x86-64 host).
-CALL_POINTS = 300
+# Cells that a static window, or a crossing cell of the search, is cut into
+# at once, at most: cells of the width ``fine`` at which the root of a
+# crossing cell's cubic meets PHASE_TOL (``_fine``), or wider ones where
+# they would number more, whose crossing cell is cut again.  On the
+# benchmark's static inputs (seeds 1-3) a window spans 94 cells of width
+# fine in the median on static-near and 67 on static-far, and more than 512
+# on 1 solve in 768 of each.  Each cut again is one more call of the theta
+# evaluator, which costs about as much as 250 more points in one call (40 us
+# against 0.16 us a point, 2-vCPU x86-64 host).
+FINE_CELLS = 512
 
 
 @dataclass(frozen=True)
@@ -141,17 +142,17 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
     crossing is returned instead.
 
     theta can reach the level and turn back between two samples, which the
-    samples do not show.  So the times at which theta could reach the level
-    before the first crossing the samples show are scanned with
-    ``theta_fn``, which maps an array of times to theta and its rate there
-    (typically by re-propagation), in cells whose ends it evaluates.  Each
-    cell is searched through the cubic Hermite interpolant of theta and its
-    rate at the ends, within its error bound h^4 m4 / 384 from a bound m4
-    on |theta''''| (infinite where there is none): a crossing the cubic or
-    the bound allows is looked for inside the cell, so a crossing shorter
-    than a cell is found too (see _first_crossing).  No cell is split below
-    ``scan_step`` (s).  The scan runs in time order in batches and stops at
-    the first crossing, so its cost follows its window, not the horizon.
+    samples do not show.  So a window of times at which theta could reach
+    the level before the first crossing the samples show is cut into cells,
+    and ``theta_fn``, which maps an array of times to theta and its rate
+    there (typically by re-propagation), evaluates all their ends in one
+    call.  One array pass tests every cell through the cubic Hermite
+    interpolant of theta and its rate at its ends, within its error bound
+    h^4 m4 / 384 from a bound m4 on |theta''''| (infinite where there is
+    none), and finds the first cell that may hold a crossing: the bracket
+    if theta is past the level at its end, else a cell that is cut again on
+    its own, so that a crossing shorter than a cell is found too
+    (``_search``).  No cell is split below ``scan_step`` (s).
 
     With no ``slow``, the samples are of theta and there is no bound: the
     window is where the linear interpolation of the samples comes within a
@@ -165,8 +166,11 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
     and the samples and ``slow.rates`` are S and S': theta can reach the
     level only where S's cubic Hermite band, its interpolant within
     h^4 m4_slow / 384, comes within ``fast`` of it, and is past it where
-    that band is past the level by ``fast``.  Only that window is scanned,
-    in cells sized from ``slow.m4`` (``_slow_scan``).
+    that band is past the level by ``fast`` (``_window``).  That window is
+    cut into cells of the width ``fine`` at which the root of a crossing
+    cell's cubic meets PHASE_TOL by the bound from ``slow.m4``, or into
+    FINE_CELLS wider ones, so that the search's one call usually leaves a
+    bracket ready for the refinement.
 
     Inside the bracket of the first crossing found, the crossing is refined
     by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
@@ -195,10 +199,15 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
         # Four times an eighth of the largest second difference of the
         # samples up to the one after the first past the level.
         margin = 0.5 * np.abs(np.diff(theta[: i + 2], 2)).max(initial=0.0)
-        scanned = _scan(times[: i + 1], theta[: i + 1], level, margin, theta_fn, scan_step)
+        start, width, before = _scan(times[: i + 1], theta[: i + 1], level, margin)
+        scanned = _search(start, width, scan_step, level, theta_fn, scan_step, math.inf, before)
         bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     else:
-        bracket = _slow_scan(times, theta, level, theta_fn, scan_step, slow)
+        start, width = _window(times, theta, level, slow)
+        bracket = None
+        if start:
+            # theta(0) = 0: a fallback before the window, which its bounds make unused.
+            bracket = _search(start, width, _fine(slow.m4), level, theta_fn, scan_step, slow.m4, (times[0], 0.0))
         if bracket is None:
             (end,), _ = theta_fn(times[-1:])
             raise NoCrossing(_no_crossing(level, times[-1], end))
@@ -243,150 +252,88 @@ def _hermite_root(f0, f1, m0, m1):
     return s if 0 < s < 1 else secant
 
 
-def _scan(times, theta, level, margin, theta_fn, scan_step):
-    """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
-    first crossing of |theta| = level that the scan of samples with no bound
-    finds, or None.  A lower end at a sample has rate NaN.
+def _scan(times, theta, level, margin):
+    """(start, width, before): the bands of the scan of samples with no
+    bound, in time order, and (time, theta) at the first sample they touch.
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
-    ``margin`` of the level, cut into cells ``scan_step`` wide, or one
-    narrower (``_scan_bands``).
+    ``margin`` of the level.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
-    rows = (near[:-1] | near[1:]).nonzero()[0].tolist()
-    start, width = [], []
-    for row in rows:  # few: the sample intervals near the level
-        a, b = float(theta[row]), float(theta[row + 1])
-        t0, span = float(times[row]), float(times[row + 1] - times[row])
-        # In the direction s of its larger end, the interval's interpolation
-        # u passes floor at the fraction x; it is scanned from there on
-        # toward that end, or whole if u also falls to -floor.  x may lie
-        # outside [0, 1], so the band is clipped to the interval.
-        s = float((a + b > 0) - (a + b < 0))
-        ua, ub = s * a, s * b
-        d = ub - ua
-        x = (floor - ua) / (d or 1.0)
-        whole = min(ua, ub) <= -floor
-        lo = x if d > 0 and not whole else 0.0
-        hi = x if d < 0 and not whole else 1.0
-        if row == rows[-1]:
-            # theta is past the level wherever the interpolation is past it
-            # by the margin, so the last interval is scanned no further.
-            hi = min(hi, (level + margin - ua) / d)
-        begin = t0 + min(max(lo, 0.0), 1.0) * span
-        start.append(begin)
-        width.append(t0 + min(max(hi, 0.0), 1.0) * span - begin)
-    cells = [max(math.ceil(w / scan_step), 1) for w in width]
-    before = times[rows[0]], theta[rows[0]]
-    return _scan_bands(start, width, cells, level, theta_fn, scan_step, math.inf, before)
+    rows = (near[:-1] | near[1:]).nonzero()[0]  # few: the sample intervals near the level
+    a, b, t0 = theta[rows], theta[rows + 1], times[rows]
+    span = times[rows + 1] - t0
+    # In the direction s of its larger end, the interval's interpolation u
+    # passes floor at the fraction x; it is scanned from there on toward
+    # that end, or whole if u also falls to -floor.  x may lie outside
+    # [0, 1], so the band is clipped to the interval.
+    s = np.sign(a + b)
+    ua, ub = s * a, s * b
+    d = ub - ua
+    x = (floor - ua) / np.where(d == 0, 1.0, d)
+    whole = np.minimum(ua, ub) <= -floor
+    lo = np.where((d > 0) & ~whole, x, 0.0)
+    hi = np.where((d < 0) & ~whole, x, 1.0)
+    # theta is past the level wherever the interpolation is past it by the
+    # margin, so the last interval, which ends past it, is scanned no further.
+    hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
+    start = t0 + np.minimum(np.maximum(lo, 0.0), 1.0) * span
+    width = t0 + np.minimum(np.maximum(hi, 0.0), 1.0) * span - start
+    return start.tolist(), width.tolist(), (times[rows[0]], theta[rows[0]])
 
 
-def _slow_scan(times, theta, level, theta_fn, scan_step, slow):
-    """Bracket of the first crossing of |theta| = level, or None, from the
-    samples ``theta`` of theta's slow part S at ``times`` (``find_gate_time``).
+def _window(times, theta, level, slow):
+    """(start, width): the bands of a static run's window, in time order,
+    from the samples ``theta`` of theta's slow part S at ``times``
+    (``find_gate_time``).
 
     On a sample interval of width h, S lies within err = h^4 m4_slow / 384 of
     the cubic Hermite interpolant p of S and S' at its ends, and theta within
     ``fast`` of S.  So theta is below the level, in the direction of the
-    interval's larger end, where p is below level - fast - err, and past it
-    from a sample where |S| >= level + fast, or from the first time p
-    reaches level + fast + err.  The window is the times before that where
-    p is not below: on the intervals whose ends the bound ``rate`` on |S'|
-    does not keep below, from the first time p reaches the lower level
-    (``_hermite_reach``).  Each of its bands is cut into cells whose Hermite
-    error bound is CELL_ERROR times theta's change across them at S's
-    sampled slope, not below ``scan_step``, or at once into cells of the
-    width ``fine`` that a crossing's cell is cut to (``_cell_nodes``) when
-    that costs at most CALL_POINTS more points, which saves a round.
+    interval's larger end, where p is below low = level - fast - err, and
+    past it from a sample where |S| >= level + fast, or from the first time p
+    reaches high = level + fast + err.  |S| exceeds the larger end of an
+    interval by at most ``rate`` h / 2, so one array pass over the samples
+    keeps the few intervals that may come within err of low; of those, the
+    ones where p's Bezier points S0, S0 + h S0' / 3, S1 - h S1' / 3 and S1,
+    whose hull holds p, reach low are searched in turn, up to the first
+    sample past the level.  On each the band runs from the first time p
+    reaches low to the first time it reaches high, where the window ends, or
+    to the interval's end (``_hermite_reach``); a band that starts at the
+    end of the one before extends it.
     """
-    rates, rate, fast, m4_slow, m4 = slow
-    h = times[1:] - times[:-1]
-    widest = float(h.max(initial=0.0))
+    rates, rate, fast, m4_slow, _ = slow
+    widest = float((times[1:] - times[:-1]).max(initial=0.0))
     err = widest * widest * widest * widest * m4_slow / 384
     low, high = level - fast - err, level + fast + err
-    size = np.abs(theta)
-    past = size >= level + fast
-    n = int(past.argmax()) + 1 if past.any() else len(theta)
-    # |S| is at most the larger end of an interval plus rate h / 2 on it.
-    near = size[:n] >= low - err - rate * widest / 2
-    rows = (near[:-1] | near[1:]).nonzero()[0].tolist()
-    start, width, slope = [], [], []
-    for row in rows:  # few: the sample intervals near the level
-        t0, span = float(times[row]), float(h[row])
-        a, b, m0, m1 = theta[row : row + 2].tolist() + rates[row : row + 2].tolist()
+    near = np.abs(theta) >= low - err - rate * widest / 2
+    start, width, last = [], [], -2
+    for row in (near[:-1] | near[1:]).nonzero()[0].tolist():
+        a, b = theta[row : row + 2].tolist()
+        if abs(a) >= level + fast:  # theta is past the level from there on
+            break
+        m0, m1 = rates[row : row + 2].tolist()
+        t0, t1 = times[row : row + 2].tolist()
+        span = t1 - t0
         s = 1.0 if a + b > 0 else -1.0
-        cubic = s * a, s * b, s * m0 * span, s * m1 * span
-        reach = _hermite_reach(*cubic, low)
+        f0, f1, m0, m1 = s * a, s * b, s * m0 * span, s * m1 * span
+        top = max(f1, f0 + m0 / 3, f1 - m1 / 3)  # of p's hull, as f0 < high
+        reach = _hermite_reach(f0, f1, m0, m1, low) if max(f0, top) >= low else None
         if reach is None:
             continue
-        end = _hermite_reach(*cubic, high)
-        begin = t0 + reach[0] * span
-        start.append(begin)
-        width.append(t0 + (1.0 if end is None else end[1]) * span - begin)
-        slope.append(abs(b - a) / span)
+        end = _hermite_reach(f0, f1, m0, m1, high) if top >= high else None
+        stop = t0 + (1.0 if end is None else end[1]) * span
+        if row == last + 1 and reach[0] == 0:  # the band before goes on
+            width[-1] = stop - start[-1]
+        else:
+            start.append(t0 + reach[0] * span)
+            width.append(stop - start[-1])
         if end is not None:  # theta is past the level there
             break
-    if not start:
-        return None
-    # m4 = 0: theta is linear, one cell a band.
-    cells = [
-        max(math.ceil(w / max((x * 384 * CELL_ERROR / m4) ** (1 / 3), scan_step)), 1) if m4 else 1
-        for w, x in zip(width, slope)
-    ]
-    fine = _fine(m4)
-    if sum(width) / fine <= sum(cells) + CALL_POINTS:
-        cells = [max(math.ceil(w / fine), n) for w, n in zip(width, cells)]
-    # theta(0) = 0: a fallback before the window, which its bounds make unused.
-    return _scan_bands(start, width, cells, level, theta_fn, scan_step, m4, (times[0], 0.0))
-
-
-def _fine(m4):
-    """Width of the cells a crossing's cell is cut to: there the root of
-    the cubic Hermite interpolant meets PHASE_TOL by the bound h^4 m4 / 384."""
-    return (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
-
-
-def _scan_bands(start, width, cells, level, theta_fn, scan_step, m4, before):
-    """Bracket of the first crossing of |theta| = level on the bands
-    [start, start + width], in time order, each cut into its count of
-    ``cells`` of equal width whose ends are evaluated, or None.
-
-    The cell ends of all bands are laid out once, less each end the next
-    does not follow (the earlier copy of a time two bands share), and
-    evaluated in time order, at most SCAN_BATCH points per call of
-    ``theta_fn``; the cells of each batch are searched (``_near_cells``,
-    ``_first_crossing``) before the next batch is evaluated.  A cell between
-    two bands is not searched.  If theta is past the level at the first end,
-    the bracket reaches back to ``before``, (time, theta) before it.  Raises
-    OutOfRange, before any evaluation, if the cell ends number more than
-    MAX_SCAN_POINTS.
-    """
-    total = sum(cells) + len(cells)
-    if not total <= MAX_SCAN_POINTS:
-        raise OutOfRange(f"the first-crossing scan needs {total:.3g} points, above {MAX_SCAN_POINTS}")
-    widest = max(w / n for w, n in zip(width, cells))
-    fine = _fine(m4)
-    # Each band's cell ends, begin + width (k / n) for k = 0 .. n; a band's
-    # cell starts at each but its last.
-    steps = np.arange(max(cells) + 1.0)
-    points = np.concatenate([b + w * (steps[: n + 1] / n) for b, w, n in zip(start, width, cells)])
-    inner = np.concatenate([steps[: n + 1] < n for n in cells])
-    # Adjacent bands can share a time; the later copy starts the next cell.
-    keep = np.concatenate((points[1:] > points[:-1], [True]))
-    points, inner = points[keep], inner[keep]
-    # Batches overlap by one point, so that every cell lies in one of them.
-    for k in range(0, len(points), SCAN_BATCH):
-        batch, open_ = points[max(k - 1, 0) : k + SCAN_BATCH], inner[max(k - 1, 0) : k + SCAN_BATCH]
-        values, rates = theta_fn(batch)
-        if abs(values[0]) >= level:  # the window did not hold
-            return before[0], batch[0], before[1], values[0], math.nan, rates[0]
-        cells_near = _near_cells(batch, values, rates, open_[:-1], level, widest, m4)
-        bracket = _first_crossing(cells_near, level, theta_fn, scan_step, m4, fine)
-        if bracket is not None:
-            return bracket
-    return None
+        last = row
+    return start, width
 
 
 def _hermite_reach(f0, f1, m0, m1, level):
@@ -425,102 +372,146 @@ def _hermite_reach(f0, f1, m0, m1, level):
     return None
 
 
-def _near_cells(t, v, r, open_, level, widest, m4):
-    """The cells between the increasing times ``t``, no wider than ``widest``,
-    where theta is ``v`` and its rate ``r``, that may hold a crossing, as
-    (t0, t1, theta0, theta1, rate0, rate1, open) in time order, up to the
-    first end past the level, whose cell is the last one listed.
+def _fine(m4):
+    """Width of the cells a crossing's cell is cut to: there the root of
+    the cubic Hermite interpolant meets PHASE_TOL by the bound h^4 m4 / 384."""
+    return (96 * PHASE_TOL / m4) ** 0.25 if 0 < m4 < math.inf else math.inf
 
-    On [0, 1] the cubic Hermite interpolant p of a cell's end values and
-    slopes m0, m1 departs from its chord by
-    x (1 - x) ((1 - x) (m0 - D) - x (m1 - D)), D = theta1 - theta0, so by at
-    most max(|m0 - D|, |m1 - D|) / 4, and theta lies within widest^4 m4 / 384
-    of p; a cell whose ends are further than the sum from the level holds no
-    crossing.
+
+def _search(start, width, step, level, theta_fn, scan_step, m4, before):
+    """Bracket (t_lo, t_hi, theta_lo, theta_hi, rate_lo, rate_hi) of the
+    first crossing of |theta| = level on the bands [start, start + width],
+    in time order, each cut into cells of equal width, ``step`` or one
+    narrower, or None.  A lower end at a sample has rate NaN.  With a bound
+    (m4 finite), bands that would hold more than FINE_CELLS such cells are
+    cut into that many wider ones, whose crossing cell is cut again
+    (``_first_crossing``).
+
+    The cell ends of all bands are laid out once, less each end the next
+    does not follow (the earlier copy of a time two bands share), and
+    evaluated in time order, at most SCAN_BATCH points per call of
+    ``theta_fn``; the cells of each batch are searched (``_first_crossing``)
+    before the next batch is evaluated.  A cell between two bands is not
+    searched.  If theta is past the level at the first end, the bracket
+    reaches back to ``before``, (time, theta) before it.  Raises OutOfRange,
+    before any evaluation, if the ends of cells ``step`` wide would number
+    more than MAX_SCAN_POINTS.
     """
-    size = np.abs(v)
-    past = size >= level
-    k = int(past.argmax())
-    n = k + 1 if past[k] else len(v)  # the cells up to the first end past the level
-    h = t[1:n] - t[: n - 1]
-    d = v[1:n] - v[: n - 1]
-    bend = np.maximum(np.abs(r[: n - 1] * h - d), np.abs(r[1:n] * h - d))
-    # Products, not a power: beyond the floats reads inf.
-    err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
-    near = ~(np.maximum(size[: n - 1], size[1:n]) + bend / 4 < level - err) & open_[: n - 1]
-    if past[k]:
-        near[-1] = True  # the cell of the first end past the level
-    found = near.nonzero()[0].tolist()
-    return [(*t[i : i + 2].tolist(), *v[i : i + 2].tolist(), *r[i : i + 2].tolist(), bool(open_[i])) for i in found]
+    cells = [max(math.ceil(w / step), 1) for w in width]
+    total = sum(cells) + len(cells)
+    if not total <= MAX_SCAN_POINTS:
+        raise OutOfRange(f"the first-crossing scan needs {total:.3g} points, above {MAX_SCAN_POINTS}")
+    if sum(cells) > FINE_CELLS and math.isfinite(m4):  # cut in stages (_first_crossing)
+        cells = [max(math.ceil(w * FINE_CELLS / sum(width)), 1) for w in width]
+    widest = max(w / n for w, n in zip(width, cells))
+    # Each band's cell ends, start + width (k / n) for k = 0 .. n; a band's
+    # cell starts at each but its last.  inner is None where all do.
+    if len(cells) == 1:
+        points, inner = start[0] + width[0] * (np.arange(cells[0] + 1.0) / cells[0]), None
+    else:
+        steps = np.arange(max(cells) + 1.0)
+        points = np.concatenate([b + w * (steps[: n + 1] / n) for b, w, n in zip(start, width, cells)])
+        inner = np.concatenate([steps[: n + 1] < n for n in cells])
+        # Adjacent bands can share a time; the later copy starts the next cell.
+        keep = np.concatenate((points[1:] > points[:-1], [True]))
+        points, inner = points[keep], inner[keep]
+    # Batches overlap by one point, so that every cell lies in one of them.
+    for k in range(0, len(points), SCAN_BATCH):
+        first = max(k - 1, 0)
+        batch = points[first : k + SCAN_BATCH]
+        values, rates = theta_fn(batch)
+        if abs(values[0]) >= level:  # the window did not hold
+            return before[0], batch[0], before[1], values[0], math.nan, rates[0]
+        open_ = None if inner is None else inner[first : first + len(batch) - 1]
+        bracket = _first_crossing(batch, values, rates, open_, level, theta_fn, scan_step, m4, widest)
+        if bracket is not None:
+            return bracket
+    return None
 
 
-def _first_crossing(cells, level, theta_fn, scan_step, m4, fine):
+def _first_crossing(t, v, r, open_, level, theta_fn, scan_step, m4, widest):
     """Bracket (t0, t1, theta0, theta1, rate0, rate1) of the first crossing
-    of |theta| = level in ``cells``, or None if there is none.
+    of |theta| = level on the cells between the increasing times ``t``, no
+    wider than ``widest``, where theta is ``v`` and its rate ``r``, or None
+    if there is none.  ``open_`` is False for a cell between two bands,
+    where the window rules a crossing out unless theta is past the level at
+    its end, or None if every cell is open.
 
-    ``cells`` lists (t0, t1, theta0, theta1, rate0, rate1, open) in time
-    order: the scan's cells that may hold a crossing, and the first one
-    with an end past the level.  A cell that is not open lies between two
-    bands, where the scan margin rules a crossing out, and is a bracket only
-    if its end is past the level.  Each round evaluates theta at the nodes
-    ``_cell_nodes`` gives on every open cell, in one call of ``theta_fn``.
-    A node past the level closes its cell's bracket there; the others split
-    their cells, unless the cell is narrower than 2 scan_step, which is
-    dismissed then.  The cells a cut makes are searched as the scan's are.
-    The search ends when no cell before the first end past the level is left.
+    On a cell of width h the cubic Hermite interpolant p of theta and its
+    rate at the ends lies in the hull of its Bezier points theta0,
+    theta0 + h rate0 / 3, theta1 - h rate1 / 3 and theta1, so |p| is at most
+    |theta| + |rate| widest / 3 at one of the ends, and theta lies within
+    widest^4 m4 / 384 of p: an open cell where both fall short of the level
+    by more than that holds no crossing.  One array pass over every cell
+    marks those that may hold one, which are taken in time order.  A cell
+    that theta is past the level at the end of and that is at least
+    2 ``fine`` wide (``_fine``) is cut into cells of width fine, FINE_CELLS
+    at most, evaluated in one call and searched in turn; any other gets its
+    node from ``_cell_node``.  A cell with no node is dismissed, or is the
+    bracket if theta is past the level at its end; a node past the level
+    closes its cell's bracket there, and the others split their cells, whose
+    halves are searched in turn, or dismiss them.
     """
-    while True:
-        for k, cell in enumerate(cells):
-            if abs(cell[3]) >= level:
-                cells = cells[: k + 1]
+    fine = _fine(m4)
+    while True:  # for the cells given, and again after each cut or split
+        # Products, not a power: beyond the floats reads inf.
+        err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
+        size = np.abs(v)
+        # A NaN rate bounds nothing: its cells stay near.
+        reach = ~(size + np.abs(r) * (widest / 3) < level - err)
+        near = reach[:-1] | reach[1:]
+        if open_ is not None:
+            near &= open_ | (size[1:] >= level)
+        i = 0
+        while True:  # over the cells that may hold a crossing, in time order
+            if i >= near.size:
+                return None
+            i += int(near[i:].argmax())
+            if not near[i]:
+                return None
+            (t0, t1), (v0, v1), (r0, r1) = t[i : i + 2].tolist(), v[i : i + 2].tolist(), r[i : i + 2].tolist()
+            inside, crossing = open_ is None or bool(open_[i]), abs(v1) >= level
+            if crossing and inside and t1 - t0 >= 2 * fine:
+                m = min(math.floor((t1 - t0) / fine), FINE_CELLS)
+                x = t0 + (t1 - t0) * (np.arange(1.0, m) / m)
+                vx, rx = theta_fn(x)
+                t, v, r = (np.concatenate(([y0], y, [y1])) for y0, y, y1 in ((t0, x, t1), (v0, vx, v1), (r0, rx, r1)))
+                open_, widest = None, (t1 - t0) / m
                 break
-        plan = [_cell_nodes(*cell, level, scan_step, m4, fine) for cell in cells]
-        if not any(plan):
-            return cells[-1][:6] if cells and abs(cells[-1][3]) >= level else None
-        values, rates = theta_fn(np.array([x for step in plan if step for x in step[0]]))
-        k, pieces = 0, []
-        for cell, step in zip(cells, plan):
-            if step is None:
-                if abs(cell[3]) >= level:  # the bracket so far
-                    pieces.append(cell)
-                continue
-            t, split = step
-            j, k = k, k + len(t)
-            if len(t) > 1:  # the crossing cell, cut into a grid
-                grid = [np.concatenate(([cell[a]], x, [cell[a + 1]])) for a, x in ((0, t), (2, values[j:k]), (4, rates[j:k]))]
-                pieces += _near_cells(*grid, np.ones(len(t) + 1, bool), level, (cell[1] - cell[0]) / (len(t) + 1), m4)
-                continue
-            tx, vx, rx = t[0], float(values[j]), float(rates[j])
-            if split or abs(vx) >= level:
-                pieces.append((cell[0], tx, cell[2], vx, cell[4], rx, True))
-            if split:
-                pieces.append((tx, cell[1], vx, cell[3], rx, cell[5], True))
-        cells = pieces
+            node = _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4) if inside else None
+            if node is None:
+                if crossing:
+                    return t0, t1, v0, v1, r0, r1
+            else:
+                x, split = node
+                (vx,), (rx,) = theta_fn(np.array([x]))
+                if split:
+                    t, v, r = (np.concatenate(((y0, y), rest[i + 1 :])) for y0, y, rest in ((t0, x, t), (v0, vx, v), (r0, rx, r)))
+                    open_ = None if open_ is None else np.concatenate(((True, True), open_[i + 1 :]))
+                    break
+                if abs(vx) >= level:  # the crossing lies before the node
+                    return t0, x, v0, float(vx), r0, float(rx)
+            i += 1
 
 
-def _cell_nodes(t0, t1, v0, v1, r0, r1, open_, level, scan_step, m4, fine):
-    """(times, split): where ``_first_crossing`` evaluates theta on one cell,
-    and whether they split it; None if the cell needs none.
+def _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4):
+    """(time, split): where ``_first_crossing`` evaluates theta on one open
+    cell, and whether that splits it; None if the cell needs none.
+    ``crossing`` tells whether theta is past the level at its end.
 
     On a cell of width h theta lies within h^4 m4 / 384 of the cubic
     Hermite interpolant p of its end values and rates.  A cell below the
     level at its end is dismissed when p's extreme toward the level plus
     that bound stays below the level; otherwise its node is the extreme, or
-    the cell's middle if the extreme is an end.  The cell past the level
-    at its end is cut into at most CALL_POINTS + 1 cells of width ``fine``,
-    where the root of p meets PHASE_TOL by the bound; once narrower, it is
-    the bracket unless p peaks inside it, where its node is.  No cell is
-    split below ``scan_step``: there, and everywhere when m4 is infinite,
-    the extreme is a node only where p itself reaches the level.
+    the cell's middle if the extreme is an end.  A cell past the level at
+    its end is the bracket unless p peaks inside it, where its node is.  No
+    cell is split below ``scan_step``: there, and everywhere when m4 is
+    infinite, the extreme is a node only where p itself reaches the level.
     """
-    if not open_:
-        return None
     h = t1 - t0
-    crossing = abs(v1) >= level
-    if crossing and h >= 2 * fine:
-        n = min(math.floor(h / fine) - 1, CALL_POINTS)
-        return [t0 + h * (k / (n + 1)) for k in range(1, n + 1)], True
     split = h >= 2 * scan_step
+    if crossing and not split:
+        return None
     err = h * h * h * h * m4 / 384 if split and math.isfinite(m4) else 0.0
     s = 1.0 if v0 + v1 > 0 else -1.0
     x, top = _hermite_peak(s * v0, s * v1, s * r0 * h, s * r1 * h)
@@ -531,7 +522,7 @@ def _cell_nodes(t0, t1, v0, v1, r0, r1, open_, level, scan_step, m4, fine):
         x = 0.5
     if split:
         x = min(max(x, scan_step / h), 1 - scan_step / h)
-    return [t0 + x * h], split
+    return t0 + x * h, split
 
 
 def _hermite_peak(f0, f1, m0, m1):

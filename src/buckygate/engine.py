@@ -68,12 +68,12 @@ MAX_SAMPLES = 50001
 # Bound (rad) on h^4 m4_slow / 384, the cubic Hermite error of theta's slow
 # part S between the static gate grid's samples h apart, where the fast
 # part's amplitude is not smaller.  With that amplitude it sets the window in
-# which the gate evaluates theta itself (analysis._slow_scan), so the window
+# which the gate evaluates theta itself (analysis._window), so the window
 # is at most twice as wide as the fast part needs: a wider bound widens the
 # window, a narrower one takes more samples.  On the benchmark's static-far
-# inputs (seed 1), 1e-4 takes 172 samples and 2.01 theta_at calls of 83
+# inputs (seed 1), 1e-4 takes 172 samples and 2.00 theta_at calls of 86
 # points per solve, 5e-5 without the cap 154 samples and 91.5 points, 3e-4
-# without it 99 samples, but 2.29 calls of 126 points.
+# without it 99 samples, but 2.03 calls of 232 points.
 MARGIN_TARGET = 1e-4
 
 
@@ -151,7 +151,7 @@ class TrajectoryEvaluator:
     at 0, and its rate, with i dpsi/dt = H(t) psi, as
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``theta_at`` gives theta and its rate at an array of times, for
-    find_gate_time's scan rounds and one-time Newton steps alike, with theta
+    find_gate_time's search calls and one-time Newton steps alike, with theta
     on the branch nearest the linear interpolation of ``_theta``, which is
     safe because per-sample increments stay below MAX_THETA_STEP and, where
     ``_theta`` holds S, |theta - S| <= ``slow.fast`` < pi / 2, and keeps the

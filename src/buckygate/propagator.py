@@ -209,7 +209,8 @@ class BlockPropagator:
     that S(0) = -F(0).
     S turns at the dipolar rate and beats at 2 rho_B (``slow``); F is the
     Zeeman-scale turn of E_A about K_A, small where K_A dominates
-    (``bounds``).
+    (``bounds``).  Raises OutOfRange where |mu| + 2 rho of a block is beyond
+    the floats, before any array holds it: theta would be NaN.
     """
 
     def __init__(self, h: np.ndarray, psi0: np.ndarray):
@@ -223,6 +224,11 @@ class BlockPropagator:
         for k, (i, j) in enumerate(((0, 3), (1, 2))):
             half = (h[i][i] - h[j][j]) / 2
             mu, r = (h[i][i] + h[j][j]) / 2, math.hypot(half, h[i][j])
+            if not math.isfinite(abs(mu) + 2 * r):
+                raise OutOfRange(
+                    f"block {'AB'[k]} of H has mean mu = {mu:.3g} and half-gap "
+                    f"rho = {r:.3g} rad/s: |mu| + 2 rho is beyond the floats"
+                )
             phi = math.atan2(h[i][j], half)
             ch, sh, cos, sin = math.cos(phi / 2), math.sin(phi / 2), math.cos(phi), math.sin(phi)
             plus, minus = ch * a[i] + sh * a[j], ch * a[j] - sh * a[i]

@@ -151,10 +151,10 @@ def newton_calls(times, theta, theta_fn, scan_step):
     """find_gate_time's result and the times of its Newton steps: the calls
     of ``theta_fn`` at one time after the scan has returned."""
     calls, scanned = [], []
-    scan = analysis._scan
+    search = analysis._search
 
-    def recording_scan(*args):
-        bracket = scan(*args)
+    def recording_search(*args):
+        bracket = search(*args)
         scanned.append(True)
         return bracket
 
@@ -164,7 +164,7 @@ def newton_calls(times, theta, theta_fn, scan_step):
         return theta_fn(t)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_scan", recording_scan)
+        mp.setattr(analysis, "_search", recording_search)
         return find_gate_time(times, theta, recording, scan_step), calls
 
 

@@ -277,15 +277,19 @@ EXTREME_INPUTS = [
     ("driven", "Bl1_T=1e300"),
     ("driven", "J0_rad_s=1e300"),
     ("driven", "t_max_s=1e300"),
+    # Finite Zeeman terms whose block A half-gap overflows: theta would be
+    # NaN at every sample after 0.
+    ("static", "Bz1_T=1e297 Bz2_T=1e297"),
 ]
 
 
 def _gate_time_in_subprocess(mode, line, tmp_path):
     """``buckygate gate-time`` on the reference config in ``mode`` plus
-    ``line``, in a separate interpreter, so that no warning filter of the test
-    run can hide a RuntimeWarning printed before the error line."""
+    ``line``, one or more ``key=value`` split by spaces, in a separate
+    interpreter, so that no warning filter of the test run can hide a
+    RuntimeWarning printed before the error line."""
     path = tmp_path / "extreme.cfg"
-    path.write_text(with_lines(STATIC_CONFIG.replace("mode=static", f"mode={mode}"), line))
+    path.write_text(with_lines(STATIC_CONFIG.replace("mode=static", f"mode={mode}"), *line.split()))
     src = os.path.dirname(os.path.dirname(buckygate.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     return subprocess.run(

@@ -655,19 +655,20 @@ TAU_12NM = 9.54e-9 * (12 / 1.14) ** 3
 
 def count_scan_points(monkeypatch):
     """Record the number of times passed to each call the first-crossing
-    scan makes of its theta evaluator: the calls under ``_scan_bands``,
-    which both the scan of sampled theta and the slow-phase window take."""
+    scan makes of its theta evaluator: the calls under ``_search``, the cell
+    search that both the scan of sampled theta and the slow-phase window
+    take."""
     counts = []
-    scan_bands = analysis._scan_bands
+    search = analysis._search
 
-    def counting_scan_bands(start, width, cells, level, theta_fn, *args):
+    def counting_search(start, width, step, level, theta_fn, *args):
         def counting(points):
             counts.append(len(points))
             return theta_fn(points)
 
-        return scan_bands(start, width, cells, level, counting, *args)
+        return search(start, width, step, level, counting, *args)
 
-    monkeypatch.setattr(analysis, "_scan_bands", counting_scan_bands)
+    monkeypatch.setattr(analysis, "_search", counting_search)
     return counts
 
 

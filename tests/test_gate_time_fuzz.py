@@ -20,7 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from buckygate.analysis import PHASE_TOL
 from buckygate.config import SimulationConfig
-from buckygate.engine import run_simulation
+from buckygate.engine import run_simulation, run_trajectory
 from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static, dipole_coupling
 
@@ -124,22 +124,18 @@ def extreme_near(config, t):
     return t
 
 
-@st.composite
-def grazing_configs(draw):
-    """A ``static_configs`` draw with J0 tuned so that the largest local
-    maximum of the exact |theta| before its first crossing of pi falls
-    short of pi by a depth drawn log-uniformly from 1e-6 to 1e-4 rad.
+def tune_extreme(config, miss):
+    """``config`` with J0 tuned so that the largest local maximum of the
+    exact |theta| before its first crossing of pi falls short of pi by
+    ``miss`` rad (past it where ``miss`` is negative), and the time of that
+    extreme.
 
     The extreme is found on the exact theta at 8 points per period of the
     largest eigenvalue gap and refined by Newton steps on theta' = 0; J0 is
     tuned by secant steps on the extreme's shortfall, each from the extreme
-    of the J0 before.  A draw whose extreme does not reach the depth, or
-    whose tuned theta reaches pi before the extreme, is rejected.
+    of the J0 before.  A draw whose extreme does not reach ``miss`` is
+    rejected.  Returns (tuned config, time of the extreme, grid spacing).
     """
-    config = draw(static_configs())
-    # A vanishing amplitude leaves theta undefined (UndefinedPhase).
-    assume(np.abs(config.initial_state).min() > 1e-2 * np.linalg.norm(config.initial_state))
-    depth = 10 ** draw(st.floats(-6.0, -4.0))
     spacing = 2 * np.pi / np.ptp(np.linalg.eigvalsh(build_static(config))) / 8
     times = np.arange(0.0, config.t_max, spacing)
     size = np.abs(exact_theta(config, times))
@@ -150,21 +146,66 @@ def grazing_configs(draw):
     k = int(peaks[np.argmax(size[peaks])])
     side = 1.0 if exact_theta(config, times[: k + 1])[-1] > 0 else -1.0
     t = extreme_near(config, times[k])
-    j0, miss = config.J0, shortfall(config, t, side) - depth
+    j0, off = config.J0, shortfall(config, t, side) - miss
     step = 1e-9 * dipole_coupling(config.r)
     for _ in range(30):
-        if abs(miss) <= 1e-3 * depth:
+        if abs(off) <= 1e-3 * abs(miss):
             break
         t_next = extreme_near(config.replace(J0=j0 + step), t)
-        slope = (shortfall(config.replace(J0=j0 + step), t_next, side) - depth - miss) / step
+        slope = (shortfall(config.replace(J0=j0 + step), t_next, side) - miss - off) / step
         assume(slope != 0)
-        j0 -= miss / slope
+        j0 -= off / slope
         t = extreme_near(config.replace(J0=j0), t)
-        miss = shortfall(config.replace(J0=j0), t, side) - depth
+        off = shortfall(config.replace(J0=j0), t, side) - miss
     tuned = config.replace(J0=j0)
-    assume(abs(miss) <= 1e-3 * depth and 0 < t < tuned.t_max)
+    assume(abs(off) <= 1e-3 * abs(miss) and 0 < t < tuned.t_max)
+    return tuned, t, spacing
+
+
+@st.composite
+def grazing_configs(draw):
+    """A ``static_configs`` draw whose largest local maximum of the exact
+    |theta| before its first crossing of pi falls short of pi by a depth
+    drawn log-uniformly from 1e-6 to 1e-4 rad (``tune_extreme``).  A draw
+    whose tuned theta reaches pi before the extreme is rejected.
+    """
+    config = draw(static_configs())
+    # A vanishing amplitude leaves theta undefined (UndefinedPhase).
+    assume(np.abs(config.initial_state).min() > 1e-2 * np.linalg.norm(config.initial_state))
+    depth = 10 ** draw(st.floats(-6.0, -4.0))
+    tuned, t, spacing = tune_extreme(config, depth)
     before = exact_theta(tuned, np.append(np.arange(0.0, t, spacing), t))
     assume(np.max(np.abs(before)) < np.pi and abs(abs(before[-1]) - (np.pi - depth)) <= 1e-2 * depth)
+    return tuned
+
+
+@st.composite
+def excursion_configs(draw):
+    """A ``static_configs`` draw whose largest local maximum of the exact
+    |theta| before its first crossing of pi is tuned past pi by a height
+    drawn log-uniformly from 1e-6 to 1e-4 rad (``tune_extreme``): theta
+    reaches pi there and turns back within 2 sqrt(2 height / |theta''|).
+    A draw is rejected whose tuned theta reaches pi before that excursion,
+    or whose excursion is not shorter than the sample interval of the run's
+    gate grid, so that the samples need not show it and only the search
+    between them can find the crossing.  The 25 draws' excursions last 1.4
+    to 26 of the search's narrowest cells, of width ``analysis._fine``, and
+    0.3 to 37 of the run's ``scan_step``.
+    """
+    config = draw(static_configs())
+    # A vanishing amplitude leaves theta undefined (UndefinedPhase).
+    assume(np.abs(config.initial_state).min() > 1e-2 * np.linalg.norm(config.initial_state))
+    height = 10 ** draw(st.floats(-6.0, -4.0))
+    tuned, t, spacing = tune_extreme(config, -height)
+    _, curvature = exact_slopes(tuned, t)
+    width = 2 * math.sqrt(2 * height / abs(curvature))
+    try:
+        run = run_trajectory(tuned)
+    except (OutOfRange, PhaseAliasing, UndefinedPhase):
+        assume(False)
+    assume(width < run._times[1])
+    before = exact_theta(tuned, np.append(np.arange(0.0, t - width, spacing), t - width))
+    assume(np.max(np.abs(before)) < np.pi)
     return tuned
 
 
@@ -192,4 +233,18 @@ def test_gate_time_is_the_first_exact_crossing(config):
 )
 @given(config=grazing_configs())
 def test_gate_time_is_the_first_exact_crossing_past_a_grazing_extreme(config):
+    check_first_crossing(config)
+
+
+# An extreme of theta past pi that turns back between two gate samples is
+# the first crossing; these draws are tuned to hold one.
+@settings(
+    derandomize=True,
+    database=None,
+    deadline=None,
+    max_examples=25,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(config=excursion_configs())
+def test_gate_time_is_the_first_exact_crossing_in_a_short_excursion(config):
     check_first_crossing(config)
