@@ -46,20 +46,22 @@ PHASE_TOL = 1e-10
 SCAN_BATCH = 1 << 16
 
 # Points of the first-crossing scan per solve, at most (about 0.5 s of
-# evaluations).  Runs in the benchmark's ranges need a few hundred; a run
-# searched with no bound at equal fields of 1e9 T on both spins would need
-# over 1e10, at the Zeeman scale.
+# evaluations), or, where a window is cut in stages, cells of the widest
+# width whose bound can rule a crossing out.  Runs in the benchmark's ranges
+# need a few hundred; a run searched with no bound at equal fields of 1e9 T
+# on both spins would need over 1e10, at the Zeeman scale.
 MAX_SCAN_POINTS = 10**6
 
 # Cells that a static window, or a crossing cell of the search, is cut into
 # at once, at most: cells of the width ``fine`` at which the root of a
 # crossing cell's cubic meets PHASE_TOL (``_fine``), or wider ones where
-# they would number more, whose crossing cell is cut again.  On the
-# benchmark's static inputs (seeds 1-3) a window spans 94 cells of width
-# fine in the median on static-near and 67 on static-far, and more than 512
-# on 1 solve in 768 of each.  Each cut again is one more call of the theta
-# evaluator, which costs about as much as 250 more points in one call (40 us
-# against 0.16 us a point, 2-vCPU x86-64 host).
+# they would number more, whose near cells are cut again; and, about, the
+# points of one round of those cuts.  On the benchmark's static inputs
+# (seeds 1-3) a window spans 94 cells of width fine in the median on
+# static-near and 67 on static-far, and more than 512 on 1 solve in 768 of
+# each.  Each round is one more call of the theta evaluator, which costs
+# about as much as 250 more points in one call (40 us against 0.16 us a
+# point, 2-vCPU x86-64 host).
 FINE_CELLS = 512
 
 
@@ -149,9 +151,10 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
     call.  One array pass tests every cell through the cubic Hermite
     interpolant of theta and its rate at its ends, within its error bound
     h^4 m4 / 384 from a bound m4 on |theta''''| (infinite where there is
-    none), and finds the first cell that may hold a crossing: the bracket
-    if theta is past the level at its end, else a cell that is cut again on
-    its own, so that a crossing shorter than a cell is found too
+    none), and marks the cells that may hold a crossing.  Those before the
+    first cell that theta is past the level at the end of are cut again,
+    in rounds of one call each, so that a crossing shorter than a cell is
+    found too; that cell is the bracket once they are ruled out
     (``_search``).  No cell is split below ``scan_step`` (s).
 
     With no ``slow``, the samples are of theta and there is no bound: the
@@ -384,7 +387,7 @@ def _search(start, width, step, level, theta_fn, scan_step, m4, before):
     in time order, each cut into cells of equal width, ``step`` or one
     narrower, or None.  A lower end at a sample has rate NaN.  With a bound
     (m4 finite), bands that would hold more than FINE_CELLS such cells are
-    cut into that many wider ones, whose crossing cell is cut again
+    cut into that many wider ones, whose near cells are cut again
     (``_first_crossing``).
 
     The cell ends of all bands are laid out once, less each end the next
@@ -394,20 +397,23 @@ def _search(start, width, step, level, theta_fn, scan_step, m4, before):
     before the next batch is evaluated.  A cell between two bands is not
     searched.  If theta is past the level at the first end, the bracket
     reaches back to ``before``, (time, theta) before it.  Raises OutOfRange,
-    before any evaluation, if the ends of cells ``step`` wide would number
-    more than MAX_SCAN_POINTS.
+    before any evaluation, if the ends laid out, or the cells of a staged
+    window at the widest width whose bound rules a crossing out, would
+    number more than MAX_SCAN_POINTS.
     """
     cells = [max(math.ceil(w / step), 1) for w in width]
     total = sum(cells) + len(cells)
+    if total > FINE_CELLS and math.isfinite(m4):  # cut in stages (_first_crossing)
+        cells = [max(math.ceil(w * FINE_CELLS / sum(width)), 1) for w in width]
+        # The bound dismisses no cell wider than (384 level / m4)^(1/4).
+        total = sum(width) / (384 * level / m4) ** 0.25
     if not total <= MAX_SCAN_POINTS:
         raise OutOfRange(f"the first-crossing scan needs {total:.3g} points, above {MAX_SCAN_POINTS}")
-    if sum(cells) > FINE_CELLS and math.isfinite(m4):  # cut in stages (_first_crossing)
-        cells = [max(math.ceil(w * FINE_CELLS / sum(width)), 1) for w in width]
     widest = max(w / n for w, n in zip(width, cells))
     # Each band's cell ends, start + width (k / n) for k = 0 .. n; a band's
-    # cell starts at each but its last.  inner is None where all do.
-    if len(cells) == 1:
-        points, inner = start[0] + width[0] * (np.arange(cells[0] + 1.0) / cells[0]), None
+    # cell starts at each but its last.
+    if len(cells) == 1:  # the usual static window: 3 numpy calls, not 10 (8 us of a static-near search's 41)
+        points, inner = start[0] + width[0] * (np.arange(cells[0] + 1.0) / cells[0]), np.ones(cells[0] + 1, bool)
     else:
         steps = np.arange(max(cells) + 1.0)
         points = np.concatenate([b + w * (steps[: n + 1] / n) for b, w, n in zip(start, width, cells)])
@@ -422,76 +428,73 @@ def _search(start, width, step, level, theta_fn, scan_step, m4, before):
         values, rates = theta_fn(batch)
         if abs(values[0]) >= level:  # the window did not hold
             return before[0], batch[0], before[1], values[0], math.nan, rates[0]
-        open_ = None if inner is None else inner[first : first + len(batch) - 1]
-        bracket = _first_crossing(batch, values, rates, open_, level, theta_fn, scan_step, m4, widest)
+        bracket = _first_crossing(batch, values, rates, inner[first : first + len(batch) - 1], widest, level, theta_fn, scan_step, m4)
         if bracket is not None:
             return bracket
     return None
 
 
-def _first_crossing(t, v, r, open_, level, theta_fn, scan_step, m4, widest):
+def _first_crossing(t, v, r, open_, widest, level, theta_fn, scan_step, m4):
     """Bracket (t0, t1, theta0, theta1, rate0, rate1) of the first crossing
-    of |theta| = level on the cells between the increasing times ``t``, no
-    wider than ``widest``, where theta is ``v`` and its rate ``r``, or None
-    if there is none.  ``open_`` is False for a cell between two bands,
-    where the window rules a crossing out unless theta is past the level at
-    its end, or None if every cell is open.
+    of |theta| = level on the cells between the increasing times ``t``,
+    where theta is ``v`` and its rate ``r``, or None if there is none.
+    ``open_`` is False for a cell between two bands, where the window rules
+    a crossing out unless theta is past the level at its end; the others
+    are at most ``widest`` wide.
 
     On a cell of width h the cubic Hermite interpolant p of theta and its
     rate at the ends lies in the hull of its Bezier points theta0,
     theta0 + h rate0 / 3, theta1 - h rate1 / 3 and theta1, so |p| is at most
-    |theta| + |rate| widest / 3 at one of the ends, and theta lies within
-    widest^4 m4 / 384 of p: an open cell where both fall short of the level
-    by more than that holds no crossing.  One array pass over every cell
-    marks those that may hold one, which are taken in time order.  A cell
-    that theta is past the level at the end of and that is at least
-    2 ``fine`` wide (``_fine``) is cut into cells of width fine, FINE_CELLS
-    at most, evaluated in one call and searched in turn; any other gets its
-    node from ``_cell_node``.  A cell with no node is dismissed, or is the
-    bracket if theta is past the level at its end; a node past the level
-    closes its cell's bracket there, and the others split their cells, whose
-    halves are searched in turn, or dismiss them.
+    |theta| + |rate| h / 3 at one of the ends, and theta lies within
+    h^4 m4 / 384 of p.  One array pass marks the cells where, at
+    h = widest, either may reach the level.  In time order up to the first
+    cell past the level at its end, the open ones get nodes, about
+    FINE_CELLS at most, all evaluated in one call: that last cell, if at
+    least 2 ``fine`` wide (``_fine``), is cut into cells of width fine,
+    FINE_CELLS at most; any other gets its node from ``_cell_node`` or is
+    dismissed.  A node that does not split its cell dismisses it unless
+    theta is past the level there, where it closes the cell's bracket.  The
+    pass is made again on the cells so cut until no node is left: then the
+    first cell past the level at its end is the bracket.
     """
     fine = _fine(m4)
-    while True:  # for the cells given, and again after each cut or split
+    while True:  # for the cells given, and again after each round of nodes
         # Products, not a power: beyond the floats reads inf.
         err = widest * widest * widest * widest * m4 / 384 if math.isfinite(m4) else 0.0
         size = np.abs(v)
         # A NaN rate bounds nothing: its cells stay near.
         reach = ~(size + np.abs(r) * (widest / 3) < level - err)
         near = reach[:-1] | reach[1:]
-        if open_ is not None:
-            near &= open_ | (size[1:] >= level)
-        i = 0
-        while True:  # over the cells that may hold a crossing, in time order
-            if i >= near.size:
-                return None
-            i += int(near[i:].argmax())
-            if not near[i]:
-                return None
+        nodes, shut, bracket = [], [], None  # nodes as (time, split, cell)
+        for i in near.nonzero()[0].tolist():
+            if len(nodes) >= FINE_CELLS:  # the later cells wait for a round of their own
+                break
             (t0, t1), (v0, v1), (r0, r1) = t[i : i + 2].tolist(), v[i : i + 2].tolist(), r[i : i + 2].tolist()
-            inside, crossing = open_ is None or bool(open_[i]), abs(v1) >= level
+            crossing, inside = abs(v1) >= level, bool(open_[i])
             if crossing and inside and t1 - t0 >= 2 * fine:
                 m = min(math.floor((t1 - t0) / fine), FINE_CELLS)
-                x = t0 + (t1 - t0) * (np.arange(1.0, m) / m)
-                vx, rx = theta_fn(x)
-                t, v, r = (np.concatenate(([y0], y, [y1])) for y0, y, y1 in ((t0, x, t1), (v0, vx, v1), (r0, rx, r1)))
-                open_, widest = None, (t1 - t0) / m
+                nodes += [(x, True, i) for x in (t0 + (t1 - t0) * (np.arange(1.0, m) / m)).tolist()]
                 break
             node = _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4) if inside else None
-            if node is None:
-                if crossing:
-                    return t0, t1, v0, v1, r0, r1
-            else:
-                x, split = node
-                (vx,), (rx,) = theta_fn(np.array([x]))
-                if split:
-                    t, v, r = (np.concatenate(((y0, y), rest[i + 1 :])) for y0, y, rest in ((t0, x, t), (v0, vx, v), (r0, rx, r)))
-                    open_ = None if open_ is None else np.concatenate(((True, True), open_[i + 1 :]))
-                    break
-                if abs(vx) >= level:  # the crossing lies before the node
-                    return t0, x, v0, float(vx), r0, float(rx)
-            i += 1
+            if node is not None:
+                nodes.append((*node, i))
+            elif inside and not crossing:
+                shut.append(i)
+            if crossing:  # the bracket unless its node splits it; the cells after it do not count
+                bracket = t0, t1, v0, v1, r0, r1
+                break
+        if not nodes:
+            return bracket
+        x, split, cells = map(np.array, zip(*nodes))
+        vx, rx = theta_fn(x)
+        # A node that does not split its cell tests p's extreme there.
+        keep = split | (np.abs(vx) >= level)
+        open_ = open_.copy()
+        open_[shut + cells[~keep].tolist()] = False
+        at = cells[keep] + 1
+        t, v, r = np.insert(t, at, x[keep]), np.insert(v, at, vx[keep]), np.insert(r, at, rx[keep])
+        open_ = np.insert(open_, at, True)
+        widest = float((t[1:] - t[:-1])[open_].max(initial=0.0))
 
 
 def _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4):
@@ -503,10 +506,11 @@ def _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4):
     Hermite interpolant p of its end values and rates.  A cell below the
     level at its end is dismissed when p's extreme toward the level plus
     that bound stays below the level; otherwise its node is the extreme, or
-    the cell's middle if the extreme is an end.  A cell past the level at
-    its end is the bracket unless p peaks inside it, where its node is.  No
-    cell is split below ``scan_step``: there, and everywhere when m4 is
-    infinite, the extreme is a node only where p itself reaches the level.
+    the cell's middle if the extreme is an end or only the bound takes it
+    to the level.  A cell past the level at its end is the bracket unless p
+    peaks inside it, where its node is.  No cell is split below
+    ``scan_step``: there, and everywhere when m4 is infinite, the extreme
+    is a node only where p itself reaches the level.
     """
     h = t1 - t0
     split = h >= 2 * scan_step
@@ -518,7 +522,7 @@ def _cell_node(t0, t1, v0, v1, r0, r1, crossing, level, scan_step, m4):
     interior = 0 < x < 1
     if not (interior and split if crossing else (split or interior) and top + err >= level):
         return None
-    if not interior:
+    if not interior or top < level:
         x = 0.5
     if split:
         x = min(max(x, scan_step / h), 1 - scan_step / h)

@@ -227,6 +227,36 @@ class TestFindGateTime:
         assert abs(graze_theta(tau) + np.pi) <= PHASE_TOL
         assert tau == pytest.approx(GRAZE_TAU, abs=1e-7)
 
+    @pytest.mark.parametrize("omega", [2e3, 2.5e4], ids=["1e5-fine-cells", "1e6-fine-cells"])
+    def test_long_static_window_is_searched_in_few_calls(self, omega):
+        # theta = S + F with S = -t and F = 0.05 sin(omega t), searched with
+        # the loose bound |F| <= 0.5: the window spans S from pi - 0.5 to
+        # pi + 0.5, 1 s, which holds about 1e5 or 1.2e6 cells of the width
+        # fine at which the Hermite bound meets PHASE_TOL.  The search lays
+        # out FINE_CELLS cells, not all of those, and theta's wiggles keep
+        # most cells before the first crossing, near t = pi - 0.05, within
+        # the bound of the level: each round of cuts is one call, not one
+        # call a cell.
+        theta = lambda t: -t + 0.05 * np.sin(omega * t)
+        rate = lambda t: -1 + 0.05 * omega * np.cos(omega * t)
+        m4 = 0.05 * omega**4
+        calls = []
+
+        def recording(t):
+            calls.append(len(t))
+            return theta(t), rate(t)
+
+        times = np.linspace(0, 5.0, 101)
+        slow = SlowPhase(np.full(times.size, -1.0), 1.0, 0.5, 0.0, m4)
+        tau = find_gate_time(times, -times, recording, 0.05 / omega, slow)
+        assert abs(theta(tau) + np.pi) <= PHASE_TOL
+        grid = np.linspace(np.pi - 0.5, tau, 10**6)
+        assert np.all(theta(grid[:-1]) > -np.pi)
+        if omega > 1e4:
+            assert 1 / analysis._fine(m4) > analysis.MAX_SCAN_POINTS
+        assert len(calls) <= 12
+        assert sum(calls) <= 5000
+
     def test_refinement_meets_phase_tol_in_few_calls(self):
         # theta wiggles by 1e-3 rad about a line through -pi at 0.37.  The
         # scan is as coarse as the samples, so the refinement starts from the
