@@ -9,9 +9,9 @@ Subcommands:
 Exit codes: 0 success, 1 configuration error (including a file that cannot
 be decoded or parsed, and a command line that argparse rejects), 2 no
 gate-time crossing, 3 any other SimulationError (numerical failure: norm
-drift, undefined or aliased phase, non-Hermitian Hamiltonian, zero state,
-value out of range, field evaluated on a wire).  Every error is reported on
-one stderr line; ``--help`` and ``--version`` exit 0.
+drift, undefined or aliased phase, zero state, value out of range, field
+evaluated on a wire).  Every error is reported on one stderr line; ``--help``
+and ``--version`` exit 0.
 
 All numeric output uses repr formatting, so identical inputs produce
 byte-identical files.

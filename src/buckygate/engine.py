@@ -7,10 +7,11 @@ closed-form bounds on S's rate and fourth derivative, and evaluates theta
 itself only where S comes within the amplitude of the fast part, block A's
 Zeeman-scale wiggle, of pi.  Driven mode propagates with 4th-order Magnus
 steps in the interaction picture of the static Hamiltonian on a grid at the
-fastest Hamiltonian scale, as far as the gate needs.  The trajectory a run
-outputs is computed when it is read, a static one by the exact spectral
-solution.  Gate-time refinement evaluates theta between the stored
-samples, a driven run by re-propagating from them, first to search the
+fastest Hamiltonian scale, as far as the gate needs, in the eigenbasis of
+the same blocks.  The trajectory a run outputs is computed when it is read,
+a static one from the blocks, with the gate's theta.  Gate-time refinement
+evaluates theta between the stored samples, a driven run by re-propagating
+from them, first to search the
 times near the crossing in cubic Hermite cells on theta and its exact rate,
 then to refine the first crossing found by safeguarded Newton steps on that
 rate, instead of interpolating the sampled phase.
@@ -47,11 +48,9 @@ from .propagator import (
     STEPS_PER_CHUNK,
     BlockPropagator,
     MagnusPass,
-    SpectralPropagator,
     Trajectory,
     hamiltonian_scale,
     magnus_steps,
-    propagate_static,
     rk4_spans,
     time_dependent_hamiltonian,
 )
@@ -134,10 +133,10 @@ class TrajectoryEvaluator:
     bounds exist, the ``SlowPhase`` of the gate: then ``_theta`` holds
     theta's slow part S, within ``slow.fast`` of theta, and ``slow.rates``
     S'.  ``finish()`` gives the output as (trajectory, theta): the static
-    output grid propagated and unwrapped, or the driven pass completed to
-    t_max.  It runs on the first read of ``trajectory`` or ``theta``, and a
-    failure there is raised at every read.  ``states_at`` and ``theta_at``
-    give the same before and after that read.
+    output grid's states and theta from the blocks, or the driven pass
+    completed to t_max.  It runs on the first read of ``trajectory`` or
+    ``theta``, and a failure there is raised at every read.  ``states_at``
+    and ``theta_at`` give the same before and after that read.
 
     The mode gives ``states(times)``, psi at each time, through which
     ``states_at`` gives every state the evaluator gives: a static run's
@@ -244,15 +243,34 @@ def _run_to_first_crossing(magnus) -> np.ndarray:
     return theta
 
 
+def _unwrap(blocks, times, phase, start: float = 0.0, rate: float = 0.0, states=None) -> np.ndarray:
+    """``unwrap_angles`` of ``phase``, a static run's theta or S at ``times``
+    up to a multiple of 2 pi, from ``start``.  First ``unwrap_phases``
+    checks the ``states`` there (the blocks' if None) where the blocks do not
+    bound every amplitude above AMP_FLOOR, then the grid's step is checked
+    at ``rate``, a bound on the phase's rate."""
+    if blocks.least_modulus < AMP_FLOOR:  # an amplitude may vanish: check the samples' states
+        states = blocks.states(times) if states is None else states
+        unwrap_phases(Trajectory(times=times, states=states))
+    theta_step = rate * times[1]
+    if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
+        raise PhaseAliasing(
+            f"{len(times)} samples over t_max={times[-1]:.6e} s let theta step by up "
+            f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
+            "shorten t_max"
+        )
+    return unwrap_angles(times, phase, start)
+
+
 def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap what the gate reads; the returned
     evaluator holds the run and computes its output when that is read.
 
-    The static Hamiltonian is built once per run, and a driven run's drive
-    is at ``config.resonances``.  A static run's gate reads the closed form
-    of ``BlockPropagator``, built from the Hamiltonian's two 2x2 blocks,
+    The static Hamiltonian is built once per run and diagonalized once, in
+    closed form from its two 2x2 blocks (``BlockPropagator``), and a driven
+    run's drive is at ``config.resonances``.  A static run reads the blocks
     for theta, its slow part S, their rates, the states and the bounds
-    (``BlockPropagator.bounds``); its gate calls neither eigh nor a 4x4
+    (``BlockPropagator.bounds``); it calls neither eigh nor a 4x4
     evolution.  Where the bounds exist, it samples S and S' on a grid with
     no MIN_SAMPLES floor, from 0 to t_max, whose spacing h keeps S's step
     within MAX_PHASE_PER_SAMPLE at the bound on its rate and the Hermite
@@ -265,20 +283,19 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     searches it with no bound.  Either raises PhaseAliasing if MAX_SAMPLES
     samples cannot hold the step below MAX_THETA_STEP at that bound.  The
     samples are unwrapped by ``unwrap_angles``, the rule of
-    ``unwrap_phases``.  Where the blocks do not bound every amplitude's
-    modulus above AMP_FLOOR, ``unwrap_phases`` first checks the samples'
-    states, so a vanishing amplitude raises UndefinedPhase, before any
-    PhaseAliasing.  Its output is the MIN_SAMPLES-floored grid at the bound
-    on theta's rate, diagonalized, propagated and unwrapped
-    (``SpectralPropagator``, ``propagate_static``, ``unwrap_phases``) when
-    the evaluator's ``trajectory`` or ``theta`` is first read.  A driven
-    run takes ``magnus_steps`` Magnus steps per sample interval, set by the
-    drive and the fitted error of the step rather than by the Zeeman
-    precession: one or two on the benchmark's driven points.  Its pass
-    stops just past the first sampled crossing (``_run_to_first_crossing``),
-    which is all the gate needs, and is completed on that read.  So a
-    NormDrift, UndefinedPhase or PhaseAliasing that only the output meets is
-    raised there.  MAX_STEPS bounds the whole driven run, before any step.
+    ``unwrap_phases``, after a check of their states where an amplitude may
+    vanish (``_unwrap``).  Its output is the MIN_SAMPLES-floored grid at the
+    bound on theta's rate, with the blocks' states and theta there, checked
+    and unwrapped the same way, when the evaluator's ``trajectory`` or
+    ``theta`` is first read.  A driven run's Magnus pass works in the
+    blocks' eigenbasis and takes ``magnus_steps`` Magnus steps per sample
+    interval, set by the drive and the fitted error of the step rather than
+    by the Zeeman precession: one or two on the benchmark's driven points.
+    Its pass stops just past the first sampled crossing
+    (``_run_to_first_crossing``), which is all the gate needs, and is
+    completed on that read.  So a NormDrift, UndefinedPhase or PhaseAliasing
+    that only the output meets is raised there.  MAX_STEPS bounds the whole
+    driven run, before any step.
     Gate-time refinement scans in cells no narrower than ``scan_step``,
     MAX_PHASE_PER_STEP rad at the Hamiltonian scale, but around the
     crossing, and refines, both through the evaluator's ``theta_at``.  A
@@ -290,10 +307,11 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     h0 = build_static(cfg)
     scale = hamiltonian_scale(cfg, h0)
     scan_step = MAX_PHASE_PER_STEP / scale
+    blocks = BlockPropagator(h0, cfg.initial_state)
     if cfg.mode == "driven":
         slow = None
         times = sample_times(cfg.t_max, scale)
-        magnus = MagnusPass(SpectralPropagator(h0), cfg, times, magnus_steps(cfg, scale, times))
+        magnus = MagnusPass(blocks, cfg, times, magnus_steps(cfg, scale, times))
         theta = _run_to_first_crossing(magnus)
         traj = magnus.trajectory
         times, psi0 = traj.times, traj.states[0]
@@ -317,7 +335,6 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             ratio = ((hfun(t) @ psi[..., None])[..., 0] / psi).real
             return composite_angle(psi) - theta0, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3], psi
     else:
-        blocks = BlockPropagator(h0, cfg.initial_state)
         bounds = blocks.bounds()
         bounded = all(map(math.isfinite, (bounds.slow_rate, bounds.slow_m4, bounds.fast, bounds.m4)))
         if bounded:
@@ -325,30 +342,19 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             target = min(MARGIN_TARGET, bounds.fast) if bounds.fast else MARGIN_TARGET
             pace = max(rate, (bounds.slow_m4 / (384 * target)) ** 0.25 * MAX_PHASE_PER_SAMPLE)
             times = sample_times(cfg.t_max, pace, least=2)
+            phase, rates = blocks.slow(times)  # S and S'; S(0) = -F(0), as theta(0) = 0
+            slow, start = SlowPhase(rates, rate, bounds.fast, bounds.slow_m4, bounds.m4), float(phase[0])
         else:  # theta itself, on a grid as a driven run's
             rate = bounds.rate
             times = sample_times(cfg.t_max, rate)
-        if blocks.least_modulus < AMP_FLOOR:  # an amplitude may vanish: check the samples' states
-            unwrap_phases(Trajectory(times=times, states=blocks.states(times)))
-        theta_step = rate * times[1]
-        if math.isfinite(theta_step) and theta_step > MAX_THETA_STEP:
-            raise PhaseAliasing(
-                f"{len(times)} samples over t_max={cfg.t_max:.6e} s let theta step by up "
-                f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
-                "shorten t_max"
-            )
-        if bounded:  # S and S'; S(0) = -F(0), as theta(0) = 0
-            phase, rates = blocks.slow(times)
-            slow, start = SlowPhase(rates, rate, bounds.fast, bounds.slow_m4, bounds.m4), float(phase[0])
-        else:
             phase, slow, start = blocks.angles(times), None, 0.0
-        theta = unwrap_angles(times, phase, start)
+        theta = _unwrap(blocks, times, phase, start, rate)
         psi0, states = blocks.psi0, blocks.states
 
         def finish():
-            spectral = SpectralPropagator(h0)
-            output = propagate_static(spectral, cfg.initial_state, sample_times(cfg.t_max, bounds.rate))
-            return output, unwrap_phases(output)
+            times = sample_times(cfg.t_max, bounds.rate)
+            output = Trajectory(times=times, states=states(times))
+            return output, _unwrap(blocks, times, blocks.angles(times), states=output.states)
 
         def angles(t):
             return *blocks.theta(t), None

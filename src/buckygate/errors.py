@@ -27,10 +27,6 @@ class SingularPosition(SimulationError):
     pass
 
 
-class NonHermitianInput(SimulationError):
-    pass
-
-
 class NormDrift(SimulationError):
     """Squared norm left the tolerance band; the integration step is too coarse."""
 

@@ -116,11 +116,3 @@ def build_drive(config: SimulationConfig, t) -> np.ndarray:
 def drive_peak_amplitude(config: SimulationConfig) -> float:
     """Largest per-spin drive amplitude |muB Bl / hbar| (rad/s)."""
     return CONSTANTS.muB * max(abs(config.Bl1), abs(config.Bl2)) / CONSTANTS.hbar
-
-
-def is_hermitian(h: np.ndarray) -> bool:
-    """Whether h - h^dag vanishes to within 1e-12 times h's largest entry."""
-    scale = np.abs(h).max()
-    if scale == 0:
-        return True
-    return np.abs(h - h.conj().T).max() <= 1e-12 * scale

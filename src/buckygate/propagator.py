@@ -2,12 +2,12 @@
 
 Two routes are provided, a closed form and one refinement:
 
-* ``propagate_static`` solves the time-independent problem exactly through an
-  eigendecomposition and serves as the oracle for everything else;
-* ``BlockPropagator`` solves it in closed form from the static Hamiltonian's
-  two 2x2 blocks, with the composite phase theta, its slow part and their
-  rates, and closed-form bounds on them (``PhaseBounds``), for the static
-  gate;
+* ``BlockPropagator`` solves the time-independent problem exactly, in closed
+  form from the static Hamiltonian's two 2x2 blocks: its spectrum and real
+  eigenvectors, the states, the composite phase theta, its slow part and
+  their rates, and closed-form bounds on them (``PhaseBounds``).  It is the
+  one place that diagonalizes H0: the static gate and output read it, and
+  the driven Magnus pass takes its eigenbasis;
 * ``propagate_magnus`` integrates driven runs in the interaction picture of
   the static Hamiltonian H0 with the 4th-order Magnus step, whose generator
   integrates the oscillating phase factors of the interaction picture
@@ -53,14 +53,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import SimulationConfig
-from .errors import NonHermitianInput, NormDrift, OutOfRange
-from .hamiltonian import (
-    DRIVE_OPERATORS,
-    build_drive,
-    drive_amplitudes,
-    drive_peak_amplitude,
-    is_hermitian,
-)
+from .errors import NormDrift, OutOfRange
+from .hamiltonian import DRIVE_OPERATORS, build_drive, drive_amplitudes, drive_peak_amplitude
 
 # Phase advanced per integration step at the fastest Hamiltonian scale.
 MAX_PHASE_PER_STEP = 0.05
@@ -149,29 +143,6 @@ def hamiltonian_scale(config: SimulationConfig, h0: np.ndarray) -> float:
     )
 
 
-class SpectralPropagator:
-    """Exact evolution under a constant Hermitian matrix via eigendecomposition."""
-
-    def __init__(self, h: np.ndarray):
-        if not is_hermitian(h):
-            raise NonHermitianInput("static Hamiltonian is not Hermitian")
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h)
-        self._rates = -self.eigenvalues
-        # Both C-contiguous, so that a state gets the same bits alone or in a batch.
-        self._to_eigen = self.eigenvectors.conj()
-        self._from_eigen = np.ascontiguousarray(self.eigenvectors.T)
-
-    def evolve(self, psi: np.ndarray, dtau) -> np.ndarray:
-        """psi(t0 + dtau) = V exp(-i L dtau) V^dag psi(t0).
-
-        ``dtau`` may be an array of n steps; ``psi`` is then one state or n
-        states, one per step, and the result has shape (n, 4).
-        """
-        phases = _unit_phases(np.asarray(dtau)[..., None] * self._rates)
-        phases *= psi @ self._to_eigen
-        return phases @ self._from_eigen
-
-
 class BlockPropagator:
     """Exact evolution of one initial state ``psi0`` under a static
     Hamiltonian ``h`` of ``build_static``'s form, in closed form from its two
@@ -193,10 +164,11 @@ class BlockPropagator:
     the difference of two large rounded phases as in the 4x4 evolution.
     theta' = -s + Im(E_A' / E_A) - Im(E_B' / E_B).
 
-    ``eigenvalues`` lam_k are H's spectrum, as eigh gives it up to order,
-    and row k of ``components`` is psi0's component b_k V[:, k] on the k-th
-    eigenvector, so that psi(t) = sum_k exp(-i lam_k t) components[k];
-    ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
+    ``eigenvalues`` lam_k are H's spectrum, mu +/- rho of block A then B,
+    column k of the real ``eigenvectors`` V the k-th eigenvector, and
+    ``coefficients`` b = V^T psi0, b+ and b- of each block; row k of
+    ``components`` is b_k V[:, k], so that psi(t) = sum_k exp(-i lam_k t)
+    components[k]; ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
     ``least_modulus`` is a lower bound on every |c_j(t)|: the squared
     moduli of a block's amplitudes are M -/+ sin(phi)
     Re(b+ conj(b-) exp(-2 i rho t)), with their means M = |b+|^2 cos^2 +
@@ -218,8 +190,8 @@ class BlockPropagator:
         self.psi0 = psi0 = np.asarray(psi0, dtype=complex)
         a = psi0.tolist()
         self.s = (h[0][0] + h[3][3]) - (h[1][1] + h[2][2])
-        lam, rho, ellipses, moduli = [], [], [], []
-        components = [[0j] * 4 for _ in range(4)]
+        lam, coefficients, rho, ellipses, moduli = [], [], [], [], []
+        vectors = [[0.0] * 4 for _ in range(4)]
         least = math.inf
         for k, (i, j) in enumerate(((0, 3), (1, 2))):
             half = (h[i][i] - h[j][j]) / 2
@@ -233,8 +205,9 @@ class BlockPropagator:
             ch, sh, cos, sin = math.cos(phi / 2), math.sin(phi / 2), math.cos(phi), math.sin(phi)
             plus, minus = ch * a[i] + sh * a[j], ch * a[j] - sh * a[i]
             lam += [mu + r, mu - r]
-            components[2 * k][i], components[2 * k][j] = plus * ch, plus * sh
-            components[2 * k + 1][i], components[2 * k + 1][j] = -minus * sh, minus * ch
+            coefficients += [plus, minus]
+            vectors[i][2 * k], vectors[j][2 * k] = ch, sh
+            vectors[i][2 * k + 1], vectors[j][2 * k + 1] = -sh, ch
             # E = K + C cos + S sin of 2 rho t, C = P + Q and S = i (Q - P).
             p, q = plus * plus * sin / 2, -minus * minus * sin / 2
             ellipses.append((plus * minus * cos, p + q, 1j * (q - p)))
@@ -243,11 +216,12 @@ class BlockPropagator:
             mean = min(abs(plus * ch) ** 2 + abs(minus * sh) ** 2, abs(plus * sh) ** 2 + abs(minus * ch) ** 2)
             least = min(least, mean - abs(plus * minus * sin))
         self.eigenvalues, self.rho = np.array(lam), tuple(rho)
+        self.eigenvectors, self.coefficients = np.array(vectors), np.array(coefficients)
         self._moduli = moduli  # (|K|, |P| + |Q|, ||P| - |Q||) of each block
         # Less 8 eps for the rounding of squares of at most 1 (psi0 is normalized).
         self.least_modulus = math.sqrt(max(least - 8 * _EPS, 0.0))
         # C-contiguous, so that a state gets the same bits alone or in a batch.
-        self.components = np.array(components)
+        self.components = np.multiply(self.eigenvectors.T, self.coefficients[:, None], order="C")
         self._rates = -self.eigenvalues
         # Block A's ellipse turned by -theta(0), so that Arg E_A - Arg E_B
         # starts at 0 (atan2(0, 0) = 0 where an amplitude vanishes).
@@ -348,14 +322,6 @@ def _unit_phases(x) -> np.ndarray:
     return phases
 
 
-def propagate_static(spectral: SpectralPropagator, psi0: np.ndarray, times) -> Trajectory:
-    """Exact static-Hamiltonian trajectory psi(t) = V exp(-i L t) V^dag psi0."""
-    times = np.asarray(times, dtype=float)
-    _check_times(times)
-    states = spectral.evolve(np.asarray(psi0, dtype=complex), times)
-    return Trajectory(times=times, states=states)
-
-
 def rk4_segment(hfun, psi: np.ndarray, t0: float, t1: float, dt_max: float) -> np.ndarray:
     """psi carried from t0 to t1 by classical RK4 in ceil((t1 - t0) / dt_max)
     uniform steps, at least one, whose matrices are built at most
@@ -434,18 +400,20 @@ def _rk4_matrices(hfun, nodes, h):
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
-def _magnus_steps(spectral: SpectralPropagator, config, h: float, buffers):
+def _magnus_steps(blocks: BlockPropagator, config, h: float, buffers):
     """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
     steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
-    ``config``, on xi = exp(i L h/2) V^dag psi (see ``propagate_magnus``).
+    ``config``, on xi = exp(i L h/2) V^T psi (see ``propagate_magnus``).
     ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
     returns its matrices in buffers[0] and runs Horner's rule in the other
     three, of which only buffers[1] serves between calls, as ``_carry``'s work
     (n - 1 matrices of it).
 
-    With P(t) = exp(i L t), the Magnus step over [t_m - h/2, t_m + h/2] is
-    P(t_m) exp(Omega) P(t_m)^dag, where Omega = Omega1 + Omega2 is the step
-    at t_m = 0 for Ht(s) = P(s) V^dag D(t_m + s) V P(s)^dag.  On xi the step
+    With H0 = V L V^T (``BlockPropagator``'s real eigenvectors V and
+    eigenvalues L) and P(t) = exp(i L t), the Magnus step over
+    [t_m - h/2, t_m + h/2] is P(t_m) exp(Omega) P(t_m)^dag, where
+    Omega = Omega1 + Omega2 is the step at t_m = 0 for
+    Ht(s) = P(s) V^T D(t_m + s) V P(s)^dag.  On xi the step
     is therefore exp(Omega) exp(-i L h).  As a_i(t) = a_i(0) cos(w_i t)
     (``drive_amplitudes``) and cos(w (t_m + s)) = cos(w t_m) cos(w s) -
     sin(w t_m) sin(w s), Ht(s) = sum_q k_q F_q(s) with
@@ -455,9 +423,9 @@ def _magnus_steps(spectral: SpectralPropagator, config, h: float, buffers):
     as is the Taylor degree of exp(Omega), from ``_generator_bound``.  Step j
     has its midpoint at t_m = (j + 1/2) h.
     """
-    a, c = _drive_integrals(spectral, config, h)
+    a, c = _drive_integrals(blocks, config, h)
     basis = _real_form(np.concatenate([a, c.reshape(16, 4, 4)])).reshape(20, 64)
-    rotation = _real_form(np.diag(_unit_phases(-h * spectral.eigenvalues)))
+    rotation = _real_form(np.diag(_unit_phases(-h * blocks.eigenvalues)))
     resonances = config.resonances
     omegas = np.array([resonances.omega1, resonances.omega2])
     degree = _taylor_degree(_generator_bound(basis))
@@ -510,10 +478,10 @@ def _generator_bound(basis) -> float:
     return math.sqrt(2 * a) + 2 * math.sqrt(c)
 
 
-def _drive_integrals(spectral: SpectralPropagator, config, h: float):
+def _drive_integrals(blocks: BlockPropagator, config, h: float):
     """(A, C) of the Magnus step of length h: A[q] = -i int F_q and
     C[q, r] = 1/2 int int_{s2 < s1} [-i F_q(s1), -i F_r(s2)] over
-    -h/2 < s2 < s1 < h/2, with F_q(s) = c_q(s) P(s) V^dag a_i D_i V P(s)^dag,
+    -h/2 < s2 < s1 < h/2, with F_q(s) = c_q(s) P(s) V^T a_i D_i V P(s)^dag,
     c_q(s) = cos(w_i s) for q = i and -sin(w_i s) for q = 2 + i (see
     ``_magnus_steps``).  Shapes (4, 4, 4) and (4, 4, 4, 4).
 
@@ -526,12 +494,12 @@ def _drive_integrals(spectral: SpectralPropagator, config, h: float):
     count follows the largest |nu| h / 2, so the sums are exact to rounding
     for any step, and no term divides by a small nu.
     """
-    v, rates = spectral.eigenvectors, spectral.eigenvalues  # rates ascending
+    v, rates = blocks.eigenvectors, blocks.eigenvalues
     resonances = config.resonances
     amplitudes = np.array(drive_amplitudes(config, 0.0))
-    drives = amplitudes[:, None, None] * (v.conj().T @ DRIVE_OPERATORS @ v)  # a_i V^dag D_i V
+    drives = amplitudes[:, None, None] * (v.T @ DRIVE_OPERATORS @ v)  # a_i V^T D_i V
     omegas = np.array([resonances.omega1, resonances.omega2])
-    top = h / 2 * (rates[-1] - rates[0] + max(abs(resonances.omega1), abs(resonances.omega2)))
+    top = h / 2 * (rates.max() - rates.min() + max(abs(resonances.omega1), abs(resonances.omega2)))
     nodes, projections = _legendre_rule(_legendre_node_count(top))
     n = len(nodes)
     s = h / 2 * nodes
@@ -676,7 +644,8 @@ class MagnusPass:
     """A driven run's Magnus pass (see ``propagate_magnus``), ``steps``
     steps per sample interval, taken in as many calls of ``advance`` as its
     caller makes; the pass is ``done`` once it has taken all ``total``
-    steps, each of length ``h``.
+    steps, each of length ``h``, from the eigenbasis and the initial state's
+    coefficients of ``blocks`` (``propagate_magnus``).
 
     ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
     ValueError otherwise, and OutOfRange, before any step is taken, for more
@@ -685,7 +654,7 @@ class MagnusPass:
     every interval whose last step has been taken.
     """
 
-    def __init__(self, spectral: SpectralPropagator, config: SimulationConfig, times, steps: int):
+    def __init__(self, blocks: BlockPropagator, config: SimulationConfig, times, steps: int):
         times = np.asarray(times, dtype=float)
         _check_times(times)
         if not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
@@ -694,11 +663,11 @@ class MagnusPass:
         self.total = steps * (len(times) - 1)
         self.h = times[-1] / self.total
         _check_step_count(self.total, self.h, times[-1])
-        self._spectral, self._config = spectral, config
+        self._blocks, self._config = blocks, config
         self.taken, self.count = 0, 1
-        # xi = exp(i L h/2) V^dag psi as the real 8-vector [Re xi, Im xi],
-        # after the steps taken.
-        xi0 = spectral.evolve(config.initial_state, -self.h / 2) @ spectral.eigenvectors.conj()
+        # xi = exp(i L h/2) V^T psi as the real 8-vector [Re xi, Im xi],
+        # after the steps taken; V^T psi0 is the blocks' coefficients.
+        xi0 = _unit_phases(self.h / 2 * blocks.eigenvalues) * blocks.coefficients
         self._state = np.concatenate([xi0.real, xi0.imag])
         self._states = np.empty((len(times), 4), dtype=complex)
         self._store(0, self._state[None])
@@ -726,7 +695,7 @@ class MagnusPass:
         end = min(self.taken + n, self.total)
         buffers = _workspace(min(self.total, STEPS_PER_CHUNK))
         if self._kernel[0] is not buffers.base:
-            self._kernel = buffers.base, _magnus_steps(self._spectral, self._config, self.h, buffers)
+            self._kernel = buffers.base, _magnus_steps(self._blocks, self._config, self.h, buffers)
         step_matrices, state = self._kernel[1], self._state
         for first in range(self.taken, end, STEPS_PER_CHUNK):
             states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, end - first)), state, buffers[1])
@@ -741,23 +710,24 @@ class MagnusPass:
     def _store(self, i: int, xi):
         """Store psi = V exp(-i L h/2) xi, with one phase factor for every
         sample, as the samples from i on, and check their norms."""
-        coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-self.h / 2 * self._spectral.eigenvalues)
+        coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-self.h / 2 * self._blocks.eigenvalues)
         states = self._states[i : i + len(xi)]
-        np.matmul(coefficients, self._spectral.eigenvectors.T, out=states)
+        np.matmul(coefficients, self._blocks.eigenvectors.T, out=states)
         _check_norms(self.times[i : i + len(xi)], states, f"Magnus substep taken was {self.h:.3e} s")
 
 
 def propagate_magnus(
-    spectral: SpectralPropagator, config: SimulationConfig, times, steps: int
+    blocks: BlockPropagator, config: SimulationConfig, times, steps: int
 ) -> Trajectory:
     """Driven trajectory by ``steps`` uniform 4th-order Magnus steps per
     sample interval: a ``MagnusPass`` taken to its end in one call.
 
     ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
     ValueError otherwise, and OutOfRange, before any step is taken, for more
-    than MAX_STEPS steps.  ``spectral`` holds H0 = V L V^dag, the config's
-    static Hamiltonian.  With psi(t) = V exp(-i L t) phi(t), phi obeys
-    i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^dag D(t) V
+    than MAX_STEPS steps.  ``blocks``, the ``BlockPropagator`` of the
+    config's static Hamiltonian H0 and initial state, holds H0 = V L V^T
+    with V real.  With psi(t) = V exp(-i L t) phi(t), phi obeys
+    i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^T D(t) V
     exp(-i L t) and D(t) is the drive term at ``config.resonances``.  H_I
     is as large as the drive; the Zeeman precession enters only through its
     phase factors, which each step integrates exactly (``_drive_integrals``),
@@ -767,7 +737,7 @@ def propagate_magnus(
     Raises NormDrift at the first stored state whose squared norm departs
     from 1 by more than NORM_TOLERANCE.
     """
-    run = MagnusPass(spectral, config, times, steps)
+    run = MagnusPass(blocks, config, times, steps)
     run.advance(run.total)
     return run.trajectory
 

@@ -18,7 +18,8 @@ from buckygate.engine import run_simulation
 from buckygate.errors import NoCrossing, UndefinedPhase
 from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_static
-from buckygate.propagator import SpectralPropagator, propagate_static, rk4_segment, time_dependent_hamiltonian
+from buckygate.propagator import rk4_segment, time_dependent_hamiltonian
+from spectral_oracle import SpectralPropagator, propagate_static
 
 REFERENCE_OMEGA1 = 1.7599e10
 REFERENCE_OMEGA2 = 1.7577e10

@@ -151,7 +151,6 @@ class TestSimulate:
 @pytest.mark.parametrize(
     "error",
     [
-        errors.NonHermitianInput,
         errors.ZeroState,
         errors.OutOfRange,
         errors.PhaseAliasing,

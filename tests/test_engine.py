@@ -11,7 +11,7 @@ import pytest
 
 import buckygate
 from buckygate import analysis, engine, propagator
-from buckygate.analysis import PHASE_TOL, composite_angle, find_gate_time, unwrap_phases
+from buckygate.analysis import PHASE_TOL, composite_angle, find_gate_time, unwrap_angles, unwrap_phases
 from buckygate.config import SimulationConfig, validate
 from buckygate.engine import (
     TrajectoryEvaluator,
@@ -25,11 +25,10 @@ from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
     BlockPropagator,
     MAX_PHASE_PER_STEP,
-    SpectralPropagator,
     hamiltonian_scale,
-    propagate_static,
 )
 from rk4_oracle import propagate_numeric
+from spectral_oracle import SpectralPropagator, propagate_static
 
 
 def automatic_step(run):
@@ -213,8 +212,8 @@ def count_magnus_steps(monkeypatch):
     built = [0]
     magnus_steps_of = propagator._magnus_steps
 
-    def counting(spectral, config, h, buffers):
-        step_matrices = magnus_steps_of(spectral, config, h, buffers)
+    def counting(blocks, config, h, buffers):
+        step_matrices = magnus_steps_of(blocks, config, h, buffers)
 
         def count(j, n):
             built[0] += n
@@ -299,48 +298,87 @@ def test_result_pickles_with_its_whole_trajectory(overrides):
     np.testing.assert_array_equal(copy.theta, result.theta)
 
 
+def recording_eigh(monkeypatch):
+    """The arguments of every np.linalg.eigh call from here on."""
+    calls, eigh = [], np.linalg.eigh
+
+    def recording(a, *args, **kwargs):
+        calls.append(np.array(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording)
+    return calls
+
+
 def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
-    # The gate reads the closed form of the Hamiltonian's two 2x2 blocks on
-    # a grid sized by theta's bounds: no eigh, no 4x4 evolution and no
-    # propagate_static.  The output grid is diagonalized, propagated and
-    # unwrapped on the first read of the trajectory, once.
-    calls = []
-    eigh, evolve, propagate = np.linalg.eigh, SpectralPropagator.evolve, engine.propagate_static
+    # A static run reads H0 only through the closed form of its two 2x2
+    # blocks, the gate on a grid sized by theta's bounds: no eigh at all.
+    # The output grid's states are taken from the blocks on the first read
+    # of the trajectory, once.
+    eighs = recording_eigh(monkeypatch)
+    calls, states = [], BlockPropagator.states
 
-    def recording_eigh(h):
-        calls.append("eigh")
-        return eigh(h)
-
-    def recording_evolve(self, psi, dtau):
-        calls.append("evolve")
-        return evolve(self, psi, dtau)
-
-    def recording(spectral, psi0, times):
+    def recording_states(self, times):
         calls.append(len(times))
-        return propagate(spectral, psi0, times)
+        return states(self, times)
 
-    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
-    monkeypatch.setattr(SpectralPropagator, "evolve", recording_evolve)
-    monkeypatch.setattr(engine, "propagate_static", recording)
+    monkeypatch.setattr(BlockPropagator, "states", recording_states)
     result = run_simulation(reference_config())
-    assert calls == []
+    assert calls == [1]  # the state at tau
     assert len(result._run._times) < 100
     result.trajectory
     result.theta
-    assert calls == ["eigh", engine.MIN_SAMPLES, "evolve"]
+    assert calls == [1, engine.MIN_SAMPLES]
+    assert eighs == []
+
+
+def test_driven_solve_calls_no_eigh_of_the_hamiltonian(monkeypatch):
+    # A driven run takes its Magnus eigenbasis from the blocks too.  The
+    # only eigh calls left are the Gauss-Legendre rule's, of a real Jacobi
+    # matrix (_legendre_rule), none with a complex argument.
+    eighs = recording_eigh(monkeypatch)
+    propagator._legendre_rule.cache_clear()
+    result = run_simulation(reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8))
+    result.trajectory
+    result.theta
+    assert eighs and not any(np.iscomplexobj(a) for a in eighs)
 
 
 def test_static_output_does_not_depend_on_the_gate_grid():
-    # README's example: the trajectory read is the exact solution on the
-    # MIN_SAMPLES grid at theta's rate and its unwrapped theta, bit for bit,
-    # whatever grid the gate read.
+    # README's example: the trajectory read is the blocks' closed form on
+    # the MIN_SAMPLES grid at theta's rate, with theta unwrapped from the
+    # blocks' angles, bit for bit, whatever grid the gate read; and it
+    # is the spectral oracle's solution to 1e-12 (2.8e-14 in psi and 6.1e-14
+    # rad in theta measured).
     run = run_trajectory(reference_config())
     times = np.linspace(0.0, 1.2e-8, engine.MIN_SAMPLES)
-    expected = propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times)
+    blocks = BlockPropagator(build_static(run.config), run.config.initial_state)
     assert len(run._times) < len(times)
     np.testing.assert_array_equal(run.trajectory.times, times)
-    np.testing.assert_array_equal(run.trajectory.states, expected.states)
-    np.testing.assert_array_equal(run.theta, unwrap_phases(expected))
+    np.testing.assert_array_equal(run.trajectory.states, blocks.states(times))
+    np.testing.assert_array_equal(run.theta, unwrap_angles(times, blocks.angles(times)))
+    expected = propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times)
+    np.testing.assert_allclose(run.trajectory.states, expected.states, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(run.theta, unwrap_phases(expected), rtol=0, atol=1e-12)
+
+
+def test_static_output_checks_its_states_where_an_amplitude_may_vanish(monkeypatch):
+    # With the blocks' bound taken as too weak to rule a vanishing amplitude
+    # out, and the floor between the least amplitude on the gate's samples
+    # and on the output grid, the gate is found and the output read raises
+    # UndefinedPhase, at every read.
+    psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
+    config = reference_config(initial_state=psi0 / np.linalg.norm(psi0), t_max=4e-8)
+    run = run_trajectory(config)
+    head = np.abs(run.states_at(run._times)).min()
+    tail = np.abs(run.trajectory.states).min()
+    assert tail < head
+    monkeypatch.setattr(engine, "AMP_FLOOR", 1.0)
+    monkeypatch.setattr(analysis, "AMP_FLOOR", (head + tail) / 2)
+    result = run_simulation(config)
+    for _ in range(2):
+        with pytest.raises(UndefinedPhase):
+            result.trajectory
 
 
 @pytest.mark.parametrize(
@@ -381,16 +419,16 @@ import numpy as np
 from buckygate import SimulationConfig
 from buckygate.config import validate
 from buckygate.hamiltonian import build_static, static_terms
-from buckygate.propagator import SpectralPropagator, propagate_magnus
+from buckygate.propagator import BlockPropagator, propagate_magnus
 steps = int(sys.argv[1])
 config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
                                    t_max=1e-10, mode="driven", Bl1=6e-4, Bl2=6e-4))
-spectral = SpectralPropagator(build_static(config))
+blocks = BlockPropagator(build_static(config), config.initial_state)
 times = np.linspace(0, 1e-10, 31)
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    propagate_magnus(spectral, config, times, steps)
+    propagate_magnus(blocks, config, times, steps)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """

@@ -10,7 +10,6 @@ from buckygate.hamiltonian import (
     build_static,
     dipole_coupling,
     drive_peak_amplitude,
-    is_hermitian,
     static_terms,
 )
 
@@ -18,6 +17,14 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
+
+
+def is_hermitian(h: np.ndarray) -> bool:
+    """Whether h - h^dag vanishes to within 1e-12 times h's largest entry."""
+    scale = np.abs(h).max()
+    if scale == 0:
+        return True
+    return np.abs(h - h.conj().T).max() <= 1e-12 * scale
 
 
 def build_static_kron(config):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from buckygate.config import SimulationConfig, validate
-from buckygate.errors import NonHermitianInput, NormDrift, OutOfRange
+from buckygate.errors import NormDrift, OutOfRange
 from buckygate.hamiltonian import build_drive, build_static, static_terms
 from buckygate import propagator
 from buckygate.engine import sample_times
@@ -16,8 +16,8 @@ from buckygate.propagator import (
     MAX_PHASE_PER_STEP,
     MAX_STEPS,
     STEPS_PER_CHUNK,
+    BlockPropagator,
     MagnusPass,
-    SpectralPropagator,
     Trajectory,
     _RK4_STEPS_PER_CHUNK,
     _carry,
@@ -29,13 +29,13 @@ from buckygate.propagator import (
     hamiltonian_scale,
     magnus_steps,
     propagate_magnus,
-    propagate_static,
     rk4_segment,
     rk4_spans,
     time_dependent_hamiltonian,
 )
 import rk4_oracle
 from rk4_oracle import propagate_numeric
+from spectral_oracle import SpectralPropagator, propagate_static
 
 
 def reference_config(**overrides):
@@ -53,6 +53,11 @@ def automatic_step(cfg):
 
 
 UNIFORM = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
+
+
+def blocks_of(cfg):
+    """The BlockPropagator of ``cfg``'s static Hamiltonian and initial state."""
+    return BlockPropagator(build_static(cfg), cfg.initial_state)
 
 
 def _taylor_exp(a, degree):
@@ -157,12 +162,6 @@ class TestSpectral:
         assert all(np.array_equal(batch[j], spectral.evolve(psi[j], dtau[j])) for j in range(60))
         assert all(np.array_equal(batch[j], spectral.evolve(psi[j : j + 1], dtau[j : j + 1])[0]) for j in range(60))
 
-    def test_non_hermitian_rejected(self):
-        h = np.zeros((4, 4), dtype=complex)
-        h[0, 1] = 1.0
-        with pytest.raises(NonHermitianInput):
-            SpectralPropagator(h)
-
     def test_energy_conserved(self):
         cfg = reference_config()
         h = build_static(cfg)
@@ -180,6 +179,37 @@ class TestSpectral:
         p_inner = np.abs(traj.states[:, 1]) ** 2 + np.abs(traj.states[:, 2]) ** 2
         assert np.max(np.abs(p_outer - p_outer[0])) <= 1e-10
         assert np.max(np.abs(p_inner - p_inner[0])) <= 1e-10
+
+
+class TestBlockEigenbasis:
+    """H0's spectrum and real eigenvectors from its two 2x2 blocks, which
+    the static output and the Magnus pass read."""
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(),
+            dict(r=12e-9),
+            dict(Bz1=0.05, Bz2=0.025, J0=2e8),
+            # {|01>,|10>} a multiple of the identity: rho_B = 0.
+            dict(Bg1=0.0, Bg2=0.0, J0=0.5 * static_terms(reference_config())[0]),
+        ],
+        ids=["reference", "12nm", "unequal-J0", "degenerate"],
+    )
+    def test_blocks_diagonalize_h0(self, overrides):
+        psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
+        cfg = reference_config(initial_state=psi0 / np.linalg.norm(psi0), **overrides)
+        h = build_static(cfg)
+        blocks = BlockPropagator(h, cfg.initial_state)
+        v, lam, b = blocks.eigenvectors, blocks.eigenvalues, blocks.coefficients
+        scale = np.abs(h).max()
+        assert v.dtype == float
+        np.testing.assert_allclose(v.T @ v, np.eye(4), rtol=0, atol=1e-15)
+        assert np.max(np.abs((v * lam) @ v.T - h)) <= 1e-15 * scale
+        np.testing.assert_allclose(np.sort(lam), np.linalg.eigvalsh(h), rtol=0, atol=1e-15 * scale)
+        np.testing.assert_allclose(b, v.T @ cfg.initial_state, rtol=0, atol=1e-15)
+        assert np.array_equal(blocks.components, v.T * b[:, None])
+        assert blocks.components.flags.c_contiguous
 
 
 class TestNumeric:
@@ -357,8 +387,7 @@ class TestMagnus:
 
     @staticmethod
     def run(cfg, times, steps):
-        spectral = SpectralPropagator(build_static(cfg))
-        return propagate_magnus(spectral, cfg, times, steps)
+        return propagate_magnus(blocks_of(cfg), cfg, times, steps)
 
     def test_drive_free_reduces_to_static(self):
         # Without a drive H_I vanishes: every step is an exact identity.
@@ -419,8 +448,8 @@ class TestMagnus:
         # exactly those digits.
         cfg = reference_config(mode="driven", Bz1=0.05, Bz2=0.025, Bl1=3e-4, Bl2=8e-4, J0=2e8)
         res = cfg.resonances
-        spectral = SpectralPropagator(build_static(cfg))
-        lam, v = spectral.eigenvalues, spectral.eigenvectors
+        blocks = blocks_of(cfg)
+        lam, v = blocks.eigenvalues, blocks.eigenvectors
         h = phase / (np.ptp(lam) + max(abs(res.omega1), abs(res.omega2)))
         # a_i(0) V^dag D_i V, from build_drive with the other spin undriven.
         drives = [v.conj().T @ build_drive(replace(cfg, **{other: 0.0}), 0.0) @ v for other in ("Bl2", "Bl1")]
@@ -431,7 +460,7 @@ class TestMagnus:
             f = np.stack([c_q[..., None, None] * d for c_q, d in zip(c, drives * 2)], axis=-3)
             return p[..., None, :, None] * f * p.conj()[..., None, None, :]
 
-        a, c = _drive_integrals(spectral, cfg, h)
+        a, c = _drive_integrals(blocks, cfg, h)
         omega1, omega2 = _exact_magnus_terms(terms, -h / 2, h)
         scale = h * np.max(np.abs(build_drive(cfg, 0.0)))
         assert np.max(np.abs(a - omega1)) <= 1e-14 * scale
@@ -542,12 +571,12 @@ class TestMagnus:
         # degree against the degree of each chunk's largest step.
         cfg = reference_config(mode="driven", t_max=1.5e-8, **overrides)
         res = cfg.resonances
-        spectral = SpectralPropagator(build_static(cfg))
+        blocks = blocks_of(cfg)
         scale = hamiltonian_scale(cfg, build_static(cfg))
         times = sample_times(cfg.t_max, scale)
         steps = magnus_steps(cfg, scale, times)
         h = times[-1] / (steps * (len(times) - 1))
-        a, c = _drive_integrals(spectral, cfg, h)
+        a, c = _drive_integrals(blocks, cfg, h)
         terms = np.concatenate([a, c.reshape(16, 4, 4)])
         phases = np.multiply.outer((np.arange(steps * (len(times) - 1)) + 0.5) * h, [res.omega1, res.omega2])
         norms = _step_norms(terms, phases)
@@ -640,8 +669,8 @@ class TestChunks:
         magnus_steps_of = propagator._magnus_steps
         carry = propagator._carry
 
-        def build(spectral, config, h, buffers):
-            step_matrices = magnus_steps_of(spectral, config, h, buffers)
+        def build(blocks, config, h, buffers):
+            step_matrices = magnus_steps_of(blocks, config, h, buffers)
 
             def record(j, n):
                 assert n <= len(buffers[0])
@@ -701,14 +730,14 @@ class TestMagnusPass:
 
     def start(self):
         """A pass advanced by 7 and then 100 steps."""
-        run = MagnusPass(SpectralPropagator(build_static(self.CFG)), self.CFG, self.TIMES, self.STEPS)
+        run = MagnusPass(blocks_of(self.CFG), self.CFG, self.TIMES, self.STEPS)
         run.advance(7)
         run.advance(100)
         return run
 
     def test_uneven_advances_match_one_pass(self):
         whole = TestMagnus.run(self.CFG, self.TIMES, self.STEPS)
-        run = MagnusPass(SpectralPropagator(build_static(self.CFG)), self.CFG, self.TIMES, self.STEPS)
+        run = MagnusPass(blocks_of(self.CFG), self.CFG, self.TIMES, self.STEPS)
         assert (run.taken, run.count, run.done) == (0, 1, False)
         for n, taken in [(7, 7), (100, 107), (512, 619), (10**6, 900)]:
             run.advance(n)
