@@ -6,6 +6,7 @@ as the computational basis {|00>, |01>, |10>, |11>}.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -67,34 +68,32 @@ class SimulationConfig:
 def validate(config: SimulationConfig) -> SimulationConfig:
     """Return a normalized copy of ``config`` or raise ConfigError.
 
-    Normalization renormalizes the initial state and zeroes the drive
-    amplitudes in static mode.  NaN and infinity are rejected in every float
-    field and amplitude, and in the Zeeman frequencies of the static fields.
-    Every violated invariant is collected before raising, so the error lists
-    all of them.  Idempotent.
+    Normalization makes every float field a Python float, renormalizes the
+    initial state and zeroes the drive amplitudes in static mode.  NaN and
+    infinity are rejected in every float field and amplitude, and in g(r)
+    and the Zeeman frequencies of the static fields, which are Python
+    floats: they overflow to inf or 0 with no warning.  Every violated
+    invariant is collected before raising, so the error lists all of them.
+    Idempotent.
     """
-    violations = []
-
+    violations, values = [], {}
     for name in CONFIG_KEYS.values():  # every float field
         value = getattr(config, name)
         if not math.isfinite(value):
             violations.append(ConfigErrorItem(f"{name} must be finite, got {value}"))
-    psi = np.asarray(config.initial_state, dtype=complex)
-    # r**3 overflows to inf or underflows to 0, fields of about 1e300 T
-    # overflow the Zeeman terms, amplitudes of about 1e155 the norm.
-    with np.errstate(all="ignore"):
-        g = dipole_coupling(np.float64(config.r)) if 0 < config.r < math.inf else None
-        m1, m2 = zeeman_terms(config)
-        nrm = np.linalg.norm(psi)
+        values[name] = float(value)
     if config.r <= 0:
         violations.append(ConfigErrorItem(f"r must be > 0, got {config.r}"))
-    elif g is not None and not 0 < g < math.inf:
-        violations.append(
-            ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
-        )
+    elif config.r < math.inf:
+        g = dipole_coupling(config.r)
+        if not 0 < g < math.inf:
+            violations.append(
+                ConfigErrorItem(f"r={config.r} gives g(r)={g}, not a finite positive float")
+            )
+    m1, m2 = zeeman_terms(config)
     fields = ("Bz1", "Bg1", "Bz2", "Bg2")
     if not (math.isfinite(m1) and math.isfinite(m2)) and all(
-        math.isfinite(getattr(config, name)) for name in fields
+        math.isfinite(values[name]) for name in fields
     ):
         listed = ", ".join(f"{name}={getattr(config, name)}" for name in fields)
         violations.append(
@@ -112,18 +111,23 @@ def validate(config: SimulationConfig) -> SimulationConfig:
     if config.mode not in MODES:
         violations.append(ConfigErrorItem(f"mode must be one of {MODES}, got {config.mode!r}"))
 
+    psi = np.asarray(config.initial_state, dtype=complex)
+    amplitudes = psi.tolist()
     if psi.shape != (4,):
         violations.append(ConfigErrorItem(f"initial_state must have 4 amplitudes, got shape {psi.shape}"))
         psi = default_initial_state()
-    elif not np.isfinite(psi).all():
-        for k in np.flatnonzero(~np.isfinite(psi)).tolist():
-            violations.append(
-                ConfigErrorItem(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
-            )
+    elif not all(map(cmath.isfinite, amplitudes)):
+        for k, c in enumerate(amplitudes):
+            if not cmath.isfinite(c):
+                violations.append(
+                    ConfigErrorItem(f"initial_state amplitude c{k + 1} must be finite, got {psi[k]}")
+                )
     else:
-        if not math.isfinite(nrm):  # |c|^2 overflows: scale by the largest |c| first
-            psi = psi / np.abs(psi).max()
-            nrm = np.linalg.norm(psi)
+        # Python's sum of the |c|^2 cannot overflow unseen; with a margin of
+        # 16 for the order of summation, np.linalg.norm's does not either.
+        if not sum(c.real * c.real + c.imag * c.imag for c in amplitudes) < 2.0**1020:
+            psi = psi / np.abs(psi).max()  # scale by the largest |c| first
+        nrm = np.linalg.norm(psi)
         if nrm < RENORMALIZABLE_TOL:
             violations.append(
                 ConfigErrorItem(f"initial_state norm {nrm:.3e} too small to renormalize")
@@ -133,10 +137,9 @@ def validate(config: SimulationConfig) -> SimulationConfig:
 
     if violations:
         raise ConfigError(violations)
-
     if config.mode == "static":
-        return config.replace(initial_state=psi, Bl1=0.0, Bl2=0.0)
-    return config.replace(initial_state=psi)
+        values["Bl1"] = values["Bl2"] = 0.0
+    return SimulationConfig(initial_state=psi, mode=config.mode, **values)
 
 
 # --- plain-text config files -------------------------------------------------

@@ -117,8 +117,14 @@ def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndar
     resolves the Zeeman precession of the single amplitudes, which are still
     exact at each sample; driven runs pass the Hamiltonian scale.
     """
-    n = np.ceil(t_max * rate / MAX_PHASE_PER_SAMPLE) + 1
-    return np.linspace(0.0, t_max, int(min(max(n, least), MAX_SAMPLES)))
+    steps = t_max * rate / MAX_PHASE_PER_SAMPLE
+    # A rate of inf takes the cap here: math.ceil(inf) raises.
+    n = MAX_SAMPLES if steps >= MAX_SAMPLES else min(max(math.ceil(steps) + 1, least), MAX_SAMPLES)
+    # np.linspace(0, t_max, n) by its own operations, bit for bit; its
+    # branch for a step of 0 is never taken, as validate keeps t_max normal.
+    times = np.arange(n) * (t_max / (n - 1))
+    times[-1] = t_max
+    return times
 
 
 class TrajectoryEvaluator:
@@ -266,9 +272,10 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap what the gate reads; the returned
     evaluator holds the run and computes its output when that is read.
 
-    The static Hamiltonian is built once per run and diagonalized once, in
-    closed form from its two 2x2 blocks (``BlockPropagator``), and a driven
-    run's drive is at ``config.resonances``.  A static run reads the blocks
+    The static Hamiltonian is diagonalized once per run, in closed form from
+    its two 2x2 blocks, formed from the validated config in Python floats
+    (``BlockPropagator``); only a driven run builds the 4x4 matrix, for
+    H(t), and its drive is at ``config.resonances``.  A static run reads the blocks
     for theta, its slow part S, their rates, the states and the bounds
     (``BlockPropagator.bounds``); it calls neither eigh nor a 4x4
     evolution.  Where the bounds exist, it samples S and S' on a grid with
@@ -304,10 +311,9 @@ def run_trajectory(config) -> TrajectoryEvaluator:
     rate takes one H(t) per time of a batch.
     """
     cfg = validate(config)
-    h0 = build_static(cfg)
-    scale = hamiltonian_scale(cfg, h0)
+    blocks = BlockPropagator(cfg)
+    scale = hamiltonian_scale(cfg, blocks)
     scan_step = MAX_PHASE_PER_STEP / scale
-    blocks = BlockPropagator(h0, cfg.initial_state)
     if cfg.mode == "driven":
         slow = None
         times = sample_times(cfg.t_max, scale)
@@ -320,7 +326,7 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             magnus.advance(magnus.total)
             return magnus.trajectory, _unwrap_new_samples(magnus, theta)
 
-        hfun = time_dependent_hamiltonian(cfg, h0)
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         step = DEFAULT_STEP_SAFETY * scan_step
         theta0 = float(composite_angle(psi0))
 

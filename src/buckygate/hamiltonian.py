@@ -9,6 +9,7 @@ approximation).
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -21,7 +22,6 @@ if TYPE_CHECKING:  # config imports this module to validate r
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 
@@ -31,10 +31,17 @@ def dipole_coupling(r: float) -> float:
     The 1/(4 pi) prefactor is the one that reproduces the nanosecond-scale
     gate times of the reference parameter set (see README for the unit and
     prefactor conventions).  Strictly decreasing in r, diverges as r -> 0.
+    A Python float, 0.0 where r^3 is beyond the floats and inf where the
+    denominator underflows to 0, with no exception and no warning.
     """
     if r <= 0:
         raise ConfigErrorItem(f"spin separation must be > 0, got {r}")
-    return CONSTANTS.mu0 * CONSTANTS.muB**2 / (4 * np.pi * r**3 * CONSTANTS.hbar)
+    r = float(r)
+    try:
+        denominator = 4 * math.pi * r**3 * CONSTANTS.hbar
+    except OverflowError:  # float ** raises where * and / give inf
+        return 0.0
+    return CONSTANTS.mu0 * CONSTANTS.muB**2 / denominator if denominator else math.inf
 
 
 def static_terms(config: SimulationConfig):
@@ -44,44 +51,41 @@ def static_terms(config: SimulationConfig):
 
 
 def zeeman_terms(config: SimulationConfig):
-    """Return (m1, m2) in rad/s.
+    """Return (m1, m2) in rad/s, Python floats, inf where they overflow.
 
     m1 = -muB (B1 + B2) / hbar and m2 = -muB (B1 - B2) / hbar, where
     B_i = Bz_i + Bg_i is the total static field at spin i.
     """
-    b1 = config.Bz1 + config.Bg1
-    b2 = config.Bz2 + config.Bg2
+    b1 = float(config.Bz1) + float(config.Bg1)
+    b2 = float(config.Bz2) + float(config.Bg2)
     m1 = -CONSTANTS.muB * (b1 + b2) / CONSTANTS.hbar
     m2 = -CONSTANTS.muB * (b1 - b2) / CONSTANTS.hbar
     return m1, m2
 
 
-def build_static(config: SimulationConfig) -> np.ndarray:
-    """Static Hamiltonian matrix (rad/s).
+def static_blocks(config: SimulationConfig) -> list:
+    """[h00, h03, h33, h11, h12, h22]: the static Hamiltonian's entries
+    (rad/s) on its two real 2x2 blocks, A on {|00>,|11>} and B on
+    {|01>,|10>}, in Python floats.
 
-    Block {|00>,|11>}: [[g+m1, -3g], [-3g, g-m1]]
-    Block {|01>,|10>}: [[-g+m2, -g], [-g, -g-m2]]
-    plus J0 (sigma1 . sigma2) when the exchange coupling is enabled.
+    Block A: [[g+m1, -3g], [-3g, g-m1]], block B: [[-g+m2, -g], [-g, -g-m2]],
+    plus J0 (sigma1 . sigma2) when the exchange coupling is enabled: J0 on
+    the diagonal of A, -J0 on that of B and 2 J0 on B's off-diagonal.
     """
     g, m1, m2 = static_terms(config)
-    h = np.array(
-        [
-            [g + m1, 0, 0, -3 * g],
-            [0, -g + m2, -g, 0],
-            [0, -g, -g - m2, 0],
-            [-3 * g, 0, 0, g - m1],
-        ],
-        dtype=complex,
+    j0 = config.J0
+    if j0 == 0:
+        return [g + m1, -3 * g, g - m1, -g + m2, -g, -g - m2]
+    return [(g + m1) + j0, -3 * g, (g - m1) + j0, (-g + m2) - j0, -g + 2 * j0, (-g - m2) - j0]
+
+
+def build_static(config: SimulationConfig) -> np.ndarray:
+    """Static Hamiltonian matrix (rad/s), the ``static_blocks`` in place."""
+    h00, h03, h33, h11, h12, h22 = static_blocks(config)
+    return np.array(
+        [[h00, 0, 0, h03], [0, h11, h12, 0], [0, h12, h22, 0], [h03, 0, 0, h33]], dtype=complex
     )
-    if config.J0 != 0:
-        h = h + config.J0 * _EXCHANGE_OPERATOR
-    return h
 
-
-# sigma1 . sigma2, the isotropic exchange term per unit J0.
-_EXCHANGE_OPERATOR = (
-    np.kron(SIGMA_X, SIGMA_X) + np.kron(SIGMA_Y, SIGMA_Y) + np.kron(SIGMA_Z, SIGMA_Z)
-)
 
 # Drive operators, one per spin: a linear field at 45 degrees in the x-y
 # plane couples through sigma_x + sigma_y on each spin.

@@ -3,7 +3,8 @@
 Two routes are provided, a closed form and one refinement:
 
 * ``BlockPropagator`` solves the time-independent problem exactly, in closed
-  form from the static Hamiltonian's two 2x2 blocks: its spectrum and real
+  form from the static Hamiltonian's two 2x2 blocks, formed from the config
+  with no 4x4 matrix: its spectrum and real
   eigenvectors, the states, the composite phase theta, its slow part and
   their rates, and closed-form bounds on them (``PhaseBounds``).  It is the
   one place that diagonalizes H0: the static gate and output read it, and
@@ -47,14 +48,14 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import SimulationConfig
 from .errors import NormDrift, OutOfRange
-from .hamiltonian import DRIVE_OPERATORS, build_drive, drive_amplitudes, drive_peak_amplitude
+from .hamiltonian import DRIVE_OPERATORS, build_drive, drive_amplitudes, drive_peak_amplitude, static_blocks
 
 # Phase advanced per integration step at the fastest Hamiltonian scale.
 MAX_PHASE_PER_STEP = 0.05
@@ -131,12 +132,13 @@ class Trajectory:
         return np.sum(np.abs(self.states) ** 2, axis=1)
 
 
-def hamiltonian_scale(config: SimulationConfig, h0: np.ndarray) -> float:
+def hamiltonian_scale(config: SimulationConfig, blocks: BlockPropagator) -> float:
     """Fastest angular-frequency scale of the full (static + drive) problem,
-    whose static Hamiltonian is ``h0``."""
+    whose static Hamiltonian has the ``blocks``: the largest of their
+    ``scale``, the drive peak and the resonances."""
     resonances = config.resonances
     return max(
-        float(np.abs(h0).max()),
+        blocks.scale,
         drive_peak_amplitude(config),
         abs(resonances.omega1),
         abs(resonances.omega2),
@@ -144,9 +146,12 @@ def hamiltonian_scale(config: SimulationConfig, h0: np.ndarray) -> float:
 
 
 class BlockPropagator:
-    """Exact evolution of one initial state ``psi0`` under a static
-    Hamiltonian ``h`` of ``build_static``'s form, in closed form from its two
-    real 2x2 blocks, A on {|00>,|11>} and B on {|01>,|10>}: no eigh.
+    """Exact evolution of the validated ``config``'s initial state ``psi0``
+    under its static Hamiltonian H, in closed form from H's two real 2x2
+    blocks, A on {|00>,|11>} and B on {|01>,|10>}: no eigh and no 4x4
+    matrix.  The blocks' ``entries`` are ``static_blocks``, from which
+    ``build_static`` lays out its matrix, and ``scale`` is their largest
+    |entry|.
 
     A block [[h_ii, h_ij], [h_ij, h_jj]] has the eigenvalues mu +/- rho, with
     its mean mu = (h_ii + h_jj) / 2 and half-gap rho = hypot(d, h_ij),
@@ -166,9 +171,10 @@ class BlockPropagator:
 
     ``eigenvalues`` lam_k are H's spectrum, mu +/- rho of block A then B,
     column k of the real ``eigenvectors`` V the k-th eigenvector, and
-    ``coefficients`` b = V^T psi0, b+ and b- of each block; row k of
-    ``components`` is b_k V[:, k], so that psi(t) = sum_k exp(-i lam_k t)
-    components[k]; ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
+    ``coefficients`` b = V^T psi0, b+ and b- of each block, each an array
+    built on its first read (a driven run's); row k of ``components`` is
+    b_k V[:, k], so that psi(t) = sum_k exp(-i lam_k t) components[k];
+    ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
     ``least_modulus`` is a lower bound on every |c_j(t)|: the squared
     moduli of a block's amplitudes are M -/+ sin(phi)
     Re(b+ conj(b-) exp(-2 i rho t)), with their means M = |b+|^2 cos^2 +
@@ -185,23 +191,25 @@ class BlockPropagator:
     the floats, before any array holds it: theta would be NaN.
     """
 
-    def __init__(self, h: np.ndarray, psi0: np.ndarray):
-        h = h.real.tolist()
-        self.psi0 = psi0 = np.asarray(psi0, dtype=complex)
+    def __init__(self, config: SimulationConfig):
+        self.entries = entries = static_blocks(config)
+        self.scale = max(map(abs, entries))
+        self.psi0 = psi0 = np.asarray(config.initial_state, dtype=complex)
         a = psi0.tolist()
-        self.s = (h[0][0] + h[3][3]) - (h[1][1] + h[2][2])
+        self.s = (entries[0] + entries[2]) - (entries[3] + entries[5])
         lam, coefficients, rho, ellipses, moduli = [], [], [], [], []
         vectors = [[0.0] * 4 for _ in range(4)]
         least = math.inf
         for k, (i, j) in enumerate(((0, 3), (1, 2))):
-            half = (h[i][i] - h[j][j]) / 2
-            mu, r = (h[i][i] + h[j][j]) / 2, math.hypot(half, h[i][j])
+            hii, hij, hjj = entries[3 * k : 3 * k + 3]
+            half = (hii - hjj) / 2
+            mu, r = (hii + hjj) / 2, math.hypot(half, hij)
             if not math.isfinite(abs(mu) + 2 * r):
                 raise OutOfRange(
                     f"block {'AB'[k]} of H has mean mu = {mu:.3g} and half-gap "
                     f"rho = {r:.3g} rad/s: |mu| + 2 rho is beyond the floats"
                 )
-            phi = math.atan2(h[i][j], half)
+            phi = math.atan2(hij, half)
             ch, sh, cos, sin = math.cos(phi / 2), math.sin(phi / 2), math.cos(phi), math.sin(phi)
             plus, minus = ch * a[i] + sh * a[j], ch * a[j] - sh * a[i]
             lam += [mu + r, mu - r]
@@ -215,25 +223,33 @@ class BlockPropagator:
             rho.append(r)
             mean = min(abs(plus * ch) ** 2 + abs(minus * sh) ** 2, abs(plus * sh) ** 2 + abs(minus * ch) ** 2)
             least = min(least, mean - abs(plus * minus * sin))
-        self.eigenvalues, self.rho = np.array(lam), tuple(rho)
-        self.eigenvectors, self.coefficients = np.array(vectors), np.array(coefficients)
+        self.rho = tuple(rho)
+        self._lam, self._vectors, self._coefficients = lam, vectors, coefficients
         self._moduli = moduli  # (|K|, |P| + |Q|, ||P| - |Q||) of each block
         # Less 8 eps for the rounding of squares of at most 1 (psi0 is normalized).
         self.least_modulus = math.sqrt(max(least - 8 * _EPS, 0.0))
-        # C-contiguous, so that a state gets the same bits alone or in a batch.
-        self.components = np.multiply(self.eigenvectors.T, self.coefficients[:, None], order="C")
-        self._rates = -self.eigenvalues
+        # Row k is b_k V[:, k], C-contiguous, so that a state gets the same
+        # bits alone or in a batch.
+        self.components = np.array(
+            [row[k] * b for k, b in enumerate(coefficients) for row in vectors], dtype=complex
+        ).reshape(4, 4)
+        self._rates = np.array([-x for x in lam])
         # Block A's ellipse turned by -theta(0), so that Arg E_A - Arg E_B
         # starts at 0 (atan2(0, 0) = 0 where an amplitude vanishes).
         (ka, ca, sa), (kb, cb, sb) = ellipses
         z0 = (ka + ca) * (kb + cb).conjugate()
         turn = cmath.exp(-1j * math.atan2(z0.imag, z0.real))
-        self._k = np.array([ka * turn, kb])
-        self._c = np.array([ca * turn, cb])
-        self._s = np.array([sa * turn, sb])
-        self._two_rho = 2 * np.array(rho)
+        ta, tb = 2 * rho[0], 2 * rho[1]
+        ca, sa = ca * turn, sa * turn
+        self._two_rho = np.array([ta, tb])
         # dE/dt = dS cos - dC sin of 2 rho t, dC = 2 rho C and dS = 2 rho S.
-        self._dc, self._ds = self._two_rho * self._c, self._two_rho * self._s
+        self._k, self._c, self._s, self._dc, self._ds = np.array(
+            [[ka * turn, kb], [ca, cb], [sa, sb], [ta * ca, tb * cb], [ta * sa, tb * sb]], dtype=complex
+        )
+
+    eigenvalues = cached_property(lambda self: np.array(self._lam))
+    eigenvectors = cached_property(lambda self: np.array(self._vectors))
+    coefficients = cached_property(lambda self: np.array(self._coefficients))
 
     def states(self, times: np.ndarray) -> np.ndarray:
         """psi at each of ``times``, shape (len(times), 4)."""

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pickle
 import re
@@ -19,7 +20,7 @@ from buckygate.engine import (
     run_trajectory,
     sample_times,
 )
-from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
+from buckygate.errors import ConfigError, NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static, dipole_coupling, static_terms
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
@@ -34,7 +35,7 @@ from spectral_oracle import SpectralPropagator, propagate_static
 def automatic_step(run):
     """DEFAULT_STEP_SAFETY times MAX_PHASE_PER_STEP rad at the run's
     Hamiltonian scale, computed afresh from its config."""
-    scale = hamiltonian_scale(run.config, build_static(run.config))
+    scale = hamiltonian_scale(run.config, BlockPropagator(run.config))
     return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
 
 
@@ -238,7 +239,7 @@ def test_gate_only_solve_builds_few_magnus_steps(bz, bl, t_max, monkeypatch):
     assert gate_only <= 0.75 * built[0], (gate_only, built[0])
     # The completed run builds every step once.
     assert built[0] == propagator.magnus_steps(
-        result.config, hamiltonian_scale(result.config, build_static(result.config)), result.trajectory.times
+        result.config, hamiltonian_scale(result.config, BlockPropagator(result.config)), result.trajectory.times
     ) * (len(result.trajectory.times) - 1)
 
 
@@ -352,7 +353,7 @@ def test_static_output_does_not_depend_on_the_gate_grid():
     # rad in theta measured).
     run = run_trajectory(reference_config())
     times = np.linspace(0.0, 1.2e-8, engine.MIN_SAMPLES)
-    blocks = BlockPropagator(build_static(run.config), run.config.initial_state)
+    blocks = BlockPropagator(run.config)
     assert len(run._times) < len(times)
     np.testing.assert_array_equal(run.trajectory.times, times)
     np.testing.assert_array_equal(run.trajectory.states, blocks.states(times))
@@ -418,12 +419,11 @@ import json, resource, sys
 import numpy as np
 from buckygate import SimulationConfig
 from buckygate.config import validate
-from buckygate.hamiltonian import build_static, static_terms
 from buckygate.propagator import BlockPropagator, propagate_magnus
 steps = int(sys.argv[1])
 config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
                                    t_max=1e-10, mode="driven", Bl1=6e-4, Bl2=6e-4))
-blocks = BlockPropagator(build_static(config), config.initial_state)
+blocks = BlockPropagator(config)
 times = np.linspace(0, 1e-10, 31)
 faults = []
 for _ in range(6):
@@ -508,6 +508,47 @@ def test_magnus_workspace_keeps_no_state_between_runs():
             assert tau == tau0
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        (dict(r=1e-300), "r=1e-300 gives g(r)=inf, not a finite positive float"),
+        (dict(r=2.68e-253), "r=2.68e-253 gives g(r)=inf, not a finite positive float"),
+        (dict(r=np.float64(2.68e-253)), "r=2.68e-253 gives g(r)=inf, not a finite positive float"),
+        (dict(r=1e300), "r=1e+300 gives g(r)=0.0, not a finite positive float"),
+        (
+            dict(Bz1=1e300, Bz2=1e300),
+            "Bz1=1e+300, Bg1=6.08e-05, Bz2=1e+300, Bg2=-6.08e-05 give the Zeeman "
+            "frequencies m1=-inf, m2=-0.0 rad/s, not finite floats",
+        ),
+        (
+            dict(Bg1=np.float64(1e300), Bg2=-1e300),
+            "Bz1=0.1, Bg1=1e+300, Bz2=0.1, Bg2=-1e+300 give the Zeeman "
+            "frequencies m1=-0.0, m2=-inf rad/s, not finite floats",
+        ),
+    ],
+    ids=["r-1e-300", "r-2.68e-253", "r-2.68e-253-numpy", "r-1e300", "Bz-1e300", "Bg-1e300-numpy"],
+)
+def test_inputs_beyond_the_floats_raise_config_error(overrides, message):
+    # g(r) and the Zeeman frequencies overflow or underflow on the way to
+    # the error, with no exception of their own and no warning.
+    with pytest.raises(ConfigError) as exc:
+        run_simulation(reference_config(**overrides))
+    assert str(exc.value) == message
+
+
+def test_static_solve_builds_no_4x4_hamiltonian(monkeypatch):
+    # A static run reads H0 through its two blocks, formed from the config:
+    # neither the solve nor its output builds the matrix.
+    def refused(config):
+        raise AssertionError("a static run built the 4x4 H0")
+
+    monkeypatch.setattr(engine, "build_static", refused)
+    monkeypatch.setattr(buckygate.hamiltonian, "build_static", refused)
+    result = run_simulation(reference_config())
+    assert len(result.trajectory.times) == len(result.theta) > 1
+
+
 def test_driven_solve_builds_h0_once(monkeypatch):
     calls = []
     build_static = engine.build_static
@@ -578,6 +619,25 @@ def test_sample_times_bounds():
     times = sample_times(1e-8, 1.76e10)
     assert times[0] == 0.0 and times[-1] == 1e-8
     assert len(times) >= 1001
+
+
+@pytest.mark.parametrize("n", [2, 3, 1001, engine.MAX_SAMPLES])
+@pytest.mark.parametrize("t_max", [sys.float_info.min, 1e-300, 3.7e-17, 1.2e-8, 0.1, 1.0])
+def test_sample_times_is_linspace_bit_for_bit(n, t_max):
+    # A rate of 0 leaves the count to ``least``.
+    times = sample_times(t_max, 0.0, least=n) if n < engine.MAX_SAMPLES else sample_times(t_max, math.inf)
+    assert len(times) == n
+    assert times.tobytes() == np.linspace(0.0, t_max, n).tobytes()
+
+
+def test_sample_times_is_linspace_on_random_draws():
+    # Horizons from 1e-300 to 1 s at rates that ask for 2 to about 60 000
+    # samples, beyond the MAX_SAMPLES cap.
+    rng = np.random.default_rng(7)
+    for t_max, steps in zip(10.0 ** rng.uniform(-300, 0, 2000), 10.0 ** rng.uniform(0, 4.8, 2000)):
+        t_max = float(t_max)
+        times = sample_times(t_max, float(steps) * engine.MAX_PHASE_PER_SAMPLE / t_max, least=2)
+        assert times.tobytes() == np.linspace(0.0, t_max, len(times)).tobytes()
 
 
 def exact_theta(config, times):
@@ -816,7 +876,7 @@ def test_rate_bounds_theta_rate(config):
     # unwrap bound, and the output grid on theta's.  Where block B's ellipse
     # may pass through 0 (the sixth draw) both are infinite.
     config = validate(config)
-    bounds = BlockPropagator(build_static(config), config.initial_state).bounds()
+    bounds = BlockPropagator(config).bounds()
     period = 2 * np.pi / np.ptp(np.linalg.eigvalsh(build_static(config)))
     times = np.arange(0.0, config.t_max, period / 16)
     theta_rate, slow_rate = exact_rates(config, times)
@@ -848,7 +908,7 @@ def test_fast_part_bound_holds(config):
     # phases, about eps |lambda| t (the bound is exact where the ellipse is
     # a circle, as at 12 nm, where the two meet within 1e-16 rad).
     config = validate(config)
-    fast = BlockPropagator(build_static(config), config.initial_state).bounds().fast
+    fast = BlockPropagator(config).bounds().fast
     turn = exact_fast_part(config, np.zeros(1))[1]
     slack = 8 * np.finfo(float).eps * np.max(np.abs(np.linalg.eigvalsh(build_static(config)))) * 2 * turn
     assert np.max(np.abs(exact_fast_part(config, np.linspace(0.0, 2 * turn, 8193))[0])) <= fast + slack
@@ -859,7 +919,7 @@ def test_fast_part_bound_is_tight_at_the_reference():
     # rad, to 1e-3 relative, so the window the gate scans is as narrow as
     # F allows.
     config = validate(reference_config())
-    fast = BlockPropagator(build_static(config), config.initial_state).bounds().fast
+    fast = BlockPropagator(config).bounds().fast
     turn = exact_fast_part(config, np.zeros(1))[1]
     peak = np.max(np.abs(exact_fast_part(config, np.linspace(0.0, turn, 100_001))[0]))
     assert peak <= fast <= peak * (1 + 1e-3)
@@ -914,7 +974,7 @@ def test_degenerate_block_gate_time_matches_the_spectral_path():
     # from the same samples, within the phase tolerance at theta's rate.
     r = 1.14e-9
     config = validate(reference_config(Bg1=0.0, Bg2=0.0, J0=dipole_coupling(r) / 2))
-    assert BlockPropagator(build_static(config), config.initial_state).rho[1] == 0.0
+    assert BlockPropagator(config).rho[1] == 0.0
     run = run_trajectory(config)
     gate = run_simulation(config).gate
     theta_fn = spectral_theta_fn(config, run._times, run._theta)
@@ -1091,7 +1151,7 @@ def test_theta_rate_matches_a_central_difference(config):
     samples = run.trajectory.times
     i = int(samples.searchsorted(tau)) - 1
     h = run.scan_step / 100
-    blocks = BlockPropagator(build_static(run.config), run.config.initial_state)
+    blocks = BlockPropagator(run.config)
     for t in (tau, (samples[i] + samples[i + 1]) / 2):
         (theta_lo, _, theta_hi), (_, rate, _) = run.theta_at(np.array([t - h, t, t + h]))
         central = (theta_hi - theta_lo) / (2 * h)
@@ -1109,7 +1169,7 @@ class TestThetaRateGrid:
         run = run_trajectory(reference_config(r=12e-9, t_max=2.5 * TAU_12NM))
         assert len(run.trajectory.times) <= 2200
         assert np.max(np.abs(np.diff(run.theta))) <= 0.5
-        scale = hamiltonian_scale(run.config, build_static(run.config))
+        scale = hamiltonian_scale(run.config, BlockPropagator(run.config))
         assert run.scan_step * scale == pytest.approx(0.05)
 
     def test_scan_points_do_not_grow_with_t_max(self, monkeypatch):

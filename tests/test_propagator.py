@@ -48,7 +48,7 @@ def reference_config(**overrides):
 
 def automatic_step(cfg):
     """The RK4 step the engine refines a driven run with."""
-    scale = hamiltonian_scale(cfg, build_static(cfg))
+    scale = hamiltonian_scale(cfg, BlockPropagator(cfg))
     return DEFAULT_STEP_SAFETY * (MAX_PHASE_PER_STEP / scale)
 
 
@@ -57,7 +57,7 @@ UNIFORM = np.array([0.5, 0.5, 0.5, 0.5], dtype=complex)
 
 def blocks_of(cfg):
     """The BlockPropagator of ``cfg``'s static Hamiltonian and initial state."""
-    return BlockPropagator(build_static(cfg), cfg.initial_state)
+    return BlockPropagator(cfg)
 
 
 def _taylor_exp(a, degree):
@@ -200,7 +200,7 @@ class TestBlockEigenbasis:
         psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
         cfg = reference_config(initial_state=psi0 / np.linalg.norm(psi0), **overrides)
         h = build_static(cfg)
-        blocks = BlockPropagator(h, cfg.initial_state)
+        blocks = BlockPropagator(cfg)
         v, lam, b = blocks.eigenvectors, blocks.eigenvalues, blocks.coefficients
         scale = np.abs(h).max()
         assert v.dtype == float
@@ -211,6 +211,60 @@ class TestBlockEigenbasis:
         assert np.array_equal(blocks.components, v.T * b[:, None])
         assert blocks.components.flags.c_contiguous
 
+
+# sigma1 . sigma2, the exchange term per unit J0, from the Pauli matrices.
+_PAULI = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]), np.array([[1, 0], [0, -1]])]
+EXCHANGE = sum(np.kron(p, p) for p in _PAULI).astype(complex)
+
+
+def static_matrix_with_exchange_operator(cfg):
+    """H0 as a complex matrix with J0 sigma1 . sigma2 added in complex
+    arithmetic: the blocks' entries must be its entries bit for bit."""
+    g, m1, m2 = static_terms(cfg)
+    h = np.array(
+        [[g + m1, 0, 0, -3 * g], [0, -g + m2, -g, 0], [0, -g, -g - m2, 0], [-3 * g, 0, 0, g - m1]],
+        dtype=complex,
+    )
+    return h + cfg.J0 * EXCHANGE if cfg.J0 != 0 else h
+
+
+class TestBlockEntries:
+    """The blocks' entries come from the config in Python floats, and they,
+    build_static's matrix and the blocks' scale are those of H0 built with
+    the exchange operator, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "overrides, rho_b",
+        [
+            (dict(), None),
+            (dict(J0=3e7), None),
+            (dict(J0=-4.5e8), None),
+            (dict(Bg1=0.0, Bg2=0.0), None),  # equal fields: m2 = 0
+            (dict(r=12e-9, Bz1=0.3, Bz2=0.05, Bg1=-2e-4, Bg2=1e-4, J0=-1.25e3), None),
+            # {|01>,|10>} a multiple of the identity: rho_B = 0.
+            (dict(Bg1=0.0, Bg2=0.0, J0=0.5 * static_terms(reference_config())[0]), 0.0),
+        ],
+        ids=["reference", "J0-positive", "J0-negative", "equal-fields", "12nm-unequal", "degenerate"],
+    )
+    def test_entries_and_scale_are_h0s(self, overrides, rho_b):
+        cfg = reference_config(**overrides)
+        h = static_matrix_with_exchange_operator(cfg)
+        assert build_static(cfg).tobytes() == h.tobytes()
+        assert not h.imag.any()
+        blocks = BlockPropagator(cfg)
+        places = [(0, 0), (0, 3), (3, 3), (1, 1), (1, 2), (2, 2)]
+        assert all(type(x) is float for x in blocks.entries)
+        assert blocks.entries == [h[m, n].real for m, n in places]
+        rebuilt = np.zeros((4, 4))
+        for (m, n), x in zip(places, blocks.entries):
+            rebuilt[m, n] = rebuilt[n, m] = x
+        assert np.array_equal(rebuilt, h.real)
+        assert blocks.scale == np.abs(h).max()
+        res = cfg.resonances
+        assert hamiltonian_scale(cfg, blocks) == max(np.abs(h).max(), abs(res.omega1), abs(res.omega2))
+        assert blocks.s == (h[0, 0].real + h[3, 3].real) - (h[1, 1].real + h[2, 2].real)
+        if rho_b is not None:
+            assert blocks.rho[1] == rho_b
 
 class TestNumeric:
     def test_matches_spectral_oracle(self):
@@ -479,8 +533,7 @@ class TestMagnus:
         # there two steps per interval read 7.9e-11 and 2.0e-11, one step
         # fewer 1.2e-9 and 3.1e-10.
         cfg = reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max)
-        h0 = build_static(cfg)
-        scale = hamiltonian_scale(cfg, h0)
+        scale = hamiltonian_scale(cfg, BlockPropagator(cfg))
         times = sample_times(t_max, scale)
         steps = magnus_steps(cfg, scale, times)
         fine = self.run(cfg, times, 8 * steps)
@@ -498,7 +551,7 @@ class TestMagnus:
         # drive-free run needs no step for accuracy, and only the phase per
         # step bounds its count.
         cfg = reference_config(mode="driven", Bl1=bl, Bl2=bl, t_max=t_max)
-        scale = hamiltonian_scale(cfg, build_static(cfg))
+        scale = hamiltonian_scale(cfg, BlockPropagator(cfg))
         times = sample_times(t_max, scale)
         spacing = times[-1] / (len(times) - 1)
         assert magnus_steps(cfg, scale, times) == np.ceil(scale * spacing / phase) > 1
@@ -572,7 +625,7 @@ class TestMagnus:
         cfg = reference_config(mode="driven", t_max=1.5e-8, **overrides)
         res = cfg.resonances
         blocks = blocks_of(cfg)
-        scale = hamiltonian_scale(cfg, build_static(cfg))
+        scale = hamiltonian_scale(cfg, BlockPropagator(cfg))
         times = sample_times(cfg.t_max, scale)
         steps = magnus_steps(cfg, scale, times)
         h = times[-1] / (steps * (len(times) - 1))
