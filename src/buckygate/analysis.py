@@ -201,7 +201,7 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
             return float(times[0])
         # Four times an eighth of the largest second difference of the
         # samples up to the one after the first past the level.
-        margin = 0.5 * np.abs(np.diff(theta[: i + 2], 2)).max(initial=0.0)
+        margin = 0.5 * float(np.abs(np.diff(theta[: i + 2], 2)).max(initial=0.0))
         start, width, before = _scan(times[: i + 1], theta[: i + 1], level, margin)
         scanned = _search(start, width, scan_step, level, theta_fn, scan_step, math.inf, before)
         bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
@@ -261,30 +261,33 @@ def _scan(times, theta, level, margin):
 
     ``theta`` ends at the first sample beyond the level.  Each sample
     interval is scanned on the band where its linear interpolation is within
-    ``margin`` of the level.
+    ``margin`` of the level.  The few intervals near the level are taken in
+    Python floats, by the operations an array pass over them would make.
     """
     floor = max(level - margin, 0.0)
     near = np.abs(theta) >= floor
-    rows = (near[:-1] | near[1:]).nonzero()[0]  # few: the sample intervals near the level
-    a, b, t0 = theta[rows], theta[rows + 1], times[rows]
-    span = times[rows + 1] - t0
-    # In the direction s of its larger end, the interval's interpolation u
-    # passes floor at the fraction x; it is scanned from there on toward
-    # that end, or whole if u also falls to -floor.  x may lie outside
-    # [0, 1], so the band is clipped to the interval.
-    s = np.sign(a + b)
-    ua, ub = s * a, s * b
-    d = ub - ua
-    x = (floor - ua) / np.where(d == 0, 1.0, d)
-    whole = np.minimum(ua, ub) <= -floor
-    lo = np.where((d > 0) & ~whole, x, 0.0)
-    hi = np.where((d < 0) & ~whole, x, 1.0)
-    # theta is past the level wherever the interpolation is past it by the
-    # margin, so the last interval, which ends past it, is scanned no further.
-    hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
-    start = t0 + np.minimum(np.maximum(lo, 0.0), 1.0) * span
-    width = t0 + np.minimum(np.maximum(hi, 0.0), 1.0) * span - start
-    return start.tolist(), width.tolist(), (times[rows[0]], theta[rows[0]])
+    rows = (near[:-1] | near[1:]).nonzero()[0].tolist()  # few: the sample intervals near the level
+    start, width = [], []
+    for row in rows:
+        (t0, t1), (a, b) = times[row : row + 2].tolist(), theta[row : row + 2].tolist()
+        # In the direction s of its larger end, the interval's interpolation u
+        # passes floor at the fraction x; it is scanned from there on toward
+        # that end, or whole if u also falls to -floor.  x may lie outside
+        # [0, 1], so the band is clipped to the interval.
+        s = 1.0 if a + b > 0 else -1.0 if a + b < 0 else 0.0
+        ua, ub = s * a, s * b
+        d = ub - ua
+        x = (floor - ua) / (d if d != 0 else 1.0)
+        whole = min(ua, ub) <= -floor
+        lo = x if d > 0 and not whole else 0.0
+        hi = x if d < 0 and not whole else 1.0
+        # theta is past the level wherever the interpolation is past it by the
+        # margin, so the last interval, which ends past it, is scanned no further.
+        if row == rows[-1]:
+            hi = min(hi, (level + margin - ua) / d)
+        start.append(t0 + min(max(lo, 0.0), 1.0) * (t1 - t0))
+        width.append(t0 + min(max(hi, 0.0), 1.0) * (t1 - t0) - start[-1])
+    return start, width, (times[rows[0]], theta[rows[0]])
 
 
 def _window(times, theta, level, slow):

@@ -160,7 +160,12 @@ class TrajectoryEvaluator:
     on the branch nearest the linear interpolation of ``_theta``, which is
     safe because per-sample increments stay below MAX_THETA_STEP and, where
     ``_theta`` holds S, |theta - S| <= ``slow.fast`` < pi / 2, and keeps the
-    latest evaluation, where run_simulation reads tau's.  ``scan_step``,
+    latest evaluation, where run_simulation reads tau's.  Its domain is the
+    span of ``_times``: a driven run's gate samples end just past the first
+    sampled crossing, and beyond the last of them np.interp holds its theta,
+    so the branch can be off by multiples of 2 pi there, whether or not the
+    output has been read, and each time is carried by RK4 from that last
+    sample.  find_gate_time reads no time past it.  ``scan_step``,
     0.05 rad at the run's Hamiltonian scale, is the narrowest cell
     find_gate_time's scan for crossings between samples splits.
     """
@@ -198,9 +203,10 @@ class TrajectoryEvaluator:
         return self._states(np.asarray(times, dtype=float))
 
     def theta_at(self, times: np.ndarray):
-        """(theta, dtheta/dt) at each of ``times``, a 1-D array.  The times, the
-        states ``angles`` gave (or None) and theta are kept as ``_last`` for
-        the caller that needs them at tau."""
+        """(theta, dtheta/dt) at each of ``times``, a 1-D array within the
+        span of the gate samples (see the class).  The times, the states
+        ``angles`` gave (or None) and theta are kept as ``_last`` for the
+        caller that needs them at tau."""
         raw, rate, states = self._angles(times)
         ref = np.interp(times, self._times, self._theta)
         theta = raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
@@ -213,10 +219,7 @@ def _unwrap_new_samples(magnus, theta):
     Magnus pass ``magnus``, extended over every later sample it holds.  The
     new part is summed on from the last theta, so that the series equals the
     one of all the samples at once, bit for bit (``unwrap_phases``)."""
-    traj = magnus.trajectory
-    start = len(theta) - 1
-    new = Trajectory(times=traj.times[start:], states=traj.states[start:])
-    return np.concatenate([theta, unwrap_phases(new, theta[-1])[1:]])
+    return np.concatenate([theta, unwrap_phases(magnus.samples(len(theta) - 1), theta[-1])[1:]])
 
 
 def _run_to_first_crossing(magnus) -> np.ndarray:

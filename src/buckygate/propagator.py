@@ -60,8 +60,11 @@ from .hamiltonian import DRIVE_OPERATORS, build_drive, drive_amplitudes, drive_p
 # Phase advanced per integration step at the fastest Hamiltonian scale.
 MAX_PHASE_PER_STEP = 0.05
 
-# The engine refines driven runs by RK4 steps a factor below the bound above,
-# so that RK4 norm drift stays well inside NORM_TOLERANCE over ~10 ns horizons.
+# The engine refines driven runs by RK4 steps a factor below the bound above:
+# carried over nearly one sample interval, the most a refined time is, theta
+# departs from its value at 10 times shorter steps by 3.0e-12 rad at most on
+# the 9 driven reference points, well inside the gate's 1e-10 rad, and by up
+# to 1.3e-9 rad at the bound itself.
 DEFAULT_STEP_SAFETY = 0.2
 
 # Largest departure of a stored state's squared norm from 1 before a run
@@ -343,15 +346,18 @@ def rk4_segment(hfun, psi: np.ndarray, t0: float, t1: float, dt_max: float) -> n
     uniform steps, at least one, whose matrices are built at most
     _RK4_STEPS_PER_CHUNK at a time and applied in order, step times
     accumulating as ``t += h`` as in a scalar loop.  Raises OutOfRange, before
-    any step is taken, for more than MAX_STEPS steps.
+    any step is taken, for more than MAX_STEPS steps, or for an infinite or
+    NaN count.
     """
-    steps = np.maximum(1.0, np.ceil((t1 - t0) / dt_max))
+    steps = (t1 - t0) / dt_max
     _check_step_count(steps, dt_max, t1 - t0)
-    count, h = int(steps), (t1 - t0) / steps
+    count = math.ceil(steps) if steps > 1 else 1
+    h = (t1 - t0) / count
     for first in range(0, count, _RK4_STEPS_PER_CHUNK):
-        sizes = np.full(min(_RK4_STEPS_PER_CHUNK, count - first), h)
-        nodes = np.cumsum(np.concatenate([[t0], sizes]))
-        for m in _rk4_matrices(hfun, nodes, sizes):
+        nodes = np.full(min(_RK4_STEPS_PER_CHUNK, count - first) + 1, h)
+        nodes[0] = t0
+        np.cumsum(nodes, out=nodes)
+        for m in _rk4_matrices(hfun, nodes, h):
             psi = m @ psi
         t0 = nodes[-1]
     return psi
@@ -363,8 +369,8 @@ def rk4_spans(hfun, psi: np.ndarray, t0: np.ndarray, t1: np.ndarray, dt_max: flo
     is taken, when the steps of all spans number more than MAX_STEPS.
     """
     steps = np.maximum(1.0, np.ceil((t1 - t0) / dt_max))
-    _check_step_count(np.sum(steps), dt_max, np.sum(t1 - t0))
-    states = [rk4_segment(hfun, *span, dt_max) for span in zip(psi, t0, t1)]
+    _check_step_count(steps.sum(), dt_max, t1 - t0)
+    states = [rk4_segment(hfun, *span, dt_max) for span in zip(psi, t0.tolist(), t1.tolist())]
     return np.array(states, dtype=complex).reshape(np.shape(psi))
 
 
@@ -388,31 +394,32 @@ def _carry(m, psi, work):
     return states
 
 
-def _check_step_count(total, step: float, horizon: float):
+def _check_step_count(total, step: float, horizon):
     """Raise OutOfRange when ``total`` steps of at most ``step`` over
-    ``horizon`` are more than MAX_STEPS."""
+    ``horizon``, a time or the spans whose sum the message gives, are more
+    than MAX_STEPS."""
     if not total <= MAX_STEPS:
         raise OutOfRange(
-            f"{total:.4g} steps of at most {step:.4g} s over {horizon:.4g} s "
+            f"{total:.4g} steps of at most {step:.4g} s over {np.sum(horizon):.4g} s "
             f"exceed the limit of {MAX_STEPS:.0e}"
         )
 
 
-def _rk4_matrices(hfun, nodes, h):
+def _rk4_matrices(hfun, nodes, h: float):
     """RK4 step matrices M = I + (A1 + 2 A2 + 2 A3 + A4) / 6.
 
-    Step k runs from nodes[..., k] to nodes[..., k + 1] = nodes[..., k] + h[..., k].
-    With A(s) = -i h H(s): A1 = A(t), A2 = A(t + h/2)(I + A1/2),
+    Step k runs from nodes[k] to nodes[k + 1] = nodes[k] + h.  With
+    A(s) = -i h H(s): A1 = A(t), A2 = A(t + h/2)(I + A1/2),
     A3 = A(t + h/2)(I + A2/2), A4 = A(t + h)(I + A3); in exact arithmetic
-    M psi is one classical RK4 step of psi.
+    M psi is one classical RK4 step of psi.  H is built once, at the nodes
+    and the midpoints together.
     """
-    a = -1j * h[..., None, None]
-    h_at_nodes = hfun(nodes)
-    a_mid = a * hfun(nodes[..., :-1] + h / 2)
-    a1 = a * h_at_nodes[..., :-1, :, :]
+    n = len(nodes) - 1
+    a = -1j * h * hfun(np.concatenate([nodes, nodes[:-1] + h / 2]))
+    a1, a_mid = a[:n], a[n + 1 :]
     a2 = a_mid @ (_IDENTITY_4 + a1 / 2)
     a3 = a_mid @ (_IDENTITY_4 + a2 / 2)
-    a4 = (a * h_at_nodes[..., 1:, :, :]) @ (_IDENTITY_4 + a3)
+    a4 = a[1 : n + 1] @ (_IDENTITY_4 + a3)
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
@@ -515,12 +522,12 @@ def _drive_integrals(blocks: BlockPropagator, config, h: float):
     amplitudes = np.array(drive_amplitudes(config, 0.0))
     drives = amplitudes[:, None, None] * (v.T @ DRIVE_OPERATORS @ v)  # a_i V^T D_i V
     omegas = np.array([resonances.omega1, resonances.omega2])
-    top = h / 2 * (rates.max() - rates.min() + max(abs(resonances.omega1), abs(resonances.omega2)))
+    top = h / 2 * (max(blocks._lam) - min(blocks._lam) + max(abs(resonances.omega1), abs(resonances.omega2)))
     nodes, projections = _legendre_rule(_legendre_node_count(top))
     n = len(nodes)
     s = h / 2 * nodes
     spins = _unit_phases(np.multiply.outer(omegas, s))
-    weights = np.stack([spins.real, -spins.imag])  # c_q(s_k) as (cos/sin, spin, k)
+    weights = np.array([spins.real, -spins.imag])  # c_q(s_k) as (cos/sin, spin, k)
     frames = _unit_phases(np.multiply.outer(s, np.subtract.outer(rates, rates)))
     f = weights[..., None, None] * frames * drives[:, None]  # F_q(s_k), q = 2 (cos/sin) + spin
     # f_qm and sum_n Q_mn f_qn, as x[q, 0 or 1, m, j, l].
@@ -585,16 +592,21 @@ def _expm_taylor(omega, degree: int, work):
     ``omega`` holds complex matrices W, or their real forms R(W) (see
     ``_real_form``); the result is then R(exp W).  The polynomial is
     evaluated by Horner's rule in omega^2 over the pairs
-    I/(2k)! + omega/(2k+1)!: m + 1 matrix products.
+    I/(2k)! + omega/(2k+1)!: m + 1 matrix products.  Each I/(2k)! is added
+    on the diagonal only, through a strided view of the result.
     """
-    identity, m = np.eye(omega.shape[-1]), degree // 2
+    m = degree // 2
     square, result, product = work
+    diagonal = np.einsum("...ii->...i", result)
     np.matmul(omega, omega, out=square)
     for k in range(m, -1, -1):
         if k < m:
             np.matmul(square, result, out=product)
-        np.multiply(omega, 1 / math.factorial(2 * k + 1), out=result)
-        result += identity / math.factorial(2 * k)
+        if k:
+            np.multiply(omega, 1 / math.factorial(2 * k + 1), out=result)
+            diagonal += 1 / math.factorial(2 * k)
+        else:
+            np.add(omega, np.eye(omega.shape[-1]), out=result)
         if k < m:
             result += product
     return result
@@ -682,8 +694,10 @@ class MagnusPass:
         self._blocks, self._config = blocks, config
         self.taken, self.count = 0, 1
         # xi = exp(i L h/2) V^T psi as the real 8-vector [Re xi, Im xi],
-        # after the steps taken; V^T psi0 is the blocks' coefficients.
+        # after the steps taken; V^T psi0 is the blocks' coefficients.  A
+        # stored state is V exp(-i L h/2) xi.
         xi0 = _unit_phases(self.h / 2 * blocks.eigenvalues) * blocks.coefficients
+        self._back, self._vt = _unit_phases(-self.h / 2 * blocks.eigenvalues), blocks.eigenvectors.T
         self._state = np.concatenate([xi0.real, xi0.imag])
         self._states = np.empty((len(times), 4), dtype=complex)
         self._store(0, self._state[None])
@@ -696,7 +710,11 @@ class MagnusPass:
 
     @property
     def trajectory(self) -> Trajectory:
-        return Trajectory(times=self.times[: self.count], states=self._states[: self.count])
+        return self.samples(0)
+
+    def samples(self, start: int) -> Trajectory:
+        """The samples stored so far from sample ``start`` on."""
+        return Trajectory(times=self.times[start : self.count], states=self._states[start : self.count])
 
     def advance(self, n: int):
         """Take the next n steps, or the rest of the run if fewer, built and
@@ -726,10 +744,9 @@ class MagnusPass:
     def _store(self, i: int, xi):
         """Store psi = V exp(-i L h/2) xi, with one phase factor for every
         sample, as the samples from i on, and check their norms."""
-        coefficients = (xi[:, :4] + 1j * xi[:, 4:]) * _unit_phases(-self.h / 2 * self._blocks.eigenvalues)
         states = self._states[i : i + len(xi)]
-        np.matmul(coefficients, self._blocks.eigenvectors.T, out=states)
-        _check_norms(self.times[i : i + len(xi)], states, f"Magnus substep taken was {self.h:.3e} s")
+        np.matmul((xi[:, :4] + 1j * xi[:, 4:]) * self._back, self._vt, out=states)
+        _check_norms(self.times[i : i + len(xi)], states, "Magnus", self.h)
 
 
 def propagate_magnus(
@@ -758,17 +775,17 @@ def propagate_magnus(
     return run.trajectory
 
 
-def _check_norms(times, states, taken: str):
+def _check_norms(times, states, method: str, substep: float):
     """Raise NormDrift at the first of ``states`` (at ``times``) whose squared
-    norm departs from 1 by more than NORM_TOLERANCE or is not a number;
-    ``taken`` names the largest substep in the message."""
-    drift = np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0)
-    bad = np.flatnonzero(~(drift <= NORM_TOLERANCE))
-    if bad.size:
-        i = bad[0]
+    norm departs from 1 by more than NORM_TOLERANCE or is not a number; the
+    message names the ``method`` and the largest ``substep`` taken."""
+    drift = np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)
+    within = drift <= NORM_TOLERANCE
+    if not within.all():
+        i = within.argmin()
         raise NormDrift(
             f"squared norm drifted by {drift[i]:.3e} at t={times[i]:.6e} s "
-            f"(tolerance {NORM_TOLERANCE:.1e}); the largest {taken}"
+            f"(tolerance {NORM_TOLERANCE:.1e}); the largest {method} substep taken was {substep:.3e} s"
         )
 
 

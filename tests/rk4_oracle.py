@@ -36,11 +36,10 @@ def propagate_numeric(config, times, dt_max: float) -> Trajectory:
     hfun = time_dependent_hamiltonian(config, build_static(config))
     states = np.empty((len(times), 4), dtype=complex)
     states[0] = config.initial_state
-    taken = f"RK4 substep taken was {spacing / count:.3e} s"
     for k in range(1, len(times)):
         # A bound of span / (count - 1/2) gives every interval exactly
         # ``count`` steps, which the span's own rounding cannot move.
         span = times[k] - times[k - 1]
         states[k] = rk4_segment(hfun, states[k - 1], times[k - 1], times[k], span / (count - 0.5))
-        _check_norms(times[k : k + 1], states[k : k + 1], taken)
+        _check_norms(times[k : k + 1], states[k : k + 1], "RK4", spacing / count)
     return Trajectory(times=times, states=states)

@@ -168,6 +168,27 @@ def newton_calls(times, theta, theta_fn, scan_step):
         return find_gate_time(times, theta, recording, scan_step), calls
 
 
+def _scan_array_pass(times, theta, level, margin):
+    """Reference: analysis._scan with every near interval taken in one numpy
+    array pass."""
+    floor = max(level - margin, 0.0)
+    near = np.abs(theta) >= floor
+    rows = (near[:-1] | near[1:]).nonzero()[0]
+    a, b, t0 = theta[rows], theta[rows + 1], times[rows]
+    span = times[rows + 1] - t0
+    s = np.sign(a + b)
+    ua, ub = s * a, s * b
+    d = ub - ua
+    x = (floor - ua) / np.where(d == 0, 1.0, d)
+    whole = np.minimum(ua, ub) <= -floor
+    lo = np.where((d > 0) & ~whole, x, 0.0)
+    hi = np.where((d < 0) & ~whole, x, 1.0)
+    hi[-1] = min(hi[-1], (level + margin - ua[-1]) / d[-1])
+    start = t0 + np.minimum(np.maximum(lo, 0.0), 1.0) * span
+    width = t0 + np.minimum(np.maximum(hi, 0.0), 1.0) * span - start
+    return start.tolist(), width.tolist(), (times[rows[0]], theta[rows[0]])
+
+
 class TestFindGateTime:
     def linear_series(self, tau0, t_max=1.0, n=101):
         times = np.linspace(0, t_max, n)
@@ -326,6 +347,30 @@ class TestFindGateTime:
             assert len(batches) == len(runs[0][1])
             for batch, first in zip(batches, runs[0][1]):
                 np.testing.assert_array_equal(batch, first)
+
+    def test_scan_bands_equal_the_array_pass(self):
+        # Random walks up to their first sample past pi, with the margin
+        # find_gate_time takes and with wider ones: the bands taken in Python
+        # floats have the bits of one array pass over the near intervals.
+        rng = np.random.default_rng(17)
+        checked = 0
+        for _ in range(400):
+            n = int(rng.integers(3, 200))
+            times = np.linspace(0, 1e-8, n)
+            theta = np.concatenate([[0.0], np.cumsum(rng.uniform(-0.2, 0.5, n - 1))]) * rng.choice([1, -1])
+            past = np.abs(theta) >= np.pi
+            i = int(past.argmax())
+            if not past[i]:
+                continue
+            steps = np.diff(theta[: i + 2])
+            for margin in (0.5 * float(np.abs(np.diff(steps)).max(initial=0.0)), float(rng.uniform(0, 4))):
+                expected = _scan_array_pass(times[: i + 1], theta[: i + 1], np.pi, margin)
+                start, width, before = analysis._scan(times[: i + 1], theta[: i + 1], np.pi, margin)
+                assert np.array(start).tobytes() == np.array(expected[0]).tobytes()
+                assert np.array(width).tobytes() == np.array(expected[1]).tobytes()
+                assert before == expected[2]
+                checked += 1
+        assert checked > 400
 
     def test_no_crossing(self):
         times = np.linspace(0, 1.0, 11)

@@ -12,6 +12,7 @@ from buckygate.config import (
     validate,
 )
 from buckygate.errors import ConfigError
+from buckygate.fields import resonance_frequencies
 
 
 def reference_config(**overrides):
@@ -95,6 +96,20 @@ class TestValidate:
         twice = validate(once)
         assert once.replace(initial_state=None) == twice.replace(initial_state=None)
         np.testing.assert_array_equal(once.initial_state, twice.initial_state)
+
+
+class TestResonances:
+    @pytest.mark.parametrize("change", [dict(Bz1=0.2), dict(Bg2=-1.2e-4)])
+    def test_cached_resonances_follow_their_own_config(self, change):
+        # The drive frequencies are computed on a config's first read and kept:
+        # a config made from it by replace or validate computes its own.
+        cfg = reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4)
+        before = cfg.resonances
+        moved = cfg.replace(**change)
+        for c in (moved, validate(moved), validate(cfg)):
+            assert c.resonances == resonance_frequencies(c.Bz1, c.Bg1, c.Bz2, c.Bg2)
+        assert moved.resonances != before
+        assert validate(cfg).resonances == before == cfg.resonances
 
 
 class TestConfigFiles:

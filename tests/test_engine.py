@@ -21,6 +21,7 @@ from buckygate.engine import (
     sample_times,
 )
 from buckygate.errors import ConfigError, NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
+from buckygate.fields import resonance_frequencies
 from buckygate.hamiltonian import build_static, dipole_coupling, static_terms
 from buckygate.propagator import (
     DEFAULT_STEP_SAFETY,
@@ -297,6 +298,17 @@ def test_result_pickles_with_its_whole_trajectory(overrides):
     np.testing.assert_array_equal(copy.trajectory.times, result.trajectory.times)
     np.testing.assert_array_equal(copy.trajectory.states, result.trajectory.states)
     np.testing.assert_array_equal(copy.theta, result.theta)
+
+
+def test_pickled_result_keeps_its_resonances_and_gate():
+    # The drive frequencies are computed once per config and read by the
+    # driven solve; a copy holds the same, and the same gate.
+    result = run_simulation(reference_config(mode="driven", Bl1=6e-4, Bl2=6e-4, t_max=1.5e-8))
+    config = result.config
+    copy = pickle.loads(pickle.dumps(result))
+    assert copy.config.resonances == config.resonances
+    assert copy.config.resonances == resonance_frequencies(config.Bz1, config.Bg1, config.Bz2, config.Bg2)
+    assert copy.gate == result.gate
 
 
 def recording_eigh(monkeypatch):
@@ -1220,11 +1232,11 @@ class TestRefinementStep:
 
     @staticmethod
     def record_builds(monkeypatch):
-        """Record the step sizes of every RK4 step matrix build."""
+        """Record (step count, step size) of every RK4 step matrix build."""
         builds = []
 
         def recording(hfun, nodes, h, _original=propagator._rk4_matrices):
-            builds.append(h)
+            builds.append((len(nodes) - 1, h))
             return _original(hfun, nodes, h)
 
         monkeypatch.setattr(propagator, "_rk4_matrices", recording)
@@ -1240,7 +1252,7 @@ class TestRefinementStep:
         builds = self.record_builds(monkeypatch)
         run.states_at([run.trajectory.times[1] / 2])
         run.theta_at(run.trajectory.times[1:3] - run.trajectory.times[1] / 2)
-        taken = [float(np.max(h)) for h in builds]
+        taken = [h for _, h in builds]
         assert len(taken) == 3 and max(taken) <= spacing
 
     def test_theta_at_takes_each_time_in_its_own_step_count(self, monkeypatch):
@@ -1255,7 +1267,7 @@ class TestRefinementStep:
         builds = self.record_builds(monkeypatch)
         run.theta_at(times)
         counts = [max(1, int(np.ceil(depth / automatic_step(run)))) for depth in times - starts]
-        assert [len(h) for h in builds] == counts
+        assert [n for n, _ in builds] == counts
         assert len(set(counts)) == 4
 
     @pytest.mark.parametrize(
@@ -1284,7 +1296,25 @@ class TestRefinementStep:
         monkeypatch.setattr(engine, "rk4_spans", spanning)
         builds = self.record_builds(monkeypatch)
         run_simulation(reference_config(mode="driven", Bz1=bz, Bz2=bz, Bl1=bl, Bl2=bl, t_max=t_max))
-        assert spans and sum(len(h) for h in builds) == sum(counted)
+        assert spans and sum(n for n, _ in builds) == sum(counted)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_driven_theta_at_builds_one_h_per_span(self, monkeypatch, k):
+        # Each time is one RK4 span of at most one sample interval, whose H(t)
+        # is built once, at its nodes and midpoints together, and theta's
+        # rate takes one H(t) for all k times: k + 1 drive builds.
+        run = run_trajectory(reference_config(mode="driven", Bl1=5e-4, Bl2=5e-4, t_max=1.5e-8))
+        samples = run._times
+        times = samples[2 : 2 + k] + np.linspace(0.1, 0.9, k) * samples[1]
+        builds = []
+
+        def counting(config, t, _original=propagator.build_drive):
+            builds.append(t)
+            return _original(config, t)
+
+        monkeypatch.setattr(propagator, "build_drive", counting)
+        run.theta_at(times)
+        assert len(builds) == k + 1
 
     def test_static_solve_takes_no_rk4_step(self, monkeypatch):
         steps = self.record_steps(monkeypatch)

@@ -1,3 +1,4 @@
+import math
 import re
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -116,6 +117,41 @@ def _scalar_states(cfg, times, dt):
         if first_drift is None and drift > propagator.NORM_TOLERANCE:
             first_drift = t1
     return np.array(states), first_drift
+
+
+def _rk4_matrices_two_builds(hfun, nodes, h):
+    """Reference: the RK4 step matrices with H built twice, at the nodes and
+    at the midpoints, and a step size per step, h[..., k]."""
+    identity = np.eye(4, dtype=complex)
+    a = -1j * h[..., None, None]
+    h_at_nodes = hfun(nodes)
+    a_mid = a * hfun(nodes[..., :-1] + h / 2)
+    a1 = a * h_at_nodes[..., :-1, :, :]
+    a2 = a_mid @ (identity + a1 / 2)
+    a3 = a_mid @ (identity + a2 / 2)
+    a4 = (a * h_at_nodes[..., 1:, :, :]) @ (identity + a3)
+    return identity + (a1 + 2 * a2 + 2 * a3 + a4) / 6
+
+
+def _expm_taylor_broadcast_identity(omega, degree):
+    """Reference: _expm_taylor with each I/(2k)! added to every entry as a
+    broadcast identity, and omega/1! formed by a multiply."""
+    identity, m = np.eye(omega.shape[-1]), degree // 2
+    square, result, product = np.empty((3,) + omega.shape, dtype=omega.dtype)
+    np.matmul(omega, omega, out=square)
+    for k in range(m, -1, -1):
+        if k < m:
+            np.matmul(square, result, out=product)
+        np.multiply(omega, 1 / math.factorial(2 * k + 1), out=result)
+        result += identity / math.factorial(2 * k)
+        if k < m:
+            result += product
+    return result
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
 
 
 class TestSpectral:
@@ -355,6 +391,33 @@ class TestBatchedRK4:
         assert np.all(np.ceil(t1 / 1e-12) <= MAX_STEPS) and np.sum(np.ceil(t1 / 1e-12)) > MAX_STEPS
         with pytest.raises(OutOfRange, match="exceed the limit"):
             rk4_spans(hfun, np.array([UNIFORM, UNIFORM]), np.zeros(2), t1, 1e-12)
+        assert built == []
+
+    @pytest.mark.parametrize("count", [0, 1, 7, 129])
+    def test_step_matrices_equal_the_two_build_formula(self, count):
+        # H built once, at the nodes and midpoints together, with one step
+        # size: the same bits as two builds with a size per step.
+        cfg = self.driven_config()
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
+        rng = np.random.default_rng(count)
+        for h in rng.uniform(1e-14, 1e-12, 5).tolist():
+            nodes = np.cumsum(np.concatenate([[rng.uniform(0, 1e-8)], np.full(count, h)]))
+            expected = _rk4_matrices_two_builds(hfun, nodes, np.full(count, h))
+            assert_same_bits(propagator._rk4_matrices(hfun, nodes, h), expected)
+
+    @pytest.mark.parametrize("end", [np.inf, np.nan])
+    def test_infinite_or_nan_span_is_refused(self, monkeypatch, end):
+        # Refused by the step count, before any step matrix is built.
+        cfg = self.driven_config()
+        hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
+        built = []
+        monkeypatch.setattr(propagator, "_rk4_matrices", lambda *args: built.append(args))
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            rk4_segment(hfun, UNIFORM, 1e-9, end, 1e-12)
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            rk4_segment(hfun, UNIFORM, -end, 1e-9, 1e-12)
+        with pytest.raises(OutOfRange, match="exceed the limit"):
+            rk4_spans(hfun, np.array([UNIFORM, UNIFORM]), np.full(2, 1e-9), np.array([2e-9, end]), 1e-12)
         assert built == []
 
     def test_segment_longer_than_a_chunk(self):
@@ -602,6 +665,17 @@ class TestMagnus:
         real = _taylor_exp(_real_form(a), _taylor_degree(size))
         assert real.dtype == float and real.shape == (6, 8, 8)
         assert np.max(np.abs(real - _real_form(_taylor_exp(a, _taylor_degree(size))))) <= 1e-15
+
+    @pytest.mark.parametrize("degree", [1, 3, 5, 7])
+    def test_taylor_exponential_equals_the_broadcast_identity_formula(self, degree):
+        # The identity terms added on the diagonal alone: the same bits as a
+        # broadcast identity, on real forms of random anti-Hermitian matrices.
+        rng = np.random.default_rng(degree)
+        z = rng.normal(size=(9, 4, 4)) + 1j * rng.normal(size=(9, 4, 4))
+        a = z - z.conj().swapaxes(-1, -2)
+        a *= rng.uniform(0.01, 1.5, (9, 1, 1)) / np.linalg.norm(a, axis=(-2, -1), keepdims=True)
+        real = _real_form(a)
+        assert_same_bits(_taylor_exp(real, degree), _expm_taylor_broadcast_identity(real, degree))
 
     @pytest.mark.parametrize("a_size", [0.0, 1.0])
     def test_generator_bound_holds_for_any_phases(self, a_size):
