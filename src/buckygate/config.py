@@ -40,7 +40,8 @@ class SimulationConfig:
 
     Distances in metres, fields in tesla, J0 in rad/s, times in seconds.
     There are no numerical controls: the engine picks every step from the
-    spectral scale of the Hamiltonian.
+    spectral scale of the Hamiltonian.  Configs compare and hash by their
+    fields, the initial state by its amplitudes.
     """
 
     r: float
@@ -51,7 +52,7 @@ class SimulationConfig:
     Bl1: float = 0.0
     Bl2: float = 0.0
     J0: float = 0.0
-    initial_state: np.ndarray = field(default_factory=default_initial_state)
+    initial_state: np.ndarray = field(default_factory=default_initial_state, compare=False)
     t_max: float = 2e-8
     mode: str = "static"
     T2: float = 20e-6
@@ -59,6 +60,21 @@ class SimulationConfig:
 
     def replace(self, **changes) -> "SimulationConfig":
         return dataclasses.replace(self, **changes)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def _key(self):
+        """The compared fields, the initial state as its shape and its
+        amplitudes in Python numbers, which compare and hash by value."""
+        state = np.asarray(self.initial_state)
+        fields = (getattr(self, f.name) for f in dataclasses.fields(self) if f.compare)
+        return (*fields, state.shape, tuple(state.ravel().tolist()))
 
     @property
     def resonances(self) -> ResonancePair:

@@ -162,10 +162,10 @@ class TrajectoryEvaluator:
     ``_theta`` holds S, |theta - S| <= ``slow.fast`` < pi / 2, and keeps the
     latest evaluation, where run_simulation reads tau's.  Its domain is the
     span of ``_times``: a driven run's gate samples end just past the first
-    sampled crossing, and beyond the last of them np.interp holds its theta,
-    so the branch can be off by multiples of 2 pi there, whether or not the
-    output has been read, and each time is carried by RK4 from that last
-    sample.  find_gate_time reads no time past it.  ``scan_step``,
+    sampled crossing, and beyond the last of them np.interp would hold its
+    theta and pick a branch off by multiples of 2 pi, so a driven run's
+    ``states`` raises ValueError for a time past it, whether or not the
+    output has been read.  find_gate_time reads no time past it.  ``scan_step``,
     0.05 rad at the run's Hamiltonian scale, is the narrowest cell
     find_gate_time's scan for crossings between samples splits.
     """
@@ -239,12 +239,15 @@ def _run_to_first_crossing(magnus) -> np.ndarray:
     t_max (Bz 0.1 T, Bl 0.2 mT, 15 ns) leaves the pass at 75 % of its steps,
     at 1.5 at 69 %.
     """
-    theta, steps = np.zeros(1), STEPS_PER_CHUNK
+    theta, steps, hit = np.zeros(1), STEPS_PER_CHUNK, None
     while not magnus.done:
+        new = len(theta)
         magnus.advance(steps)
         theta = _unwrap_new_samples(magnus, theta)
-        hit = np.flatnonzero(np.abs(theta) >= math.pi)
-        if hit.size and hit[0] + 2 <= len(theta):
+        if hit is None:  # only the samples new in this chunk can be the first
+            reached = np.flatnonzero(np.abs(theta[new:]) >= math.pi)
+            hit = new + int(reached[0]) if reached.size else None
+        if hit is not None and hit + 2 <= len(theta):
             break
         size, t = abs(float(theta[-1])), float(magnus.times[len(theta) - 1])
         steps = 1.5 * (math.pi - size) * t / (size * magnus.h) if size else math.inf
@@ -331,9 +334,13 @@ def run_trajectory(config) -> TrajectoryEvaluator:
 
         hfun = time_dependent_hamiltonian(cfg, build_static(cfg))
         step = DEFAULT_STEP_SAFETY * scan_step
-        theta0 = float(composite_angle(psi0))
+        theta0, last = float(composite_angle(psi0)), float(times[-1])
 
         def states(t):
+            if (t > last).any():
+                raise ValueError(
+                    f"t={t[t > last].max():.6e} s is past the last gate sample of the driven run, at {last:.6e} s"
+                )
             i = times[1:].searchsorted(t, side="right")
             return rk4_spans(hfun, traj.states[i], times[i], t, step)
 

@@ -27,7 +27,10 @@ step.  It forms each step in the frame of its midpoint, where a chunk's
 generators are one matrix product at one Taylor degree for the whole run
 (see ``_magnus_steps``), and carries its matrices in the real form
 R(M) = [[Re M, -Im M], [Im M, Re M]]: numpy multiplies stacked 8x8 real
-matrices about five times faster than 4x4 complex ones.
+matrices about five times faster than 4x4 complex ones.  The carried state
+is the real row [Re xi, Im xi], and a chunk's samples are stored from those
+rows by one real product into the float view of the complex samples, whose
+squared norms are checked from that view (``MagnusPass._store``).
 
 Steps are processed in chunks of at most STEPS_PER_CHUNK (Magnus) or
 _RK4_STEPS_PER_CHUNK (RK4), so memory does not grow with the horizon.  A
@@ -173,9 +176,10 @@ class BlockPropagator:
     theta' = -s + Im(E_A' / E_A) - Im(E_B' / E_B).
 
     ``eigenvalues`` lam_k are H's spectrum, mu +/- rho of block A then B,
-    column k of the real ``eigenvectors`` V the k-th eigenvector, and
-    ``coefficients`` b = V^T psi0, b+ and b- of each block, each an array
-    built on its first read (a driven run's); row k of ``components`` is
+    and column k of the real ``eigenvectors`` V the k-th eigenvector, each
+    an array built on its first read (a driven run's) from the floats
+    ``_lam`` and ``_vectors``; ``_coefficients`` are b = V^T psi0, b+ and
+    b- of each block; row k of ``components`` is
     b_k V[:, k], so that psi(t) = sum_k exp(-i lam_k t) components[k];
     ``s`` and ``rho`` (rho_A, rho_B) are the terms above.
     ``least_modulus`` is a lower bound on every |c_j(t)|: the squared
@@ -252,7 +256,6 @@ class BlockPropagator:
 
     eigenvalues = cached_property(lambda self: np.array(self._lam))
     eigenvectors = cached_property(lambda self: np.array(self._vectors))
-    coefficients = cached_property(lambda self: np.array(self._coefficients))
 
     def states(self, times: np.ndarray) -> np.ndarray:
         """psi at each of ``times``, shape (len(times), 4)."""
@@ -423,10 +426,11 @@ def _rk4_matrices(hfun, nodes, h: float):
     return _IDENTITY_4 + (a1 + 2 * a2 + 2 * a3 + a4) / 6
 
 
-def _magnus_steps(blocks: BlockPropagator, config, h: float, buffers):
+def _magnus_steps(blocks: BlockPropagator, config, h: float, rotation, buffers):
     """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
     steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
-    ``config``, on xi = exp(i L h/2) V^T psi (see ``propagate_magnus``).
+    ``config``, on xi = exp(i L h/2) V^T psi (see ``propagate_magnus``);
+    ``rotation`` is R(exp(-i L h)) (``MagnusPass``).
     ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
     returns its matrices in buffers[0] and runs Horner's rule in the other
     three, of which only buffers[1] serves between calls, as ``_carry``'s work
@@ -448,7 +452,6 @@ def _magnus_steps(blocks: BlockPropagator, config, h: float, buffers):
     """
     a, c = _drive_integrals(blocks, config, h)
     basis = _real_form(np.concatenate([a, c.reshape(16, 4, 4)])).reshape(20, 64)
-    rotation = _real_form(np.diag(_unit_phases(-h * blocks.eigenvalues)))
     resonances = config.resonances
     omegas = np.array([resonances.omega1, resonances.omega2])
     degree = _taylor_degree(_generator_bound(basis))
@@ -685,21 +688,39 @@ class MagnusPass:
     def __init__(self, blocks: BlockPropagator, config: SimulationConfig, times, steps: int):
         times = np.asarray(times, dtype=float)
         _check_times(times)
-        if not np.array_equal(times, np.linspace(0.0, times[-1], len(times))):
+        n = len(times)
+        # np.linspace(0, t_end, n) by the operations of engine.sample_times,
+        # bit for bit.
+        if not (times[:-1] == np.arange(n - 1) * (times[-1] / (n - 1))).all():
             raise ValueError("Magnus steps need a uniform grid, np.linspace(0, t_end, n)")
         self.times, self.steps = times, steps
-        self.total = steps * (len(times) - 1)
-        self.h = times[-1] / self.total
-        _check_step_count(self.total, self.h, times[-1])
+        self.total = steps * (n - 1)
+        self.h = h = float(times[-1]) / self.total
+        _check_step_count(self.total, h, times[-1])
         self._blocks, self._config = blocks, config
         self.taken, self.count = 0, 1
+        # From the blocks' floats, with c and s the cos and sin of L_k h/2:
         # xi = exp(i L h/2) V^T psi as the real 8-vector [Re xi, Im xi],
-        # after the steps taken; V^T psi0 is the blocks' coefficients.  A
-        # stored state is V exp(-i L h/2) xi.
-        xi0 = _unit_phases(self.h / 2 * blocks.eigenvalues) * blocks.coefficients
-        self._back, self._vt = _unit_phases(-self.h / 2 * blocks.eigenvalues), blocks.eigenvectors.T
-        self._state = np.concatenate([xi0.real, xi0.imag])
-        self._states = np.empty((len(times), 4), dtype=complex)
+        # after the steps taken, from V^T psi0, the blocks' coefficients; the
+        # real map of such rows to the interleaved (Re psi_j, Im psi_j) of
+        # the stored state psi = V exp(-i L h/2) xi, row k (c, -s) V[j, k]
+        # and row 4 + k (s, c) V[j, k]; and R(exp(-i L h)), the rotation of
+        # every step (``_magnus_steps``).
+        xi, top, bottom, cos, sin = [], [], [], [], []
+        for k, (x, b) in enumerate(zip(blocks._lam, blocks._coefficients)):
+            c, s = math.cos(x * h / 2), math.sin(x * h / 2)
+            xi.append(complex(c, s) * b)
+            for row in blocks._vectors:
+                top += (row[k] * c, -row[k] * s)
+                bottom += (row[k] * s, row[k] * c)
+            cos.append(math.cos(x * h))
+            sin.append(math.sin(x * h))
+        rotation = [0.0] * 64
+        rotation[::9], rotation[4:32:9], rotation[32::9] = cos + cos, sin, [-v for v in sin]
+        self._map = np.array(top + bottom).reshape(8, 8)
+        self._rotation = np.array(rotation).reshape(8, 8)
+        self._state = np.array([z.real for z in xi] + [z.imag for z in xi])
+        self._states = np.empty((n, 4), dtype=complex)
         self._store(0, self._state[None])
         # The workspace the step kernel was built on, and the kernel.
         self._kernel = None, None
@@ -729,7 +750,8 @@ class MagnusPass:
         end = min(self.taken + n, self.total)
         buffers = _workspace(min(self.total, STEPS_PER_CHUNK))
         if self._kernel[0] is not buffers.base:
-            self._kernel = buffers.base, _magnus_steps(self._blocks, self._config, self.h, buffers)
+            kernel = _magnus_steps(self._blocks, self._config, self.h, self._rotation, buffers)
+            self._kernel = buffers.base, kernel
         step_matrices, state = self._kernel[1], self._state
         for first in range(self.taken, end, STEPS_PER_CHUNK):
             states = _carry(step_matrices(first, min(STEPS_PER_CHUNK, end - first)), state, buffers[1])
@@ -742,10 +764,11 @@ class MagnusPass:
         self.taken, self.count, self._state = end, end // self.steps + 1, state
 
     def _store(self, i: int, xi):
-        """Store psi = V exp(-i L h/2) xi, with one phase factor for every
-        sample, as the samples from i on, and check their norms."""
+        """Store psi = V exp(-i L h/2) xi as the samples from i on, by one
+        real product of the carried rows [Re xi, Im xi] with the pass's map
+        into the float view of the complex samples, and check their norms."""
         states = self._states[i : i + len(xi)]
-        np.matmul((xi[:, :4] + 1j * xi[:, 4:]) * self._back, self._vt, out=states)
+        np.matmul(xi, self._map, out=states.view(float))
         _check_norms(self.times[i : i + len(xi)], states, "Magnus", self.h)
 
 
@@ -776,10 +799,13 @@ def propagate_magnus(
 
 
 def _check_norms(times, states, method: str, substep: float):
-    """Raise NormDrift at the first of ``states`` (at ``times``) whose squared
-    norm departs from 1 by more than NORM_TOLERANCE or is not a number; the
-    message names the ``method`` and the largest ``substep`` taken."""
-    drift = np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)
+    """Raise NormDrift at the first of ``states`` (at ``times``), complex
+    rows, whose squared norm departs from 1 by more than NORM_TOLERANCE or is
+    not a number; the message names the ``method`` and the largest
+    ``substep`` taken.  The squared norms are the sums of squares of the
+    rows' float view."""
+    x = states.view(float)
+    drift = np.abs(np.einsum("ij,ij->i", x, x) - 1.0)
     within = drift <= NORM_TOLERANCE
     if not within.all():
         i = within.argmin()

@@ -94,8 +94,32 @@ class TestValidate:
     def test_idempotent(self):
         once = validate(reference_config(initial_state=np.array([2, 0, 0, 0], dtype=complex)))
         twice = validate(once)
-        assert once.replace(initial_state=None) == twice.replace(initial_state=None)
+        assert once == twice
         np.testing.assert_array_equal(once.initial_state, twice.initial_state)
+
+
+class TestEquality:
+    def test_equal_configs_hash_equal(self):
+        # The state compares by its amplitudes, however it is held.
+        state = [0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j]
+        a = reference_config(mode="driven", Bl1=5e-4, initial_state=np.array(state))
+        b = reference_config(mode="driven", Bl1=5e-4, initial_state=np.array(state, dtype=complex))
+        c = reference_config(mode="driven", Bl1=5e-4, initial_state=list(state))
+        a.resonances  # a kept field compares no differently
+        assert a == b == c and not a != b
+        assert hash(a) == hash(b) == hash(c)
+        assert validate(a) == validate(b) and hash(validate(a)) == hash(validate(b))
+        assert len({a, b, c, validate(a), validate(b)}) == 2
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_a_changed_amplitude_compares_unequal(self, k):
+        cfg = validate(reference_config())
+        state = cfg.initial_state.copy()
+        state[k] *= 1j
+        assert cfg != cfg.replace(initial_state=state)
+        assert cfg != cfg.replace(initial_state=state[:3])
+        assert cfg != cfg.replace(Bl2=1e-4) and cfg != cfg.replace(mode="driven")
+        assert cfg.__eq__(cfg.initial_state) is NotImplemented
 
 
 class TestResonances:

@@ -214,8 +214,8 @@ def count_magnus_steps(monkeypatch):
     built = [0]
     magnus_steps_of = propagator._magnus_steps
 
-    def counting(blocks, config, h, buffers):
-        step_matrices = magnus_steps_of(blocks, config, h, buffers)
+    def counting(blocks, config, h, rotation, buffers):
+        step_matrices = magnus_steps_of(blocks, config, h, rotation, buffers)
 
         def count(j, n):
             built[0] += n
@@ -293,6 +293,7 @@ def test_result_pickles_with_its_whole_trajectory(overrides):
     result = run_simulation(reference_config(**overrides))
     copy = pickle.loads(pickle.dumps(result))
     assert len(copy.trajectory.times) >= engine.MIN_SAMPLES > len(result._run._times)
+    assert copy.config == result.config
     assert pickle.dumps(copy.config) == pickle.dumps(result.config)
     assert copy.gate == result.gate
     np.testing.assert_array_equal(copy.trajectory.times, result.trajectory.times)
@@ -410,6 +411,25 @@ def test_theta_at_does_not_change_when_the_trajectory_is_read(config):
     after = run.theta_at(times)
     for a, b in zip(before, after):
         assert np.array_equal(a, b)
+
+
+def test_driven_evaluator_refuses_a_time_past_its_gate_samples():
+    # The gate samples end at 10.23 ns of 30: at t_max theta_at read
+    # -6.0446 rad, on a branch 2 pi off the completed output's -12.3278.  A
+    # time past the last gate sample is refused, before or after the output
+    # is read; the last sample itself is not.
+    run = run_trajectory(reference_config(mode="driven", Bz1=0.05, Bz2=0.05, Bl1=6e-4, Bl2=6e-4, t_max=3e-8))
+    last = run._times[-1]
+    assert 1.0e-8 < last < 1.1e-8
+    for _ in range(2):
+        for times in ([run.config.t_max], [last, np.nextafter(last, 1.0)]):
+            named = re.escape(f"t={max(times):.6e} s is past the last gate sample")
+            with pytest.raises(ValueError, match=named):
+                run.theta_at(np.array(times))
+            with pytest.raises(ValueError, match=named):
+                run.states_at(times)
+        assert np.array_equal(run.states_at([last])[0], run.trajectory.states[len(run._times) - 1])
+        assert run.theta[-1] == pytest.approx(-12.3278, abs=1e-4)
 
 
 _FAULTS_PER_SOLVE = """

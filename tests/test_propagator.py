@@ -237,7 +237,7 @@ class TestBlockEigenbasis:
         cfg = reference_config(initial_state=psi0 / np.linalg.norm(psi0), **overrides)
         h = build_static(cfg)
         blocks = BlockPropagator(cfg)
-        v, lam, b = blocks.eigenvectors, blocks.eigenvalues, blocks.coefficients
+        v, lam, b = blocks.eigenvectors, blocks.eigenvalues, np.array(blocks._coefficients)
         scale = np.abs(h).max()
         assert v.dtype == float
         np.testing.assert_allclose(v.T @ v, np.eye(4), rtol=0, atol=1e-15)
@@ -796,8 +796,8 @@ class TestChunks:
         magnus_steps_of = propagator._magnus_steps
         carry = propagator._carry
 
-        def build(blocks, config, h, buffers):
-            step_matrices = magnus_steps_of(blocks, config, h, buffers)
+        def build(blocks, config, h, rotation, buffers):
+            step_matrices = magnus_steps_of(blocks, config, h, rotation, buffers)
 
             def record(j, n):
                 assert n <= len(buffers[0])
@@ -901,6 +901,113 @@ class TestMagnusPass:
                 assert (run.taken, run.count) == (107, 36)
         run.advance(run.total)
         np.testing.assert_array_equal(run.trajectory.states, plain.trajectory.states)
+
+
+    @pytest.mark.parametrize("steps", [1, 2])
+    def test_stored_states_equal_the_complex_formula(self, monkeypatch, steps):
+        # Each stored sample is psi = V (exp(-i L h/2) xi) of the carried row
+        # [Re xi, Im xi], by the complex formula in numpy, for W = 1 and 2;
+        # at W = 2 the second chunk of 7 steps starts mid-interval.
+        stored = []
+        store = MagnusPass._store
+
+        def record(run, i, xi):
+            stored.append((i, xi.copy()))
+            store(run, i, xi)
+
+        monkeypatch.setattr(MagnusPass, "_store", record)
+        psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
+        cfg = reference_config(mode="driven", Bl1=6e-4, Bl2=2e-4, initial_state=psi0 / np.linalg.norm(psi0))
+        blocks = blocks_of(cfg)
+        run = MagnusPass(blocks, cfg, self.TIMES, steps)
+        for n in (7, 7, 100, run.total):
+            run.advance(n)
+        lengths = [len(xi) for _, xi in stored]
+        assert [i for i, _ in stored] == np.cumsum([0] + lengths[:-1]).tolist()
+        assert sum(lengths) == len(self.TIMES) and len(stored) == 5
+        v, lam = blocks.eigenvectors, blocks.eigenvalues
+        states = run.trajectory.states
+        for i, xi in stored:
+            psi = (np.exp(-0.5j * lam * run.h) * (xi[:, :4] + 1j * xi[:, 4:])) @ v.T
+            assert np.max(np.abs(states[i : i + len(xi)] - psi)) <= 1e-15
+        xi0 = np.exp(0.5j * lam * run.h) * (v.T @ cfg.initial_state)
+        np.testing.assert_allclose(stored[0][1][0], np.concatenate([xi0.real, xi0.imag]), rtol=0, atol=1e-15)
+
+    @staticmethod
+    def complex_norm_message(times, states):
+        """The NormDrift message from the squared norms of complex states,
+        |c|^2 summed, or None where every norm is within NORM_TOLERANCE."""
+        drift = np.abs((np.abs(states) ** 2).sum(axis=1) - 1.0)
+        within = drift <= propagator.NORM_TOLERANCE
+        if within.all():
+            return None
+        i = within.argmin()
+        return (
+            f"squared norm drifted by {drift[i]:.3e} at t={times[i]:.6e} s "
+            f"(tolerance {propagator.NORM_TOLERANCE:.1e}); the largest Magnus substep taken was 1.000e-11 s"
+        )
+
+    @pytest.mark.parametrize(
+        "plants",
+        [[(37, 1 + 3e-8)], [(37, 1 - 3e-8), (90, math.nan)], [(12, math.nan), (40, 1 + 1e-3)], [(5, 1 + 4e-9)]],
+    )
+    def test_planted_drift_is_found_at_the_same_sample(self, plants):
+        # A drift or NaN planted in unit states: NormDrift names the first
+        # sample past NORM_TOLERANCE with the message the squared moduli of
+        # the complex states give; a drift within the tolerance passes.
+        rng = np.random.default_rng(len(plants))
+        z = rng.normal(size=(128, 4)) + 1j * rng.normal(size=(128, 4))
+        states = z / np.linalg.norm(z, axis=1, keepdims=True)
+        for k, factor in plants:
+            states[k] *= factor
+        times = np.linspace(0, 1.27e-9, 128)
+        expected = self.complex_norm_message(times, states)
+        if expected is None:
+            propagator._check_norms(times, states, "Magnus", 1e-11)
+            return
+        with pytest.raises(NormDrift) as failure:
+            propagator._check_norms(times, states, "Magnus", 1e-11)
+        assert str(failure.value) == expected
+
+    def test_planted_nan_in_the_pass_is_found_at_its_sample(self, monkeypatch):
+        # A NaN planted in the carried rows of the second chunk fails at its
+        # sample, the first stored from it.
+        carry = propagator._carry
+
+        def planted(m, psi, work):
+            states = carry(m, psi, work)
+            if len(m) == 100:
+                states[30:] = math.nan
+            return states
+
+        monkeypatch.setattr(propagator, "_carry", planted)
+        run = MagnusPass(blocks_of(self.CFG), self.CFG, self.TIMES, self.STEPS)
+        run.advance(7)
+        # Steps 7 to 106; step 37 ends the interval of sample 13.
+        with pytest.raises(NormDrift, match=rf"drifted by nan at t={self.TIMES[13]:.6e} s"):
+            run.advance(100)
+
+    @pytest.mark.parametrize("t_end, n", [(3e-9, 301), (1.5e-8, 1001), (1.5e-8, 1389), (7.1e-9, 2), (1e-300, 7)])
+    def test_only_the_linspace_grid_is_taken(self, t_end, n):
+        # np.linspace(0, t_end, n), and sample_times, are taken; the same grid
+        # with one inner time moved by one ulp is refused, as is a grid of
+        # equal steps summed.
+        blocks = blocks_of(self.CFG)
+        grid = np.linspace(0.0, t_end, n)
+        MagnusPass(blocks, self.CFG, grid, 1)
+        MagnusPass(blocks, self.CFG, list(grid), 1)
+        if t_end > 1e-100:
+            MagnusPass(blocks, self.CFG, sample_times(t_end, 0.5 * (n - 1) / t_end), 1)
+        for k in {1, n // 2, n - 2} - {0, n - 1}:
+            for direction in (-np.inf, np.inf):
+                moved = grid.copy()
+                moved[k] = np.nextafter(moved[k], direction)
+                with pytest.raises(ValueError, match="uniform grid"):
+                    MagnusPass(blocks, self.CFG, moved, 1)
+        summed = np.concatenate([[0.0], np.cumsum(np.full(n - 1, t_end / (n - 1)))])
+        if not np.array_equal(summed, grid):
+            with pytest.raises(ValueError, match="uniform grid"):
+                MagnusPass(blocks, self.CFG, summed, 1)
 
 
 def test_trajectory_shape_guard():
