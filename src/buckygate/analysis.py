@@ -11,18 +11,18 @@ diagonal of H cancel exactly in that product, so it turns at the dipole rate
 unwrapped series resolves it on any sample grid that resolves theta itself.
 
 The gate time is theta's first crossing of +/-pi (``find_gate_time``).  A
-static run hands the search the samples of theta's slow part S and bounds
-on the rest (``SlowPhase``), so that theta itself is evaluated only in the
-window where S comes within the fast part's amplitude of pi; a driven run
-hands it samples of theta and no bound.
+static run with closed-form bounds hands the search theta on its branch at
+any time and the window where theta can reach pi, found from theta's slow
+part S alone (``static_window``), so that theta is evaluated only there; a
+driven run, or a static one with no bounds, hands it samples of theta and
+no bound.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
-
+from itertools import islice
 import numpy as np
 
 from .errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase, ZeroState
@@ -41,6 +41,11 @@ MAX_THETA_STEP = math.pi / 2
 # PHASE_TOL rad, within one or two evaluations from the Hermite start (one
 # where the search's bound lets it cut the bracket to width ``fine``).
 PHASE_TOL = 1e-10
+
+# How much further out than the fast part's bound a static window's ends lie:
+# far above the rounding of S and theta, about 1e-15 rad, and far below
+# PHASE_TOL, so that theta stays that near the level only briefly.
+_SLACK = PHASE_TOL / 100
 
 # Points of the first-crossing scan per call of its theta evaluator, at most.
 SCAN_BATCH = 1 << 16
@@ -122,23 +127,122 @@ def unwrap_angles(times, angles, start: float = 0.0) -> np.ndarray:
     return np.concatenate(([start], steps)).cumsum()
 
 
-class SlowPhase(NamedTuple):
-    """A static run's split theta = S + F (``propagator.BlockPropagator``),
-    for ``find_gate_time``: ``rates`` are S' at the samples, which are of S;
-    |S'| <= ``rate`` (rad/s), |F| <= ``fast`` (rad), |S''''| <= ``m4_slow``
-    and |theta''''| <= ``m4`` (rad/s^4)."""
+def static_window(blocks, bounds, t_end: float):
+    """(start, width, m4) for ``find_gate_time``: the bands [start,
+    start + width], in time order, where the theta of the static run of
+    ``blocks`` with the finite ``bounds`` can reach +/-pi before it is past
+    it at the end of the last, found from its slow part S alone in Python
+    floats, and the bound m4 on |theta''''|.
 
-    rates: np.ndarray
-    rate: float
-    fast: float
-    m4_slow: float
-    m4: float
+    |theta - S| <= ``fast``, so theta can reach the level only where |S|
+    reaches low = pi - fast - _SLACK, and is past it once |S| reaches
+    high = pi + fast + _SLACK; band ends are found within _SLACK / 2
+    (``_reach``).  |S' + s| <= q1 = ``slow_rate`` - |s|: where q1 < |s|, S
+    is monotone, and its rate bounds bracket the one band; elsewhere the
+    bands come from the monotone pieces of S's periods (``_piece_bands``).
+    Raises OutOfRange where the window holds more than FINE_CELLS bands or
+    spans more than MAX_SCAN_POINTS cells of the width ``fine``, across which
+    theta can stay within _SLACK of the level, or where theta's fast part
+    has turned by more than 2^48 rad, so that its rate is rounding, as
+    fields of 1e12 T and more ask for.
+    """
+    slow, s, q1 = blocks.slow, abs(blocks.s), bounds.slow_rate - abs(blocks.s)
+    low, high = math.pi - bounds.fast - _SLACK, math.pi + bounds.fast + _SLACK
+    if q1 < s:
+        sign, mean = -math.copysign(1.0, blocks.s), abs(blocks.drift)
+        rise = low - sign * slow(0.0)[0]
+        t0 = _reach(slow, sign, low, rise / (s + q1), rise / (s - q1), rise / mean)
+        bands = [(t0, _reach(slow, sign, high, t0, t0 + (high - low + _SLACK) / (s - q1), t0 + (high - low) / mean))]
+    else:  # none where S stays at -F(0)
+        bands = list(islice(_piece_bands(blocks, low, high, t_end), FINE_CELLS + 1)) if bounds.slow_rate else []
+    if len(bands) > FINE_CELLS:
+        raise OutOfRange(f"the window of the first crossing holds over {FINE_CELLS} bands")
+    start, width = [lo for lo, _ in bands], [hi - lo for lo, hi in bands]
+    cells = sum(width) / _fine(bounds.m4)
+    if cells > MAX_SCAN_POINTS:
+        raise OutOfRange(f"the first-crossing scan needs {cells:.3g} points, above {MAX_SCAN_POINTS}")
+    # The fast part's phase 2 rho_A t carries eps 2 rho_A t of rounding, and
+    # theta's rate with it: past 2^48 rad, 1/16 rad.
+    turn = 2 * blocks.rho[0] * (bands[-1][1] if bands else 0.0)
+    if turn > 2.0**48:
+        raise OutOfRange(f"theta's fast part turns by {turn:.3g} rad by the window's end, beyond float resolution")
+    return start, width, bounds.m4
 
 
-def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | None = None) -> float:
+def _piece_bands(blocks, low, high, t_end):
+    """The bands (from, to) where |S| >= low, in time order, up to the first
+    time |S| reaches high, on the monotone pieces of S's periods
+    (``blocks.beat``).  S moves by the period's shift from one period to the
+    next, so one division gives the first period whose range reaches low,
+    and one the first whose range reaches high; each period from the one to
+    the other gives a band, and periods that start past ``t_end`` are not
+    searched."""
+    slow = blocks.slow
+    period, shift, cuts = blocks.beat()
+    values = [slow(t)[0] for t in cuts]
+    top, bottom = max(values), min(values)
+
+    def first(level):  # the first period whose range reaches |S| >= level
+        gap = (level - top) / shift if shift > 0 else (-level - bottom) / shift if shift < 0 else math.inf
+        return 0 if top >= level or bottom <= -level else math.ceil(gap) if gap < math.inf else math.inf
+
+    k, last = first(low), min(first(high), t_end // period)
+    while k <= last:
+        for a, b, va, vb in zip(cuts, cuts[1:], values, values[1:]):
+            # sign * S rises from ua to ub on [a, b].
+            a, b, sign = a + k * period, b + k * period, 1.0 if vb >= va else -1.0
+            ua, ub = sign * (va + k * shift), sign * (vb + k * shift)
+
+            def time(level):  # a flat piece reaches its level at once
+                return _reach(slow, sign, level, a, b, a + (b - a) * (level - ua) / (ub - ua) if ub > ua else a)
+
+            if ua <= -low:
+                yield a, b if ub <= -low else time(-low)
+            if ub >= low:
+                yield a if ua >= low else time(low), time(high) if ub >= high else b
+                if ub >= high:
+                    return
+        k += 1
+
+
+def _reach(slow, sign, level, a, b, t):
+    """A time in [a, b] at which sign * S, increasing there, is within
+    _SLACK / 2 of ``level``, S and S' as ``slow`` gives them: ``_newton``
+    from t."""
+
+    def f(t):
+        value, rate = slow(t)
+        return sign * value - level, sign * rate
+
+    return _newton(f, a, b, -math.inf, math.inf, t if a < t < b else (a + b) / 2, _SLACK / 2)
+
+
+def _newton(f, t_lo, t_hi, f_lo, f_hi, t, tol):
+    """The end with the smaller |f| of the bracket [t_lo, t_hi], where f is
+    f_lo and f_hi of opposite signs, by Newton steps on f(t) = (value, rate)
+    from t, safeguarded to the bracket as in Press et al., Numerical
+    Recipes, 3rd ed., sec. 9.4 (rtsafe): a step that would leave it, or go
+    further than half the step before, bisects.  So the steps shrink, and
+    stop once an end's |f| is at most ``tol``, or at float resolution."""
+    last = t_hi - t_lo  # the step before
+    while min(abs(f_lo), abs(f_hi)) > tol and t_lo < t < t_hi:
+        value, rate = f(t)
+        if (value > 0) == (f_lo > 0):
+            t_lo, f_lo = t, value
+        else:
+            t_hi, f_hi = t, value
+        # A zero or NaN rate fails the step bound, a huge one leaves t - step
+        # at t, not strictly inside: both bisect.
+        step = value / rate if abs(value) < abs(rate) * last / 2 else math.inf
+        t_next = t - step if t_lo < t - step < t_hi else (t_lo + t_hi) / 2
+        t, last = t_next, abs(t_next - t)
+    return t_lo if abs(f_lo) < abs(f_hi) else t_hi
+
+
+def find_gate_time(times, theta, theta_fn, scan_step: float, window=None) -> float:
     """First time the unwrapped composite phase reaches +/-pi, from its
     samples ``theta`` at the increasing ``times`` (``unwrap_phases``), or,
-    with ``slow``, from the samples of its slow part S.
+    with a ``window``, from theta on its branch at any time.
 
     The nominal target is -pi; if theta reaches +pi first that earlier
     crossing is returned instead.
@@ -157,7 +261,7 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
     found too; that cell is the bracket once they are ruled out
     (``_search``).  No cell is split below ``scan_step`` (s).
 
-    With no ``slow``, the samples are of theta and there is no bound: the
+    With no ``window``, the samples are of theta and there is no bound: the
     window is where the linear interpolation of the samples comes within a
     margin of the level, half the largest second difference of the samples,
     an estimate, up to the first sample past the level, and its cells are
@@ -165,34 +269,21 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
     that sample count, so the gate does not depend on the samples beyond
     it: a driven run may stop there (``engine.run_trajectory``).
 
-    With ``slow`` (a static run), theta = S + F with |F| <= ``slow.fast``
-    and the samples and ``slow.rates`` are S and S': theta can reach the
-    level only where S's cubic Hermite band, its interpolant within
-    h^4 m4_slow / 384, comes within ``fast`` of it, and is past it where
-    that band is past the level by ``fast`` (``_window``).  That window is
-    cut into cells of the width ``fine`` at which the root of a crossing
-    cell's cubic meets PHASE_TOL by the bound from ``slow.m4``, or into
-    FINE_CELLS wider ones, so that the search's one call usually leaves a
-    bracket ready for the refinement.
-
-    Inside the bracket of the first crossing found, the crossing is refined
-    by Newton steps, each a call of ``theta_fn`` at one time, safeguarded to
-    the bracket as in Press et al., Numerical Recipes, 3rd ed., sec. 9.4
-    (rtsafe): a step that would leave the bracket, or go further than half
-    the step before, is replaced by bisection.  Runs of Newton steps thus
-    shrink geometrically and every bisection halves the bracket, so the
-    refinement ends, at float resolution at the latest.  The first point is
-    the root of the cubic Hermite interpolant on the bracket, or its secant
-    root when the bracket comes from the samples, which carry no rate.  The
-    refinement stops when the phase residual is at most PHASE_TOL rad, or
-    when no next point lies strictly inside the bracket (float resolution);
-    then the end of the bracket with the smaller residual is returned.
-
-    Raises NoCrossing when theta never reaches the target before the end
-    of the samples; its message gives theta at the final sample.
+    A ``window`` (start, width, m4), a bounded static run's
+    (``static_window``), comes with theta on its branch at any time and no
+    samples: ``times`` ends at the horizon, ``theta`` is not read, and a
+    crossing past the horizon is none.  Its bands are cut into cells of the
+    width ``fine`` at which the root of a crossing cell's cubic meets
+    PHASE_TOL by the bound m4, or into FINE_CELLS wider ones, so that one
+    call usually leaves a bracket ready for the refinement: Newton steps
+    (``_newton``), each a call of ``theta_fn`` at one time, from the root of
+    the bracket's cubic Hermite interpolant (its secant root from samples,
+    which carry no rate) until the phase residual is at most PHASE_TOL rad.
+    Raises NoCrossing when theta does not reach the target by the last of
+    ``times``; its message gives theta there.
     """
     level = math.pi
-    if slow is None:
+    if window is None:
         past = np.abs(theta) >= level
         i = int(past.argmax())
         if not past[i]:
@@ -206,33 +297,26 @@ def find_gate_time(times, theta, theta_fn, scan_step: float, slow: SlowPhase | N
         scanned = _search(start, width, scan_step, level, theta_fn, scan_step, math.inf, before)
         bracket = scanned or (times[i - 1], times[i], theta[i - 1], theta[i], math.nan, math.nan)
     else:
-        start, width = _window(times, theta, level, slow)
+        start, width, m4 = window
         bracket = None
-        if start:
+        if start and start[0] <= times[-1]:
             # theta(0) = 0: a fallback before the window, which its bounds make unused.
-            bracket = _search(start, width, _fine(slow.m4), level, theta_fn, scan_step, slow.m4, (times[0], 0.0))
-        if bracket is None:
-            (end,), _ = theta_fn(times[-1:])
-            raise NoCrossing(_no_crossing(level, times[-1], end))
-    t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
+            bracket = _search(start, width, _fine(m4), level, theta_fn, scan_step, m4, (0.0, 0.0))
+    if bracket is not None:
+        t_lo, t_hi, th_lo, th_hi, rate_lo, rate_hi = map(float, bracket)
+        crossed = level if th_hi >= level else -level
+        f_lo, f_hi = th_lo - crossed, th_hi - crossed
+        t = t_lo + (t_hi - t_lo) * _hermite_root(f_lo, f_hi, rate_lo * (t_hi - t_lo), rate_hi * (t_hi - t_lo))
 
-    crossed = level if th_hi >= level else -level
-    f_lo, f_hi = th_lo - crossed, th_hi - crossed
-    t = t_lo + (t_hi - t_lo) * _hermite_root(f_lo, f_hi, rate_lo * (t_hi - t_lo), rate_hi * (t_hi - t_lo))
-    last = t_hi - t_lo  # the step before
-    while min(abs(f_lo), abs(f_hi)) > PHASE_TOL and t_lo < t < t_hi:
-        (theta_t,), (rate,) = theta_fn(np.array([t]))
-        f, rate = float(theta_t) - crossed, float(rate)
-        if (f > 0) == (f_lo > 0):
-            t_lo, f_lo = t, f
-        else:
-            t_hi, f_hi = t, f
-        # A zero or NaN rate fails the step bound, a huge one leaves t - step
-        # at t, not strictly inside: both bisect.
-        step = f / rate if abs(f) < abs(rate) * last / 2 else math.inf
-        t_next = t - step if t_lo < t - step < t_hi else (t_lo + t_hi) / 2
-        t, last = t_next, abs(t_next - t)
-    return t_lo if abs(f_lo) < abs(f_hi) else t_hi
+        def residual(t):
+            (theta_t,), (rate,) = theta_fn(np.array([t]))
+            return float(theta_t) - crossed, float(rate)
+
+        tau = _newton(residual, t_lo, t_hi, f_lo, f_hi, t, PHASE_TOL)
+        if tau <= times[-1]:
+            return tau
+    (end,), _ = theta_fn(times[-1:])
+    raise NoCrossing(_no_crossing(level, times[-1], end))
 
 
 def _no_crossing(level, t_end, theta_end) -> str:
@@ -288,94 +372,6 @@ def _scan(times, theta, level, margin):
         start.append(t0 + min(max(lo, 0.0), 1.0) * (t1 - t0))
         width.append(t0 + min(max(hi, 0.0), 1.0) * (t1 - t0) - start[-1])
     return start, width, (times[rows[0]], theta[rows[0]])
-
-
-def _window(times, theta, level, slow):
-    """(start, width): the bands of a static run's window, in time order,
-    from the samples ``theta`` of theta's slow part S at ``times``
-    (``find_gate_time``).
-
-    On a sample interval of width h, S lies within err = h^4 m4_slow / 384 of
-    the cubic Hermite interpolant p of S and S' at its ends, and theta within
-    ``fast`` of S.  So theta is below the level, in the direction of the
-    interval's larger end, where p is below low = level - fast - err, and
-    past it from a sample where |S| >= level + fast, or from the first time p
-    reaches high = level + fast + err.  |S| exceeds the larger end of an
-    interval by at most ``rate`` h / 2, so one array pass over the samples
-    keeps the few intervals that may come within err of low; of those, the
-    ones where p's Bezier points S0, S0 + h S0' / 3, S1 - h S1' / 3 and S1,
-    whose hull holds p, reach low are searched in turn, up to the first
-    sample past the level.  On each the band runs from the first time p
-    reaches low to the first time it reaches high, where the window ends, or
-    to the interval's end (``_hermite_reach``); a band that starts at the
-    end of the one before extends it.
-    """
-    rates, rate, fast, m4_slow, _ = slow
-    widest = float((times[1:] - times[:-1]).max(initial=0.0))
-    err = widest * widest * widest * widest * m4_slow / 384
-    low, high = level - fast - err, level + fast + err
-    near = np.abs(theta) >= low - err - rate * widest / 2
-    start, width, last = [], [], -2
-    for row in (near[:-1] | near[1:]).nonzero()[0].tolist():
-        a, b = theta[row : row + 2].tolist()
-        if abs(a) >= level + fast:  # theta is past the level from there on
-            break
-        m0, m1 = rates[row : row + 2].tolist()
-        t0, t1 = times[row : row + 2].tolist()
-        span = t1 - t0
-        s = 1.0 if a + b > 0 else -1.0
-        f0, f1, m0, m1 = s * a, s * b, s * m0 * span, s * m1 * span
-        top = max(f1, f0 + m0 / 3, f1 - m1 / 3)  # of p's hull, as f0 < high
-        reach = _hermite_reach(f0, f1, m0, m1, low) if max(f0, top) >= low else None
-        if reach is None:
-            continue
-        end = _hermite_reach(f0, f1, m0, m1, high) if top >= high else None
-        stop = t0 + (1.0 if end is None else end[1]) * span
-        if row == last + 1 and reach[0] == 0:  # the band before goes on
-            width[-1] = stop - start[-1]
-        else:
-            start.append(t0 + reach[0] * span)
-            width.append(stop - start[-1])
-        if end is not None:  # theta is past the level there
-            break
-        last = row
-    return start, width
-
-
-def _hermite_reach(f0, f1, m0, m1, level):
-    """(a, b) with p(a) < level <= p(b) and b - a at most 1e-9, around the
-    first x in [0, 1] where the cubic p with values f0, f1 and slopes m0, m1
-    at 0 and 1 reaches ``level``, or None if it stays below; (0, 0) if f0
-    does not.  The critical points of p cut [0, 1] into pieces on which p is
-    monotone; on the first whose end reaches the level, the crossing is
-    bracketed by regula falsi with the Illinois step."""
-    if f0 >= level:
-        return 0.0, 0.0
-    c2 = 3 * (f1 - f0) - 2 * m0 - m1
-    c3 = 2 * (f0 - f1) + m0 + m1
-    a, fa = 0.0, f0 - level
-    for b in sorted(x for x in _critical_points(m0, c2, c3) if 0 < x < 1) + [1.0]:
-        fb = f0 + b * (m0 + b * (c2 + b * c3)) - level
-        if fb < 0:
-            a, fa = b, fb
-            continue
-        side = 0
-        for _ in range(100):  # a few in practice
-            if b - a <= 1e-9:
-                break
-            x = (a * fb - b * fa) / (fb - fa)
-            x = x if a < x < b else (a + b) / 2
-            fx = f0 + x * (m0 + x * (c2 + x * c3)) - level
-            if fx < 0:
-                a, fa = x, fx
-                fb = fb / 2 if side < 0 else fb
-                side = -1
-            else:
-                b, fb = x, fx
-                fa = fa / 2 if side > 0 else fa
-                side = 1
-        return a, b
-    return None
 
 
 def _fine(m4):

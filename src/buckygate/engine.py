@@ -1,11 +1,12 @@
 """High-level driver: from a configuration to a full gate summary.
 
 Static mode takes theta, its rate and the states in closed form from the
-static Hamiltonian's two 2x2 blocks (``BlockPropagator``).  Its gate samples
-theta's slow part S, the dipolar turn and block B's beat, on a grid sized by
-closed-form bounds on S's rate and fourth derivative, and evaluates theta
-itself only where S comes within the amplitude of the fast part, block A's
-Zeeman-scale wiggle, of pi.  Driven mode propagates with 4th-order Magnus
+static Hamiltonian's two 2x2 blocks (``BlockPropagator``).  Where the
+blocks' bounds exist, theta has its branch in closed form at any time and
+the gate samples nothing: the window where theta can reach pi comes from
+theta's slow part S, the dipolar turn and block B's beat, alone, where S
+comes within the amplitude of the fast part, block A's Zeeman-scale
+wiggle, of pi, and theta is evaluated only there.  Driven mode propagates with 4th-order Magnus
 steps in the interaction picture of the static Hamiltonian on a grid at the
 fastest Hamiltonian scale, as far as the gate needs, in the eigenbasis of
 the same blocks.  The trajectory a run outputs is computed when it is read,
@@ -29,13 +30,13 @@ from .analysis import (
     AMP_FLOOR,
     MAX_THETA_STEP,
     GateResult,
-    SlowPhase,
     composite_angle,
     concurrence,
     correction_phases,
     entanglement_of_formation,
     find_gate_time,
     ops_budget,
+    static_window,
     unwrap_angles,
     unwrap_phases,
 )
@@ -56,24 +57,12 @@ from .propagator import (
 )
 
 # Target phase advance between stored samples at the rate the grid follows:
-# the bound on theta's slow part's rate for a static gate grid, on theta's
-# rate for a static output grid, the fastest coefficient's for driven runs.
-# The unwrap trusts steps up to MAX_THETA_STEP (pi / 2).
+# the bound on theta's rate for a static grid, the fastest coefficient's for
+# driven runs.  The unwrap trusts steps up to MAX_THETA_STEP (pi / 2).
 MAX_PHASE_PER_SAMPLE = 0.5
 
 MIN_SAMPLES = 1001
 MAX_SAMPLES = 50001
-
-# Bound (rad) on h^4 m4_slow / 384, the cubic Hermite error of theta's slow
-# part S between the static gate grid's samples h apart, where the fast
-# part's amplitude is not smaller.  With that amplitude it sets the window in
-# which the gate evaluates theta itself (analysis._window), so the window
-# is at most twice as wide as the fast part needs: a wider bound widens the
-# window, a narrower one takes more samples.  On the benchmark's static-far
-# inputs (seed 1), 1e-4 takes 172 samples and 2.00 theta_at calls of 86
-# points per solve, 5e-5 without the cap 154 samples and 91.5 points, 3e-4
-# without it 99 samples, but 2.03 calls of 232 points.
-MARGIN_TARGET = 1e-4
 
 
 @dataclass(frozen=True)
@@ -108,18 +97,17 @@ def _result_of_samples(config, gate, trajectory, theta) -> SimulationResult:
     return SimulationResult(config, gate, SimpleNamespace(trajectory=trajectory, theta=theta))
 
 
-def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndarray:
+def sample_times(t_max: float, rate: float) -> np.ndarray:
     """Uniform grid from 0 to t_max advancing MAX_PHASE_PER_SAMPLE rad per
-    sample at ``rate`` (rad/s), within ``least`` and MAX_SAMPLES samples.
+    sample at ``rate`` (rad/s), within MIN_SAMPLES and MAX_SAMPLES samples.
 
-    A static run's gate grid passes a pace from the bounds on theta's slow
-    part and its output grid the bound on theta's rate, so at large r neither
-    resolves the Zeeman precession of the single amplitudes, which are still
-    exact at each sample; driven runs pass the Hamiltonian scale.
+    A static run's grid passes the bound on theta's rate, so at large r it
+    does not resolve the Zeeman precession of the single amplitudes, which
+    are still exact at each sample; driven runs pass the Hamiltonian scale.
     """
     steps = t_max * rate / MAX_PHASE_PER_SAMPLE
     # A rate of inf takes the cap here: math.ceil(inf) raises.
-    n = MAX_SAMPLES if steps >= MAX_SAMPLES else min(max(math.ceil(steps) + 1, least), MAX_SAMPLES)
+    n = MAX_SAMPLES if steps >= MAX_SAMPLES else min(max(math.ceil(steps) + 1, MIN_SAMPLES), MAX_SAMPLES)
     # np.linspace(0, t_max, n) by its own operations, bit for bit; its
     # branch for a step of 0 is never taken, as validate keeps t_max normal.
     times = np.arange(n) * (t_max / (n - 1))
@@ -128,49 +116,45 @@ def sample_times(t_max: float, rate: float, least: int = MIN_SAMPLES) -> np.ndar
 
 
 class TrajectoryEvaluator:
-    """One run: the samples the gate reads, theta unwrapped at each of them,
-    and continuous theta(t) / psi(t) between them; and the run's output,
-    ``trajectory`` to t_max and ``theta`` at its times.
+    """One run: what the gate reads, continuous theta(t) / psi(t), and the
+    run's output, ``trajectory`` to t_max and ``theta`` at its times.
 
-    The gate's samples, at ``_times`` with theta ``_theta``, are a static
-    run's grid sized for the gate, or a driven run's Magnus pass up to where
-    it stopped (``run_trajectory``); ``psi0`` is the run's state at time 0
-    as the mode gives it.  ``slow`` is None, or, on a static run whose
-    bounds exist, the ``SlowPhase`` of the gate: then ``_theta`` holds
-    theta's slow part S, within ``slow.fast`` of theta, and ``slow.rates``
-    S'.  ``finish()`` gives the output as (trajectory, theta): the static
-    output grid's states and theta from the blocks, or the driven pass
-    completed to t_max.  It runs on the first read of ``trajectory`` or
-    ``theta``, and a failure there is raised at every read.  ``states_at``
-    and ``theta_at`` give the same before and after that read.
+    The gate's samples, at ``_times`` with unwrapped theta ``_theta``, are a
+    driven run's Magnus pass up to where it stopped, or a static run's grid
+    where its bounds do not exist (``run_trajectory``).  A static run whose
+    bounds exist samples nothing: its ``_times`` are 0 and t_max, its
+    ``_theta`` None and its ``window`` the gate's (``static_window``), None
+    on other runs.  ``psi0`` is the state at time 0 as the mode gives it.
+    ``finish()`` gives the output as (trajectory, theta): the static output
+    grid's states and theta from the blocks, or the driven pass completed to
+    t_max.  It runs on the first read of ``trajectory`` or ``theta``, and a
+    failure there is raised at every read; ``states_at`` and ``theta_at``
+    give the same before and after it.
 
-    The mode gives ``states(times)``, psi at each time, through which
-    ``states_at`` gives every state the evaluator gives: a static run's
-    closed form (``BlockPropagator.states``), or a driven run's RK4 carry
-    from each time's nearest earlier sample.  It gives ``angles(times)``:
-    theta at each time up to a multiple of 2 pi, its exact rate, and the
-    states at the times where the mode computed them, else None.  A static
-    run takes theta and its rate from the blocks' ellipses
-    (``BlockPropagator.theta``) and no state; a driven run takes the states
-    at every time, theta as the argument of c1 c4 conj(c2 c3) less its value
-    at 0, and its rate, with i dpsi/dt = H(t) psi, as
+    The mode gives ``states(times)``, through which ``states_at`` gives
+    every state: a static run's closed form (``BlockPropagator.states``), or
+    a driven run's RK4 carry from each time's nearest earlier sample.  It
+    gives ``angles(times)``: theta, on its branch where the run has a window
+    and up to a multiple of 2 pi otherwise, its exact rate, and the states
+    where the mode computed them, else None.  A static run takes theta and
+    its rate from the blocks' ellipses (``BlockPropagator.theta``); a driven
+    run takes theta as the argument of c1 c4 conj(c2 c3) less its value at
+    0, and, with i dpsi/dt = H(t) psi, its rate as
     dtheta/dt = -Re[(H psi)_1 / c1 - (H psi)_2 / c2 - (H psi)_3 / c3 + (H psi)_4 / c4].
     ``theta_at`` gives theta and its rate at an array of times, for
-    find_gate_time's search calls and one-time Newton steps alike, with theta
-    on the branch nearest the linear interpolation of ``_theta``, which is
-    safe because per-sample increments stay below MAX_THETA_STEP and, where
-    ``_theta`` holds S, |theta - S| <= ``slow.fast`` < pi / 2, and keeps the
-    latest evaluation, where run_simulation reads tau's.  Its domain is the
-    span of ``_times``: a driven run's gate samples end just past the first
-    sampled crossing, and beyond the last of them np.interp would hold its
-    theta and pick a branch off by multiples of 2 pi, so a driven run's
-    ``states`` raises ValueError for a time past it, whether or not the
-    output has been read.  find_gate_time reads no time past it.  ``scan_step``,
-    0.05 rad at the run's Hamiltonian scale, is the narrowest cell
-    find_gate_time's scan for crossings between samples splits.
+    find_gate_time's search calls and Newton steps alike, on the branch
+    nearest the linear interpolation of ``_theta`` where there are samples,
+    safe as per-sample increments stay below MAX_THETA_STEP, and keeps the
+    latest evaluation, where run_simulation reads tau's.  A run with a
+    window takes any time; the others the span of ``_times``: a driven
+    run's samples end just past the first sampled crossing, beyond which
+    np.interp would pick a branch off by multiples of 2 pi, so its
+    ``states`` raises ValueError for a later time.  ``scan_step``, 0.05 rad
+    at the run's Hamiltonian scale, is the narrowest cell find_gate_time's
+    scan splits.
     """
 
-    def __init__(self, config, times, theta, psi0, scan_step, slow, states, angles, finish):
+    def __init__(self, config, times, theta, psi0, scan_step, window, states, angles, finish):
         self.config = config
         self._times = times
         self._theta = theta
@@ -178,7 +162,7 @@ class TrajectoryEvaluator:
         self._finish = finish
         self._output = None
         self.scan_step = scan_step
-        self.slow = slow
+        self.window = window
         self._states = states
         self._angles = angles
         # The latest evaluated times, states (or None) and theta; before any,
@@ -204,12 +188,13 @@ class TrajectoryEvaluator:
 
     def theta_at(self, times: np.ndarray):
         """(theta, dtheta/dt) at each of ``times``, a 1-D array within the
-        span of the gate samples (see the class).  The times, the states
+        evaluator's domain (see the class).  The times, the states
         ``angles`` gave (or None) and theta are kept as ``_last`` for the
         caller that needs them at tau."""
-        raw, rate, states = self._angles(times)
-        ref = np.interp(times, self._times, self._theta)
-        theta = raw + 2 * np.pi * np.rint((ref - raw) / (2 * np.pi))
+        theta, rate, states = self._angles(times)
+        if self._theta is not None:
+            ref = np.interp(times, self._times, self._theta)
+            theta = theta + 2 * np.pi * np.rint((ref - theta) / (2 * np.pi))
         self._last = times, states, theta
         return theta, rate
 
@@ -255,9 +240,9 @@ def _run_to_first_crossing(magnus) -> np.ndarray:
     return theta
 
 
-def _unwrap(blocks, times, phase, start: float = 0.0, rate: float = 0.0, states=None) -> np.ndarray:
-    """``unwrap_angles`` of ``phase``, a static run's theta or S at ``times``
-    up to a multiple of 2 pi, from ``start``.  First ``unwrap_phases``
+def _unwrap(blocks, times, phase, rate: float, states=None) -> np.ndarray:
+    """``unwrap_angles`` of ``phase``, a static run's theta at ``times`` up
+    to a multiple of 2 pi.  First ``unwrap_phases``
     checks the ``states`` there (the blocks' if None) where the blocks do not
     bound every amplitude above AMP_FLOOR, then the grid's step is checked
     at ``rate``, a bound on the phase's rate."""
@@ -271,57 +256,47 @@ def _unwrap(blocks, times, phase, start: float = 0.0, rate: float = 0.0, states=
             f"to {theta_step:.4g} rad, above the unwrap bound {MAX_THETA_STEP:.3f} rad; "
             "shorten t_max"
         )
-    return unwrap_angles(times, phase, start)
+    return unwrap_angles(times, phase)
 
 
 def run_trajectory(config) -> TrajectoryEvaluator:
     """Validate, propagate and unwrap what the gate reads; the returned
     evaluator holds the run and computes its output when that is read.
 
-    The static Hamiltonian is diagonalized once per run, in closed form from
-    its two 2x2 blocks, formed from the validated config in Python floats
-    (``BlockPropagator``); only a driven run builds the 4x4 matrix, for
-    H(t), and its drive is at ``config.resonances``.  A static run reads the blocks
-    for theta, its slow part S, their rates, the states and the bounds
-    (``BlockPropagator.bounds``); it calls neither eigh nor a 4x4
-    evolution.  Where the bounds exist, it samples S and S' on a grid with
-    no MIN_SAMPLES floor, from 0 to t_max, whose spacing h keeps S's step
-    within MAX_PHASE_PER_SAMPLE at the bound on its rate and the Hermite
-    error h^4 m4_slow / 384 within MARGIN_TARGET and the fast part's
-    amplitude; the gate evaluates theta itself only near pi
-    (``find_gate_time`` with the run's ``SlowPhase``).
-    Where they do not (an ellipse may pass through 0, or block A's does not
-    keep its centre's side), it samples theta on a grid at the bound on
-    theta's rate, floored at MIN_SAMPLES, as a driven run's, and the gate
-    searches it with no bound.  Either raises PhaseAliasing if MAX_SAMPLES
-    samples cannot hold the step below MAX_THETA_STEP at that bound.  The
-    samples are unwrapped by ``unwrap_angles``, the rule of
-    ``unwrap_phases``, after a check of their states where an amplitude may
-    vanish (``_unwrap``).  Its output is the MIN_SAMPLES-floored grid at the
-    bound on theta's rate, with the blocks' states and theta there, checked
-    and unwrapped the same way, when the evaluator's ``trajectory`` or
-    ``theta`` is first read.  A driven run's Magnus pass works in the
-    blocks' eigenbasis and takes ``magnus_steps`` Magnus steps per sample
-    interval, set by the drive and the fitted error of the step rather than
-    by the Zeeman precession: one or two on the benchmark's driven points.
-    Its pass stops just past the first sampled crossing
-    (``_run_to_first_crossing``), which is all the gate needs, and is
-    completed on that read.  So a NormDrift, UndefinedPhase or PhaseAliasing
-    that only the output meets is raised there.  MAX_STEPS bounds the whole
-    driven run, before any step.
-    Gate-time refinement scans in cells no narrower than ``scan_step``,
-    MAX_PHASE_PER_STEP rad at the Hamiltonian scale, but around the
-    crossing, and refines, both through the evaluator's ``theta_at``.  A
-    driven run's states between samples are carried by ``rk4_spans`` in
-    steps of at most DEFAULT_STEP_SAFETY times ``scan_step``, and theta's
-    rate takes one H(t) per time of a batch.
+    H0 is diagonalized once, in closed form from its two 2x2 blocks formed
+    from the validated config in Python floats (``BlockPropagator``); only a
+    driven run builds the 4x4 matrix, for H(t), with its drive at
+    ``config.resonances``.  A static run reads theta, its rate, the states
+    and the bounds from the blocks, with no eigh and no 4x4 evolution.
+    Where the bounds exist, theta has its branch in closed form and the
+    gate samples nothing: the window where theta can reach pi comes from its
+    slow part S alone, at any horizon (``static_window``).  Where they do
+    not (an ellipse may pass through 0, or block A's leaves its centre's
+    side), theta is sampled on a grid at the bound on its rate, at least
+    MIN_SAMPLES, and searched with no bound, as a driven run's; PhaseAliasing
+    is raised if MAX_SAMPLES samples cannot hold its step below
+    MAX_THETA_STEP.  Static samples are unwrapped by ``unwrap_angles`` after
+    a check of their states where an amplitude may vanish (``_unwrap``), and
+    so is the output, that grid with the blocks' states and theta there,
+    when ``trajectory`` or ``theta`` is first read.  A driven run's Magnus
+    pass works in the blocks' eigenbasis, with ``magnus_steps`` steps per
+    sample interval, set by the drive rather than the Zeeman precession;
+    it stops just past the first sampled crossing
+    (``_run_to_first_crossing``), all the gate needs, and is completed on
+    that read, so a NormDrift, UndefinedPhase or PhaseAliasing that only the
+    output meets is raised there.  MAX_STEPS bounds the whole driven run,
+    before any step.  The refinement scans in cells no narrower than
+    ``scan_step``, MAX_PHASE_PER_STEP rad at the Hamiltonian scale, and
+    refines, both through ``theta_at``; a driven run carries its states
+    between samples by ``rk4_spans`` in steps of at most DEFAULT_STEP_SAFETY
+    times ``scan_step``, and takes one H(t) per time for theta's rate.
     """
     cfg = validate(config)
     blocks = BlockPropagator(cfg)
     scale = hamiltonian_scale(cfg, blocks)
     scan_step = MAX_PHASE_PER_STEP / scale
     if cfg.mode == "driven":
-        slow = None
+        window = None
         times = sample_times(cfg.t_max, scale)
         magnus = MagnusPass(blocks, cfg, times, magnus_steps(cfg, scale, times))
         theta = _run_to_first_crossing(magnus)
@@ -352,30 +327,22 @@ def run_trajectory(config) -> TrajectoryEvaluator:
             return composite_angle(psi) - theta0, ratio[:, 1] - ratio[:, 0] + ratio[:, 2] - ratio[:, 3], psi
     else:
         bounds = blocks.bounds()
-        bounded = all(map(math.isfinite, (bounds.slow_rate, bounds.slow_m4, bounds.fast, bounds.m4)))
-        if bounded:
-            rate = bounds.slow_rate
-            target = min(MARGIN_TARGET, bounds.fast) if bounds.fast else MARGIN_TARGET
-            pace = max(rate, (bounds.slow_m4 / (384 * target)) ** 0.25 * MAX_PHASE_PER_SAMPLE)
-            times = sample_times(cfg.t_max, pace, least=2)
-            phase, rates = blocks.slow(times)  # S and S'; S(0) = -F(0), as theta(0) = 0
-            slow, start = SlowPhase(rates, rate, bounds.fast, bounds.slow_m4, bounds.m4), float(phase[0])
+        if all(map(math.isfinite, bounds)):  # theta on its branch: no samples
+            times, theta, window = np.array([0.0, cfg.t_max]), None, static_window(blocks, bounds, cfg.t_max)
         else:  # theta itself, on a grid as a driven run's
-            rate = bounds.rate
-            times = sample_times(cfg.t_max, rate)
-            phase, slow, start = blocks.angles(times), None, 0.0
-        theta = _unwrap(blocks, times, phase, start, rate)
+            times, window = sample_times(cfg.t_max, bounds.rate), None
+            theta = _unwrap(blocks, times, blocks.angles(times), bounds.rate)
         psi0, states = blocks.psi0, blocks.states
 
         def finish():
             times = sample_times(cfg.t_max, bounds.rate)
             output = Trajectory(times=times, states=states(times))
-            return output, _unwrap(blocks, times, blocks.angles(times), states=output.states)
+            return output, _unwrap(blocks, times, blocks.angles(times), bounds.rate, output.states)
 
         def angles(t):
             return *blocks.theta(t), None
 
-    return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, slow, states, angles, finish)
+    return TrajectoryEvaluator(cfg, times, theta, psi0, scan_step, window, states, angles, finish)
 
 
 def run_simulation(config: SimulationConfig) -> SimulationResult:
@@ -384,7 +351,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     refinement's last unless tau is the earlier end of its bracket, and so
     is a driven run's state at tau; a static run's is evaluated once."""
     run = run_trajectory(config)
-    tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.slow)
+    tau = find_gate_time(run._times, run._theta, run.theta_at, run.scan_step, run.window)
     if run._last[0][-1] != tau:  # tau is not the latest time evaluated
         run.theta_at(np.array([tau]))
     _, states, theta = run._last  # the evaluation that accepted tau

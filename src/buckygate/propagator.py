@@ -9,7 +9,7 @@ Two routes are provided, a closed form and one refinement:
   their rates, and closed-form bounds on them (``PhaseBounds``).  It is the
   one place that diagonalizes H0: the static gate and output read it, and
   the driven Magnus pass takes its eigenbasis;
-* ``propagate_magnus`` integrates driven runs in the interaction picture of
+* ``MagnusPass`` integrates driven runs in the interaction picture of
   the static Hamiltonian H0 with the 4th-order Magnus step, whose generator
   integrates the oscillating phase factors of the interaction picture
   exactly, so that its step follows the drive, not the Zeeman precession
@@ -191,11 +191,16 @@ class BlockPropagator:
     theta splits into a slow part S and a fast part F,
         S(t) = -s t - Arg E_B(t) + Arg K_A,  F(t) = Arg(E_A(t) / K_A),
     with block A's ellipse turned by -theta(0), as ``theta`` takes it, so
-    that S(0) = -F(0).
-    S turns at the dipolar rate and beats at 2 rho_B (``slow``); F is the
-    Zeeman-scale turn of E_A about K_A, small where K_A dominates
-    (``bounds``).  Raises OutOfRange where |mu| + 2 rho of a block is beyond
-    the floats, before any array holds it: theta would be NaN.
+    that S(0) = -F(0).  S turns at the dipolar rate and beats at 2 rho_B
+    (``slow``, ``beat``); F is the Zeeman-scale turn of E_A about K_A, small
+    where K_A dominates (``bounds``).  Where E_B stays off 0, its term D of
+    largest modulus, K_B or the larger of P_B exp(-2 i rho_B t) and
+    Q_B exp(2 i rho_B t), turns by 2 pi w a period pi / rho_B (``winding``
+    w, 0 or +-1), and E_B / D has a positive real part.  So S has its branch
+    at any t, -(s + 2 rho_B w) t - Arg(E_B / D) plus a constant, and so has
+    theta = S + F where |K_A| > |P_A| + |Q_A|.  Raises OutOfRange where
+    |mu| + 2 rho of a block is beyond the floats, before any array holds it:
+    theta would be NaN.
     """
 
     def __init__(self, config: SimulationConfig):
@@ -226,13 +231,17 @@ class BlockPropagator:
             # E = K + C cos + S sin of 2 rho t, C = P + Q and S = i (Q - P).
             p, q = plus * plus * sin / 2, -minus * minus * sin / 2
             ellipses.append((plus * minus * cos, p + q, 1j * (q - p)))
-            moduli.append((abs(plus * minus * cos), abs(p) + abs(q), abs(abs(p) - abs(q))))
+            centre, axis = abs(plus * minus * cos), abs(p) + abs(q)
+            # |E| >= u (``bounds``), 0 where it is within the rounding of the
+            # moduli, about eps (|K| + |P| + |Q|): there E may pass through 0.
+            u = max(centre - axis, abs(abs(p) - abs(q)) - centre)
+            moduli.append((centre, axis, u if u > 8 * _EPS * (centre + axis) else 0.0))
             rho.append(r)
             mean = min(abs(plus * ch) ** 2 + abs(minus * sh) ** 2, abs(plus * sh) ** 2 + abs(minus * ch) ** 2)
             least = min(least, mean - abs(plus * minus * sin))
         self.rho = tuple(rho)
         self._lam, self._vectors, self._coefficients = lam, vectors, coefficients
-        self._moduli = moduli  # (|K|, |P| + |Q|, ||P| - |Q||) of each block
+        self._moduli = moduli  # (|K|, |P| + |Q|, u) of each block
         # Less 8 eps for the rounding of squares of at most 1 (psi0 is normalized).
         self.least_modulus = math.sqrt(max(least - 8 * _EPS, 0.0))
         # Row k is b_k V[:, k], C-contiguous, so that a state gets the same
@@ -247,12 +256,20 @@ class BlockPropagator:
         z0 = (ka + ca) * (kb + cb).conjugate()
         turn = cmath.exp(-1j * math.atan2(z0.imag, z0.real))
         ta, tb = 2 * rho[0], 2 * rho[1]
-        ca, sa = ca * turn, sa * turn
+        ka, ca, sa = ka * turn, ca * turn, sa * turn
         self._two_rho = np.array([ta, tb])
         # dE/dt = dS cos - dC sin of 2 rho t, dC = 2 rho C and dS = 2 rho S.
         self._k, self._c, self._s, self._dc, self._ds = np.array(
-            [[ka * turn, kb], [ca, cb], [sa, sb], [ta * ca, tb * cb], [ta * sa, tb * sb]], dtype=complex
+            [[ka, kb], [ca, cb], [sa, sb], [ta * ca, tb * cb], [ta * sa, tb * sb]], dtype=complex
         )
+        self._kpq_b = kb, p, q  # the loop's last p and q are block B's
+        (k_a, d_a, _), (k, d, u) = moduli
+        self.winding = None if d_a >= k_a or not u else 0 if k > d else 1 if abs(q) > abs(p) else -1
+        if self.winding is not None:
+            self._conj_ka, self.drift = ka.conjugate(), -(self.s + tb * self.winding)
+            # S(0) = -F(0), as theta(0) = 0; D(0) is K_B, Q_B or P_B.
+            f, z = (ka + ca) * self._conj_ka, (kb, q, p)[self.winding] * (kb + cb).conjugate()
+            self._offset = -math.atan2(f.imag, f.real) - math.atan2(z.imag, z.real)
 
     eigenvalues = cached_property(lambda self: np.array(self._lam))
     eigenvectors = cached_property(lambda self: np.array(self._vectors))
@@ -263,23 +280,53 @@ class BlockPropagator:
 
     def angles(self, times: np.ndarray) -> np.ndarray:
         """theta at each of ``times``, up to a multiple of 2 pi."""
-        return self._ellipses(times)[0]
+        e = self._ellipses(times)[0]
+        z = e[:, 0] * e[:, 1].conj()
+        return np.arctan2(z.imag, z.real) - self.s * times
 
     def theta(self, times: np.ndarray):
-        """(theta, theta') at each of ``times``, theta up to a multiple of 2 pi."""
-        theta, e, cos, sin = self._ellipses(times)
+        """(theta, theta') at each of ``times``: theta = S + F on its branch
+        where ``winding`` is not None (one angle, as each part lies in
+        (-pi/2, pi/2)), else up to a multiple of 2 pi."""
+        e, cos, sin = self._ellipses(times)
+        if self.winding is None:
+            z, phase = e[:, 0] * e[:, 1].conj(), -self.s * times
+        else:
+            d = self._dominant(cos[:, 1] + 1j * sin[:, 1])
+            z, phase = e[:, 0] * self._conj_ka * d * e[:, 1].conj(), self.drift * times + self._offset
         ratio = ((self._ds * cos - self._dc * sin) / e).imag
-        return theta, ratio[:, 0] - ratio[:, 1] - self.s
+        return np.arctan2(z.imag, z.real) + phase, ratio[:, 0] - ratio[:, 1] - self.s
 
-    def slow(self, times: np.ndarray):
-        """(S, S') at each of ``times``, S up to a multiple of 2 pi, from
-        block B's ellipse alone: S' = -s - Im(E_B' / E_B)."""
-        x = times * self._two_rho[1]
-        cos, sin = np.cos(x), np.sin(x)
-        e = self._k[1] + self._c[1] * cos + self._s[1] * sin
-        z = self._k[0] * e.conj()
-        rate = ((self._ds[1] * cos - self._dc[1] * sin) / e).imag
-        return np.arctan2(z.imag, z.real) - self.s * times, -rate - self.s
+    def slow(self, t: float):
+        """(S, S') at the time ``t`` in Python floats, S on its branch
+        (``winding`` is not None): S' = -s - Im(E_B' / E_B)."""
+        x, (k, p, q) = 2 * self.rho[1] * t, self._kpq_b
+        z = complex(math.cos(x), math.sin(x))
+        e, rate = k + p * z.conjugate() + q * z, 2j * self.rho[1] * (q * z - p * z.conjugate())
+        a = self._dominant(z) * e.conjugate()
+        return self.drift * t + self._offset + math.atan2(a.imag, a.real), -self.s - (rate / e).imag
+
+    def _dominant(self, z):
+        """D of E_B, a number or an array, at z = exp(2 i rho_B t)."""
+        k, p, q = self._kpq_b
+        return k if not self.winding else q * z if self.winding > 0 else p * z.conjugate()
+
+    def beat(self):
+        """(T, shift, cuts) of S where ``winding`` is not None and rho_B > 0:
+        its period T = pi / rho_B, over which it moves by shift =
+        -s T - 2 pi w, and the times from 0 to T between which it is
+        monotone.  S' = 0 where Im(E_B' conj E_B) + s |E_B|^2 = 0, which
+        times z^2, z = exp(2 i rho_B t), is the quartic in z below.  Every
+        root's angle cuts: a cut where S is monotone does no harm, and
+        rounding may move a root off the unit circle."""
+        (k, p, q), r, s = self._kpq_b, self.rho[1], self.s
+        kk, pp, qq = (abs(x) ** 2 for x in (k, p, q))
+        a4 = s * q * p.conjugate()
+        a3 = s * (k * p.conjugate() + q * k.conjugate()) + r * (q * k.conjugate() - k * p.conjugate())
+        a2 = s * (kk + pp + qq) + 2 * r * (qq - pp)
+        period = math.pi / r
+        roots = np.roots([a4, a3, a2, a3.conjugate(), a4.conjugate()]).tolist()
+        return period, self.drift * period, sorted({0.0, period, *(cmath.phase(z) % (2 * math.pi) / (2 * r) for z in roots)})
 
     def bounds(self) -> PhaseBounds:
         """Bounds on S and theta over all times, each infinite where it does
@@ -293,41 +340,37 @@ class BlockPropagator:
             (log E)'''' = E''''/E - (4 E' E''' + 3 E''^2)/E^2 + 12 E'^2 E''/E^3 - 6 (E'/E)^4,
         bounds |(Arg E)''''| by q_4 + 4 q_1 q_3 + 3 q_2^2 + 12 q_1^2 q_2 + 6 q_1^4.
         Where u <= 0 the ellipse may pass through 0 and there is no bound.
-        S takes block B's bounds and the dipolar rate |s|, theta both
-        blocks'.  E_A / K_A = 1 + eps with |eps| <= (|P_A| + |Q_A|) / |K_A|,
-        so |F| <= ``fast``, the arcsine of that where it is below 1.
+        |S'| <= |s| + q_1 of block B, and theta takes both blocks' bounds.
+        E_A / K_A = 1 + eps with |eps| <= (|P_A| + |Q_A|) / |K_A|, so
+        |F| <= ``fast``, the arcsine of that where it is below 1.
         """
-        (q1_a, m4_a), (q1_b, m4_b) = (_arg_bounds(2 * r, *m) for r, m in zip(self.rho, self._moduli))
+        (q1_a, m4_a), (q1_b, m4_b) = (_arg_bounds(2 * r, d, u) for r, (_, d, u) in zip(self.rho, self._moduli))
         k, d, _ = self._moduli[0]
         dipolar = abs(self.s)
         fast = math.asin(d / k) if d < k else math.inf
-        return PhaseBounds(dipolar + q1_b, m4_b, fast, dipolar + q1_a + q1_b, m4_a + m4_b)
+        return PhaseBounds(dipolar + q1_b, fast, dipolar + q1_a + q1_b, m4_a + m4_b)
 
     def _ellipses(self, times):
-        """(theta, E, cos, sin): E of both blocks at each of ``times``, and cos
-        and sin of 2 rho t."""
+        """(E, cos, sin): E of both blocks at each of ``times``, and cos and
+        sin of 2 rho t."""
         x = np.multiply.outer(times, self._two_rho)
         cos, sin = np.cos(x), np.sin(x)
-        e = self._k + self._c * cos + self._s * sin
-        z = e[:, 0] * e[:, 1].conj()
-        return np.arctan2(z.imag, z.real) - self.s * times, e, cos, sin
+        return self._k + self._c * cos + self._s * sin, cos, sin
 
 
 class PhaseBounds(NamedTuple):
     """``BlockPropagator.bounds``: each infinite where there is none."""
 
     slow_rate: float  # |S'|, rad/s
-    slow_m4: float  # |S''''|, rad/s^4
     fast: float  # |F| = |theta - S|, rad
     rate: float  # |theta'|, rad/s
     m4: float  # |theta''''|, rad/s^4
 
 
-def _arg_bounds(w, k, d, e):
+def _arg_bounds(w, d, u):
     """(bound on |(Arg E)'|, bound on |(Arg E)''''|) of an ellipse E with
-    |K| = k, |P| + |Q| = d and ||P| - |Q|| = e, turning at w = 2 rho
-    (``BlockPropagator.bounds``); infinite where E may pass through 0."""
-    u = max(k - d, e - k)
+    |P| + |Q| = d and |E| >= u, turning at w = 2 rho
+    (``BlockPropagator.bounds``); infinite where u is 0: E may pass through 0."""
     if not u > 0:
         return math.inf, math.inf
     # Products, not powers: a float product beyond the floats reads inf.
@@ -429,7 +472,7 @@ def _rk4_matrices(hfun, nodes, h: float):
 def _magnus_steps(blocks: BlockPropagator, config, h: float, rotation, buffers):
     """``step_matrices(j, n)``: the real forms of the Magnus step matrices of
     steps j to j + n - 1, n <= len(buffers[0]), of length h for the drive of
-    ``config``, on xi = exp(i L h/2) V^T psi (see ``propagate_magnus``);
+    ``config``, on xi = exp(i L h/2) V^T psi (see ``MagnusPass``);
     ``rotation`` is R(exp(-i L h)) (``MagnusPass``).
     ``buffers`` are four (size, 8, 8) arrays (``_workspace``): each call
     returns its matrices in buffers[0] and runs Horner's rule in the other
@@ -481,7 +524,7 @@ _thread = threading.local()
 
 def _workspace(size: int):
     """Four (size, 8, 8) buffers of this thread for the Magnus pass (see
-    ``propagate_magnus``), size <= STEPS_PER_CHUNK.  They are slices of one
+    ``MagnusPass``), size <= STEPS_PER_CHUNK.  They are slices of one
     array that the thread allocates at its first driven run, or when
     STEPS_PER_CHUNK has grown, and keeps for every later run, so that a run
     maps and faults in no memory anew.
@@ -660,7 +703,7 @@ def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
     that advances MAX_PHASE_PER_STEP at S per step, which resolves the
     Zeeman precession itself and which long, strongly driven runs would
     otherwise exceed, and no step advances more than MAX_MAGNUS_PHASE at S.
-    More than MAX_STEPS steps come back as a count that ``propagate_magnus``
+    More than MAX_STEPS steps come back as a count that ``MagnusPass``
     refuses.
     """
     spacing = times[-1] / (len(times) - 1)
@@ -672,11 +715,14 @@ def magnus_steps(config: SimulationConfig, scale: float, times) -> int:
 
 
 class MagnusPass:
-    """A driven run's Magnus pass (see ``propagate_magnus``), ``steps``
-    steps per sample interval, taken in as many calls of ``advance`` as its
-    caller makes; the pass is ``done`` once it has taken all ``total``
-    steps, each of length ``h``, from the eigenbasis and the initial state's
-    coefficients of ``blocks`` (``propagate_magnus``).
+    """A driven run's pass of ``steps`` uniform 4th-order Magnus steps per
+    sample interval, taken in as many calls of ``advance`` as its caller
+    makes; it is ``done`` once it has taken all ``total`` steps of length
+    ``h``.  With H0 = V L V^T from ``blocks`` and psi = V exp(-i L t) phi,
+    i dphi/dt = exp(i L t) V^T D(t) V exp(-i L t) phi for the drive D(t) at
+    ``config.resonances``: as large as the drive, the Zeeman precession in
+    phase factors that each step integrates exactly (``_drive_integrals``),
+    so the step need only follow the drive (``magnus_steps``).
 
     ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
     ValueError otherwise, and OutOfRange, before any step is taken, for more
@@ -770,32 +816,6 @@ class MagnusPass:
         states = self._states[i : i + len(xi)]
         np.matmul(xi, self._map, out=states.view(float))
         _check_norms(self.times[i : i + len(xi)], states, "Magnus", self.h)
-
-
-def propagate_magnus(
-    blocks: BlockPropagator, config: SimulationConfig, times, steps: int
-) -> Trajectory:
-    """Driven trajectory by ``steps`` uniform 4th-order Magnus steps per
-    sample interval: a ``MagnusPass`` taken to its end in one call.
-
-    ``times`` must be the uniform grid np.linspace(0, t_end, n); raises
-    ValueError otherwise, and OutOfRange, before any step is taken, for more
-    than MAX_STEPS steps.  ``blocks``, the ``BlockPropagator`` of the
-    config's static Hamiltonian H0 and initial state, holds H0 = V L V^T
-    with V real.  With psi(t) = V exp(-i L t) phi(t), phi obeys
-    i dphi/dt = H_I(t) phi where H_I(t) = exp(i L t) V^T D(t) V
-    exp(-i L t) and D(t) is the drive term at ``config.resonances``.  H_I
-    is as large as the drive; the Zeeman precession enters only through its
-    phase factors, which each step integrates exactly (``_drive_integrals``),
-    so the step need only follow the drive (``magnus_steps``).  The run's
-    steps (len(times) - 1) steps are built and carried STEPS_PER_CHUNK at a
-    time (``_carry``), and the state after every steps-th one is stored.
-    Raises NormDrift at the first stored state whose squared norm departs
-    from 1 by more than NORM_TOLERANCE.
-    """
-    run = MagnusPass(blocks, config, times, steps)
-    run.advance(run.total)
-    return run.trajectory
 
 
 def _check_norms(times, states, method: str, substep: float):

@@ -22,6 +22,7 @@ from buckygate.analysis import PHASE_TOL
 from buckygate.config import SimulationConfig, validate
 from buckygate.engine import run_simulation, run_trajectory
 from buckygate.hamiltonian import build_static
+from buckygate.propagator import BlockPropagator
 from test_engine import GRAZING_IDS, GRAZING_INPUTS, TAU_12NM, reference_config
 
 DIGITS = 40
@@ -113,12 +114,58 @@ FOUND_INPUTS = {
 }
 
 
+# Inputs whose window comes from the monotone pieces of S's periods
+# (``analysis._piece_bands``), as the bounds do not prove S monotone:
+# static-near seed 1 input 157, where q1_B = 2.23 |s|; and the reference
+# point with J0 = -g/2, where 2 rho_B > |s|, and (c2, c3) along block B's
+# second eigenvector, so that P_B = K_B = 0 and the quartic of
+# ``BlockPropagator.beat`` has a leading coefficient of 0.
+PIECEWISE_INPUTS = {
+    "near-seed1-157": {
+        "r": 1.4555249404582116e-09,
+        "Bz1": 0.14753535555246203,
+        "Bz2": 0.14753535555246203,
+        "Bg1": 0.00011971516091078243,
+        "Bg2": -0.00011971516091078243,
+        "t_max": 3.971209244602308e-08,
+        "initial_state": [
+            [0.1680513885492798, 0.7008587026765344],
+            [0.40487916631109555, 0.1932703747436666],
+            [0.40487916631109555, 0.1932703747436666],
+            [0.25210963018315136, -0.12014736753457987],
+        ],
+    },
+    "p-b-zero": {
+        "r": 1.14e-9,
+        "Bz1": 0.1,
+        "Bz2": 0.1,
+        "Bg1": 6.08e-5,
+        "Bg2": -6.08e-5,
+        "J0": -27524181.739761295,
+        "t_max": 1.2e-8,
+        "initial_state": [[0.6123724356957946, 0.0], [0.3702489738675926, 0.0], [0.336029310254321, 0.0], [0.6123724356957946, 0.0]],
+    },
+}
+
+
+def test_piecewise_inputs_take_the_quartic():
+    # Neither input's bounds prove S monotone (q1_B >= |s|), so its window
+    # comes from the cuts of ``beat``; on p-b-zero P_B = K_B = 0 exactly.
+    blocks = {name: BlockPropagator(validate(workload_config(f))) for name, f in PIECEWISE_INPUTS.items()}
+    for b in blocks.values():
+        assert b.bounds().slow_rate >= 2 * abs(b.s)
+        period, _, cuts = b.beat()
+        assert cuts[0] == 0.0 and cuts[-1] == period
+    k, p, q = blocks["p-b-zero"]._kpq_b
+    assert k == p == 0 and q != 0
+
+
 @pytest.mark.parametrize(
     "config",
     [reference_config(), reference_config(r=12e-9, t_max=2.5 * TAU_12NM)]
     + [SimulationConfig(**fields) for fields in GRAZING_INPUTS.values()]
-    + [workload_config(fields) for fields in FOUND_INPUTS.values()],
-    ids=["reference", "12nm"] + GRAZING_IDS + list(FOUND_INPUTS),
+    + [workload_config(fields) for fields in {**FOUND_INPUTS, **PIECEWISE_INPUTS}.values()],
+    ids=["reference", "12nm"] + GRAZING_IDS + list(FOUND_INPUTS) + list(PIECEWISE_INPUTS),
 )
 def test_tau_meets_phase_tol_at_40_digits(config):
     tau = run_simulation(config).gate.tau

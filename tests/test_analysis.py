@@ -7,7 +7,6 @@ import pytest
 from buckygate import analysis
 from buckygate.analysis import (
     PHASE_TOL,
-    SlowPhase,
     binary_entropy,
     concurrence,
     correction_phases,
@@ -142,9 +141,6 @@ GRAZE_TAU = GRAZE_AT - GRAZE_WIDTH * np.sqrt(np.log(GRAZE_HUMP / (GRAZE_HUMP - G
 # |theta''''| on the hump is at most 12 GRAZE_HUMP / GRAZE_WIDTH^4: the
 # fourth derivative of exp(-u^2) peaks at 12, at u = 0.
 GRAZE_M4 = 12 * GRAZE_HUMP / GRAZE_WIDTH**4
-# |theta'| is at most 10 plus the hump's steepest slope: |2 u exp(-u^2)|
-# peaks at sqrt(2 / e).
-GRAZE_RATE = 10 + GRAZE_HUMP / GRAZE_WIDTH * math.sqrt(2 / math.e)
 
 
 def newton_calls(times, theta, theta_fn, scan_step):
@@ -239,10 +235,12 @@ class TestFindGateTime:
             batches.append(t)
             return graze_theta(t), np.broadcast_to(graze_rate(t), np.shape(t))
 
-        # With the bounds the samples are of theta's slow part, here all
-        # of it: theta = S, |F| <= 0 and |S''''| <= m4.
-        slow = SlowPhase(graze_rate(times), GRAZE_RATE, 0.0, m4, m4) if math.isfinite(m4) else None
-        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, slow)
+        # With the bound, the window is handed over: theta can reach the
+        # level only within 0.005 of the hump's top, where |theta| is at
+        # most pi - 2.6e-3 at both ends, or past 0.7.  None of the ends of
+        # its cells, of the width fine, falls in the excursion.
+        window = ([GRAZE_AT - 0.00505, 0.7], [0.01, 0.01], m4) if math.isfinite(m4) else None
+        tau = find_gate_time(times, graze_theta(times), recording, 1e-3, window)
         first = batches[0]
         assert np.all(np.abs(graze_theta(first[first < 0.7])) < np.pi)
         assert abs(graze_theta(tau) + np.pi) <= PHASE_TOL
@@ -267,9 +265,8 @@ class TestFindGateTime:
             calls.append(len(t))
             return theta(t), rate(t)
 
-        times = np.linspace(0, 5.0, 101)
-        slow = SlowPhase(np.full(times.size, -1.0), 1.0, 0.5, 0.0, m4)
-        tau = find_gate_time(times, -times, recording, 0.05 / omega, slow)
+        window = ([np.pi - 0.5], [1.0], m4)
+        tau = find_gate_time(np.array([0.0, 5.0]), None, recording, 0.05 / omega, window)
         assert abs(theta(tau) + np.pi) <= PHASE_TOL
         grid = np.linspace(np.pi - 0.5, tau, 10**6)
         assert np.all(theta(grid[:-1]) > -np.pi)

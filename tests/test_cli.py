@@ -147,6 +147,18 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: PhaseAliasing: ") and "Traceback" not in err
 
+    def test_long_horizon_gate_time_exit_0(self, tmp_path, capsys):
+        # A static gate with bounds reads no grid: gate-time prints at 1 ms
+        # the summary it prints at 12 ns, which simulate's output grid at
+        # 1 ms cannot hold (test_long_horizon_exit_3).
+        short, long = tmp_path / "short.cfg", tmp_path / "long.cfg"
+        short.write_text(STATIC_CONFIG)
+        long.write_text(STATIC_CONFIG.replace("t_max_s=1.2e-8", "t_max_s=1e-3"))
+        assert main(["gate-time", str(short)]) == EXIT_OK
+        expected = capsys.readouterr().out
+        assert main(["gate-time", str(long)]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
 
 @pytest.mark.parametrize(
     "error",
@@ -262,10 +274,11 @@ def test_non_finite_value_exit_1(line, field, tmp_path, capsys):
 
 @pytest.mark.parametrize("line", ["t_max_s=1e300", "J0_rad_s=1e300"])
 def test_phase_aliasing_message_stays_short(line, tmp_path, capsys):
-    # A step of 1e288 rad or more is printed in exponent form.
+    # A step of 1e288 rad or more is printed in exponent form.  At t_max =
+    # 1e300 s the gate is found, and the output grid raises.
     path = tmp_path / "long.cfg"
     path.write_text(with_lines(STATIC_CONFIG, line))
-    assert main(["gate-time", str(path)]) == EXIT_NUMERICAL
+    assert main(["simulate", str(path), "--outdir", str(tmp_path / "out")]) == EXIT_NUMERICAL
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: PhaseAliasing: ")
     assert len(lines[0]) <= 200

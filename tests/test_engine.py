@@ -259,7 +259,7 @@ def test_driven_gate_does_not_depend_on_the_trajectory_read(bz, bl, t_max):
     after.trajectory
     assert after.gate == gate
     run = run_trajectory(config)
-    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.slow)
+    tau = find_gate_time(run.trajectory.times, run.theta, run.theta_at, run.scan_step, run.window)
     assert tau == gate.tau
 
 
@@ -326,9 +326,9 @@ def recording_eigh(monkeypatch):
 
 def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
     # A static run reads H0 only through the closed form of its two 2x2
-    # blocks, the gate on a grid sized by theta's bounds: no eigh at all.
-    # The output grid's states are taken from the blocks on the first read
-    # of the trajectory, once.
+    # blocks, and its gate samples nothing: no eigh at all.  The output
+    # grid's states are taken from the blocks on the first read of the
+    # trajectory, once.
     eighs = recording_eigh(monkeypatch)
     calls, states = [], BlockPropagator.states
 
@@ -339,7 +339,7 @@ def test_static_gate_propagates_no_output_grid_until_it_is_read(monkeypatch):
     monkeypatch.setattr(BlockPropagator, "states", recording_states)
     result = run_simulation(reference_config())
     assert calls == [1]  # the state at tau
-    assert len(result._run._times) < 100
+    assert result._run._theta is None
     result.trajectory
     result.theta
     assert calls == [1, engine.MIN_SAMPLES]
@@ -361,13 +361,13 @@ def test_driven_solve_calls_no_eigh_of_the_hamiltonian(monkeypatch):
 def test_static_output_does_not_depend_on_the_gate_grid():
     # README's example: the trajectory read is the blocks' closed form on
     # the MIN_SAMPLES grid at theta's rate, with theta unwrapped from the
-    # blocks' angles, bit for bit, whatever grid the gate read; and it
+    # blocks' angles, bit for bit, though the gate sampled nothing; and it
     # is the spectral oracle's solution to 1e-12 (2.8e-14 in psi and 6.1e-14
     # rad in theta measured).
     run = run_trajectory(reference_config())
     times = np.linspace(0.0, 1.2e-8, engine.MIN_SAMPLES)
     blocks = BlockPropagator(run.config)
-    assert len(run._times) < len(times)
+    assert run._theta is None
     np.testing.assert_array_equal(run.trajectory.times, times)
     np.testing.assert_array_equal(run.trajectory.states, blocks.states(times))
     np.testing.assert_array_equal(run.theta, unwrap_angles(times, blocks.angles(times)))
@@ -378,13 +378,14 @@ def test_static_output_does_not_depend_on_the_gate_grid():
 
 def test_static_output_checks_its_states_where_an_amplitude_may_vanish(monkeypatch):
     # With the blocks' bound taken as too weak to rule a vanishing amplitude
-    # out, and the floor between the least amplitude on the gate's samples
-    # and on the output grid, the gate is found and the output read raises
-    # UndefinedPhase, at every read.
+    # out, and the floor between the least amplitude at the gate and on the
+    # output grid, the gate, which reads theta in closed form and no
+    # sampled state, is found, and the output read raises UndefinedPhase,
+    # at every read.
     psi0 = np.array([0.6, 0.2 + 0.5j, -0.3j, 0.4 - 0.3j])
     config = reference_config(initial_state=psi0 / np.linalg.norm(psi0), t_max=4e-8)
     run = run_trajectory(config)
-    head = np.abs(run.states_at(run._times)).min()
+    head = np.abs(run.states_at([run_simulation(config).gate.tau])).min()
     tail = np.abs(run.trajectory.states).min()
     assert tail < head
     monkeypatch.setattr(engine, "AMP_FLOOR", 1.0)
@@ -451,7 +452,7 @@ import json, resource, sys
 import numpy as np
 from buckygate import SimulationConfig
 from buckygate.config import validate
-from buckygate.propagator import BlockPropagator, propagate_magnus
+from buckygate.propagator import BlockPropagator, MagnusPass
 steps = int(sys.argv[1])
 config = validate(SimulationConfig(r=1.14e-9, Bz1=0.1, Bz2=0.1, Bg1=6.08e-5, Bg2=-6.08e-5,
                                    t_max=1e-10, mode="driven", Bl1=6e-4, Bl2=6e-4))
@@ -460,7 +461,8 @@ times = np.linspace(0, 1e-10, 31)
 faults = []
 for _ in range(6):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    propagate_magnus(blocks, config, times, steps)
+    run = MagnusPass(blocks, config, times, steps)
+    run.advance(run.total)
     faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 print(json.dumps(faults))
 """
@@ -656,19 +658,23 @@ def test_sample_times_bounds():
 @pytest.mark.parametrize("n", [2, 3, 1001, engine.MAX_SAMPLES])
 @pytest.mark.parametrize("t_max", [sys.float_info.min, 1e-300, 3.7e-17, 1.2e-8, 0.1, 1.0])
 def test_sample_times_is_linspace_bit_for_bit(n, t_max):
-    # A rate of 0 leaves the count to ``least``.
-    times = sample_times(t_max, 0.0, least=n) if n < engine.MAX_SAMPLES else sample_times(t_max, math.inf)
-    assert len(times) == n
-    assert times.tobytes() == np.linspace(0.0, t_max, n).tobytes()
+    # A rate of 0 takes the MIN_SAMPLES floor, and so does a pace that asks
+    # for n = 2 or 3 samples: no grid has fewer.
+    pace = (n - 1) * engine.MAX_PHASE_PER_SAMPLE / t_max
+    rate = pace if n < engine.MIN_SAMPLES else 0.0 if n < engine.MAX_SAMPLES else math.inf
+    times = sample_times(t_max, rate)
+    assert len(times) == max(n, engine.MIN_SAMPLES)
+    assert times.tobytes() == np.linspace(0.0, t_max, len(times)).tobytes()
 
 
 def test_sample_times_is_linspace_on_random_draws():
     # Horizons from 1e-300 to 1 s at rates that ask for 2 to about 60 000
-    # samples, beyond the MAX_SAMPLES cap.
+    # samples, below the MIN_SAMPLES floor and beyond the MAX_SAMPLES cap.
     rng = np.random.default_rng(7)
     for t_max, steps in zip(10.0 ** rng.uniform(-300, 0, 2000), 10.0 ** rng.uniform(0, 4.8, 2000)):
         t_max = float(t_max)
-        times = sample_times(t_max, float(steps) * engine.MAX_PHASE_PER_SAMPLE / t_max, least=2)
+        times = sample_times(t_max, float(steps) * engine.MAX_PHASE_PER_SAMPLE / t_max)
+        assert engine.MIN_SAMPLES <= len(times) <= engine.MAX_SAMPLES
         assert times.tobytes() == np.linspace(0.0, t_max, len(times)).tobytes()
 
 
@@ -854,14 +860,12 @@ BOUND_IDS = ["reference", "12nm"] + GRAZING_IDS + [
 
 @pytest.mark.parametrize("config", BOUND_INPUTS, ids=BOUND_IDS)
 def test_fourth_derivative_bound_holds(config):
-    # The blocks' bounds on |theta''''| and on |S''''|, S = theta - F the
-    # slow part, hold everywhere; on a dense grid of 16 points per period
-    # of the largest eigenvalue gap, over two periods of the slow beat, the
-    # exact theta'''' reaches at least a quarter of its bound, so the bound
-    # sizes the scan's cells without waste.  S = -s t - Arg E_B, where
-    # Arg E_B is Arg(c2 c3) plus a term linear in t, so S'''' is
-    # -Im (log c2 c3)''''.
+    # The blocks' bound on |theta''''| holds everywhere; on a dense grid of
+    # 16 points per period of the largest eigenvalue gap, over two periods
+    # of the slow beat, the exact theta'''' reaches at least a quarter of
+    # it, so the bound sizes the scan's cells without waste.
     run = run_trajectory(config)
+    m4 = run.window[2]
     eigenvalues = np.linalg.eigvalsh(build_static(run.config))
     period = 2 * np.pi / np.ptp(eigenvalues)
     g, _, m2 = static_terms(run.config)
@@ -869,9 +873,8 @@ def test_fourth_derivative_bound_holds(config):
     times = np.arange(0.0, min(2 * beat, run.config.t_max), period / 16)
     d = exact_log_derivatives(run.config, times, 4)
     peak = np.max(np.abs(d[0] - d[1] - d[2] + d[3]))
-    assert np.isfinite(run.slow.m4)
-    assert peak <= run.slow.m4 <= 4 * peak
-    assert np.max(np.abs(d[1] + d[2])) <= run.slow.m4_slow
+    assert np.isfinite(m4)
+    assert peak <= m4 <= 4 * peak
 
 
 def exact_rates(config, times):
@@ -982,18 +985,20 @@ CLOSED_FORM_IDS = ["reference"] + [f"near-{seed}-{k}" for seed in (1, 2, 3) for 
 
 @pytest.mark.parametrize("config", CLOSED_FORM_INPUTS, ids=CLOSED_FORM_IDS)
 def test_closed_form_theta_matches_the_spectral_path(config):
-    # On the gate's grid, theta from the blocks' ellipses matches theta
-    # unwrapped from the 4x4 evolution within 1e-11 rad (2.5e-13 measured),
-    # and its rate the H psi ratio within 1e-11 rad over the horizon
-    # (|d theta'| t_max; 2e-12 measured).  Beyond 3 nm the 4x4 evolution's
-    # own rounding reaches 1e-10 rad (tests/test_accuracy.py).
+    # On 201 points over the horizon, theta from the blocks' ellipses, on
+    # its own branch, matches theta unwrapped from the 4x4 evolution within
+    # 1e-11 rad, and its rate the H psi ratio within 1e-11 rad over the
+    # horizon (|d theta'| t_max).  Beyond 3 nm the 4x4 evolution's own
+    # rounding reaches 1e-10 rad (tests/test_accuracy.py).
     run = run_trajectory(config)
-    times = run._times
+    times = np.linspace(0.0, run.config.t_max, 201)
     expected = unwrap_phases(propagate_static(SpectralPropagator(build_static(run.config)), run.config.initial_state, times))
     theta, rate = run.theta_at(times)
     np.testing.assert_allclose(theta, expected, rtol=0, atol=1e-11)
-    # The gate's samples are of the slow part S, within fast of theta.
-    assert np.max(np.abs(run._theta - expected)) <= run.slow.fast
+    # The slow part S, on its own branch, is within fast of theta.
+    blocks = BlockPropagator(run.config)
+    slow = np.array([blocks.slow(t)[0] for t in times.tolist()])
+    assert np.max(np.abs(slow - expected)) <= blocks.bounds().fast
     spectral_theta, spectral_rate = spectral_theta_fn(run.config, times, expected)(times)
     np.testing.assert_allclose(theta, spectral_theta, rtol=0, atol=1e-11)
     assert np.max(np.abs(rate - spectral_rate)) * run.config.t_max <= 1e-11
@@ -1003,14 +1008,16 @@ def test_degenerate_block_gate_time_matches_the_spectral_path():
     # Equal fields, no gradient and J0 = g/2: the {|01>,|10>} block is a
     # multiple of the identity, rho_B = 0, and E_B stands still.  The closed
     # form divides by no rho; its tau is the one the spectral path refines
-    # from the same samples, within the phase tolerance at theta's rate.
+    # in the same window, on the branches the closed form gives at 1 001
+    # points, within the phase tolerance at theta's rate.
     r = 1.14e-9
     config = validate(reference_config(Bg1=0.0, Bg2=0.0, J0=dipole_coupling(r) / 2))
     assert BlockPropagator(config).rho[1] == 0.0
     run = run_trajectory(config)
     gate = run_simulation(config).gate
-    theta_fn = spectral_theta_fn(config, run._times, run._theta)
-    tau = find_gate_time(run._times, run._theta, theta_fn, run.scan_step, run.slow)
+    times = np.linspace(0.0, config.t_max, 1001)
+    theta_fn = spectral_theta_fn(config, times, run.theta_at(times)[0])
+    tau = find_gate_time(run._times, run._theta, theta_fn, run.scan_step, run.window)
     (theta,), (rate,) = theta_fn(np.array([tau]))
     assert abs(theta + np.pi) <= PHASE_TOL
     assert abs(gate.tau - tau) <= 2 * PHASE_TOL / abs(rate)
@@ -1176,8 +1183,8 @@ def test_theta_rate_matches_a_central_difference(config):
     # At the gate time and in the middle of its sample interval.  The step,
     # 5e-4 rad at the Hamiltonian scale (about 1e-14 s), keeps the central
     # difference's h^2 error of theta's Zeeman-scale wiggle below 1e-7.  A
-    # static run's slow part S, whose rate the gate grid samples, is checked
-    # the same way.
+    # static run's slow part S, whose closed form the gate's window comes
+    # from, is checked the same way, on its own branch: nothing unwraps it.
     run = run_trajectory(config)
     tau = run_simulation(config).gate.tau
     samples = run.trajectory.times
@@ -1189,9 +1196,8 @@ def test_theta_rate_matches_a_central_difference(config):
         central = (theta_hi - theta_lo) / (2 * h)
         assert abs(central / rate - 1) <= 1e-6
         if config.mode == "static":
-            slow, (_, slow_rate, _) = blocks.slow(np.array([t - h, t, t + h]))
-            slow = np.unwrap(slow)
-            assert abs((slow[2] - slow[0]) / (2 * h) / slow_rate - 1) <= 1e-6
+            (slow_lo, _), (_, slow_rate), (slow_hi, _) = (blocks.slow(float(x)) for x in (t - h, t, t + h))
+            assert abs((slow_hi - slow_lo) / (2 * h) / slow_rate - 1) <= 1e-6
 
 
 class TestThetaRateGrid:
@@ -1212,16 +1218,18 @@ class TestThetaRateGrid:
             result = run_simulation(reference_config(r=12e-9, t_max=factor * TAU_12NM))
             points.append(sum(counts))
             taus.append(result.gate.tau)
-        assert 0 < points[-1] <= 1.1 * points[0]
-        # Each tau meets analysis.PHASE_TOL (1e-10 rad), with theta near
-        # pi t / tau; the bound allows 1e-7 rad.
-        assert max(taus) - min(taus) <= 2e-7 / np.pi * taus[0]
+        # The window and its search do not depend on the horizon past tau.
+        assert 0 < points[0] == points[1] == points[2]
+        assert taus[0] == taus[1] == taus[2]
 
-    def test_long_horizon_raises_instead_of_aliasing(self):
-        # 50 001 samples over 1 ms are 20 ns apart, against a gate time of
-        # 9.5 ns: the unwrap would alias, so no tau is returned.
+    def test_long_horizon_gate_equals_the_short_horizon_gate(self):
+        # A bounded static gate reads no grid: at 1 ms, where 50 001 samples
+        # would be 20 ns apart against a gate time of 9.5 ns, it is the gate
+        # at 20 ns, bit for bit.  Only the output grid raises PhaseAliasing.
+        long = run_simulation(reference_config(t_max=1e-3))
+        assert long.gate == run_simulation(reference_config(t_max=2e-8)).gate
         with pytest.raises(PhaseAliasing, match="shorten t_max"):
-            run_simulation(reference_config(t_max=1e-3))
+            long.trajectory
 
 
 class TestRefinementStep:
@@ -1373,20 +1381,16 @@ def test_edge_inputs_find_first_exact_crossing(overrides):
     ids=["reference", "r=8nm"] + GRAZING_IDS + list(EDGE_INPUTS),
 )
 def test_scan_margin_bounds_theta_between_samples(config):
-    # The gate scans theta only where the cubic Hermite interpolant of the
-    # samples of S and S' it reads comes within fast + h^4 m4_slow / 384 of
-    # the level; the exact theta must not leave that band around the
-    # interpolant.
+    # The gate scans theta only in its window, which comes from the slow
+    # part S alone: outside the window's bands, up to the end of the last,
+    # the exact theta stays below the level, and at that end it is past it.
     run = run_trajectory(config)
-    times, slow = run._times, run.slow
-    assert slow is not None
-    h = float(np.max(np.diff(times)))
-    margin = slow.fast + h**4 * slow.m4_slow / 384
-    dense = np.linspace(0.0, times[-1], 400_001)
+    assert run.window is not None
+    start, width, _ = run.window
+    dense = np.linspace(0.0, start[-1] + width[-1], 400_001)
     exact = exact_theta(run.config, dense)
-    i = np.minimum(times.searchsorted(dense, side="right") - 1, len(times) - 2)
-    span = times[i + 1] - times[i]
-    x = (dense - times[i]) / span
-    f0, f1, m0, m1 = run._theta[i], run._theta[i + 1], slow.rates[i] * span, slow.rates[i + 1] * span
-    cubic = f0 + x * (m0 + x * (3 * (f1 - f0) - 2 * m0 - m1 + x * (2 * (f0 - f1) + m0 + m1)))
-    assert np.max(np.abs(exact - cubic)) <= margin
+    outside = np.ones(dense.size, dtype=bool)
+    for a, w in zip(start, width):
+        outside &= (dense < a) | (dense > a + w)
+    assert np.max(np.abs(exact[outside])) < np.pi
+    assert abs(exact[-1]) >= np.pi

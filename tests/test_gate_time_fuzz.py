@@ -20,7 +20,7 @@ from hypothesis.configuration import set_hypothesis_home_dir
 
 from buckygate.analysis import PHASE_TOL
 from buckygate.config import SimulationConfig
-from buckygate.engine import run_simulation, run_trajectory
+from buckygate.engine import run_simulation
 from buckygate.errors import NoCrossing, OutOfRange, PhaseAliasing, UndefinedPhase
 from buckygate.hamiltonian import build_static, dipole_coupling
 
@@ -185,12 +185,11 @@ def excursion_configs(draw):
     |theta| before its first crossing of pi is tuned past pi by a height
     drawn log-uniformly from 1e-6 to 1e-4 rad (``tune_extreme``): theta
     reaches pi there and turns back within 2 sqrt(2 height / |theta''|).
-    A draw is rejected whose tuned theta reaches pi before that excursion,
-    or whose excursion is not shorter than the sample interval of the run's
-    gate grid, so that the samples need not show it and only the search
-    between them can find the crossing.  The 25 draws' excursions last 1.4
-    to 26 of the search's narrowest cells, of width ``analysis._fine``, and
-    0.3 to 37 of the run's ``scan_step``.
+    A draw is rejected whose tuned theta reaches pi before that excursion.
+    A static gate with bounds samples nothing, so only the search in its
+    window can find the crossing.  The 25 draws' excursions last 0.9 to 29
+    of the search's narrowest cells, of width ``analysis._fine``, and 0.3 to
+    41 of the run's ``scan_step``.
     """
     config = draw(static_configs())
     # A vanishing amplitude leaves theta undefined (UndefinedPhase).
@@ -199,11 +198,6 @@ def excursion_configs(draw):
     tuned, t, spacing = tune_extreme(config, -height)
     _, curvature = exact_slopes(tuned, t)
     width = 2 * math.sqrt(2 * height / abs(curvature))
-    try:
-        run = run_trajectory(tuned)
-    except (OutOfRange, PhaseAliasing, UndefinedPhase):
-        assume(False)
-    assume(width < run._times[1])
     before = exact_theta(tuned, np.append(np.arange(0.0, t - width, spacing), t - width))
     assume(np.max(np.abs(before)) < np.pi)
     return tuned

@@ -29,12 +29,12 @@ from buckygate.propagator import (
     _taylor_degree,
     hamiltonian_scale,
     magnus_steps,
-    propagate_magnus,
     rk4_segment,
     rk4_spans,
     time_dependent_hamiltonian,
 )
 import rk4_oracle
+from magnus_run import propagate_magnus
 from rk4_oracle import propagate_numeric
 from spectral_oracle import SpectralPropagator, propagate_static
 
